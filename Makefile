@@ -86,14 +86,11 @@ scheduler-test:
 dashboard:
 	python -m repro.obs.dashboard --frames 5
 
-# Regression sentinel: produce a fresh throughput artifact, compare it
-# against the newest baseline under baselines/ (passes with a note when
-# none is committed), then self-test the comparator's decision logic.
+# Regression sentinel: run the benchmark spine once and compare it,
+# workload by workload, against the committed ten-run baseline (exit 1
+# when any end-to-end metric is worse beyond its BENCHMARK.json bound
+# and the baseline's own spread).
 regression-check:
-	python benchmarks/bench_workload_throughput.py --out workload-artifacts
-	python benchmarks/check_regression.py \
-		--current workload-artifacts/bench_workload_throughput.json \
-		--baseline 'baselines/*.json'
-	python benchmarks/check_regression.py \
-		--current workload-artifacts/bench_workload_throughput.json \
-		--self-test
+	python3 benchmarks/spine/run.py --seed 1
+	python3 benchmarks/spine/compare.py benchmarks/spine/baselines/seed.json \
+		-- .spine_out/result-all-trace0.json

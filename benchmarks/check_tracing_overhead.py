@@ -28,8 +28,8 @@ cost of :mod:`repro.obs.recorder` to the same 5% budget.
 
 A fourth paired gate prices the hybrid write path's read-side promise:
 with nothing staged and nothing deleted, dispatching a scan through
-:func:`repro.engine.hybrid.run_scan_with_store` (the route every
-Database query now takes) must cost no more than the plain
+:func:`repro.engine.hybrid.run_scan_with_store` (the same check
+``Database``'s resolver makes for every query) must cost no more than the plain
 ``run_scan`` — the empty-delta fast path is one ``has_changes`` check.
 
 Measurement is built for noisy shared runners: both arms alternate in
@@ -282,7 +282,7 @@ def measure_write_path(cycles: int, samples: int) -> tuple[float, list[float]]:
     hybrid dispatch (one ``has_changes`` check) even when nothing is
     staged.  The candidate arm routes through
     :func:`repro.engine.hybrid.run_scan_with_store` with an attached
-    but empty store — the exact read path of a clean table — and must
+    but empty store — the resolve step of a clean table — and must
     stay within the same 5% budget as the other disabled-feature arms.
     """
     from repro.storage.write_store import WriteOptimizedStore

@@ -26,7 +26,7 @@ from repro.data.generator import GeneratedTable
 from repro.design.materialize import MaterializedView, ViewRouter, materialize_view
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult, run_scan
-from repro.engine.hybrid import build_overlay, run_scan_with_store
+from repro.engine.hybrid import build_overlay
 from repro.engine.governance import (
     CancellationToken,
     CircuitBreaker,
@@ -135,49 +135,35 @@ class Database:
     ) -> MaterializedView:
         """Materialize a vertical partition and register it for routing."""
         entry = self._entry(table)
+        spec = {
+            "attributes": tuple(attributes),
+            "name": name,
+            "sort_key": sort_key,
+            "compress": compress,
+            "use_rle": use_rle,
+        }
+        view = self._materialize(entry, spec)
+        # Replayed after every merge under the name the view got now.
+        spec["name"] = view.name
+        entry.view_defs.append(spec)
+        return view
+
+    def _materialize(self, entry: _TableEntry, spec: dict) -> MaterializedView:
+        """Build one view from the table's current data and register it."""
         view = materialize_view(
             entry.data,
-            attributes,
-            name=name,
-            sort_key=sort_key,
+            spec["attributes"],
+            name=spec["name"],
+            sort_key=spec["sort_key"],
             layout=(
                 Layout.COLUMN if Layout.COLUMN in self.layouts else self.layouts[0]
             ),
-            compress=compress,
-            use_rle=use_rle,
+            compress=spec["compress"],
+            use_rle=spec["use_rle"],
             page_size=self.page_size,
         )
         entry.router.add_view(view)
-        entry.view_defs.append(
-            {
-                "attributes": tuple(attributes),
-                "name": view.name,
-                "sort_key": sort_key,
-                "compress": compress,
-                "use_rle": use_rle,
-            }
-        )
         return view
-
-    def _rematerialize_views(self, entry: _TableEntry) -> None:
-        """Rebuild every view of a table after its base data changed."""
-        entry.router = ViewRouter(entry.tables[self.layouts[0]])
-        for spec in entry.view_defs:
-            view = materialize_view(
-                entry.data,
-                spec["attributes"],
-                name=spec["name"],
-                sort_key=spec["sort_key"],
-                layout=(
-                    Layout.COLUMN
-                    if Layout.COLUMN in self.layouts
-                    else self.layouts[0]
-                ),
-                compress=spec["compress"],
-                use_rle=spec["use_rle"],
-                page_size=self.page_size,
-            )
-            entry.router.add_view(view)
 
     # --- catalog -----------------------------------------------------------
 
@@ -258,16 +244,16 @@ class Database:
                 table, select=(probe_attr,), predicates=tuple(predicates)
             )
             base = entry.tables[self.layouts[0]]
-            matched = list(run_scan(base, scan).positions)
+            matched = run_scan(base, scan).positions
             staged = store.staged_columns()
             if staged:
                 live = np.ones(len(store), dtype=bool)
                 for predicate in predicates:
                     live &= predicate.evaluate(staged[predicate.attr])
-                matched.extend(
-                    (store.base_rows + np.flatnonzero(live)).tolist()
+                matched = np.concatenate(
+                    [matched, store.base_rows + np.flatnonzero(live)]
                 )
-            newly = store.delete(matched) if matched else 0
+            newly = store.delete(matched) if len(matched) else 0
         if obs_metrics.enabled() and newly:
             obs_metrics.WRITE_DELETED_ROWS.inc(newly)
         flight.record(
@@ -300,42 +286,72 @@ class Database:
         """
         if background:
             return self.start_merge(table, verify=verify)
-        entry = self._entry(table)
-        store = entry.store
         label = f"merge {table}"
-        flight.record(
-            "write.merge.begin",
-            label,
-            table=table,
-            staged=len(store),
-            deleted=store.deletes.count(),
+        try:
+            for _ in self._merge_steps(self._entry(table), label, verify):
+                pass
+        except BaseException as exc:
+            if flight.enabled():
+                flight.RECORDER.dump_blackbox(label, error=exc)
+            raise
+        return None
+
+    def start_merge(self, table: str, verify: bool = False) -> JobHandle:
+        """Kick off an incremental merge on the database's scheduler.
+
+        The merge advances one step per scheduler round (rebuild, then
+        one layout load per step, then an atomic in-memory swap), so
+        queries submitted before the swap finish on the old snapshot
+        and queries submitted after it see the merged table.  The write
+        store is frozen from the first round until the merge commits.
+        """
+        label = f"background merge {table}"
+        return self.scheduler.submit_job(
+            self._merge_steps(self._entry(table), label, verify), label=label
         )
+
+    def _merge_steps(self, entry: _TableEntry, label: str, verify: bool):
+        """The merge, as a step generator; returns the merged row count.
+
+        Foreground :meth:`merge` drains it in one go, :meth:`start_merge`
+        hands it to the scheduler.  Nothing runs before the first step:
+        the freeze comes first, so the staged/deleted counts reported
+        are exactly what this merge drains.
+        """
+        table = entry.data.schema.name
+        store = entry.store
+        store.begin_merge()
         started = time.perf_counter()
         staged = len(store)
         reclaimed = store.deletes.count()
-        store.begin_merge()
+        flight.record(
+            "write.merge.begin", label, table=table, staged=staged, deleted=reclaimed
+        )
         try:
             new_data = store.merged_data(entry.data.schema, entry.data.columns)
-            new_tables = {
-                layout: load_table(
+            yield
+            new_tables = {}
+            for layout in self.layouts:
+                new_tables[layout] = load_table(
                     new_data, layout, page_size=self.page_size, verify=verify
                 )
-                for layout in self.layouts
-            }
+                yield
+            # The swap is one step: queries never see a half-merged
+            # catalog entry.
+            entry.data = new_data
+            entry.tables = new_tables
+            entry.router = ViewRouter(new_tables[self.layouts[0]])
+            for spec in entry.view_defs:
+                self._materialize(entry, spec)
         except BaseException as exc:
             store.end_merge()
             flight.record(
                 "write.merge.abort", label, table=table, error=type(exc).__name__
             )
-            if flight.enabled():
-                flight.RECORDER.dump_blackbox(label, error=exc)
             if obs_metrics.enabled():
                 obs_metrics.WRITE_MERGE_ABORTS.inc()
             raise
         store.end_merge()
-        entry.data = new_data
-        entry.tables = new_tables
-        self._rematerialize_views(entry)
         store.reset(new_data.num_rows)
         if obs_metrics.enabled():
             obs_metrics.WRITE_MERGES.inc()
@@ -346,76 +362,7 @@ class Database:
         flight.record(
             "write.merge.commit", label, table=table, rows=new_data.num_rows
         )
-        return None
-
-    def start_merge(self, table: str, verify: bool = False) -> JobHandle:
-        """Kick off an incremental merge on the database's scheduler.
-
-        The merge advances one step per scheduler round (rebuild, then
-        one layout load per step, then an atomic in-memory swap), so
-        queries submitted before the swap finish on the old snapshot
-        and queries submitted after it see the merged table.  The write
-        store is frozen for the duration.
-        """
-        entry = self._entry(table)
-        store = entry.store
-        label = f"background merge {table}"
-        staged = len(store)
-        reclaimed = store.deletes.count()
-        started = time.perf_counter()
-
-        def steps():
-            store.begin_merge()
-            flight.record(
-                "write.merge.begin",
-                label,
-                table=table,
-                staged=staged,
-                deleted=reclaimed,
-            )
-            try:
-                new_data = store.merged_data(
-                    entry.data.schema, entry.data.columns
-                )
-                yield
-                new_tables = {}
-                for layout in self.layouts:
-                    new_tables[layout] = load_table(
-                        new_data, layout, page_size=self.page_size, verify=verify
-                    )
-                    yield
-                # The swap is one step: queries never see a half-merged
-                # catalog entry.
-                entry.data = new_data
-                entry.tables = new_tables
-                self._rematerialize_views(entry)
-            except BaseException as exc:
-                store.end_merge()
-                flight.record(
-                    "write.merge.abort",
-                    label,
-                    table=table,
-                    error=type(exc).__name__,
-                )
-                if obs_metrics.enabled():
-                    obs_metrics.WRITE_MERGE_ABORTS.inc()
-                raise
-            store.end_merge()
-            store.reset(new_data.num_rows)
-            if obs_metrics.enabled():
-                obs_metrics.WRITE_MERGES.inc()
-                obs_metrics.WRITE_MERGE_SECONDS.observe(
-                    time.perf_counter() - started
-                )
-                obs_metrics.WRITE_MERGED_ROWS.inc(staged)
-                obs_metrics.WRITE_RECLAIMED_ROWS.inc(reclaimed)
-                obs_metrics.WRITE_STAGED_BYTES.set(self._staged_bytes())
-            flight.record(
-                "write.merge.commit", label, table=table, rows=new_data.num_rows
-            )
-            return new_data.num_rows
-
-        return self.scheduler.submit_job(steps(), label=label)
+        return new_data.num_rows
 
     def _staged_bytes(self) -> int:
         return sum(entry.store.staged_bytes for entry in self._tables.values())
@@ -435,6 +382,40 @@ class Database:
         }
 
     # --- queries ------------------------------------------------------------
+
+    def _resolve_target(
+        self,
+        table: str,
+        scan: ScanQuery,
+        layout: Layout | None,
+        use_views: bool,
+    ):
+        """Resolve step of every entry point: where a scan runs, and its overlay.
+
+        Returns ``(target, post)``.  ``target`` is the explicit
+        ``layout``, else a covering view, else the first layout; a
+        dirty write store bypasses views, which materialize the last
+        merged snapshot.  ``post`` is ``None`` for a clean table and
+        otherwise applies the write-store overlay (delete filtering,
+        position remapping, staged-row append) to the finished
+        :class:`QueryResult` of whichever executor ran the scan.  The
+        overlay snapshots the write store *now* — at submit time — so
+        a scheduled or fanned-out query sees a consistent image even
+        if writes or a merge land while it is in flight.
+        """
+        entry = self._entry(table)
+        hybrid = entry.store.has_changes
+        if layout is not None:
+            target = self.table(table, layout)
+        elif use_views and not hybrid:
+            target, _source = entry.router.route(scan)
+        else:
+            target = entry.tables[self.layouts[0]]
+        if not hybrid:
+            return target, None
+        if obs_metrics.enabled():
+            obs_metrics.WRITE_HYBRID_QUERIES.inc()
+        return target, build_overlay(entry.store, scan).apply
 
     def query(
         self,
@@ -482,7 +463,6 @@ class Database:
         hangs and never returns a partial result.  They require a
         ``context`` without a governance of its own (or none).
         """
-        entry = self._entry(table)
         scan = ScanQuery(table, select=select, predicates=predicates)
         if timeout is not None or memory_budget is not None or cancellation is not None:
             context = context or ExecutionContext()
@@ -497,25 +477,12 @@ class Database:
                 token=cancellation,
                 label=f"query on {table}",
             )
-        store = entry.store
-        hybrid = store.has_changes
-        target: Table
-        if layout is not None:
-            target = self.table(table, layout)
-        elif use_views and not hybrid:
-            # A dirty write store bypasses views: they materialize the
-            # last merged snapshot, not the staged rows/deletes.
-            target, _source = entry.router.route(scan)
-        else:
-            target = entry.tables[self.layouts[0]]
-        if hybrid and obs_metrics.enabled():
-            obs_metrics.WRITE_HYBRID_QUERIES.inc()
-        if workers > 1:
-            workers = max(1, min(workers, os.cpu_count() or 1))
+        target, post = self._resolve_target(table, scan, layout, use_views)
+        result = None
+        workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
             from repro.engine.parallel import parallel_query
 
-            overlay = build_overlay(store, scan) if hybrid else None
             try:
                 result = parallel_query(
                     target,
@@ -527,57 +494,16 @@ class Database:
                     policy=policy,
                     breaker=self.breaker,
                 )
-                # The overlay was snapshotted before the fan-out, so a
-                # concurrent merge cannot skew the remapping.
-                return overlay.apply(result) if overlay is not None else result
             except PlanError:
                 # Not decomposable: run the plain serial scan instead.
                 pass
-        if hybrid:
-            return run_scan_with_store(
-                target,
-                scan,
-                store,
-                context,
-                column_scanner=column_scanner,
-                salvage=salvage,
+        if result is None:
+            result = run_scan(
+                target, scan, context, column_scanner=column_scanner, salvage=salvage
             )
-        return run_scan(
-            target, scan, context, column_scanner=column_scanner, salvage=salvage
-        )
+        return post(result) if post is not None else result
 
     # --- concurrent workloads ------------------------------------------------
-
-    def _resolve_target(
-        self,
-        table: str,
-        scan: ScanQuery,
-        layout: Layout | None,
-        use_views: bool,
-    ):
-        """The table a scan runs against plus its hybrid post-transform.
-
-        Returns ``(target, post)`` where ``post`` is ``None`` for a
-        clean table and otherwise applies the write-store overlay
-        (delete filtering, position remapping, staged-row append) to
-        the finished :class:`QueryResult`.  The overlay snapshots the
-        write store *now* — at submit time — so a scheduled query sees
-        a consistent image even if writes or a merge land while it is
-        queued.
-        """
-        entry = self._entry(table)
-        hybrid = entry.store.has_changes
-        if layout is not None:
-            target = self.table(table, layout)
-        elif use_views and not hybrid:
-            target, _source = entry.router.route(scan)
-        else:
-            target = entry.tables[self.layouts[0]]
-        if not hybrid:
-            return target, None
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_HYBRID_QUERIES.inc()
-        return target, build_overlay(entry.store, scan).apply
 
     def submit(
         self,
@@ -603,9 +529,7 @@ class Database:
         """
         scan = ScanQuery(table, select=select, predicates=predicates)
         target, post = self._resolve_target(table, scan, layout, use_views)
-        if self._scheduler is None:
-            self._scheduler = Scheduler()
-        return self._scheduler.submit(
+        return self.scheduler.submit(
             target,
             scan,
             timeout=timeout,

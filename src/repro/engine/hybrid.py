@@ -10,22 +10,25 @@ snapshot of one table's pending edits, precomputed per query:
   filtered by its predicates, and positioned at rebuilt-table
   coordinates.
 
-The overlay is applied in one of two ways, chosen by the execution
-path:
+There is one mechanism, used by every execution path: the base plan
+runs unchanged against the read store — serial, partitioned-parallel,
+scheduled or riding a shared scan, none of whose plumbing knows about
+deltas — and :meth:`HybridOverlay.apply` transforms the materialized
+result once, at the plan boundary (one select then gather over
+positions, plus an append).  The transformation is per-row and
+order-preserving, so the output is byte-identical to scanning a table
+rebuilt as ``base minus deletes, then staged inserts in insertion
+order``.  The overlay is not a plan node: it charges no
+:class:`~repro.cpusim.events.CostEvents` and has no span, so a dirty
+query's modeled cost and EXPLAIN tree are those of its base plan.
 
-* **operator-level** (:func:`run_hybrid_scan`): the serial path wraps
-  the ordinary scan plan in ``HybridUnion(base, DeltaScan)`` so the
-  hybrid work is traced/governed like any other plan node;
-* **post-hoc** (:meth:`HybridOverlay.apply`): the parallel, scheduled,
-  and shared-scan paths run the base plan unchanged (their plumbing —
-  partitioning, timeslicing, scan sharing — neither knows nor cares
-  about deltas) and transform the materialized result afterwards.
-
-Both produce byte-identical output because the transformation is
-per-row and order-preserving.  :func:`run_scan_with_store` is the
-drop-in replacement for :func:`~repro.engine.executor.run_scan`: with
-no pending edits it falls through to the plain scan (one predicate
-check — this is the candidate arm of the empty-delta overhead gate in
+``Database`` builds the overlay in its resolver and applies it after
+whichever executor ran (resolve -> execute -> overlay).
+:func:`run_scan_with_store` is the same pipeline for callers holding a
+bare table and store, and the drop-in replacement for
+:func:`~repro.engine.executor.run_scan`: with no pending edits it falls
+through to the plain scan (one predicate check — this is the candidate
+arm of the empty-delta overhead gate in
 ``benchmarks/check_tracing_overhead.py``).
 
 Snapshot semantics: an overlay captures the store's state at build
@@ -40,11 +43,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, execute_plan, run_scan
-from repro.engine.operators.delta import DeltaScan, HybridUnion
-from repro.engine.plan import ColumnScannerKind, scan_plan
+from repro.engine.executor import QueryResult, run_scan
+from repro.engine.plan import ColumnScannerKind
 from repro.engine.query import ScanQuery
-from repro.engine.blocks import Block
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,56 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class HybridOverlay:
     """One table's pending edits, snapshotted and query-projected."""
 
-    __slots__ = (
-        "base_rows",
-        "total_rows",
-        "num_deleted",
-        "deleted",
-        "shift",
-        "delta_columns",
-        "delta_positions",
-    )
+    __slots__ = ("deleted", "shift", "delta_columns", "delta_positions")
 
     def __init__(
         self,
-        base_rows: int,
-        total_rows: int,
         deleted: np.ndarray | None,
         shift: np.ndarray,
         delta_columns: dict[str, np.ndarray],
         delta_positions: np.ndarray,
     ):
-        self.base_rows = base_rows
-        self.total_rows = total_rows
         self.deleted = deleted
-        self.num_deleted = 0 if deleted is None else int(deleted.sum())
         self.shift = shift
         self.delta_columns = delta_columns
         self.delta_positions = delta_positions
 
-    def transform_base_block(self, block: Block) -> Block:
-        """Filter deleted base rows out of one block and remap positions."""
-        if len(block) == 0:
-            return block
-        positions = block.positions
-        if self.deleted is not None:
-            keep = ~self.deleted[positions]
-            if not keep.all():
-                block = block.take(keep)
-                positions = block.positions
-            if len(block) == 0:
-                return block
-        remapped = positions.astype(np.int64, copy=True)
-        remapped -= self.shift[positions]
-        return Block(columns=block.columns, positions=remapped)
-
     def apply(self, result: QueryResult) -> QueryResult:
-        """Overlay a materialized base-scan result (post-hoc form).
+        """Overlay a materialized base-scan result.
 
-        Same transformation :class:`~repro.engine.operators.delta.
-        HybridUnion` performs block-at-a-time, applied once to the
-        collected output: drop deleted base rows, shift survivors to
-        rebuilt-table positions, append the qualifying delta rows.
+        Applied once to the collected output: drop deleted base rows,
+        shift survivors to rebuilt-table positions, append the
+        qualifying delta rows.
         """
         positions = result.positions
         columns = result.columns
@@ -134,7 +105,7 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
 
     Staged rows are filtered here — deleted-again staged rows dropped,
     the query's predicates evaluated vectorized on the staged columns —
-    so the operators downstream only stream precomputed arrays.
+    so :meth:`HybridOverlay.apply` only concatenates precomputed arrays.
     """
     base_rows = store.base_rows
     total_rows = store.total_rows
@@ -161,42 +132,11 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
     # deleted is snapshot-stable: mask()/cumulative() already copied out
     # of the bitmap, and staged column arrays are built fresh per call.
     return HybridOverlay(
-        base_rows=base_rows,
-        total_rows=total_rows,
         deleted=deleted,
         shift=shift,
         delta_columns=delta_columns,
         delta_positions=delta_positions,
     )
-
-
-def hybrid_plan(
-    context: ExecutionContext,
-    table: Table,
-    query: ScanQuery,
-    overlay: HybridOverlay,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-) -> HybridUnion:
-    """Wrap the ordinary scan plan in the hybrid operator layer."""
-    base = scan_plan(context, table, query, column_scanner)
-    delta = DeltaScan(context, overlay)
-    return HybridUnion(context, base, delta, overlay)
-
-
-def run_hybrid_scan(
-    table: Table,
-    query: ScanQuery,
-    overlay: HybridOverlay,
-    context: ExecutionContext | None = None,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-    salvage: bool = False,
-) -> QueryResult:
-    """Plan and execute one scan with the overlay as an operator layer."""
-    context = context or ExecutionContext()
-    if salvage:
-        context.strict_integrity = False
-    plan = hybrid_plan(context, table, query, overlay, column_scanner)
-    return execute_plan(plan)
 
 
 def run_scan_with_store(
@@ -216,4 +156,4 @@ def run_scan_with_store(
     if store is None or not store.has_changes:
         return run_scan(table, query, context, column_scanner, salvage)
     overlay = build_overlay(store, query)
-    return run_hybrid_scan(table, query, overlay, context, column_scanner, salvage)
+    return overlay.apply(run_scan(table, query, context, column_scanner, salvage))

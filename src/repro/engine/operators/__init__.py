@@ -2,7 +2,6 @@
 
 from repro.engine.operators.aggregate import HashAggregate, SortAggregate
 from repro.engine.operators.base import Operator
-from repro.engine.operators.delta import DeltaScan, HybridUnion
 from repro.engine.operators.limit import Limit, TopN
 from repro.engine.operators.merge_join import MergeJoin
 from repro.engine.operators.scan_column import ColumnScanner
@@ -13,8 +12,6 @@ from repro.engine.operators.sort import SortOperator
 
 __all__ = [
     "Operator",
-    "DeltaScan",
-    "HybridUnion",
     "Limit",
     "TopN",
     "RowScanner",

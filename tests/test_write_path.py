@@ -12,6 +12,8 @@ the scheduler, and the write-store telemetry surface.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.data.tpch import generate_orders
 from repro.database import Database
 from repro.engine.executor import run_scan
 from repro.engine.governance import QueryContext
-from repro.engine.hybrid import build_overlay, run_scan_with_store
+from repro.engine.hybrid import build_overlay
 from repro.engine.plan import ColumnScannerKind
 from repro.engine.query import ScanQuery
 from repro.errors import (
@@ -30,7 +32,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.layout import Layout
-from repro.storage.loader import load_table
 from repro.storage.write_store import WriteOptimizedStore
 from repro.types.datatypes import IntType
 from repro.types.schema import Attribute, TableSchema
@@ -375,23 +376,170 @@ def test_flight_recorder_sees_write_lifecycle():
         assert kind in kinds
 
 
-def test_overlay_apply_matches_operator_path():
-    """Post-hoc overlay application == in-plan HybridUnion, exactly."""
-    data = generate_orders(ROWS, seed=11)
-    table = load_table(data, Layout.COLUMN)
-    store = WriteOptimizedStore(data.schema)
-    store.attach_base(data.num_rows)
-    staged = [
-        tuple(data.columns[a.name][index] for a in data.schema)
-        for index in (1, 2)
-    ]
-    store.insert_many(staged)
-    store.delete([4, ROWS])
-    query = ScanQuery(data.schema.name, select=SELECT)
-    operator_result = run_scan_with_store(table, query, store)
-    overlay = build_overlay(store, query)
-    posthoc = overlay.apply(run_scan(table, query))
-    _assert_same(posthoc, operator_result)
+def _direct_results(db, name, query, scanner, workers) -> dict:
+    """Each executor run directly on the untouched base table."""
+    from repro.engine.parallel import parallel_query
+    from repro.engine.scheduler import Scheduler
+
+    base = db.table(name)
+    scheduled = Scheduler().submit(base, query).value()
+    unshared = Scheduler(share_scans=False, column_scanner=scanner)
+    workload = unshared.submit(base, query).value()
+    return {
+        "serial": run_scan(base, query, column_scanner=scanner),
+        "parallel": (
+            parallel_query(base, query, workers=workers)
+            if workers > 1
+            else run_scan(base, query)
+        ),
+        "submit": scheduled,
+        "run_workload": workload,
+    }
+
+
+@pytest.mark.parametrize("arch,layout,scanner", ARCHITECTURES)
+def test_dirty_query_identical_on_all_four_paths(arch, layout, scanner):
+    """One pipeline: same rows on every entry point, base-plan cost only.
+
+    The overlay is applied at the plan boundary and charges nothing, so
+    on each path the ``CostEvents`` are those of the same executor run
+    directly on the base table — and serial agrees with an unshared
+    ``run_workload`` event for event.
+    """
+    db, data, name = _dirty_database(layout)
+    predicate = db.predicate(name, "O_TOTALPRICE", 0.6)
+    query = ScanQuery(name, select=SELECT, predicates=(predicate,))
+    rebuilt = db.write_store(name).rebuild(db.table(name))
+    expected = run_scan(rebuilt, query, column_scanner=scanner)
+    args = dict(select=SELECT, predicates=(predicate,))
+    results = {
+        "serial": db.query(name, column_scanner=scanner, **args),
+        "parallel": db.query(name, workers=2, **args),
+        "submit": db.submit(name, **args).value(),
+        "run_workload": db.run_workload(
+            [dict(table=name, **args)], share_scans=False, column_scanner=scanner
+        )[0].value(),
+    }
+    direct = _direct_results(db, name, query, scanner, min(2, os.cpu_count() or 1))
+    for path, result in results.items():
+        _assert_same(result, expected)
+        assert result.events.as_dict() == direct[path].events.as_dict(), path
+    assert (
+        results["serial"].events.as_dict()
+        == results["run_workload"].events.as_dict()
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_profile_and_explain_on_dirty_table(workers):
+    db, data, name = _dirty_database(Layout.COLUMN)
+    predicate = db.predicate(name, "O_TOTALPRICE", 0.6)
+    query = ScanQuery(name, select=SELECT, predicates=(predicate,))
+    rebuilt = db.write_store(name).rebuild(db.table(name))
+    profile = db.profile(
+        name, select=SELECT, predicates=(predicate,), workers=workers
+    )
+    _assert_same(profile.result, run_scan(rebuilt, query))
+    assert (
+        profile.tracer.total_events().as_dict() == profile.result.events.as_dict()
+    )
+    for text in (
+        profile.explain_text(),
+        db.explain(name, select=SELECT, predicates=(predicate,), workers=workers),
+    ):
+        assert "ColumnScanner" in text
+
+
+def test_hybrid_query_metric_rises_once_per_dirty_query(monkeypatch):
+    """Every entry point resolves — and builds its overlay — exactly once."""
+    import repro.engine.hybrid as hybrid
+    import repro.engine.parallel as parallel
+    from repro.obs import metrics as obs_metrics
+
+    db, data, name = _dirty_database(Layout.COLUMN)
+    rebuilt = db.write_store(name).rebuild(db.table(name))
+    expected = run_scan(rebuilt, ScanQuery(name, select=SELECT))
+    built = []
+
+    class CountingOverlay(hybrid.HybridOverlay):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "HybridOverlay", CountingOverlay)
+
+    def not_decomposable(*args, **kwargs):
+        raise PlanError("not decomposable")
+
+    def fallback():
+        # workers>1 -> PlanError -> serial: still one resolve, one overlay.
+        with monkeypatch.context() as patch:
+            patch.setattr("os.cpu_count", lambda: 4)
+            patch.setattr(parallel, "parallel_query", not_decomposable)
+            return db.query(name, select=SELECT, workers=2)
+
+    paths = {
+        "serial": lambda: db.query(name, select=SELECT),
+        "parallel": lambda: db.query(name, select=SELECT, workers=2),
+        "fallback": fallback,
+        "submit": lambda: db.submit(name, select=SELECT).value(),
+        "run_workload": lambda: db.run_workload(
+            [dict(table=name, select=SELECT)]
+        )[0].value(),
+        "profile": lambda: db.profile(name, select=SELECT).result,
+    }
+    for path, run in paths.items():
+        before = obs_metrics.WRITE_HYBRID_QUERIES.value
+        built.clear()
+        _assert_same(run(), expected)
+        assert obs_metrics.WRITE_HYBRID_QUERIES.value == before + 1, path
+        assert len(built) == 1, path
+    db.merge(name)
+    before = obs_metrics.WRITE_HYBRID_QUERIES.value
+    db.query(name, select=SELECT)
+    assert obs_metrics.WRITE_HYBRID_QUERIES.value == before
+
+
+def test_background_merge_counts_writes_landed_before_the_freeze():
+    """Rows written between start_merge() and its first step are merged,
+    so they must show in the merged/reclaimed counters and the begin event.
+    """
+    from repro.obs import metrics as obs_metrics
+    from repro.obs import recorder as flight
+
+    db, data, name = _dirty_database(Layout.COLUMN)
+    merged = obs_metrics.WRITE_MERGED_ROWS.value
+    reclaimed = obs_metrics.WRITE_RECLAIMED_ROWS.value
+    job = db.start_merge(name)
+    row = tuple(data.columns[a.name][0] for a in data.schema)
+    db.insert_many(name, [row, row])
+    db.delete(name, positions=[10])
+    while db.scheduler.poll():
+        pass
+    assert job.done and not job.failed
+    assert job.result == ROWS + 6 - 5
+    assert obs_metrics.WRITE_MERGED_ROWS.value == merged + 6
+    assert obs_metrics.WRITE_RECLAIMED_ROWS.value == reclaimed + 5
+    begin = flight.RECORDER.events("write.merge.begin")[-1]
+    assert (begin.detail["staged"], begin.detail["deleted"]) == (6, 5)
+
+
+def test_foreground_and_background_merge_emit_the_same_lifecycle():
+    from repro.obs import recorder as flight
+
+    def lifecycle(background: bool) -> list:
+        db, data, name = _dirty_database(Layout.COLUMN)
+        flight.RECORDER.clear()
+        job = db.merge(name, background=background)
+        while background and db.scheduler.poll():
+            pass
+        assert job is None or job.result == ROWS
+        assert not db.write_store(name).has_changes
+        return [
+            (event.kind, event.detail) for event in flight.RECORDER.events("write.merge")
+        ]
+
+    assert lifecycle(background=False) == lifecycle(background=True)
 
 
 def test_iosim_merge_competition_model():
