@@ -76,10 +76,11 @@ workload-bench:
 	python benchmarks/bench_workload_throughput.py --out workload-artifacts
 
 # The scheduler test battery: equivalence vs serial, scan-sharing
-# properties, and chaos under concurrency.
+# properties, chaos under concurrency, and the parallel worker fleet.
 scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
-		tests/test_scheduler_chaos.py tests/test_parallel_equivalence.py -q
+		tests/test_scheduler_chaos.py tests/test_parallel_equivalence.py \
+		tests/test_parallel_dispatch.py -q
 
 # Live scheduler board: a demo concurrent workload redrawn as it runs.
 # `python -m repro.obs.dashboard --html board.html` for a snapshot page.

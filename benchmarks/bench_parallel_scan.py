@@ -45,9 +45,8 @@ from repro.obs.provenance import provenance
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 
-#: Enough rows that a scan takes real work — well past the executor's
-#: fork-share threshold (workers inherit the table copy-on-write) and
-#: big enough that per-query pool setup is noise, not signal.
+#: Enough rows that a scan takes real work, and big enough that
+#: dispatch and the one-off table ship are noise, not signal.
 ROWS = 400_000
 SELECTIVITY = 0.10
 SELECT = ("L_PARTKEY", "L_ORDERKEY", "L_QUANTITY", "L_SHIPMODE")
@@ -116,18 +115,26 @@ def main(argv: list[str] | None = None) -> int:
     serial_time = _median_time(lambda: run_scan(table, query), args.repeats)
     wall = {}
     for workers in WORKER_COUNTS:
-        elapsed = _median_time(
-            lambda w=workers: parallel_query(table, query, workers=w), args.repeats
-        )
+        infos: list[dict] = []
+
+        def arm(w=workers, infos=infos):
+            infos.append({})
+            parallel_query(table, query, workers=w, info=infos[-1])
+
+        elapsed = _median_time(arm, args.repeats)
         wall[workers] = {
             "elapsed": elapsed,
             "speedup": serial_time / elapsed if elapsed else float("inf"),
+            # Submit to last worker output: ``elapsed`` minus this is merge.
+            "dispatch_ms": statistics.median(i["dispatch_ms"] for i in infos),
+            "tables_shipped": sum(i["tables_shipped"] for i in infos),
         }
     print(f"wall clock: serial {serial_time * 1e3:.1f} ms")
     for workers, numbers in wall.items():
         print(
             f"  {workers} workers: {numbers['elapsed'] * 1e3:.1f} ms "
-            f"({numbers['speedup']:.2f}x)"
+            f"({numbers['speedup']:.2f}x), dispatch {numbers['dispatch_ms']:.1f} ms, "
+            f"{numbers['tables_shipped']} table ship(s)"
         )
 
     # 3. Paper-scale model estimate (deterministic, machine-independent).

@@ -400,26 +400,28 @@ class GovernedAccumulator:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs of the parallel executor's supervision ladder."""
+    """Knobs of the parallel executor's supervision ladder.
 
-    #: Workers write a heartbeat at most this often (seconds).
+    The supervisor sleeps in ``multiprocessing.connection.wait`` on its
+    busy workers' pipes and process sentinels, so a finished partition
+    or a dead worker wakes it at once; the times below only bound how
+    long it waits when nothing happens.
+    """
+
+    #: Supervised workers write their shared-memory heartbeat slot at
+    #: most this often (seconds).
     heartbeat_interval: float = 0.05
-    #: Silence from a dispatched-but-unfinished worker for this long
-    #: marks its partition stalled (killed, wedged, or starved).
+    #: Silence from a worker that is alive and busy for this long marks
+    #: its partition stalled (wedged or starved).  A dead worker is seen
+    #: through its sentinel immediately, not through this timeout.
     stall_timeout: float = 15.0
-    #: Parent poll cadence while supervising outstanding partitions.
+    #: Ceiling on the time between two parent-side governance checks
+    #: (cancellation token, deadline) while partitions are outstanding.
+    #: Never a latency floor: results wake the supervisor themselves.
     poll_interval: float = 0.02
-    #: Overall dispatch guard when the query has no deadline of its own.
+    #: Overall dispatch guard for queries whose workers do not beat
+    #: (no governance, breaker or injected fault).
     max_dispatch_seconds: float = 120.0
-
-    def effective_stall_timeout(self, governance: QueryContext | None) -> float:
-        """Stall budget, never extending past the query deadline."""
-        budget = self.stall_timeout
-        if governance is not None:
-            remaining = governance.remaining()
-            if remaining is not None:
-                budget = min(budget, max(remaining, 0.0) + self.poll_interval)
-        return budget
 
 
 class CircuitBreaker:

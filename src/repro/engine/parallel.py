@@ -2,8 +2,8 @@
 
 The engine stays single-threaded *per plan* (the paper's Section 4
 design); parallelism comes from running one plan per row-range
-partition in a ``multiprocessing`` worker pool and merging the
-materialized partials in the parent:
+partition in a small persistent **fleet** of worker processes and
+merging the materialized partials in the parent:
 
 * plain selections: concatenate worker blocks in partition order
   (already global Record-ID order), fixing up positions of physically
@@ -31,38 +31,47 @@ scan's.  Worker span trees are stitched into the parent trace under
 the gather node (per-worker Perfetto tracks); the tracer invariant
 ``total_events() == plan total`` survives stitching.
 
+Dispatch is event-driven: each worker hangs off its own duplex pipe
+and the supervisor blocks in :func:`multiprocessing.connection.wait`
+on the busy workers' pipes and process sentinels, so a finished
+partition or a dead worker wakes it at once.  Tables are **resident**:
+a worker keeps the tables it was forked with or sent, and later tasks
+name them by token (:func:`_residency_token` says what invalidates one).
+
 Failure policy is a **supervision ladder** (see
 :mod:`repro.engine.governance`), not discard-all-or-nothing:
 
-1. *kill-and-retry one partition* — a worker exception re-runs only
-   that partition inline (the completed partitions' results are kept;
-   the retried partition's events are counted exactly once because the
-   failed attempt produced no output to merge);
-2. *stall detection* — supervised workers write heartbeats into a
-   shared board; a silent worker past the policy's stall timeout gets
-   its pool evicted (the only way to reap a wedged fork worker) and the
-   unfinished partitions move down the ladder;
-3. *degrade workers 4→2→1→serial* — each pool-level failure halves the
+1. *kill-and-retry one partition* — a worker exception or death
+   re-runs only that partition inline (the completed partitions'
+   results are kept; the retried partition's events are counted exactly
+   once because the failed attempt produced no output to merge);
+2. *stall detection* — supervised workers beat into a shared-memory
+   slot; one alive but silent past the policy's stall timeout is
+   terminated with every other busy worker (the only way to reap a
+   wedged one) and the unfinished partitions move down the ladder;
+3. *degrade workers 4→2→1→serial* — each such failure halves the
    worker count; the last rung runs the remaining partitions inline;
 4. *circuit breaker* — a partition that keeps failing (per
    :class:`~repro.database.Database` instance) is routed straight to a
    salvage-mode serial scan without burning another worker on it.
 
 A parent- or worker-side deadline/cancellation surfaces as a typed
-:class:`~repro.errors.GovernanceError` (never a hang); the pool is
-evicted first so stragglers die with the query.  ``KeyboardInterrupt``
-terminates and joins every pool — workers are reaped and their pipes
-closed, no zombies survive Ctrl-C.
+:class:`~repro.errors.GovernanceError` (never a hang); busy workers
+are terminated first so stragglers die with the query.
+``KeyboardInterrupt`` terminates and joins the whole fleet — workers
+are reaped and their pipes closed, no zombies survive Ctrl-C.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import multiprocessing.pool
 import os
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -97,8 +106,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 from repro.obs.trace import SpanTracer
 from repro.storage.partition import PartitionedTable, partition_ranges
+from repro.storage.pagefile import PagedFile
 from repro.storage.scrub import CorruptionReport
-from repro.storage.table import Table
+from repro.storage.table import ColumnTable, Table
 
 __all__ = [
     "WorkerCrash",
@@ -106,21 +116,23 @@ __all__ = [
     "shutdown_pools",
 ]
 
-#: Logical-partition queries over tables at least this large share the
-#: table with fork-inherited memory instead of pickling it per task.
-_FORK_SHARE_ROWS = 100_000
+#: Tables a worker keeps resident (most recently used); bounds its memory.
+_RESIDENT_TABLES = 4
+
+#: Process name of every fleet worker.
+_WORKER_NAME = "repro-parallel-worker"
 
 #: Governance tick on which an injected chaos action (kill/stall) fires
 #: inside the worker — late enough to be genuinely mid-scan.
 _CHAOS_ACTION_TICK = 3
 
 #: Exit code of a chaos hard-kill (``os._exit``), distinguishable from
-#: a Python crash in pool diagnostics.
+#: a Python crash in ``parallel.worker_died`` events.
 _CHAOS_KILL_EXIT = 17
 
 
 class WorkerCrash(RuntimeError):
-    """Injected worker failure (test hook for the degradation path)."""
+    """A worker failed under its task: injected crash or process death."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ class WorkerTask:
     """Everything one worker needs to run its partition's plan."""
 
     index: int
-    table: Table | None          #: ``None``: use the fork-inherited table
+    table: Table | None          #: ``None``: the worker's resident copy
     query: ScanQuery
     row_range: tuple[int, int] | None
     position_offset: int
@@ -147,8 +159,9 @@ class WorkerTask:
     # --- governance (see repro.engine.governance) ----------------------
     deadline: float | None = None     #: absolute ``time.monotonic()`` s
     memory_budget: int | None = None  #: this partition's budget share
-    heartbeat: object | None = None   #: Manager dict proxy, index → beat
+    heartbeat: bool = False           #: beat into the worker's slot
     heartbeat_interval: float = 0.05
+    token: tuple | None = None        #: residency key of ``table``, if any
     kill: bool = False                #: chaos hook: hard-exit mid-scan
     stall_seconds: float = 0.0        #: chaos hook: sleep mid-scan once
 
@@ -170,24 +183,21 @@ class WorkerOutput:
     memory_peak: int = 0
 
 
-#: Fork-share slot: set in the parent right before forking a dedicated
-#: pool, inherited by the children, consulted when ``task.table is None``.
-_FORK_TABLE: Table | None = None
-
-
-def _worker_governance(task: WorkerTask) -> QueryContext | None:
+def _worker_governance(task: WorkerTask, beat=None) -> QueryContext | None:
     """The worker-side lifecycle context for one partition, if any.
 
     The deadline is an absolute ``time.monotonic()`` value: under the
     fork start method parent and child share the clock, so the parent's
     deadline is enforced inside the worker too.  The tick hook writes
-    the heartbeat board and fires the chaos injections (hard kill /
-    stall) a few ticks in — i.e. genuinely mid-scan.
+    ``beat`` (the worker's shared-memory heartbeat slot) and fires the
+    chaos injections (hard kill / stall) a few ticks in — i.e.
+    genuinely mid-scan.
     """
+    beating = task.heartbeat and beat is not None
     if not (
         task.deadline is not None
         or task.memory_budget is not None
-        or task.heartbeat is not None
+        or beating
         or task.kill
         or task.stall_seconds
     ):
@@ -197,23 +207,16 @@ def _worker_governance(task: WorkerTask) -> QueryContext | None:
         memory_budget=task.memory_budget,
         label=f"partition {task.index}",
     )
-    state = {"beat": 0.0, "acted": False}
+    acted = False
 
     def on_tick(gov: QueryContext) -> None:
+        nonlocal acted
         now = time.monotonic()
-        if (
-            task.heartbeat is not None
-            and now - state["beat"] >= task.heartbeat_interval
-        ):
-            state["beat"] = now
-            try:
-                task.heartbeat[task.index] = now
-            except Exception:
-                # Heartbeat board gone (parent tearing down): keep
-                # scanning; the supervisor will reap us either way.
-                pass
-        if not state["acted"] and gov.ticks >= _CHAOS_ACTION_TICK:
-            state["acted"] = True
+        # The supervisor stamped the slot when it sent the task.
+        if beating and now - beat.value >= task.heartbeat_interval:
+            beat.value = now
+        if not acted and gov.ticks >= _CHAOS_ACTION_TICK:
+            acted = True
             if task.kill:
                 os._exit(_CHAOS_KILL_EXIT)
             if task.stall_seconds:
@@ -224,23 +227,22 @@ def _worker_governance(task: WorkerTask) -> QueryContext | None:
 
 
 def _execute_task(
-    task: WorkerTask, governance: QueryContext | None = None
+    task: WorkerTask, governance: QueryContext | None = None, beat=None
 ) -> WorkerOutput:
     """Run one partition's plan (in a worker process or inline).
 
     ``governance`` overrides the task-derived worker context: inline
     execution in the parent passes the query's own
     :class:`~repro.engine.governance.QueryContext` so the shared
-    cancellation token and budget accounting stay live.
+    cancellation token and budget accounting stay live.  ``beat`` is
+    the heartbeat slot of the fleet worker running the task.
     """
     if task.crash:
         raise WorkerCrash(f"injected crash in worker {task.index}")
-    table = task.table if task.table is not None else _FORK_TABLE
-    if table is None:
-        raise PlanError("worker has neither a pickled nor a fork-shared table")
+    table = task.table  # the worker loop put its resident copy back
     owned = governance is None
     if owned:
-        governance = _worker_governance(task)
+        governance = _worker_governance(task, beat)
     tracer = SpanTracer() if task.trace else None
     context = ExecutionContext(
         calibration=task.calibration,
@@ -302,307 +304,342 @@ def _execute_task(
     )
 
 
-# --- worker pools ----------------------------------------------------------------
+# --- worker fleet ----------------------------------------------------------------
 
 
-_POOLS: dict[int, multiprocessing.pool.Pool] = {}
+def _residency_token(table: Table) -> tuple | None:
+    """The key a worker may keep ``table`` resident under, or ``None``.
+
+    Pages are append-only, so ``(id, num_pages)`` per file pins the
+    bytes a worker's copy was made from: an append changes a page
+    count, a ``Database.merge`` swap installs new objects.  The parent
+    mirrors a worker's tokens with weak references to their tables: a
+    table freed and its ``id`` recycled leaves a dead reference, and
+    the newcomer is shipped like any unknown table.  Only files that
+    are exactly :class:`PagedFile` qualify — fault and slow-read wrappers
+    are stateful subclasses whose state each task must receive afresh,
+    so their tables ship with every task.
+    """
+    if isinstance(table, ColumnTable):
+        files = [column_file.file for column_file in table.column_files.values()]
+    else:
+        files = [table.file]
+    if any(type(file) is not PagedFile for file in files):
+        return None
+    return (id(table), *((id(file), file.num_pages) for file in files))
 
 
-def _mp_context():
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+def _remember(resident: OrderedDict, token: tuple, held=None) -> None:
+    """Mark ``token`` most recently used, storing ``held`` when given.
+
+    The parent runs this on its mirror of a worker's resident set (a
+    weak reference per table) for every message it sends, the worker
+    (the table itself) for every message it receives — the same calls
+    in the same order, so both evict the same tokens.
+    """
+    if held is not None:
+        resident[token] = held
+    resident.move_to_end(token)
+    while len(resident) > _RESIDENT_TABLES:
+        resident.popitem(last=False)
 
 
-def _cached_pool(workers: int) -> multiprocessing.pool.Pool:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = _mp_context().Pool(processes=workers)
-        _POOLS[workers] = pool
-    return pool
+def _worker_main(conn, parent_end, beat, resident: OrderedDict) -> None:
+    """A fleet worker: receive ``(task, table or None)``, run, reply; until EOF."""
+    # The fork copied the parent's end of every pipe, this worker's own
+    # included; held open here they would hide the parent's death.
+    parent_end.close()
+    for sibling in _FLEET:
+        sibling.conn.close()
+    _FLEET.clear()
+    try:
+        while True:
+            task, table = conn.recv()
+            try:
+                if task.table is None:
+                    _remember(resident, task.token, table)
+                    task = replace(task, table=resident[task.token])
+                reply = _execute_task(task, beat=beat)
+            except Exception as exc:  # noqa: BLE001 - the supervisor decides
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # parent gone or Ctrl-C: exit quietly
 
 
-def _evict_pool(workers: int) -> None:
-    pool = _POOLS.pop(workers, None)
-    if pool is not None:
-        pool.terminate()
-        pool.join()
+@dataclass(eq=False)
+class _Worker:
+    """The parent's handle on one fleet worker."""
+
+    process: multiprocessing.Process
+    conn: object                 #: parent end of the worker's duplex pipe
+    beat: object                 #: shared-memory double: last heartbeat
+    resident: OrderedDict        #: mirror of its tables: token → weakref
+
+
+_FLEET: list[_Worker] = []
+
+
+def _spawn(preload: dict) -> _Worker:
+    """Start one worker holding ``preload`` (token → table) from birth."""
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forks else None)
+    conn, child = context.Pipe()
+    beat = context.RawValue("d", 0.0)
+    process = context.Process(
+        target=_worker_main,
+        args=(child, conn, beat, OrderedDict(preload)),
+        name=_WORKER_NAME,
+        daemon=True,
+    )
+    process.start()
+    child.close()
+    mirror = OrderedDict((token, weakref.ref(table)) for token, table in preload.items())
+    worker = _Worker(process, conn, beat, mirror)
+    _FLEET.append(worker)
+    return worker
+
+
+def _retire(worker: _Worker) -> None:
+    """Terminate and reap one worker (idempotent)."""
+    if worker in _FLEET:
+        _FLEET.remove(worker)
+    worker.conn.close()
+    worker.process.terminate()
+    worker.process.join()
+
+
+def _staff(count: int, preload: dict, wanted: set) -> list[_Worker]:
+    """``count`` live workers, forking (with ``preload``) what is missing.
+
+    Workers already holding one of the ``wanted`` tokens come first.
+    """
+    for worker in [w for w in _FLEET if not w.process.is_alive()]:
+        _retire(worker)
+    while len(_FLEET) < count:
+        _spawn(preload)
+    return sorted(_FLEET, key=lambda w: wanted.isdisjoint(w.resident))[:count]
 
 
 def shutdown_pools() -> None:
-    """Terminate every cached worker pool (atexit / test teardown)."""
-    for workers in list(_POOLS):
-        _evict_pool(workers)
+    """Terminate the worker fleet (atexit / test teardown)."""
+    for worker in list(_FLEET):
+        _retire(worker)
 
 
 atexit.register(shutdown_pools)
 
 
-#: Lazily started ``multiprocessing.Manager`` backing the heartbeat
-#: board (a Manager forks a server process — only pay for it when a
-#: query is actually supervised with heartbeats).
-_MANAGER = None
-
-
-def _heartbeat_board():
-    """A fresh Manager dict workers write ``index → monotonic()`` into."""
-    global _MANAGER
-    if _MANAGER is None:
-        _MANAGER = _mp_context().Manager()
-    return _MANAGER.dict()
-
-
 # --- supervision ladder ----------------------------------------------------------
 
 
-def _run_rung(
-    pending: dict[int, WorkerTask],
-    outputs: dict[int, WorkerOutput],
-    submit: dict[int, WorkerTask],
-    base: dict[int, WorkerTask],
-    rung: int,
-    fork_table: Table | None,
-    governance: QueryContext | None,
-    policy: SupervisionPolicy,
-    breaker: CircuitBreaker | None,
-    keys: dict[int, tuple],
-    heartbeat,
-    notes: list[str],
-    tainted: set[int],
-) -> tuple[str | None, int]:
-    """One rung of the ladder: a ``rung``-sized pool plus supervision.
+@dataclass
+class _Supervision:
+    """One query's supervised dispatch: the state every rung shares."""
 
-    Completed partitions move from ``pending`` to ``outputs``.  A
-    single-task exception is recovered immediately by re-running just
-    that partition inline (kill-and-retry).  Returns ``(degrade_reason,
-    pool_successes)``; a non-``None`` reason means the pool was evicted
-    (stall, pool-level error, guard expiry) and the still-pending
-    partitions should move down the ladder.
-    """
-    global _FORK_TABLE
-    dedicated = fork_table is not None
-    if dedicated:
-        # Dedicated pool forked with the table already in memory: the
-        # children inherit it copy-on-write instead of unpickling it.
-        _FORK_TABLE = fork_table
-        try:
-            pool = _mp_context().Pool(processes=rung)
-        finally:
-            _FORK_TABLE = None
-    else:
-        pool = _cached_pool(rung)
+    base: dict[int, WorkerTask]   #: the clean (re-runnable) task per partition
+    first: dict[int, WorkerTask]  #: ``base`` + injections: first rung only
+    keys: dict[int, tuple]        #: circuit-breaker key per partition
+    governance: QueryContext | None
+    policy: SupervisionPolicy
+    breaker: CircuitBreaker | None
+    supervised: bool  #: workers beat; silence past ``stall_timeout`` is a stall
+    preload: dict     #: ``{token: table}`` a newly forked worker is born holding
+    notes: list[str]
+    outputs: dict[int, WorkerOutput] = field(default_factory=dict)
+    tainted: set[int] = field(default_factory=set)
+    ships: int = 0          #: table copies piped to running workers
+    pool_ran: bool = False  #: some partition completed in a worker (mode)
 
-    evicted = False
+    @property
+    def label(self) -> str | None:
+        return self.governance.label if self.governance is not None else None
 
-    def evict() -> None:
-        nonlocal evicted
-        if evicted:
-            return
-        evicted = True
-        if dedicated:
-            pool.terminate()
-            pool.join()
-        else:
-            _evict_pool(rung)
-
-    started = time.monotonic()
-    pool_successes = 0
-    if heartbeat is not None:
-        for index in pending:
-            heartbeat[index] = started
-    try:
-        results = {
-            index: pool.apply_async(_execute_task, (submit[index],))
-            for index in sorted(pending)
-        }
-        while results:
-            if governance is not None:
-                try:
-                    governance.check("parallel supervisor")
-                except GovernanceError:
-                    # Kill the stragglers along with the query.
-                    evict()
-                    raise
-            for index in sorted(results):
-                handle = results[index]
-                if not handle.ready():
-                    continue
-                del results[index]
-                try:
-                    output = handle.get()
-                except GovernanceError:
-                    # A worker hit its own deadline/budget: typed, final.
-                    evict()
-                    raise
-                except Exception as exc:
-                    # Kill-and-retry of only the failed partition; its
-                    # crashed attempt produced no output, so re-running
-                    # it inline keeps the accounting exactly-once.
-                    reason = f"{type(exc).__name__}: {exc}"
-                    tainted.add(index)
-                    if breaker is not None:
-                        breaker.record_failure(keys[index])
-                    obs_metrics.GOVERNANCE_PARTITION_RETRIES.inc()
-                    flight.record(
-                        "parallel.retry",
-                        governance.label if governance is not None else None,
-                        partition=index,
-                        reason=reason,
-                    )
-                    notes.append(
-                        f"partition {index} failed ({reason}); retried inline"
-                    )
-                    inline = replace(base[index], heartbeat=None)
-                    try:
-                        outputs[index] = _execute_task(inline, governance)
-                    except BaseException:
-                        evict()
-                        raise
+    def run(self, workers: int) -> None:
+        """Fill ``outputs`` for every partition, walking down the ladder."""
+        pending = dict(self.base)
+        # Breaker-open partitions never reach a worker: they are served
+        # by salvage-mode serial scans (skip-don't-crash) straight away.
+        if self.breaker is not None:
+            for index in sorted(pending):
+                if self.breaker.is_open(self.keys[index]):
+                    task = replace(self.base[index], strict_integrity=False)
+                    self.outputs[index] = _execute_task(task, self.governance)
                     del pending[index]
-                else:
-                    outputs[index] = output
-                    del pending[index]
-                    pool_successes += 1
-                    # A success only closes the breaker if this
-                    # partition ran clean the whole query — recovering
-                    # on retry must not erase the failure it recovered
-                    # from, or a flaky partition could never trip.
-                    if breaker is not None and index not in tainted:
-                        breaker.record_success(keys[index])
-            if not results:
+                    self.notes.append(
+                        f"breaker open: partition {index} routed to "
+                        "salvage serial scan"
+                    )
+        submit = self.first
+        rung = min(workers, len(pending))
+        while pending and rung >= 1:
+            reason = self._run_rung(pending, submit, rung)
+            if reason is None:
                 break
-            now = time.monotonic()
-            if heartbeat is not None:
-                for index in sorted(results):
-                    beat = heartbeat.get(index, started)
-                    if now - beat > policy.stall_timeout:
-                        obs_metrics.GOVERNANCE_STALLS.inc()
-                        flight.record(
-                            "parallel.stall",
-                            governance.label if governance is not None else None,
-                            partition=index,
-                            silent_s=round(now - beat, 3),
-                        )
-                        tainted.add(index)
-                        if breaker is not None:
-                            breaker.record_failure(keys[index])
-                        evict()
-                        return (
-                            f"partition {index} stalled "
-                            f"(no heartbeat for {now - beat:.2f}s)",
-                            pool_successes,
-                        )
-            elif now - started > policy.max_dispatch_seconds:
-                evict()
-                return (
-                    "dispatch guard expired after "
-                    f"{policy.max_dispatch_seconds:.0f}s",
-                    pool_successes,
-                )
-            time.sleep(policy.poll_interval)
-        return None, pool_successes
-    except KeyboardInterrupt:
-        # Reap every child and close its pipes before surfacing Ctrl-C:
-        # terminate() kills the workers, join() waits them out — no
-        # zombies survive an interrupt mid-query.
-        evict()
-        shutdown_pools()
-        raise
-    except OSError as exc:
-        evict()
-        return f"pool failure ({type(exc).__name__}: {exc})", pool_successes
-    finally:
-        if dedicated and not evicted:
-            pool.terminate()
-            pool.join()
-
-
-def _dispatch_ladder(
-    base: dict[int, WorkerTask],
-    first: dict[int, WorkerTask],
-    workers: int,
-    fork_table: Table | None,
-    governance: QueryContext | None,
-    policy: SupervisionPolicy,
-    breaker: CircuitBreaker | None,
-    keys: dict[int, tuple],
-    heartbeat,
-    notes: list[str],
-) -> tuple[dict[int, WorkerOutput], bool]:
-    """Supervised dispatch of every partition; returns outputs by index.
-
-    ``base`` holds the clean (re-runnable) task per partition; ``first``
-    overlays chaos/test injections applied on the first rung only, so a
-    retried partition runs clean.  The second return value reports
-    whether any partition completed in a pool worker (mode reporting).
-    """
-    outputs: dict[int, WorkerOutput] = {}
-    pending = dict(base)
-
-    # Breaker-open partitions never reach the pool: they are served by
-    # salvage-mode serial scans (skip-don't-crash) straight away.
-    if breaker is not None:
+            submit = self.base
+            obs_metrics.GOVERNANCE_DEGRADATIONS.inc()
+            flight.record(
+                "parallel.degrade",
+                self.label,
+                workers_from=rung,
+                workers_to=rung // 2,
+                reason=reason,
+            )
+            self.notes.append(
+                f"degraded workers {rung}→{rung // 2 or 'serial'}: {reason}"
+            )
+            rung //= 2
         for index in sorted(pending):
-            if breaker.is_open(keys[index]):
-                task = replace(
-                    base[index], heartbeat=None, strict_integrity=False
-                )
-                outputs[index] = _execute_task(task, governance)
-                del pending[index]
-                notes.append(
-                    f"breaker open: partition {index} routed to "
-                    "salvage serial scan"
-                )
+            self.outputs[index] = _execute_task(self.base[index], self.governance)
 
-    pool_ran = False
-    first_rung = True
-    tainted: set[int] = set()
-    rung = min(workers, len(pending)) if pending else 0
-    while pending and rung >= 1:
-        submit = {}
-        for index in pending:
-            task = first.get(index, base[index]) if first_rung else base[index]
-            if fork_table is not None:
-                task = replace(task, table=None)
-            submit[index] = task
-        reason, successes = _run_rung(
-            pending,
-            outputs,
-            submit,
-            base,
-            rung,
-            fork_table,
-            governance,
-            policy,
-            breaker,
-            keys,
-            heartbeat,
-            notes,
-            tainted,
-        )
-        first_rung = False
-        pool_ran = pool_ran or successes > 0
-        if reason is None:
-            break
-        next_rung = rung // 2
-        obs_metrics.GOVERNANCE_DEGRADATIONS.inc()
+    def _fail(self, index: int) -> None:
+        self.tainted.add(index)
+        if self.breaker is not None:
+            self.breaker.record_failure(self.keys[index])
+
+    def _send(self, worker: _Worker, task: WorkerTask) -> None:
+        """Hand ``task`` to ``worker``, with its table if the worker lacks it."""
+        token, table, ref = task.token, None, None
+        if token is not None:
+            held = worker.resident.get(token)
+            if held is None or held() is not task.table:
+                self.ships += 1
+                table, ref = task.table, weakref.ref(task.table)  # rides along, once
+            _remember(worker.resident, token, ref)
+            task = replace(task, table=None)
+        worker.beat.value = time.monotonic()
+        worker.conn.send((task, table))
+
+    def _collect(self, worker: _Worker, index: int) -> WorkerOutput | BaseException:
+        """The reply of a worker whose pipe or sentinel fired."""
+        try:
+            if worker.conn.poll():
+                return worker.conn.recv()
+        except (EOFError, OSError):
+            pass  # died mid-reply
+        _retire(worker)  # reaps it: the exit code is now known
         flight.record(
-            "parallel.degrade",
-            governance.label if governance is not None else None,
-            workers_from=rung,
-            workers_to=next_rung,
-            reason=reason,
+            "parallel.worker_died",
+            self.label,
+            pid=worker.process.pid,
+            exitcode=worker.process.exitcode,
+            partition=index,
         )
-        notes.append(
-            f"degraded workers {rung}→{next_rung or 'serial'}: {reason}"
+        return WorkerCrash(
+            f"worker pid {worker.process.pid} died "
+            f"(exit code {worker.process.exitcode})"
         )
-        rung = next_rung
-    for index in sorted(pending):
-        outputs[index] = _execute_task(
-            replace(base[index], heartbeat=None), governance
+
+    def _run_rung(
+        self, pending: dict[int, WorkerTask], submit: dict[int, WorkerTask], rung: int
+    ) -> str | None:
+        """One rung of the ladder: ``rung`` fleet workers plus supervision.
+
+        Completed partitions move from ``pending`` to ``outputs``.  A
+        failed task or a dead worker is recovered at once by re-running
+        just that partition inline (kill-and-retry).  A non-``None``
+        return is the reason the still-pending partitions should move
+        down the ladder (stall, fleet-level error, guard expiry);
+        whatever the exit, workers still busy are terminated — an
+        abandoned task must not answer the next query.
+        """
+        policy = self.policy
+        queue = sorted(pending)
+        running: dict[int, _Worker] = {}
+        # A worker that does not beat is silent since its dispatch.
+        patience = (
+            policy.stall_timeout if self.supervised else policy.max_dispatch_seconds
         )
-    pending.clear()
-    return outputs, pool_ran
+        try:
+            idle = _staff(rung, self.preload, {t.token for t in pending.values()})
+            while queue or running:
+                while queue and idle:
+                    index = queue.pop(0)
+                    token = submit[index].token
+                    worker = next((w for w in idle if token in w.resident), idle[-1])
+                    idle.remove(worker)
+                    # Busy before the send: if that raises, ``finally``
+                    # retires a worker whose mirror may now be wrong.
+                    running[index] = worker
+                    self._send(worker, submit[index])
+                if self.governance is not None:
+                    # A typed error here kills the stragglers with the query.
+                    self.governance.check("parallel supervisor")
+                # Block until a pipe or a sentinel fires, but no longer
+                # than to the next deadline or stall/guard expiry, nor
+                # than poll_interval (the token can only be polled).
+                now = time.monotonic()
+                due = [w.beat.value + patience for w in running.values()]
+                due.append(now + policy.poll_interval)
+                if self.governance is not None and self.governance.deadline is not None:
+                    due.append(self.governance.deadline)
+                ready = wait(
+                    [h for w in running.values() for h in (w.conn, w.process.sentinel)],
+                    max(0.0, min(due) - now),
+                )
+                for index in sorted(running):
+                    worker = running[index]
+                    if worker.conn not in ready and worker.process.sentinel not in ready:
+                        continue
+                    del running[index]
+                    reply = self._collect(worker, index)
+                    if isinstance(reply, GovernanceError):
+                        # A worker hit its own deadline/budget: typed, final.
+                        raise reply
+                    idle.append(
+                        worker if worker.process.is_alive() else _spawn(self.preload)
+                    )
+                    if isinstance(reply, WorkerOutput):
+                        self.pool_ran = True
+                        # A success only closes the breaker if this
+                        # partition ran clean the whole query — recovering
+                        # on retry must not erase the failure it recovered
+                        # from, or a flaky partition could never trip.
+                        if self.breaker is not None and index not in self.tainted:
+                            self.breaker.record_success(self.keys[index])
+                    else:
+                        # Kill-and-retry of only the failed partition; its
+                        # crashed attempt produced no output, so re-running
+                        # it inline keeps the accounting exactly-once.
+                        reason = f"{type(reply).__name__}: {reply}"
+                        self._fail(index)
+                        obs_metrics.GOVERNANCE_PARTITION_RETRIES.inc()
+                        flight.record(
+                            "parallel.retry", self.label, partition=index, reason=reason
+                        )
+                        self.notes.append(
+                            f"partition {index} failed ({reason}); retried inline"
+                        )
+                        reply = _execute_task(self.base[index], self.governance)
+                    self.outputs[index] = reply
+                    del pending[index]
+                now = time.monotonic()
+                for index in sorted(running):
+                    silent = now - running[index].beat.value
+                    if silent <= patience:
+                        continue
+                    if not self.supervised:
+                        return f"dispatch guard expired after {patience:.0f}s"
+                    obs_metrics.GOVERNANCE_STALLS.inc()
+                    flight.record(
+                        "parallel.stall",
+                        self.label,
+                        partition=index,
+                        silent_s=round(silent, 3),
+                    )
+                    self._fail(index)
+                    return f"partition {index} stalled (no heartbeat for {silent:.2f}s)"
+            return None
+        except KeyboardInterrupt:
+            # Reap every child and close its pipes before surfacing
+            # Ctrl-C: no zombies survive an interrupt mid-query.
+            shutdown_pools()
+            raise
+        except OSError as exc:
+            return f"fleet failure ({type(exc).__name__}: {exc})"
+        finally:
+            for worker in running.values():
+                _retire(worker)
 
 
 # --- merging ---------------------------------------------------------------------
@@ -717,16 +754,20 @@ def parallel_query(
     :class:`~repro.errors.PlanError`; callers (``Database.query``)
     fall back to the serial engine instead.
 
-    ``share`` controls how workers see the table: ``"pickle"`` ships it
-    with each task, ``"fork"`` forks a dedicated pool that inherits it,
-    ``"auto"`` picks by table size.  ``info``, when given a dict, is
-    filled with execution diagnostics (``mode``, ``partitions``,
-    ``workers``, ``fallback_reason``, ``governance`` notes).
+    Workers keep tables resident: a new worker is forked holding the
+    table, a running one that lacks it is sent it once over its pipe.
+    ``share`` (``"auto"``, ``"pickle"``, ``"fork"``) is validated and
+    kept for callers; all three name this one transport.  ``info``,
+    when given a dict, is filled with execution diagnostics (``mode``,
+    ``partitions``, ``workers``, ``fallback_reason``, ``governance``
+    notes, ``dispatch_ms`` from submit to the last output, and
+    ``tables_shipped`` — copies piped to running workers, 0 when all
+    held the table).
 
     When ``context.governance`` is set, its deadline is enforced inside
     every worker (shared monotonic clock under fork), its memory budget
-    is split evenly across the partitions, and the supervisor polls the
-    parent-side token/deadline between heartbeats.  ``policy`` tunes
+    is split evenly across the partitions, and the supervisor checks the
+    parent-side token/deadline at least every ``poll_interval``.  ``policy`` tunes
     the supervision ladder; ``breaker`` is the per-``Database`` circuit
     breaker that routes repeat-offender partitions straight to salvage
     serial scans.  ``inject_crash``/``inject_kill``/``inject_stall``
@@ -756,23 +797,31 @@ def parallel_query(
     governance = context.governance
     policy = policy or SupervisionPolicy()
 
-    # Partition list: (table, row_range, position_offset) per task.
+    # Partition list: (table, residency token, row_range, position_offset)
+    # per task; ``preload`` is what a newly forked worker is born holding.
+    preload: dict = {}
     if isinstance(table, PartitionedTable):
         shards = [
-            (partition.table, None, partition.row_start)
-            for partition in table.partitions
+            (part.table, _residency_token(part.table), None, part.row_start)
+            for part in table.partitions
         ]
         schema_table: Table = table.partitions[0].table
-        fork_candidate = None
     else:
         count = partitions if partitions is not None else workers
+        token = _residency_token(table)
         shards = [
-            (table, (lo, hi), 0)
+            (table, token, (lo, hi), 0)
             for lo, hi in partition_ranges(table.num_rows, count)
         ]
         schema_table = table
-        fork_candidate = table
+        if token is not None:
+            preload[token] = table
     query.validate_against(schema_table.schema)
+    # Only supervised queries (governance, a breaker, or injected worker
+    # faults) pay for a worker-side context that beats.
+    supervised = any(
+        arg is not None for arg in (governance, breaker, inject_kill, inject_stall)
+    )
 
     # Each partition gets an even share of the query's memory budget —
     # its materializing working set is ~1/N of the serial one.
@@ -799,67 +848,45 @@ def parallel_query(
             topn=topn,
             deadline=governance.deadline if governance else None,
             memory_budget=budget_share,
+            heartbeat=supervised,
+            heartbeat_interval=policy.heartbeat_interval,
+            token=token,
         )
-        for index, (shard_table, row_range, offset) in enumerate(shards)
+        for index, (shard_table, token, row_range, offset) in enumerate(shards)
     ]
 
     mode = "inline"
     notes: list[str] = []
+    ships = 0
+    started = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
-        use_fork = share == "fork" or (
-            share == "auto"
-            and fork_candidate is not None
-            and fork_candidate.num_rows >= _FORK_SHARE_ROWS
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        # Heartbeats need a Manager process — only supervised queries
-        # (governance, a breaker, or injected worker faults) pay for one.
-        heartbeat = None
-        if (
-            governance is not None
-            or breaker is not None
-            or inject_kill is not None
-            or inject_stall is not None
-        ):
-            heartbeat = _heartbeat_board()
-        base = {
-            task.index: replace(
-                task,
-                heartbeat=heartbeat,
-                heartbeat_interval=policy.heartbeat_interval,
-            )
-            for task in tasks
-        }
-        first = {}
-        if inject_crash is not None and inject_crash in base:
-            first[inject_crash] = replace(base[inject_crash], crash=True)
-        if inject_kill is not None and inject_kill in base:
-            first[inject_kill] = replace(
-                first.get(inject_kill, base[inject_kill]), kill=True
-            )
-        if inject_stall is not None and inject_stall[0] in base:
+        base = {task.index: task for task in tasks}
+        first = dict(base)
+        if inject_crash in first:
+            first[inject_crash] = replace(first[inject_crash], crash=True)
+        if inject_kill in first:
+            first[inject_kill] = replace(first[inject_kill], kill=True)
+        if inject_stall is not None and inject_stall[0] in first:
             index, seconds = inject_stall
-            first[index] = replace(
-                first.get(index, base[index]), stall_seconds=float(seconds)
-            )
-        keys = {
-            task.index: (schema_table.schema.name, task.index, task.row_range)
-            for task in tasks
-        }
-        by_index, pool_ran = _dispatch_ladder(
-            base,
-            first,
-            min(workers, len(tasks)),
-            fork_candidate if use_fork else None,
-            governance,
-            policy,
-            breaker,
-            keys,
-            heartbeat,
-            notes,
+            first[index] = replace(first[index], stall_seconds=float(seconds))
+        supervision = _Supervision(
+            base=base,
+            first=first,
+            keys={
+                task.index: (schema_table.schema.name, task.index, task.row_range)
+                for task in tasks
+            },
+            governance=governance,
+            policy=policy,
+            breaker=breaker,
+            supervised=supervised,
+            preload=preload,
+            notes=notes,
         )
-        outputs = list(by_index.values())
-        if not pool_ran:
+        supervision.run(min(workers, len(tasks)))
+        outputs = list(supervision.outputs.values())
+        ships = supervision.ships
+        if not supervision.pool_ran:
             mode = "fallback-serial"
         elif notes:
             mode = "parallel-degraded"
@@ -867,6 +894,10 @@ def parallel_query(
             mode = "parallel"
     else:
         outputs = [_execute_task(task, governance) for task in tasks]
+    dispatch_seconds = time.perf_counter() - started
+    if mode != "inline":
+        obs_metrics.PARALLEL_DISPATCH_SECONDS.observe(dispatch_seconds)
+        obs_metrics.PARALLEL_TABLE_SHIPS.inc(ships)
 
     outputs.sort(key=lambda out: out.index)
     _merge_accounting(context, outputs)
@@ -900,4 +931,6 @@ def parallel_query(
         info["partitions"] = len(tasks)
         info["fallback_reason"] = notes[0] if notes else None
         info["governance"] = list(notes)
+        info["dispatch_ms"] = dispatch_seconds * 1e3
+        info["tables_shipped"] = ships
     return result

@@ -464,6 +464,14 @@ GOVERNANCE_STALLS = REGISTRY.counter(
     "repro_governance_stalls_total",
     "Workers declared stalled after missing their heartbeat window.",
 )
+PARALLEL_DISPATCH_SECONDS = REGISTRY.histogram(
+    "repro_parallel_dispatch_seconds",
+    "Submit to last worker output of one fleet-dispatched parallel query.",
+)
+PARALLEL_TABLE_SHIPS = REGISTRY.counter(
+    "repro_parallel_table_ships_total",
+    "Table copies sent over their pipe to already-running workers.",
+)
 SCHEDULER_SUBMITTED = REGISTRY.counter(
     "repro_scheduler_submitted_total",
     "Queries submitted to the concurrent scheduler.",

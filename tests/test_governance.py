@@ -332,12 +332,6 @@ class TestCircuitBreaker:
         breaker.record_success(key)
         assert not breaker.is_open(key)
 
-    def test_effective_stall_timeout_capped_by_deadline(self):
-        policy = SupervisionPolicy(stall_timeout=15.0, poll_interval=0.02)
-        governance = QueryContext.start(timeout=0.1)
-        assert policy.effective_stall_timeout(governance) <= 0.1 + 0.02 + 0.01
-        assert policy.effective_stall_timeout(None) == 15.0
-
 
 class TestSupervisionLadder:
     def test_repeated_kills_trip_breaker_and_route_to_salvage(self, arch_tables):
@@ -474,10 +468,12 @@ class TestWorkerClamp:
 
 
 def _pool_workers() -> list:
+    from repro.engine.parallel import _WORKER_NAME
+
     return [
         child
         for child in multiprocessing.active_children()
-        if "PoolWorker" in child.name
+        if child.name.startswith(_WORKER_NAME)
     ]
 
 
@@ -505,7 +501,7 @@ class TestKeyboardInterrupt:
                 # A long stall keeps workers alive until the interrupt.
                 inject_stall=(0, 5.0),
             )
-        assert not parallel._POOLS, "cached pools must be shut down"
+        assert not parallel._FLEET, "the fleet must be shut down"
         deadline = time.monotonic() + 5.0
         while _pool_workers() and time.monotonic() < deadline:
             time.sleep(0.05)
