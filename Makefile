@@ -2,7 +2,7 @@
 # PEP 660 editable builds; in offline environments without it, the
 # legacy `setup.py develop` path below installs identically.
 
-.PHONY: install test bench fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate parallel-bench workload-bench scheduler-test dashboard regression-check all
+.PHONY: install test bench fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
 
 install:
 	pip install -e . 2>/dev/null || python setup.py develop
@@ -81,6 +81,24 @@ scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
 		tests/test_scheduler_chaos.py tests/test_parallel_equivalence.py \
 		tests/test_parallel_dispatch.py -q
+
+# The scan battery: every scan strategy against the golden pin
+# (CostEvents, output bytes, blocks, corruption, governance ticks), the
+# scanner / salvage / sharing / scheduler / property / extension / index
+# suites, then 200 differential fuzz cases.  Run it on any change under
+# engine/operators/, engine/sharing.py, index/scan.py or storage/table.py.
+scan-test:
+	pytest tests/test_scan_golden.py tests/test_engine_scanners.py \
+		tests/test_salvage_differential.py tests/test_scan_sharing.py \
+		tests/test_scheduler_equivalence.py tests/test_property_engine.py \
+		tests/test_extensions.py tests/test_index.py -q
+	python -m repro.testing --cases 200
+
+# Rewrite tests/data/scan_golden.json from the current tree.  Never
+# automatic: a scan refactor must reproduce the pin unchanged; run this
+# only when moving an event, a byte or a block is the point of the change.
+scan-golden:
+	python tests/scan_golden.py
 
 # Live scheduler board: a demo concurrent workload redrawn as it runs.
 # `python -m repro.obs.dashboard --html board.html` for a snapshot page.

@@ -23,110 +23,29 @@ The cost consequences the paper measures all live here:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.compression.base import CodecKind
-from repro.cpusim.cache import classify_page_access, page_lines
-from repro.engine.blocks import Block, split_into_blocks
-from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
-from repro.engine.predicate import Predicate
-from repro.errors import PlanError
-from repro.storage.table import ColumnFile, ColumnTable
+from repro.compression.dictionary import DictionaryCodec
+from repro.cpusim.cache import classify_page_access
+from repro.engine.blocks import Block
+from repro.engine.compressed_exec import rewrite_all
+from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
 
 #: Bytes to charge for the position (Record ID) in a {position, value} pair.
 _POSITION_BYTES = 4
 
 
-@dataclass
-class _ScanNode:
-    """One column's scan node: its file, predicates, and role."""
+class ColumnScanner(RunOnceScanner):
+    """Scan a :class:`ColumnTable` through a pipeline of scan nodes.
 
-    attr: str
-    column_file: ColumnFile
-    predicates: tuple[Predicate, ...]
-    selected: bool
-    width: int
-
-
-class ColumnScanner(Operator):
-    """Scan a :class:`ColumnTable` through a pipeline of scan nodes."""
-
-    def __init__(
-        self,
-        context: ExecutionContext,
-        table: ColumnTable,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        row_range: tuple[int, int] | None = None,
-    ):
-        super().__init__(context)
-        if not select:
-            raise PlanError("column scanner needs a non-empty select list")
-        self.table = table
-        self.select = tuple(select)
-        self.predicates = tuple(predicates)
-        self.row_range = normalize_row_range(row_range, table.num_rows)
-        self._nodes = self._build_nodes()
-        self._ready: deque[Block] = deque()
-        self._done = False
-
-    # --- node construction ---------------------------------------------------
-
-    def _build_nodes(self) -> list[_ScanNode]:
-        """Scan nodes in pipeline order: predicate attributes deepest."""
-        schema = self.table.schema
-        order: list[str] = []
-        for predicate in self.predicates:
-            if predicate.attr not in order:
-                order.append(predicate.attr)
-        for name in self.select:
-            if name not in order:
-                order.append(name)
-        nodes = []
-        for name in order:
-            attr = schema.attribute(name)
-            nodes.append(
-                _ScanNode(
-                    attr=name,
-                    column_file=self.table.column_file(name),
-                    predicates=tuple(p for p in self.predicates if p.attr == name),
-                    selected=name in self.select,
-                    width=attr.width,
-                )
-            )
-        return nodes
-
-    def scan_attribute_order(self) -> list[str]:
-        """The columns read, deepest node first."""
-        return [node.attr for node in self._nodes]
-
-    # --- execution -------------------------------------------------------------
+    One node per accessed attribute, in access order: the predicate
+    attributes deepest, each node carrying the predicates bound to its
+    attribute.
+    """
 
     def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return f"{detail} | {len(self._nodes)} scan node(s)"
-
-    def _open(self) -> None:
-        self._ready.clear()
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._ready and not self._done:
-            self._execute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.popleft()
+        return f"{super().describe()} | {len(self._attrs)} scan node(s)"
 
     def _execute(self) -> None:
         """Run the node pipeline over the whole table.
@@ -135,108 +54,74 @@ class ColumnScanner(Operator):
         block handoffs are accounted per node, while the computation is
         vectorized page-at-a-time for speed.
         """
-        first, rest = self._nodes[0], self._nodes[1:]
-        positions, collected = self._run_first_node(first)
-        for node in rest:
-            positions, collected = self._run_inner_node(node, positions, collected)
+        positions, collected = self._run_first_node(self._attrs[0])
+        for attr in self._attrs[1:]:
+            positions, collected = self._run_inner_node(attr, positions, collected)
         # The final node's output blocks are the scanner's own output,
         # which the base class already counts on emission.
         self.events.blocks_produced -= self._block_count(positions.size)
-        self._emit(positions, collected)
+        self._emit(
+            Block(
+                columns={name: collected[name] for name in self.select},
+                positions=positions,
+            )
+        )
 
-    def _run_first_node(self, node: _ScanNode) -> tuple[np.ndarray, dict]:
+    def _run_first_node(self, attr: str) -> tuple[np.ndarray, dict]:
         """Dense scan of the deepest column."""
         events = self.events
-        calibration = self.context.calibration
-        spec = self.table.schema.attribute(node.attr).spec
-        page_codec = node.column_file.page_codec
-        codec = page_codec.codec
-        bits = codec.bits_per_value
-        code_predicates = self._code_predicates(node, codec)
-        lo, hi = self.row_range
+        spec = self.table.schema.attribute(attr).spec
+        column_file = self.table.column_file(attr)
+        codec = column_file.page_codec.codec
+        bound = [b for b in self._bound if b[1] == attr]
+        selected = attr in self.select
+        width = self.table.schema.attribute(attr).width
+        decode = on_codes = None
+        if (
+            self.context.compressed_execution
+            and bound
+            and isinstance(codec, DictionaryCodec)
+        ):
+            on_codes = rewrite_all(tuple(p for p, _attr, _width in bound), codec)
+        if on_codes is not None:
+            # Compressed execution: compare the packed codes; the only
+            # work per value is the bit extraction, and the comparison
+            # operand is the narrow code, not the value.
+            code_bytes = max(1, codec.bits_per_value // 8)
+            bound = [(predicate, attr, code_bytes) for predicate in on_codes]
+            page_codec = column_file.page_codec
+
+            def decode(page):
+                _pid, count, payload, _state = page_codec.decode_raw(page)
+                return codec.decode_codes(payload, count)
+
         qualified_positions = []
         qualified_values = []
-        row_base = 0
-        file = node.column_file.file
-        for page_index in range(file.num_pages):
-            self._governance_check()
-            span = node.column_file.row_span_of_page(page_index, self.table.num_rows)
-            if row_base >= hi:
-                break
-            if row_base + span <= lo:
-                # Page entirely before the row window: skip without I/O.
-                row_base += span
-                continue
-
-            def decode(page_index=page_index):
-                _pid, count, payload, state = page_codec.decode_raw(
-                    file.read_page(page_index)
-                )
-                if code_predicates is not None:
-                    return count, codec.decode_codes(payload, count)
-                return count, codec.decode_page(payload, count, state)
-
-            decoded = self._salvage_decode(decode, file.name, page_index, span)
-            if decoded is None:
+        for row_base, count, data in self._dense_pages(column_file, decode):
+            if data is None:
                 # Salvage: the page's rows vanish from the position
-                # list; advancing by the nominal span keeps every later
-                # node's position→page mapping aligned.
-                row_base += span
+                # list; the nominal span keeps every later node's
+                # position→page mapping aligned.
                 continue
-            count, data = decoded
-
-            # Restrict to the scanner's row window: the page is decoded
-            # (and charged) whole, but out-of-window values are never
-            # compared or copied.
-            start = max(0, lo - row_base)
-            stop = max(start, min(count, hi - row_base))
-            in_range = stop - start
-
-            events.pages_touched += 1
             events.values_examined += count
-            events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
-            events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
-
-            if in_range == count:
-                mask = np.ones(count, dtype=bool)
+            mask, in_range = window_mask(count, row_base, self.row_range)
+            qualified = apply_predicates(events, bound, {attr: data}, mask, in_range)
+            if on_codes is None:
+                events.count_decode(spec.kind, count)
+                values = data[mask]
             else:
-                mask = np.zeros(count, dtype=bool)
-                mask[start:stop] = True
-            if code_predicates is not None:
-                # Compressed execution: compare the packed codes; the
-                # only work per value is the bit extraction, and the
-                # comparison operand is the narrow code, not the value.
-                codes = data
                 events.count_decode(CodecKind.PACK, count)
-                code_bytes = max(1, codec.bits_per_value // 8)
-                for index, code_predicate in enumerate(code_predicates):
-                    candidates = in_range if index == 0 else int(np.count_nonzero(mask))
-                    events.predicate_evals += candidates
-                    events.predicate_eval_bytes += candidates * code_bytes
-                    mask &= code_predicate.evaluate(codes)
-                qualified = int(np.count_nonzero(mask))
-                if node.selected:
+                if selected:
                     # Only qualifying values are ever looked up.
-                    values = codec.dictionary[codes[mask]]
+                    values = codec.dictionary[data[mask]]
                     events.count_decode(spec.kind, qualified)
                 else:
                     values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
-            else:
-                values = data
-                events.count_decode(spec.kind, count)
-                for index, predicate in enumerate(node.predicates):
-                    candidates = in_range if index == 0 else int(np.count_nonzero(mask))
-                    events.predicate_evals += candidates
-                    events.predicate_eval_bytes += candidates * node.width
-                    mask &= predicate.evaluate(values)
-                qualified = int(np.count_nonzero(mask))
-                values = values[mask]
             if qualified:
                 events.values_copied += qualified
-                events.bytes_copied += qualified * (node.width + _POSITION_BYTES)
+                events.bytes_copied += qualified * (width + _POSITION_BYTES)
                 qualified_positions.append(row_base + np.flatnonzero(mask))
                 qualified_values.append(values)
-            row_base += count
 
         if qualified_positions:
             positions = np.concatenate(qualified_positions)
@@ -245,59 +130,48 @@ class ColumnScanner(Operator):
             positions = np.zeros(0, dtype=np.int64)
             values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
         events.blocks_produced += self._block_count(positions.size)
-        collected = {node.attr: values} if node.selected else {}
-        return positions, collected
-
-    def _code_predicates(self, node: _ScanNode, codec):
-        """Rewritten code predicates when compressed execution applies."""
-        if not self.context.compressed_execution or not node.predicates:
-            return None
-        from repro.compression.dictionary import DictionaryCodec
-        from repro.engine.compressed_exec import rewrite_all
-
-        if not isinstance(codec, DictionaryCodec):
-            return None
-        return rewrite_all(node.predicates, codec)
+        return positions, ({attr: values} if selected else {})
 
     def _run_inner_node(
         self,
-        node: _ScanNode,
+        attr: str,
         positions: np.ndarray,
         collected: dict,
     ) -> tuple[np.ndarray, dict]:
         """Position-driven scan of one later column."""
         events = self.events
         calibration = self.context.calibration
-        spec = self.table.schema.attribute(node.attr).spec
-        codec = node.column_file.page_codec.codec
+        spec = self.table.schema.attribute(attr).spec
+        column_file = self.table.column_file(attr)
+        page_codec = column_file.page_codec
+        codec = page_codec.codec
         bits = codec.bits_per_value
+        bound = [b for b in self._bound if b[1] == attr]
+        width = self.table.schema.attribute(attr).width
 
         events.positions_processed += positions.size
 
         values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
         if positions.size:
-            page_ids = node.column_file.page_of_positions(positions)
+            page_ids = column_file.page_of_positions(positions)
             keep = np.ones(positions.size, dtype=bool)
             chunks = []
             for page_id in np.unique(page_ids):
                 self._governance_check()
                 selector = page_ids == page_id
-                in_page = positions[selector] - node.column_file.first_row_of_page(
+                in_page = positions[selector] - column_file.first_row_of_page(
                     int(page_id)
                 )
 
-                def decode(page_id=page_id, in_page=in_page):
-                    page = node.column_file.file.read_page(int(page_id))
-                    _pid, count, payload, state = (
-                        node.column_file.page_codec.decode_raw(page)
-                    )
+                def decode(page, in_page=in_page):
+                    _pid, count, payload, state = page_codec.decode_raw(page)
                     page_values, decoded = codec.decode_positions(
                         payload, count, state, in_page
                     )
                     return count, page_values, decoded
 
-                result = self._salvage_decode(
-                    decode, node.column_file.file.name, int(page_id), int(in_page.size)
+                result = self._guarded(
+                    decode, column_file.file, int(page_id), int(in_page.size)
                 )
                 if result is None:
                     # Salvage: this column cannot supply these rows, so
@@ -326,16 +200,12 @@ class ColumnScanner(Operator):
             if chunks:
                 values = np.concatenate(chunks)
 
-        mask = np.ones(positions.size, dtype=bool)
-        for index, predicate in enumerate(node.predicates):
-            candidates = positions.size if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += candidates * node.width
-            mask &= predicate.evaluate(values)
-
-        if node.predicates:
+        if bound:
             # Rewrite: qualifying tuples are copied whole to new blocks.
-            qualified = int(np.count_nonzero(mask))
+            mask = np.ones(positions.size, dtype=bool)
+            qualified = apply_predicates(
+                events, bound, {attr: values}, mask, positions.size
+            )
             positions = positions[mask]
             values = values[mask]
             collected = {name: col[mask] for name, col in collected.items()}
@@ -344,25 +214,18 @@ class ColumnScanner(Operator):
             )
             events.values_copied += qualified * (len(collected) + 2)
             events.bytes_copied += qualified * (
-                carried_bytes + node.width + _POSITION_BYTES
+                carried_bytes + width + _POSITION_BYTES
             )
         else:
             # Attach: values are appended without rewriting the tuples.
             events.values_copied += positions.size
-            events.bytes_copied += positions.size * node.width
+            events.bytes_copied += positions.size * width
 
-        if node.selected:
+        if attr in self.select:
             collected = dict(collected)
-            collected[node.attr] = values
+            collected[attr] = values
         events.blocks_produced += self._block_count(positions.size)
         return positions, collected
-
-    def _emit(self, positions: np.ndarray, collected: dict) -> None:
-        block = Block(
-            columns={name: collected[name] for name in self.select},
-            positions=positions,
-        )
-        self._ready.extend(split_into_blocks(block, self.context.block_size))
 
     def _block_count(self, tuples: int) -> int:
         if tuples <= 0:

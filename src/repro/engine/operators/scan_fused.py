@@ -16,172 +16,57 @@ identical (same files are read).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.cpusim.cache import page_lines
-from repro.engine.blocks import Block, split_into_blocks
-from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
-from repro.engine.predicate import Predicate
-from repro.errors import PlanError
-from repro.storage.table import ColumnTable
+from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates
 
 
-class FusedColumnScanner(Operator):
+class FusedColumnScanner(RunOnceScanner):
     """Row-at-a-time iteration over in-memory column pages."""
 
-    def __init__(
-        self,
-        context: ExecutionContext,
-        table: ColumnTable,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        row_range: tuple[int, int] | None = None,
-    ):
-        super().__init__(context)
-        if not select:
-            raise PlanError("fused scanner needs a non-empty select list")
-        self.table = table
-        self.select = tuple(select)
-        self.predicates = tuple(predicates)
-        self.row_range = normalize_row_range(row_range, table.num_rows)
-        self._attrs = self._scan_attrs()
-        self._ready: deque[Block] = deque()
-        self._done = False
-
-    def _scan_attrs(self) -> list[str]:
-        order = [p.attr for p in self.predicates]
-        order += [name for name in self.select if name not in order]
-        seen: set[str] = set()
-        unique = []
-        for name in order:
-            if name not in seen:
-                seen.add(name)
-                unique.append(name)
-        for name in unique:
-            self.table.schema.attribute(name)
-        return unique
-
-    def scan_attribute_order(self) -> list[str]:
-        """The columns read (all densely)."""
-        return list(self._attrs)
-
-    def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
-
-    def _open(self) -> None:
-        self._ready.clear()
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._ready and not self._done:
-            self._execute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.popleft()
+    #: The dense columns are sized from the window before any page is
+    #: read, so an empty window reads nothing.
+    EMPTY_WINDOW_READS_A_PAGE = False
 
     def _execute(self) -> None:
         events = self.events
-        calibration = self.context.calibration
-        num_rows = self.table.num_rows
         lo, hi = self.row_range
-        window = hi - lo
         # Rows (within the scan window) whose every accessed page
         # decoded; salvage mode clears the spans of skipped pages so the
         # dense columns stay aligned.
-        intact = np.ones(window, dtype=bool)
-        columns: dict[str, np.ndarray] = {}
-        for name in self._attrs:
-            column_file = self.table.column_file(name)
-            attr_dtype = self.table.schema.attribute(name).attr_type.numpy_dtype()
-            spec = self.table.schema.attribute(name).spec
-            page_codec = column_file.page_codec
-            bits = page_codec.codec.bits_per_value
-            chunks = []
-            row_base = 0
-            for page_index in range(column_file.file.num_pages if window else 0):
-                self._governance_check()
-                span = column_file.row_span_of_page(page_index, num_rows)
-                if row_base >= hi:
-                    break
-                if row_base + span <= lo:
-                    # Page entirely before the row window: skip, no I/O.
-                    row_base += span
-                    continue
-
-                def decode(page_index=page_index):
-                    _pid, count, payload, state = page_codec.decode_raw(
-                        column_file.file.read_page(page_index)
-                    )
-                    return count, page_codec.codec.decode_page(payload, count, state)
-
-                decoded = self._salvage_decode(
-                    decode, column_file.file.name, page_index, span
-                )
-                if decoded is None:
-                    # Placeholder keeps this column's offsets aligned
-                    # with the others; the rows are masked out below.
-                    overlap_lo = max(row_base, lo)
-                    overlap_hi = min(row_base + span, hi)
-                    chunks.append(np.zeros(overlap_hi - overlap_lo, dtype=attr_dtype))
-                    intact[overlap_lo - lo : overlap_hi - lo] = False
-                    row_base += span
-                    continue
-                count, values = decoded
-                # Pages are decoded (and charged) whole; only the slice
-                # overlapping the row window joins the dense columns.
-                start = max(0, lo - row_base)
-                stop = max(start, min(count, hi - row_base))
-                chunks.append(values[start:stop])
-                row_base += count
-                events.pages_touched += 1
-                events.count_decode(spec.kind, count)
-                events.mem_seq_lines += page_lines(
-                    count, bits, calibration.l2_line_bytes
-                )
-                events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
-            covered = min(row_base, hi)
-            if covered < hi:
-                # Truncated column file (salvage open): pad and mask.
-                pad_lo = max(covered, lo)
-                chunks.append(np.zeros(hi - pad_lo, dtype=attr_dtype))
-                intact[pad_lo - lo :] = False
-            if chunks:
-                columns[name] = np.concatenate(chunks)
-            else:
-                columns[name] = np.zeros(0, dtype=attr_dtype)
-
-        count = window
+        intact = np.ones(hi - lo, dtype=bool)
+        columns = {
+            name: self._dense_column(name, intact) for name in self._attrs
+        }
         # Row-at-a-time iteration across the resident pages.
-        events.tuples_examined += count
-        mask = intact
-        for index, predicate in enumerate(self.predicates):
-            candidates = count if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
-            mask &= predicate.evaluate(columns[predicate.attr])
+        events.tuples_examined += hi - lo
+        qualified = apply_predicates(events, self._bound, columns, intact, hi - lo)
+        self._emit(self._project(columns, intact, qualified, lo))
 
-        qualified = int(np.count_nonzero(mask))
-        selected_width = sum(
-            self.table.schema.attribute(name).width for name in self.select
-        )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-
-        block = Block(
-            columns={name: columns[name][mask] for name in self.select},
-            positions=(lo + np.flatnonzero(mask)).astype(np.int64),
-        )
-        self._ready.extend(split_into_blocks(block, self.context.block_size))
+    def _dense_column(self, name: str, intact: np.ndarray) -> np.ndarray:
+        """Rows ``[lo, hi)`` of one column; clears ``intact`` where lost."""
+        attr = self.table.schema.attribute(name)
+        dtype = attr.attr_type.numpy_dtype()
+        kind = attr.spec.kind
+        lo, hi = self.row_range
+        chunks = []
+        covered = lo
+        for row_base, rows, values in self._dense_pages(self.table.column_file(name)):
+            # Only the slice overlapping the row window joins the column.
+            start = max(row_base, lo)
+            covered = min(row_base + rows, hi)
+            if values is None:
+                # Placeholder keeps this column's offsets aligned with
+                # the others; the rows are masked out.
+                chunks.append(np.zeros(covered - start, dtype=dtype))
+                intact[start - lo : covered - lo] = False
+            else:
+                self.events.count_decode(kind, rows)
+                chunks.append(values[start - row_base : covered - row_base])
+        if covered < hi:
+            # Truncated column file (salvage open): pad and mask.
+            chunks.append(np.zeros(hi - covered, dtype=dtype))
+            intact[covered - lo :] = False
+        if not chunks:
+            return np.zeros(0, dtype=dtype)
+        return np.concatenate(chunks)

@@ -8,162 +8,26 @@ of PAX, with I/O identical to a row store (Section 6).
 
 from __future__ import annotations
 
-from collections import deque
-
-import numpy as np
-
 from repro.cpusim.cache import page_lines
-from repro.engine.blocks import Block, split_into_blocks
-from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
-from repro.engine.predicate import Predicate
-from repro.errors import PlanError
-from repro.storage.table import PaxTable
+from repro.engine.operators.scan_core import PagedScanner
 
 
-class PaxScanner(Operator):
+class PaxScanner(PagedScanner):
     """Scan a :class:`PaxTable`, touching only the accessed minipages."""
 
-    def __init__(
-        self,
-        context: ExecutionContext,
-        table: PaxTable,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        row_range: tuple[int, int] | None = None,
-    ):
-        super().__init__(context)
-        if not select:
-            raise PlanError("PAX scanner needs a non-empty select list")
-        self.table = table
-        for name in select:
-            table.schema.attribute(name)
-        for predicate in predicates:
-            table.schema.attribute(predicate.attr)
-        self.select = tuple(select)
-        self.predicates = tuple(predicates)
-        self.row_range = normalize_row_range(row_range, table.num_rows)
-        order = [p.attr for p in predicates]
-        order += [name for name in select if name not in order]
-        seen: set[str] = set()
-        self._attrs = [n for n in order if not (n in seen or seen.add(n))]
-        self._page_index = 0
-        self._ready: deque[Block] = deque()
-        self._row_base = 0
-        self._emitted_any = False
+    def __init__(self, context, table, select, predicates=(), row_range=None):
+        super().__init__(context, table, select, predicates, row_range)
+        #: ``(codec kind, packed bits)`` of each accessed minipage.
+        self._minipages = [
+            (table.schema.attribute(name).spec.kind, table.page_codec.attribute_bits(name))
+            for name in self._attrs
+        ]
 
-    def scan_attribute_order(self) -> list[str]:
-        """The minipages this scan decodes."""
-        return list(self._attrs)
-
-    def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
-
-    def _open(self) -> None:
-        self._page_index = 0
-        self._ready.clear()
-        self._row_base = 0
-        self._emitted_any = False
-
-    def _next(self) -> Block | None:
-        lo, hi = self.row_range
-        while not self._ready:
-            if self._page_index >= self.table.file.num_pages or self._row_base >= hi:
-                if not self._emitted_any:
-                    self._emitted_any = True
-                    return self._empty_block()
-                return None
-            self._governance_check()
-            index = self._page_index
-            self._page_index += 1
-            if self._row_base + self.table.row_span_of_page(index) <= lo:
-                # Page entirely before the row window: skip without I/O.
-                self._row_base += self.table.row_span_of_page(index)
-                continue
-            self._process_page(index)
-        self._emitted_any = True
-        return self._ready.popleft()
-
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0, dtype=self.table.schema.attribute(name).attr_type.numpy_dtype()
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
-
-    def _process_page(self, index: int) -> None:
+    def _charge_page(self, count: int, qualified: int) -> None:
         events = self.events
         calibration = self.context.calibration
-        codec = self.table.page_codec
-        span = self.table.row_span_of_page(index)
-
-        def decode_accessed():
-            page = self.table.file.read_page(index)
-            return {name: codec.decode_attribute(page, name) for name in self._attrs}
-
-        decoded = self._salvage_decode(
-            decode_accessed, self.table.file.name, index, span
-        )
-        if decoded is None:
-            # Salvage: skip the page, keep Record IDs of later pages right.
-            self._row_base += span
-            return
-
-        columns: dict[str, np.ndarray] = {}
-        count = 0
-        for name in self._attrs:
-            _pid, count, values = decoded[name]
-            columns[name] = values
-            spec = self.table.schema.attribute(name).spec
-            events.count_decode(spec.kind, count)
-            bits = codec.attribute_bits(name)
+        for kind, bits in self._minipages:
+            events.count_decode(kind, count)
             # Only the accessed minipages move through the caches.
             events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
             events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
-
-        # Restrict to the scanner's row window: minipages are decoded
-        # (and charged) whole, but out-of-window tuples are not examined.
-        lo, hi = self.row_range
-        start = max(0, lo - self._row_base)
-        stop = max(start, min(count, hi - self._row_base))
-        in_range = stop - start
-
-        events.pages_touched += 1
-        events.tuples_examined += in_range
-
-        if in_range == count:
-            mask = np.ones(count, dtype=bool)
-        else:
-            mask = np.zeros(count, dtype=bool)
-            mask[start:stop] = True
-        for index, predicate in enumerate(self.predicates):
-            candidates = in_range if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
-            mask &= predicate.evaluate(columns[predicate.attr])
-
-        qualified = int(np.count_nonzero(mask))
-        if qualified:
-            selected_width = sum(
-                self.table.schema.attribute(name).width for name in self.select
-            )
-            events.values_copied += qualified * len(self.select)
-            events.bytes_copied += qualified * selected_width
-            positions = self._row_base + np.flatnonzero(mask)
-            block = Block(
-                columns={name: columns[name][mask] for name in self.select},
-                positions=positions,
-            )
-            self._ready.extend(split_into_blocks(block, self.context.block_size))
-        self._row_base += count

@@ -10,195 +10,24 @@ curves are flat in projectivity.
 
 from __future__ import annotations
 
-from collections import deque
-
-import numpy as np
-
 from repro.compression.base import CodecKind
-from repro.engine.blocks import Block, split_into_blocks
-from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
-from repro.engine.predicate import Predicate
-from repro.errors import PlanError
-from repro.storage.table import RowTable
-
-_WHOLE_PAGE_KINDS = (CodecKind.FOR_DELTA,)
+from repro.engine.operators.scan_core import PagedScanner
 
 
-def normalize_row_range(
-    row_range: tuple[int, int] | None, num_rows: int
-) -> tuple[int, int]:
-    """Clamp a half-open ``[lo, hi)`` row window to the table.
-
-    ``None`` means the whole table.  The window is what horizontal
-    partitioning (``repro.storage.partition``) hands each parallel
-    worker; positions emitted under a window stay *global* Record IDs.
-    """
-    if row_range is None:
-        return (0, num_rows)
-    lo, hi = row_range
-    if lo < 0 or hi < lo:
-        raise PlanError(f"invalid row range: [{lo}, {hi})")
-    return (min(lo, num_rows), min(hi, num_rows))
+def charge_row_page(events, calibration, page_size: int) -> None:
+    """A row page is touched front to back: purely sequential traffic."""
+    events.mem_seq_lines += page_size // calibration.l2_line_bytes
+    events.l1_lines += page_size // calibration.l1_line_bytes
 
 
-class RowScanner(Operator):
+class RowScanner(PagedScanner):
     """Scan a :class:`RowTable`, applying predicates and projecting."""
 
-    def __init__(
-        self,
-        context: ExecutionContext,
-        table: RowTable,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        row_range: tuple[int, int] | None = None,
-    ):
-        super().__init__(context)
-        self.table = table
-        for name in select:
-            table.schema.attribute(name)
-        for predicate in predicates:
-            table.schema.attribute(predicate.attr)
-        if not select:
-            raise PlanError("row scanner needs a non-empty select list")
-        self.select = tuple(select)
-        self.predicates = tuple(predicates)
-        self.row_range = normalize_row_range(row_range, table.num_rows)
-        self._page_index = 0
-        self._ready: deque[Block] = deque()
-        self._row_base = 0
-        self._emitted_any = False
-        self._schema_compressed = any(
-            attr.spec.is_compressed for attr in table.schema
-        )
+    #: A row page arrives with every attribute decoded, so decompression
+    #: is charged for what the query touches; FOR-delta values depend on
+    #: their predecessors, so touching one decodes the whole page.
+    LAZY_WHOLE_PAGE_KINDS = (CodecKind.FOR_DELTA,)
 
-    def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
-
-    def _open(self) -> None:
-        self._page_index = 0
-        self._ready.clear()
-        self._row_base = 0
-        self._emitted_any = False
-
-    def _next(self) -> Block | None:
-        lo, hi = self.row_range
-        while not self._ready:
-            if self._page_index >= self.table.file.num_pages or self._row_base >= hi:
-                if not self._emitted_any:
-                    # Emit one empty block so the output schema survives
-                    # a scan with no qualifying tuples.
-                    self._emitted_any = True
-                    return self._empty_block()
-                return None
-            self._governance_check()
-            index = self._page_index
-            self._page_index += 1
-            span = self.table.row_span_of_page(index)
-            if self._row_base + span <= lo:
-                # Page entirely before the row window: skip without I/O.
-                self._row_base += span
-                continue
-            self._process_page(index)
-        self._emitted_any = True
-        return self._ready.popleft()
-
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0, dtype=self.table.schema.attribute(name).attr_type.numpy_dtype()
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
-
-    def _process_page(self, index: int) -> None:
-        events = self.events
-        calibration = self.context.calibration
-        decoded = self._salvage_decode(
-            lambda: self.table.page_codec.decode_columns(
-                self.table.file.read_page(index)
-            ),
-            self.table.file.name,
-            index,
-            self.table.row_span_of_page(index),
-        )
-        if decoded is None:
-            # Salvage: skip the corrupt page but advance the global row
-            # position by its nominal span so later pages' Record IDs —
-            # and any position-joined column files — stay aligned.
-            self._row_base += self.table.row_span_of_page(index)
-            return
-        _page_id, count, columns = decoded
-
-        # Restrict to the scanner's row window: the page is decoded (and
-        # charged) whole, but tuples outside [lo, hi) are never examined.
-        lo, hi = self.row_range
-        start = max(0, lo - self._row_base)
-        stop = max(start, min(count, hi - self._row_base))
-        in_range = stop - start
-
-        events.pages_touched += 1
-        events.tuples_examined += in_range
-        # The row store touches the whole page front to back: purely
-        # sequential memory traffic.
-        events.mem_seq_lines += self.table.page_size // calibration.l2_line_bytes
-        events.l1_lines += self.table.page_size // calibration.l1_line_bytes
-
-        if in_range == count:
-            mask = np.ones(count, dtype=bool)
-        else:
-            mask = np.zeros(count, dtype=bool)
-            mask[start:stop] = True
-        decoded_attrs: set[str] = set()
-        for index, predicate in enumerate(self.predicates):
-            candidates = int(np.count_nonzero(mask)) if index else in_range
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
-            self._count_decodes(predicate.attr, count, count, decoded_attrs)
-            mask &= predicate.evaluate(columns[predicate.attr])
-
-        qualified = int(np.count_nonzero(mask))
-        if qualified:
-            for name in self.select:
-                self._count_decodes(name, count, qualified, decoded_attrs)
-            selected_width = sum(
-                self.table.schema.attribute(name).width for name in self.select
-            )
-            events.values_copied += qualified * len(self.select)
-            events.bytes_copied += qualified * selected_width
-
-            positions = self._row_base + np.flatnonzero(mask)
-            block = Block(
-                columns={name: columns[name][mask] for name in self.select},
-                positions=positions,
-            )
-            self._ready.extend(split_into_blocks(block, self.context.block_size))
-        self._row_base += count
-
-    def _count_decodes(
-        self,
-        attr_name: str,
-        page_count: int,
-        accessed: int,
-        decoded_attrs: set[str],
-    ) -> None:
-        """Charge decompression work for touching one attribute."""
-        if not self._schema_compressed or attr_name in decoded_attrs:
-            return
-        spec = self.table.schema.attribute(attr_name).spec
-        if not spec.is_compressed:
-            return
-        decoded_attrs.add(attr_name)
-        if spec.kind in _WHOLE_PAGE_KINDS:
-            self.events.count_decode(spec.kind, page_count)
-        else:
-            self.events.count_decode(spec.kind, accessed)
+    def _charge_page(self, count: int, qualified: int) -> None:
+        charge_row_page(self.events, self.context.calibration, self.table.page_size)
+        self._charge_lazy_decodes(count, qualified)

@@ -14,8 +14,8 @@ engine-side implementation lives here:
   shared-stream model (:mod:`repro.iosim.sharing`), while decode and
   predicate CPU is charged **per consumer** — each query still pays to
   process the delivered values.
-* :class:`SharedScanConsumer` — an :class:`~repro.engine.operators.base.
-  Operator` view of one query's ride on the stream.  A consumer
+* :class:`SharedScanConsumer` — a :class:`~repro.engine.operators.
+  scan_core.Scanner` view of one query's ride on the stream.  A consumer
   attaches *mid-flight* at the stream's current position, rides to the
   end, wraps around for the prefix it missed (circular scan), and
   detaches after exactly one full pass.  Output is re-assembled into
@@ -34,19 +34,23 @@ would have hit scanning alone.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.compression.base import CodecKind
 from repro.cpusim.events import CostEvents
-from repro.engine.blocks import Block, concat_blocks, split_into_blocks
+from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import SALVAGEABLE_ERRORS, Operator
+from repro.engine.operators.scan_core import (
+    SALVAGEABLE_ERRORS,
+    Scanner,
+    apply_predicates,
+    guarded_decode,
+)
 from repro.engine.query import ScanQuery
 from repro.errors import EngineError, PlanError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
-from repro.storage.table import ColumnTable, PaxTable, RowTable, Table
+from repro.storage.table import ColumnTable, PagedTable, Table
 
 __all__ = [
     "ScanShareManager",
@@ -73,7 +77,9 @@ class _SegmentData:
         self.columns = columns
         #: Boolean mask over [lo, hi): False where a corrupt page's span fell.
         self.valid = valid
-        #: ``(file_name, page_id, decoded, row_span, error)`` per page read.
+        #: ``(file_name, page_id, fault)`` per page the segment draws on;
+        #: ``fault`` is ``None`` for a decoded page, else the stream's
+        #: :class:`~repro.storage.scrub.PageFault` for it.
         self.pages = pages
 
 
@@ -97,50 +103,63 @@ class SharedScanStream:
         self.strict_integrity = strict_integrity
         #: I/O accounted once for the whole stream, not per consumer.
         self.io_events = CostEvents()
+        #: The stream reads under the same integrity policy as any scan,
+        #: on a context of its own: its accounting is ``io_events``, and
+        #: its corruption report is what every rider copies damage from.
+        self._context = ExecutionContext(
+            strict_integrity=strict_integrity, events=self.io_events
+        )
         self._consumers: list[SharedScanConsumer] = []
         self._cursor = 0
         self._failed: Exception | None = None
-        #: ``(file_key, page_id) -> (file_name, row_span, error)`` for pages
-        #: that failed to decode (salvage mode keeps going; consumers each
-        #: record the damage once).
-        self._corrupt: dict[tuple, tuple[str, int, Exception]] = {}
         #: Per-column rolling cache of decoded pages (column layout).
         self._page_cache: dict[str, dict[int, np.ndarray]] = {}
-        self._segments = self._build_segments()
-        #: Lifetime totals (survive consumer detach; feed scheduler stats).
-        self.total_attached = 0
+        # ``_segments``: (driving page id, row lo, row hi), in row order.
+        if isinstance(table, PagedTable):
+            attrs = self.attrs
+            self._decode_page = lambda page: table.decode_page(page, attrs)
+            self._segments = self._paged_segments()
+            self._decode_segment = self._decode_paged_segment
+        elif isinstance(table, ColumnTable):
+            self._segments = self._column_segments()
+            self._decode_segment = self._decode_column_segment
+        else:
+            raise PlanError(
+                f"unsupported table type for sharing: {type(table).__name__}"
+            )
 
     # --- geometry ---------------------------------------------------------
 
-    def _build_segments(self) -> list[tuple[int, int, int]]:
-        """``(driving page id, row lo, row hi)`` per segment, in row order."""
+    def _paged_segments(self) -> list[tuple[int, int, int]]:
+        """Row/PAX: one segment per page of the one file."""
         table = self.table
-        segments: list[tuple[int, int, int]] = []
-        if isinstance(table, (RowTable, PaxTable)):
-            base = 0
-            for page_id in range(table.file.num_pages):
-                span = table.row_span_of_page(page_id)
-                if span > 0:
-                    segments.append((page_id, base, base + span))
-                base += span
-            return segments
-        if isinstance(table, ColumnTable):
-            driver = self._driving_column()
-            if driver is None:
-                return segments
-            column_file = table.column_file(driver)
-            for page_id in range(column_file.file.num_pages):
-                lo = column_file.first_row_of_page(page_id)
-                span = column_file.row_span_of_page(page_id, table.num_rows)
-                if span > 0:
-                    segments.append((page_id, lo, lo + span))
-            return segments
-        raise PlanError(f"unsupported table type for sharing: {type(table).__name__}")
+        segments = []
+        base = 0
+        for page_id in range(table.file.num_pages):
+            span = table.row_span_of_page(page_id)
+            if span > 0:
+                segments.append((page_id, base, base + span))
+            base += span
+        return segments
+
+    def _column_segments(self) -> list[tuple[int, int, int]]:
+        """Column layout: one segment per page of the driving column."""
+        table = self.table
+        driver = self._driving_column()
+        if driver is None:
+            return []
+        column_file = table.column_file(driver)
+        segments = []
+        for page_id in range(column_file.file.num_pages):
+            lo = column_file.first_row_of_page(page_id)
+            span = column_file.row_span_of_page(page_id, table.num_rows)
+            if span > 0:
+                segments.append((page_id, lo, lo + span))
+        return segments
 
     def _driving_column(self) -> str | None:
         """The needed column with the most pages (finest segments)."""
         table = self.table
-        assert isinstance(table, ColumnTable)
         best: str | None = None
         best_pages = -1
         for name in sorted(self.attrs):
@@ -173,7 +192,6 @@ class SharedScanStream:
         if self._failed is not None:
             raise self._failed
         self._consumers.append(consumer)
-        self.total_attached += 1
         return set(range(len(self._segments)))
 
     def detach(self, consumer: "SharedScanConsumer") -> None:
@@ -212,7 +230,7 @@ class SharedScanStream:
             if not takers:
                 continue
             try:
-                data = self._decode_segment(index)
+                data = self._decode_segment(*self._segments[index])
             except SALVAGEABLE_ERRORS as exc:
                 # Strict integrity: the whole stream dies with the typed
                 # error every rider would have hit scanning alone.
@@ -233,84 +251,45 @@ class SharedScanStream:
 
     # --- decoding ---------------------------------------------------------
 
-    def _decode_segment(self, index: int) -> _SegmentData:
-        table = self.table
-        page_id, lo, hi = self._segments[index]
-        if isinstance(table, (RowTable, PaxTable)):
-            return self._decode_paged_segment(table, page_id, lo, hi)
-        assert isinstance(table, ColumnTable)
-        return self._decode_column_segment(table, lo, hi)
-
-    def _read_page(self, file, page_id: int, file_key: str, row_span: int):
-        """One accounted page read (+decode by the caller); None if corrupt.
+    def _read(self, decode, file, page_id: int, row_span: int):
+        """One page through the guarded read: ``(decoded, fault)``.
 
         The I/O is charged to the stream exactly once per page per pass;
-        a corrupt page is remembered so re-deliveries don't re-read it.
+        a page salvage had to drop stays in the stream's corruption
+        report, so re-deliveries get ``(None, fault)`` without a re-read.
         """
-        key = (file_key, page_id)
-        if key in self._corrupt:
-            return None
+        faults = self._context.corruption.faults
+        for fault in faults:
+            if fault.page == page_id and fault.file == file.name:
+                return None, fault
         self.io_events.pages_touched += 1
         self.io_events.bytes_read += self.table.page_size
         obs_metrics.SCHEDULER_SHARED_PAGES.inc()
-        return file.read_page(page_id)
+        decoded = guarded_decode(self._context, decode, file, page_id, row_span)
+        return decoded, (faults[-1] if decoded is None else None)
 
-    def _record_corrupt(
-        self, file_key: str, file_name: str, page_id: int, row_span: int, exc
-    ) -> None:
-        if self.strict_integrity:
-            raise exc
-        self._corrupt[(file_key, page_id)] = (file_name, row_span, exc)
-        flight.record(
-            "storage.salvage",
-            file=file_name,
-            page=page_id,
-            error=type(exc).__name__,
-        )
-
-    def _decode_paged_segment(self, table, page_id: int, lo: int, hi: int):
+    def _decode_paged_segment(self, page_id: int, lo: int, hi: int):
         """Row/PAX: one segment is exactly one page of the row file."""
+        table = self.table
         span = hi - lo
-        file_key = table.file.name
-        pages: list[tuple] = []
-        raw = self._read_page(table.file, page_id, file_key, span)
-        decoded: dict[str, np.ndarray] | None = None
-        if raw is not None:
-            try:
-                if isinstance(table, RowTable):
-                    _pid, _count, columns = table.page_codec.decode_columns(raw)
-                    decoded = {name: columns[name] for name in self.attrs}
-                else:
-                    decoded = {}
-                    for name in self.attrs:
-                        _pid, _count, values = table.page_codec.decode_attribute(
-                            raw, name
-                        )
-                        decoded[name] = values
-            except SALVAGEABLE_ERRORS as exc:
-                self._record_corrupt(file_key, table.file.name, page_id, span, exc)
-                decoded = None
+        decoded, fault = self._read(self._decode_page, table.file, page_id, span)
         if decoded is None:
-            _name, row_span, error = self._corrupt[(file_key, page_id)]
-            pages.append((table.file.name, page_id, False, row_span, error))
+            schema = table.schema
             columns = {
                 name: np.zeros(
-                    span, dtype=table.schema.attribute(name).attr_type.numpy_dtype()
+                    span, dtype=schema.attribute(name).attr_type.numpy_dtype()
                 )
                 for name in self.attrs
             }
-            return _SegmentData(lo, hi, columns, np.zeros(span, dtype=bool), pages)
-        pages.append((table.file.name, page_id, True, span, None))
-        return _SegmentData(
-            lo,
-            hi,
-            {name: values[:span] for name, values in decoded.items()},
-            np.ones(span, dtype=bool),
-            pages,
-        )
+            valid = np.zeros(span, dtype=bool)
+        else:
+            columns = {name: decoded[1][name][:span] for name in self.attrs}
+            valid = np.ones(span, dtype=bool)
+        return _SegmentData(lo, hi, columns, valid, [(table.file.name, page_id, fault)])
 
-    def _decode_column_segment(self, table: ColumnTable, lo: int, hi: int):
+    def _decode_column_segment(self, _page_id: int, lo: int, hi: int):
         """Column layout: assemble [lo, hi) of every needed column."""
+        table = self.table
         span = hi - lo
         valid = np.ones(span, dtype=bool)
         columns: dict[str, np.ndarray] = {}
@@ -331,25 +310,18 @@ class SharedScanStream:
                     )
                 page_first = column_file.first_row_of_page(page_id)
                 page_span = column_file.row_span_of_page(page_id, table.num_rows)
-                page_end = page_first + page_span
                 take_lo = max(row, page_first)
-                take_hi = min(hi, page_end)
+                take_hi = min(hi, page_first + page_span)
                 if take_hi <= row:
                     page_id += 1
                     continue
-                values = self._column_page_values(column_file, page_id, page_span)
+                values, fault = self._column_page_values(
+                    column_file, page_id, page_span
+                )
+                pages.append((column_file.file.name, page_id, fault))
                 if values is None:
-                    _fname, row_span, error = self._corrupt[
-                        (column_file.file.name, page_id)
-                    ]
-                    pages.append(
-                        (column_file.file.name, page_id, False, row_span, error)
-                    )
                     valid[take_lo - lo : take_hi - lo] = False
                 else:
-                    pages.append(
-                        (column_file.file.name, page_id, True, page_span, None)
-                    )
                     out[take_lo - lo : take_hi - lo] = values[
                         take_lo - page_first : take_hi - page_first
                     ]
@@ -359,33 +331,21 @@ class SharedScanStream:
         return _SegmentData(lo, hi, columns, valid, pages)
 
     def _column_page_values(self, column_file, page_id: int, row_span: int):
-        """One column page's values, through the rolling per-pass cache."""
+        """One column page's ``(values, fault)``, through the rolling cache."""
         cache = self._page_cache.setdefault(column_file.file.name, {})
         if page_id in cache:
-            return cache[page_id]
-        raw = self._read_page(
-            column_file.file, page_id, column_file.file.name, row_span
+            return cache[page_id], None
+        values, fault = self._read(
+            column_file.decode_page, column_file.file, page_id, row_span
         )
-        if raw is None:
-            return None
-        try:
-            _pid, values = column_file.page_codec.decode(raw)
-        except SALVAGEABLE_ERRORS as exc:
-            self._record_corrupt(
-                column_file.file.name,
-                column_file.file.name,
-                page_id,
-                row_span,
-                exc,
-            )
-            return None
-        while len(cache) >= self._CACHE_PAGES:
-            cache.pop(next(iter(cache)))
-        cache[page_id] = values
-        return values
+        if values is not None:
+            while len(cache) >= self._CACHE_PAGES:
+                cache.pop(next(iter(cache)))
+            cache[page_id] = values
+        return values, fault
 
 
-class SharedScanConsumer(Operator):
+class SharedScanConsumer(Scanner):
     """One query's ride on a :class:`SharedScanStream`.
 
     Applies its *own* predicates and projection to every delivered
@@ -396,14 +356,17 @@ class SharedScanConsumer(Operator):
     same query.
     """
 
+    #: Segments arrive fully decoded, and each rider pays to process the
+    #: delivered values of every attribute it touches, whole.
+    LAZY_WHOLE_PAGE_KINDS = tuple(CodecKind)
+
     def __init__(
         self,
         context: ExecutionContext,
         share: SharedScanStream,
         query: ScanQuery,
     ):
-        super().__init__(context)
-        query.validate_against(share.table.schema)
+        super().__init__(context, share.table, query.select, query.predicates)
         missing = set(query.scan_attributes()) - set(share.attrs)
         if missing:
             raise PlanError(
@@ -412,8 +375,6 @@ class SharedScanConsumer(Operator):
             )
         self.share = share
         self.query = query
-        self.select = tuple(query.select)
-        self.predicates = tuple(query.predicates)
         #: Segment the stream was at when we attached (for EXPLAIN).
         self.attach_cursor = share.cursor
         self._remaining = share.attach(self)
@@ -426,27 +387,14 @@ class SharedScanConsumer(Operator):
             riders=len(share.consumers),
         )
         self._buffered: list[tuple[int, Block]] = []
-        self._output: deque[Block] = deque()
         self._finalized = False
         self._seen_pages: set[tuple[str, int]] = set()
-        self._schema_compressed = any(
-            attr.spec.is_compressed for attr in share.table.schema
-        )
 
     def describe(self) -> str:
-        detail = (
-            f"{self.share.table.schema.name}: {', '.join(self.select)} | "
-            f"shared, attached@segment {self.attach_cursor}/"
-            f"{self.share.num_segments}"
+        return (
+            f"{super().describe()} | shared, attached@segment "
+            f"{self.attach_cursor}/{self.share.num_segments}"
         )
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        return detail
-
-    @property
-    def finished(self) -> bool:
-        """True once this consumer's full pass is assembled."""
-        return self._finalized
 
     def _flight_label(self) -> str | None:
         """This rider's query label for flight-recorder attribution."""
@@ -481,58 +429,30 @@ class SharedScanConsumer(Operator):
         self._remaining.discard(index)
         events = self.events
         span = data.hi - data.lo
+        # Copy what the stream's reads found into this query's report,
+        # once per page (a column page may serve several segments).
         corruption = self.context.corruption
-        for file_name, page_id, decoded, row_span, error in data.pages:
+        for file_name, page_id, fault in data.pages:
             key = (file_name, page_id)
             if key in self._seen_pages:
                 continue
             self._seen_pages.add(key)
-            if decoded:
+            if fault is None:
                 corruption.pages_scanned += 1
             else:
                 obs_metrics.PAGES_SALVAGED.inc()
-                corruption.record(file_name, page_id, row_span, error)
+                corruption.faults.append(fault)
 
         mask = data.valid.copy()
-        candidates = int(np.count_nonzero(mask))
         events.values_examined += span
-        decoded_attrs: set[str] = set()
-        for predicate in self.predicates:
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates
-                * self.share.table.schema.attribute(predicate.attr).width
+        qualified = apply_predicates(
+            events, self._bound, data.columns, mask, int(np.count_nonzero(mask))
+        )
+        self._charge_lazy_decodes(span, qualified)
+        if qualified:
+            self._buffered.append(
+                (index, self._project(data.columns, mask, qualified, data.lo))
             )
-            self._count_decodes(predicate.attr, span, decoded_attrs)
-            mask &= predicate.evaluate(data.columns[predicate.attr])
-            candidates = int(np.count_nonzero(mask))
-
-        qualified = candidates
-        if not qualified:
-            return
-        for name in self.select:
-            self._count_decodes(name, span, decoded_attrs)
-        selected_width = sum(
-            self.share.table.schema.attribute(name).width for name in self.select
-        )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-        positions = data.lo + np.flatnonzero(mask)
-        block = Block(
-            columns={name: data.columns[name][mask] for name in self.select},
-            positions=positions,
-        )
-        self._buffered.append((index, block))
-
-    def _count_decodes(self, attr_name: str, span: int, decoded_attrs: set) -> None:
-        """Per-consumer decode CPU: each rider pays to process values."""
-        if not self._schema_compressed or attr_name in decoded_attrs:
-            return
-        spec = self.share.table.schema.attribute(attr_name).spec
-        if not spec.is_compressed:
-            return
-        decoded_attrs.add(attr_name)
-        self.events.count_decode(spec.kind, span)
 
     # --- operator side ----------------------------------------------------
 
@@ -550,48 +470,29 @@ class SharedScanConsumer(Operator):
         if self.share.failed is not None:
             raise self.share.failed
         self._governance_check()
-        if not self._remaining:
-            self._finalize()
-            return False
-        if not self.share.step():
+        if self._remaining and not self.share.step():
             raise EngineError(
                 "shared scan stream stalled with segments outstanding"
             )
-        if not self._remaining:
-            self._finalize()
-            return False
-        return True
+        if self._remaining:
+            return True
+        self._finalize()
+        return False
 
     def _finalize(self) -> None:
         self._finalized = True
         self.share.detach(self)
         self._buffered.sort(key=lambda pair: pair[0])
-        blocks = [block for _index, block in self._buffered]
+        merged = concat_blocks([block for _index, block in self._buffered])
         self._buffered = []
-        merged = concat_blocks(blocks)
-        if not len(merged):
-            self._output.append(self._empty_block())
-            return
-        self._output.extend(split_into_blocks(merged, self.context.block_size))
-
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0,
-                dtype=self.share.table.schema.attribute(
-                    name
-                ).attr_type.numpy_dtype(),
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
+        self._emit(merged if len(merged) else self._empty_block())
 
     def _next(self) -> Block | None:
         while not self._finalized:
             self.advance()
-        if not self._output:
+        if not self._ready:
             return None
-        return self._output.popleft()
+        return self._ready.popleft()
 
     def _close(self) -> None:
         self.share.detach(self)

@@ -7,20 +7,19 @@ layer — the property the paper's engine design insists on.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.engine.blocks import Block, split_into_blocks
+from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
+from repro.engine.operators.scan_core import RunOnceScanner
+from repro.engine.operators.scan_row import charge_row_page
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.index.secondary import SecondaryIndex
 from repro.storage.table import RowTable
 
 
-class IndexScan(Operator):
+class IndexScan(RunOnceScanner):
     """Fetch the tuples qualifying under one indexed predicate."""
 
     def __init__(
@@ -31,72 +30,36 @@ class IndexScan(Operator):
         predicate: Predicate,
         select: tuple[str, ...],
     ):
-        super().__init__(context)
-        if not select:
-            raise PlanError("index scan needs a non-empty select list")
+        super().__init__(context, table, select, (predicate,))
         if index.num_rows != table.num_rows:
             raise PlanError(
                 f"index covers {index.num_rows} rows, table has {table.num_rows}"
             )
-        for name in select:
-            table.schema.attribute(name)
-        self.table = table
         self.index = index
         self.predicate = predicate
-        self.select = tuple(select)
-        self._ready: deque[Block] = deque()
-        self._done = False
-
-    def _open(self) -> None:
-        self._ready.clear()
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._execute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.popleft()
 
     def _execute(self) -> None:
         events = self.events
-        calibration = self.context.calibration
+        table = self.table
         rids = self.index.lookup_predicate(self.predicate)
         # Probing the index and sorting the RID list.
         events.positions_processed += int(rids.size)
 
-        per_page = self.table.page_codec.tuples_per_page
-        columns = {
-            name: [] for name in self.select
-        }
-        if rids.size:
-            page_ids = rids // per_page
-            for page_id in np.unique(page_ids):
-                in_page = rids[page_ids == page_id] - page_id * per_page
-                page = self.table.file.read_page(int(page_id))
-                _pid, _count, decoded = self.table.page_codec.decode_columns(page)
-                events.pages_touched += 1
-                # A fetched page streams through the caches whole.
-                events.mem_seq_lines += (
-                    self.table.page_size // calibration.l2_line_bytes
-                )
-                events.l1_lines += self.table.page_size // calibration.l1_line_bytes
-                for name in self.select:
-                    columns[name].append(decoded[name][in_page])
-
-        materialized = {}
-        for name in self.select:
-            if columns[name]:
-                materialized[name] = np.concatenate(columns[name])
-            else:
-                attr = self.table.schema.attribute(name)
-                materialized[name] = np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        qualified = int(rids.size)
-        selected_width = sum(
-            self.table.schema.attribute(name).width for name in self.select
-        )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-        block = Block(columns=materialized, positions=rids)
-        self._ready.extend(split_into_blocks(block, self.context.block_size))
+        per_page = table.page_codec.tuples_per_page
+        page_ids = rids // per_page
+        blocks = []
+        for page_id in np.unique(page_ids):
+            first_row = int(page_id) * per_page
+            # The same page decode a row scan uses, fetched directly:
+            # index fetches run outside the salvage policy.
+            count, columns = table.decode_page(
+                table.file.read_page(int(page_id)), self.select
+            )
+            events.pages_touched += 1
+            # A fetched page streams through the caches whole.
+            charge_row_page(events, self.context.calibration, table.page_size)
+            in_page = rids[page_ids == page_id] - first_row
+            wanted = np.zeros(count, dtype=bool)
+            wanted[in_page] = True
+            blocks.append(self._project(columns, wanted, in_page.size, first_row))
+        self._emit(concat_blocks(blocks) if blocks else self._empty_block())

@@ -43,6 +43,7 @@ from repro.storage.scrub import (
 from repro.storage.table import (
     ColumnFile,
     ColumnTable,
+    PagedTable,
     PaxTable,
     RowTable,
     Table,
@@ -68,6 +69,7 @@ __all__ = [
     "CompressedRowPageCodec",
     "schema_is_compressed",
     "make_row_page_codec",
+    "PagedTable",
     "PaxTable",
     "PaxPageCodec",
     "Layout",

@@ -130,31 +130,31 @@ class PaxPageCodec:
         ]
         return page_id, count, payload[: self._payload_bytes], bases
 
-    def decode_attribute(self, page: bytes, name: str) -> tuple[int, int, np.ndarray]:
-        """Decode one attribute's minipage: ``(page_id, count, values)``.
+    def decode_columns(
+        self, page: bytes, names: tuple[str, ...] | None = None
+    ) -> tuple[int, int, dict[str, np.ndarray]]:
+        """Decode the minipages of ``names`` (default: every attribute).
 
-        This is the PAX payoff: other attributes' minipages are never
-        touched.
+        One split — one CRC over the page — serves every requested
+        attribute; the other attributes' minipages are never touched,
+        which is the PAX payoff.  Returns ``(page_id, count, columns)``
+        like the row page codecs.
         """
-        index = self.schema.index_of(name)
-        page_id, count, payload, bases = self._split(page)
-        offset, length = self.minipage_extent(index)
-        minipage = payload[offset : offset + length]
-        state = PageCodecState(base=self._base_for(index, bases))
-        values = self._codecs[index].decode_page(minipage, count, state)
-        return page_id, count, values
-
-    def decode_columns(self, page: bytes) -> tuple[int, int, dict[str, np.ndarray]]:
-        """Decode every attribute (row-page-compatible interface)."""
         page_id, count, payload, bases = self._split(page)
         columns = {}
-        for index, attr in enumerate(self.schema):
+        for name in self.schema.attribute_names if names is None else names:
+            index = self.schema.index_of(name)
             offset, length = self.minipage_extent(index)
             state = PageCodecState(base=self._base_for(index, bases))
-            columns[attr.name] = self._codecs[index].decode_page(
+            columns[name] = self._codecs[index].decode_page(
                 payload[offset : offset + length], count, state
             )
         return page_id, count, columns
+
+    def decode_attribute(self, page: bytes, name: str) -> tuple[int, int, np.ndarray]:
+        """Decode one attribute's minipage: ``(page_id, count, values)``."""
+        page_id, count, columns = self.decode_columns(page, (name,))
+        return page_id, count, columns[name]
 
     def _base_for(self, attr_index: int, bases: list[int]) -> int:
         if attr_index in self._frame_attrs:

@@ -68,8 +68,13 @@ class Table(abc.ABC):
         return {name: self.read_column(name) for name in self.schema.attribute_names}
 
 
-class RowTable(Table):
-    """One file of dense row pages."""
+class PagedTable(Table):
+    """One file of whole-tuple pages: the row and PAX layouts.
+
+    Both keep the same tuples on the same page of a single file, so
+    page arithmetic, scan I/O and the verification read are shared; a
+    subclass supplies its page codec and how a page decodes.
+    """
 
     def __init__(
         self,
@@ -80,19 +85,25 @@ class RowTable(Table):
     ):
         super().__init__(schema, num_rows, page_size)
         self.file = file
-        self.page_codec = make_row_page_codec(schema, page_size)
+        self.page_codec = self._make_page_codec()
 
-    @property
-    def layout(self) -> Layout:
-        return Layout.ROW
+    @abc.abstractmethod
+    def _make_page_codec(self):
+        """The codec of this layout's pages."""
+
+    @abc.abstractmethod
+    def decode_page(
+        self, page: bytes, attrs: tuple[str, ...]
+    ) -> tuple[int, dict[str, np.ndarray]]:
+        """Decode one page: ``(tuple count, columns)``.
+
+        ``columns`` holds at least ``attrs``; how much more a layout
+        decodes is its own business (and what its scanner charges).
+        """
 
     @property
     def total_bytes(self) -> int:
         return self.file.size_bytes
-
-    @property
-    def row_stride(self) -> int:
-        return self.page_codec.stride
 
     def pages_for_rows(self, cardinality: int) -> int:
         return math.ceil(cardinality / self.page_codec.tuples_per_page)
@@ -103,21 +114,42 @@ class RowTable(Table):
         return max(0, min(capacity, self.num_rows - page_id * capacity))
 
     def file_sizes_for(self, attrs: list[str], cardinality: int | None = None) -> dict[str, int]:
+        # Neither layout changes what a page contains, so a scan reads
+        # the whole file no matter the projection.
         for name in attrs:
             self.schema.attribute(name)  # raises SchemaError when unknown
         rows = self.num_rows if cardinality is None else cardinality
         return {self.schema.name: self.pages_for_rows(rows) * self.page_size}
 
     def read_column(self, name: str) -> np.ndarray:
-        self.schema.attribute(name)
-        chunks = []
-        for page in self.file.iter_pages():
-            _page_id, _count, columns = self.page_codec.decode_columns(page)
-            chunks.append(columns[name])
+        attr = self.schema.attribute(name)
+        chunks = [
+            self.decode_page(page, (name,))[1][name]
+            for page in self.file.iter_pages()
+        ]
         if not chunks:
-            attr = self.schema.attribute(name)
             return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
         return np.concatenate(chunks)
+
+
+class RowTable(PagedTable):
+    """One file of dense row pages."""
+
+    def _make_page_codec(self):
+        return make_row_page_codec(self.schema, self.page_size)
+
+    @property
+    def layout(self) -> Layout:
+        return Layout.ROW
+
+    @property
+    def row_stride(self) -> int:
+        return self.page_codec.stride
+
+    def decode_page(self, page, attrs):
+        # Row pages decode every attribute whatever the query touches.
+        _page_id, count, columns = self.page_codec.decode_columns(page)
+        return count, columns
 
 
 @dataclass
@@ -145,6 +177,10 @@ class ColumnFile:
     @property
     def is_variable(self) -> bool:
         return self.page_codec.codec.is_variable
+
+    def decode_page(self, page: bytes) -> np.ndarray:
+        """Every value of one page, decoded."""
+        return self.page_codec.decode(page)[1]
 
     def page_of_positions(self, positions: np.ndarray) -> np.ndarray:
         """Page index containing each global row position."""
@@ -230,64 +266,29 @@ class ColumnTable(Table):
         column_file = self.column_file(name)
         chunks = []
         for page in column_file.file.iter_pages():
-            _page_id, values = column_file.page_codec.decode(page)
-            chunks.append(values)
+            chunks.append(column_file.decode_page(page))
         if not chunks:
             attr = self.schema.attribute(name)
             return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
         return np.concatenate(chunks)
 
 
-class PaxTable(Table):
+class PaxTable(PagedTable):
     """One file of PAX pages: row-store I/O, minipage-grouped contents."""
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        file: PagedFile,
-        num_rows: int,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ):
-        super().__init__(schema, num_rows, page_size)
-        self.file = file
+    def _make_page_codec(self):
         from repro.storage.pax import PaxPageCodec
 
-        self.page_codec = PaxPageCodec(schema, page_size)
+        return PaxPageCodec(self.schema, self.page_size)
 
     @property
     def layout(self) -> Layout:
         return Layout.PAX
 
-    @property
-    def total_bytes(self) -> int:
-        return self.file.size_bytes
-
-    def pages_for_rows(self, cardinality: int) -> int:
-        return math.ceil(cardinality / self.page_codec.tuples_per_page)
-
-    def row_span_of_page(self, page_id: int) -> int:
-        """Rows one page covers (corruption accounting; see ColumnFile)."""
-        capacity = self.page_codec.tuples_per_page
-        return max(0, min(capacity, self.num_rows - page_id * capacity))
-
-    def file_sizes_for(self, attrs: list[str], cardinality: int | None = None) -> dict[str, int]:
-        # PAX does not change what a page contains, so a scan reads the
-        # whole file no matter the projection — exactly like a row store.
-        for name in attrs:
-            self.schema.attribute(name)
-        rows = self.num_rows if cardinality is None else cardinality
-        return {self.schema.name: self.pages_for_rows(rows) * self.page_size}
-
-    def read_column(self, name: str) -> np.ndarray:
-        self.schema.attribute(name)
-        chunks = []
-        for page in self.file.iter_pages():
-            _page_id, _count, values = self.page_codec.decode_attribute(page, name)
-            chunks.append(values)
-        if not chunks:
-            attr = self.schema.attribute(name)
-            return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        return np.concatenate(chunks)
+    def decode_page(self, page, attrs):
+        # Only the accessed attributes' minipages are decoded.
+        _page_id, count, columns = self.page_codec.decode_columns(page, attrs)
+        return count, columns
 
 
 def build_column_file(

@@ -27,6 +27,7 @@ from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
 from repro.errors import ChecksumError, PlanError
+from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.table import ColumnTable
@@ -267,6 +268,29 @@ class TestSalvagePages:
             )
             got = _drain_consumer(rider)
             assert_identical(got, want)
+
+    @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN])
+    def test_unreadable_page_is_salvaged_like_a_serial_scan(self, layout):
+        """A read that exhausts its retries is a lost page, not a dead stream."""
+        data = _coded_orders(seed=67)
+
+        def unreadable_table():
+            table = load_table(data, layout)
+            plan = FaultPlan(seed=1)
+            plan.schedule_transient_reads(10_000, page=0)
+            plan.wrap_table(table)
+            return table
+
+        want = run_scan(unreadable_table(), QUERY, salvage=True)
+        assert not want.is_complete
+        table = unreadable_table()
+        stream = SharedScanStream(table, QUERY.scan_attributes(), False)
+        rider = SharedScanConsumer(
+            ExecutionContext(strict_integrity=False), stream, QUERY
+        )
+        got = _drain_consumer(rider)
+        assert_identical(got, want)
+        assert {f.page for f in got.corruption.faults} == {0}
 
     def test_strict_stream_fails_every_rider_typed(self):
         data = _coded_orders(seed=59)

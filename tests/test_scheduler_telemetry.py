@@ -27,10 +27,13 @@ from __future__ import annotations
 import pytest
 
 from repro.data.tpch import generate_orders
+from repro.engine.executor import run_scan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
 from repro.obs import metrics
+from repro.obs import recorder as flight
+from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 
@@ -158,3 +161,70 @@ class TestBoard:
         assert riders and riders <= {f"stream q{i}" for i in range(len(queries))}
         scheduler.run()
         assert scheduler.board()["streams"] == []
+
+
+class TestSharedReadsUseTheGuardedRead:
+    """Pages a shared stream reads go through the same guarded read as
+    a serial scan's, and the per-query salvage accounting stays put."""
+
+    SALVAGE_QUERY = ScanQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE"))
+
+    @pytest.fixture(autouse=True)
+    def _fresh_telemetry(self):
+        metrics.enable()
+        metrics.REGISTRY.reset_values()
+        flight.enable()
+        flight.RECORDER.clear()
+        yield
+        metrics.REGISTRY.reset_values()
+        flight.RECORDER.clear()
+
+    @staticmethod
+    def _corrupt_table():
+        """COLUMN ORDERS whose O_TOTALPRICE page 1 reads bit-flipped."""
+        table = load_table(generate_orders(ROWS, seed=31), Layout.COLUMN)
+        plan = FaultPlan(seed=3)
+        plan.schedule_bit_flip(
+            1, file=table.column_file("O_TOTALPRICE").file.name, byte=11, bit=3
+        )
+        plan.wrap_table(table)
+        return table, plan
+
+    def test_shared_batch_times_every_page_its_streams_decoded(self, workload):
+        table, queries = workload
+        scheduler = Scheduler(max_inflight=8, share_scans=True)
+        for query in queries:
+            scheduler.submit(table, query)
+        scheduler.run()
+        assert scheduler.manager.io_pages() > 0
+        assert metrics.PAGE_DECODE_SECONDS.count == scheduler.manager.io_pages()
+
+    def test_salvaged_page_counts_per_rider_and_is_read_once(self):
+        table, plan = self._corrupt_table()
+        riders = 3
+        scheduler = Scheduler(max_inflight=8, share_scans=True)
+        handles = [
+            scheduler.submit(table, self.SALVAGE_QUERY, salvage=True)
+            for _ in range(riders)
+        ]
+        scheduler.run()
+        assert all(len(h.result.corruption.faults) == 1 for h in handles)
+        # One pass, one read of the corrupt page, however many riders.
+        assert plan.pages_corrupted == 1
+        assert len(flight.RECORDER.events(kind="storage.salvage")) == 1
+        # Once per query that lost the page — not once more for the
+        # stream's own read.
+        assert metrics.PAGES_SALVAGED.value == riders
+        # Only successful decodes are timed, exactly as in a serial scan.
+        assert (
+            metrics.PAGE_DECODE_SECONDS.count == scheduler.manager.io_pages() - 1
+        )
+
+    def test_serial_salvage_scan_counts_the_page_once(self):
+        table, plan = self._corrupt_table()
+        result = run_scan(table, self.SALVAGE_QUERY, salvage=True)
+        assert len(result.corruption.faults) == 1
+        assert plan.pages_corrupted == 1
+        assert metrics.PAGES_SALVAGED.value == 1
+        assert len(flight.RECORDER.events(kind="storage.salvage")) == 1
+        assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched

@@ -44,6 +44,18 @@ class TestPaxPageCodec:
         assert count == n
         np.testing.assert_array_equal(values, slices["O_CUSTKEY"])
 
+    def test_decode_columns_subset_matches_single_attribute_decodes(self, orders_z_data):
+        codec = PaxPageCodec(orders_z_data.schema)
+        slices = {k: v[:200] for k, v in orders_z_data.columns.items()}
+        page = codec.encode(7, slices)
+        names = ("O_TOTALPRICE", "O_ORDERKEY", "O_ORDERSTATUS")
+        page_id, count, columns = codec.decode_columns(page, names)
+        assert (page_id, count, tuple(columns)) == (7, 200, names)
+        for name in names:
+            np.testing.assert_array_equal(
+                columns[name], codec.decode_attribute(page, name)[2]
+            )
+
     def test_minipages_are_disjoint(self, orders_data):
         codec = PaxPageCodec(orders_data.schema)
         extents = [
@@ -112,6 +124,28 @@ class TestPaxScanner:
         np.testing.assert_array_equal(a.positions, b.positions)
         for name in query.select:
             np.testing.assert_array_equal(a.column(name), b.column(name))
+
+    def test_one_checksum_per_page_whatever_the_projection(
+        self, orders_data, pax_orders, monkeypatch
+    ):
+        """Five accessed attributes still verify each page's CRC once.
+
+        (The scan's CostEvents are pinned by ``test_scan_golden``; the
+        checksum is real-clock work the modeled events never counted.)
+        """
+        from repro.storage import page as page_module
+
+        calls = []
+        real = page_module.page_checksum
+        monkeypatch.setattr(
+            page_module, "page_checksum", lambda raw: calls.append(1) or real(raw)
+        )
+        query = ScanQuery("ORDERS", select=tuple(orders_data.schema.attribute_names)[:5])
+        counted = run_scan(pax_orders, query)
+        assert counted.events.pages_touched == pax_orders.file.num_pages
+        assert len(calls) == counted.events.pages_touched
+        monkeypatch.undo()
+        assert run_scan(pax_orders, query).events == counted.events
 
     def test_memory_traffic_scales_with_projection(self, orders_data, pax_orders):
         from repro.engine.predicate import predicate_for_selectivity
