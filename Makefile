@@ -84,11 +84,14 @@ scheduler-test:
 
 # The scan battery: every scan strategy against the golden pin
 # (CostEvents, output bytes, blocks, corruption, governance ticks), the
-# scanner / salvage / sharing / scheduler / property / extension / index
-# suites, then 200 differential fuzz cases.  Run it on any change under
-# engine/operators/, engine/sharing.py, index/scan.py or storage/table.py.
+# unit-vs-page properties and differentials, the scanner / salvage /
+# sharing / scheduler / property / extension / index suites, then 200
+# differential fuzz cases.  Run it on any change under engine/operators/,
+# engine/sharing.py, index/scan.py, storage/{table,page,rowz,pagefile}.py
+# or compression/.
 scan-test:
-	pytest tests/test_scan_golden.py tests/test_engine_scanners.py \
+	pytest tests/test_scan_golden.py tests/test_scan_units.py \
+		tests/test_engine_scanners.py \
 		tests/test_salvage_differential.py tests/test_scan_sharing.py \
 		tests/test_scheduler_equivalence.py tests/test_property_engine.py \
 		tests/test_extensions.py tests/test_index.py -q

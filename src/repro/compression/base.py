@@ -152,9 +152,30 @@ class Codec(abc.ABC):
     def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
         """Pack ``values`` into page payload bytes plus trailer state."""
 
-    @abc.abstractmethod
+    #: Whether a code is a ``bits_per_value // 8``-byte string (packed
+    #: text) and not a ``bits_per_value``-bit non-negative integer.
+    text_codes = False
+
+    # A fixed-width codec is these three halves of a page: compressed row
+    # pages scatter the codes over their tuples, column pages pack them
+    # back to back, and both share the codec's one encode and one decode.
+
+    def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """The codes of one page of ``values`` and the page's base."""
+        raise CompressionError(f"{type(self).__name__} has no fixed-width codes")
+
+    def unpack_codes(self, payload: bytes, count: int) -> np.ndarray:
+        """The ``count`` codes of a column page's payload, undecoded."""
+        raise CompressionError(f"{type(self).__name__} has no fixed-width codes")
+
+    def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
+        """The values of ``codes`` — of any shape whose last axis runs
+        along a page, with ``bases`` the page's base or one per leading index."""
+        raise CompressionError(f"{type(self).__name__} has no fixed-width codes")
+
     def decode_page(self, payload: bytes, count: int, state: PageCodecState) -> np.ndarray:
         """Unpack all ``count`` values of a page."""
+        return self.decode_codes(self.unpack_codes(payload, count), state.base)
 
     def decode_positions(
         self,

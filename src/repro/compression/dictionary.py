@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Codec, CodecKind, CodecSpec, PageCodecState
-from repro.compression.bitpack import bits_needed, pack_bits, unpack_bits
+from repro.compression.base import CodecKind, CodecSpec
+from repro.compression.bitpack import BitCodedCodec, bits_needed
 from repro.errors import CompressionError
 from repro.types.datatypes import AttributeType
 
 
-class DictionaryCodec(Codec):
+class DictionaryCodec(BitCodedCodec):
     """Maps values to bit-packed indexes into a load-time dictionary."""
 
     def __init__(self, spec: CodecSpec, attr_type: AttributeType):
@@ -44,7 +44,7 @@ class DictionaryCodec(Codec):
         """The ordered array of distinct values (codes are indexes)."""
         return self._values
 
-    def encode_codes(self, values: np.ndarray) -> np.ndarray:
+    def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         """Translate raw values into dictionary codes."""
         values = np.asarray(values, dtype=self.attr_type.numpy_dtype())
         try:
@@ -55,27 +55,17 @@ class DictionaryCodec(Codec):
             )
         except KeyError as exc:
             raise CompressionError(f"value not in dictionary: {exc.args[0]!r}") from exc
-        return codes
+        return codes, 0
 
-    def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
-        codes = self.encode_codes(values)
-        return pack_bits(codes, self.spec.bits), PageCodecState()
-
-    def decode_codes(self, payload: bytes, count: int) -> np.ndarray:
-        """Unpack the raw dictionary codes without the value lookup.
-
-        Used by compressed execution, which evaluates predicates on the
-        codes directly and only looks up qualifying values.
-        """
-        return unpack_bits(payload, self.spec.bits, count)
-
-    def decode_page(self, payload: bytes, count: int, state: PageCodecState) -> np.ndarray:
-        codes = unpack_bits(payload, self.spec.bits, count)
-        if codes.size and int(codes.max()) >= self._values.size:
+    def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
+        """Look the codes up (compressed execution compares
+        :meth:`unpack_codes` directly and only looks up what qualifies)."""
+        try:
+            return self._values[codes]
+        except IndexError as exc:
             raise CompressionError(
-                f"decoded code {int(codes.max())} outside {self._values.size}-entry dictionary"
-            )
-        return self._values[codes]
+                f"decoded code outside {self._values.size}-entry dictionary"
+            ) from exc
 
     @staticmethod
     def spec_for_values(values: np.ndarray) -> CodecSpec:

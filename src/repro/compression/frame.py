@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Codec, CodecKind, CodecSpec, PageCodecState, require_int_array
-from repro.compression.bitpack import bits_needed, pack_bits, unpack_bits
+from repro.compression.base import CodecKind, CodecSpec, require_int_array
+from repro.compression.bitpack import BitCodedCodec, bits_needed
 from repro.errors import CompressionError
 from repro.types.datatypes import AttributeType, IntType
 
@@ -38,7 +38,7 @@ def zigzag_decode(encoded: np.ndarray) -> np.ndarray:
     return ((unsigned >> np.uint64(1)).astype(np.int64)) ^ -(encoded & 1)
 
 
-class _FrameCodecBase(Codec):
+class _FrameCodecBase(BitCodedCodec):
     """Shared machinery for the two frame-of-reference variants."""
 
     _KIND: CodecKind
@@ -50,21 +50,18 @@ class _FrameCodecBase(Codec):
             raise CompressionError("frame-of-reference applies to integer attributes only")
         super().__init__(spec, attr_type)
 
-    def _pack_deltas(self, deltas: np.ndarray) -> bytes:
+    def _codes(self, deltas: np.ndarray) -> np.ndarray:
         if self.spec.zigzag:
-            deltas = zigzag_encode(deltas)
-        elif deltas.size and int(deltas.min()) < 0:
+            return zigzag_encode(deltas)
+        if deltas.size and int(deltas.min()) < 0:
             raise CompressionError(
                 "negative delta without zigzag encoding; "
                 "use choose_spec() to size the codec from the data"
             )
-        return pack_bits(deltas, self.spec.bits)
-
-    def _unpack_deltas(self, payload: bytes, count: int) -> np.ndarray:
-        deltas = unpack_bits(payload, self.spec.bits, count)
-        if self.spec.zigzag:
-            deltas = zigzag_decode(deltas)
         return deltas
+
+    def _deltas(self, codes: np.ndarray) -> np.ndarray:
+        return zigzag_decode(codes) if self.spec.zigzag else codes
 
     @classmethod
     def _spec_from_deltas(cls, deltas: np.ndarray) -> CodecSpec:
@@ -88,17 +85,13 @@ class ForCodec(_FrameCodecBase):
 
     _KIND = CodecKind.FOR
 
-    def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
+    def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         values = require_int_array(values, "FOR")
-        if values.size == 0:
-            return b"", PageCodecState()
-        base = int(values[0])
-        deltas = values - base
-        return self._pack_deltas(deltas), PageCodecState(base=base)
+        base = int(values[0]) if values.size else 0
+        return self._codes(values - base), base
 
-    def decode_page(self, payload: bytes, count: int, state: PageCodecState) -> np.ndarray:
-        deltas = self._unpack_deltas(payload, count)
-        return deltas + state.base
+    def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
+        return self._deltas(codes) + np.asarray(bases)[..., None]
 
     @staticmethod
     def spec_for_values(values: np.ndarray, page_capacity: int = 0) -> CodecSpec:
@@ -136,20 +129,13 @@ class ForDeltaCodec(_FrameCodecBase):
     def decodes_whole_page(self) -> bool:
         return True
 
-    def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
+    def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         values = require_int_array(values, "FOR-delta")
-        if values.size == 0:
-            return b"", PageCodecState()
-        base = int(values[0])
-        deltas = np.diff(values, prepend=values[0])
-        return self._pack_deltas(deltas), PageCodecState(base=base)
+        base = int(values[0]) if values.size else 0
+        return self._codes(np.diff(values, prepend=values[:1])), base
 
-    def decode_page(self, payload: bytes, count: int, state: PageCodecState) -> np.ndarray:
-        deltas = self._unpack_deltas(payload, count)
-        if deltas.size == 0:
-            return deltas
-        values = np.cumsum(deltas)
-        return values + state.base
+    def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
+        return np.cumsum(self._deltas(codes), axis=-1) + np.asarray(bases)[..., None]
 
     @staticmethod
     def spec_for_values(values: np.ndarray, page_capacity: int = 0) -> CodecSpec:

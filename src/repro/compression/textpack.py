@@ -18,6 +18,8 @@ from repro.types.datatypes import AttributeType, FixedTextType
 class TextPackCodec(Codec):
     """Stores fixed text truncated to the domain's maximum actual length."""
 
+    text_codes = True
+
     def __init__(self, spec: CodecSpec, attr_type: AttributeType):
         if spec.kind is not CodecKind.PACK:
             raise CompressionError(f"TextPackCodec got spec kind {spec.kind}")
@@ -40,7 +42,7 @@ class TextPackCodec(Codec):
         """Stored bytes per value."""
         return self._packed_width
 
-    def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
+    def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         values = np.asarray(values, dtype=f"S{self.attr_type.width}")
         longest = max((len(v) for v in values.tolist()), default=0)
         if longest > self._packed_width:
@@ -48,18 +50,22 @@ class TextPackCodec(Codec):
                 f"text value of length {longest} exceeds packed width "
                 f"{self._packed_width}"
             )
-        packed = np.ascontiguousarray(values, dtype=f"S{self._packed_width}")
-        return packed.tobytes(), PageCodecState()
+        return np.ascontiguousarray(values, dtype=f"S{self._packed_width}"), 0
 
-    def decode_page(self, payload: bytes, count: int, state: PageCodecState) -> np.ndarray:
+    def encode_page(self, values: np.ndarray) -> tuple[bytes, PageCodecState]:
+        return self.encode_codes(values)[0].tobytes(), PageCodecState()
+
+    def unpack_codes(self, payload: bytes, count: int) -> np.ndarray:
         expected = count * self._packed_width
         if len(payload) < expected:
             raise CompressionError(
                 f"text payload of {len(payload)} bytes too short for "
                 f"{count} x {self._packed_width}"
             )
-        packed = np.frombuffer(payload[:expected], dtype=f"S{self._packed_width}")
-        return packed.astype(f"S{self.attr_type.width}")
+        return np.frombuffer(payload[:expected], dtype=f"S{self._packed_width}")
+
+    def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
+        return codes.astype(f"S{self.attr_type.width}")
 
     @staticmethod
     def spec_for_values(values: np.ndarray) -> CodecSpec:

@@ -56,11 +56,11 @@ class Block:
         columns[name] = values
         return Block(columns=columns, positions=self.positions)
 
-    def take(self, mask: np.ndarray) -> "Block":
-        """The sub-block of tuples where ``mask`` is true."""
+    def take(self, rows) -> "Block":
+        """The sub-block of ``rows``: a boolean mask, or a slice (views)."""
         return Block(
-            columns={name: col[mask] for name, col in self.columns.items()},
-            positions=self.positions[mask],
+            columns={name: col[rows] for name, col in self.columns.items()},
+            positions=self.positions[rows],
         )
 
     def rows(self) -> list[tuple]:
@@ -92,22 +92,17 @@ def concat_blocks(blocks: list[Block]) -> Block:
     )
 
 
-def split_into_blocks(block: Block, block_size: int) -> list[Block]:
-    """Split a large block into engine-sized blocks."""
+def split_into_blocks(
+    block: Block, block_size: int, start: int = 0, stop: int | None = None
+) -> list[Block]:
+    """Split a large block — its rows ``[start, stop)`` — into engine-sized blocks."""
     if block_size <= 0:
         raise EngineError(f"block size must be positive: {block_size}")
     if len(block) == 0:
         # Preserve the (empty) column structure of a no-result scan.
         return [block]
-    out = []
-    for start in range(0, len(block), block_size):
-        end = start + block_size
-        out.append(
-            Block(
-                columns={
-                    name: col[start:end] for name, col in block.columns.items()
-                },
-                positions=block.positions[start:end],
-            )
-        )
-    return out
+    stop = len(block) if stop is None else stop
+    return [
+        block.take(slice(cut, min(cut + block_size, stop)))
+        for cut in range(start, stop, block_size)
+    ]

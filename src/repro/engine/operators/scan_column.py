@@ -93,7 +93,7 @@ class ColumnScanner(RunOnceScanner):
 
             def decode(page):
                 _pid, count, payload, _state = page_codec.decode_raw(page)
-                return codec.decode_codes(payload, count)
+                return codec.unpack_codes(payload, count)
 
         qualified_positions = []
         qualified_values = []

@@ -5,12 +5,13 @@ in which bytes of a page it touches (Section 2.2.2); a scan is
 select ∘ gather ∘ decompress over columns.  Here live
 
 * :func:`guarded_decode` — the one accounted page read+decode under the
-  integrity policy (strict aborts, salvage records and skips);
+  integrity policy (strict aborts, salvage records and skips) — and
+  :func:`guarded_decode_unit`, which serves a healthy I/O unit whole;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
 * :class:`Scanner` — validation, access order, row window,
   ``describe()``, the empty block and the ready queue — with
-  :class:`PagedScanner` (page at a time: row, PAX) and
+  :class:`PagedScanner` (an I/O unit at a time: row, PAX) and
   :class:`RunOnceScanner` (whole table in the first ``next()``: fused,
   pipelined, index).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +46,24 @@ from repro.obs import recorder as flight
 SALVAGEABLE_ERRORS = (StorageError, CompressionError)
 
 
-def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span: int):
+def _salvage(context: ExecutionContext, file, page: int, row_span: int, exc) -> None:
+    """The integrity policy for a page that failed: abort or record and skip."""
+    if context.strict_integrity:
+        raise exc
+    governance = context.governance
+    flight.record(
+        "storage.salvage",
+        governance.label if governance is not None else None,
+        file=file.name,
+        page=page,
+        error=type(exc).__name__,
+    )
+    context.corruption.record(file.name, page, row_span, exc)
+
+
+def guarded_decode(
+    context: ExecutionContext, decode, file, page: int, row_span: int, data=None
+):
     """Read one page and ``decode`` its bytes, under the integrity policy.
 
     Strict mode lets any error propagate (a checksum mismatch aborts
@@ -52,32 +71,58 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
     — the page's nominal row span is the loss estimate — and returns
     ``None``: the caller skips the page but keeps positions aligned.
     Only successful decodes reach ``repro_page_decode_seconds``.
+    ``data`` is the page's bytes when a unit read has fetched them.
     """
     timed = obs_metrics.enabled()
     try:
         if timed:
             started = time.perf_counter()
-        result = decode(file.read_page(page))
+        result = decode(file.read_page(page) if data is None else data)
         if timed:
             obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
     except SALVAGEABLE_ERRORS as exc:
-        if context.strict_integrity:
-            raise
-        governance = context.governance
-        flight.record(
-            "storage.salvage",
-            governance.label if governance is not None else None,
-            file=file.name,
-            page=page,
-            error=type(exc).__name__,
-        )
-        context.corruption.record(file.name, page, row_span, exc)
+        _salvage(context, file, page, row_span, exc)
         return None
     context.corruption.pages_scanned += 1
     return result
 
 
-def apply_predicates(events, bound, columns, mask, candidates: int) -> int:
+def guarded_decode_unit(
+    context: ExecutionContext, decode_unit, file, start: int, count: int, row_span: int
+):
+    """Read an I/O unit and ``decode_unit`` it whole: ``(unit bytes, decoded)``.
+
+    One read and one decode (which checks the CRCs) serve a healthy
+    unit.  ``decoded`` is ``None`` when a page fails its checksum or the
+    unit does not decode: the caller hands the pages' bytes to
+    :func:`guarded_decode` one by one, which names the page and applies
+    the policy.  ``unit`` is ``None`` when page ``start`` could not be
+    read and salvage dropped it.  Pages count as scanned when the scan
+    gets to them, which is the caller's to say.
+    """
+    timed = obs_metrics.enabled()
+    if timed:
+        started = time.perf_counter()
+    try:
+        unit = file.read_pages(start, count)
+    except SALVAGEABLE_ERRORS as exc:
+        _salvage(context, file, start, row_span, exc)
+        return None, None
+    try:
+        decoded = decode_unit(unit)
+    except SALVAGEABLE_ERRORS:
+        decoded = None
+    if timed and decoded is not None:
+        pages = len(unit) // file.page_size
+        obs_metrics.PAGE_DECODE_SECONDS.observe((time.perf_counter() - started) / pages, pages)
+    return unit, decoded
+
+
+def _count(mask) -> int:
+    return int(np.count_nonzero(mask))
+
+
+def apply_predicates(events, bound, columns, mask, candidates, count=_count):
     """AND every predicate into ``mask`` in place; returns how many qualify.
 
     ``bound`` holds ``(predicate, attr, operand_bytes)`` triples: the
@@ -85,19 +130,21 @@ def apply_predicates(events, bound, columns, mask, candidates: int) -> int:
     is what one comparison reads — the attribute's width, or the code
     width when a rewritten code predicate compares packed codes.
     ``candidates`` is how many tuples the first predicate examines;
-    each later one examines the survivors of those before it.
+    each later one examines the survivors of those before it.  ``count``
+    tallies a mask: a scan of several pages at once passes one that
+    counts per page, and every number here is then a per-page vector.
     """
     for index, (predicate, attr, operand_bytes) in enumerate(bound):
         if index:
-            candidates = int(np.count_nonzero(mask))
+            candidates = count(mask)
         events.predicate_evals += candidates
         events.predicate_eval_bytes += candidates * operand_bytes
         mask &= predicate.evaluate(columns[attr])
-    return int(np.count_nonzero(mask))
+    return count(mask)
 
 
 def window_mask(count: int, row_base: int, row_range: tuple[int, int]):
-    """``(mask, in_range)`` selecting a page's tuples inside the row window.
+    """``(mask, in_range)`` selecting a page's or unit's tuples inside the row window.
 
     Pages are decoded (and charged) whole; tuples outside ``[lo, hi)``
     are never examined.
@@ -196,14 +243,14 @@ class Scanner(Operator):
     def _open(self) -> None:
         self._ready.clear()
 
-    def _guarded(self, decode, file, page: int, row_span: int):
+    def _guarded(self, decode, file, page: int, row_span: int, data=None):
         """:func:`guarded_decode` for this query.
 
         ``repro_pages_salvaged_total`` counts once per *query* that lost
         the page, so it is counted here and not in the guarded read,
         which a shared stream performs on behalf of all its riders.
         """
-        result = guarded_decode(self.context, decode, file, page, row_span)
+        result = guarded_decode(self.context, decode, file, page, row_span, data)
         if result is None:
             obs_metrics.PAGES_SALVAGED.inc()
         return result
@@ -220,16 +267,22 @@ class Scanner(Operator):
 
     def _project(self, columns, mask, qualified: int, row_base: int) -> Block:
         """Copy the qualifying tuples' selected attributes into a block."""
+        self._charge_projection(qualified)
+        return self._copy_out(columns, mask, row_base)
+
+    def _charge_projection(self, qualified: int) -> None:
         events = self.events
         events.values_copied += qualified * len(self.select)
         events.bytes_copied += qualified * self._selected_width
+
+    def _copy_out(self, columns, mask, row_base: int) -> Block:
         return Block(
             columns={name: columns[name][mask] for name in self.select},
             positions=row_base + np.flatnonzero(mask),
         )
 
-    def _emit(self, block: Block) -> None:
-        self._ready.extend(split_into_blocks(block, self.context.block_size))
+    def _emit(self, block: Block, start: int = 0, stop: int | None = None) -> None:
+        self._ready.extend(split_into_blocks(block, self.context.block_size, start, stop))
 
     def _empty_block(self) -> Block:
         """A zero-row block that keeps the output schema alive."""
@@ -280,25 +333,45 @@ class Scanner(Operator):
 
 
 class PagedScanner(Scanner):
-    """Page-at-a-time scan of a one-file table (row and PAX layouts).
+    """Unit-at-a-time scan of a one-file table (row and PAX layouts).
 
-    Reads every page overlapping the row window, applies the predicates
-    and projects; subclasses say how a page is charged to the caches.
+    Reads the pages overlapping the row window an I/O unit
+    (``calibration.io_unit_bytes``) at a time — one read, CRC loop,
+    decode, predicate pass and projection per unit — and releases them a
+    page at a time: a page's checkpoint, events, fault and blocks land
+    when the consumer's pulls reach it, so a scan that stops early has
+    touched what a page-at-a-time scan would have (DESIGN.md, "Scan
+    core").  Subclasses say how a page is charged to the caches.
     """
+
+    def __init__(self, context, table, select, predicates=(), row_range=None):
+        super().__init__(context, table, select, predicates, row_range)
+        self._unit_pages = max(1, context.calibration.io_unit_bytes // table.page_size)
 
     def _open(self) -> None:
         super()._open()
-        self._page_index = 0
-        self._row_base = 0
+        self._page_index = 0  # the next page to read
+        self._row_base = 0  # the first row of the next page to release
+        #: Pages read but not yet released, in file order: what
+        #: :meth:`_filter_pages` made of a page, or its bytes when the
+        #: unit has to be decoded page by page.
+        self._pending: deque = deque()
         self._emitted_any = False
 
     def _decode(self, page: bytes):
         return self.table.decode_page(page, self._attrs)
 
+    def _decode_unit(self, unit: bytes):
+        return self.table.decode_unit(unit, self._attrs)
+
     def _next(self) -> Block | None:
         lo, hi = self.row_range
         table = self.table
         while not self._ready:
+            if self._pending:
+                self._governance_check()
+                self._release(self._pending.popleft())
+                continue
             index = self._page_index
             if index >= table.file.num_pages or self._row_base >= hi:
                 if not self._emitted_any:
@@ -308,33 +381,101 @@ class PagedScanner(Scanner):
                     return self._empty_block()
                 return None
             self._governance_check()
-            self._page_index += 1
             span = table.row_span_of_page(index)
             if self._row_base + span <= lo:
                 # Page entirely before the row window: skip without I/O.
+                self._page_index += 1
                 self._row_base += span
                 continue
-            self._scan_page(index, span)
+            self._read_unit(index, span)
         self._emitted_any = True
         return self._ready.popleft()
 
-    def _scan_page(self, index: int, span: int) -> None:
-        decoded = self._guarded(self._decode, self.table.file, index, span)
-        if decoded is None:
-            # Salvage: skip the corrupt page but advance the global row
-            # position by its nominal span so later pages' Record IDs —
-            # and any position-joined column files — stay aligned.
+    def _read_unit(self, first: int, span: int) -> None:
+        """Read and decode the unit starting at page ``first``; release that page."""
+        table = self.table
+        file = table.file
+        # Pages hold at most ``capacity`` tuples, so this many more are
+        # certain to start inside the window.
+        capacity = table.page_codec.tuples_per_page
+        wanted = -(-(self.row_range[1] - self._row_base) // capacity)
+        pages = min(self._unit_pages, file.num_pages - first, wanted)
+        unit, decoded = guarded_decode_unit(
+            self.context, self._decode_unit, file, first, pages, span
+        )
+        if unit is None:
+            # Salvage: skip the unreadable page but advance the global
+            # row position by its nominal span so later pages' Record
+            # IDs — and any position-joined column files — stay aligned.
+            obs_metrics.PAGES_SALVAGED.inc()
+            self._page_index += 1
             self._row_base += span
             return
-        count, columns = decoded
+        size = file.page_size
+        self._page_index += len(unit) // size
+        if decoded is not None:
+            self._pending.extend(self._filter_pages(*decoded))
+        else:
+            # The unit failed as a whole: its pages one by one as they
+            # are reached, from the bytes already read, so the fault
+            # names its page and the other pages' rows survive.
+            self._pending.extend(unit[at : at + size] for at in range(0, len(unit), size))
+        self._release(self._pending.popleft())
+
+    def _filter_pages(self, counts: np.ndarray, columns) -> list[tuple]:
+        """Filter and project adjacent decoded pages in one pass.
+
+        ``columns`` hold the pages' tuples back to back from row
+        ``_row_base`` on, ``counts`` how many each page contributed.
+        Returns what :meth:`_release` charges and emits for each page:
+        ``(tuples, tuples in the window, predicate evaluations, their
+        operand bytes, qualifying tuples, their offset in the block of
+        all the pages', that block)``.
+        """
+        ends = np.cumsum(counts)
+
+        def per_page(mask) -> np.ndarray:
+            running = np.concatenate(([0], np.cumsum(mask)))
+            return running[ends] - running[ends - counts]
+
+        mask, _in_range = window_mask(int(ends[-1]), self._row_base, self.row_range)
+        in_range = per_page(mask)
+        tally = SimpleNamespace(predicate_evals=0 * in_range, predicate_eval_bytes=0 * in_range)
+        qualified = apply_predicates(tally, self._bound, columns, mask, in_range, per_page)
+        block = self._copy_out(columns, mask, self._row_base)
+        numbers = (
+            counts,
+            in_range,
+            tally.predicate_evals,
+            tally.predicate_eval_bytes,
+            qualified,
+            np.cumsum(qualified) - qualified,
+        )
+        return [(*page, block) for page in zip(*(n.tolist() for n in numbers))]
+
+    def _release(self, page) -> None:
+        """Account for the next page in file order and queue its blocks."""
+        if isinstance(page, bytes):
+            table = self.table
+            index = self._page_index - len(self._pending) - 1
+            span = table.row_span_of_page(index)
+            decoded = self._guarded(self._decode, table.file, index, span, data=page)
+            if decoded is None:
+                self._row_base += span
+                return
+            (page,) = self._filter_pages(np.array([decoded[0]]), decoded[1])
+        else:
+            self.context.corruption.pages_scanned += 1
+        count, in_range, evals, eval_bytes, qualified, start, block = page
         events = self.events
-        mask, in_range = window_mask(count, self._row_base, self.row_range)
         events.pages_touched += 1
         events.tuples_examined += in_range
-        qualified = apply_predicates(events, self._bound, columns, mask, in_range)
+        events.predicate_evals += evals
+        events.predicate_eval_bytes += eval_bytes
         self._charge_page(count, qualified)
         if qualified:
-            self._emit(self._project(columns, mask, qualified, self._row_base))
+            self._charge_projection(qualified)
+            self._emit(block, start, start + qualified)
         self._row_base += count
 
     def _charge_page(self, count: int, qualified: int) -> None:

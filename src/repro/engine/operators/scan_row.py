@@ -23,9 +23,9 @@ def charge_row_page(events, calibration, page_size: int) -> None:
 class RowScanner(PagedScanner):
     """Scan a :class:`RowTable`, applying predicates and projecting."""
 
-    #: A row page arrives with every attribute decoded, so decompression
-    #: is charged for what the query touches; FOR-delta values depend on
-    #: their predecessors, so touching one decodes the whole page.
+    #: Decompression is charged for what the query touches; FOR-delta
+    #: values depend on their predecessors, so touching one decodes the
+    #: whole page.
     LAZY_WHOLE_PAGE_KINDS = (CodecKind.FOR_DELTA,)
 
     def _charge_page(self, count: int, qualified: int) -> None:

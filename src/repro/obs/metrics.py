@@ -165,13 +165,14 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` (``times`` observations of it)."""
         if not _enabled:
             return
         # `le` semantics: the first bound >= value owns the observation.
-        self._counts[bisect.bisect_left(self.bounds, value)] += 1
-        self._sum += value
-        self._count += 1
+        self._counts[bisect.bisect_left(self.bounds, value)] += times
+        self._sum += value * times
+        self._count += times
 
     def reset(self) -> None:
         self._counts = [0] * (len(self.bounds) + 1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -108,6 +109,23 @@ def _disassemble(page: bytes, page_size: int) -> tuple[int, bytes, int, int]:
     return count, payload, page_id, base
 
 
+def verify_unit(unit: bytes, page_size: int) -> None:
+    """Check every page of ``unit`` (adjacent whole pages) against its CRC.
+
+    One loop over memoryview slices, no page copied.  Which page failed
+    is for the per-page decode to say: a failing unit is decoded again
+    page by page.
+    """
+    if not _VERIFY_CHECKSUMS:
+        return
+    view = memoryview(unit)
+    crc_at = page_size - PAGE_TRAILER_BYTES + 4
+    for start in range(0, len(view), page_size):
+        (stored,) = _HEADER.unpack_from(view, start + crc_at)
+        if page_checksum(view[start : start + page_size]) != stored:
+            raise ChecksumError(f"page {start // page_size} of a unit fails its checksum")
+
+
 def upgrade_page_v1(page: bytes) -> bytes:
     """Rewrite a legacy v1 page trailer as v2, computing its checksum.
 
@@ -133,7 +151,99 @@ def downgrade_page_v2(page: bytes) -> bytes:
     return page[: len(page) - PAGE_TRAILER_BYTES] + _TRAILER_V1.pack(page_id, base)
 
 
-class RowPageCodec:
+class TuplePageCodec:
+    """What the plain and the bit-packed row page codec share.
+
+    Pages of up to ``tuples_per_page`` tuples ``_stride`` bytes apart; a
+    subclass lays a tuple out (``encode``) and reads attributes back
+    from every tuple slot of adjacent pages at once (``_gather``).
+    """
+
+    page_size: int
+    tuples_per_page: int
+    _stride: int
+
+    @property
+    def stride(self) -> int:
+        """On-disk bytes per tuple."""
+        return self._stride
+
+    def _tuple_count(self, columns: dict[str, np.ndarray]) -> int:
+        """How many tuples ``columns`` (one page's slices) hold."""
+        counts = {len(col) for col in columns.values()}
+        if len(counts) != 1:
+            raise PageFormatError(f"ragged column slices: {sorted(counts)}")
+        count = counts.pop()
+        if count > self.tuples_per_page:
+            raise PageFormatError(
+                f"{count} tuples exceed page capacity {self.tuples_per_page}"
+            )
+        return count
+
+    def _check_claim(self, count: int) -> None:
+        if count > self.tuples_per_page:
+            raise PageFormatError(
+                f"page claims {count} tuples, capacity is {self.tuples_per_page}"
+            )
+
+    def decode_columns(
+        self, page: bytes, names: tuple[str, ...] | None = None
+    ) -> tuple[int, int, Mapping[str, np.ndarray]]:
+        """Parse a page into ``(page_id, count, columns)`` — of ``names``;
+        by default of every attribute, each decoded when first read."""
+        count, _payload, page_id, _base = _disassemble(page, self.page_size)
+        self._check_claim(count)
+        if names is None:
+            return page_id, count, _ColumnsOnDemand(self, page, count)
+        return page_id, count, self._gather(page, [count], names)
+
+    def decode_unit(
+        self, unit: bytes, names: tuple[str, ...] | None = None
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Verify and decode ``names`` over a *dense* unit: ``(page counts, columns)``.
+
+        ``_gather`` flattens ``(pages, tuples_per_page)`` arrays, which
+        needs every page but the last full and the last not empty; any
+        other unit is malformed here and is decoded page by page.
+        """
+        verify_unit(unit, self.page_size)
+        pages = len(unit) // self.page_size
+        counts = np.ndarray((pages,), "<u4", unit, 0, (self.page_size,))
+        if (
+            not pages
+            or len(unit) % self.page_size
+            or not 0 < counts[-1] <= self.tuples_per_page
+            or (counts[:-1] != self.tuples_per_page).any()
+        ):
+            raise PageFormatError(
+                f"{len(unit)}-byte unit is not dense: page counts {counts.tolist()}"
+            )
+        return counts.astype(np.int64), self._gather(unit, counts.tolist(), names)
+
+
+class _ColumnsOnDemand(Mapping):
+    """Every attribute of one verified page, none decoded before it is read."""
+
+    def __init__(self, codec: TuplePageCodec, page: bytes, count: int):
+        self._codec, self._page, self._count = codec, page, count
+        self._names = codec.schema.attribute_names
+        self._decoded: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._decoded:
+            if name not in self._names:
+                raise KeyError(name)
+            self._decoded.update(self._codec._gather(self._page, [self._count], (name,)))
+        return self._decoded[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+class RowPageCodec(TuplePageCodec):
     """Encodes/decodes row pages: whole tuples at a fixed stride.
 
     Tuples are stored back to back at :attr:`TableSchema.row_stride`
@@ -166,21 +276,9 @@ class RowPageCodec:
                 f"({page_payload_bytes(page_size)} bytes)"
             )
 
-    @property
-    def stride(self) -> int:
-        """On-disk bytes per tuple."""
-        return self._stride
-
     def encode(self, page_id: int, columns: dict[str, np.ndarray]) -> bytes:
         """Build one page from column slices (all the same length)."""
-        counts = {len(col) for col in columns.values()}
-        if len(counts) != 1:
-            raise PageFormatError(f"ragged column slices: {sorted(counts)}")
-        count = counts.pop()
-        if count > self.tuples_per_page:
-            raise PageFormatError(
-                f"{count} tuples exceed page capacity {self.tuples_per_page}"
-            )
+        count = self._tuple_count(columns)
         rows = np.zeros(count, dtype=self._disk_dtype)
         for attr in self.schema:
             rows[attr.name] = columns[attr.name]
@@ -189,33 +287,23 @@ class RowPageCodec:
     def decode(self, page: bytes) -> tuple[int, np.ndarray]:
         """Parse a page into ``(page_id, structured row array)``."""
         count, payload, page_id, _base = _disassemble(page, self.page_size)
-        if count > self.tuples_per_page:
-            raise PageFormatError(
-                f"page claims {count} tuples, capacity is {self.tuples_per_page}"
-            )
+        self._check_claim(count)
         rows = np.frombuffer(payload, dtype=self._disk_dtype, count=count)
         return page_id, rows
 
-    def column_from_rows(self, rows: np.ndarray, name: str) -> np.ndarray:
-        """Extract one attribute column (as its in-memory dtype)."""
-        attr = self.schema.attribute(name)
-        column = rows[name]
-        if attr.attr_type.is_integer:
-            return column.astype(np.int64)
-        return np.ascontiguousarray(column)
-
-    def decode_columns(self, page: bytes) -> tuple[int, int, dict[str, np.ndarray]]:
-        """Parse a page into ``(page_id, count, columns dict)``.
-
-        Common interface with the compressed row codec
-        (:class:`repro.storage.rowz.CompressedRowPageCodec`).
-        """
-        page_id, rows = self.decode(page)
-        columns = {
-            attr.name: self.column_from_rows(rows, attr.name)
-            for attr in self.schema
-        }
-        return page_id, len(rows), columns
+    def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
+        """One strided view per attribute over every tuple slot of every page."""
+        shape = (len(counts), self.tuples_per_page)
+        strides = (self.page_size, self._stride)
+        total = sum(counts)
+        columns = {}
+        for name in self.schema.attribute_names if names is None else names:
+            dtype, offset = self._disk_dtype.fields[name]
+            field = np.ndarray(shape, dtype, unit, PAGE_HEADER_BYTES + offset, strides)
+            # Either way a fresh contiguous copy, so the flattening is a view.
+            field = field.astype(np.int64) if dtype.kind == "i" else field.copy()
+            columns[name] = field.reshape(-1)[:total]
+        return columns
 
 
 class ColumnPageCodec:

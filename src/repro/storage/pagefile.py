@@ -82,16 +82,40 @@ class PagedFile:
 
     def read_page(self, index: int) -> bytes:
         """Read one page by index, retrying transient faults."""
-        return retry_io(lambda: self._read_page_raw(index), self.retry_policy)
+        return retry_io(self._read_page_raw, self.retry_policy, index)
 
     def _read_page_raw(self, index: int) -> bytes:
         """One read attempt (fault-injection subclasses override this)."""
-        if not 0 <= index < self.num_pages:
+        return self._slice(index, 1)
+
+    def read_pages(self, start: int, count: int) -> bytes:
+        """Read up to ``count`` adjacent pages as one buffer (an I/O unit).
+
+        Whole pages from ``start``, at least one.  These bytes are in
+        memory and never fault, so a unit is one slice; under a subclass
+        that intercepts :meth:`_read_page_raw` it is composed of
+        :meth:`read_page` calls, each page injected, retried and counted
+        on its own.  An error is page ``start``'s: a later page that
+        cannot be read ends the unit before it and leads the next one.
+        """
+        if type(self)._read_page_raw is PagedFile._read_page_raw:
+            return self._slice(start, count)
+        pages = [self.read_page(start)]
+        try:
+            for index in range(start + 1, start + count):
+                pages.append(self.read_page(index))
+        except StorageError:
+            pass
+        return b"".join(pages)
+
+    def _slice(self, start: int, count: int) -> bytes:
+        if not 0 <= start < start + count <= self.num_pages:
             raise StorageError(
-                f"page {index} out of range [0, {self.num_pages}) in {self.name!r}"
+                f"pages [{start}, {start + count}) out of range "
+                f"[0, {self.num_pages}) in {self.name!r}"
             )
-        start = index * self.page_size
-        return bytes(self._data[start : start + self.page_size])
+        size = self.page_size
+        return bytes(memoryview(self._data)[start * size : (start + count) * size])
 
     def iter_pages(self, start: int = 0):
         """Yield pages in file order, from ``start``."""

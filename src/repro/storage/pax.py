@@ -151,6 +151,23 @@ class PaxPageCodec:
             )
         return page_id, count, columns
 
+    def decode_unit(
+        self, unit: bytes, names: tuple[str, ...] | None = None
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The row codecs' unit interface, ``(page counts, columns)``; the
+        unit's minipages are still verified and decoded page by page."""
+        size = self.page_size
+        decoded = [
+            self.decode_columns(unit[start : start + size], names)
+            for start in range(0, len(unit), size)
+        ]
+        counts = np.array([count for _page_id, count, _columns in decoded])
+        columns = {
+            name: np.concatenate([columns[name] for _id, _count, columns in decoded])
+            for name in decoded[0][2]
+        }
+        return counts, columns
+
     def decode_attribute(self, page: bytes, name: str) -> tuple[int, int, np.ndarray]:
         """Decode one attribute's minipage: ``(page_id, count, values)``."""
         page_id, count, columns = self.decode_columns(page, (name,))

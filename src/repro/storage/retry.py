@@ -65,8 +65,8 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-def retry_io(operation: Callable[[], T], policy: RetryPolicy | None = None) -> T:
-    """Run ``operation``, retrying ``TransientIOError`` per ``policy``.
+def retry_io(operation: Callable[..., T], policy: RetryPolicy | None = None, *args) -> T:
+    """Run ``operation(*args)``, retrying ``TransientIOError`` per ``policy``.
 
     Raises the last ``TransientIOError`` once attempts are exhausted;
     every other exception propagates immediately.
@@ -74,7 +74,7 @@ def retry_io(operation: Callable[[], T], policy: RetryPolicy | None = None) -> T
     policy = policy or DEFAULT_RETRY_POLICY
     for retry_index in range(policy.max_attempts):
         try:
-            return operation()
+            return operation(*args)
         except TransientIOError:
             if retry_index == policy.max_attempts - 1:
                 obs_metrics.RETRY_EXHAUSTED.inc()

@@ -17,13 +17,22 @@ import struct
 import numpy as np
 
 from repro.compression.base import Codec, CodecKind, PageCodecState
+from repro.compression.bitpack import (
+    check_codes,
+    gather_bits,
+    gather_bytes,
+    pack_bits,
+    scatter_bits,
+    scatter_bytes,
+    unpack_bits,
+)
 from repro.compression.registry import build_codec
 from repro.errors import PageFormatError, StorageError
 from repro.storage.page import (
     DEFAULT_PAGE_SIZE,
-    PAGE_TRAILER_BYTES,
+    PAGE_HEADER_BYTES,
+    TuplePageCodec,
     _assemble,
-    _disassemble,
     page_payload_bytes,
 )
 from repro.types.schema import TableSchema
@@ -38,7 +47,7 @@ def schema_is_compressed(schema: TableSchema) -> bool:
     return any(attr.spec.is_compressed for attr in schema)
 
 
-class CompressedRowPageCodec:
+class CompressedRowPageCodec(TuplePageCodec):
     """Row pages whose tuples are bit-packed per Figure 5 widths."""
 
     def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
@@ -71,75 +80,85 @@ class CompressedRowPageCodec:
                 f"compressed row stride {self._stride} exceeds page payload"
             )
 
-    @property
-    def stride(self) -> int:
-        """On-disk bytes per compressed tuple."""
-        return self._stride
-
     def encode(self, page_id: int, columns: dict[str, np.ndarray]) -> bytes:
         """Build one page from column slices (all the same length)."""
-        counts = {len(col) for col in columns.values()}
-        if len(counts) != 1:
-            raise PageFormatError(f"ragged column slices: {sorted(counts)}")
-        count = counts.pop()
-        if count > self.tuples_per_page:
-            raise PageFormatError(
-                f"{count} tuples exceed page capacity {self.tuples_per_page}"
-            )
-        bit_matrix = np.zeros((count, self._stride * 8), dtype=np.uint8)
+        count = self._tuple_count(columns)
+        if not count:
+            return _assemble(self.page_size, 0, b"", page_id, 0)
+        packed = bytearray(self._payload_bytes)
+        geometry = ((count,), (self._stride,))
         bases = []
         for index, attr in enumerate(self.schema):
             codec = self._codecs[index]
-            payload, state = codec.encode_page(columns[attr.name])
+            bits = self._bits[index]
+            if codec.is_variable:
+                codes, base = self._chop(codec.encode_page(columns[attr.name])[0], count, bits), 0
+            else:
+                codes, base = codec.encode_codes(columns[attr.name])
             if index in self._frame_attrs:
-                bases.append(state.base)
-            bits = codec.bits_per_value
-            attr_bits = np.unpackbits(
-                np.frombuffer(payload, dtype=np.uint8),
-                bitorder="little",
-                count=count * bits,
-            ).reshape(count, bits)
-            start = self._bit_offsets[index]
-            bit_matrix[:, start : start + bits] = attr_bits
-        packed = np.packbits(bit_matrix.reshape(-1), bitorder="little").tobytes()
+                bases.append(base)
+            offset = self._bit_offsets[index]
+            if codec.text_codes:
+                scatter_bytes(packed, *geometry, offset, bits // 8, codes)
+            else:
+                scatter_bits(packed, *geometry, offset, bits, check_codes(codes, bits))
         base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
-        payload_area = packed.ljust(self._payload_bytes, b"\x00") + base_area
-        return _assemble(self.page_size, count, payload_area, page_id, 0)
+        return _assemble(self.page_size, count, bytes(packed) + base_area, page_id, 0)
 
-    def _split(self, page: bytes) -> tuple[int, int, np.ndarray, list[int]]:
-        count, payload, page_id, _base = _disassemble(page, self.page_size)
-        if count > self.tuples_per_page:
+    @staticmethod
+    def _chop(payload: bytes, count: int, bits: int) -> np.ndarray:
+        """A variable codec's (RLE's) payload cut into ``count`` pieces of
+        ``bits`` bits, its stand-in for codes — if it compressed that far."""
+        stream_bytes = (count * bits + 7) // 8
+        if len(payload) > stream_bytes:
             raise PageFormatError(
-                f"page claims {count} tuples, capacity is {self.tuples_per_page}"
+                f"{len(payload)}-byte payload does not fit {count} x {bits} bits "
+                "of a row page"
             )
-        base_area = payload[self._payload_bytes :]
-        bases = [
-            _BASE_SLOT.unpack_from(base_area, i * _BASE_SLOT.size)[0]
-            for i in range(len(self._frame_attrs))
-        ]
-        total_bits = count * self._stride * 8
-        bit_matrix = np.unpackbits(
-            np.frombuffer(payload[: self._payload_bytes], dtype=np.uint8),
-            bitorder="little",
-            count=total_bits,
-        ).reshape(count, self._stride * 8)
-        return page_id, count, bit_matrix, bases
+        return unpack_bits(payload.ljust(stream_bytes, b"\x00"), bits, count)
 
-    def decode_columns(self, page: bytes) -> tuple[int, int, dict[str, np.ndarray]]:
-        """Parse a page into ``(page_id, count, columns dict)``."""
-        page_id, count, bit_matrix, bases = self._split(page)
+    def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
+        """Per attribute of ``names``: one gather of its codes from every
+        tuple slot of every page, one ``decode_codes`` over the ``(pages,
+        tuples)`` codes with the pages' bases; no other attribute's bits
+        are looked at.  Word reads overrun a tuple by at most
+        ``GATHER_SLACK_BYTES``, which the page trailer covers.
+        """
+        pages = len(counts)
+        total = sum(counts)
+        geometry = ((pages, self.tuples_per_page), (self.page_size, self._stride))
+        bases = np.ndarray(
+            (len(self._frame_attrs), pages),
+            "<i8",
+            unit,
+            PAGE_HEADER_BYTES + self._payload_bytes,
+            (_BASE_SLOT.size, self.page_size),
+        )
         columns = {}
-        base_iter = iter(bases)
-        for index, attr in enumerate(self.schema):
+        for name in self.schema.attribute_names if names is None else names:
+            index = self.schema.index_of(name)
             codec = self._codecs[index]
-            bits = codec.bits_per_value
-            start = self._bit_offsets[index]
-            attr_bits = bit_matrix[:, start : start + bits]
-            attr_payload = np.packbits(
-                attr_bits.reshape(-1), bitorder="little"
-            ).tobytes()
-            state = PageCodecState(
-                base=next(base_iter) if index in self._frame_attrs else 0
-            )
-            columns[attr.name] = codec.decode_page(attr_payload, count, state)
-        return page_id, count, columns
+            bits = self._bits[index]
+            offset = 8 * PAGE_HEADER_BYTES + self._bit_offsets[index]
+            if codec.text_codes:
+                codes = gather_bytes(unit, *geometry, offset, bits // 8)
+            else:
+                codes = gather_bits(unit, *geometry, offset, bits)
+            if codec.is_variable:
+                # No fixed-width codes (RLE): the tuples' bits are the
+                # page payload, cut up; re-pack and decode page by page.
+                values = np.concatenate(
+                    [
+                        codec.decode_page(pack_bits(row[:n], bits), n, PageCodecState())
+                        for row, n in zip(codes, counts)
+                    ]
+                )
+            else:
+                base = (
+                    bases[self._frame_attrs.index(index)]
+                    if index in self._frame_attrs
+                    else 0
+                )
+                values = codec.decode_codes(codes, base).reshape(-1)[:total]
+            columns[name] = values
+        return columns

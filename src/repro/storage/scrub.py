@@ -124,7 +124,7 @@ def scrub_table(table) -> CorruptionReport:
     else:
         _scrub_paged_file(
             table.file,
-            table.page_codec.decode_columns,
+            lambda page: table.decode_page(page, table.schema.attribute_names),
             table.row_span_of_page,
             report,
         )

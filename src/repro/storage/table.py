@@ -91,15 +91,24 @@ class PagedTable(Table):
     def _make_page_codec(self):
         """The codec of this layout's pages."""
 
-    @abc.abstractmethod
     def decode_page(
         self, page: bytes, attrs: tuple[str, ...]
     ) -> tuple[int, dict[str, np.ndarray]]:
-        """Decode one page: ``(tuple count, columns)``.
+        """Verify and decode ``attrs`` of one page: ``(tuple count, columns)``."""
+        _page_id, count, columns = self.page_codec.decode_columns(page, attrs)
+        return count, columns
 
-        ``columns`` holds at least ``attrs``; how much more a layout
-        decodes is its own business (and what its scanner charges).
+    def decode_unit(
+        self, unit: bytes, attrs: tuple[str, ...]
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Verify and decode ``attrs`` over adjacent pages read as one
+        buffer: ``(tuple count per page, columns in file order)``.
+
+        A unit with a corrupt page, or one the codec cannot flatten,
+        raises without saying which page: the caller goes back to
+        :meth:`decode_page`, page by page.
         """
+        return self.page_codec.decode_unit(unit, attrs)
 
     @property
     def total_bytes(self) -> int:
@@ -145,11 +154,6 @@ class RowTable(PagedTable):
     @property
     def row_stride(self) -> int:
         return self.page_codec.stride
-
-    def decode_page(self, page, attrs):
-        # Row pages decode every attribute whatever the query touches.
-        _page_id, count, columns = self.page_codec.decode_columns(page)
-        return count, columns
 
 
 @dataclass
@@ -284,11 +288,6 @@ class PaxTable(PagedTable):
     @property
     def layout(self) -> Layout:
         return Layout.PAX
-
-    def decode_page(self, page, attrs):
-        # Only the accessed attributes' minipages are decoded.
-        _page_id, count, columns = self.page_codec.decode_columns(page, attrs)
-        return count, columns
 
 
 def build_column_file(

@@ -52,7 +52,7 @@ class TestDictionaryCodec:
     def test_codes_are_dictionary_indexes(self):
         values = np.array([b"B", b"A", b"B"], dtype="S10")
         codec = make_text_codec(values)
-        codes = codec.encode_codes(values)
+        codes, _base = codec.encode_codes(values)
         np.testing.assert_array_equal(codec.dictionary[codes], values)
 
     def test_duplicate_dictionary_rejected(self):

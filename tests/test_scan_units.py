@@ -1,0 +1,517 @@
+"""Row scans at I/O-unit granularity: the unit path against the page path.
+
+Three contracts of the unit-granular scan core (DESIGN.md, "Scan core"):
+
+* **decode** — ``decode_unit`` over k pages is the concatenation of k
+  ``decode_page`` calls, for every codec kind, packed width, bit offset,
+  partial last page and attribute subset; the bit kernels agree with the
+  old (n x bits) bit-matrix implementation, which lives on *here* as the
+  reference, and encode keeps the stored bytes identical to it;
+* **integrity** — a bit flip and a twice-transient page in the middle of
+  a unit behave exactly as under a page-at-a-time scan (a context whose
+  I/O unit is one page): the fault names its page, every other page's
+  rows survive, nothing is read twice, every touched page is timed once;
+* **release** — a unit's pages are accounted for one by one as the
+  consumer's pulls reach them, so a scan under a ``Limit`` has the
+  events, faults and checkpoints of the page-at-a-time scan, a cancel or
+  a deadline surfaces as the typed error with no partial result, and a
+  finished scan has passed as many checkpoints as the golden pin says.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compression.base import CodecKind, CodecSpec
+from repro.compression.bitpack import gather_bits, pack_bits, unpack_bits
+from repro.compression.registry import build_codec, build_codec_for_values
+from repro.cpusim.calibration import DEFAULT_CALIBRATION
+from repro.data.tpch import apply_fig5_compression, generate_lineitem
+from repro.engine.blocks import concat_blocks
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import run_scan
+from repro.engine.governance import QueryContext
+from repro.engine.operators import Limit
+from repro.engine.plan import scan_plan
+from repro.engine.predicate import predicate_for_selectivity
+from repro.engine.query import ScanQuery
+from repro.errors import ChecksumError, PageFormatError, QueryCancelled, QueryTimeout
+from repro.obs import metrics
+from repro.obs import recorder as flight
+from repro.storage.faults import FaultPlan
+from repro.storage.layout import Layout
+from repro.storage.loader import load_table
+from repro.storage.page import PAGE_HEADER_BYTES
+from repro.storage.pagefile import PagedFile
+from repro.storage.retry import RetryPolicy
+from repro.storage.table import PaxTable, RowTable
+from repro.types.datatypes import FixedTextType, IntType
+from repro.types.schema import Attribute, TableSchema
+from tests.scan_golden import GOLDEN_PATH, _queries, _run_scan
+
+# --- the old bit-matrix kernels, kept as the reference ------------------------
+
+
+def reference_pack_bits(values: np.ndarray, bits: int) -> bytes:
+    """``pack_bits`` as it was: an (n x bits) matrix of bits, LSB first."""
+    if values.size == 0:
+        return b""
+    shifts = np.arange(bits, dtype=np.uint64)
+    bit_matrix = (values.astype(np.uint64)[:, None] >> shifts) & np.uint64(1)
+    return np.packbits(bit_matrix.astype(np.uint8).reshape(-1), bitorder="little").tobytes()
+
+
+def reference_unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
+    """``unpack_bits`` as it was: unpackbits -> (n x bits) -> multiply-sum."""
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    flat = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), bitorder="little", count=count * bits
+    )
+    weights = np.left_shift(np.uint64(1), np.arange(bits, dtype=np.uint64))
+    return (flat.reshape(count, bits).astype(np.uint64) * weights).sum(axis=1).astype(np.int64)
+
+
+def reference_encode_row_page(page_codec, page_id: int, columns: dict) -> bytes:
+    """``CompressedRowPageCodec.encode`` as it was: per-attribute payload
+    bits pasted into a (tuples x stride*8) bit matrix."""
+    from repro.storage.page import _assemble
+    from repro.storage.rowz import _BASE_SLOT
+
+    count = len(next(iter(columns.values())))
+    bit_matrix = np.zeros((count, page_codec.stride * 8), dtype=np.uint8)
+    bases = []
+    for index, attr in enumerate(page_codec.schema):
+        codec = page_codec._codecs[index]
+        payload, state = codec.encode_page(columns[attr.name])
+        if index in page_codec._frame_attrs:
+            bases.append(state.base)
+        bits = codec.bits_per_value
+        start = page_codec._bit_offsets[index]
+        bit_matrix[:, start : start + bits] = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8), bitorder="little", count=count * bits
+        ).reshape(count, bits)
+    packed = np.packbits(bit_matrix.reshape(-1), bitorder="little").tobytes()
+    base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
+    body = packed.ljust(page_codec._payload_bytes, b"\x00") + base_area
+    return _assemble(page_codec.page_size, count, body, page_id, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(1, 63),
+    count=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    trailing=st.integers(0, 9),
+)
+def test_bit_kernels_match_the_bit_matrix_reference(bits, count, seed, trailing):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 1 << bits, count, dtype=np.uint64).astype(np.int64)
+    packed = pack_bits(values, bits)
+    assert packed == reference_pack_bits(values, bits)
+    # Page payloads carry padding (and garbage, as far as a codec knows).
+    stream = packed + bytes(rng.integers(0, 256, trailing, dtype=np.uint8))
+    unpacked = unpack_bits(stream, bits, count)
+    assert unpacked.dtype == np.int64
+    np.testing.assert_array_equal(unpacked, reference_unpack_bits(stream, bits, count))
+    np.testing.assert_array_equal(unpacked, values)
+
+
+# --- decode_unit == concatenated decode_page ----------------------------------
+
+PAGE_SIZE = 256
+
+#: Attribute kinds the property draws: integer codecs get a packed width.
+INT_KINDS = ("none", "pack", "dict", "for", "for-delta")
+TEXT_KINDS = ("text-none", "text-pack", "text-dict")
+
+
+def _int_attribute(rng, name: str, kind: str, bits: int, rows: int, ordered: bool):
+    """``(Attribute, values)`` of one integer column packed ``bits`` wide.
+
+    Values are drawn so the codec *needs* at most ``bits`` bits (FOR
+    deltas span twice a value range, FOR-delta steps twice again); the
+    spec then stores them exactly ``bits`` wide.  Unordered data gives
+    the frame codecs negative deltas, i.e. zig-zag.
+    """
+    if kind == "none":
+        values = rng.integers(-(2**31), 2**31, rows)
+        return Attribute(name, IntType()), values
+    if kind == "pack":
+        values = rng.integers(0, 1 << min(bits, 62), rows)
+    elif kind == "dict":
+        domain = rng.integers(-(2**31), 2**31, min(1 << min(bits, 4), 12))
+        values = rng.choice(np.unique(domain), rows)
+    else:
+        span = 1 << max(0, min(bits, 44) - (2 if kind == "for" else 3))
+        values = 1_000_000 + rng.integers(0, span, rows)
+    if ordered:
+        values = np.sort(values)
+    codec_kind = CodecKind(kind)
+    needed = build_codec_for_values(codec_kind, IntType(), values).spec if rows else None
+    if needed is None:
+        dictionary = (0,) if kind == "dict" else ()
+        spec = CodecSpec(codec_kind, bits=bits, dictionary=dictionary)
+    else:
+        assert needed.bits <= bits, (kind, needed, bits)
+        spec = CodecSpec(
+            codec_kind, bits=bits, dictionary=needed.dictionary, zigzag=needed.zigzag
+        )
+    return Attribute(name, IntType(), spec), values
+
+
+def _text_attribute(rng, name: str, kind: str, width: int, rows: int):
+    lengths = rng.integers(0, width + 1, rows)
+    words = [bytes(rng.integers(97, 123, n, dtype=np.uint8)) for n in lengths]
+    if kind == "text-dict":
+        words = [words[i % 3] for i in range(rows)]
+    values = np.array(words, dtype=f"S{width}") if rows else np.zeros(0, dtype=f"S{width}")
+    attr_type = FixedTextType(width)
+    if kind == "text-none" or not rows:
+        return Attribute(name, attr_type), values
+    codec_kind = CodecKind.DICT if kind == "text-dict" else CodecKind.PACK
+    spec = build_codec_for_values(codec_kind, attr_type, values).spec
+    return Attribute(name, attr_type, spec), values
+
+
+def _build_row_table(schema: TableSchema, columns: dict, rows: int) -> RowTable:
+    """Encode pages straight through the page codec (no loader checks)."""
+    table = RowTable(schema, PagedFile(schema.name, PAGE_SIZE), rows, PAGE_SIZE)
+    capacity = table.page_codec.tuples_per_page
+    for start in range(0, rows, capacity):
+        chunk = {name: col[start : start + capacity] for name, col in columns.items()}
+        table.file.append_page(table.page_codec.encode(table.file.num_pages, chunk))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(INT_KINDS + TEXT_KINDS),
+    bits=st.integers(1, 63),
+    shift=st.integers(1, 9),
+    rows=st.integers(0, 90),
+    ordered=st.booleans(),
+    subset=st.sets(st.sampled_from(("lead", "probe", "tail")), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_unit_is_the_concatenation_of_page_decodes(
+    kind, bits, shift, rows, ordered, subset, seed
+):
+    """Every codec kind x width 1-63 x zig-zag x bit offset x partial
+    last page x empty file x attribute subset, on compressed row pages."""
+    rng = np.random.default_rng(seed)
+    # A ``shift``-bit lead column puts the probed one at any bit offset.
+    lead, lead_values = _int_attribute(rng, "lead", "pack", shift, rows, False)
+    if kind in INT_KINDS:
+        probe, probe_values = _int_attribute(rng, "probe", kind, bits, rows, ordered)
+    else:
+        probe, probe_values = _text_attribute(rng, "probe", kind, 1 + bits % 12, rows)
+    tail, tail_values = _int_attribute(rng, "tail", "for-delta", 7, rows, True)
+    schema = TableSchema("T", (lead, probe, tail))
+    columns = {"lead": lead_values, "probe": probe_values, "tail": tail_values}
+    table = _build_row_table(schema, columns, rows)
+    attrs = tuple(sorted(subset))
+    pages = table.file.num_pages
+    np.testing.assert_array_equal(table.read_column("probe"), probe_values)
+    if not pages:
+        # The empty file: nothing to read, and an empty unit is refused.
+        with pytest.raises(PageFormatError):
+            table.decode_unit(b"", attrs)
+        return
+
+    unit = table.file.read_pages(0, pages)
+    counts, unit_columns = table.decode_unit(unit, attrs)
+    singly = [table.decode_page(table.file.read_page(i), attrs) for i in range(pages)]
+    assert counts.tolist() == [count for count, _columns in singly]
+    assert set(unit_columns) == set(attrs)
+    for name in attrs:
+        joined = np.concatenate([page_columns[name] for _count, page_columns in singly])
+        assert unit_columns[name].dtype == joined.dtype
+        np.testing.assert_array_equal(unit_columns[name], joined)
+        np.testing.assert_array_equal(unit_columns[name], columns[name])
+
+    # Stored bytes are what the bit-matrix encoder produced ...
+    page_codec = table.page_codec
+    capacity = page_codec.tuples_per_page
+    first = {name: col[:capacity] for name, col in columns.items()}
+    assert table.file.read_page(0) == reference_encode_row_page(page_codec, 0, first)
+    # ... and an integer attribute's codes, gathered at its bit offset,
+    # are what the bit matrix finds there.
+    codec = build_codec(probe.spec, probe.attr_type)
+    if not codec.text_codes:
+        width = codec.bits_per_value
+        offset = shift  # after the lead column
+        geometry = ((pages, capacity), (PAGE_SIZE, page_codec.stride))
+        gathered = gather_bits(unit, *geometry, 8 * PAGE_HEADER_BYTES + offset, width)
+        count = int(counts[0])
+        tuples = np.unpackbits(
+            np.frombuffer(unit, dtype=np.uint8, offset=PAGE_HEADER_BYTES),
+            bitorder="little",
+            count=count * page_codec.stride * 8,
+        ).reshape(count, page_codec.stride * 8)
+        field_bits = np.packbits(
+            tuples[:, offset : offset + width].reshape(-1), bitorder="little"
+        ).tobytes()
+        np.testing.assert_array_equal(
+            gathered[0, :count], reference_unpack_bits(field_bits, width, count)
+        )
+
+
+@pytest.mark.parametrize("table_class", [RowTable, PaxTable])
+def test_plain_pages_decode_by_unit_as_by_page(table_class):
+    """The uncompressed row codec and PAX ride the same unit interface."""
+    data = generate_lineitem(700, seed=5)
+    table = load_table(data, Layout.ROW if table_class is RowTable else Layout.PAX)
+    attrs = ("L_SHIPMODE", "L_PARTKEY", "L_COMMENT")
+    unit = table.file.read_pages(0, table.file.num_pages)
+    counts, columns = table.decode_unit(unit, attrs)
+    assert int(counts.sum()) == 700 and list(columns) == list(attrs)
+    for name in attrs:
+        np.testing.assert_array_equal(columns[name], data.columns[name])
+        np.testing.assert_array_equal(columns[name], table.read_column(name))
+
+
+def test_decode_page_decodes_only_the_attributes_asked_for():
+    for data in (generate_lineitem(60, seed=2), apply_fig5_compression(generate_lineitem(60, seed=2))):
+        table = load_table(data, Layout.ROW)
+        page = table.file.read_page(0)
+        count, columns = table.decode_page(page, ("L_TAX", "L_ORDERKEY"))
+        assert list(columns) == ["L_TAX", "L_ORDERKEY"]
+        # No attribute list still means every column (scrub, the spine).
+        _page_id, same_count, every = table.page_codec.decode_columns(page)
+        assert same_count == count and set(every) == set(data.schema.attribute_names)
+        for name, column in columns.items():
+            np.testing.assert_array_equal(column, every[name])
+
+
+# --- faults in the middle of a unit -------------------------------------------
+
+ROWS = 3_000
+FLIPPED, FLAKY = 33, 35  # both inside the second 32-page unit (LINEITEM-Z has 38 pages)
+
+
+def _page_at_a_time() -> ExecutionContext:
+    """A context whose I/O unit is one page: the page-at-a-time scan."""
+    calibration = DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=4096)
+    return ExecutionContext(calibration=calibration, governance=QueryContext())
+
+
+def _unit_at_a_time() -> ExecutionContext:
+    return ExecutionContext(governance=QueryContext())
+
+
+def _faulty_row_table(data):
+    table = load_table(data, Layout.ROW)
+    table.file.retry_policy = RetryPolicy(sleep=lambda _seconds: None)
+    plan = FaultPlan(seed=9)
+    plan.schedule_bit_flip(FLIPPED, byte=11, bit=3)
+    plan.schedule_transient_reads(2, page=FLAKY)
+    plan.wrap_table(table)
+    return table, plan
+
+
+def _outcome(result, context) -> dict:
+    return {
+        "events": result.events.as_dict(),
+        "positions": result.positions.tolist(),
+        "columns": {name: column.tolist() for name, column in result.columns.items()},
+        "faults": [(f.file, f.page, f.rows_lost) for f in result.corruption.faults],
+        "pages_scanned": result.corruption.pages_scanned,
+        "ticks": context.governance.ticks,
+    }
+
+
+@pytest.fixture()
+def fresh_telemetry():
+    metrics.enable()
+    metrics.REGISTRY.reset_values()
+    flight.enable()
+    flight.RECORDER.clear()
+    yield
+    metrics.REGISTRY.reset_values()
+    flight.RECORDER.clear()
+
+
+@pytest.mark.parametrize("dataset", ["plain", "z"])
+class TestFaultsMidUnit:
+    @pytest.fixture()
+    def data(self, dataset):
+        plain = generate_lineitem(ROWS, seed=77)
+        return apply_fig5_compression(plain) if dataset == "z" else plain
+
+    @staticmethod
+    def _query(data) -> ScanQuery:
+        predicate = predicate_for_selectivity("L_PARTKEY", data.columns["L_PARTKEY"], 0.4)
+        return ScanQuery(
+            data.schema.name,
+            select=("L_ORDERKEY", "L_PARTKEY", "L_SHIPMODE"),
+            predicates=(predicate,),
+        )
+
+    def test_salvage_names_the_page_and_keeps_the_rest(self, data, fresh_telemetry):
+        query = self._query(data)
+        clean = run_scan(load_table(data, Layout.ROW), query)
+        metrics.REGISTRY.reset_values()
+        table, plan = _faulty_row_table(data)
+        assert table.file.num_pages > FLAKY  # both faults sit mid-table
+        context = _unit_at_a_time()
+        result = run_scan(table, query, context, salvage=True)
+
+        capacity = table.page_codec.tuples_per_page
+        assert [(f.page, f.rows_lost) for f in result.corruption.faults] == [
+            (FLIPPED, capacity)
+        ]
+        lost = (clean.positions >= FLIPPED * capacity) & (
+            clean.positions < (FLIPPED + 1) * capacity
+        )
+        assert lost.any()
+        np.testing.assert_array_equal(result.positions, clean.positions[~lost])
+        for name in query.select:
+            np.testing.assert_array_equal(result.column(name), clean.column(name)[~lost])
+        # Faults were injected, retried and counted per page, once: the
+        # unit's bytes are not read again to find the bad page.
+        assert plan.transient_raised == 2
+        assert plan.pages_corrupted == 1
+        assert metrics.RETRY_ATTEMPTS.value == 2
+        assert metrics.PAGES_SALVAGED.value == 1
+        assert len(flight.RECORDER.events(kind="storage.salvage")) == 1
+        assert result.events.pages_touched == table.file.num_pages - 1
+        assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
+
+        # Differential: the page-at-a-time scan of the same faults.
+        reference_table, _plan = _faulty_row_table(data)
+        reference_context = _page_at_a_time()
+        reference = run_scan(reference_table, query, reference_context, salvage=True)
+        assert _outcome(result, context) == _outcome(reference, reference_context)
+
+    def test_strict_raises_the_pages_checksum_error(self, data):
+        query = self._query(data)
+        messages = []
+        for context in (_unit_at_a_time(), _page_at_a_time()):
+            table, _plan = _faulty_row_table(data)
+            with pytest.raises(ChecksumError, match=f"page {FLIPPED} checksum") as raised:
+                run_scan(table, query, context)
+            messages.append((str(raised.value), context.governance.ticks > 0))
+        assert messages[0] == messages[1]
+
+    def test_unreadable_page_is_dropped_alone(self, data):
+        """Retries exhausted: the unit before ends short of the page, and
+        the page, tried once more at the head of the next unit, is
+        dropped by name."""
+        query = self._query(data)
+        outcomes = []
+        for context, budgets in ((_unit_at_a_time(), 2), (_page_at_a_time(), 1)):
+            table = load_table(data, Layout.ROW)
+            table.file.retry_policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
+            plan = FaultPlan(seed=1).schedule_transient_reads(10_000, page=FLAKY)
+            plan.wrap_table(table)
+            result = run_scan(table, query, context, salvage=True)
+            assert [f.page for f in result.corruption.faults] == [FLAKY]
+            assert plan.transient_raised == 3 * budgets
+            outcomes.append(_outcome(result, context))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("limit", [1, 10, 400])
+    def test_a_limit_stops_where_the_page_at_a_time_scan_stops(self, data, limit):
+        """The consumer stops pulling mid-unit: the unreleased pages are
+        not charged, ticked or reported, faulty or not (the small limits
+        run strict: the flipped page is read but never reached)."""
+        query = self._query(data)
+        outcomes = []
+        for context in (_unit_at_a_time(), _page_at_a_time()):
+            table, _plan = _faulty_row_table(data)
+            context.strict_integrity = limit < 400
+            blocks = Limit(context, scan_plan(context, table, query), limit).drain()
+            outcomes.append(
+                {
+                    "events": context.events.as_dict(),
+                    "positions": concat_blocks(blocks).positions.tolist(),
+                    "faults": [f.page for f in context.corruption.faults],
+                    "pages_scanned": context.corruption.pages_scanned,
+                    "ticks": context.governance.ticks,
+                }
+            )
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0]["positions"]) == limit
+        if limit < 400:  # satisfied inside the first unit
+            capacity = table.page_codec.tuples_per_page
+            assert outcomes[0]["events"]["pages_touched"] <= -(-limit // capacity) + 2
+            assert outcomes[0]["faults"] == []
+
+
+# --- governance inside and between units ----------------------------------------
+
+GOLDEN_CASE = "clean/row/plain/one-10pct/all"
+
+
+class TestGovernance:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return load_table(generate_lineitem(ROWS, seed=77), Layout.ROW)
+
+    QUERY = ScanQuery("LINEITEM", select=("L_ORDERKEY", "L_QUANTITY"))
+
+    def _plan(self, table, hook):
+        context = ExecutionContext(governance=QueryContext(on_tick=hook))
+        return context, scan_plan(context, table, self.QUERY)
+
+    def test_checkpoints_fire_page_by_page(self, table):
+        """Each checkpoint sees exactly the pages before it released."""
+        runs = []
+        for calibration in (
+            DEFAULT_CALIBRATION,
+            DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
+        ):
+            seen = []
+            context = ExecutionContext(
+                calibration=calibration,
+                governance=QueryContext(
+                    on_tick=lambda _governance: seen.append(context.events.pages_touched)
+                ),
+            )
+            blocks = scan_plan(context, table, self.QUERY).drain()
+            runs.append((seen, len(blocks), context.governance.ticks))
+        assert runs[0] == runs[1]
+        seen, blocks, ticks = runs[0]
+        pages = table.file.num_pages
+        assert pages > 3 * (DEFAULT_CALIBRATION.io_unit_bytes // table.page_size)
+        # One per logical page (plus one per next() call).
+        assert ticks == pages + blocks + 1
+        assert set(seen) == set(range(pages + 1))
+
+    def test_finished_scan_passed_the_pinned_number_of_checkpoints(self):
+        golden = json.loads(GOLDEN_PATH.read_text())[GOLDEN_CASE]
+        got = _run_scan("plain", "row", _queries("plain")["one-10pct"], None)
+        assert got["ticks"] == golden["ticks"]
+        assert got["blocks"] == golden["blocks"]
+
+    @pytest.mark.parametrize("error", [QueryCancelled, QueryTimeout])
+    def test_abort_between_units_is_typed_and_leaves_no_partial_result(
+        self, table, error
+    ):
+        unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+
+        def hook(governance):
+            # Fires among the second unit's checkpoints, the first done.
+            if context.events.pages_touched == unit:
+                if error is QueryCancelled:
+                    governance.token.cancel("between units")
+                else:
+                    governance.deadline = time.monotonic() - 1.0
+
+        context, plan = self._plan(table, hook)
+        plan.open()
+        with pytest.raises(error):
+            while plan.next() is not None:
+                pass
+        # The abort is the only outcome: none of the second unit's pages
+        # was charged or emitted.
+        assert context.events.pages_touched == unit
+        full = run_scan(table, self.QUERY)
+        assert full.num_tuples == ROWS

@@ -49,9 +49,7 @@ class TestRowPageCodec:
         page_id, rows = codec.decode(page)
         assert page_id == 7
         assert len(rows) == 50
-        np.testing.assert_array_equal(
-            codec.column_from_rows(rows, "O_ORDERKEY"), columns["O_ORDERKEY"][:50]
-        )
+        np.testing.assert_array_equal(rows["O_ORDERKEY"], columns["O_ORDERKEY"][:50])
 
     def test_decode_columns_interface(self):
         schema, columns = orders_columns(20)
