@@ -76,11 +76,12 @@ workload-bench:
 	python benchmarks/bench_workload_throughput.py --out workload-artifacts
 
 # The scheduler test battery: equivalence vs serial, scan-sharing
-# properties, chaos under concurrency, and the parallel worker fleet.
+# properties, chaos under concurrency, the parallel worker fleet, and
+# every result shape on every executor through the one plan builder.
 scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
 		tests/test_scheduler_chaos.py tests/test_parallel_equivalence.py \
-		tests/test_parallel_dispatch.py -q
+		tests/test_parallel_dispatch.py tests/test_query_request.py -q
 
 # The scan battery: every scan strategy against the golden pin
 # (CostEvents, output bytes, blocks, corruption, governance ticks), the

@@ -23,15 +23,15 @@ import numpy as np
 from repro import (
     ExecutionContext,
     Layout,
+    Query,
     ScanQuery,
     generate_tpch_pair,
     load_table,
     predicate_for_selectivity,
+    run_scan,
 )
 from repro.cpusim.costmodel import CpuModel
-from repro.engine.executor import execute_plan
-from repro.engine.plan import aggregate_plan, merge_join_plan
-from repro.engine.query import AggregateFunction, AggregateSpec
+from repro.engine.query import AggregateFunction, AggregateSpec, JoinSide
 
 
 def pricing_summary(tables, data) -> None:
@@ -39,7 +39,7 @@ def pricing_summary(tables, data) -> None:
     predicate = predicate_for_selectivity(
         "L_SHIPDATE", data.column("L_SHIPDATE"), selectivity=0.25
     )
-    query = ScanQuery(
+    scan = ScanQuery(
         "LINEITEM",
         select=("L_SHIPDATE", "L_RETURNFLAG", "L_EXTENDEDPRICE"),
         predicates=(predicate,),
@@ -49,11 +49,12 @@ def pricing_summary(tables, data) -> None:
         function=AggregateFunction.SUM,
         argument="L_EXTENDEDPRICE",
     )
+    report = Query(scan, aggregate=spec)
     print("pricing summary (sum of extended price by return flag):")
     results = {}
     for layout, table in tables.items():
         context = ExecutionContext()
-        result = execute_plan(aggregate_plan(context, table, query, spec))
+        result = run_scan(table, report, context)
         results[layout] = dict(
             zip(result.column("L_RETURNFLAG"), result.column("sum_L_EXTENDEDPRICE"))
         )
@@ -75,17 +76,12 @@ def revenue_by_priority(order_tables, line_tables, orders) -> None:
     print("revenue by order priority (merge join + aggregate):")
     results = {}
     for layout in (Layout.ROW, Layout.COLUMN):
-        context = ExecutionContext()
-        join = merge_join_plan(
-            context,
-            order_tables[layout],
-            orders_query,
-            line_tables[layout],
-            lineitem_query,
-            left_key="O_ORDERKEY",
-            right_key="L_ORDERKEY",
+        orders_side = JoinSide(
+            order_tables[layout], orders_query, "O_ORDERKEY", "L_ORDERKEY"
         )
-        joined = execute_plan(join)
+        joined = run_scan(
+            line_tables[layout], Query(lineitem_query, join=orders_side)
+        )
         revenue = {}
         for priority, price in zip(
             joined.column("O_ORDERPRIORITY"), joined.column("L_EXTENDEDPRICE")

@@ -49,6 +49,7 @@ from repro.engine import (
     CancellationToken,
     ExecutionContext,
     Predicate,
+    Query,
     QueryContext,
     QueryHandle,
     QueryResult,
@@ -141,6 +142,7 @@ __all__ = [
     "WriteOptimizedStore",
     # engine
     "ScanQuery",
+    "Query",
     "Predicate",
     "predicate_for_selectivity",
     "ExecutionContext",

@@ -15,9 +15,8 @@ should use.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-
 import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,8 +65,45 @@ class _TableEntry:
     view_defs: list[dict]
 
 
+def _governed(
+    context: ExecutionContext | None,
+    label: str,
+    timeout: float | None,
+    memory_budget: int | None,
+    cancellation: CancellationToken | None,
+) -> ExecutionContext | None:
+    """The context one facade call runs under: the one governance wiring.
+
+    Without governance arguments that is the caller's context as is.
+    With them it is a copy carrying a fresh :class:`QueryContext`; the
+    copy shares the caller's event counters, corruption report and
+    tracer, so costs still accumulate where the caller reads them,
+    while the caller's context itself stays as it was found — good for
+    the next governed call whether this one returns or raises.
+    """
+    if timeout is None and memory_budget is None and cancellation is None:
+        return context
+    context = context or ExecutionContext()
+    if context.governance is not None:
+        raise PlanError(
+            "pass either a governed context or timeout/budget/"
+            "cancellation arguments, not both"
+        )
+    governance = QueryContext.start(
+        timeout=timeout, memory_budget=memory_budget, token=cancellation, label=label
+    )
+    return replace(context, governance=governance)
+
+
 class Database:
-    """Registered tables in every layout, with query routing on top."""
+    """Registered tables in every layout, with query routing on top.
+
+    Every read entry point is the same four steps, each written once:
+    resolve (:meth:`_resolve_target`), governed context
+    (:func:`_governed`; the scheduler starts its own per submission),
+    an executor — serial drain, partition-and-merge, or time-slice —
+    and the write-store overlay on the finished result.
+    """
 
     def __init__(
         self,
@@ -451,9 +487,7 @@ class Database:
         (``partitions``, default one per worker) in a multiprocessing
         pool — see :func:`repro.engine.parallel.parallel_query`.  The
         worker count is clamped to ``os.cpu_count()``: oversubscribing
-        the fork pool only adds scheduling latency.  Plans the parallel
-        executor cannot decompose fall back to the serial engine
-        transparently.
+        the fork pool only adds scheduling latency.
 
         ``timeout`` (seconds), ``memory_budget`` (bytes), and
         ``cancellation`` opt the query into lifecycle governance (see
@@ -461,43 +495,31 @@ class Database:
         degrades gracefully, or raises a typed
         :class:`~repro.errors.GovernanceError` subclass — it never
         hangs and never returns a partial result.  They require a
-        ``context`` without a governance of its own (or none).
+        ``context`` without a governance of its own (or none); the
+        caller's context keeps accumulating events and is otherwise
+        left as it was (see :func:`_governed`).
         """
         scan = ScanQuery(table, select=select, predicates=predicates)
-        if timeout is not None or memory_budget is not None or cancellation is not None:
-            context = context or ExecutionContext()
-            if context.governance is not None:
-                raise PlanError(
-                    "pass either a governed context or timeout/budget/"
-                    "cancellation arguments, not both"
-                )
-            context.governance = QueryContext.start(
-                timeout=timeout,
-                memory_budget=memory_budget,
-                token=cancellation,
-                label=f"query on {table}",
-            )
+        context = _governed(
+            context, f"query on {table}", timeout, memory_budget, cancellation
+        )
         target, post = self._resolve_target(table, scan, layout, use_views)
-        result = None
         workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
             from repro.engine.parallel import parallel_query
 
-            try:
-                result = parallel_query(
-                    target,
-                    scan,
-                    workers=workers,
-                    partitions=partitions,
-                    context=context,
-                    salvage=salvage,
-                    policy=policy,
-                    breaker=self.breaker,
-                )
-            except PlanError:
-                # Not decomposable: run the plain serial scan instead.
-                pass
-        if result is None:
+            result = parallel_query(
+                target,
+                scan,
+                workers=workers,
+                partitions=partitions,
+                context=context,
+                column_scanner=column_scanner,
+                salvage=salvage,
+                policy=policy,
+                breaker=self.breaker,
+            )
+        else:
             result = run_scan(
                 target, scan, context, column_scanner=column_scanner, salvage=salvage
             )
@@ -527,20 +549,31 @@ class Database:
         governance deadline starts now — queue time counts against
         ``timeout``.
         """
-        scan = ScanQuery(table, select=select, predicates=predicates)
-        target, post = self._resolve_target(table, scan, layout, use_views)
-        return self.scheduler.submit(
-            target,
-            scan,
+        return self._submit(
+            self.scheduler,
+            table,
+            select,
+            predicates,
+            layout,
+            use_views,
             timeout=timeout,
             memory_budget=memory_budget,
             cancellation=cancellation,
             salvage=salvage,
-            post=post,
             # Empty label falls through to the scheduler's unique
             # per-submission default (black-box slices key on it).
             label=label,
         )
+
+    def _submit(
+        self, scheduler, table, select, predicates, layout, use_views, **options
+    ) -> QueryHandle:
+        """Resolve one scan now and enqueue it on ``scheduler``: the one
+        submission routine under :meth:`submit` and :meth:`run_workload`
+        (``options`` are :meth:`Scheduler.submit`'s)."""
+        scan = ScanQuery(table, select=tuple(select), predicates=tuple(predicates))
+        target, post = self._resolve_target(table, scan, layout, use_views)
+        return scheduler.submit(target, scan, post=post, **options)
 
     @property
     def scheduler(self) -> Scheduler:
@@ -587,21 +620,16 @@ class Database:
         for index, request in enumerate(requests):
             if isinstance(request, dict):
                 request = WorkloadQuery(**request)
-            scan = ScanQuery(
+            self._submit(
+                scheduler,
                 request.table,
-                select=tuple(request.select),
-                predicates=tuple(request.predicates),
-            )
-            target, post = self._resolve_target(
-                request.table, scan, layout, use_views
-            )
-            scheduler.submit(
-                target,
-                scan,
+                request.select,
+                request.predicates,
+                layout,
+                use_views,
                 timeout=request.timeout,
                 memory_budget=request.memory_budget,
                 salvage=request.salvage,
-                post=post,
                 # Unique per submission: the flight recorder slices
                 # black-box events by label.
                 label=request.label
@@ -641,17 +669,14 @@ class Database:
         table: str,
         select: tuple[str, ...],
         predicates: tuple[Predicate, ...] = (),
-        layout: Layout | None = None,
-        use_views: bool = True,
-        salvage: bool = False,
-        workers: int = 1,
-        partitions: int | None = None,
+        *,
+        context: ExecutionContext | None = None,
         timeout: float | None = None,
         memory_budget: int | None = None,
         cancellation: CancellationToken | None = None,
-        policy: SupervisionPolicy | None = None,
+        **options,
     ) -> QueryProfile:
-        """Execute a scan under span tracing.
+        """:meth:`query` under span tracing; takes exactly its options.
 
         Returns a :class:`~repro.obs.export.QueryProfile`: the
         materialized result plus the per-operator span tree, from which
@@ -663,24 +688,19 @@ class Database:
         into the parent trace (one Perfetto track per worker).  With a
         ``timeout``/``memory_budget``/``cancellation`` the profile
         carries a governance snapshot and ``explain_text()`` appends
-        the governance outcomes (why the query degraded).
+        the governance outcomes (why the query degraded); that
+        snapshot is why governance is wired here, not in :meth:`query`.
         """
-        context = ExecutionContext(tracer=SpanTracer())
-        result = self.query(
-            table,
-            select,
-            predicates,
-            layout=layout,
-            use_views=use_views,
-            context=context,
-            salvage=salvage,
-            workers=workers,
-            partitions=partitions,
-            timeout=timeout,
-            memory_budget=memory_budget,
-            cancellation=cancellation,
-            policy=policy,
+        context = _governed(
+            context or ExecutionContext(),
+            f"query on {table}",
+            timeout,
+            memory_budget,
+            cancellation,
         )
+        if context.tracer is None:
+            context = replace(context, tracer=SpanTracer())
+        result = self.query(table, select, predicates, context=context, **options)
         return QueryProfile(
             result=result,
             tracer=context.tracer,
@@ -695,37 +715,17 @@ class Database:
         table: str,
         select: tuple[str, ...],
         predicates: tuple[Predicate, ...] = (),
-        layout: Layout | None = None,
-        use_views: bool = True,
-        salvage: bool = False,
-        workers: int = 1,
-        partitions: int | None = None,
-        timeout: float | None = None,
-        memory_budget: int | None = None,
-        cancellation: CancellationToken | None = None,
-        policy: SupervisionPolicy | None = None,
+        **options,
     ) -> str:
         """EXPLAIN ANALYZE: execute the scan traced, render the plan.
 
         Every plan node is annotated with its wall time, ``next()``
         call/block/row counts, and its exclusive share of the query's
         :class:`~repro.cpusim.events.CostEvents`.  Governed queries get
-        a trailing governance section (see :meth:`profile`).
+        a trailing governance section.  Takes :meth:`query`'s options
+        (see :meth:`profile`).
         """
-        return self.profile(
-            table,
-            select,
-            predicates,
-            layout=layout,
-            use_views=use_views,
-            salvage=salvage,
-            workers=workers,
-            partitions=partitions,
-            timeout=timeout,
-            memory_budget=memory_budget,
-            cancellation=cancellation,
-            policy=policy,
-        ).explain_text()
+        return self.profile(table, select, predicates, **options).explain_text()
 
     def predicate(self, table: str, attr: str, selectivity: float) -> Predicate:
         """A selectivity-calibrated predicate over registered data."""
@@ -792,8 +792,7 @@ class Database:
         config: ExperimentConfig | None = None,
     ) -> dict[Layout, ScanMeasurement]:
         """Estimate the same scan under every materialized layout."""
-        scan = ScanQuery(table, select=select, predicates=predicates)
         return {
-            layout: measure_scan(self.table(table, layout), scan, config)
+            layout: self.estimate(table, select, predicates, layout, config)
             for layout in self.layouts
         }

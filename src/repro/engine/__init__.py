@@ -17,13 +17,13 @@ from repro.engine.governance import (
     QueryContext,
     SupervisionPolicy,
 )
-from repro.engine.plan import aggregate_plan, scan_plan
+from repro.engine.plan import aggregate_plan, build_plan, scan_plan
 from repro.engine.predicate import (
     ComparisonOp,
     Predicate,
     predicate_for_selectivity,
 )
-from repro.engine.query import AggregateSpec, ScanQuery
+from repro.engine.query import AggregateSpec, JoinSide, Query, ScanQuery
 from repro.engine.scheduler import (
     QueryHandle,
     QueryState,
@@ -51,6 +51,9 @@ __all__ = [
     "predicate_for_selectivity",
     "ScanQuery",
     "AggregateSpec",
+    "Query",
+    "JoinSide",
+    "build_plan",
     "scan_plan",
     "aggregate_plan",
     "execute_plan",

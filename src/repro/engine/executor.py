@@ -11,8 +11,8 @@ from repro.cpusim.events import CostEvents
 from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
-from repro.engine.plan import ColumnScannerKind, scan_plan
-from repro.engine.query import ScanQuery
+from repro.engine.plan import ColumnScannerKind, build_plan
+from repro.engine.query import Query, ScanQuery
 from repro.obs import metrics as obs_metrics
 from repro.storage.scrub import CorruptionReport
 from repro.storage.table import Table
@@ -72,13 +72,15 @@ def execute_plan(plan: Operator) -> QueryResult:
 
 def run_scan(
     table: Table,
-    query: ScanQuery,
+    query: ScanQuery | Query,
     context: ExecutionContext | None = None,
     column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
     salvage: bool = False,
 ) -> QueryResult:
-    """Plan and execute one scan query against a table.
+    """The serial executor: plan one query against a table and drain it.
 
+    ``query`` is a scan or a whole :class:`~repro.engine.query.Query`
+    (aggregate, sort, limit, top-N, merge join above the scan).
     With ``salvage=True`` the scan degrades instead of aborting on
     corrupt pages: their rows are skipped consistently across scan
     nodes and tallied in :attr:`QueryResult.corruption`.
@@ -86,7 +88,7 @@ def run_scan(
     context = context or ExecutionContext()
     if salvage:
         context.strict_integrity = False
-    plan = scan_plan(context, table, query, column_scanner)
+    plan = build_plan(context, table, query, column_scanner)
     if not obs_metrics.enabled():
         return execute_plan(plan)
     started = time.perf_counter()

@@ -93,14 +93,8 @@ from repro.engine.operators.gather import (
     MergeSortedRuns,
 )
 from repro.engine.operators.limit import Limit, TopN
-from repro.engine.operators.sort import SortOperator
-from repro.engine.plan import (
-    ColumnScannerKind,
-    aggregate_plan,
-    decompose_aggregate,
-    scan_plan,
-)
-from repro.engine.query import AggregateSpec, ScanQuery
+from repro.engine.plan import ColumnScannerKind, build_plan, decompose_aggregate
+from repro.engine.query import AggregateSpec, Query, ScanQuery
 from repro.errors import PlanError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
@@ -141,7 +135,7 @@ class WorkerTask:
 
     index: int
     table: Table | None          #: ``None``: the worker's resident copy
-    query: ScanQuery
+    query: Query                 #: the whole request, shape included
     row_range: tuple[int, int] | None
     position_offset: int
     column_scanner: ColumnScannerKind
@@ -150,11 +144,6 @@ class WorkerTask:
     compressed_execution: bool
     strict_integrity: bool
     trace: bool
-    aggregate: AggregateSpec | None = None
-    sort_based: bool = False
-    order_by: tuple[str, ...] = ()
-    limit: int | None = None
-    topn: tuple[str, int, bool] | None = None
     crash: bool = False          #: test hook: raise instead of executing
     # --- governance (see repro.engine.governance) ----------------------
     deadline: float | None = None     #: absolute ``time.monotonic()`` s
@@ -252,38 +241,26 @@ def _execute_task(
         tracer=tracer,
         governance=governance,
     )
-    if task.aggregate is not None:
-        partial_results = [
-            execute_plan(
-                aggregate_plan(
-                    context,
-                    table,
-                    task.query,
-                    partial_spec,
-                    sort_based=task.sort_based,
-                    column_scanner=task.column_scanner,
-                    row_range=task.row_range,
-                )
-            )
-            for partial_spec in decompose_aggregate(task.aggregate)
+
+    def run(query: Query) -> QueryResult:
+        return execute_plan(
+            build_plan(context, table, query, task.column_scanner, task.row_range)
+        )
+
+    if task.query.aggregate is not None:
+        # One plan per decomposed partial (AVG is SUM + COUNT) over the
+        # same partition; their columns share the group-by key.
+        partials = [
+            run(replace(task.query, aggregate=spec))
+            for spec in decompose_aggregate(task.query.aggregate)
         ]
-        columns = dict(partial_results[0].columns)
-        for extra in partial_results[1:]:
+        columns = dict(partials[0].columns)
+        for extra in partials[1:]:
             for name, values in extra.columns.items():
                 columns.setdefault(name, values)
-        positions = partial_results[0].positions
+        positions = partials[0].positions
     else:
-        plan: Operator = scan_plan(
-            context, table, task.query, task.column_scanner, row_range=task.row_range
-        )
-        for key in reversed(task.order_by):
-            plan = SortOperator(context, plan, key=key)
-        if task.topn is not None:
-            key, count, descending = task.topn
-            plan = TopN(context, plan, key=key, count=count, descending=descending)
-        elif task.limit is not None:
-            plan = Limit(context, plan, task.limit)
-        result = execute_plan(plan)
+        result = run(task.query)
         columns = result.columns
         positions = result.positions
         if task.position_offset:
@@ -668,17 +645,16 @@ def _merge_accounting(context: ExecutionContext, outputs: list[WorkerOutput]) ->
 def _merge_plan(
     context: ExecutionContext,
     outputs: list[WorkerOutput],
-    aggregate: AggregateSpec | None,
-    order_by: tuple[str, ...],
-    limit: int | None,
-    topn: tuple[str, int, bool] | None,
+    query: Query,
     notes: list[str] | None = None,
 ) -> tuple[Operator, Operator]:
     """The parent-side merge plan; returns ``(plan root, gather anchor)``.
 
-    The anchor is the node worker span trees are attached under.
-    Supervision ``notes`` are folded into the gather node's detail so
-    EXPLAIN ANALYZE shows *why* a query degraded.
+    Not the serial tree of :func:`~repro.engine.plan.build_plan` but
+    its reassembly: the final operator again, over the partitions'
+    already-shaped outputs.  The anchor is the node worker span trees
+    are attached under.  Supervision ``notes`` are folded into the
+    gather node's detail so EXPLAIN ANALYZE shows *why* a query degraded.
     """
     blocks = [
         Block(columns=out.columns, positions=out.positions) for out in outputs
@@ -686,17 +662,19 @@ def _merge_plan(
     detail = f"{len(blocks)} partition output(s)"
     if notes:
         detail += " | " + "; ".join(notes)
-    if aggregate is not None:
+    if query.aggregate is not None:
         gather = GatherOperator(context, blocks, detail=detail)
-        return MergePartials(context, gather, aggregate), gather
-    if order_by:
-        merge: Operator = MergeSortedRuns(context, blocks, order_by, detail=detail)
+        return MergePartials(context, gather, query.aggregate), gather
+    if query.order_by:
+        merge: Operator = MergeSortedRuns(
+            context, blocks, query.order_by, detail=detail
+        )
         anchor = merge
-        if limit is not None:
-            merge = Limit(context, merge, limit)
+        if query.limit is not None:
+            merge = Limit(context, merge, query.limit)
         return merge, anchor
-    if topn is not None:
-        key, count, descending = topn
+    if query.topn is not None:
+        key, count, descending = query.topn
         merged = concat_blocks([block for block in blocks if len(block)] or blocks)
         # Candidates arrive in per-worker key order; re-ordering by
         # global position makes the parent's stable tie-breaking see
@@ -709,8 +687,8 @@ def _merge_plan(
         gather = GatherOperator(context, [candidates], detail=detail)
         return TopN(context, gather, key=key, count=count, descending=descending), gather
     gather = GatherOperator(context, blocks, detail=detail)
-    if limit is not None:
-        return Limit(context, gather, limit), gather
+    if query.limit is not None:
+        return Limit(context, gather, query.limit), gather
     return gather, gather
 
 
@@ -719,7 +697,7 @@ def _merge_plan(
 
 def parallel_query(
     table: Table | PartitionedTable,
-    query: ScanQuery,
+    query: ScanQuery | Query,
     *,
     workers: int = 2,
     partitions: int | None = None,
@@ -731,7 +709,6 @@ def parallel_query(
     order_by: tuple[str, ...] = (),
     limit: int | None = None,
     topn: tuple[str, int, bool] | None = None,
-    share: str = "auto",
     policy: SupervisionPolicy | None = None,
     breaker: CircuitBreaker | None = None,
     inject_crash: int | None = None,
@@ -748,21 +725,22 @@ def parallel_query(
     partition-and-merge machinery in-process, which keeps the merge
     path — and its cost accounting — testable without a pool.
 
-    Exactly one result shape may be requested: a plain selection,
-    ``aggregate``, ``order_by`` (optionally with ``limit``), plain
-    ``limit``, or ``topn``.  Non-decomposable shapes raise
-    :class:`~repro.errors.PlanError`; callers (``Database.query``)
-    fall back to the serial engine instead.
+    ``query`` is a whole :class:`~repro.engine.query.Query`, or a
+    :class:`~repro.engine.query.ScanQuery` whose result shape comes as
+    keywords — ``aggregate`` (+ ``sort_based``), ``order_by``
+    (optionally with ``limit``), plain ``limit``, or ``topn``; the
+    combinations are checked by ``Query`` itself.  A merge join is not
+    decomposable across partitions and raises
+    :class:`~repro.errors.PlanError`: it runs on the serial executor
+    (:func:`~repro.engine.executor.run_scan`).
 
     Workers keep tables resident: a new worker is forked holding the
     table, a running one that lacks it is sent it once over its pipe.
-    ``share`` (``"auto"``, ``"pickle"``, ``"fork"``) is validated and
-    kept for callers; all three name this one transport.  ``info``,
-    when given a dict, is filled with execution diagnostics (``mode``,
-    ``partitions``, ``workers``, ``fallback_reason``, ``governance``
-    notes, ``dispatch_ms`` from submit to the last output, and
-    ``tables_shipped`` — copies piped to running workers, 0 when all
-    held the table).
+    ``info``, when given a dict, is filled with execution diagnostics
+    (``mode``, ``partitions``, ``workers``, ``fallback_reason``,
+    ``governance`` notes, ``dispatch_ms`` from submit to the last
+    output, and ``tables_shipped`` — copies piped to running workers, 0
+    when all held the table).
 
     When ``context.governance`` is set, its deadline is enforced inside
     every worker (shared monotonic clock under fork), its memory budget
@@ -777,18 +755,15 @@ def parallel_query(
     """
     if workers < 1:
         raise PlanError(f"worker count must be positive: {workers}")
-    if share not in ("auto", "pickle", "fork"):
-        raise PlanError(f"unknown share mode: {share!r}")
-    shapes = sum(
-        [aggregate is not None, bool(order_by), topn is not None]
-    )
-    if shapes > 1:
+    if isinstance(query, ScanQuery):
+        query = Query(query, aggregate, sort_based, order_by, limit, topn)
+    elif aggregate is not None or sort_based or order_by or limit is not None or topn:
+        raise PlanError("pass the result shape in the Query or as keywords, not both")
+    if query.join is not None:
         raise PlanError(
-            "parallel query supports one result shape at a time "
-            "(aggregate | order_by | topn)"
+            "a merge join is not decomposable across partitions; "
+            "run it on the serial executor"
         )
-    if limit is not None and (aggregate is not None or topn is not None):
-        raise PlanError("parallel limit composes only with plain or sorted scans")
 
     context = context or ExecutionContext()
     if salvage:
@@ -816,7 +791,7 @@ def parallel_query(
         schema_table = table
         if token is not None:
             preload[token] = table
-    query.validate_against(schema_table.schema)
+    query.scan.validate_against(schema_table.schema)
     # Only supervised queries (governance, a breaker, or injected worker
     # faults) pay for a worker-side context that beats.
     supervised = any(
@@ -841,11 +816,6 @@ def parallel_query(
             compressed_execution=context.compressed_execution,
             strict_integrity=context.strict_integrity,
             trace=trace,
-            aggregate=aggregate,
-            sort_based=sort_based,
-            order_by=order_by,
-            limit=limit,
-            topn=topn,
             deadline=governance.deadline if governance else None,
             memory_budget=budget_share,
             heartbeat=supervised,
@@ -908,9 +878,7 @@ def parallel_query(
         for event in notes:
             governance.note(event)
 
-    plan, anchor = _merge_plan(
-        context, outputs, aggregate, order_by, limit, topn, notes=notes
-    )
+    plan, anchor = _merge_plan(context, outputs, query, notes=notes)
     result = execute_plan(plan)
 
     if trace:

@@ -1,9 +1,9 @@
 """Plan builders: query specs → operator trees.
 
 The paper uses precompiled plans with an identical operator layer above
-the scanners; these builders are that precompilation step.  The same
-:class:`~repro.engine.query.ScanQuery` yields interchangeable plans for
-row and column tables.
+the scanners; :func:`build_plan` is that precompilation step.  The same
+:class:`~repro.engine.query.Query` yields interchangeable plans for
+row, PAX and column tables.
 """
 
 from __future__ import annotations
@@ -13,13 +13,20 @@ import enum
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.aggregate import HashAggregate, SortAggregate
 from repro.engine.operators.base import Operator
+from repro.engine.operators.limit import Limit, TopN
 from repro.engine.operators.merge_join import MergeJoin
 from repro.engine.operators.scan_column import ColumnScanner
 from repro.engine.operators.scan_fused import FusedColumnScanner
 from repro.engine.operators.scan_pax import PaxScanner
 from repro.engine.operators.scan_row import RowScanner
 from repro.engine.operators.sort import SortOperator
-from repro.engine.query import AggregateFunction, AggregateSpec, ScanQuery
+from repro.engine.query import (
+    AggregateFunction,
+    AggregateSpec,
+    JoinSide,
+    Query,
+    ScanQuery,
+)
 from repro.errors import PlanError
 from repro.storage.table import ColumnTable, PaxTable, RowTable, Table
 
@@ -65,6 +72,66 @@ def scan_plan(
     raise PlanError(f"unsupported table type: {type(table).__name__}")
 
 
+def build_plan(
+    context: ExecutionContext,
+    table: Table,
+    query: ScanQuery | Query,
+    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
+    row_range: tuple[int, int] | None = None,
+) -> Operator:
+    """The operator tree for ``query`` over ``table``.
+
+    The one place operators are stacked over a scan: the serial
+    executor drains this tree, the parallel executor builds it per
+    partition (``row_range``), and :func:`aggregate_plan` /
+    :func:`merge_join_plan` are its keyword forms.
+    """
+    if isinstance(query, ScanQuery):
+        return scan_plan(context, table, query, column_scanner, row_range)
+    if query.join is not None:
+        side = query.join
+        if side.left_key not in side.scan.select:
+            raise PlanError(f"left scan must select the join key {side.left_key!r}")
+        if side.right_key not in query.scan.select:
+            raise PlanError(f"right scan must select the join key {side.right_key!r}")
+        left = scan_plan(context, side.table, side.scan, column_scanner)
+        right = scan_plan(context, table, query.scan, column_scanner, row_range)
+        return MergeJoin(context, left, right, side.left_key, side.right_key)
+    spec = query.aggregate
+    if spec is not None:
+        needed = set(spec.group_by)
+        if spec.argument is not None:
+            needed.add(spec.argument)
+        missing = needed - set(query.scan.select)
+        if missing:
+            raise PlanError(
+                "aggregate needs attributes not selected by the scan: "
+                f"{sorted(missing)}"
+            )
+        if query.sort_based and not spec.group_by:
+            raise PlanError("sort-based aggregation requires a group-by key")
+    plan = scan_plan(context, table, query.scan, column_scanner, row_range)
+    # Chain stable sorts from the least-significant key outward: stable
+    # sorts compose, so the output is ordered lexicographically on the
+    # full key — and SortAggregate's run detection (which splits on
+    # *all* group-by keys) sees each group as one contiguous run.
+    sort_keys = query.order_by
+    if spec is not None and query.sort_based:
+        sort_keys = spec.group_by
+    for key in reversed(sort_keys):
+        plan = SortOperator(context, plan, key=key)
+    if spec is not None:
+        if query.sort_based:
+            return SortAggregate(context, plan, spec)
+        return HashAggregate(context, plan, spec)
+    if query.topn is not None:
+        key, count, descending = query.topn
+        return TopN(context, plan, key=key, count=count, descending=descending)
+    if query.limit is not None:
+        return Limit(context, plan, query.limit)
+    return plan
+
+
 def aggregate_plan(
     context: ExecutionContext,
     table: Table,
@@ -75,28 +142,8 @@ def aggregate_plan(
     row_range: tuple[int, int] | None = None,
 ) -> Operator:
     """Aggregation over a scan; optionally sort-based (adds a sort)."""
-    needed = set(spec.group_by)
-    if spec.argument is not None:
-        needed.add(spec.argument)
-    missing = needed - set(query.select)
-    if missing:
-        raise PlanError(
-            f"aggregate needs attributes not selected by the scan: {sorted(missing)}"
-        )
-    scan = scan_plan(context, table, query, column_scanner, row_range=row_range)
-    if sort_based:
-        if not spec.group_by:
-            raise PlanError("sort-based aggregation requires a group-by key")
-        # Chain stable sorts from the least-significant key outward:
-        # stable sorts compose, so the final output is ordered
-        # lexicographically on the full group-by key and SortAggregate's
-        # run detection (which splits on *all* keys) sees each group as
-        # one contiguous run.
-        child: Operator = scan
-        for key in reversed(spec.group_by):
-            child = SortOperator(context, child, key=key)
-        return SortAggregate(context, child, spec)
-    return HashAggregate(context, scan, spec)
+    request = Query(query, aggregate=spec, sort_based=sort_based)
+    return build_plan(context, table, request, column_scanner, row_range)
 
 
 def decompose_aggregate(spec: AggregateSpec) -> tuple[AggregateSpec, ...]:
@@ -129,10 +176,6 @@ def merge_join_plan(
     column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
 ) -> Operator:
     """Scan both tables and merge-join them on sorted keys."""
-    if left_key not in left_query.select:
-        raise PlanError(f"left scan must select the join key {left_key!r}")
-    if right_key not in right_query.select:
-        raise PlanError(f"right scan must select the join key {right_key!r}")
-    left = scan_plan(context, left_table, left_query, column_scanner)
-    right = scan_plan(context, right_table, right_query, column_scanner)
-    return MergeJoin(context, left, right, left_key, right_key)
+    side = JoinSide(left_table, left_query, left_key, right_key)
+    request = Query(right_query, join=side)
+    return build_plan(context, right_table, request, column_scanner)

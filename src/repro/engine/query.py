@@ -5,19 +5,26 @@ The experiments all instantiate one template::
     select A1, A2 ... from TABLE
     where predicate(A1) yields a chosen selectivity
 
-plus optional aggregation on top.  :class:`ScanQuery` captures the
-template; the plan builders in :mod:`repro.engine.plan` turn it into an
-operator tree for either layout.
+plus an optional result shape on top.  :class:`ScanQuery` captures the
+template and :class:`Query` the whole request — the scan plus at most
+one of aggregate / order-by / top-N, a limit, or a merge-join left
+side; :func:`repro.engine.plan.build_plan` turns either into an
+operator tree for any layout, and every executor (serial drain,
+partition-and-merge, time-slice) runs that one value.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.types.schema import TableSchema
+
+if TYPE_CHECKING:
+    from repro.storage.table import Table
 
 
 @dataclass(frozen=True)
@@ -100,3 +107,55 @@ class AggregateSpec:
         if self.function is AggregateFunction.COUNT:
             return "count"
         return f"{self.function.value}_{self.argument}"
+
+
+@dataclass(frozen=True)
+class JoinSide:
+    """The left input of a merge join and the key pair joining it."""
+
+    table: Table
+    scan: ScanQuery
+    left_key: str
+    right_key: str
+
+
+@dataclass(frozen=True)
+class Query:
+    """One whole request: a scan and the result shape stacked on it.
+
+    At most one of ``aggregate`` (hash, or sort-based with
+    ``sort_based``), ``order_by`` and ``topn`` (``(key, count,
+    descending)``); ``limit`` composes with a plain or sorted scan;
+    ``join`` makes ``scan`` the right input of a merge join and takes
+    no other shape.  The value is what every executor is handed, so
+    the combinations are checked here, once.
+    """
+
+    scan: ScanQuery
+    aggregate: AggregateSpec | None = None
+    sort_based: bool = False
+    order_by: tuple[str, ...] = ()
+    limit: int | None = None
+    topn: tuple[str, int, bool] | None = None
+    join: JoinSide | None = None
+
+    def __post_init__(self) -> None:
+        shapes = sum(
+            [self.aggregate is not None, bool(self.order_by), self.topn is not None]
+        )
+        if shapes > 1:
+            raise PlanError(
+                "a query has one result shape at a time "
+                "(aggregate | order_by | topn)"
+            )
+        if self.limit is not None and (
+            self.aggregate is not None or self.topn is not None
+        ):
+            raise PlanError("limit composes only with plain or sorted scans")
+        if self.join is not None and (shapes or self.limit is not None):
+            raise PlanError("a merge join takes no other result shape")
+
+    @property
+    def plain(self) -> bool:
+        """True when the request is just its scan."""
+        return self == Query(self.scan)

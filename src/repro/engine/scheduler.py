@@ -54,7 +54,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult
 from repro.engine.governance import CancellationToken, QueryContext
 from repro.engine.plan import ColumnScannerKind, scan_plan
-from repro.engine.query import ScanQuery
+from repro.engine.query import Query, ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer
 from repro.errors import EngineError, PlanError, ReproError
 from repro.obs import metrics as obs_metrics
@@ -194,8 +194,9 @@ class Scheduler:
     which is what makes every scheduled execution byte-reproducible and
     lets the equivalence suite diff each query against its serial
     oracle run.  Only plain scan queries (projection + conjunctive
-    predicates) are schedulable; plans with materializing operators go
-    through :meth:`repro.database.Database.query` as before.
+    predicates) are schedulable; a :class:`~repro.engine.query.Query`
+    with materializing operators runs on the serial or the parallel
+    executor.
     """
 
     def __init__(
@@ -230,7 +231,7 @@ class Scheduler:
     def submit(
         self,
         table: Table,
-        query: ScanQuery,
+        query: ScanQuery | Query,
         timeout: float | None = None,
         memory_budget: int | None = None,
         cancellation: CancellationToken | None = None,
@@ -251,8 +252,17 @@ class Scheduler:
         result before it lands on the handle — the hybrid write path
         passes the overlay's ``apply`` here, snapshotted at submit
         time, so a scheduled query sees the table as of its submission
-        even if writes land while it waits or runs.
+        even if writes land while it waits or runs.  A shaped
+        :class:`~repro.engine.query.Query` raises
+        :class:`~repro.errors.PlanError` here, not mid-slice.
         """
+        if isinstance(query, Query):
+            if not query.plain:
+                raise PlanError(
+                    "only plain scans are schedulable; run a shaped Query "
+                    "on the serial or the parallel executor"
+                )
+            query = query.scan
         governance = QueryContext.start(
             timeout=timeout,
             memory_budget=memory_budget,

@@ -9,10 +9,10 @@ and watches the column-over-row speedup converge toward 1.
 
 from __future__ import annotations
 
-from repro.engine.query import AggregateFunction, AggregateSpec, ScanQuery
+from repro.engine.query import AggregateFunction, AggregateSpec, Query, ScanQuery
 from repro.experiments.config import DEFAULT_EXECUTED_ROWS, ExperimentConfig
 from repro.experiments.report import ExperimentOutput, FigureResult
-from repro.experiments.runner import measure_aggregate, measure_scan
+from repro.experiments.runner import measure_scan
 from repro.experiments.workloads import prepare_orders
 
 SELECTIVITY = 0.50
@@ -72,16 +72,9 @@ def run(
     )
     series: dict[str, list[float]] = {"speedup": [], "row_cpu": [], "col_cpu": []}
     for label, spec, sort_based in _STACKS:
-        if spec is None:
-            row = measure_scan(prepared.row, query, config_one_disk)
-            col = measure_scan(prepared.column, query, config_one_disk)
-        else:
-            row = measure_aggregate(
-                prepared.row, query, spec, config_one_disk, sort_based=sort_based
-            )
-            col = measure_aggregate(
-                prepared.column, query, spec, config_one_disk, sort_based=sort_based
-            )
+        stacked = Query(query, aggregate=spec, sort_based=sort_based)
+        row = measure_scan(prepared.row, stacked, config_one_disk)
+        col = measure_scan(prepared.column, stacked, config_one_disk)
         speedup = row.elapsed / col.elapsed
         table.add_row(
             label,

@@ -23,7 +23,7 @@ from repro.cpusim.events import CostEvents
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult, run_scan
 from repro.engine.plan import ColumnScannerKind
-from repro.engine.query import ScanQuery
+from repro.engine.query import JoinSide, Query, ScanQuery
 from repro.errors import SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.iosim.request import FileExtent
@@ -129,8 +129,6 @@ def measure_join(
     files through one stream, so the join's disk rate follows the
     paper's weighted-file-rate equation (eq. 2).
     """
-    from repro.engine.plan import merge_join_plan
-
     config = config or ExperimentConfig()
     if left_table.num_rows <= 0 or right_table.num_rows <= 0:
         raise SimulationError("cannot measure a join over empty tables")
@@ -138,19 +136,10 @@ def measure_join(
     context = ExecutionContext(
         calibration=config.calibration, block_size=config.block_size
     )
-    plan = merge_join_plan(
-        context,
-        left_table,
-        left_query,
-        right_table,
-        right_query,
-        left_key=left_key,
-        right_key=right_key,
-        column_scanner=column_scanner,
+    join = JoinSide(left_table, left_query, left_key, right_key)
+    result = run_scan(
+        right_table, Query(right_query, join=join), context, column_scanner
     )
-    from repro.engine.executor import execute_plan
-
-    result = execute_plan(plan)
 
     left_cardinality = config.cardinality
     ratio = right_table.num_rows / left_table.num_rows
@@ -194,66 +183,6 @@ def measure_join(
         result_tuples=result.num_tuples,
         left_cardinality=left_cardinality,
         right_cardinality=right_cardinality,
-    )
-
-
-def measure_aggregate(
-    table: Table,
-    query: ScanQuery,
-    spec,
-    config: ExperimentConfig | None = None,
-    sort_based: bool = False,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-) -> ScanMeasurement:
-    """Measure an aggregation over a scan (same pipeline as a scan).
-
-    The aggregate's accumulator updates, group probes, and (for the
-    sort-based variant) sort comparisons all land in the CPU events, so
-    this is how the §5 claim about high-cost operators above the scan
-    is checked.
-    """
-    from repro.engine.executor import execute_plan
-    from repro.engine.plan import aggregate_plan
-
-    config = config or ExperimentConfig()
-    if table.num_rows <= 0:
-        raise SimulationError("cannot measure an aggregate over an empty table")
-    context = ExecutionContext(
-        calibration=config.calibration, block_size=config.block_size
-    )
-    plan = aggregate_plan(
-        context, table, query, spec, sort_based=sort_based,
-        column_scanner=column_scanner,
-    )
-    result = execute_plan(plan)
-    scale = config.cardinality / table.num_rows
-    events = context.events.scaled(scale)
-
-    sim = DiskArraySim(config.calibration)
-    victim = ScanStream(
-        name=_VICTIM,
-        files=_scan_files(table, query, config),
-        unit_bytes=sim.unit_bytes,
-        prefetch_depth=config.effective_prefetch_depth,
-        policy=_scan_policy(table, config),
-    )
-    stats = sim.run([victim])[_VICTIM]
-    events.bytes_read = stats.bytes_read
-    events.io_requests = stats.units
-    events.stream_switches = stats.switches
-    cpu = CpuModel(config.calibration).breakdown(events)
-    return ScanMeasurement(
-        layout=table.layout,
-        selected_attributes=len(query.select),
-        selected_bytes=query.selected_width(table.schema),
-        bytes_read=stats.bytes_read,
-        io_elapsed=stats.elapsed,
-        io_stats=stats,
-        cpu=cpu,
-        events=events,
-        result_tuples=result.num_tuples,
-        executed_rows=table.num_rows,
-        cardinality=config.cardinality,
     )
 
 
@@ -368,11 +297,18 @@ def measure_parallel_scan(
 
 def measure_scan(
     table: Table,
-    query: ScanQuery,
+    query: ScanQuery | Query,
     config: ExperimentConfig | None = None,
     column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
 ) -> ScanMeasurement:
-    """Measure one scan query under one configuration."""
+    """Measure one query under one configuration.
+
+    A :class:`~repro.engine.query.Query` carries operators above the
+    scan: their accumulator updates, group probes and sort comparisons
+    land in the CPU events, which is how the §5 claim about high-cost
+    operators is checked.  The disks serve the same scan either way.
+    """
+    scan = query.scan if isinstance(query, Query) else query
     config = config or ExperimentConfig()
     if table.num_rows <= 0:
         raise SimulationError("cannot measure a scan over an empty table")
@@ -390,7 +326,7 @@ def measure_scan(
     depth = config.effective_prefetch_depth
     victim = ScanStream(
         name=_VICTIM,
-        files=_scan_files(table, query, config),
+        files=_scan_files(table, scan, config),
         unit_bytes=sim.unit_bytes,
         prefetch_depth=depth,
         policy=_scan_policy(table, config),
@@ -416,8 +352,8 @@ def measure_scan(
 
     return ScanMeasurement(
         layout=table.layout,
-        selected_attributes=len(query.select),
-        selected_bytes=query.selected_width(table.schema),
+        selected_attributes=len(scan.select),
+        selected_bytes=scan.selected_width(table.schema),
         bytes_read=stats.bytes_read,
         io_elapsed=stats.elapsed,
         io_stats=stats,

@@ -34,16 +34,20 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, execute_plan
+from repro.engine.executor import QueryResult
 from repro.engine.governance import QueryContext, SupervisionPolicy
-from repro.engine.operators.limit import Limit, TopN
-from repro.engine.plan import aggregate_plan, scan_plan
 from repro.errors import GovernanceError, ReproError
 from repro.obs import recorder as flight
 from repro.storage.pagefile import PagedFile
 from repro.storage.table import ColumnTable, Table
 from repro.testing.genquery import GeneratedCase, generate_case
-from repro.testing.harness import CONFIGS, ScanConfig, _load, _oracle_expected, compare_result
+from repro.testing.harness import (
+    CONFIGS,
+    _load,
+    _oracle_expected,
+    compare_result,
+    run_generated,
+)
 
 __all__ = [
     "ChaosCase",
@@ -261,73 +265,6 @@ def _chaos_hook(chaos: ChaosCase):
     return hook
 
 
-def _run_serial(
-    chaos: ChaosCase, config: ScanConfig, context: ExecutionContext
-) -> QueryResult:
-    case = chaos.case
-    table = _load(case, case.query.table, config.layout)
-    if chaos.slow_decode_s:
-        slow_down_table(table, chaos.slow_decode_s)
-    if case.kind == "aggregate":
-        plan = aggregate_plan(
-            context,
-            table,
-            case.query,
-            case.aggregate,
-            sort_based=case.sort_based,
-            column_scanner=config.column_scanner,
-        )
-        return execute_plan(plan)
-    scan = scan_plan(context, table, case.query, config.column_scanner)
-    if case.kind == "limit":
-        return execute_plan(Limit(context, scan, case.limit_count))
-    if case.kind == "topn":
-        return execute_plan(
-            TopN(
-                context,
-                scan,
-                key=case.topn_key,
-                count=case.topn_count,
-                descending=case.topn_descending,
-            )
-        )
-    return execute_plan(scan)
-
-
-def _run_parallel(
-    chaos: ChaosCase, config: ScanConfig, context: ExecutionContext
-) -> QueryResult:
-    from repro.engine.parallel import parallel_query
-
-    case = chaos.case
-    table = _load(case, case.query.table, config.layout)
-    kwargs: dict = {}
-    if case.kind == "aggregate":
-        kwargs["aggregate"] = case.aggregate
-        kwargs["sort_based"] = case.sort_based
-    elif case.kind == "limit":
-        kwargs["limit"] = case.limit_count
-    elif case.kind == "topn":
-        kwargs["topn"] = (case.topn_key, case.topn_count, case.topn_descending)
-    policy = SupervisionPolicy(
-        heartbeat_interval=0.03,
-        stall_timeout=chaos.stall_timeout,
-        poll_interval=0.02,
-    )
-    return parallel_query(
-        table,
-        case.query,
-        workers=case.workers,
-        partitions=case.num_partitions,
-        context=context,
-        column_scanner=config.column_scanner,
-        policy=policy,
-        inject_kill=chaos.inject_kill,
-        inject_stall=chaos.inject_stall,
-        **kwargs,
-    )
-
-
 def allowed_seconds(chaos: ChaosCase) -> float:
     """The wall bound the invariant holds the case to (deadline x slack).
 
@@ -393,13 +330,27 @@ def run_chaos_case(chaos: ChaosCase) -> ChaosOutcome:
     context = ExecutionContext()
     context.governance = governance
 
+    case = chaos.case
+    supervision = {}
+    if chaos.mode == "parallel":
+        supervision = dict(
+            policy=SupervisionPolicy(
+                heartbeat_interval=0.03,
+                stall_timeout=chaos.stall_timeout,
+                poll_interval=0.02,
+            ),
+            inject_kill=chaos.inject_kill,
+            inject_stall=chaos.inject_stall,
+        )
     result: QueryResult | None = None
     started = time.monotonic()
     try:
-        if chaos.mode == "parallel":
-            result = _run_parallel(chaos, config, context)
-        else:
-            result = _run_serial(chaos, config, context)
+        table = _load(case, case.query.table, config.layout)
+        if chaos.slow_decode_s:
+            slow_down_table(table, chaos.slow_decode_s)
+        result = run_generated(
+            case, config, table, context, case.workers, **supervision
+        )
     except GovernanceError as exc:
         outcome.raised = type(exc).__name__
         _dump_chaos_blackbox(chaos, exc, governance)

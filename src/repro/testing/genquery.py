@@ -24,7 +24,13 @@ from repro.compression.base import CodecKind, CodecSpec
 from repro.compression.registry import build_codec_for_values
 from repro.data.generator import GeneratedTable
 from repro.engine.predicate import ComparisonOp, Predicate
-from repro.engine.query import AggregateFunction, AggregateSpec, ScanQuery
+from repro.engine.query import (
+    AggregateFunction,
+    AggregateSpec,
+    JoinSide,
+    Query,
+    ScanQuery,
+)
 from repro.types.datatypes import FixedTextType, IntType
 from repro.types.schema import Attribute, TableSchema
 
@@ -104,6 +110,32 @@ class GeneratedCase:
     write_ops: list = field(default_factory=list)
     #: Scheduler shared-scan toggle for the write-case scheduler leg.
     sharing: bool = False
+
+    def request(self, left_table=None) -> Query:
+        """The case's query as the one value every executor takes.
+
+        ``left_table`` is the loaded left input of a join case (the
+        case holds plain data; its harness loads it per layout).
+        """
+        join = None
+        if self.join_left_query is not None:
+            join = JoinSide(
+                left_table,
+                self.join_left_query,
+                self.join_left_key,
+                self.join_right_key,
+            )
+        topn = None
+        if self.topn_key is not None:
+            topn = (self.topn_key, self.topn_count, self.topn_descending)
+        return Query(
+            self.query,
+            aggregate=self.aggregate,
+            sort_based=self.sort_based,
+            limit=self.limit_count,
+            topn=topn,
+            join=join,
+        )
 
     def describe(self) -> str:
         """One replayable human-readable summary."""

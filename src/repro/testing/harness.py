@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,17 +36,12 @@ import numpy as np
 from repro.compression.base import CodecKind, CodecSpec
 from repro.data.generator import GeneratedTable
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, execute_plan
+from repro.engine.executor import QueryResult, run_scan
 from repro.engine.governance import QueryContext
-from repro.engine.operators.limit import Limit, TopN
-from repro.engine.plan import (
-    ColumnScannerKind,
-    aggregate_plan,
-    merge_join_plan,
-    scan_plan,
-)
+from repro.engine.parallel import parallel_query
+from repro.engine.plan import ColumnScannerKind
 from repro.engine.predicate import ComparisonOp, Predicate
-from repro.engine.query import AggregateFunction, ScanQuery
+from repro.engine.query import AggregateFunction, Query, ScanQuery
 from repro.errors import GovernanceError
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -205,71 +201,35 @@ def _case_context(case: GeneratedCase) -> ExecutionContext:
     return context
 
 
-def _run_engine(case: GeneratedCase, config: ScanConfig) -> QueryResult:
-    context = _case_context(case)
-    if case.kind == "join":
+def run_generated(
+    case: GeneratedCase,
+    config: ScanConfig,
+    table: Table,
+    context: ExecutionContext,
+    workers: int = 1,
+    **supervision,
+) -> QueryResult:
+    """The case's query over ``table``, its primary table loaded for ``config``.
+
+    ``workers > 1`` takes the partitioned executor (``supervision``:
+    its policy and fault hooks), anything else the serial one.  The
+    differential fuzzer and the chaos harness both run cases here.
+    """
+    left = None
+    if case.join_left_query is not None:
         left = _load(case, case.join_left_query.table, config.layout)
-        right = _load(case, case.query.table, config.layout)
-        plan = merge_join_plan(
-            context,
-            left,
-            case.join_left_query,
-            right,
-            case.query,
-            case.join_left_key,
-            case.join_right_key,
-            column_scanner=config.column_scanner,
-        )
-        return execute_plan(plan)
-    table = _load(case, case.query.table, config.layout)
-    if case.kind == "aggregate":
-        plan = aggregate_plan(
-            context,
+    query = case.request(left)
+    if workers > 1:
+        return parallel_query(
             table,
-            case.query,
-            case.aggregate,
-            sort_based=case.sort_based,
+            query,
+            workers=workers,
+            partitions=case.num_partitions,
+            context=context,
             column_scanner=config.column_scanner,
+            **supervision,
         )
-        return execute_plan(plan)
-    scan = scan_plan(context, table, case.query, config.column_scanner)
-    if case.kind == "limit":
-        return execute_plan(Limit(context, scan, case.limit_count))
-    if case.kind == "topn":
-        return execute_plan(
-            TopN(
-                context,
-                scan,
-                key=case.topn_key,
-                count=case.topn_count,
-                descending=case.topn_descending,
-            )
-        )
-    return execute_plan(scan)
-
-
-def _run_parallel(case: GeneratedCase, config: ScanConfig) -> QueryResult:
-    """The case's query through the partitioned parallel executor."""
-    from repro.engine.parallel import parallel_query
-
-    table = _load(case, case.query.table, config.layout)
-    kwargs: dict = {}
-    if case.kind == "aggregate":
-        kwargs["aggregate"] = case.aggregate
-        kwargs["sort_based"] = case.sort_based
-    elif case.kind == "limit":
-        kwargs["limit"] = case.limit_count
-    elif case.kind == "topn":
-        kwargs["topn"] = (case.topn_key, case.topn_count, case.topn_descending)
-    return parallel_query(
-        table,
-        case.query,
-        workers=case.workers,
-        partitions=case.num_partitions,
-        context=_case_context(case),
-        column_scanner=config.column_scanner,
-        **kwargs,
-    )
+    return run_scan(table, query, context, config.column_scanner)
 
 
 def _oracle_expected(case: GeneratedCase) -> OracleResult:
@@ -361,9 +321,8 @@ def compare_result(
 def _scan_positions(
     table: Table, query: ScanQuery, config: ScanConfig
 ) -> list[int]:
-    context = ExecutionContext()
-    plan = scan_plan(context, table, query, config.column_scanner)
-    return execute_plan(plan).positions.tolist()
+    result = run_scan(table, query, column_scanner=config.column_scanner)
+    return result.positions.tolist()
 
 
 def _split_predicate(case: GeneratedCase) -> Predicate | None:
@@ -447,23 +406,15 @@ def metamorphic_failures(case: GeneratedCase) -> list[str]:
             and case.aggregate.function is not AggregateFunction.AVG
         ):
             spec = case.aggregate
-            names = list(spec.group_by) + [
-                "count"
-                if spec.function is AggregateFunction.COUNT
-                else f"{spec.function.value}_{spec.argument}"
-            ]
+            names = [*spec.group_by, spec.output_name()]
 
             def _agg_rows(predicates: tuple[Predicate, ...]) -> list[tuple]:
-                context = ExecutionContext()
-                plan = aggregate_plan(
-                    context,
-                    table,
+                part = Query(
                     replace(query, predicates=predicates),
-                    spec,
+                    aggregate=spec,
                     sort_based=case.sort_based,
-                    column_scanner=config.column_scanner,
                 )
-                result = execute_plan(plan)
+                result = run_scan(table, part, column_scanner=config.column_scanner)
                 if result.num_tuples == 0:
                     return []
                 return _engine_rows(result, names)
@@ -495,6 +446,34 @@ def metamorphic_failures(case: GeneratedCase) -> list[str]:
                 f"({len(with_codecs)} vs {len(without)} rows)"
             )
     return failures
+
+
+# --- one differential leg ------------------------------------------------------
+
+
+def _check(
+    outcome: CaseOutcome,
+    case: GeneratedCase,
+    expected: OracleResult,
+    label: str,
+    run: Callable[[], QueryResult],
+    tolerate: type[Exception] | tuple = (),
+) -> bool:
+    """Count one check: ``run()`` must return the oracle's answer.
+
+    A crash is a finding like a wrong answer is; an exception in
+    ``tolerate`` passes.  Returns whether the leg held.
+    """
+    try:
+        error = compare_result(case, run(), expected)
+    except tolerate:
+        error = None
+    except Exception as exc:  # noqa: BLE001 - a crash is a finding
+        error = f"{type(exc).__name__}: {exc}"
+    outcome.checks += 1
+    if error:
+        outcome.failures.append(f"[{label}] {error}")
+    return not error
 
 
 # --- write cases ---------------------------------------------------------------
@@ -542,89 +521,48 @@ def _run_write_case(case: GeneratedCase) -> CaseOutcome:
     :class:`~repro.testing.writes.WriteModel` oracle byte-for-byte.
     """
     outcome = CaseOutcome(seed=case.seed)
-    expected = _write_expected(case)
+    check = partial(_check, outcome, case, _write_expected(case))
     name = case.query.table
+    scan = dict(select=case.query.select, predicates=case.query.predicates)
+    db = None
     for config in CONFIGS:
-        try:
-            db = _write_database(case, config)
-            result = db.query(
-                name,
-                select=case.query.select,
-                predicates=case.query.predicates,
-                column_scanner=config.column_scanner,
-            )
-            error = compare_result(case, result, expected)
-        except Exception as exc:  # noqa: BLE001 - a crash is a finding
-            error = f"{type(exc).__name__}: {exc}"
-        outcome.checks += 1
-        if error:
-            outcome.failures.append(f"[{config.name} hybrid] {error}")
-        outcome.coverage |= _case_coverage(case, config)
-        if outcome.failures:
-            return outcome
 
+        def hybrid():
+            nonlocal db  # the scheduler leg reads the same database
+            db = _write_database(case, config)
+            return db.query(name, column_scanner=config.column_scanner, **scan)
+
+        ok = check(f"{config.name} hybrid", hybrid)
+        outcome.coverage |= _case_coverage(case, config)
         # Scheduler leg: same snapshot through the cooperative
         # scheduler, shared circular scans per the case's toggle.
-        try:
-            handles = db.run_workload(
-                [
-                    dict(
-                        table=name,
-                        select=case.query.select,
-                        predicates=case.query.predicates,
-                    )
-                ],
-                share_scans=case.sharing,
-            )
-            handle = handles[0]
-            if handle.error is not None:
-                error = f"{type(handle.error).__name__}: {handle.error}"
-            else:
-                error = compare_result(case, handle.result, expected)
-        except Exception as exc:  # noqa: BLE001
-            error = f"{type(exc).__name__}: {exc}"
-        outcome.checks += 1
-        if error:
-            outcome.failures.append(
-                f"[{config.name} scheduler sharing={case.sharing}] {error}"
-            )
+        if not ok or not check(
+            f"{config.name} scheduler sharing={case.sharing}",
+            lambda: db.run_workload(
+                [dict(table=name, **scan)], share_scans=case.sharing
+            )[0].value(),
+        ):
             return outcome
 
     # Rebuilt-table leg: the crash-safe merge product (with refreshed
     # codecs) must answer identically to the still-hybrid store.
     config = CONFIGS[2]
-    try:
-        db = _write_database(case, config)
-        rebuilt = db.write_store(name).rebuild(db.table(name))
-        from repro.engine.executor import run_scan
 
-        error = compare_result(case, run_scan(rebuilt, case.query), expected)
-    except Exception as exc:  # noqa: BLE001
-        error = f"{type(exc).__name__}: {exc}"
-    outcome.checks += 1
-    if error:
-        outcome.failures.append(f"[column rebuilt] {error}")
+    def rebuilt():
+        db = _write_database(case, config)
+        return run_scan(db.write_store(name).rebuild(db.table(name)), case.query)
+
+    if not check("column rebuilt", rebuilt):
         return outcome
 
     # Parallel leg: partitioned scan of the base plus post-hoc overlay.
     if case.workers > 1:
-        try:
-            db = _write_database(case, config)
-            result = db.query(
-                name,
-                select=case.query.select,
-                predicates=case.query.predicates,
-                workers=case.workers,
-                partitions=case.num_partitions,
-            )
-            error = compare_result(case, result, expected)
-        except Exception as exc:  # noqa: BLE001
-            error = f"{type(exc).__name__}: {exc}"
-        outcome.checks += 1
-        if error:
-            outcome.failures.append(
-                f"[column workers={case.workers}] {error}"
-            )
+        check(
+            f"column workers={case.workers}",
+            lambda: _write_database(case, config).query(
+                name, workers=case.workers, partitions=case.num_partitions, **scan
+            ),
+        )
     return outcome
 
 
@@ -636,38 +574,29 @@ def run_case(case: GeneratedCase, metamorphic: bool = True) -> CaseOutcome:
     if case.write_ops:
         return _run_write_case(case)
     outcome = CaseOutcome(seed=case.seed)
-    expected = _oracle_expected(case)
-    for config in CONFIGS:
-        try:
-            result = _run_engine(case, config)
-            error = compare_result(case, result, expected)
-        except GovernanceError:
-            # Typed abort under the case's governance knobs: an
-            # acceptable outcome of the lifecycle contract, not a bug.
-            error = None
-        except Exception as exc:  # noqa: BLE001 - a crash is a finding
-            error = f"{type(exc).__name__}: {exc}"
-        outcome.checks += 1
-        if error:
-            outcome.failures.append(f"[{config.name}] {error}")
-        outcome.coverage |= _case_coverage(case, config)
-    # Parallel-equivalence leg: the same case through the partitioned
-    # executor must match the same oracle answer (joins are not
-    # decomposable and stay serial-only).
+    check = partial(_check, outcome, case, _oracle_expected(case))
+    # Serial leg, then — the same case through the partitioned executor
+    # must match the same oracle answer — the parallel-equivalence leg
+    # (joins are not decomposable and stay serial-only).
+    legs = [1]
     if case.workers > 1 and case.kind != "join":
+        legs.append(case.workers)
+    for workers in legs:
         for config in CONFIGS:
-            try:
-                result = _run_parallel(case, config)
-                error = compare_result(case, result, expected)
-            except GovernanceError:
-                error = None  # see the serial leg above
-            except Exception as exc:  # noqa: BLE001 - a crash is a finding
-                error = f"{type(exc).__name__}: {exc}"
-            outcome.checks += 1
-            if error:
-                outcome.failures.append(
-                    f"[{config.name} workers={case.workers}] {error}"
-                )
+            check(
+                config.name if workers == 1 else f"{config.name} workers={workers}",
+                lambda: run_generated(
+                    case,
+                    config,
+                    _load(case, case.query.table, config.layout),
+                    _case_context(case),
+                    workers,
+                ),
+                # A typed abort under the case's governance knobs is an
+                # acceptable outcome of the lifecycle contract, not a bug.
+                tolerate=GovernanceError,
+            )
+            outcome.coverage |= _case_coverage(case, config)
     if metamorphic and not outcome.failures:
         try:
             meta = metamorphic_failures(case)

@@ -188,6 +188,7 @@ class TestParallelMerge:
         from repro.engine.context import ExecutionContext
         from repro.engine.parallel import WorkerTask, _execute_task, parallel_query
         from repro.engine.plan import ColumnScannerKind
+        from repro.engine.query import Query
         from repro.storage.partition import partition_ranges
 
         table, query = self._setup()
@@ -201,7 +202,7 @@ class TestParallelMerge:
                 WorkerTask(
                     index=index,
                     table=table,
-                    query=query,
+                    query=Query(query),
                     row_range=row_range,
                     position_offset=0,
                     column_scanner=ColumnScannerKind.PIPELINED,

@@ -1,5 +1,7 @@
 """Database facade and Limit/TopN operator tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,114 @@ class TestLimitTopN:
         context, scan = self._scan(db)
         with pytest.raises(PlanError):
             TopN(context, scan, key="O_TOTALPRICE", count=0)
+
+
+SELECT = ("O_ORDERKEY", "O_TOTALPRICE")
+
+
+#: Every keyword ``Database.query`` takes, read off its signature so a
+#: new one cannot be forgotten below.
+QUERY_KEYWORDS = sorted(
+    set(inspect.signature(Database.query).parameters) - {"self", "table", "select"}
+)
+
+
+def _query_options(db):
+    """One non-default value for every keyword ``Database.query`` takes."""
+    from repro.engine.governance import CancellationToken, SupervisionPolicy
+    from repro.engine.plan import ColumnScannerKind
+
+    return {
+        "predicates": (db.predicate("ORDERS", "O_TOTALPRICE", 0.3),),
+        "layout": Layout.COLUMN,
+        "use_views": False,
+        "context": ExecutionContext(),
+        "salvage": True,
+        "workers": 2,
+        "partitions": 3,
+        "timeout": 30.0,
+        "memory_budget": 64_000_000,
+        "cancellation": CancellationToken(),
+        "policy": SupervisionPolicy(),
+        "column_scanner": ColumnScannerKind.FUSED,
+    }
+
+
+class TestOneSignature:
+    """``profile``/``explain`` take ``query``'s options by forwarding them,
+    and nothing the caller passes is dropped or left behind."""
+
+    @pytest.mark.parametrize("option", QUERY_KEYWORDS)
+    def test_profile_and_explain_accept_what_query_accepts(self, db, option):
+        options = {option: _query_options(db)[option]}
+        want = db.query("ORDERS", select=SELECT, **options)
+        profile = db.profile("ORDERS", select=SELECT, **options)
+        np.testing.assert_array_equal(profile.result.positions, want.positions)
+        for name in SELECT:
+            np.testing.assert_array_equal(
+                profile.result.column(name), want.column(name)
+            )
+        assert (profile.governance is not None) == (
+            option in ("timeout", "memory_budget", "cancellation")
+        )
+        assert "Scanner" in db.explain("ORDERS", select=SELECT, **options)
+
+    def test_explain_renders_the_requested_column_scanner(self, db):
+        from repro.engine.plan import ColumnScannerKind
+
+        text = db.explain(
+            "ORDERS",
+            select=SELECT,
+            layout=Layout.COLUMN,
+            column_scanner=ColumnScannerKind.FUSED,
+        )
+        assert "FusedColumnScanner" in text
+
+    def test_scanner_kind_reaches_the_parallel_workers(self, db, monkeypatch):
+        from repro.engine.parallel import parallel_query
+        from repro.engine.plan import ColumnScannerKind
+
+        # The facade clamps workers to the core count; pin it so the
+        # query cannot go serial on a one-core runner.
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        scan = ScanQuery("ORDERS", select=SELECT)
+        events = {}
+        for kind in ColumnScannerKind:
+            direct, facade = ExecutionContext(), ExecutionContext()
+            parallel_query(
+                db.table("ORDERS", Layout.COLUMN),
+                scan,
+                workers=2,
+                context=direct,
+                column_scanner=kind,
+            )
+            db.query(
+                "ORDERS",
+                select=SELECT,
+                layout=Layout.COLUMN,
+                workers=2,
+                context=facade,
+                column_scanner=kind,
+            )
+            assert facade.events.as_dict() == direct.events.as_dict(), kind
+            events[kind] = facade.events
+        assert events[ColumnScannerKind.FUSED].tuples_examined > 0
+        assert events[ColumnScannerKind.PIPELINED].tuples_examined == 0
+
+    def test_governance_arguments_leave_the_callers_context_alone(self, db):
+        from repro.errors import QueryTimeout
+
+        context = ExecutionContext()
+        first = db.query("ORDERS", select=SELECT, context=context, timeout=5.0)
+        assert context.governance is None
+        after_one = context.events.pages_touched
+        assert after_one > 0
+        # A second governed call on the same context works, and events
+        # keep accumulating on it.
+        second = db.query("ORDERS", select=SELECT, context=context, timeout=5.0)
+        assert second.num_tuples == first.num_tuples
+        assert context.events.pages_touched == 2 * after_one
+        with pytest.raises(QueryTimeout):
+            db.query("ORDERS", select=SELECT, context=context, timeout=0.0)
+        assert context.governance is None
+        db.query("ORDERS", select=SELECT, context=context, memory_budget=64_000_000)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.query import ScanQuery
+from repro.engine.query import AggregateFunction, AggregateSpec, Query, ScanQuery
 from repro.experiments.config import CompetingTraffic, ExperimentConfig
 from repro.experiments.report import ExperimentOutput, FigureResult, format_table
 from repro.experiments.runner import measure_scan
@@ -94,6 +94,17 @@ class TestMeasureScan:
         m = measure_scan(packed.column, query)
         assert not m.io_bound
         assert m.elapsed == pytest.approx(m.cpu.total)
+
+    def test_a_query_adds_operator_cost_above_the_same_scan(self, prepared):
+        scan = make_query(prepared)
+        plain = measure_scan(prepared.column, scan)
+        assert measure_scan(prepared.column, Query(scan)) == plain
+        spec = AggregateSpec((scan.select[1],), AggregateFunction.COUNT, None)
+        stacked = measure_scan(prepared.column, Query(scan, aggregate=spec))
+        assert stacked.events.agg_updates > 0 == plain.events.agg_updates
+        assert stacked.cpu.total > plain.cpu.total
+        assert stacked.io_elapsed == plain.io_elapsed
+        assert stacked.bytes_read == plain.bytes_read
 
 
 class TestReporting:

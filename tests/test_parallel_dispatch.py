@@ -11,9 +11,7 @@ What the fleet promises beyond byte-identity (that is
   under a resident copy (fault wrappers, state scheduled on a wrapper
   later, a merge swap) is served from fresh bytes, never a stale copy;
 * ``shutdown_pools`` reaps every child and the next query restarts the
-  fleet;
-* ``share=`` is accepted for compatibility; every value names the one
-  transport (born holding the table, else sent once by pipe).
+  fleet.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.engine.governance import CircuitBreaker, SupervisionPolicy
 from repro.engine.parallel import parallel_query, shutdown_pools
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
-from repro.errors import PlanError, TransientIOError
+from repro.errors import TransientIOError
 from repro.obs import recorder as flight
 from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
@@ -314,24 +312,20 @@ def test_shutdown_reaps_every_child_and_the_fleet_restarts(data, query):
     _assert_same(result, run_scan(table, query))
 
 
-def test_share_modes_agree(data, query):
-    """Every ``share`` value is accepted and changes nothing observable."""
-    baseline = ExecutionContext()
-    expected = run_scan(load_table(data, Layout.COLUMN), query, baseline)
+def test_table_not_yet_resident_is_shipped_once_per_worker(data, query):
+    """A running fleet gets a table it lacks over the pipe, once per
+    worker; result and events are those of the same partitions run inline."""
+    inline = ExecutionContext()
+    expected = parallel_query(
+        load_table(data, Layout.COLUMN), query, workers=1, partitions=2, context=inline
+    )
+    _assert_same(expected, run_scan(load_table(data, Layout.COLUMN), query))
     parallel_query(load_table(data, Layout.COLUMN), query, workers=2)  # a running fleet
-    events = None
-    for share in ("pickle", "fork", "auto"):
-        table = load_table(data, Layout.COLUMN)  # not yet resident anywhere
-        context = ExecutionContext()
-        info: dict = {}
-        result = parallel_query(
-            table, query, workers=2, share=share, context=context, info=info
-        )
-        assert info["mode"] == "parallel", share
-        _assert_same(result, expected)
-        if events is None:
-            events = context.events.as_dict()
-        assert context.events.as_dict() == events, share
-        assert info["tables_shipped"] == 2, share
-    with pytest.raises(PlanError):
-        parallel_query(table, query, workers=2, share="shm")
+    table = load_table(data, Layout.COLUMN)  # not yet resident anywhere
+    context = ExecutionContext()
+    info: dict = {}
+    result = parallel_query(table, query, workers=2, context=context, info=info)
+    assert info["mode"] == "parallel"
+    assert info["tables_shipped"] == 2
+    _assert_same(result, expected)
+    assert context.events.as_dict() == inline.events.as_dict()

@@ -453,7 +453,6 @@ def test_profile_and_explain_on_dirty_table(workers):
 def test_hybrid_query_metric_rises_once_per_dirty_query(monkeypatch):
     """Every entry point resolves — and builds its overlay — exactly once."""
     import repro.engine.hybrid as hybrid
-    import repro.engine.parallel as parallel
     from repro.obs import metrics as obs_metrics
 
     db, data, name = _dirty_database(Layout.COLUMN)
@@ -468,20 +467,9 @@ def test_hybrid_query_metric_rises_once_per_dirty_query(monkeypatch):
 
     monkeypatch.setattr(hybrid, "HybridOverlay", CountingOverlay)
 
-    def not_decomposable(*args, **kwargs):
-        raise PlanError("not decomposable")
-
-    def fallback():
-        # workers>1 -> PlanError -> serial: still one resolve, one overlay.
-        with monkeypatch.context() as patch:
-            patch.setattr("os.cpu_count", lambda: 4)
-            patch.setattr(parallel, "parallel_query", not_decomposable)
-            return db.query(name, select=SELECT, workers=2)
-
     paths = {
         "serial": lambda: db.query(name, select=SELECT),
         "parallel": lambda: db.query(name, select=SELECT, workers=2),
-        "fallback": fallback,
         "submit": lambda: db.submit(name, select=SELECT).value(),
         "run_workload": lambda: db.run_workload(
             [dict(table=name, select=SELECT)]
