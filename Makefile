@@ -27,9 +27,13 @@ write-fuzz:
 	python -m repro.testing --cases 2000 --writes
 
 # Crash-safe merge matrix: kill the merge at every declared fault point
-# and require reopen to see exactly old-or-new with a clean scrub.
+# and require reopen to see exactly old-or-new with a clean scrub — plus
+# the write-path suite and the merge_into tests, so all four merge doors
+# run where a write-path change is gated.
 crash-matrix:
-	pytest tests/test_merge_crash_matrix.py tests/test_write_path.py -q
+	pytest tests/test_merge_crash_matrix.py tests/test_write_path.py \
+		tests/test_storage_tables.py::TestWriteStore \
+		tests/test_storage_integrity.py::TestVerificationHooks -q
 
 # Chaos harness smoke: 200 seeded lifecycle faults (worker kills/stalls,
 # slow decodes, allocation spikes, tight deadlines, mid-scan cancels) vs

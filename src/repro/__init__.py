@@ -84,7 +84,6 @@ from repro.obs import (
 )
 from repro.storage import (
     BulkLoader,
-    Catalog,
     ColumnTable,
     Layout,
     RowTable,
@@ -138,7 +137,6 @@ __all__ = [
     "load_table",
     "save_table",
     "open_table",
-    "Catalog",
     "WriteOptimizedStore",
     # engine
     "ScanQuery",

@@ -15,14 +15,10 @@ should use.
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-import numpy as np
-
-from repro.compression.advisor import CompressionAdvisor
 from repro.data.generator import GeneratedTable
-from repro.design.materialize import MaterializedView, ViewRouter, materialize_view
+from repro.design.materialize import MaterializedView
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult, run_scan
 from repro.engine.hybrid import build_overlay
@@ -47,22 +43,10 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import SpanTracer
 from repro.storage.layout import Layout
-from repro.storage.loader import load_table
-from repro.storage.scrub import CorruptionReport, scrub_table
+from repro.storage.scrub import CorruptionReport
 from repro.storage.table import Table
 from repro.storage.write_store import WriteOptimizedStore
-
-
-@dataclass
-class _TableEntry:
-    data: GeneratedTable
-    tables: dict[Layout, Table]
-    router: ViewRouter
-    #: Staged inserts + delete vector feeding the hybrid read path.
-    store: WriteOptimizedStore
-    #: Arguments of every :meth:`Database.create_view` call, replayed
-    #: after a merge so views stay consistent with the new base.
-    view_defs: list[dict]
+from repro.table_entry import TableEntry
 
 
 def _governed(
@@ -102,7 +86,9 @@ class Database:
     resolve (:meth:`_resolve_target`), governed context
     (:func:`_governed`; the scheduler starts its own per submission),
     an executor — serial drain, partition-and-merge, or time-slice —
-    and the write-store overlay on the finished result.
+    and the write-store overlay on the finished result.  DDL, writes,
+    merges and integrity sweeps resolve the table's
+    :class:`~repro.table_entry.TableEntry` and forward to it.
     """
 
     def __init__(
@@ -114,7 +100,7 @@ class Database:
             raise StorageError("a database needs at least one layout")
         self.layouts = tuple(layouts)
         self.page_size = page_size
-        self._tables: dict[str, _TableEntry] = {}
+        self._tables: dict[str, TableEntry] = {}
         #: Remembers repeatedly-failing partitions across this
         #: instance's parallel queries and routes them straight to
         #: salvage-mode serial scans (see :mod:`repro.engine.governance`).
@@ -142,22 +128,8 @@ class Database:
         name = data.schema.name
         if name in self._tables:
             raise StorageError(f"table {name!r} already exists")
-        if compress:
-            advisor = CompressionAdvisor()
-            attr_types = {a.name: a.attr_type for a in data.schema}
-            specs = advisor.advise(attr_types, data.columns)
-            data = data.with_schema(data.schema.with_codecs(specs))
-        tables = {
-            layout: load_table(data, layout, page_size=self.page_size)
-            for layout in self.layouts
-        }
-        router = ViewRouter(tables[self.layouts[0]])
-        store = WriteOptimizedStore(
-            data.schema, sort_key=sort_key, memory_budget=write_budget
-        )
-        store.attach_base(data.num_rows)
-        self._tables[name] = _TableEntry(
-            data=data, tables=tables, router=router, store=store, view_defs=[]
+        self._tables[name] = TableEntry(
+            data, self.layouts, self.page_size, compress, sort_key, write_budget
         )
 
     def create_view(
@@ -169,37 +141,18 @@ class Database:
         compress: bool = True,
         use_rle: bool = False,
     ) -> MaterializedView:
-        """Materialize a vertical partition and register it for routing."""
-        entry = self._entry(table)
-        spec = {
-            "attributes": tuple(attributes),
-            "name": name,
-            "sort_key": sort_key,
-            "compress": compress,
-            "use_rle": use_rle,
-        }
-        view = self._materialize(entry, spec)
-        # Replayed after every merge under the name the view got now.
-        spec["name"] = view.name
-        entry.view_defs.append(spec)
-        return view
+        """Materialize a vertical partition and register it for routing.
 
-    def _materialize(self, entry: _TableEntry, spec: dict) -> MaterializedView:
-        """Build one view from the table's current data and register it."""
-        view = materialize_view(
-            entry.data,
-            spec["attributes"],
-            name=spec["name"],
-            sort_key=spec["sort_key"],
-            layout=(
-                Layout.COLUMN if Layout.COLUMN in self.layouts else self.layouts[0]
-            ),
-            compress=spec["compress"],
-            use_rle=spec["use_rle"],
-            page_size=self.page_size,
+        The view remembers how it was made and is re-materialized over
+        the new base by every merge.
+        """
+        return self._entry(table).create_view(
+            tuple(attributes),
+            name=name,
+            sort_key=sort_key,
+            compress=compress,
+            use_rle=use_rle,
         )
-        entry.router.add_view(view)
-        return view
 
     # --- catalog -----------------------------------------------------------
 
@@ -214,7 +167,7 @@ class Database:
     def tables(self) -> list[str]:
         return sorted(self._tables)
 
-    def _entry(self, name: str) -> _TableEntry:
+    def _entry(self, name: str) -> TableEntry:
         if name not in self._tables:
             raise StorageError(f"no table {name!r}; have {self.tables()}")
         return self._tables[name]
@@ -230,24 +183,12 @@ class Database:
         self.insert_many(table, [row])
 
     def insert_many(self, table: str, rows: list[tuple]) -> None:
-        """Stage a batch of tuples atomically-in-memory.
+        """Stage a batch of tuples, all or none.
 
-        Validation and the write budget are enforced row-by-row; on
-        failure the already-staged prefix remains (idempotent retries
-        should re-derive the batch from the caller's source of truth).
+        Arity and the write budget are checked for the whole batch
+        before any row is staged: a refused batch stages nothing.
         """
-        entry = self._entry(table)
-        entry.store.insert_many(rows)
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_STAGED_ROWS.inc(len(rows))
-            obs_metrics.WRITE_STAGED_BYTES.set(self._staged_bytes())
-        flight.record(
-            "write.stage",
-            None,
-            table=table,
-            rows=len(rows),
-            staged=len(entry.store),
-        )
+        self._entry(table).insert_many(rows)
 
     def delete(
         self,
@@ -264,42 +205,19 @@ class Database:
         rows were newly deleted (re-deleting is idempotent).
         """
         entry = self._entry(table)
-        store = entry.store
         if positions is not None:
             if predicates:
                 raise PlanError("pass predicates or positions, not both")
-            newly = store.delete(positions)
-        else:
-            # The probe scan runs the *base* table directly: delete
-            # positions are global (un-remapped), so the hybrid path
-            # (which renumbers around prior deletes) must not be used.
-            probe_attr = predicates[0].attr if predicates else (
-                entry.data.schema.attribute_names[0]
-            )
-            scan = ScanQuery(
-                table, select=(probe_attr,), predicates=tuple(predicates)
-            )
-            base = entry.tables[self.layouts[0]]
-            matched = run_scan(base, scan).positions
-            staged = store.staged_columns()
-            if staged:
-                live = np.ones(len(store), dtype=bool)
-                for predicate in predicates:
-                    live &= predicate.evaluate(staged[predicate.attr])
-                matched = np.concatenate(
-                    [matched, store.base_rows + np.flatnonzero(live)]
-                )
-            newly = store.delete(matched) if len(matched) else 0
-        if obs_metrics.enabled() and newly:
-            obs_metrics.WRITE_DELETED_ROWS.inc(newly)
-        flight.record(
-            "write.delete",
-            None,
-            table=table,
-            newly=newly,
-            deleted=store.deletes.count(),
+            return entry.delete(positions)
+        # The probe scan runs the *base* table directly: delete
+        # positions are global (un-remapped), so the hybrid path
+        # (which renumbers around prior deletes) must not be used.
+        probe_attr = predicates[0].attr if predicates else (
+            entry.data.schema.attribute_names[0]
         )
-        return newly
+        scan = ScanQuery(table, select=(probe_attr,), predicates=tuple(predicates))
+        matched = run_scan(entry.tables[self.layouts[0]], scan).positions
+        return entry.delete(matched, predicates)
 
     def merge(
         self, table: str, verify: bool = False, background: bool = False
@@ -311,7 +229,7 @@ class Database:
         declared ``sort_key``, stable), swap them in, re-materialize
         views, and clear the staging area.  ``verify=True`` sweeps the
         rebuilt pages before the swap, so a merge can never install
-        corrupt pages.
+        corrupt pages.  A failure re-raises with one black box dumped.
 
         Background: the same work proceeds incrementally on the
         database's scheduler (one layout per step) — returns a
@@ -322,14 +240,9 @@ class Database:
         """
         if background:
             return self.start_merge(table, verify=verify)
-        label = f"merge {table}"
-        try:
-            for _ in self._merge_steps(self._entry(table), label, verify):
-                pass
-        except BaseException as exc:
-            if flight.enabled():
-                flight.RECORDER.dump_blackbox(label, error=exc)
-            raise
+        steps = self._entry(table).merge_steps(f"merge {table}", verify, blackbox=True)
+        for _ in steps:
+            pass
         return None
 
     def start_merge(self, table: str, verify: bool = False) -> JobHandle:
@@ -339,83 +252,18 @@ class Database:
         one layout load per step, then an atomic in-memory swap), so
         queries submitted before the swap finish on the old snapshot
         and queries submitted after it see the merged table.  The write
-        store is frozen from the first round until the merge commits.
+        store is frozen from the first round until the merge commits;
+        a failure lands on the handle, black-boxed by the scheduler.
         """
         label = f"background merge {table}"
         return self.scheduler.submit_job(
-            self._merge_steps(self._entry(table), label, verify), label=label
+            self._entry(table).merge_steps(label, verify, blackbox=False),
+            label=label,
         )
-
-    def _merge_steps(self, entry: _TableEntry, label: str, verify: bool):
-        """The merge, as a step generator; returns the merged row count.
-
-        Foreground :meth:`merge` drains it in one go, :meth:`start_merge`
-        hands it to the scheduler.  Nothing runs before the first step:
-        the freeze comes first, so the staged/deleted counts reported
-        are exactly what this merge drains.
-        """
-        table = entry.data.schema.name
-        store = entry.store
-        store.begin_merge()
-        started = time.perf_counter()
-        staged = len(store)
-        reclaimed = store.deletes.count()
-        flight.record(
-            "write.merge.begin", label, table=table, staged=staged, deleted=reclaimed
-        )
-        try:
-            new_data = store.merged_data(entry.data.schema, entry.data.columns)
-            yield
-            new_tables = {}
-            for layout in self.layouts:
-                new_tables[layout] = load_table(
-                    new_data, layout, page_size=self.page_size, verify=verify
-                )
-                yield
-            # The swap is one step: queries never see a half-merged
-            # catalog entry.
-            entry.data = new_data
-            entry.tables = new_tables
-            entry.router = ViewRouter(new_tables[self.layouts[0]])
-            for spec in entry.view_defs:
-                self._materialize(entry, spec)
-        except BaseException as exc:
-            store.end_merge()
-            flight.record(
-                "write.merge.abort", label, table=table, error=type(exc).__name__
-            )
-            if obs_metrics.enabled():
-                obs_metrics.WRITE_MERGE_ABORTS.inc()
-            raise
-        store.end_merge()
-        store.reset(new_data.num_rows)
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_MERGES.inc()
-            obs_metrics.WRITE_MERGE_SECONDS.observe(time.perf_counter() - started)
-            obs_metrics.WRITE_MERGED_ROWS.inc(staged)
-            obs_metrics.WRITE_RECLAIMED_ROWS.inc(reclaimed)
-            obs_metrics.WRITE_STAGED_BYTES.set(self._staged_bytes())
-        flight.record(
-            "write.merge.commit", label, table=table, rows=new_data.num_rows
-        )
-        return new_data.num_rows
-
-    def _staged_bytes(self) -> int:
-        return sum(entry.store.staged_bytes for entry in self._tables.values())
 
     def write_board(self) -> dict:
         """Per-table write-store state for the dashboard panel."""
-        return {
-            name: {
-                "staged": len(entry.store),
-                "staged_bytes": entry.store.staged_bytes,
-                "deleted": entry.store.deletes.count(),
-                "base_rows": entry.store.base_rows,
-                "budget": entry.store.memory_budget,
-                "merging": entry.store.merging,
-            }
-            for name, entry in sorted(self._tables.items())
-        }
+        return {name: entry.board() for name, entry in sorted(self._tables.items())}
 
     # --- queries ------------------------------------------------------------
 
@@ -747,11 +595,7 @@ class Database:
         names = [table] if table is not None else self.tables()
         reports: dict[str, CorruptionReport] = {}
         for name in names:
-            entry = self._entry(name)
-            for layout, materialized in entry.tables.items():
-                reports[f"{name}:{layout.value}"] = scrub_table(materialized)
-            for view in entry.router.views:
-                reports[f"{name}:{view.name}"] = scrub_table(view.table)
+            reports.update(self._entry(name).scrub())
         return reports
 
     def verify(self, table: str | None = None) -> int:

@@ -33,17 +33,32 @@ from repro.types.schema import TableSchema
 
 @dataclass(frozen=True)
 class MaterializedView:
-    """One materialized vertical partition."""
+    """One materialized vertical partition, with how it was made."""
 
     name: str
     base_table: str
     attributes: tuple[str, ...]
     sort_key: str | None
     table: Table
+    compress: bool = False
+    use_rle: bool = False
 
     def covers(self, query: ScanQuery) -> bool:
         """Can this view answer the query's scan?"""
         return set(query.scan_attributes()) <= set(self.attributes)
+
+    def refreshed(self, data: GeneratedTable) -> "MaterializedView":
+        """This view's definition materialized over new base ``data``."""
+        return materialize_view(
+            data,
+            self.attributes,
+            name=self.name,
+            sort_key=self.sort_key,
+            layout=self.table.layout,
+            compress=self.compress,
+            use_rle=self.use_rle,
+            page_size=self.table.page_size,
+        )
 
     @property
     def bytes_per_tuple(self) -> float:
@@ -104,6 +119,8 @@ def materialize_view(
         attributes=tuple(attributes),
         sort_key=sort_key,
         table=table,
+        compress=compress,
+        use_rle=use_rle,
     )
 
 

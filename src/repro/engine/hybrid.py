@@ -112,14 +112,10 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
     deletes = store.deletes
     shift = deletes.cumulative()
     deleted = None if deletes.is_empty else deletes.mask()
-    staged = store.staged_columns()
-    num_staged = total_rows - base_rows
-    if num_staged:
-        live = np.ones(num_staged, dtype=bool)
+    if total_rows > base_rows:
+        staged, live = store.match_staged(query.predicates)
         if deleted is not None:
             live &= ~deleted[base_rows:total_rows]
-        for predicate in query.predicates:
-            live &= predicate.evaluate(staged[predicate.attr])
         picked = np.flatnonzero(live)
         global_positions = base_rows + picked.astype(np.int64)
         delta_positions = global_positions - shift[global_positions]

@@ -66,6 +66,16 @@ from repro.storage.table import Table
 __all__ = ["JobHandle", "QueryHandle", "QueryState", "Scheduler", "WorkloadQuery"]
 
 
+def _typed(exc: BaseException) -> ReproError:
+    """What a handle carries for ``exc``: typed errors as they are,
+    anything else wrapped in :class:`EngineError` with the cause chained."""
+    if isinstance(exc, ReproError):
+        return exc
+    error = EngineError(f"{type(exc).__name__}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 class QueryState(Enum):
     """Lifecycle of one submitted query."""
 
@@ -372,9 +382,9 @@ class Scheduler:
 
         The generator is advanced one step per :meth:`poll` round,
         interleaved with query timeslices; its return value lands on
-        ``JobHandle.result`` when it finishes.  Typed failures are
-        captured on the handle (and black-boxed), never raised into the
-        scheduler loop.
+        ``JobHandle.result`` when it finishes.  A failure is captured
+        on the handle as a typed error (and black-boxed), never raised
+        into the scheduler loop — see :meth:`poll`.
         """
         job = JobHandle(index=len(self._jobs), label=label, gen=gen)
         self._jobs.append(job)
@@ -392,21 +402,28 @@ class Scheduler:
                 job.done = True
                 job.result = stop.value
                 flight.record("scheduler.job.done", job.label, steps=job.steps)
-            except ReproError as exc:
+            except BaseException as exc:
                 job.done = True
-                job.error = exc
+                job.error = _typed(exc)
                 flight.record(
-                    "scheduler.job.failed", job.label, error=type(exc).__name__
+                    "scheduler.job.failed", job.label, error=type(job.error).__name__
                 )
                 if flight.enabled():
-                    flight.RECORDER.dump_blackbox(job.label, error=exc)
+                    flight.RECORDER.dump_blackbox(job.label, error=job.error)
+                if not isinstance(exc, Exception):
+                    raise
 
     def poll(self) -> bool:
         """One scheduler round: admit, then one timeslice per active query
         and one step per background job.
 
         Returns True while any query is queued or running, or any
-        background job is unfinished.
+        background job is unfinished.  A timeslice or job step that
+        raises fails its own handle — with the typed error, or an
+        :class:`~repro.errors.EngineError` chained to an untyped one —
+        gets its one black box and is never advanced again, while its
+        peers keep running; only a ``KeyboardInterrupt`` or other
+        non-``Exception`` is re-raised, after the same bookkeeping.
         """
         self._admit()
         for entry in list(self._active):
@@ -426,10 +443,12 @@ class Scheduler:
             except StopIteration:
                 self._active.remove(entry)
                 self._finish_done(handle)
-            except ReproError as exc:
+            except BaseException as exc:
                 self._active.remove(entry)
                 self._abandon_plan(plan)
-                self._finish_failed(handle, exc)
+                self._finish_failed(handle, _typed(exc))
+                if not isinstance(exc, Exception):
+                    raise
             self._admit()
         self._tick_jobs()
         return bool(
@@ -445,7 +464,7 @@ class Scheduler:
             return
         try:
             plan.close()
-        except ReproError:
+        except Exception:  # the query has already failed; peers must run on
             pass
 
     def run(self) -> None:

@@ -13,7 +13,6 @@ lives in :mod:`repro.storage.faults` and integrity sweeps in
 :mod:`repro.storage.scrub`.
 """
 
-from repro.storage.catalog import Catalog
 from repro.storage.faults import FaultPlan, FaultyPagedFile
 from repro.storage.layout import Layout
 from repro.storage.loader import BulkLoader, load_table
@@ -65,7 +64,6 @@ __all__ = [
     "scrub_table",
     "set_checksum_verification",
     "verify_table",
-    "Catalog",
     "CompressedRowPageCodec",
     "schema_is_compressed",
     "make_row_page_codec",

@@ -16,8 +16,7 @@ worker output).
 
 Partitioned tables persist as one directory per partition plus a
 checksummed ``manifest.json`` (see :func:`repro.storage.persist.
-save_partitioned_table`) and register in the
-:class:`~repro.storage.catalog.Catalog` alongside plain tables.
+save_partitioned_table`).
 """
 
 from __future__ import annotations

@@ -14,11 +14,14 @@ component makes the library usable end to end:
   before it ever reaches disk;
 * reads see the edits through the hybrid overlay layer
   (:mod:`repro.engine.hybrid`) without touching the read store;
-* :meth:`WriteOptimizedStore.merge_into` rebuilds the read store with
-  deletes reclaimed and staged tuples appended, preserving the table's
-  physical layout and refreshing each column's codec parameters (a
-  staged value may fall outside the old dictionary or packed width);
-* :func:`merge_into_directory` makes that rebuild durable and atomic:
+* a merge rebuilds the read store with deletes reclaimed and staged
+  tuples appended, preserving the table's physical layout and
+  refreshing each column's codec parameters (a staged value may fall
+  outside the old dictionary or packed width); its protocol is written
+  once, in :meth:`WriteOptimizedStore.merge_transaction`, and the doors
+  (:meth:`~WriteOptimizedStore.merge_into`, :func:`merge_into_directory`,
+  the facade's two merges) differ only in how they install the result;
+* :func:`merge_into_directory` installs it durably and atomically:
   the new table is saved into a fresh versioned directory (temp files,
   fsync, rename — the PR-1 machinery) and a ``CURRENT`` manifest is
   flipped durably, so a crash at *any* fault point leaves exactly the
@@ -34,6 +37,7 @@ from __future__ import annotations
 import pathlib
 import shutil
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -72,6 +76,15 @@ MERGE_FAULT_POINTS = (
 )
 
 _CURRENT_NAME = "CURRENT"
+
+
+class _Merge:
+    """What the body of ``with store.merge_transaction()`` sees of its merge."""
+
+    #: The rebuilt table's data (:meth:`WriteOptimizedStore.merged_data`).
+    data: GeneratedTable
+    #: Set by the body once its commit point has passed.
+    durable = False
 
 
 class WriteOptimizedStore:
@@ -145,6 +158,7 @@ class WriteOptimizedStore:
 
     def reset(self, base_rows: int) -> None:
         """Post-merge state: nothing staged, nothing deleted, new base."""
+        obs_metrics.WRITE_STAGED_BYTES.dec(self.staged_bytes)
         self._staged.clear()
         self._base_rows = int(base_rows)
         self._deletes = DeleteVector(base_rows)
@@ -175,28 +189,33 @@ class WriteOptimizedStore:
 
     def insert(self, row: tuple) -> None:
         """Stage one tuple (in schema attribute order)."""
+        self.insert_many([row])
+
+    def insert_many(self, rows: list[tuple]) -> None:
+        """Stage a batch of tuples, all or none: arity and the byte budget
+        are checked for the whole batch before any row is staged."""
         self._check_writable("insert")
-        if len(row) != len(self.schema):
-            raise SchemaError(
-                f"tuple of {len(row)} values for {len(self.schema)}-attribute "
-                f"table {self.schema.name!r}"
-            )
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            if len(row) != len(self.schema):
+                raise SchemaError(
+                    f"tuple of {len(row)} values for {len(self.schema)}-attribute "
+                    f"table {self.schema.name!r}"
+                )
+        batch_bytes = len(rows) * self._row_bytes
         if (
             self.memory_budget is not None
-            and self.staged_bytes + self._row_bytes > self.memory_budget
+            and self.staged_bytes + batch_bytes > self.memory_budget
         ):
             raise MemoryBudgetExceeded(
                 f"write store for {self.schema.name!r} at "
-                f"{self.staged_bytes} bytes; inserting {self._row_bytes} more "
+                f"{self.staged_bytes} bytes; inserting {batch_bytes} more "
                 f"exceeds the {self.memory_budget}-byte budget (merge to drain)"
             )
-        self._staged.append(tuple(row))
+        self._staged.extend(rows)
         self._deletes.grow(self.total_rows)
-
-    def insert_many(self, rows: list[tuple]) -> None:
-        """Stage a batch of tuples."""
-        for row in rows:
-            self.insert(row)
+        # A level: every staged byte enters here and leaves in reset().
+        obs_metrics.WRITE_STAGED_BYTES.inc(batch_bytes)
 
     def delete(self, positions) -> int:
         """Mark global positions deleted; returns how many were live.
@@ -219,6 +238,19 @@ class WriteOptimizedStore:
             raw = [row[index] for row in self._staged]
             columns[attr.name] = np.asarray(raw, dtype=attr.attr_type.numpy_dtype())
         return columns
+
+    def match_staged(self, predicates) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """The staged columns, and which staged rows pass every predicate.
+
+        The one staged-row matcher, under the hybrid overlay and the
+        predicate delete; the delete vector is the caller's business.
+        """
+        staged = self.staged_columns()
+        live = np.ones(len(self._staged), dtype=bool)
+        if staged:  # nothing staged: no columns to index
+            for predicate in predicates:
+                live &= predicate.evaluate(staged[predicate.attr])
+        return staged, live
 
     def merged_columns(self, existing: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Live rows of the rebuilt table: base minus deletes, then staged.
@@ -277,21 +309,6 @@ class WriteOptimizedStore:
             return schema
         return schema.with_codecs(specs)
 
-    def _sync_base(self, num_rows: int) -> None:
-        """Adopt a base of ``num_rows`` when the store was never attached."""
-        if self._base_rows == num_rows:
-            return
-        if self._base_rows == 0 and self._deletes.is_empty:
-            # Legacy unattached use: staged rows shift up to follow the
-            # adopted base; no deletes exist, so positions stay valid.
-            self._base_rows = num_rows
-            self._deletes = DeleteVector(self.total_rows)
-            return
-        raise StorageError(
-            f"store is attached to a {self._base_rows}-row base but the "
-            f"base data has {num_rows} rows"
-        )
-
     def merged_data(
         self, schema: TableSchema, base_columns: dict[str, np.ndarray], governance=None
     ) -> GeneratedTable:
@@ -310,7 +327,6 @@ class WriteOptimizedStore:
                 f"cannot merge {self.schema.name!r} staging into "
                 f"{schema.name!r}: schemas differ"
             )
-        self._sync_base(len(next(iter(base_columns.values()))) if base_columns else 0)
         if governance is not None:
             governance.check("merge.read_base")
         merged = self.merged_columns(base_columns)
@@ -338,11 +354,65 @@ class WriteOptimizedStore:
         the rebuilt table is integrity-swept before it is returned, so
         a merge can never install corrupt pages.
         """
-        loader = loader or BulkLoader(page_size=table.page_size, verify=verify)
         data = self.merged_data(table.schema, table.columns_dict(), governance)
-        if governance is not None:
-            governance.check("merge.load")
-        return loader.load(data, table.layout)
+        return _load_like(table, data, loader, verify, governance)
+
+    @contextmanager
+    def merge_transaction(
+        self,
+        schema: TableSchema,
+        base_columns: dict[str, np.ndarray],
+        label: str,
+        governance=None,
+        blackbox: bool = True,
+        **detail,
+    ):
+        """The one merge protocol; the ``with`` body installs ``merge.data``.
+
+        Freeze first (a refused merge emits nothing) → count what is
+        drained → ``write.merge.begin`` → :meth:`merged_data` → the
+        body → unfreeze and *commit* (reset onto the new base, the
+        ``repro_write_merge*`` series, ``write.merge.commit``) or *abort*
+        (staging kept for a retry, ``write.merge.abort``, the abort
+        counter, one black box; re-raised).  A body that fails after its
+        commit point — the durable ``CURRENT`` flip — has set
+        ``merge.durable``: the store then resets, the merge must not be
+        retried.  ``blackbox=False``: the failure lands on a handle
+        whose owner (the scheduler) dumps the box.  ``detail`` rides on
+        all three events.
+        """
+        self.begin_merge()
+        started = time.perf_counter()
+        staged = len(self._staged)
+        reclaimed = self._deletes.count()
+        detail["table"] = schema.name
+        flight.record(
+            "write.merge.begin", label, staged=staged, deleted=reclaimed, **detail
+        )
+        merge = _Merge()
+        try:
+            merge.data = self.merged_data(schema, base_columns, governance)
+            yield merge
+        except BaseException as exc:
+            self.end_merge()
+            if merge.durable:
+                self.reset(merge.data.num_rows)
+            flight.record(
+                "write.merge.abort", label, error=type(exc).__name__, **detail
+            )
+            obs_metrics.WRITE_MERGE_ABORTS.inc()
+            if blackbox and flight.enabled():
+                flight.RECORDER.dump_blackbox(label, error=exc)
+            raise
+        self.end_merge()
+        self.reset(merge.data.num_rows)
+        obs_metrics.WRITE_MERGES.inc()
+        obs_metrics.WRITE_MERGE_SECONDS.observe(time.perf_counter() - started)
+        obs_metrics.WRITE_MERGED_ROWS.inc(staged)
+        obs_metrics.WRITE_RECLAIMED_ROWS.inc(reclaimed)
+        flight.record(
+            "write.merge.commit", label, rows=merge.data.num_rows, **detail
+        )
 
     def merge_into(
         self,
@@ -356,17 +426,21 @@ class WriteOptimizedStore:
         Returns a new table of the same layout; the staging area and
         delete vector are cleared only on success.
         """
-        started = time.perf_counter()
-        staged = len(self._staged)
-        reclaimed = self._deletes.count()
-        new_table = self.rebuild(table, loader, verify, governance)
-        self.reset(new_table.num_rows)
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_MERGES.inc()
-            obs_metrics.WRITE_MERGE_SECONDS.observe(time.perf_counter() - started)
-            obs_metrics.WRITE_MERGED_ROWS.inc(staged)
-            obs_metrics.WRITE_RECLAIMED_ROWS.inc(reclaimed)
-        return new_table
+        label = f"merge {table.schema.name}"
+        with self.merge_transaction(
+            table.schema, table.columns_dict(), label, governance
+        ) as merge:
+            return _load_like(table, merge.data, loader, verify, governance)
+
+
+def _load_like(
+    table: Table, data: GeneratedTable, loader, verify: bool, governance
+) -> Table:
+    """Load merged ``data`` in ``table``'s layout and page size."""
+    loader = loader or BulkLoader(page_size=table.page_size, verify=verify)
+    if governance is not None:
+        governance.check("merge.load")
+    return loader.load(data, table.layout)
 
 
 # --- durable versioned merge (crash-safe manifest flip) --------------------
@@ -442,53 +516,22 @@ def merge_into_directory(
     current = read_current_version(root)
     next_index = int(current[1:]) + 1 if current else 1
     version = f"v{next_index:04d}"
-    label = governance.label if governance is not None else None
-    flight.record(
-        "write.merge.begin",
-        label,
-        table=table.schema.name,
-        staged=len(store),
-        deleted=store.deletes.count(),
-        version=version,
-    )
-    started = time.perf_counter()
-    store.begin_merge()
-    flipped = False
-    try:
-        new_table = store.rebuild(table, loader, verify, governance)
+    label = f"merge {table.schema.name} -> {version}"
+    with store.merge_transaction(
+        table.schema, table.columns_dict(), label, governance, version=version
+    ) as merge:
+        new_table = _load_like(table, merge.data, loader, verify, governance)
         target = root / version
         if target.exists():
             shutil.rmtree(target)  # leftover from a crashed attempt
         save_table(new_table, target, crash_hook=crash_hook)
         _flip_current(root, version)
-        flipped = True
+        # The manifest flip is the commit point: the merge IS durable,
+        # so a surviving process must not retry it — a failure from
+        # here on resets the in-memory store onto the new on-disk base.
+        merge.durable = True
         if crash_hook is not None:
             crash_hook("current.written")
-    except BaseException as exc:
-        store.end_merge()
-        if flipped:
-            # The manifest flip is the commit point: the merge IS
-            # durable, so a surviving process must not retry it —
-            # align the in-memory store with the new on-disk base.
-            store.reset(new_table.num_rows)
-        flight.record(
-            "write.merge.abort", label, version=version, error=type(exc).__name__
-        )
-        if flight.enabled():
-            flight.RECORDER.dump_blackbox(
-                f"merge {table.schema.name} -> {version}", error=exc
-            )
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_MERGE_ABORTS.inc()
-        raise
-    store.end_merge()
-    store.reset(new_table.num_rows)
-    flight.record(
-        "write.merge.commit", label, version=version, rows=new_table.num_rows
-    )
-    if obs_metrics.enabled():
-        obs_metrics.WRITE_MERGES.inc()
-        obs_metrics.WRITE_MERGE_SECONDS.observe(time.perf_counter() - started)
     for child in root.iterdir():
         if child.is_dir() and child.name != version and not child.name.startswith("."):
             shutil.rmtree(child, ignore_errors=True)

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from repro.data.tpch import generate_orders
+from repro.engine.executor import run_scan
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
-from repro.errors import QueryCancelled, QueryTimeout
+from repro.errors import EngineError, QueryCancelled, QueryTimeout
 from repro.obs import recorder as flight
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -157,6 +160,85 @@ class TestPeerIsolation:
         scheduler.run()
         assert late.state is QueryState.DONE, late.error
         assert late.result.num_tuples == 500
+
+
+class TestUntypedFailures:
+    """A generator that raises something untyped fails its own handle —
+    typed, cause chained, one black box — and is never advanced again;
+    a co-running query still finishes byte-identical to its serial run.
+    """
+
+    QUERY = TestPeerIsolation.QUERY
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return load_table(generate_orders(500, seed=21), Layout.COLUMN)
+
+    def _assert_peer_is_serial(self, table, peer):
+        assert peer.state is QueryState.DONE, peer.error
+        serial = run_scan(table, self.QUERY)
+        np.testing.assert_array_equal(peer.result.positions, serial.positions)
+        for name, column in serial.columns.items():
+            np.testing.assert_array_equal(peer.result.columns[name], column)
+
+    def _assert_failed_once(self, error):
+        assert isinstance(error, EngineError)
+        assert isinstance(error.__cause__, ValueError)
+        assert "not a typed error" in str(error)
+        assert len(flight.RECORDER.blackboxes) == 1
+        assert flight.RECORDER.blackboxes[0]["error"]["type"] == "EngineError"
+
+    def test_query_timeslice(self, table):
+        scheduler = Scheduler(max_inflight=4, share_scans=False)
+
+        def crash(context):
+            if context.ticks > 2:
+                raise ValueError("not a typed error")
+
+        flight.RECORDER.clear()
+        victim = scheduler.submit(table, self.QUERY, on_tick=crash)
+        peer = scheduler.submit(table, self.QUERY)
+        scheduler.run()
+        assert victim.state is QueryState.FAILED and victim.result is None
+        self._assert_failed_once(victim.error)
+        with pytest.raises(EngineError):
+            victim.value()
+        self._assert_peer_is_serial(table, peer)
+        # No later round reads the finished generator and flips the handle.
+        assert not scheduler.poll()
+        assert victim.state is QueryState.FAILED
+        assert (scheduler.completed, scheduler.failed) == (1, 1)
+
+    def test_job_step(self, table):
+        scheduler = Scheduler(max_inflight=4, share_scans=False)
+
+        def steps():
+            yield
+            raise ValueError("not a typed error")
+
+        flight.RECORDER.clear()
+        job = scheduler.submit_job(steps(), label="doomed job")
+        peer = scheduler.submit(table, self.QUERY)
+        scheduler.run()
+        assert job.done and job.failed and job.result is None
+        self._assert_failed_once(job.error)
+        self._assert_peer_is_serial(table, peer)
+        assert not scheduler.poll()
+        assert job.failed and job.steps == 2
+
+    def test_keyboard_interrupt_is_recorded_then_reraised(self, table):
+        scheduler = Scheduler(share_scans=False)
+
+        def interrupt(context):
+            if context.ticks > 2:  # mid-slice, past the admission check
+                raise KeyboardInterrupt
+
+        victim = scheduler.submit(table, self.QUERY, on_tick=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            scheduler.run()
+        assert victim.state is QueryState.FAILED
+        assert isinstance(victim.error.__cause__, KeyboardInterrupt)
+        assert not scheduler.poll()
 
 
 class TestChaosBlackboxes:

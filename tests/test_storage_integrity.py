@@ -458,6 +458,7 @@ class TestVerificationHooks:
     def test_merge_with_verify(self, orders):
         table = load_table(orders, Layout.COLUMN)
         store = WriteOptimizedStore(orders.schema)
+        store.attach_base(table.num_rows)
         store.insert(tuple(orders.columns[n][0] for n in orders.schema.attribute_names))
         merged = store.merge_into(table, verify=True)
         assert merged.num_rows == ROWS + 1

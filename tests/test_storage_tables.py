@@ -1,4 +1,4 @@
-"""PagedFile, tables, loader, compressed rows, catalog tests."""
+"""PagedFile, tables, loader, compressed rows, write store tests."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.data.tpch import apply_fig5_compression, generate_orders
 from repro.errors import SchemaError, StorageError
-from repro.storage.catalog import Catalog
 from repro.storage.layout import Layout
 from repro.storage.loader import BulkLoader, load_table
 from repro.storage.pagefile import PagedFile
@@ -122,36 +121,13 @@ class TestCompressedRows:
         assert codec.stride == 51  # paper reports 52 (408 bits exactly)
 
 
-class TestCatalog:
-    def test_register_and_get(self, orders_row, orders_column):
-        catalog = Catalog()
-        catalog.register(orders_row)
-        catalog.register(orders_column)
-        assert catalog.get("ORDERS", Layout.ROW) is orders_row
-        assert catalog.get("ORDERS", Layout.COLUMN) is orders_column
-        assert catalog.names() == ["ORDERS"]
-        assert len(catalog) == 2
-
-    def test_duplicate_rejected(self, orders_row):
-        catalog = Catalog()
-        catalog.register(orders_row)
-        with pytest.raises(StorageError):
-            catalog.register(orders_row)
-        catalog.replace(orders_row)  # replace is allowed
-
-    def test_missing_lookup(self):
-        catalog = Catalog()
-        with pytest.raises(StorageError):
-            catalog.get("ORDERS", Layout.ROW)
-        assert not catalog.has("ORDERS", Layout.ROW)
-
-
 class TestWriteStore:
     def test_merge_appends_and_sorts(self, orders_data):
         from repro.storage.write_store import WriteOptimizedStore
 
         table = load_table(orders_data, Layout.COLUMN)
         store = WriteOptimizedStore(orders_data.schema, sort_key="O_ORDERKEY")
+        store.attach_base(table.num_rows)
         store.insert((1, 1, 42, b"O", b"5-LOW", 777, 0))
         store.insert((2, 2, 43, b"F", b"1-URGENT", 888, 0))
         assert len(store) == 2
@@ -173,6 +149,7 @@ class TestWriteStore:
 
         table = load_table(orders_data, Layout.ROW)
         store = WriteOptimizedStore(orders_data.schema)
+        store.attach_base(table.num_rows)
         merged = store.merge_into(table)
         assert merged.num_rows == table.num_rows
         np.testing.assert_array_equal(
@@ -185,6 +162,7 @@ class TestWriteStore:
         for layout in (Layout.ROW, Layout.COLUMN):
             table = load_table(orders_data, layout)
             store = WriteOptimizedStore(orders_data.schema)
+            store.attach_base(table.num_rows)
             store.insert((9, 9, 9, b"P", b"5-LOW", 1, 0))
             merged = store.merge_into(table)
             assert merged.layout is layout

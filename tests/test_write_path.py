@@ -539,3 +539,187 @@ def test_iosim_merge_competition_model():
     assert measurement.merge_solo_seconds > measurement.query_solo_seconds
     payload = measurement.as_dict()
     assert payload["slowdown"] == measurement.slowdown
+
+
+# --- one merge protocol behind four doors -------------------------------------
+
+DOORS = ("merge_into", "merge_into_directory", "Database.merge", "Database.start_merge")
+
+
+def _merge_through(door: str, db, name: str, root) -> int:
+    """Merge ``name``'s dirty store through one door; the merged row count."""
+    from repro.storage.write_store import merge_into_directory
+
+    store, table = db.write_store(name), db.table(name)
+    if door == "merge_into":
+        return store.merge_into(table).num_rows
+    if door == "merge_into_directory":
+        return merge_into_directory(store, table, root)[0].num_rows
+    if door == "Database.merge":
+        db.merge(name)
+        return db.table(name).num_rows
+    job = db.start_merge(name)
+    while db.scheduler.poll():
+        pass
+    if job.error is not None:
+        raise job.error
+    return job.result
+
+
+def _merge_telemetry() -> dict:
+    from repro.obs import metrics as obs_metrics
+
+    return {
+        "merges": obs_metrics.WRITE_MERGES.value,
+        "merged_rows": obs_metrics.WRITE_MERGED_ROWS.value,
+        "reclaimed_rows": obs_metrics.WRITE_RECLAIMED_ROWS.value,
+        "aborts": obs_metrics.WRITE_MERGE_ABORTS.value,
+        "seconds_observed": obs_metrics.WRITE_MERGE_SECONDS.count,
+    }
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["commit", "abort"])
+@pytest.mark.parametrize("door", DOORS)
+def test_merge_protocol_is_the_same_through_every_door(
+    door, fault, tmp_path, monkeypatch
+):
+    """Same input, same telemetry and same freeze whichever door merges it.
+
+    Every door's install step loads through ``BulkLoader.load``, so a
+    wrapper there stands mid-merge: writes and a second merge must be
+    refused (typed, and the refusal emits nothing), and with ``fault``
+    it fails the install — with an untyped error, which the background
+    door must still land on its job handle.
+    """
+    from repro.obs import recorder as flight
+    from repro.storage.loader import BulkLoader
+
+    db, data, name = _dirty_database(Layout.COLUMN)
+    store = db.write_store(name)
+    row = tuple(data.columns[a.name][0] for a in data.schema)
+    real_load = BulkLoader.load
+    probed = []
+
+    def load_mid_merge(self, *args, **kwargs):
+        emitted = len(flight.RECORDER.events()), len(flight.RECORDER.blackboxes)
+        with pytest.raises(StorageError, match="merge is in flight"):
+            store.insert(row)
+        with pytest.raises(StorageError, match="merge is in flight"):
+            store.delete([1])
+        for second in ("merge_into", "Database.merge"):
+            with pytest.raises(StorageError, match="already in flight"):
+                _merge_through(second, db, name, tmp_path)
+        assert emitted == (
+            len(flight.RECORDER.events()),
+            len(flight.RECORDER.blackboxes),
+        )
+        probed.append(store.merging)
+        if fault:
+            raise ValueError("injected install fault")
+        return real_load(self, *args, **kwargs)
+
+    monkeypatch.setattr(BulkLoader, "load", load_mid_merge)
+    flight.RECORDER.clear()
+    before = _merge_telemetry()
+    if fault:
+        with pytest.raises(Exception) as raised:
+            _merge_through(door, db, name, tmp_path)
+        root_cause = raised.value.__cause__ or raised.value
+        assert isinstance(root_cause, ValueError)
+    else:
+        assert _merge_through(door, db, name, tmp_path) == ROWS
+    assert probed and all(probed)
+    delta = {key: value - before[key] for key, value in _merge_telemetry().items()}
+    kinds = [event.kind for event in flight.RECORDER.events("write.merge")]
+    begin = flight.RECORDER.events("write.merge.begin")[0]
+    assert (begin.detail["staged"], begin.detail["deleted"]) == (4, 4)
+    assert not store.merging
+    if fault:
+        assert kinds == ["write.merge.begin", "write.merge.abort"]
+        assert delta == dict.fromkeys(before, 0) | {"aborts": 1}
+        assert len(flight.RECORDER.blackboxes) == 1
+        # Staging is intact: the merge can be retried.
+        assert (len(store), store.deletes.count()) == (4, 4)
+        assert store.base_rows == ROWS
+    else:
+        assert kinds == ["write.merge.begin", "write.merge.commit"]
+        assert delta == {
+            "merges": 1,
+            "merged_rows": 4,
+            "reclaimed_rows": 4,
+            "aborts": 0,
+            "seconds_observed": 1,
+        }
+        assert not flight.RECORDER.blackboxes
+        assert not store.has_changes and store.base_rows == ROWS
+
+
+# --- insert_many is all-or-nothing ---------------------------------------------
+
+
+def test_refused_batch_stages_nothing():
+    data = generate_orders(20, seed=3)
+    row_bytes = sum(a.attr_type.width for a in data.schema)
+    db = Database(layouts=(Layout.COLUMN,))
+    db.create_table(data, write_budget=row_bytes * 4)
+    name = data.schema.name
+    store = db.write_store(name)
+    row = tuple(data.columns[a.name][0] for a in data.schema)
+    db.insert_many(name, [row, row])
+
+    def state():
+        return len(store), store.total_rows, store.staged_bytes, len(store.deletes)
+
+    before = state()
+    with pytest.raises(SchemaError, match="tuple of 2 values"):
+        db.insert_many(name, [row, row, (1, 2)])
+    assert state() == before
+    with pytest.raises(MemoryBudgetExceeded, match=f"inserting {row_bytes * 3} more"):
+        db.insert_many(name, [row, row, row])
+    assert state() == before
+    db.insert_many(name, [row, row])  # exactly up to the budget
+    assert len(store) == 4
+    with pytest.raises(MemoryBudgetExceeded, match=f"inserting {row_bytes} more"):
+        db.insert(name, row)
+
+
+# --- one staged-row matcher ----------------------------------------------------
+
+
+@pytest.mark.parametrize("num_predicates", [0, 1, 2])
+def test_predicate_delete_removes_exactly_what_the_query_saw(num_predicates):
+    """``delete(P)`` returns the count ``query(P)`` returned just before:
+    the delete and the overlay match staged rows with one store method.
+    """
+    db, data, name = _dirty_database(Layout.COLUMN)
+    # Stage the cheapest and the dearest order again, so staged rows
+    # fall on both sides of a price predicate, as base rows do.
+    price = data.columns["O_TOTALPRICE"]
+    db.insert_many(
+        name,
+        [
+            tuple(data.columns[a.name][index] for a in data.schema)
+            for index in (int(price.argmin()), int(price.argmax()))
+        ],
+    )
+    predicates = (
+        db.predicate(name, "O_TOTALPRICE", 0.6),
+        db.predicate(name, "O_ORDERDATE", 0.7),
+    )[:num_predicates]
+    seen = db.query(name, select=("O_ORDERKEY",), predicates=predicates)
+    everything = db.query(name, select=("O_ORDERKEY",)).num_tuples
+    live_base = ROWS - 3
+    staged_seen = int((seen.positions >= live_base).sum())
+    if num_predicates:
+        assert 0 < staged_seen < everything - live_base
+        assert 0 < seen.num_tuples - staged_seen < live_base
+    else:
+        assert seen.num_tuples == everything == live_base + 5
+    assert db.delete(name, predicates=predicates) == seen.num_tuples
+    assert db.query(name, select=("O_ORDERKEY",), predicates=predicates).num_tuples == 0
+    assert (
+        db.query(name, select=("O_ORDERKEY",)).num_tuples
+        == everything - seen.num_tuples
+    )
+    # Deleting again matches the same rows and finds none of them live.
+    assert db.delete(name, predicates=predicates) == 0
