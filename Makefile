@@ -92,11 +92,12 @@ scheduler-test:
 # unit-vs-page properties and differentials, the scanner / salvage /
 # sharing / scheduler / property / extension / index suites, then 200
 # differential fuzz cases.  Run it on any change under engine/operators/,
-# engine/sharing.py, index/scan.py, storage/{table,page,rowz,pagefile}.py
-# or compression/.
+# engine/sharing.py, index/scan.py, storage/{table,page,rowz,pagefile}.py,
+# compression/ or cpusim/cache.py (the cache-line model the column scans
+# charge through; its union1d reference lives in tests/test_cpusim.py).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
-		tests/test_engine_scanners.py \
+		tests/test_engine_scanners.py tests/test_cpusim.py \
 		tests/test_salvage_differential.py tests/test_scan_sharing.py \
 		tests/test_scheduler_equivalence.py tests/test_property_engine.py \
 		tests/test_extensions.py tests/test_index.py -q

@@ -187,9 +187,11 @@ class Codec(abc.ABC):
         """Unpack only the values at ``positions`` (sorted, in-page).
 
         Returns ``(values, values_decoded)`` where ``values_decoded`` is
-        the number of decode operations actually performed — the cost the
-        CPU model charges.  Schemes with :attr:`decodes_whole_page` set
-        decode all ``count`` values regardless of how few are requested.
+        the number of decode operations the CPU model charges: schemes
+        with :attr:`decodes_whole_page` set decode all ``count`` values
+        regardless of how few are requested, the others one per
+        position.  (The Python-level work is a full unpack then a gather
+        either way; the *cost accounting* is what matters for the study.)
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and (positions[0] < 0 or positions[-1] >= count):
@@ -197,26 +199,8 @@ class Codec(abc.ABC):
                 f"position out of page range [0, {count}): "
                 f"{positions[0]}..{positions[-1]}"
             )
-        if self.decodes_whole_page:
-            all_values = self.decode_page(payload, count, state)
-            return all_values[positions], count
-        values = self._decode_selected(payload, count, state, positions)
-        return values, int(positions.size)
-
-    def _decode_selected(
-        self,
-        payload: bytes,
-        count: int,
-        state: PageCodecState,
-        positions: np.ndarray,
-    ) -> np.ndarray:
-        """Default selective decode: full unpack then gather.
-
-        Subclasses that can random-access values cheaply may override;
-        the *cost accounting* (``values_decoded``) is what matters for the
-        study, not the Python-level shortcut.
-        """
-        return self.decode_page(payload, count, state)[positions]
+        values = self.decode_page(payload, count, state)[positions]
+        return values, count if self.decodes_whole_page else int(positions.size)
 
     def effective_bits(self, values: np.ndarray) -> float:
         """Average stored bits per value on this data.

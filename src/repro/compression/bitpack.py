@@ -145,18 +145,34 @@ def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
     _check_width(bits)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    if len(data) * 8 < count * bits:
+    stream_bytes = (count * bits + 7) // 8
+    if len(data) < stream_bytes:
         raise CompressionError(
             f"bit stream of {len(data)} bytes too short for {count} x {bits} bits"
         )
-    records, per_record, record_bytes = _stream_records(bits, count)
-    stream = bytes(data[: records * record_bytes]).ljust(
-        records * record_bytes + GATHER_SLACK_BYTES, b"\x00"
-    )
-    lanes = np.empty((records, per_record), dtype=np.int64)
-    for lane in range(per_record):
-        lanes[:, lane] = gather_bits(stream, (records,), (record_bytes,), lane * bits, bits)
-    return lanes.reshape(-1)[:count]
+    stream = bytes(data[:stream_bytes]).ljust(stream_bytes + GATHER_SLACK_BYTES, b"\x00")
+    return unpack_streams(stream, (), (), 0, bits, count)
+
+
+def unpack_streams(buffer, shape, strides, offset: int, bits: int, count: int) -> np.ndarray:
+    """:func:`unpack_bits` over every packed stream of a buffer at once.
+
+    ``shape`` streams of ``count`` values each start ``strides`` bytes
+    apart from byte ``offset`` — ``(pages,)`` and ``(page size,)`` for
+    the payloads of adjacent column pages, ``()`` and ``()`` for one
+    stream; the result is ``(*shape, count)``.  One :func:`gather_bits`
+    per lane of a record, over every record of every stream; a lane
+    stops at the last value it holds, so ``buffer`` is read no further
+    than :data:`GATHER_SLACK_BYTES` past a stream's last value.
+    """
+    _records, per_record, record_bytes = _stream_records(bits, count)
+    values = np.empty((*shape, count), dtype=np.int64)
+    for lane in range(min(per_record, count)):
+        records = -(-(count - lane) // per_record)
+        values[..., lane::per_record] = gather_bits(
+            buffer, (*shape, records), (*strides, record_bytes), 8 * offset + lane * bits, bits
+        )
+    return values
 
 
 class BitCodedCodec(Codec):

@@ -44,7 +44,7 @@ class IdentityCodec(Codec):
 
     def decode_codes(self, codes: np.ndarray, bases=0) -> np.ndarray:
         if self.attr_type.is_integer:
-            return codes.astype(np.int32).astype(np.int64)
+            return codes.astype(np.uint32, copy=False).view(np.int32).astype(np.int64)
         return codes
 
     @staticmethod

@@ -9,6 +9,12 @@ the resulting tuples (predicate nodes) or merely attaches its values
 (predicate-free nodes).  Blocks are exchanged between nodes in the same
 block-iterator format the rest of the engine uses.
 
+Both kinds of node work an I/O unit of column pages at a time — read,
+CRC, decode, then one predicate pass (first node) or one gather of the
+wanted positions (later nodes) per unit, and one cache classification
+per node — while every charge, checkpoint and fault stays per logical
+page (DESIGN.md, "Scan core").
+
 The cost consequences the paper measures all live here:
 
 * later nodes do work proportional to the *qualifying* tuples, so at
@@ -27,7 +33,7 @@ import numpy as np
 
 from repro.compression.base import CodecKind
 from repro.compression.dictionary import DictionaryCodec
-from repro.cpusim.cache import classify_page_access
+from repro.cpusim.cache import classify_access
 from repro.engine.blocks import Block
 from repro.engine.compressed_exec import rewrite_all
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
@@ -51,8 +57,8 @@ class ColumnScanner(RunOnceScanner):
         """Run the node pipeline over the whole table.
 
         Nodes logically exchange 100-tuple blocks; the work and the
-        block handoffs are accounted per node, while the computation is
-        vectorized page-at-a-time for speed.
+        block handoffs are accounted per node and per logical page,
+        while the computation is vectorized an I/O unit at a time.
         """
         positions, collected = self._run_first_node(self._attrs[0])
         for attr in self._attrs[1:]:
@@ -76,7 +82,7 @@ class ColumnScanner(RunOnceScanner):
         bound = [b for b in self._bound if b[1] == attr]
         selected = attr in self.select
         width = self.table.schema.attribute(attr).width
-        decode = on_codes = None
+        on_codes = None
         if (
             self.context.compressed_execution
             and bound
@@ -89,15 +95,10 @@ class ColumnScanner(RunOnceScanner):
             # operand is the narrow code, not the value.
             code_bytes = max(1, codec.bits_per_value // 8)
             bound = [(predicate, attr, code_bytes) for predicate in on_codes]
-            page_codec = column_file.page_codec
-
-            def decode(page):
-                _pid, count, payload, _state = page_codec.decode_raw(page)
-                return codec.unpack_codes(payload, count)
 
         qualified_positions = []
         qualified_values = []
-        for row_base, count, data in self._dense_pages(column_file, decode):
+        for row_base, count, data in self._dense_pages(column_file, on_codes is not None):
             if data is None:
                 # Salvage: the page's rows vanish from the position
                 # list; the nominal span keeps every later node's
@@ -143,9 +144,7 @@ class ColumnScanner(RunOnceScanner):
         calibration = self.context.calibration
         spec = self.table.schema.attribute(attr).spec
         column_file = self.table.column_file(attr)
-        page_codec = column_file.page_codec
-        codec = page_codec.codec
-        bits = codec.bits_per_value
+        codec = column_file.page_codec.codec
         bound = [b for b in self._bound if b[1] == attr]
         width = self.table.schema.attribute(attr).width
 
@@ -153,52 +152,53 @@ class ColumnScanner(RunOnceScanner):
 
         values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
         if positions.size:
-            page_ids = column_file.page_of_positions(positions)
-            keep = np.ones(positions.size, dtype=bool)
-            chunks = []
-            for page_id in np.unique(page_ids):
-                self._governance_check()
-                selector = page_ids == page_id
-                in_page = positions[selector] - column_file.first_row_of_page(
-                    int(page_id)
-                )
+            page_ids, in_page = column_file.locate(positions)
+            # The sorted list cut at page boundaries: touched page ``t``
+            # holds positions ``cuts[t]:cuts[t + 1]``.
+            turns = np.flatnonzero(page_ids[1:] != page_ids[:-1]) + 1
+            cuts = [0, *turns.tolist(), positions.size]
+            touched = page_ids[cuts[:-1]].tolist()
+            #: Values on each touched page; 0 where salvage dropped it.
+            counts = np.zeros(len(touched), dtype=np.int64)
 
-                def decode(page, in_page=in_page):
-                    _pid, count, payload, state = page_codec.decode_raw(page)
-                    page_values, decoded = codec.decode_positions(
-                        payload, count, state, in_page
-                    )
-                    return count, page_values, decoded
+            def gather_unit(unit, t):
+                on = slice(cuts[t], cuts[t + len(unit) // self.table.page_size])
+                return column_file.gather_unit(unit, page_ids[on] - touched[t], in_page[on])
 
-                result = self._guarded(
-                    decode, column_file.file, int(page_id), int(in_page.size)
-                )
-                if result is None:
-                    # Salvage: this column cannot supply these rows, so
-                    # they are dropped from the pipeline — the position
-                    # list and every already-collected column shrink in
-                    # lockstep below.
-                    keep &= ~selector
-                    continue
-                count, page_values, decoded = result
-                chunks.append(page_values)
-
-                events.pages_touched += 1
-                events.count_decode(spec.kind, decoded)
-                seq, rand = classify_page_access(
-                    in_page, count, bits, calibration.l2_line_bytes
-                )
-                events.mem_seq_lines += seq
-                events.mem_rand_lines += rand
-                l1_seq, l1_rand = classify_page_access(
-                    in_page, count, bits, calibration.l1_line_bytes
-                )
-                events.l1_lines += l1_seq + l1_rand
-            if not keep.all():
-                positions = positions[keep]
-                collected = {name: col[keep] for name, col in collected.items()}
+            chunks, lost = [], []
+            for t, pages, gathered in self._guarded_units(
+                column_file.file,
+                touched,
+                lambda t: cuts[t + 1] - cuts[t],
+                gather_unit,
+                lambda page, t: column_file.gather_page(page, in_page[cuts[t] : cuts[t + 1]]),
+            ):
+                if gathered is None:
+                    lost.append(t)
+                else:
+                    counts[t : t + pages], page_values = gathered
+                    chunks.append(page_values)
             if chunks:
                 values = np.concatenate(chunks)
+            on_page = np.cumsum(np.bincount(turns, minlength=positions.size))
+            if lost:
+                # Salvage: this column cannot supply a dropped page's rows,
+                # so they leave the pipeline — the position list and every
+                # collected column shrink in lockstep — and with no position
+                # left on it the page is charged nothing below.
+                keep = ~np.isin(on_page, lost)
+                positions, in_page, on_page = positions[keep], in_page[keep], on_page[keep]
+                collected = {name: col[keep] for name, col in collected.items()}
+
+            events.pages_touched += len(touched) - len(lost)
+            whole = codec.decodes_whole_page
+            events.count_decode(spec.kind, int(counts.sum()) if whole else positions.size)
+            access = (on_page, in_page, counts, codec.bits_per_value)
+            seq, rand = classify_access(*access, calibration.l2_line_bytes)
+            events.mem_seq_lines += int(seq.sum())
+            events.mem_rand_lines += int(rand.sum())
+            seq, rand = classify_access(*access, calibration.l1_line_bytes)
+            events.l1_lines += int(seq.sum() + rand.sum())
 
         if bound:
             # Rewrite: qualifying tuples are copied whole to new blocks.

@@ -10,10 +10,13 @@ select ∘ gather ∘ decompress over columns.  Here live
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
 * :class:`Scanner` — validation, access order, row window,
-  ``describe()``, the empty block and the ready queue — with
-  :class:`PagedScanner` (an I/O unit at a time: row, PAX) and
-  :class:`RunOnceScanner` (whole table in the first ``next()``: fused,
-  pipelined, index).
+  ``describe()``, the empty block, the ready queue, the I/O unit's size
+  and the unit-at-a-time read of a column file
+  (:meth:`Scanner._guarded_units`, under the dense
+  :meth:`Scanner._dense_pages` and the pipelined scanner's
+  position-driven nodes) — with :class:`PagedScanner` (an I/O unit at a
+  time, released page by page: row, PAX) and :class:`RunOnceScanner`
+  (whole table in the first ``next()``: fused, pipelined, index).
 
 A strategy says how a page is charged to the memory hierarchy, when its
 decompression is charged, and what it does with a decoded page.
@@ -222,6 +225,8 @@ class Scanner(Operator):
         self._predicate_kinds = self._compressed_kinds(filtered)
         self._select_kinds = self._compressed_kinds(self._attrs[len(filtered) :])
         self._ready: deque[Block] = deque()
+        #: Pages per I/O unit: what every scan reads, checks and decodes at once.
+        self._unit_pages = max(1, context.calibration.io_unit_bytes // table.page_size)
 
     def _compressed_kinds(self, names) -> list[CodecKind]:
         specs = (self.table.schema.attribute(name).spec for name in names)
@@ -293,43 +298,121 @@ class Scanner(Operator):
         }
         return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
-    def _dense_pages(self, column_file, decode=None):
-        """Yield ``(row_base, rows, data)`` per page of one column in the window.
+    def _guarded_units(self, file, pages, span_of, decode_unit, decode_page):
+        """Read, check and decode the ascending ``pages`` of a column
+        file an I/O unit at a time: yields ``(at, count, decoded)``.
 
-        Pages wholly before the window are skipped without I/O.  A page
-        salvage had to drop yields ``data=None`` and its nominal span as
-        ``rows`` — a placeholder that keeps later rows, and the other
-        columns, aligned.  A decoded page yields the array ``decode``
-        made of it (default: its values) and is charged here: one page,
-        its lines streamed through the caches.
+        A unit is a run of pages adjacent in the file, ``count`` of them
+        from ``pages[at]``, read as one buffer; ``decoded`` is what
+        ``decode_unit(unit, at)`` made of it.  A unit that does not
+        decode whole is served page by page from the bytes already read,
+        so a fault names its page: ``decoded`` is then what
+        ``decode_page(data, at)`` made of one page, or ``None`` where
+        salvage dropped it (``span_of(at)`` rows are recorded lost).  A
+        unit that comes back short — a later page would not read — is
+        followed by one that starts at that page.  One checkpoint per
+        page, passed before anything of the page is yielded.
+        """
+        size = file.page_size
+        at = 0
+        while at < len(pages):
+            self._governance_check()
+            page = pages[at]
+            longest = min(self._unit_pages, len(pages) - at)
+            run = 1
+            while run < longest and pages[at + run] == page + run:
+                run += 1
+            unit, decoded = guarded_decode_unit(
+                self.context, lambda unit: decode_unit(unit, at), file, page, run, span_of(at)
+            )
+            if unit is None:
+                obs_metrics.PAGES_SALVAGED.inc()
+                yield at, 1, None
+                at += 1
+                continue
+            run = len(unit) // size
+            if decoded is not None:
+                for _page in range(1, run):
+                    self._governance_check()
+                self.context.corruption.pages_scanned += run
+                yield at, run, decoded
+                at += run
+                continue
+            for start in range(0, len(unit), size):
+                if start:
+                    self._governance_check()
+                yield at, 1, self._guarded(
+                    lambda data: decode_page(data, at),
+                    file,
+                    pages[at],
+                    span_of(at),
+                    unit[start : start + size],
+                )
+                at += 1
+
+    def _dense_pages(self, column_file, codes=False):
+        """Yield ``(row_base, rows, data)`` per run of pages of one column in the window.
+
+        Pages wholly before the window are skipped without I/O; the rest
+        arrive through :meth:`_guarded_units`, and a healthy unit is one
+        run: ``data`` holds the ``rows`` values (or, on request, the
+        undecoded ``codes``) of all its pages.  A page salvage had to
+        drop yields ``data=None`` and its nominal span as ``rows`` — a
+        placeholder that keeps later rows, and the other columns,
+        aligned.  Pages are charged here, each as one page touched and
+        its lines streamed through the caches, whatever they arrived in.
         """
         events = self.events
-        calibration = self.context.calibration
+        l2_line_bytes = self.context.calibration.l2_line_bytes
+        l1_line_bytes = self.context.calibration.l1_line_bytes
+        file = column_file.file
+        num_rows = self.table.num_rows
         bits = column_file.page_codec.codec.bits_per_value
-        decode = decode or column_file.decode_page
         lo, hi = self.row_range
         if lo == hi and not self.EMPTY_WINDOW_READS_A_PAGE:
             return
-        row_base = 0
-        for page in range(column_file.file.num_pages):
-            self._governance_check()
-            if row_base >= hi:
-                break
-            span = column_file.row_span_of_page(page, self.table.num_rows)
+
+        def decode_unit(unit, _at):
+            counts, values = column_file.decode_unit(unit, codes)
+            return counts.tolist(), values
+
+        def decode_page(data, _at):
+            values = column_file.decode_page(data, codes)
+            return [len(values)], values
+
+        page = row_base = 0
+        while page < file.num_pages and row_base < hi:
+            span = column_file.row_span_of_page(page, num_rows)
             if row_base + span <= lo:
+                self._governance_check()
+                page += 1
                 row_base += span
                 continue
-            decoded = self._guarded(decode, column_file.file, page, span)
-            if decoded is None:
-                yield row_base, span, None
-                row_base += span
-                continue
-            count = len(decoded)
-            events.pages_touched += 1
-            events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
-            events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
-            yield row_base, count, decoded
-            row_base += count
+            # Pages hold at most ``values_per_page`` values, so this many
+            # more are certain to start inside the window.
+            wanted = -(-(hi - row_base) // column_file.values_per_page)
+            pages = range(page, min(file.num_pages, page + wanted))
+
+            def span_of(at):
+                return column_file.row_span_of_page(pages[at], num_rows)
+
+            for at, _count, decoded in self._guarded_units(
+                file, pages, span_of, decode_unit, decode_page
+            ):
+                if decoded is None:
+                    rows, data = span_of(at), None
+                else:
+                    counts, data = decoded
+                    rows = len(data)
+                    events.pages_touched += len(counts)
+                    for count in counts:
+                        events.mem_seq_lines += page_lines(count, bits, l2_line_bytes)
+                        events.l1_lines += page_lines(count, bits, l1_line_bytes)
+                yield row_base, rows, data
+                row_base += rows
+            page = pages.stop
+        if page < file.num_pages:
+            self._governance_check()  # the page the window ends before
 
 
 class PagedScanner(Scanner):
@@ -343,10 +426,6 @@ class PagedScanner(Scanner):
     touched what a page-at-a-time scan would have (DESIGN.md, "Scan
     core").  Subclasses say how a page is charged to the caches.
     """
-
-    def __init__(self, context, table, select, predicates=(), row_range=None):
-        super().__init__(context, table, select, predicates, row_range)
-        self._unit_pages = max(1, context.calibration.io_unit_bytes // table.page_size)
 
     def _open(self) -> None:
         super()._open()

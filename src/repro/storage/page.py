@@ -37,7 +37,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.compression.base import Codec, PageCodecState
-from repro.errors import ChecksumError, PageFormatError, StorageError
+from repro.compression.bitpack import unpack_streams
+from repro.errors import ChecksumError, CompressionError, PageFormatError, StorageError
 from repro.types.schema import TableSchema
 
 DEFAULT_PAGE_SIZE = 4096
@@ -328,6 +329,46 @@ class ColumnPageCodec:
         count, payload, page_id, base = _disassemble(page, self.page_size)
         values = self.codec.decode_page(payload, count, PageCodecState(base=base))
         return page_id, values
+
+    def decode_unit(self, unit: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Verify adjacent pages and unpack them: ``(counts, bases, codes)``.
+
+        ``codes[p, i]`` is value ``i`` of page ``p``, undecoded — padding
+        from ``counts[p]`` on — and ``codec.decode_codes(codes, bases)``
+        the values, of all of them or of any selection that keeps a
+        page's codes along the last axis.  Verbatim codes are a view of
+        ``unit``; word reads of packed codes overrun a payload by at most
+        ``GATHER_SLACK_BYTES``, which the page trailer covers.  A codec
+        without fixed-width codes (RLE) raises, as does a unit with a
+        corrupt page, without saying which: the caller goes back to
+        :meth:`decode` or :meth:`decode_raw`, page by page.
+        """
+        codec = self.codec
+        size = self.page_size
+        pages = len(unit) // size
+        if codec.is_variable:
+            raise CompressionError(f"{type(codec).__name__} has no fixed-width codes")
+        if not pages or len(unit) % size:
+            raise PageFormatError(f"{len(unit)}-byte unit is not whole {size}-byte pages")
+        verify_unit(unit, size)
+        counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
+        if max(counts.tolist()) > self.values_per_page:
+            raise PageFormatError(
+                f"page counts {counts.tolist()} exceed the capacity, {self.values_per_page}"
+            )
+        bases = np.ndarray((pages,), "<i8", unit, size - 8, (size,))
+        bits = codec.bits_per_value
+        if codec.text_codes or not codec.spec.is_compressed:
+            # Stored verbatim, text or 32-bit integers: a view of the unit.
+            kind = "S" if codec.text_codes else "<u"
+            shape = (pages, self.values_per_page)
+            strides = (size, bits // 8)
+            codes = np.ndarray(shape, f"{kind}{bits // 8}", unit, PAGE_HEADER_BYTES, strides)
+        else:
+            codes = unpack_streams(
+                unit, (pages,), (size,), PAGE_HEADER_BYTES, bits, self.values_per_page
+            )
+        return counts, bases, codes
 
     def encode_prefix(self, page_id: int, values: np.ndarray) -> tuple[bytes, int]:
         """Fill one page with a data-dependent number of leading values.

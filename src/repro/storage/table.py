@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.registry import build_codec
-from repro.errors import SchemaError, StorageError
+from repro.errors import CompressionError, PageFormatError, SchemaError, StorageError
 from repro.storage.layout import Layout
 from repro.storage.page import DEFAULT_PAGE_SIZE, ColumnPageCodec, RowPageCodec
 from repro.storage.pagefile import PagedFile
@@ -182,9 +182,59 @@ class ColumnFile:
     def is_variable(self) -> bool:
         return self.page_codec.codec.is_variable
 
-    def decode_page(self, page: bytes) -> np.ndarray:
-        """Every value of one page, decoded."""
-        return self.page_codec.decode(page)[1]
+    def decode_page(self, page: bytes, codes: bool = False) -> np.ndarray:
+        """Every value of one page, decoded — or its ``codes``, undecoded."""
+        if not codes:
+            return self.page_codec.decode(page)[1]
+        _page_id, count, payload, _state = self.page_codec.decode_raw(page)
+        return self.page_codec.codec.unpack_codes(payload, count)
+
+    def decode_unit(self, unit: bytes, codes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_page` over adjacent pages read as one buffer:
+        ``(value count per page, values in file order)``.
+
+        As :meth:`PagedTable.decode_unit`: a unit with a corrupt page,
+        or one that cannot be flattened (RLE pages, a page other than
+        the last not full), raises without saying which page.
+        """
+        counts, bases, values = self.page_codec.decode_unit(unit)
+        per_page = counts.tolist()
+        if per_page[:-1] != [self.values_per_page] * (len(per_page) - 1):
+            raise PageFormatError(f"unit is not dense: page counts {per_page}")
+        if not codes:
+            values = self.page_codec.codec.decode_codes(values, bases)
+        return counts, values.reshape(-1)[: sum(per_page)]
+
+    def gather_unit(
+        self, unit: bytes, pages: np.ndarray, in_page: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Value ``in_page[i]`` of the unit's page ``pages[i]``, for every
+        ``i``: ``(value count per page, values)``.
+
+        One fancy index into the unit's codes, then one decode of what
+        it took — of whole pages first where the codec cannot do less.
+        An index at or past its page's count raises, as for one page
+        (:meth:`Codec.decode_positions`): padding is never a value.
+        """
+        codec = self.page_codec.codec
+        counts, bases, codes = self.page_codec.decode_unit(unit)
+        if (in_page >= counts[pages]).any():
+            raise CompressionError("position past the values of its page")
+        if codec.decodes_whole_page:
+            return counts, codec.decode_codes(codes, bases)[pages, in_page]
+        return counts, codec.decode_codes(codes[pages, in_page, None], bases[pages])[:, 0]
+
+    def gather_page(self, page: bytes, in_page: np.ndarray) -> tuple[int, np.ndarray]:
+        """:meth:`gather_unit` of one page, whatever its codec: ``(value count, values)``."""
+        _page_id, count, payload, state = self.page_codec.decode_raw(page)
+        return count, self.page_codec.codec.decode_positions(payload, count, state, in_page)[0]
+
+    def locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(page index, value index on that page)`` of each global row position."""
+        if self.first_rows is None:
+            return np.divmod(positions, self.values_per_page)
+        pages = self.page_of_positions(positions)
+        return pages, positions - self.first_rows[pages]
 
     def page_of_positions(self, positions: np.ndarray) -> np.ndarray:
         """Page index containing each global row position."""

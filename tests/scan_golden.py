@@ -24,6 +24,7 @@ import zlib
 
 import numpy as np
 
+from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.tpch import apply_fig5_compression, generate_lineitem
 from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
@@ -194,8 +195,10 @@ def _record(context: ExecutionContext, blocks) -> dict:
     }
 
 
-def _context(salvage: bool = False, compressed_execution: bool = False):
+def _context(salvage: bool = False, compressed_execution: bool = False, **overrides):
+    """``overrides`` are calibration fields (``io_unit_bytes=4096``: page at a time)."""
     return ExecutionContext(
+        calibration=DEFAULT_CALIBRATION.with_overrides(**overrides),
         strict_integrity=not salvage,
         compressed_execution=compressed_execution,
         governance=QueryContext(),

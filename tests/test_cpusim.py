@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression.base import CodecKind
 from repro.cpusim.breakdown import CpuBreakdown
 from repro.cpusim.cache import (
+    classify_access,
     classify_page_access,
     line_coverage,
     lines_touched,
@@ -88,6 +91,103 @@ class TestCacheModel:
     def test_empty_positions(self):
         assert lines_touched(np.array([], dtype=np.int64), 32, 128) == 0
         assert page_lines(0, 32, 128) == 0
+
+
+# --- the one-page union1d model, kept as the reference --------------------------
+
+
+def reference_lines_touched(positions, value_bits, line_bytes):
+    if positions.size == 0:
+        return 0
+    bit_offsets = np.asarray(positions, dtype=np.int64) * value_bits
+    line_ids = bit_offsets // (line_bytes * 8)
+    # Wide values can straddle lines; count the end line too.
+    end_line_ids = (bit_offsets + value_bits - 1) // (line_bytes * 8)
+    return int(np.union1d(line_ids, end_line_ids).size)
+
+
+def reference_page_lines(count, value_bits, line_bytes):
+    if count <= 0:
+        return 0
+    total_bits = count * value_bits
+    return (total_bits + line_bytes * 8 - 1) // (line_bytes * 8)
+
+
+def reference_classify_page_access(positions, count, value_bits, line_bytes, threshold=0.5):
+    """``classify_page_access`` as it was: a sort + unique per page."""
+    touched = reference_lines_touched(positions, value_bits, line_bytes)
+    total = reference_page_lines(count, value_bits, line_bytes)
+    touched, coverage = (0, 0.0) if total == 0 else (touched, touched / total)
+    if coverage >= threshold:
+        return reference_page_lines(count, value_bits, line_bytes), 0
+    return 0, touched
+
+
+#: Packed widths, and whole-byte text widths up to L_COMMENT's 69 bytes —
+#: wider than an L1 line, so one value can cover three lines (the model
+#: counts its first and its last).
+VALUE_BITS = st.one_of(st.integers(1, 63), st.integers(1, 69).map(lambda width: 8 * width))
+#: How a page's positions are drawn: none at all, a sparse few, the
+#: first value of every other line (coverage at or next to exactly 0.5),
+#: a random half, everything.
+DENSITIES = ("none", "sparse", "alternate-lines", "half", "all")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pages=st.integers(1, 40),
+    value_bits=VALUE_BITS,
+    line_bytes=st.sampled_from((64, 128)),
+    payload_bytes=st.sampled_from((236, 1004, 4076)),
+    last_fill=st.floats(0.01, 1.0),
+    densities=st.lists(st.sampled_from(DENSITIES), min_size=40, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_access_is_the_union1d_model_page_by_page(
+    pages, value_bits, line_bytes, payload_bytes, last_fill, densities, seed
+):
+    rng = np.random.default_rng(seed)
+    capacity = payload_bytes * 8 // value_bits
+    counts = np.full(pages, capacity)
+    counts[-1] = max(1, int(capacity * last_fill))  # a short last page
+    per_page = []
+    for count, density in zip(counts.tolist(), densities):
+        if density == "none":
+            chosen = np.zeros(0, dtype=np.int64)
+        elif density == "sparse":
+            chosen = np.unique(rng.integers(0, count, 3))
+        elif density == "alternate-lines":
+            starts = np.arange(0, count * value_bits, 2 * line_bytes * 8)
+            chosen = np.unique(-(-starts // value_bits))
+            chosen = chosen[chosen < count]
+        elif density == "half":
+            chosen = np.flatnonzero(rng.random(count) < 0.5)
+        else:
+            chosen = np.arange(count)
+        per_page.append(chosen)
+    on_page = np.repeat(np.arange(pages), [chosen.size for chosen in per_page])
+    in_page = np.concatenate(per_page)
+
+    seq, rand = classify_access(on_page, in_page, counts, value_bits, line_bytes)
+    expected = [
+        reference_classify_page_access(chosen, count, value_bits, line_bytes)
+        for chosen, count in zip(per_page, counts.tolist())
+    ]
+    assert list(zip(seq.tolist(), rand.tolist())) == expected
+    # ... and the one-page spelling is the same function.
+    for chosen, count, pair in zip(per_page, counts.tolist(), expected):
+        assert classify_page_access(chosen, count, value_bits, line_bytes) == pair
+
+
+def test_exactly_half_the_lines_is_dense_on_every_page():
+    """Coverage == 0.5 counts as prefetchable, page by page, beside a
+    page just under it and a page with no position at all."""
+    # 32-bit values, 128 B lines: 100 values occupy 4 lines.
+    on_page = np.array([0, 0, 1, 3, 3])
+    in_page = np.array([0, 90, 0, 0, 90])
+    seq, rand = classify_access(on_page, in_page, [100, 100, 100, 100], 32, 128)
+    assert seq.tolist() == [4, 0, 0, 4]
+    assert rand.tolist() == [0, 1, 0, 0]
 
 
 class TestCalibration:

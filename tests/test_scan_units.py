@@ -1,6 +1,7 @@
-"""Row scans at I/O-unit granularity: the unit path against the page path.
+"""Scans at I/O-unit granularity: the unit path against the page path.
 
-Three contracts of the unit-granular scan core (DESIGN.md, "Scan core"):
+Three contracts of the unit-granular scan core (DESIGN.md, "Scan core"),
+for row files and for column files:
 
 * **decode** — ``decode_unit`` over k pages is the concatenation of k
   ``decode_page`` calls, for every codec kind, packed width, bit offset,
@@ -11,11 +12,13 @@ Three contracts of the unit-granular scan core (DESIGN.md, "Scan core"):
   a unit behave exactly as under a page-at-a-time scan (a context whose
   I/O unit is one page): the fault names its page, every other page's
   rows survive, nothing is read twice, every touched page is timed once;
-* **release** — a unit's pages are accounted for one by one as the
+* **release** — a row unit's pages are accounted for one by one as the
   consumer's pulls reach them, so a scan under a ``Limit`` has the
   events, faults and checkpoints of the page-at-a-time scan, a cancel or
   a deadline surfaces as the typed error with no partial result, and a
   finished scan has passed as many checkpoints as the golden pin says.
+  A column scan runs whole inside its first ``next()``; its checkpoints
+  still come one per logical page, each before that page is charged.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.compression.bitpack import gather_bits, pack_bits, unpack_bits
 from repro.compression.registry import build_codec, build_codec_for_values
 from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.tpch import apply_fig5_compression, generate_lineitem
+from repro.design.materialize import materialize_view
 from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
@@ -41,7 +45,13 @@ from repro.engine.operators import Limit
 from repro.engine.plan import scan_plan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
-from repro.errors import ChecksumError, PageFormatError, QueryCancelled, QueryTimeout
+from repro.errors import (
+    ChecksumError,
+    CompressionError,
+    PageFormatError,
+    QueryCancelled,
+    QueryTimeout,
+)
 from repro.obs import metrics
 from repro.obs import recorder as flight
 from repro.storage.faults import FaultPlan
@@ -50,10 +60,17 @@ from repro.storage.loader import load_table
 from repro.storage.page import PAGE_HEADER_BYTES
 from repro.storage.pagefile import PagedFile
 from repro.storage.retry import RetryPolicy
-from repro.storage.table import PaxTable, RowTable
+from repro.storage.table import PaxTable, RowTable, build_column_file
 from repro.types.datatypes import FixedTextType, IntType
 from repro.types.schema import Attribute, TableSchema
-from tests.scan_golden import GOLDEN_PATH, _queries, _run_scan
+from tests.scan_golden import (
+    CORRUPT_PAGES,
+    GOLDEN_PATH,
+    SCANNERS,
+    WINDOWS,
+    _queries,
+    _run_scan,
+)
 
 # --- the old bit-matrix kernels, kept as the reference ------------------------
 
@@ -290,6 +307,138 @@ def test_decode_page_decodes_only_the_attributes_asked_for():
             np.testing.assert_array_equal(column, every[name])
 
 
+# --- column files: the same contract -------------------------------------------
+
+
+def _build_column_file(attribute: Attribute, values: np.ndarray, page_size: int):
+    """Encode pages straight through the column page codec."""
+    column_file = build_column_file(TableSchema("C", (attribute,)), attribute.name, page_size)
+    capacity = column_file.values_per_page
+    for start in range(0, len(values), capacity):
+        page_id = column_file.file.num_pages
+        page = column_file.page_codec.encode(page_id, values[start : start + capacity])
+        column_file.file.append_page(page)
+    return column_file
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(INT_KINDS + TEXT_KINDS),
+    bits=st.integers(1, 63),
+    rows=st.integers(1, 400),
+    page_size=st.sampled_from((64, 256)),
+    ordered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_decode_unit_is_the_concatenation_of_page_decodes(
+    kind, bits, rows, page_size, ordered, seed
+):
+    """Every codec kind x width 1-63 x zig-zag x short last page x
+    one-page unit, values and codes, whole and gathered by position."""
+    rng = np.random.default_rng(seed)
+    if kind in INT_KINDS:
+        attribute, values = _int_attribute(rng, "probe", kind, bits, rows, ordered)
+    else:
+        attribute, values = _text_attribute(rng, "probe", kind, 1 + bits % 12, rows)
+    column_file = _build_column_file(attribute, values, page_size)
+    file = column_file.file
+    pages = file.num_pages
+    singly = [column_file.decode_page(file.read_page(i)) for i in range(pages)]
+    np.testing.assert_array_equal(np.concatenate(singly), values)
+
+    # Any run of adjacent pages is a unit: the whole file, its first
+    # page alone, and the tail from a random page on.
+    for first, count in {(0, pages), (0, 1), (start := int(rng.integers(pages)), pages - start)}:
+        unit = file.read_pages(first, count)
+        counts, decoded = column_file.decode_unit(unit)
+        joined = np.concatenate(singly[first : first + count])
+        assert counts.tolist() == [len(page) for page in singly[first : first + count]]
+        assert decoded.dtype == joined.dtype
+        np.testing.assert_array_equal(decoded, joined)
+
+        # Positions: one fancy index into the unit, equal to the
+        # page-by-page selective decode.
+        wanted = np.flatnonzero(rng.random(len(joined)) < 0.3)
+        ends = np.cumsum(counts)
+        on_page = np.searchsorted(ends, wanted, side="right")
+        in_page = wanted - (ends - counts)[on_page]
+        same_counts, gathered = column_file.gather_unit(unit, on_page, in_page)
+        assert same_counts.tolist() == counts.tolist()
+        assert gathered.dtype == joined.dtype
+        np.testing.assert_array_equal(gathered, joined[wanted])
+        for page in range(count):
+            here = in_page[on_page == page]
+            page_count, page_values = column_file.gather_page(file.read_page(first + page), here)
+            assert page_count == counts[page]
+            np.testing.assert_array_equal(page_values, gathered[on_page == page])
+
+    # Padding past a short last page's count is never a value.
+    last = np.array([pages - 1])
+    with pytest.raises(CompressionError):
+        column_file.gather_unit(file.read_pages(0, pages), last, np.array([len(singly[-1])]))
+    with pytest.raises(CompressionError):
+        column_file.gather_page(file.read_page(pages - 1), np.array([len(singly[-1])]))
+
+    if kind in ("pack", "dict", "for", "for-delta", "text-dict"):
+        # The undecoded codes (compressed execution compares them).
+        _counts, codes = column_file.decode_unit(file.read_pages(0, pages), codes=True)
+        by_page = [column_file.decode_page(file.read_page(i), codes=True) for i in range(pages)]
+        np.testing.assert_array_equal(codes, np.concatenate(by_page))
+        if kind in ("dict", "text-dict"):
+            dictionary = column_file.page_codec.codec.dictionary
+            np.testing.assert_array_equal(dictionary[codes], values)
+
+
+@pytest.mark.parametrize("dataset", ["plain", "z"])
+def test_fig5_column_files_decode_by_unit_as_by_page(dataset):
+    """LINEITEM and LINEITEM-Z as loaded: every Fig-5 codec, identity
+    integers and text, text-pack, 4 KB pages, units of 32 pages."""
+    data = generate_lineitem(4_000, seed=5)
+    data = apply_fig5_compression(data) if dataset == "z" else data
+    table = load_table(data, Layout.COLUMN)
+    for name, column_file in table.column_files.items():
+        file = column_file.file
+        units = [
+            file.read_pages(first, min(32, file.num_pages - first))
+            for first in range(0, file.num_pages, 32)
+        ]
+        column = np.concatenate([column_file.decode_unit(unit)[1] for unit in units])
+        np.testing.assert_array_equal(column, data.columns[name])
+        assert column.dtype == table.read_column(name).dtype
+
+
+def test_a_unit_that_cannot_be_flattened_is_refused():
+    """RLE pages, a corrupt page, a ragged buffer and an interior short
+    page raise without naming a page: the caller goes page by page."""
+    view = materialize_view(
+        generate_lineitem(ROWS, seed=77),
+        ("L_QUANTITY", "L_SUPPKEY"),
+        sort_key="L_QUANTITY",
+        compress=True,
+        use_rle=True,
+        page_size=64,
+    )
+    rle = view.table.column_file("L_QUANTITY")
+    assert rle.is_variable and rle.file.num_pages > 1
+    with pytest.raises(CompressionError, match="no fixed-width codes"):
+        rle.decode_unit(rle.file.read_pages(0, 2))
+
+    dense = view.table.column_file("L_SUPPKEY")
+    unit = dense.file.read_pages(0, 3)
+    flipped = bytearray(unit)
+    flipped[64 + 11] ^= 1 << 3
+    with pytest.raises(ChecksumError):
+        dense.decode_unit(bytes(flipped))
+    with pytest.raises(PageFormatError):
+        dense.decode_unit(unit[:-1])
+    with pytest.raises(PageFormatError):
+        dense.decode_unit(b"")
+    # The (short) last page in front of a full one: not dense.
+    last = dense.file.read_page(dense.file.num_pages - 1)
+    with pytest.raises(PageFormatError, match="not dense"):
+        dense.decode_unit(last + unit[:64])
+
+
 # --- faults in the middle of a unit -------------------------------------------
 
 ROWS = 3_000
@@ -515,3 +664,186 @@ class TestGovernance:
         assert context.events.pages_touched == unit
         full = run_scan(table, self.QUERY)
         assert full.num_tuples == ROWS
+
+
+# --- column scans: the unit path against the page path -------------------------
+
+COLUMN_SCANNERS = ("pipelined", "fused")
+
+
+@pytest.mark.parametrize("dataset", ["plain", "z"])
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+class TestColumnUnitsAgainstPages:
+    def test_golden_matrix_clean_and_salvaged(self, dataset, scanner):
+        """Nine query shapes x four windows: events, output bytes, block
+        counts, ticks and corruption reports do not depend on the unit."""
+        lost = set()
+        for query in _queries(dataset).values():
+            for window in WINDOWS.values():
+                for faults in ({}, {"corrupt": True, "salvage": True}):
+                    by_unit = _run_scan(dataset, scanner, query, window, **faults)
+                    by_page = _run_scan(
+                        dataset, scanner, query, window, io_unit_bytes=4096, **faults
+                    )
+                    assert by_unit == by_page
+                    lost |= {page for _file, page, _rows in by_unit["faults"]}
+        # The faults lists are the page-at-a-time ones: the flipped pages, by name.
+        assert lost == set(CORRUPT_PAGES)
+
+    def test_strict_names_the_page(self, dataset, scanner):
+        # Both start on L_PARTKEY, three pages long in -Z too.
+        for shape in ("all16", "one-10pct"):
+            query = _queries(dataset)[shape]
+            messages = []
+            for unit in ({}, {"io_unit_bytes": 4096}):
+                with pytest.raises(ChecksumError, match=r"page [15] checksum") as raised:
+                    _run_scan(dataset, scanner, query, None, corrupt=True, **unit)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+
+
+def _wide_query(data) -> ScanQuery:
+    """A dense first node on L_PARTKEY, L_COMMENT position-driven behind it
+    (``data`` is ``generate_lineitem(ROWS, seed=77)``)."""
+    predicate = predicate_for_selectivity("L_PARTKEY", data.columns["L_PARTKEY"], 0.9)
+    return ScanQuery(
+        data.schema.name, select=("L_PARTKEY", "L_COMMENT"), predicates=(predicate,)
+    )
+
+
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+def test_unreadable_column_page_ends_its_unit_and_is_dropped_alone(scanner):
+    """Retries exhausted on the third page of a run: the unit comes back
+    two pages short of it, the next one starts at the page and loses it
+    by name — the fused scan its nominal span, the pipelined scan's
+    inner node the positions that came in for it."""
+    data = generate_lineitem(ROWS, seed=77)
+    query = _wide_query(data)
+    kind = SCANNERS[scanner][1]
+    clean = run_scan(load_table(data, Layout.COLUMN), query, column_scanner=kind)
+    outcomes = []
+    for context, budgets in ((_unit_at_a_time(), 2), (_page_at_a_time(), 1)):
+        table = load_table(data, Layout.COLUMN)
+        comments = table.column_file("L_COMMENT")
+        comments.file.retry_policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
+        plan = FaultPlan(seed=1).schedule_transient_reads(10_000, file=comments.file.name, page=2)
+        plan.wrap_table(table)
+        result = run_scan(table, query, context, salvage=True, column_scanner=kind)
+        first, stop = 2 * comments.values_per_page, 3 * comments.values_per_page
+        lost = (clean.positions >= first) & (clean.positions < stop)
+        rows_lost = int(lost.sum()) if scanner == "pipelined" else stop - first
+        assert [(f.file, f.page, f.rows_lost) for f in result.corruption.faults] == [
+            (comments.file.name, 2, rows_lost)
+        ]
+        np.testing.assert_array_equal(result.positions, clean.positions[~lost])
+        np.testing.assert_array_equal(result.column("L_COMMENT"), clean.column("L_COMMENT")[~lost])
+        assert plan.transient_raised == 3 * budgets
+        outcomes.append(_outcome(result, context))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+def test_rle_column_files_scan_through_the_page_fallback(scanner, fresh_telemetry):
+    """No fixed-width codes to view a unit through: every unit of an RLE
+    file is served page by page from the bytes read, dense and
+    position-driven, and nothing about the scan moves."""
+    data = generate_lineitem(ROWS, seed=77)
+    attrs = ("L_QUANTITY", "L_LINENUMBER", "L_SUPPKEY")
+    view = materialize_view(
+        data, attrs, sort_key="L_QUANTITY", compress=True, use_rle=True, page_size=64
+    )
+    table = view.table
+    assert table.column_file("L_QUANTITY").is_variable
+    assert table.column_file("L_QUANTITY").file.num_pages > 1
+    kind = SCANNERS[scanner][1]
+    order = np.argsort(data.columns["L_QUANTITY"], kind="stable")
+    for predicate_attr in ("L_QUANTITY", "L_SUPPKEY"):  # RLE dense, then RLE by position
+        predicate = predicate_for_selectivity(predicate_attr, data.columns[predicate_attr], 0.3)
+        query = ScanQuery(table.schema.name, select=attrs, predicates=(predicate,))
+        outcomes = []
+        for calibration in (
+            DEFAULT_CALIBRATION,
+            DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
+        ):
+            context = ExecutionContext(calibration=calibration, governance=QueryContext())
+            metrics.REGISTRY.reset_values()
+            result = run_scan(table, query, context, column_scanner=kind)
+            assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
+            outcomes.append(_outcome(result, context))
+        assert outcomes[0] == outcomes[1]
+        qualifies = predicate.evaluate(data.columns[predicate_attr][order])
+        assert outcomes[0]["positions"] == np.flatnonzero(qualifies).tolist()
+        for name in attrs:
+            assert outcomes[0]["columns"][name] == data.columns[name][order][qualifies].tolist()
+
+
+# --- governance inside a column unit ---------------------------------------------
+
+
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+class TestColumnGovernance:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return load_table(generate_lineitem(ROWS, seed=77), Layout.COLUMN)
+
+    @pytest.fixture(scope="class")
+    def query(self):
+        return _wide_query(generate_lineitem(ROWS, seed=77))
+
+    @staticmethod
+    def _plan(table, query, scanner, hook):
+        context = ExecutionContext(governance=QueryContext(on_tick=hook))
+        return context, scan_plan(context, table, query, SCANNERS[scanner][1])
+
+    def test_finished_scan_passed_the_pinned_number_of_checkpoints(self, scanner):
+        golden = json.loads(GOLDEN_PATH.read_text())[f"clean/{scanner}/plain/one-10pct/all"]
+        got = _run_scan("plain", scanner, _queries("plain")["one-10pct"], None)
+        assert got["ticks"] == golden["ticks"]
+        assert got["blocks"] == golden["blocks"]
+
+    def test_no_page_is_charged_before_its_checkpoint(self, table, query, scanner):
+        """At every checkpoint — inside the dense node's first unit,
+        between two units, inside a position-driven node — the pages
+        charged so far number no more than the checkpoints passed."""
+        seen = []
+        context, plan = self._plan(
+            table, query, scanner, lambda governance: seen.append(context.events.pages_touched)
+        )
+        plan.drain()
+        assert len(seen) == context.governance.ticks
+        assert all(pages <= tick for tick, pages in enumerate(seen))
+        assert seen[-1] > DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+
+    @pytest.mark.parametrize("error", [QueryCancelled, QueryTimeout])
+    def test_abort_at_any_checkpoint_is_typed_and_leaves_no_partial_result(
+        self, table, query, scanner, error
+    ):
+        unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        context, plan = self._plan(table, query, scanner, None)
+        plan.open()
+        plan.next()  # the whole scan runs inside the first call
+        ticks = context.governance.ticks
+        partkey_pages = table.column_file("L_PARTKEY").file.num_pages
+        comment_pages = table.column_file("L_COMMENT").file.num_pages
+        assert comment_pages > unit and ticks == 1 + partkey_pages + comment_pages
+        # Inside the first node's first unit, between two units of the
+        # wide column, inside its last unit, and at the last checkpoint
+        # of the scan (the first is the call to next()).
+        for k in (2, partkey_pages, 1 + partkey_pages + unit, ticks - 3, ticks):
+
+            def hook(governance, k=k):
+                if governance.ticks == k:
+                    if error is QueryCancelled:
+                        governance.token.cancel("mid-scan")
+                    else:
+                        governance.deadline = time.monotonic() - 1.0
+
+            context, plan = self._plan(table, query, scanner, hook)
+            plan.open()
+            with pytest.raises(error):
+                plan.next()
+            # The typed error is the only outcome — next() returned no
+            # block — and it landed at that checkpoint, with no more
+            # pages charged than a page-at-a-time scan could have.
+            assert context.governance.ticks == k
+            assert context.events.pages_touched <= k
