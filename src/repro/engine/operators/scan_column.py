@@ -161,17 +161,13 @@ class ColumnScanner(RunOnceScanner):
             #: Values on each touched page; 0 where salvage dropped it.
             counts = np.zeros(len(touched), dtype=np.int64)
 
-            def gather_unit(unit, t):
-                on = slice(cuts[t], cuts[t + len(unit) // self.table.page_size])
+            def gather(unit, t, pages):
+                on = slice(cuts[t], cuts[t + pages])
                 return column_file.gather_unit(unit, page_ids[on] - touched[t], in_page[on])
 
             chunks, lost = [], []
             for t, pages, gathered in self._guarded_units(
-                column_file.file,
-                touched,
-                lambda t: cuts[t + 1] - cuts[t],
-                gather_unit,
-                lambda page, t: column_file.gather_page(page, in_page[cuts[t] : cuts[t + 1]]),
+                column_file.file, touched, lambda t: cuts[t + 1] - cuts[t], gather
             ):
                 if gathered is None:
                     lost.append(t)

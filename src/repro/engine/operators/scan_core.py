@@ -298,16 +298,16 @@ class Scanner(Operator):
         }
         return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
-    def _guarded_units(self, file, pages, span_of, decode_unit, decode_page):
+    def _guarded_units(self, file, pages, span_of, decode):
         """Read, check and decode the ascending ``pages`` of a column
-        file an I/O unit at a time: yields ``(at, count, decoded)``.
+        file an I/O unit at a time: yields ``(at, run, decoded)``.
 
-        A unit is a run of pages adjacent in the file, ``count`` of them
+        A unit is a run of pages adjacent in the file, ``run`` of them
         from ``pages[at]``, read as one buffer; ``decoded`` is what
-        ``decode_unit(unit, at)`` made of it.  A unit that does not
+        ``decode(unit, at, run)`` made of it.  A unit that does not
         decode whole is served page by page from the bytes already read,
         so a fault names its page: ``decoded`` is then what
-        ``decode_page(data, at)`` made of one page, or ``None`` where
+        ``decode(data, at, 1)`` made of one page, or ``None`` where
         salvage dropped it (``span_of(at)`` rows are recorded lost).  A
         unit that comes back short — a later page would not read — is
         followed by one that starts at that page.  One checkpoint per
@@ -318,12 +318,20 @@ class Scanner(Operator):
         while at < len(pages):
             self._governance_check()
             page = pages[at]
-            longest = min(self._unit_pages, len(pages) - at)
+            # A run ends at a gap, at the unit's size and at the end of
+            # the file: a salvage-opened file can be shorter than its
+            # directory, and each page past it is lost by name.
+            longest = min(self._unit_pages, len(pages) - at, file.num_pages - page)
             run = 1
             while run < longest and pages[at + run] == page + run:
                 run += 1
             unit, decoded = guarded_decode_unit(
-                self.context, lambda unit: decode_unit(unit, at), file, page, run, span_of(at)
+                self.context,
+                lambda unit: decode(unit, at, len(unit) // size),
+                file,
+                page,
+                run,
+                span_of(at),
             )
             if unit is None:
                 obs_metrics.PAGES_SALVAGED.inc()
@@ -342,7 +350,7 @@ class Scanner(Operator):
                 if start:
                     self._governance_check()
                 yield at, 1, self._guarded(
-                    lambda data: decode_page(data, at),
+                    lambda data: decode(data, at, 1),
                     file,
                     pages[at],
                     span_of(at),
@@ -372,46 +380,39 @@ class Scanner(Operator):
         if lo == hi and not self.EMPTY_WINDOW_READS_A_PAGE:
             return
 
-        def decode_unit(unit, _at):
-            counts, values = column_file.decode_unit(unit, codes)
-            return counts.tolist(), values
-
-        def decode_page(data, _at):
-            values = column_file.decode_page(data, codes)
-            return [len(values)], values
-
         page = row_base = 0
         while page < file.num_pages and row_base < hi:
             span = column_file.row_span_of_page(page, num_rows)
-            if row_base + span <= lo:
-                self._governance_check()
-                page += 1
-                row_base += span
-                continue
-            # Pages hold at most ``values_per_page`` values, so this many
-            # more are certain to start inside the window.
-            wanted = -(-(hi - row_base) // column_file.values_per_page)
-            pages = range(page, min(file.num_pages, page + wanted))
+            if row_base + span > lo:
+                break
+            self._governance_check()
+            page += 1
+            row_base += span
+        # The file's own directory says which page holds the window's
+        # last row; a page's capacity does not (an RLE page holds as
+        # many rows as its runs are long).
+        last = column_file.page_of_positions(np.array([hi - 1]))[0] if hi else -1
+        pages = range(page, max(page, min(file.num_pages, int(last) + 1)))
 
-            def span_of(at):
-                return column_file.row_span_of_page(pages[at], num_rows)
+        def span_of(at):
+            return column_file.row_span_of_page(pages[at], num_rows)
 
-            for at, _count, decoded in self._guarded_units(
-                file, pages, span_of, decode_unit, decode_page
-            ):
-                if decoded is None:
-                    rows, data = span_of(at), None
-                else:
-                    counts, data = decoded
-                    rows = len(data)
-                    events.pages_touched += len(counts)
-                    for count in counts:
-                        events.mem_seq_lines += page_lines(count, bits, l2_line_bytes)
-                        events.l1_lines += page_lines(count, bits, l1_line_bytes)
-                yield row_base, rows, data
-                row_base += rows
-            page = pages.stop
-        if page < file.num_pages:
+        def decode(data, _at, _run):
+            return column_file.decode_unit(data, codes)
+
+        for at, run, decoded in self._guarded_units(file, pages, span_of, decode):
+            if decoded is None:
+                rows, data = span_of(at), None
+            else:
+                counts, data = decoded
+                rows = len(data)
+                events.pages_touched += run
+                for count in counts.tolist():
+                    events.mem_seq_lines += page_lines(count, bits, l2_line_bytes)
+                    events.l1_lines += page_lines(count, bits, l1_line_bytes)
+            yield row_base, rows, data
+            row_base += rows
+        if pages.stop < file.num_pages:
             self._governance_check()  # the page the window ends before
 
 

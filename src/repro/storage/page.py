@@ -333,10 +333,12 @@ class ColumnPageCodec:
     def decode_unit(self, unit: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Verify adjacent pages and unpack them: ``(counts, bases, codes)``.
 
-        ``codes[p, i]`` is value ``i`` of page ``p``, undecoded — padding
-        from ``counts[p]`` on — and ``codec.decode_codes(codes, bases)``
-        the values, of all of them or of any selection that keeps a
-        page's codes along the last axis.  Verbatim codes are a view of
+        ``codes[p, i]`` is value ``i`` of page ``p``, undecoded: a row is
+        as long as the unit's fullest page (a lone short page is unpacked
+        no further than its values) and padding from ``counts[p]`` on.
+        ``codec.decode_codes(codes, bases)`` gives the values, of all of
+        them or of any selection that keeps a page's codes along the
+        last axis.  Verbatim codes are a view of
         ``unit``; word reads of packed codes overrun a payload by at most
         ``GATHER_SLACK_BYTES``, which the page trailer covers.  A codec
         without fixed-width codes (RLE) raises, as does a unit with a
@@ -352,7 +354,8 @@ class ColumnPageCodec:
             raise PageFormatError(f"{len(unit)}-byte unit is not whole {size}-byte pages")
         verify_unit(unit, size)
         counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
-        if max(counts.tolist()) > self.values_per_page:
+        longest = max(counts.tolist())
+        if longest > self.values_per_page:
             raise PageFormatError(
                 f"page counts {counts.tolist()} exceed the capacity, {self.values_per_page}"
             )
@@ -361,13 +364,12 @@ class ColumnPageCodec:
         if codec.text_codes or not codec.spec.is_compressed:
             # Stored verbatim, text or 32-bit integers: a view of the unit.
             kind = "S" if codec.text_codes else "<u"
-            shape = (pages, self.values_per_page)
             strides = (size, bits // 8)
-            codes = np.ndarray(shape, f"{kind}{bits // 8}", unit, PAGE_HEADER_BYTES, strides)
-        else:
-            codes = unpack_streams(
-                unit, (pages,), (size,), PAGE_HEADER_BYTES, bits, self.values_per_page
+            codes = np.ndarray(
+                (pages, longest), f"{kind}{bits // 8}", unit, PAGE_HEADER_BYTES, strides
             )
+        else:
+            codes = unpack_streams(unit, (pages,), (size,), PAGE_HEADER_BYTES, bits, longest)
         return counts, bases, codes
 
     def encode_prefix(self, page_id: int, values: np.ndarray) -> tuple[bytes, int]:

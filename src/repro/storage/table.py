@@ -195,8 +195,13 @@ class ColumnFile:
 
         As :meth:`PagedTable.decode_unit`: a unit with a corrupt page,
         or one that cannot be flattened (RLE pages, a page other than
-        the last not full), raises without saying which page.
+        the last not full), raises without saying which page.  A unit
+        of one page has nothing to flatten: it is decoded as a page,
+        whatever its codec, and its error is that page's.
         """
+        if len(unit) == self.page_codec.page_size:
+            values = self.decode_page(unit, codes)
+            return np.array([len(values)]), values
         counts, bases, values = self.page_codec.decode_unit(unit)
         per_page = counts.tolist()
         if per_page[:-1] != [self.values_per_page] * (len(per_page) - 1):
@@ -213,21 +218,20 @@ class ColumnFile:
 
         One fancy index into the unit's codes, then one decode of what
         it took — of whole pages first where the codec cannot do less.
-        An index at or past its page's count raises, as for one page
-        (:meth:`Codec.decode_positions`): padding is never a value.
+        An index at or past its page's count raises: padding is never a
+        value.  A unit of one page is gathered from as a page
+        (:meth:`Codec.decode_positions`), whatever its codec.
         """
         codec = self.page_codec.codec
+        if len(unit) == self.page_codec.page_size:
+            _page_id, count, payload, state = self.page_codec.decode_raw(unit)
+            return np.array([count]), codec.decode_positions(payload, count, state, in_page)[0]
         counts, bases, codes = self.page_codec.decode_unit(unit)
         if (in_page >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
         if codec.decodes_whole_page:
             return counts, codec.decode_codes(codes, bases)[pages, in_page]
         return counts, codec.decode_codes(codes[pages, in_page, None], bases[pages])[:, 0]
-
-    def gather_page(self, page: bytes, in_page: np.ndarray) -> tuple[int, np.ndarray]:
-        """:meth:`gather_unit` of one page, whatever its codec: ``(value count, values)``."""
-        _page_id, count, payload, state = self.page_codec.decode_raw(page)
-        return count, self.page_codec.codec.decode_positions(payload, count, state, in_page)[0]
 
     def locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(page index, value index on that page)`` of each global row position."""

@@ -39,7 +39,7 @@ from repro.data.tpch import apply_fig5_compression, generate_lineitem
 from repro.design.materialize import materialize_view
 from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import run_scan
+from repro.engine.executor import execute_plan, run_scan
 from repro.engine.governance import QueryContext
 from repro.engine.operators import Limit
 from repro.engine.plan import scan_plan
@@ -54,12 +54,14 @@ from repro.errors import (
 )
 from repro.obs import metrics
 from repro.obs import recorder as flight
-from repro.storage.faults import FaultPlan
+from repro.storage.faults import FaultPlan, drop_trailing_pages
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.page import PAGE_HEADER_BYTES
 from repro.storage.pagefile import PagedFile
+from repro.storage.persist import open_table, save_table
 from repro.storage.retry import RetryPolicy
+from repro.storage.scrub import CorruptionReport
 from repro.storage.table import PaxTable, RowTable, build_column_file
 from repro.types.datatypes import FixedTextType, IntType
 from repro.types.schema import Attribute, TableSchema
@@ -355,6 +357,8 @@ def test_column_decode_unit_is_the_concatenation_of_page_decodes(
         assert counts.tolist() == [len(page) for page in singly[first : first + count]]
         assert decoded.dtype == joined.dtype
         np.testing.assert_array_equal(decoded, joined)
+        # Codes are unpacked as far as the unit's fullest page and no further.
+        assert column_file.page_codec.decode_unit(unit)[2].shape == (count, counts.max())
 
         # Positions: one fancy index into the unit, equal to the
         # page-by-page selective decode.
@@ -368,8 +372,10 @@ def test_column_decode_unit_is_the_concatenation_of_page_decodes(
         np.testing.assert_array_equal(gathered, joined[wanted])
         for page in range(count):
             here = in_page[on_page == page]
-            page_count, page_values = column_file.gather_page(file.read_page(first + page), here)
-            assert page_count == counts[page]
+            page_count, page_values = column_file.gather_unit(
+                file.read_page(first + page), np.zeros_like(here), here
+            )
+            assert page_count.tolist() == [counts[page]]
             np.testing.assert_array_equal(page_values, gathered[on_page == page])
 
     # Padding past a short last page's count is never a value.
@@ -377,7 +383,7 @@ def test_column_decode_unit_is_the_concatenation_of_page_decodes(
     with pytest.raises(CompressionError):
         column_file.gather_unit(file.read_pages(0, pages), last, np.array([len(singly[-1])]))
     with pytest.raises(CompressionError):
-        column_file.gather_page(file.read_page(pages - 1), np.array([len(singly[-1])]))
+        column_file.gather_unit(file.read_page(pages - 1), 0 * last, np.array([len(singly[-1])]))
 
     if kind in ("pack", "dict", "for", "for-delta", "text-dict"):
         # The undecoded codes (compressed execution compares them).
@@ -743,38 +749,128 @@ def test_unreadable_column_page_ends_its_unit_and_is_dropped_alone(scanner):
 
 
 @pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+def test_a_truncated_column_loses_only_its_missing_pages(scanner, tmp_path):
+    """A salvage-opened column file can be shorter than its directory.
+    A run of touched pages stops at the end of the file, so every page
+    that is there is served, and each missing one is lost by name with
+    the positions that came in for it — nothing more, whatever the unit."""
+    data = generate_lineitem(ROWS, seed=77)
+    query = _wide_query(data)
+    kind = SCANNERS[scanner][1]
+    clean = run_scan(load_table(data, Layout.COLUMN), query, column_scanner=kind)
+    save_table(load_table(data, Layout.COLUMN), tmp_path / "lineitem")
+    dropped = 3
+    drop_trailing_pages(tmp_path / "lineitem" / "L_COMMENT.pages", 4096, pages=dropped)
+    outcomes = []
+    for context in (_unit_at_a_time(), _page_at_a_time()):
+        table = open_table(tmp_path / "lineitem", salvage=CorruptionReport())
+        comments = table.column_file("L_COMMENT")
+        present = comments.file.num_pages
+        # The last page that is there sits in the middle of a unit.
+        assert present % (DEFAULT_CALIBRATION.io_unit_bytes // table.page_size) > 1
+        result = run_scan(table, query, context, salvage=True, column_scanner=kind)
+        page_of = clean.positions // comments.values_per_page
+        np.testing.assert_array_equal(result.positions, clean.positions[page_of < present])
+        np.testing.assert_array_equal(
+            result.column("L_COMMENT"), clean.column("L_COMMENT")[page_of < present]
+        )
+        # The fused scan pads a short column (the open-time report has
+        # the pages); the position-driven node asks for each page.
+        assert [(f.file, f.page, f.rows_lost) for f in result.corruption.faults] == [
+            (comments.file.name, page, int((page_of == page).sum()))
+            for page in range(present, present + dropped)
+            if scanner == "pipelined"
+        ]
+        outcomes.append(_outcome(result, context))
+    assert outcomes[0] == outcomes[1]
+
+
+RLE_ATTRS = ("L_QUANTITY", "L_LINENUMBER", "L_SUPPKEY")
+
+
+def _rle_view():
+    """LINEITEM sorted on an RLE-compressed L_QUANTITY, in 64-byte pages:
+    ``(view table, its columns in stored order)``."""
+    data = generate_lineitem(ROWS, seed=77)
+    view = materialize_view(
+        data, RLE_ATTRS, sort_key="L_QUANTITY", compress=True, use_rle=True, page_size=64
+    )
+    assert view.table.column_file("L_QUANTITY").is_variable
+    order = np.argsort(data.columns["L_QUANTITY"], kind="stable")
+    return view.table, {name: data.columns[name][order] for name in RLE_ATTRS}
+
+
+def _rle_outcomes(table, query, kind, window=None) -> list[dict]:
+    """The scan by unit and by page, with one decode timed per page touched."""
+    outcomes = []
+    for calibration in (
+        DEFAULT_CALIBRATION,
+        DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
+    ):
+        context = ExecutionContext(calibration=calibration, governance=QueryContext())
+        metrics.REGISTRY.reset_values()
+        result = execute_plan(scan_plan(context, table, query, kind, row_range=window))
+        assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
+        outcomes.append(_outcome(result, context))
+    return outcomes
+
+
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
 def test_rle_column_files_scan_through_the_page_fallback(scanner, fresh_telemetry):
     """No fixed-width codes to view a unit through: every unit of an RLE
     file is served page by page from the bytes read, dense and
     position-driven, and nothing about the scan moves."""
-    data = generate_lineitem(ROWS, seed=77)
-    attrs = ("L_QUANTITY", "L_LINENUMBER", "L_SUPPKEY")
-    view = materialize_view(
-        data, attrs, sort_key="L_QUANTITY", compress=True, use_rle=True, page_size=64
-    )
-    table = view.table
-    assert table.column_file("L_QUANTITY").is_variable
+    table, stored = _rle_view()
     assert table.column_file("L_QUANTITY").file.num_pages > 1
-    kind = SCANNERS[scanner][1]
-    order = np.argsort(data.columns["L_QUANTITY"], kind="stable")
     for predicate_attr in ("L_QUANTITY", "L_SUPPKEY"):  # RLE dense, then RLE by position
-        predicate = predicate_for_selectivity(predicate_attr, data.columns[predicate_attr], 0.3)
-        query = ScanQuery(table.schema.name, select=attrs, predicates=(predicate,))
-        outcomes = []
-        for calibration in (
-            DEFAULT_CALIBRATION,
-            DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
-        ):
-            context = ExecutionContext(calibration=calibration, governance=QueryContext())
-            metrics.REGISTRY.reset_values()
-            result = run_scan(table, query, context, column_scanner=kind)
-            assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
-            outcomes.append(_outcome(result, context))
-        assert outcomes[0] == outcomes[1]
-        qualifies = predicate.evaluate(data.columns[predicate_attr][order])
-        assert outcomes[0]["positions"] == np.flatnonzero(qualifies).tolist()
-        for name in attrs:
-            assert outcomes[0]["columns"][name] == data.columns[name][order][qualifies].tolist()
+        predicate = predicate_for_selectivity(predicate_attr, stored[predicate_attr], 0.3)
+        query = ScanQuery(table.schema.name, select=RLE_ATTRS, predicates=(predicate,))
+        by_unit, by_page = _rle_outcomes(table, query, SCANNERS[scanner][1])
+        assert by_unit == by_page
+        qualifies = predicate.evaluate(stored[predicate_attr])
+        assert by_unit["positions"] == np.flatnonzero(qualifies).tolist()
+        for name in RLE_ATTRS:
+            assert by_unit["columns"][name] == stored[name][qualifies].tolist()
+
+
+#: Row windows that end inside an RLE page (L_QUANTITY's three pages
+#: start at rows 0, 1306 and 2639), with the ``(checkpoints, pages
+#: touched)`` the page-at-a-time scanners of the parent commit
+#: (``9bdf919``) came to: pipelined, then fused.
+RLE_WINDOWS = {
+    (0, 100): ((9, 6), (11, 6)),
+    (37, 411): ((25, 19), (28, 19)),
+    (500, 1501): ((28, 21), (76, 46)),
+    (2900, 3000): ((5, 1), (135, 7)),
+    (50, 50): ((4, 1), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("scanner", COLUMN_SCANNERS)
+def test_a_window_ends_on_the_rle_page_its_last_row_is_on(scanner, fresh_telemetry):
+    """An RLE page holds as many rows as its runs are long, far more
+    than ``values_per_page`` (its pair count): where the dense node
+    stops is the directory's to say.  No page that starts at or past
+    the window's end is read, decoded or charged."""
+    table, stored = _rle_view()
+    quantity = table.column_file("L_QUANTITY")
+    assert quantity.first_rows.tolist() == [0, 1306, 2639]
+    assert quantity.values_per_page < 100
+    predicate = predicate_for_selectivity("L_QUANTITY", stored["L_QUANTITY"], 0.3)
+    query = ScanQuery(table.schema.name, select=RLE_ATTRS, predicates=(predicate,))
+    for (lo, hi), pinned in RLE_WINDOWS.items():
+        by_unit, by_page = _rle_outcomes(table, query, SCANNERS[scanner][1], (lo, hi))
+        assert by_unit == by_page
+        events = by_unit["events"]
+        assert (by_unit["ticks"], events["pages_touched"]) == pinned[scanner == "fused"]
+        # Every row of the RLE pages the window falls on, and of no other.
+        first, last = quantity.page_of_positions(np.array([lo, max(lo, hi - 1)])).tolist()
+        spans = [quantity.row_span_of_page(page, ROWS) for page in range(first, last + 1)]
+        assert events.get("decoded_rle", 0) == (sum(spans) if events["pages_touched"] else 0)
+        qualifies = np.flatnonzero(predicate.evaluate(stored["L_QUANTITY"][lo:hi]))
+        assert by_unit["positions"] == (lo + qualifies).tolist()
+        for name in RLE_ATTRS:
+            assert by_unit["columns"][name] == stored[name][lo:hi][qualifies].tolist()
 
 
 # --- governance inside a column unit ---------------------------------------------
