@@ -89,18 +89,22 @@ scheduler-test:
 
 # The scan battery: every scan strategy against the golden pin
 # (CostEvents, output bytes, blocks, corruption, governance ticks), the
-# unit-vs-page properties and differentials, the scanner / salvage /
-# sharing / scheduler / property / extension / index suites, then 200
-# differential fuzz cases.  Run it on any change under engine/operators/,
-# engine/sharing.py, index/scan.py, storage/{table,page,rowz,pagefile}.py,
-# compression/ or cpusim/cache.py (the cache-line model the column scans
-# charge through; its union1d reference lives in tests/test_cpusim.py).
+# unit-vs-page properties and differentials (scanners and shared
+# streams), the scanner / salvage / sharing / scheduler / telemetry /
+# property / extension / index suites, then 200 differential fuzz cases.
+# Run it on any change under engine/operators/, engine/sharing.py,
+# engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
+# pass reads a page once and times every page it decodes),
+# index/scan.py, storage/{table,page,rowz,pagefile}.py, compression/ or
+# cpusim/cache.py (the cache-line model the column scans charge through;
+# its union1d reference lives in tests/test_cpusim.py).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
 		tests/test_engine_scanners.py tests/test_cpusim.py \
 		tests/test_salvage_differential.py tests/test_scan_sharing.py \
-		tests/test_scheduler_equivalence.py tests/test_property_engine.py \
-		tests/test_extensions.py tests/test_index.py -q
+		tests/test_scheduler_equivalence.py tests/test_scheduler_telemetry.py \
+		tests/test_property_engine.py tests/test_extensions.py \
+		tests/test_index.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

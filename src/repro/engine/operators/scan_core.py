@@ -9,14 +9,18 @@ select ∘ gather ∘ decompress over columns.  Here live
   :func:`guarded_decode_unit`, which serves a healthy I/O unit whole;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
+* :func:`guarded_units` — the one unit-at-a-time reader of a file's
+  pages (:func:`unit_pages` at a time), a lazy generator: under
+  :meth:`Scanner._guarded_units` (the dense :meth:`Scanner._dense_pages`
+  and the pipelined scanner's position-driven nodes) and under a shared
+  stream's windows (:mod:`repro.engine.sharing`);
 * :class:`Scanner` — validation, access order, row window,
-  ``describe()``, the empty block, the ready queue, the I/O unit's size
-  and the unit-at-a-time read of a column file
-  (:meth:`Scanner._guarded_units`, under the dense
-  :meth:`Scanner._dense_pages` and the pipelined scanner's
-  position-driven nodes) — with :class:`PagedScanner` (an I/O unit at a
-  time, released page by page: row, PAX) and :class:`RunOnceScanner`
-  (whole table in the first ``next()``: fused, pipelined, index).
+  ``describe()``, the empty block, the ready queue and the per-run
+  filter kernel (:meth:`Scanner._filter_pages`, under
+  :class:`PagedScanner` and a shared stream's riders) — with
+  :class:`PagedScanner` (an I/O unit at a time, released page by page:
+  row, PAX) and :class:`RunOnceScanner` (whole table in the first
+  ``next()``: fused, pipelined, index).
 
 A strategy says how a page is charged to the memory hierarchy, when its
 decompression is charged, and what it does with a decoded page.
@@ -119,6 +123,75 @@ def guarded_decode_unit(
         pages = len(unit) // file.page_size
         obs_metrics.PAGE_DECODE_SECONDS.observe((time.perf_counter() - started) / pages, pages)
     return unit, decoded
+
+
+def unit_pages(calibration, page_size: int) -> int:
+    """Pages per I/O unit: what a scan reads, checks and decodes at once."""
+    return max(1, calibration.io_unit_bytes // page_size)
+
+
+def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
+    """Read, check and decode the ascending ``pages`` of a file an I/O
+    unit (``unit_size`` pages) at a time: yields ``(at, run, decoded)``.
+
+    The one unit reader: under :meth:`Scanner._guarded_units` (the
+    column scans) and a shared stream's windows (:mod:`repro.engine.
+    sharing`), which pulls a piece only when a segment needs it.  A unit
+    is a run of pages adjacent in the file, ``run`` of them from
+    ``pages[at]``, read as one buffer; ``decoded`` is what
+    ``decode(unit, at, run)`` made of it.  A unit that does not decode
+    whole is served page by page from the bytes already read, so a fault
+    names its page: ``decoded`` is then what ``decode(data, at, 1)``
+    made of one page, or ``None`` where salvage dropped it
+    (``span_of(at)`` rows are recorded lost).  A unit that comes back
+    short — a later page would not read — is followed by one that starts
+    at that page.  One ``checkpoint()`` per page, passed before anything
+    of the page is yielded.
+    """
+    size = file.page_size
+    at = 0
+    while at < len(pages):
+        checkpoint()
+        page = pages[at]
+        # A run ends at a gap, at the unit's size and at the end of
+        # the file: a salvage-opened file can be shorter than its
+        # directory, and each page past it is lost by name.
+        longest = min(unit_size, len(pages) - at, file.num_pages - page)
+        run = 1
+        while run < longest and pages[at + run] == page + run:
+            run += 1
+        unit, decoded = guarded_decode_unit(
+            context,
+            lambda unit: decode(unit, at, len(unit) // size),
+            file,
+            page,
+            run,
+            span_of(at),
+        )
+        if unit is None:
+            yield at, 1, None
+            at += 1
+            continue
+        run = len(unit) // size
+        if decoded is not None:
+            for _page in range(1, run):
+                checkpoint()
+            context.corruption.pages_scanned += run
+            yield at, run, decoded
+            at += run
+            continue
+        for start in range(0, len(unit), size):
+            if start:
+                checkpoint()
+            yield at, 1, guarded_decode(
+                context,
+                lambda data: decode(data, at, 1),
+                file,
+                pages[at],
+                span_of(at),
+                unit[start : start + size],
+            )
+            at += 1
 
 
 def _count(mask) -> int:
@@ -225,8 +298,7 @@ class Scanner(Operator):
         self._predicate_kinds = self._compressed_kinds(filtered)
         self._select_kinds = self._compressed_kinds(self._attrs[len(filtered) :])
         self._ready: deque[Block] = deque()
-        #: Pages per I/O unit: what every scan reads, checks and decodes at once.
-        self._unit_pages = max(1, context.calibration.io_unit_bytes // table.page_size)
+        self._unit_pages = unit_pages(context.calibration, table.page_size)
 
     def _compressed_kinds(self, names) -> list[CodecKind]:
         specs = (self.table.schema.attribute(name).spec for name in names)
@@ -281,9 +353,10 @@ class Scanner(Operator):
         events.bytes_copied += qualified * self._selected_width
 
     def _copy_out(self, columns, mask, row_base: int) -> Block:
+        rows = np.flatnonzero(mask)
         return Block(
-            columns={name: columns[name][mask] for name in self.select},
-            positions=row_base + np.flatnonzero(mask),
+            columns={name: columns[name][rows] for name in self.select},
+            positions=row_base + rows,
         )
 
     def _emit(self, block: Block, start: int = 0, stop: int | None = None) -> None:
@@ -298,65 +371,56 @@ class Scanner(Operator):
         }
         return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
-    def _guarded_units(self, file, pages, span_of, decode):
-        """Read, check and decode the ascending ``pages`` of a column
-        file an I/O unit at a time: yields ``(at, run, decoded)``.
+    def _filter_pages(self, counts: np.ndarray, columns, mask, row_base: int) -> list[tuple]:
+        """Filter and project adjacent decoded pages in one pass.
 
-        A unit is a run of pages adjacent in the file, ``run`` of them
-        from ``pages[at]``, read as one buffer; ``decoded`` is what
-        ``decode(unit, at, run)`` made of it.  A unit that does not
-        decode whole is served page by page from the bytes already read,
-        so a fault names its page: ``decoded`` is then what
-        ``decode(data, at, 1)`` made of one page, or ``None`` where
-        salvage dropped it (``span_of(at)`` rows are recorded lost).  A
-        unit that comes back short — a later page would not read — is
-        followed by one that starts at that page.  One checkpoint per
-        page, passed before anything of the page is yielded.
+        The one per-run kernel, under :class:`PagedScanner` (a unit's
+        pages) and a shared stream's riders (a window's segments).
+        ``columns`` hold the pages' tuples back to back from row
+        ``row_base`` on, ``counts`` how many each page contributed;
+        ``mask`` says which of them are candidates — inside the row
+        window, or off a page that decoded — and is consumed.  Returns,
+        per page, what its release charges and emits: ``(tuples,
+        candidates, predicate evaluations, their operand bytes,
+        qualifying tuples, their offset in the block of all the pages',
+        that block)``.
         """
-        size = file.page_size
-        at = 0
-        while at < len(pages):
-            self._governance_check()
-            page = pages[at]
-            # A run ends at a gap, at the unit's size and at the end of
-            # the file: a salvage-opened file can be shorter than its
-            # directory, and each page past it is lost by name.
-            longest = min(self._unit_pages, len(pages) - at, file.num_pages - page)
-            run = 1
-            while run < longest and pages[at + run] == page + run:
-                run += 1
-            unit, decoded = guarded_decode_unit(
-                self.context,
-                lambda unit: decode(unit, at, len(unit) // size),
-                file,
-                page,
-                run,
-                span_of(at),
-            )
-            if unit is None:
+        starts = np.cumsum(counts) - counts
+        nonempty = counts > 0
+
+        def per_page(mask) -> np.ndarray:
+            # One False more, so a last page without tuples starts in
+            # range; what reduceat reads for any empty page is dropped.
+            return np.add.reduceat(np.append(mask, False), starts, dtype=np.int64) * nonempty
+
+        candidates = per_page(mask)
+        tally = SimpleNamespace(predicate_evals=0 * candidates, predicate_eval_bytes=0 * candidates)
+        qualified = apply_predicates(tally, self._bound, columns, mask, candidates, per_page)
+        block = self._copy_out(columns, mask, row_base)
+        numbers = (
+            counts,
+            candidates,
+            tally.predicate_evals,
+            tally.predicate_eval_bytes,
+            qualified,
+            np.cumsum(qualified) - qualified,
+        )
+        return [(*page, block) for page in zip(*(n.tolist() for n in numbers))]
+
+    def _guarded_units(self, file, pages, span_of, decode):
+        """:func:`guarded_units` for this query: its context, its unit,
+        one governance checkpoint per page.
+
+        ``repro_pages_salvaged_total`` counts once per *query* that lost
+        a page, so it is counted here and not in the unit reader, which
+        a shared stream runs on behalf of all its riders.
+        """
+        for piece in guarded_units(
+            self.context, self._unit_pages, file, pages, span_of, decode, self._governance_check
+        ):
+            if piece[2] is None:
                 obs_metrics.PAGES_SALVAGED.inc()
-                yield at, 1, None
-                at += 1
-                continue
-            run = len(unit) // size
-            if decoded is not None:
-                for _page in range(1, run):
-                    self._governance_check()
-                self.context.corruption.pages_scanned += run
-                yield at, run, decoded
-                at += run
-                continue
-            for start in range(0, len(unit), size):
-                if start:
-                    self._governance_check()
-                yield at, 1, self._guarded(
-                    lambda data: decode(data, at, 1),
-                    file,
-                    pages[at],
-                    span_of(at),
-                    unit[start : start + size],
-                )
-                at += 1
+            yield piece
 
     def _dense_pages(self, column_file, codes=False):
         """Yield ``(row_base, rows, data)`` per run of pages of one column in the window.
@@ -433,7 +497,7 @@ class PagedScanner(Scanner):
         self._page_index = 0  # the next page to read
         self._row_base = 0  # the first row of the next page to release
         #: Pages read but not yet released, in file order: what
-        #: :meth:`_filter_pages` made of a page, or its bytes when the
+        #: :meth:`_filter_unit` made of a page, or its bytes when the
         #: unit has to be decoded page by page.
         self._pending: deque = deque()
         self._emitted_any = False
@@ -494,7 +558,7 @@ class PagedScanner(Scanner):
         size = file.page_size
         self._page_index += len(unit) // size
         if decoded is not None:
-            self._pending.extend(self._filter_pages(*decoded))
+            self._pending.extend(self._filter_unit(*decoded))
         else:
             # The unit failed as a whole: its pages one by one as they
             # are reached, from the bytes already read, so the fault
@@ -502,36 +566,11 @@ class PagedScanner(Scanner):
             self._pending.extend(unit[at : at + size] for at in range(0, len(unit), size))
         self._release(self._pending.popleft())
 
-    def _filter_pages(self, counts: np.ndarray, columns) -> list[tuple]:
-        """Filter and project adjacent decoded pages in one pass.
-
-        ``columns`` hold the pages' tuples back to back from row
-        ``_row_base`` on, ``counts`` how many each page contributed.
-        Returns what :meth:`_release` charges and emits for each page:
-        ``(tuples, tuples in the window, predicate evaluations, their
-        operand bytes, qualifying tuples, their offset in the block of
-        all the pages', that block)``.
-        """
-        ends = np.cumsum(counts)
-
-        def per_page(mask) -> np.ndarray:
-            running = np.concatenate(([0], np.cumsum(mask)))
-            return running[ends] - running[ends - counts]
-
-        mask, _in_range = window_mask(int(ends[-1]), self._row_base, self.row_range)
-        in_range = per_page(mask)
-        tally = SimpleNamespace(predicate_evals=0 * in_range, predicate_eval_bytes=0 * in_range)
-        qualified = apply_predicates(tally, self._bound, columns, mask, in_range, per_page)
-        block = self._copy_out(columns, mask, self._row_base)
-        numbers = (
-            counts,
-            in_range,
-            tally.predicate_evals,
-            tally.predicate_eval_bytes,
-            qualified,
-            np.cumsum(qualified) - qualified,
-        )
-        return [(*page, block) for page in zip(*(n.tolist() for n in numbers))]
+    def _filter_unit(self, counts: np.ndarray, columns) -> list[tuple]:
+        """:meth:`_filter_pages` over decoded pages that start at row
+        ``_row_base``, inside the row window."""
+        mask, _in_range = window_mask(int(counts.sum()), self._row_base, self.row_range)
+        return self._filter_pages(counts, columns, mask, self._row_base)
 
     def _release(self, page) -> None:
         """Account for the next page in file order and queue its blocks."""
@@ -543,7 +582,7 @@ class PagedScanner(Scanner):
             if decoded is None:
                 self._row_base += span
                 return
-            (page,) = self._filter_pages(np.array([decoded[0]]), decoded[1])
+            (page,) = self._filter_unit(np.array([decoded[0]]), decoded[1])
         else:
             self.context.corruption.pages_scanned += 1
         count, in_range, evals, eval_bytes, qualified, start, block = page

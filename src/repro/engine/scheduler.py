@@ -135,7 +135,11 @@ class QueryHandle:
         self.submitted_at = time.monotonic()
         self.admitted_at: float | None = None
         self.finished_at: float | None = None
-        self._scheduler = scheduler
+        #: The scheduler that runs this query, until it finishes: a
+        #: finished handle must not keep its batch alive (the scheduler
+        #: lists every handle, so the pair would wait for the cycle
+        #: collector).
+        self._scheduler: Scheduler | None = scheduler
         self._tracer: SpanTracer | None = None
 
     @property
@@ -162,7 +166,8 @@ class QueryHandle:
 
     def wait(self) -> "QueryHandle":
         """Drive the scheduler until this query finishes; never raises."""
-        self._scheduler.run_until(self)
+        if self._scheduler is not None:
+            self._scheduler.run_until(self)
         return self
 
     def value(self) -> QueryResult:
@@ -526,6 +531,7 @@ class Scheduler:
 
     def _observe_finish(self, handle: QueryHandle) -> None:
         """Window metrics + slow-query log shared by both outcomes."""
+        handle._scheduler = None
         obs_metrics.SCHEDULER_INFLIGHT.set(len(self._active))
         latency = handle.latency or 0.0
         obs_metrics.WINDOW_QUERY_LATENCY.observe(latency)

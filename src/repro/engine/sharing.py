@@ -6,24 +6,30 @@ QPipe); Figure 11 measures the competing-scans regime this avoids.  The
 engine-side implementation lives here:
 
 * :class:`SharedScanStream` — one circular pass over a table's needed
-  column set, advanced a *segment* (one driving page's worth of rows)
-  at a time.  Whoever pumps the stream drives it; every attached
-  consumer receives each decoded segment.  The stream's I/O (pages
-  touched, bytes read) is accounted **once** on the stream's own
-  :class:`~repro.cpusim.events.CostEvents`, mirroring the iosim
-  shared-stream model (:mod:`repro.iosim.sharing`), while decode and
-  predicate CPU is charged **per consumer** — each query still pays to
-  process the delivered values.
+  column set.  A *segment* (one driving page's worth of rows) is its
+  unit of delivery and accounting: whoever pumps the stream drives it a
+  segment at a time, and every attached consumer that still needs the
+  segment receives it.  A *window* (an I/O unit of adjacent segments) is
+  its unit of reading: each file under a window is read, CRC-checked
+  and decoded through the scan core's one unit reader, a healthy unit
+  per numpy call.  The stream's I/O (pages touched, bytes read) is
+  accounted **once**, per logical page as each segment is delivered, on
+  the stream's own :class:`~repro.cpusim.events.CostEvents`, mirroring
+  the iosim shared-stream model (:mod:`repro.iosim.sharing`), while
+  decode and predicate CPU is charged **per consumer** — each query
+  still pays to process the delivered values.
 * :class:`SharedScanConsumer` — a :class:`~repro.engine.operators.
   scan_core.Scanner` view of one query's ride on the stream.  A consumer
   attaches *mid-flight* at the stream's current position, rides to the
   end, wraps around for the prefix it missed (circular scan), and
-  detaches after exactly one full pass.  Output is re-assembled into
-  global Record-ID order before emission, so the result is
-  byte-identical to a cold serial scan.
+  detaches after exactly one full pass.  It filters and projects a
+  window's segments in one pass and is charged for them one delivery at
+  a time.  Output is re-assembled into global Record-ID order before
+  emission, so the result is byte-identical to a cold serial scan.
 * :class:`ScanShareManager` — the attach point: queries over the same
   table, column set, and integrity mode join the in-progress stream;
-  everything else gets a fresh one.
+  everything else gets a fresh one.  A stream is dropped with its last
+  rider; its I/O totals stay.
 
 Salvage mode drops the union of corrupt-page row spans across the
 needed columns — exactly the rows a serial salvage scan would lose —
@@ -34,17 +40,23 @@ would have hit scanning alone.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
+
 import numpy as np
 
 from repro.compression.base import CodecKind
+from repro.cpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.cpusim.events import CostEvents
 from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
-    apply_predicates,
-    guarded_decode,
+    guarded_units,
+    unit_pages,
 )
 from repro.engine.query import ScanQuery
 from repro.errors import EngineError, PlanError
@@ -65,39 +77,110 @@ def share_key(table: Table, query: ScanQuery, strict_integrity: bool) -> tuple:
     return (id(table), frozenset(query.scan_attributes()), strict_integrity)
 
 
-class _SegmentData:
-    """One decoded segment: full-width values plus a validity mask."""
+@dataclass(slots=True)
+class _Source:
+    """One file under a stream: how it reads, and what segments draw on it."""
 
-    __slots__ = ("lo", "hi", "columns", "valid", "pages")
+    #: The file's name, and the table or column file that has it:
+    #: ``owner.file`` is looked up when a window opens (a fault plan
+    #: wraps it in place).
+    name: str
+    owner: object
+    #: ``decode(data, at, run) -> {attribute: values}`` of ``run``
+    #: adjacent pages: the unit reader's callback.
+    decode: Callable
+    first_row: Callable[[int], int]
+    span_of: Callable[[int], int]
+    #: Segment ``i`` draws on pages ``first[i]`` to ``last[i]``.
+    first: list[int]
+    last: list[int]
+    #: The modeled buffer of a column file — the ids of the last pages
+    #: charged for it, oldest first; ``None`` for a row file (it has none).
+    fifo: dict[int, None] | None
 
-    def __init__(self, lo, hi, columns, valid, pages):
-        self.lo = lo
-        self.hi = hi
-        #: attr name -> values for rows [lo, hi) (zero-filled where invalid).
-        self.columns = columns
-        #: Boolean mask over [lo, hi): False where a corrupt page's span fell.
-        self.valid = valid
-        #: ``(file_name, page_id, fault)`` per page the segment draws on;
-        #: ``fault`` is ``None`` for a decoded page, else the stream's
-        #: :class:`~repro.storage.scrub.PageFault` for it.
-        self.pages = pages
+
+@dataclass(slots=True)
+class _Feed:
+    """One source's share of a window: its pages, pulled a piece at a time."""
+
+    #: Ascending page ids the window reads (known-lost pages left out).
+    pages: list[int]
+    #: The unit reader over them; lazy, so a page's error is raised by
+    #: the delivery that first draws on it.
+    pieces: Iterator
+    #: ``pages[:at]`` have been pulled into the window.
+    at: int = 0
+
+
+@dataclass(slots=True)
+class _Window:
+    """The decoded run of segments a stream is serving: the real buffer."""
+
+    #: Which of its stream's windows this is (a rider remembers the
+    #: number, not the window).
+    serial: int
+    #: Segments ``[first, stop)``; those before ``ready`` are settled:
+    #: every page they draw on has been pulled.
+    first: int
+    stop: int
+    ready: int
+    #: The ``k``-th segment holds rows ``lo + bounds[k]`` to ``lo + bounds[k + 1]``.
+    lo: int
+    bounds: np.ndarray
+    #: Full width: zero where invalid or not yet pulled.
+    columns: dict[str, np.ndarray]
+    #: False where a lost page's span fell.
+    valid: np.ndarray
+    feeds: list[_Feed] = field(default_factory=list)
+
+    def rows_of(self, first_row: int, count: int) -> tuple[int, int, int]:
+        """``(start, stop, skipped)``: where rows ``[first_row, first_row
+        + count)`` fall in the window, and how many precede it."""
+        start = first_row - self.lo
+        skipped = max(0, -start)
+        stop = min(len(self.valid), start + count)
+        return start + skipped, max(start + skipped, stop), skipped
+
+
+def _no_checkpoint() -> None:
+    """A stream is governed by no query: its riders check, per advance."""
 
 
 class SharedScanStream:
     """One circular scan over ``attrs`` of ``table``, shared by consumers.
 
-    Segments are the driving file's pages: the row file's pages (row
-    and PAX layouts) or the pages of the column file with the *most*
-    pages (column layout — its pages bound the finest row spans, so
-    every other needed column is swept sequentially alongside it
-    through a small rolling page cache and each page still decodes once
-    per pass).
+    A *segment* is the unit of delivery and accounting, a *window* the
+    unit of reading.  Segments are the driving file's pages: the row
+    file's pages (row and PAX layouts) or the pages of the column file
+    with the *most* pages (column layout — its pages bound the finest
+    row spans, and every other needed column is swept alongside it).  A
+    window is the run of adjacent segments some rider still needs, at
+    most an I/O unit of driving pages (``calibration.io_unit_bytes``)
+    and never across the wrap: each file under it is read, CRC-checked
+    and decoded through the scan core's unit reader — a healthy unit in
+    one call, a unit with a corrupt page, a short read or RLE pages page
+    by page from the bytes already read, as each segment is reached —
+    and ``step()`` cuts one segment from it per call.
+
+    The modeled I/O is charged at delivery, per logical page: a row page
+    per delivery; a column page unless it is among the last
+    ``_CACHE_PAGES`` charged for its file (the modeled buffer, which
+    outlives an idle stream) or already lost.  The window is the real
+    buffer and belongs to the riders: a stream without riders holds no
+    decoded data.
     """
 
-    #: Rolling decoded-page cache entries kept per column file.
+    #: Pages the modeled buffer keeps per column file.
     _CACHE_PAGES = 4
 
-    def __init__(self, table: Table, attrs: tuple[str, ...], strict_integrity: bool):
+    def __init__(
+        self,
+        table: Table,
+        attrs: tuple[str, ...],
+        strict_integrity: bool,
+        calibration: Calibration = DEFAULT_CALIBRATION,
+        on_empty=None,
+    ):
         self.table = table
         self.attrs = tuple(attrs)
         self.strict_integrity = strict_integrity
@@ -107,22 +190,29 @@ class SharedScanStream:
         #: on a context of its own: its accounting is ``io_events``, and
         #: its corruption report is what every rider copies damage from.
         self._context = ExecutionContext(
-            strict_integrity=strict_integrity, events=self.io_events
+            calibration=calibration,
+            strict_integrity=strict_integrity,
+            events=self.io_events,
         )
+        #: Driving pages per window: the creating context's I/O unit.
+        self._unit_pages = unit_pages(calibration, table.page_size)
+        #: Called with the stream when its last rider detaches.
+        self._on_empty = on_empty
         self._consumers: list[SharedScanConsumer] = []
         self._cursor = 0
         self._failed: Exception | None = None
-        #: Per-column rolling cache of decoded pages (column layout).
-        self._page_cache: dict[str, dict[int, np.ndarray]] = {}
+        self._window: _Window | None = None
+        self._windows_opened = 0
+        #: ``(file name, page) -> PageFault`` of every page salvage lost:
+        #: such a page is never read (or charged) again.
+        self._lost: dict[tuple[str, int], object] = {}
         # ``_segments``: (driving page id, row lo, row hi), in row order.
         if isinstance(table, PagedTable):
-            attrs = self.attrs
-            self._decode_page = lambda page: table.decode_page(page, attrs)
             self._segments = self._paged_segments()
-            self._decode_segment = self._decode_paged_segment
+            self._sources = [self._paged_source()]
         elif isinstance(table, ColumnTable):
             self._segments = self._column_segments()
-            self._decode_segment = self._decode_column_segment
+            self._sources = [self._column_source(name) for name in self.attrs]
         else:
             raise PlanError(
                 f"unsupported table type for sharing: {type(table).__name__}"
@@ -168,6 +258,44 @@ class SharedScanStream:
                 best, best_pages = name, pages
         return best
 
+    def _paged_source(self) -> _Source:
+        """Row/PAX: every attribute off the one file, a page per segment."""
+        table, attrs = self.table, self.attrs
+        capacity = table.page_codec.tuples_per_page
+        pages = [page_id for page_id, _lo, _hi in self._segments]
+
+        def decode(data, _at, run):
+            decoder = table.decode_unit if run > 1 else table.decode_page
+            return decoder(data, attrs)[1]
+
+        return _Source(
+            name=table.file.name,
+            owner=table,
+            decode=decode,
+            first_row=lambda page: page * capacity,
+            span_of=table.row_span_of_page,
+            first=pages,
+            last=pages,
+            fifo=None,
+        )
+
+    def _column_source(self, name: str) -> _Source:
+        """Column layout: one attribute's file, the pages covering each segment's rows."""
+        num_rows = self.table.num_rows
+        column_file = self.table.column_file(name)
+        rows = np.array([(lo, hi - 1) for _page, lo, hi in self._segments], dtype=np.int64)
+        first, last = column_file.page_of_positions(rows.reshape(-1, 2).T).tolist()
+        return _Source(
+            name=column_file.file.name,
+            owner=column_file,
+            decode=lambda data, _at, _run: {name: column_file.decode_unit(data)[1]},
+            first_row=column_file.first_row_of_page,
+            span_of=lambda page: column_file.row_span_of_page(page, num_rows),
+            first=first,
+            last=last,
+            fifo={},
+        )
+
     @property
     def num_segments(self) -> int:
         return len(self._segments)
@@ -204,6 +332,12 @@ class SharedScanStream:
                 table=self.table.schema.name,
                 riders=len(self._consumers),
             )
+            if not self._consumers:
+                # The window goes with the last rider; the modeled
+                # buffer (page ids) stays for whoever attaches next.
+                self._window = None
+                if self._on_empty is not None:
+                    self._on_empty(self)
 
     @property
     def idle(self) -> bool:
@@ -213,7 +347,7 @@ class SharedScanStream:
     # --- the circular pump ------------------------------------------------
 
     def step(self) -> bool:
-        """Decode and deliver the next needed segment (circularly).
+        """Deliver the next needed segment (circularly) to its takers.
 
         Returns False when no attached consumer needs anything.  Raises
         the stream's terminal error (strict-integrity decode failure)
@@ -230,7 +364,7 @@ class SharedScanStream:
             if not takers:
                 continue
             try:
-                data = self._decode_segment(*self._segments[index])
+                window, pages = self._load(index)
             except SALVAGEABLE_ERRORS as exc:
                 # Strict integrity: the whole stream dies with the typed
                 # error every rider would have hit scanning alone.
@@ -245,113 +379,142 @@ class SharedScanStream:
                     riders=len(takers),
                 )
             for consumer in takers:
-                consumer._receive(index, data)
+                consumer._receive(index, window, pages)
             return True
         return False
 
-    # --- decoding ---------------------------------------------------------
+    # --- reading ----------------------------------------------------------
 
-    def _read(self, decode, file, page_id: int, row_span: int):
-        """One page through the guarded read: ``(decoded, fault)``.
+    def _load(self, index: int) -> tuple[_Window, list[tuple]]:
+        """Charge and settle what segment ``index`` draws on.
 
-        The I/O is charged to the stream exactly once per page per pass;
-        a page salvage had to drop stays in the stream's corruption
-        report, so re-deliveries get ``(None, fault)`` without a re-read.
+        Returns the window holding it and ``((file name, page id),
+        fault)`` per page drawn on; ``fault`` is ``None`` for a decoded
+        page, else the stream's :class:`~repro.storage.scrub.PageFault`
+        for it.  A page is charged to the stream by the rule in the
+        class docstring, *before* it is pulled: a strict failure leaves
+        its page charged and the cursor on its segment.
         """
-        faults = self._context.corruption.faults
-        for fault in faults:
-            if fault.page == page_id and fault.file == file.name:
-                return None, fault
-        self.io_events.pages_touched += 1
-        self.io_events.bytes_read += self.table.page_size
-        obs_metrics.SCHEDULER_SHARED_PAGES.inc()
-        decoded = guarded_decode(self._context, decode, file, page_id, row_span)
-        return decoded, (faults[-1] if decoded is None else None)
+        window = self._window
+        if window is None or not window.first <= index < window.stop:
+            window = self._window = self._open_window(index)
+        settled = window.ready == window.stop  # nothing left to pull
+        lost = self._lost
+        io_events = self.io_events
+        page_size = self.table.page_size
+        pages = []
+        for source, feed in zip(self._sources, window.feeds):
+            fifo = source.fifo
+            name = source.name
+            for page in range(source.first[index], source.last[index] + 1):
+                key = (name, page)
+                if key not in lost:
+                    buffered = fifo is not None and page in fifo
+                    if not buffered:
+                        io_events.pages_touched += 1
+                        io_events.bytes_read += page_size
+                        obs_metrics.SCHEDULER_SHARED_PAGES.inc()
+                    if not settled:
+                        self._pull(window, source, feed, page)
+                    if fifo is not None and not buffered and key not in lost:
+                        while len(fifo) >= self._CACHE_PAGES:
+                            del fifo[next(iter(fifo))]
+                        fifo[page] = None
+                pages.append((key, lost.get(key)))
+        if not settled:
+            ready = window.stop
+            for source, feed in zip(self._sources, window.feeds):
+                if feed.at < len(feed.pages):
+                    # Settled: the segments wholly before the next unpulled page.
+                    ready = bisect_left(source.last, feed.pages[feed.at], window.first, ready)
+            window.ready = ready
+        return window, pages
 
-    def _decode_paged_segment(self, page_id: int, lo: int, hi: int):
-        """Row/PAX: one segment is exactly one page of the row file."""
-        table = self.table
-        span = hi - lo
-        decoded, fault = self._read(self._decode_page, table.file, page_id, span)
-        if decoded is None:
-            schema = table.schema
-            columns = {
-                name: np.zeros(
-                    span, dtype=schema.attribute(name).attr_type.numpy_dtype()
-                )
-                for name in self.attrs
-            }
-            valid = np.zeros(span, dtype=bool)
-        else:
-            columns = {name: decoded[1][name][:span] for name in self.attrs}
-            valid = np.ones(span, dtype=bool)
-        return _SegmentData(lo, hi, columns, valid, [(table.file.name, page_id, fault)])
-
-    def _decode_column_segment(self, _page_id: int, lo: int, hi: int):
-        """Column layout: assemble [lo, hi) of every needed column."""
-        table = self.table
-        span = hi - lo
-        valid = np.ones(span, dtype=bool)
-        columns: dict[str, np.ndarray] = {}
-        pages: list[tuple] = []
-        for name in self.attrs:
-            column_file = table.column_file(name)
-            dtype = table.schema.attribute(name).attr_type.numpy_dtype()
-            out = np.zeros(span, dtype=dtype)
-            page_id = int(
-                column_file.page_of_positions(np.asarray([lo], dtype=np.int64))[0]
-            )
-            row = lo
-            while row < hi:
-                if page_id >= column_file.file.num_pages:
-                    raise EngineError(
-                        f"column {name!r} ran out of pages at row {row} of "
-                        f"[{lo}, {hi})"
-                    )
-                page_first = column_file.first_row_of_page(page_id)
-                page_span = column_file.row_span_of_page(page_id, table.num_rows)
-                take_lo = max(row, page_first)
-                take_hi = min(hi, page_first + page_span)
-                if take_hi <= row:
-                    page_id += 1
-                    continue
-                values, fault = self._column_page_values(
-                    column_file, page_id, page_span
-                )
-                pages.append((column_file.file.name, page_id, fault))
-                if values is None:
-                    valid[take_lo - lo : take_hi - lo] = False
-                else:
-                    out[take_lo - lo : take_hi - lo] = values[
-                        take_lo - page_first : take_hi - page_first
-                    ]
-                row = take_hi
-                page_id += 1
-            columns[name] = out
-        return _SegmentData(lo, hi, columns, valid, pages)
-
-    def _column_page_values(self, column_file, page_id: int, row_span: int):
-        """One column page's ``(values, fault)``, through the rolling cache."""
-        cache = self._page_cache.setdefault(column_file.file.name, {})
-        if page_id in cache:
-            return cache[page_id], None
-        values, fault = self._read(
-            column_file.decode_page, column_file.file, page_id, row_span
+    def _open_window(self, index: int) -> _Window:
+        """A window from segment ``index`` on; nothing is read yet."""
+        segments = self._segments
+        stop = index + 1
+        limit = min(len(segments), index + self._unit_pages)
+        while stop < limit and any(stop in c._remaining for c in self._consumers):
+            stop += 1
+        lo = segments[index][1]
+        bounds = np.array(
+            [seg_lo for _page, seg_lo, _hi in segments[index:stop]] + [segments[stop - 1][2]],
+            dtype=np.int64,
         )
-        if values is not None:
-            while len(cache) >= self._CACHE_PAGES:
-                cache.pop(next(iter(cache)))
-            cache[page_id] = values
-        return values, fault
+        bounds -= lo
+        schema = self.table.schema
+        columns = {
+            name: np.zeros(int(bounds[-1]), dtype=schema.attribute(name).attr_type.numpy_dtype())
+            for name in self.attrs
+        }
+        self._windows_opened += 1
+        window = _Window(
+            serial=self._windows_opened,
+            first=index,
+            stop=stop,
+            ready=index,
+            lo=lo,
+            bounds=bounds,
+            columns=columns,
+            valid=np.ones(int(bounds[-1]), dtype=bool),
+        )
+        window.feeds = [self._open_feed(window, source) for source in self._sources]
+        return window
+
+    def _open_feed(self, window: _Window, source: _Source) -> _Feed:
+        pages = []
+        for page in range(source.first[window.first], source.last[window.stop - 1] + 1):
+            if (source.name, page) in self._lost:
+                self._invalidate(window, source, page)
+            else:
+                pages.append(page)
+        pieces = guarded_units(
+            self._context,
+            self._unit_pages,
+            source.owner.file,
+            pages,
+            lambda at: source.span_of(pages[at]),
+            source.decode,
+            _no_checkpoint,
+        )
+        return _Feed(pages, pieces)
+
+    def _pull(self, window: _Window, source: _Source, feed: _Feed, page: int) -> None:
+        """Pull ``feed``'s pieces into ``window`` until ``page`` is in."""
+        pages = feed.pages
+        while feed.at < len(pages) and pages[feed.at] <= page:
+            at, run, decoded = next(feed.pieces)
+            feed.at = at + run
+            if decoded is None:
+                fault = self._context.corruption.faults[-1]
+                self._lost[(fault.file, fault.page)] = fault
+                self._invalidate(window, source, pages[at])
+                continue
+            first_row = source.first_row(pages[at])
+            for name, values in decoded.items():
+                start, stop, skipped = window.rows_of(first_row, len(values))
+                window.columns[name][start:stop] = values[skipped : skipped + stop - start]
+
+    @staticmethod
+    def _invalidate(window: _Window, source: _Source, page: int) -> None:
+        """A lost page: its nominal row span holds no candidates."""
+        start, stop, _skipped = window.rows_of(source.first_row(page), source.span_of(page))
+        window.valid[start:stop] = False
 
 
 class SharedScanConsumer(Scanner):
     """One query's ride on a :class:`SharedScanStream`.
 
-    Applies its *own* predicates and projection to every delivered
-    segment (per-consumer CPU), buffers qualifying rows keyed by
-    segment index, and — once its full circular pass completes — emits
-    them re-assembled into global Record-ID order, split into
+    A :class:`~repro.engine.operators.scan_core.Scanner` whose
+    ``_receive`` is kernel + buffer: on the first delivery it sees from
+    a window it filters and projects, in one predicate pass and one
+    copy (:meth:`Scanner._filter_pages`), the run of segments it still
+    needs from there; each delivery then *releases* one segment's
+    numbers — values examined, predicate and decode charges, projection
+    counts, the pages it drew on — exactly as a segment-at-a-time rider
+    would.  Once its full circular pass completes it emits the runs'
+    blocks re-assembled into global Record-ID order, split into
     engine-sized blocks.  Byte-identical to a cold serial scan of the
     same query.
     """
@@ -386,7 +549,11 @@ class SharedScanConsumer(Scanner):
             segments=share.num_segments,
             riders=len(share.consumers),
         )
+        #: ``(first segment, block)`` per filtered run with output.
         self._buffered: list[tuple[int, Block]] = []
+        #: The run being released: ``(window serial, first segment,
+        #: stop, per-segment numbers)``.  Holds no window data.
+        self._prepared: tuple | None = None
         self._finalized = False
         self._seen_pages: set[tuple[str, int]] = set()
 
@@ -403,7 +570,7 @@ class SharedScanConsumer(Scanner):
 
     # --- stream side ------------------------------------------------------
 
-    def _receive(self, index: int, data: _SegmentData) -> None:
+    def _receive(self, index: int, window: _Window, pages: list[tuple]) -> None:
         """Process one delivered segment (called by the stream).
 
         Deliveries run during *whoever pumps* — often a peer's
@@ -417,44 +584,73 @@ class SharedScanConsumer(Scanner):
         """
         tracer = self.context.tracer
         if tracer is None:
-            self._receive_inner(index, data)
+            self._receive_inner(index, window, pages)
             return
         frame = tracer.enter(self, "receive")
         try:
-            self._receive_inner(index, data)
+            self._receive_inner(index, window, pages)
         finally:
             tracer.exit(frame, self.context.events)
 
-    def _receive_inner(self, index: int, data: _SegmentData) -> None:
+    def _receive_inner(self, index: int, window: _Window, pages: list[tuple]) -> None:
         self._remaining.discard(index)
-        events = self.events
-        span = data.hi - data.lo
         # Copy what the stream's reads found into this query's report,
         # once per page (a column page may serve several segments).
         corruption = self.context.corruption
-        for file_name, page_id, fault in data.pages:
-            key = (file_name, page_id)
-            if key in self._seen_pages:
+        seen = self._seen_pages
+        for key, fault in pages:
+            if key in seen:
                 continue
-            self._seen_pages.add(key)
+            seen.add(key)
             if fault is None:
                 corruption.pages_scanned += 1
             else:
                 obs_metrics.PAGES_SALVAGED.inc()
                 corruption.faults.append(fault)
 
-        mask = data.valid.copy()
-        events.values_examined += span
-        qualified = apply_predicates(
-            events, self._bound, data.columns, mask, int(np.count_nonzero(mask))
-        )
-        self._charge_lazy_decodes(span, qualified)
+        prepared = self._prepared
+        if (
+            prepared is None
+            or prepared[0] != window.serial
+            or not prepared[1] <= index < prepared[2]
+        ):
+            prepared = self._prepare(index, window)
+        _serial, start, stop, numbers = prepared
+        count, _candidates, evals, eval_bytes, qualified, _offset, _block = numbers[index - start]
+        events = self.events
+        events.values_examined += count
+        events.predicate_evals += evals
+        events.predicate_eval_bytes += eval_bytes
+        self._charge_lazy_decodes(count, qualified)
         if qualified:
-            self._buffered.append(
-                (index, self._project(data.columns, mask, qualified, data.lo))
-            )
+            self._charge_projection(qualified)
+        self._prepared = prepared if index + 1 < stop else None
+
+    def _prepare(self, index: int, window: _Window) -> tuple:
+        """Filter and project the run of settled segments still needed
+        from ``index`` on; nothing is charged before its release."""
+        remaining = self._remaining
+        stop = index + 1
+        while stop < window.ready and stop in remaining:
+            stop += 1
+        bounds = window.bounds[index - window.first : stop - window.first + 1]
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        numbers = self._filter_pages(
+            np.diff(bounds),
+            {name: window.columns[name][lo:hi] for name in self._attrs},
+            window.valid[lo:hi].copy(),
+            window.lo + lo,
+        )
+        block = numbers[0][-1]
+        if len(block):
+            self._buffered.append((index, block))
+        return window.serial, index, stop, numbers
 
     # --- operator side ----------------------------------------------------
+
+    def _open(self) -> None:
+        """The ride began at attach: opening resets nothing, so a rider
+        pumped to the end before it is drained keeps its blocks."""
 
     def advance(self) -> bool:
         """One cooperative timeslice: pump the stream one segment.
@@ -504,35 +700,59 @@ class ScanShareManager:
     Streams are keyed by (table identity, needed column set, integrity
     mode); a query matching a stream that still has riders attaches to
     it mid-flight (share *hit*), anything else starts a fresh stream
-    (share *miss*).  Streams with no riders left are dropped — their
-    I/O totals are kept for workload-level accounting.
+    (share *miss*).  A stream is dropped when its last rider detaches —
+    its I/O totals are folded into the manager's counters for
+    workload-level accounting, and nothing of it stays reachable from
+    here.
     """
 
     def __init__(self) -> None:
+        #: Streams with riders attached, by share key.
         self._streams: dict[tuple, SharedScanStream] = {}
-        self._history: list[SharedScanStream] = []
+        #: I/O of the streams dropped so far.
+        self._retired_io = CostEvents()
         self.hits = 0
         self.misses = 0
 
     def acquire(
         self, table: Table, query: ScanQuery, context: ExecutionContext
     ) -> SharedScanConsumer:
-        """A consumer for ``query``, shared with compatible live scans."""
+        """A consumer for ``query``, shared with compatible live scans.
+
+        A fresh stream reads by the I/O unit of ``context``'s calibration.
+        """
         key = share_key(table, query, context.strict_integrity)
         stream = self._streams.get(key)
-        if stream is not None and stream.failed is None and stream.consumers:
+        if stream is not None and stream.failed is not None:
+            # Its riders are on their way out; it charges nothing more.
+            self._retire(key, stream)
+            stream = None
+        hit = stream is not None
+        if not hit:
+            stream = SharedScanStream(
+                table,
+                query.scan_attributes(),
+                context.strict_integrity,
+                context.calibration,
+                on_empty=functools.partial(self._retire, key),
+            )
+        consumer = SharedScanConsumer(context, stream, query)
+        if hit:
             self.hits += 1
             obs_metrics.SCHEDULER_SHARE_HITS.inc()
         else:
-            stream = SharedScanStream(
-                table, query.scan_attributes(), context.strict_integrity
-            )
+            # Listed once it has a rider: a stream here always has one.
             self._streams[key] = stream
-            self._history.append(stream)
             self.misses += 1
             obs_metrics.SCHEDULER_SHARE_MISSES.inc()
         obs_metrics.SHARE_HIT_RATIO.set(self.hits / (self.hits + self.misses))
-        return SharedScanConsumer(context, stream, query)
+        return consumer
+
+    def _retire(self, key: tuple, stream: SharedScanStream) -> None:
+        """Drop ``stream`` (no riders left, or failed), keeping its totals."""
+        if self._streams.get(key) is stream:
+            del self._streams[key]
+            self._retired_io.merge(stream.io_events)
 
     def discard(self, consumer: SharedScanConsumer) -> None:
         """Detach a failed/cancelled rider without touching its peers."""
@@ -540,9 +760,7 @@ class ScanShareManager:
 
     def live_streams(self) -> list[SharedScanStream]:
         """Streams that still have riders attached."""
-        return [
-            stream for stream in self._streams.values() if stream.consumers
-        ]
+        return list(self._streams.values())
 
     def board(self) -> list[dict]:
         """Live-stream summaries for the scheduler dashboard."""
@@ -561,10 +779,14 @@ class ScanShareManager:
 
     def io_bytes(self) -> int:
         """Bytes read by every stream ever created, each counted once."""
-        return sum(stream.io_events.bytes_read for stream in self._history)
+        return self._retired_io.bytes_read + sum(
+            stream.io_events.bytes_read for stream in self._streams.values()
+        )
 
     def io_pages(self) -> int:
-        return sum(stream.io_events.pages_touched for stream in self._history)
+        return self._retired_io.pages_touched + sum(
+            stream.io_events.pages_touched for stream in self._streams.values()
+        )
 
     def stats(self) -> dict:
         return {

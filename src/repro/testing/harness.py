@@ -36,12 +36,13 @@ import numpy as np
 from repro.compression.base import CodecKind, CodecSpec
 from repro.data.generator import GeneratedTable
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, run_scan
+from repro.engine.executor import QueryResult, execute_plan, run_scan
 from repro.engine.governance import QueryContext
 from repro.engine.parallel import parallel_query
 from repro.engine.plan import ColumnScannerKind
 from repro.engine.predicate import ComparisonOp, Predicate
 from repro.engine.query import AggregateFunction, Query, ScanQuery
+from repro.engine.sharing import ScanShareManager, SharedScanConsumer
 from repro.errors import GovernanceError
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -166,11 +167,13 @@ def _effective_specs(
     }
 
 
-def _load(case: GeneratedCase, table_name: str, layout: Layout) -> Table:
+def _load(
+    case: GeneratedCase, table_name: str, layout: Layout, page_size: int | None = None
+) -> Table:
     data = case.tables[table_name]
     specs = _effective_specs(case.codec_specs.get(table_name, {}), layout)
     bound = data.with_schema(data.schema.with_codecs(specs))
-    return load_table(bound, layout, page_size=case.page_size)
+    return load_table(bound, layout, page_size=page_size or case.page_size)
 
 
 def _case_coverage(case: GeneratedCase, config: ScanConfig) -> set[tuple[str, str]]:
@@ -230,6 +233,57 @@ def run_generated(
             **supervision,
         )
     return run_scan(table, query, context, config.column_scanner)
+
+
+def _ride(manager: ScanShareManager, rider: SharedScanConsumer) -> QueryResult:
+    """Drain a rider; one that fails leaves its peers the stream."""
+    try:
+        return execute_plan(rider)
+    except Exception:
+        manager.discard(rider)
+        raise
+
+
+#: The mid-flight leg loads the case's table in pages this small and
+#: reads it in units of this many pages, so that a table of a few
+#: hundred rows has segments to attach between and more than one window.
+_RIDER_PAGE_SIZE = 128
+_RIDER_UNIT_PAGES = 4
+
+
+def _check_mid_flight_riders(check, case: GeneratedCase, config: ScanConfig) -> None:
+    """Two riders of the case's scan on one shared stream, the second
+    attached after ``seed % (segments + 1)`` pumps of the first: it
+    joins at a cursor other than 0 and wraps around for the rest."""
+    manager = ScanShareManager()
+    table = _load(case, case.query.table, config.layout, _RIDER_PAGE_SIZE)
+    late: list[SharedScanConsumer] = []
+
+    def context() -> ExecutionContext:
+        context = _case_context(case)
+        context.calibration = context.calibration.with_overrides(
+            io_unit_bytes=_RIDER_UNIT_PAGES * _RIDER_PAGE_SIZE
+        )
+        return context
+
+    def first_rider() -> QueryResult:
+        rider = manager.acquire(table, case.query, context())
+        try:
+            for _pump in range(case.seed % (rider.share.num_segments + 1)):
+                rider.advance()
+        except Exception:
+            manager.discard(rider)
+            raise
+        late.append(manager.acquire(table, case.query, context()))
+        return _ride(manager, rider)
+
+    check(f"{config.name} shared rider", first_rider, tolerate=GovernanceError)
+    if late:
+        check(
+            f"{config.name} shared rider, attached mid-flight",
+            lambda: _ride(manager, late[0]),
+            tolerate=GovernanceError,
+        )
 
 
 def _oracle_expected(case: GeneratedCase) -> OracleResult:
@@ -597,6 +651,10 @@ def run_case(case: GeneratedCase, metamorphic: bool = True) -> CaseOutcome:
                 tolerate=GovernanceError,
             )
             outcome.coverage |= _case_coverage(case, config)
+    if case.kind == "scan":
+        # One stream per layout, whatever the column scanner.
+        for config in CONFIGS[:3]:
+            _check_mid_flight_riders(check, case, config)
     if metamorphic and not outcome.failures:
         try:
             meta = metamorphic_failures(case)

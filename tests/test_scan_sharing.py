@@ -12,7 +12,9 @@ scan of the same query.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -353,3 +355,61 @@ class TestShareManager:
         solo = run_scan(load_table(data, Layout.COLUMN), QUERY)
         # Two riders, one stream: strictly less than two solo scans.
         assert shared_pages < 2 * solo.events.pages_touched
+
+    def test_finished_streams_are_dropped_and_their_totals_kept(self):
+        """The manager holds a stream while it has riders and only its
+        I/O totals after: nothing of a finished stream is reachable."""
+        data = _coded_orders(seed=73)
+        table = load_table(data, Layout.COLUMN)
+        narrow = ScanQuery("ORDERS", select=("O_ORDERKEY",))
+        manager = ScanShareManager()
+        gc.disable()
+        try:
+            riders = [
+                manager.acquire(table, query, ExecutionContext())
+                for query in (QUERY, narrow, QUERY)
+            ]
+            assert len(manager.live_streams()) == 2
+            streams = [weakref.ref(stream) for stream in manager.live_streams()]
+            # The ledgers outlive their streams: what each had read by the end.
+            ledgers = [stream.io_events for stream in manager.live_streams()]
+            _drain_consumer(riders[0])
+            assert len(manager.live_streams()) == 2  # its peer still rides
+            live_total = manager.io_pages()
+            assert live_total == sum(ledger.pages_touched for ledger in ledgers)
+            for rider in riders[1:]:
+                _drain_consumer(rider)
+            del riders, rider
+            assert manager.live_streams() == [] and manager.board() == []
+            assert [stream() for stream in streams] == [None, None]
+            # A later solo rider is a miss on a fresh stream, dropped in turn.
+            _drain_consumer(manager.acquire(table, narrow, ExecutionContext()))
+            assert manager.live_streams() == [] and manager.misses == 3
+        finally:
+            gc.enable()
+        assert manager.io_pages() == sum(l.pages_touched for l in ledgers) + ledgers[1].pages_touched
+        assert manager.io_bytes() == manager.io_pages() * table.page_size
+        assert manager.stats()["shared_io_pages"] == manager.io_pages() > live_total
+
+    def test_a_failed_stream_is_replaced_and_counted_once(self):
+        data = _coded_orders(seed=59)
+        table = load_table(data, Layout.ROW)
+        _corrupt_page(table.file, 1)
+        manager = ScanShareManager()
+        doomed = [manager.acquire(table, QUERY, ExecutionContext()) for _ in range(2)]
+        doomed[0].open()
+        with pytest.raises(ChecksumError):
+            while doomed[0].advance():
+                pass
+        failed = doomed[0].share
+        assert failed.failed is not None and failed.io_events.pages_touched == 2
+        # Its riders are still attached; a newcomer gets a fresh stream.
+        salvager = manager.acquire(table, QUERY, ExecutionContext(strict_integrity=False))
+        fresh = manager.acquire(table, QUERY, ExecutionContext())
+        assert fresh.share is not failed and salvager.share is not failed
+        for rider in doomed:
+            manager.discard(rider)
+        _drain_consumer(salvager)
+        manager.discard(fresh)
+        assert manager.live_streams() == []
+        assert manager.io_pages() == 2 + table.file.num_pages

@@ -23,8 +23,11 @@ for row files and for column files:
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from repro.compression.base import CodecKind, CodecSpec
 from repro.compression.bitpack import gather_bits, pack_bits, unpack_bits
 from repro.compression.registry import build_codec, build_codec_for_values
 from repro.cpusim.calibration import DEFAULT_CALIBRATION
-from repro.data.tpch import apply_fig5_compression, generate_lineitem
+from repro.data.tpch import apply_fig5_compression, generate_lineitem, orders_schema
 from repro.design.materialize import materialize_view
 from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
@@ -45,12 +48,14 @@ from repro.engine.operators import Limit
 from repro.engine.plan import scan_plan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
+from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
 from repro.errors import (
     ChecksumError,
     CompressionError,
     PageFormatError,
     QueryCancelled,
     QueryTimeout,
+    ReproError,
 )
 from repro.obs import metrics
 from repro.obs import recorder as flight
@@ -71,8 +76,10 @@ from tests.scan_golden import (
     SCANNERS,
     WINDOWS,
     _queries,
+    _record,
     _run_scan,
 )
+from tests.test_scan_sharing import _coded_orders
 
 # --- the old bit-matrix kernels, kept as the reference ------------------------
 
@@ -943,3 +950,357 @@ class TestColumnGovernance:
             # pages charged than a page-at-a-time scan could have.
             assert context.governance.ticks == k
             assert context.events.pages_touched <= k
+
+
+# --- shared streams: the unit path against the page path --------------------------
+
+SHARED_ROWS = 6_000
+#: Exhausts its retries on every read: the unit that reaches it ends short.
+UNREADABLE = 35
+
+
+def _select(data, select, *predicates) -> ScanQuery:
+    """``predicates`` are ``(attribute, selectivity)`` pairs."""
+    bound = tuple(
+        predicate_for_selectivity(attr, data.columns[attr], selectivity)
+        for attr, selectivity in predicates
+    )
+    return ScanQuery(data.schema.name, select=select, predicates=bound)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_case(dataset: str):
+    """``(data, page size, pages per unit, the two riders' queries)``.
+
+    Every table has more driving pages than a unit, on every layout:
+    LINEITEM by the default 128 KB unit of 4 KB pages (L_COMMENT drives
+    the column streams), the RLE/DICT/FOR ORDERS of
+    ``tests/test_scan_sharing.py`` by 256-byte pages, four to the unit.
+    """
+    if dataset == "orders":
+        data = _coded_orders(seed=11)
+        queries = (
+            _select(
+                data,
+                ("O_ORDERKEY", "O_SHIPPRIORITY", "O_ORDERSTATUS", "O_TOTALPRICE"),
+                ("O_TOTALPRICE", 0.3),
+            ),
+            _select(data, ("O_SHIPPRIORITY", "O_CUSTKEY"), ("O_ORDERKEY", 0.5)),
+        )
+        return data, 256, 4, queries
+    plain = generate_lineitem(SHARED_ROWS, seed=77)
+    data = apply_fig5_compression(plain) if dataset == "z" else plain
+    queries = (
+        _select(
+            data,
+            ("L_ORDERKEY", "L_SHIPMODE", "L_PARTKEY", "L_DISCOUNT"),
+            ("L_PARTKEY", 0.1),
+            ("L_EXTENDEDPRICE", 0.5),
+        ),
+        # Two predicates on one attribute; the widest column is selected.
+        _select(data, ("L_ORDERKEY", "L_COMMENT"), ("L_ORDERKEY", 0.6), ("L_ORDERKEY", 0.9)),
+    )
+    return data, 4096, DEFAULT_CALIBRATION.io_unit_bytes // 4096, queries
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_table(dataset: str, layout: Layout, faulty: bool = False):
+    """A loaded table; ``faulty`` flips a bit on pages 1 and 5 of every
+    file and makes page ``UNREADABLE`` of every file that has one
+    unreadable.  The faults are the same on every read, so one wrapped
+    table serves every run."""
+    data, page_size, _unit, _queries = _shared_case(dataset)
+    if dataset == "orders" and layout is not Layout.COLUMN:
+        # RLE is a column codec: its runs do not fit a 256-byte row page.
+        plain = orders_schema().attribute("O_SHIPPRIORITY").codec_spec
+        data = data.with_schema(data.schema.with_codecs({"O_SHIPPRIORITY": plain}))
+    table = load_table(data, layout, page_size=page_size)
+    if faulty:
+        plan = FaultPlan(seed=7).schedule_transient_reads(10**9, page=UNREADABLE)
+        for page in CORRUPT_PAGES:
+            plan.schedule_bit_flip(page, byte=11, bit=3)
+        plan.wrap_table(table)
+        files = (
+            [table.file]
+            if layout is not Layout.COLUMN
+            else [column_file.file for column_file in table.column_files.values()]
+        )
+        for file in files:
+            file.retry_policy = RetryPolicy(max_attempts=2, sleep=lambda _seconds: None)
+    return table
+
+
+def _shared_calibrations(dataset: str) -> tuple:
+    """The stream's calibration by unit, then page at a time."""
+    _data, page_size, unit, _queries = _shared_case(dataset)
+    return (
+        DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=unit * page_size),
+        DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=page_size),
+    )
+
+
+def _shared_outcome(table, queries, calibration, attach_after, strict: bool) -> dict:
+    """Two riders on one stream; the second attaches after
+    ``attach_after`` pumps of the first (``None``: after it has finished
+    and detached).  A rider's typed error is part of the outcome."""
+    attrs = tuple(dict.fromkeys(queries[0].scan_attributes() + queries[1].scan_attributes()))
+    stream = SharedScanStream(table, attrs, strict, calibration)
+    contexts = [
+        ExecutionContext(strict_integrity=strict, governance=QueryContext()) for _ in queries
+    ]
+    riders: list = [None, None]
+    blocks: list = [[], []]
+    raised: list = [None, None]
+
+    def attempt(which: int, action) -> None:
+        if raised[which] is None:
+            try:
+                action()
+            except ReproError as exc:
+                raised[which] = type(exc).__name__
+
+    def attach(which: int) -> None:
+        riders[which] = SharedScanConsumer(contexts[which], stream, queries[which])
+        riders[which].open()
+
+    def drain(which: int) -> None:
+        while (block := riders[which].next()) is not None:
+            blocks[which].append(block)
+        riders[which].close()
+
+    attempt(0, lambda: attach(0))
+    for _pump in range(attach_after or 0):
+        attempt(0, riders[0].advance)
+    if attach_after is None:
+        attempt(0, lambda: drain(0))
+    attempt(1, lambda: attach(1))
+    if attach_after is not None:
+        attempt(0, lambda: drain(0))
+    attempt(1, lambda: drain(1))
+    outcome = {
+        "segments": stream.num_segments,
+        "cursor": stream.cursor,
+        "failed": type(stream.failed).__name__,
+        "io_events": stream.io_events.as_dict(),
+    }
+    for which, label in enumerate(("first", "second")):
+        outcome[label] = _record(contexts[which], blocks[which])
+        outcome[label]["raises"] = raised[which]
+        if riders[which] is not None:
+            outcome[label]["attach_cursor"] = riders[which].attach_cursor
+    return outcome
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+@pytest.mark.parametrize("dataset", ["plain", "z", "orders"])
+class TestSharedUnitsAgainstPages:
+    """What a rider and its stream account for does not depend on the
+    unit the stream reads in (DESIGN.md §7a, "Shared streams by unit")."""
+
+    @staticmethod
+    def _attach_points(dataset, table, queries) -> list:
+        """0, mid-unit, a unit boundary, mid-way through the second
+        unit, the last segment, and after the first rider is done."""
+        unit = _shared_case(dataset)[2]
+        attrs = queries[0].scan_attributes() + queries[1].scan_attributes()
+        segments = SharedScanStream(table, tuple(dict.fromkeys(attrs)), True).num_segments
+        assert segments > unit + 3
+        return [0, unit // 2, unit, unit + 3, segments - 1, None]
+
+    def test_clean_and_salvaged_rides(self, dataset, layout):
+        queries = _shared_case(dataset)[3]
+        by_unit, by_page = _shared_calibrations(dataset)
+        lost = set()
+        for faulty in (False, True):
+            table = _shared_table(dataset, layout, faulty)
+            for attach_after in self._attach_points(dataset, table, queries):
+                unit = _shared_outcome(table, queries, by_unit, attach_after, strict=False)
+                page = _shared_outcome(table, queries, by_page, attach_after, strict=False)
+                assert unit == page, (faulty, attach_after)
+                assert unit["first"]["raises"] is None and unit["second"]["raises"] is None
+                if faulty:
+                    assert unit["first"]["faults"]
+                    lost |= {page for _file, page, _rows in unit["second"]["faults"]}
+                else:
+                    assert unit["second"]["rows"] == len(
+                        run_scan(table, queries[1]).positions
+                    )
+        assert lost and lost <= {*CORRUPT_PAGES, UNREADABLE}
+        if layout is not Layout.COLUMN:
+            assert lost == {*CORRUPT_PAGES, UNREADABLE}
+
+    def test_strict_fails_at_the_same_delivery(self, dataset, layout):
+        """The error's type, the cursor and the stream's I/O at the
+        failure, and what each rider had been charged by then."""
+        queries = _shared_case(dataset)[3]
+        by_unit, by_page = _shared_calibrations(dataset)
+        table = _shared_table(dataset, layout, faulty=True)
+        for attach_after in (0, 1, 3):
+            unit = _shared_outcome(table, queries, by_unit, attach_after, strict=True)
+            page = _shared_outcome(table, queries, by_page, attach_after, strict=True)
+            assert unit == page, attach_after
+            assert unit["failed"] == "ChecksumError"
+            assert unit["first"]["raises"] == unit["second"]["raises"] == "ChecksumError"
+            assert unit["io_events"]["pages_touched"] > 0
+
+
+class _CountingFile(PagedFile):
+    """A view of a paged file that counts the reads made through it."""
+
+    def __init__(self, inner: PagedFile):
+        super().__init__(inner.name, inner.page_size, retry_policy=inner.retry_policy)
+        self._data = inner._data
+        self.unit_reads: list[tuple[int, int]] = []
+        self.page_reads = 0
+
+    def read_pages(self, start: int, count: int) -> bytes:
+        self.unit_reads.append((start, count))
+        return super().read_pages(start, count)
+
+    def read_page(self, index: int) -> bytes:
+        self.page_reads += 1
+        return super().read_page(index)
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+def test_a_solo_pass_reads_each_unit_once(layout, fresh_telemetry):
+    """The mechanism, by count: a clean solo pass over a P-page driving
+    file issues ceil(P / unit) unit reads, no page read, and decodes
+    each page it read once."""
+    data, page_size, unit, queries = _shared_case("plain")
+    table = load_table(data, layout, page_size=page_size)
+    query = queries[1]
+    if layout is Layout.COLUMN:
+        files = {}
+        for name in query.scan_attributes():
+            column_file = table.column_file(name)
+            files[name] = column_file.file = _CountingFile(column_file.file)
+        driving = files["L_COMMENT"]
+    else:
+        driving = table.file = _CountingFile(table.file)
+        files = {"row": driving}
+    stream = SharedScanStream(table, query.scan_attributes(), True)
+    rider = SharedScanConsumer(ExecutionContext(), stream, query)
+    assert len(rider.drain()) > 1
+    pages = driving.num_pages
+    assert pages > unit and stream.num_segments == pages
+    assert driving.unit_reads == [
+        (start, min(unit, pages - start)) for start in range(0, pages, unit)
+    ]
+    assert all(file.page_reads == 0 for file in files.values())
+    read = sum(count for file in files.values() for _start, count in file.unit_reads)
+    assert metrics.PAGE_DECODE_SECONDS.count == read
+    # The modeled I/O is per logical page, each charged once.
+    assert stream.io_events.pages_touched == sum(file.num_pages for file in files.values())
+    if layout is not Layout.COLUMN:
+        assert read == pages
+
+
+# --- governance and isolation inside a shared window ------------------------------
+
+
+def _abort(governance, error) -> None:
+    if error is QueryCancelled:
+        governance.token.cancel("mid-window")
+    else:
+        governance.deadline = time.monotonic() - 1.0
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN], ids=lambda l: l.name)
+class TestSharedGovernance:
+    """:class:`TestGovernance` for riders: an abort at any checkpoint is
+    the rider's only outcome, and its peer and the stream do not notice."""
+
+    #: The peer is attached first and pumps this many segments alone, so
+    #: the governed rider joins inside the second window and wraps.
+    ATTACH_AFTER = 35
+
+    @staticmethod
+    def _ride(table, calibration, queries, k, error, attach_after):
+        """The peer and a rider that aborts at its ``k``-th checkpoint,
+        pumping turn by turn as the scheduler would."""
+        manager = ScanShareManager()
+        peer_context = ExecutionContext(calibration=calibration, governance=QueryContext())
+        peer = manager.acquire(table, queries[0], peer_context)
+        peer.open()
+        for _pump in range(attach_after):
+            peer.advance()
+
+        def hook(governance):
+            if governance.ticks == k:
+                _abort(governance, error)
+
+        context = ExecutionContext(
+            calibration=calibration, governance=QueryContext(on_tick=hook)
+        )
+        rider = manager.acquire(table, queries[1], context)
+        assert rider.share is peer.share
+        rider.open()
+        stream = rider.share
+        riding = True
+        with pytest.raises(error):
+            while True:
+                # The peer's pass ends where the rider's wraps: from
+                # there on the rider pumps alone.
+                riding = riding and peer.advance()
+                rider.advance()
+        # Mid-window: the window is live, and the rider is let go of
+        # while the test still holds it.
+        window_column = weakref.ref(next(iter(stream._window.columns.values())))
+        manager.discard(rider)
+        blocks = []
+        while (block := peer.next()) is not None:
+            blocks.append(block)
+        peer.close()
+        assert window_column() is None, "a discarded rider kept the window alive"
+        assert manager.live_streams() == []
+        return {
+            "rider_ticks": context.governance.ticks,
+            "rider_events": context.events.as_dict(),
+            "rider_pages_scanned": context.corruption.pages_scanned,
+            "rider_ready": len(rider._ready),
+            "peer": _record(peer_context, blocks),
+            "io_events": stream.io_events.as_dict(),
+            "cursor": stream.cursor,
+        }
+
+    @pytest.mark.parametrize("error", [QueryCancelled, QueryTimeout])
+    def test_an_abort_is_the_riders_only_outcome(self, layout, error):
+        data, page_size, unit, _queries = _shared_case("plain")
+        table = _shared_table("plain", layout)
+        # One share key: the same attributes, different predicates and order.
+        queries = (
+            _select(data, ("L_COMMENT", "L_ORDERKEY"), ("L_ORDERKEY", 0.4)),
+            _select(data, ("L_ORDERKEY", "L_COMMENT")),
+        )
+        by_unit, by_page = _shared_calibrations("plain")
+        segments = SharedScanStream(table, queries[0].scan_attributes(), True).num_segments
+        attach = self.ATTACH_AFTER
+        assert unit < attach < 2 * unit < segments
+        # Two segments go by per round (the peer pumps, then the rider):
+        # the rider's k-th checkpoint comes before segment attach + 2k - 1.
+        boundary = (2 * unit - attach + 1) // 2
+        wrap = (segments - attach + 1) // 2
+        solo_context = ExecutionContext(governance=QueryContext())
+        solo = _record(
+            solo_context,
+            SharedScanConsumer(
+                solo_context,
+                SharedScanStream(table, queries[0].scan_attributes(), True),
+                queries[0],
+            ).drain(),
+        )
+        gc.disable()
+        try:
+            for k in (1, 5, boundary, boundary + 1, wrap - 1, wrap, wrap + 1, wrap + 7):
+                got = self._ride(table, by_unit, queries, k, error, attach)
+                want = self._ride(table, by_page, queries, k, error, attach)
+                assert got == want, k
+                # The typed error, at that checkpoint, and no block.
+                assert got["rider_ticks"] == k and got["rider_ready"] == 0
+                assert got["rider_events"]["values_examined"] <= 2 * k * data.num_rows
+                # The peer: byte-identical to riding alone, same events.
+                for key in ("events", "digest", "blocks", "rows", "pages_scanned", "faults"):
+                    assert got["peer"][key] == solo[key], (k, key)
+        finally:
+            gc.enable()

@@ -12,7 +12,9 @@ reference oracle.  To replay one failing combination::
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -239,3 +241,47 @@ class TestDatabaseFacade:
         tracer = info["tracer"]
         tracks = {piece.track for piece in tracer.slices}
         assert len(tracks) == 3
+
+    def test_a_finished_batch_is_freed_by_reference_count(self, db, monkeypatch):
+        """A finished handle lets go of its scheduler: the batch's
+        scheduler, streams and plans go when ``run_workload`` returns
+        and its results when the handles do — no cycle collector."""
+        schedulers, streams = [], []
+
+        class Recorded(Scheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedulers.append(weakref.ref(self))
+
+            def _build_plan(self, handle):
+                plan, context = super()._build_plan(handle)
+                streams.append(weakref.ref(plan.share))
+                return plan, context
+
+        monkeypatch.setattr("repro.database.Scheduler", Recorded)
+        requests = [
+            WorkloadQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE")) for _ in range(12)
+        ]
+        gc.disable()
+        try:
+            handles = db.run_workload(requests, max_inflight=4)
+            (scheduler,) = schedulers
+            assert scheduler() is None, "the batch's scheduler waits for the cycle collector"
+            assert len(streams) == len(requests)
+            assert all(stream() is None for stream in streams)
+            assert all(handle.state is QueryState.DONE for handle in handles)
+            # A finished handle still answers, at once.
+            assert handles[0].wait() is handles[0]
+            assert handles[0].value().num_tuples == ROWS
+            result = weakref.ref(handles[0].result.positions)
+            del handles
+            assert result() is None
+        finally:
+            gc.enable()
+
+    def test_an_unfinished_handle_still_drives_its_scheduler(self, db):
+        handle = db.submit("ORDERS", select=("O_CUSTKEY",))
+        assert not handle.done and handle._scheduler is db.scheduler
+        assert handle.wait().state is QueryState.DONE
+        assert handle._scheduler is None
+        assert handle.value().num_tuples == ROWS
