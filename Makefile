@@ -88,11 +88,14 @@ scheduler-test:
 		tests/test_parallel_dispatch.py tests/test_query_request.py -q
 
 # The scan battery: every scan strategy against the golden pin
-# (CostEvents, output bytes, blocks, corruption, governance ticks), the
-# unit-vs-page properties and differentials (scanners and shared
-# streams), the scanner / salvage / sharing / scheduler / telemetry /
-# property / extension / index suites, then 200 differential fuzz cases.
-# Run it on any change under engine/operators/, engine/sharing.py,
+# (CostEvents, output bytes, logical blocks, corruption, governance
+# ticks), the unit-vs-page properties and differentials (scanners,
+# shared streams, and every operator above a scan: tests/test_batches.py,
+# with its every-checkpoint aborts and block-iterator pins), the scanner
+# / salvage / sharing / scheduler / telemetry / property / extension /
+# index suites, then 200 differential fuzz cases.
+# Run it on any change under engine/operators/, engine/blocks.py,
+# engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
 # pass reads a page once and times every page it decodes),
 # index/scan.py, storage/{table,page,rowz,pagefile}.py, compression/ or
@@ -100,6 +103,7 @@ scheduler-test:
 # its union1d reference lives in tests/test_cpusim.py).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
+		tests/test_batches.py tests/test_engine_blocks.py \
 		tests/test_engine_scanners.py tests/test_cpusim.py \
 		tests/test_salvage_differential.py tests/test_scan_sharing.py \
 		tests/test_scheduler_equivalence.py tests/test_scheduler_telemetry.py \

@@ -13,7 +13,7 @@ cooperative controls every governed query carries in one
 * a **cancellation token** — an out-of-band flag (another thread, a
   signal handler, a supervisor) checked at the same points; raises
   :class:`~repro.errors.QueryCancelled`;
-* a **memory budget** — accounted at block granularity by the
+* a **memory budget** — accounted at logical-block granularity by the
   materializing operators (sort, hash- and sort-based aggregation)
   through :class:`GovernedAccumulator`.  A reservation that would blow
   the budget first triggers a *reduced-width retry* (accumulated int64
@@ -329,7 +329,13 @@ class GovernedAccumulator:
         self._positions_dtype: np.dtype | None = None
 
     def add(self, block: Block) -> None:
-        """Account and hold one child block."""
+        """Account and hold one child batch.
+
+        Without a budget it is held whole.  Under one it is reserved a
+        logical block at a time, so where the budget runs out — and what
+        narrowing saves, block by block — does not depend on how many
+        blocks the child handed over at once.
+        """
         if not len(block):
             return
         for name, values in block.columns.items():
@@ -340,6 +346,10 @@ class GovernedAccumulator:
         if governance is None or governance.memory_budget is None:
             self.blocks.append(block)
             return
+        for piece in block.logical_blocks():
+            self._reserve(governance, piece)
+
+    def _reserve(self, governance: QueryContext, block: Block) -> None:
         if self.narrowed:
             block = narrow_block(block)
         nbytes = block_nbytes(block)

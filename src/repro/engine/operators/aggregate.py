@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.blocks import Block, split_into_blocks
+from repro.engine.blocks import Block
 from repro.engine.context import ExecutionContext
 from repro.engine.governance import GovernedAccumulator
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import Operator, RunOnce
 from repro.engine.query import AggregateFunction, AggregateSpec
 from repro.errors import EngineError, PlanError
 
 
-class _AggregateBase(Operator):
+class _AggregateBase(RunOnce):
     """Shared drain-child / emit-groups machinery."""
 
     def __init__(self, context: ExecutionContext, child: Operator, spec: AggregateSpec):
         super().__init__(context)
         self.child = child
         self.spec = spec
-        self._ready: list[Block] = []
-        self._emitted = False
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -32,18 +30,6 @@ class _AggregateBase(Operator):
         if self.spec.group_by:
             call += f" group by {', '.join(self.spec.group_by)}"
         return call
-
-    def _open(self) -> None:
-        self._ready = []
-        self._emitted = False
-
-    def _next(self) -> Block | None:
-        if not self._emitted:
-            self._ready = self._compute()
-            self._emitted = True
-        if not self._ready:
-            return None
-        return self._ready.pop(0)
 
     def _drain_child(self) -> Block:
         # The grouping working set is charged against the query's memory
@@ -57,9 +43,6 @@ class _AggregateBase(Operator):
                 break
             accumulator.add(block)
         return accumulator.finish()
-
-    def _compute(self) -> list[Block]:
-        raise NotImplementedError
 
     # --- shared aggregation arithmetic -----------------------------------
 
@@ -93,18 +76,15 @@ class _AggregateBase(Operator):
             return out
         raise EngineError(f"unsupported aggregate function: {function}")
 
-    def _result_blocks(
+    def _result_block(
         self,
         group_columns: dict[str, np.ndarray],
         values: np.ndarray,
-    ) -> list[Block]:
-        name = self._output_name()
-        count = len(values)
-        block = Block(
-            columns={**group_columns, name: values},
-            positions=np.arange(count, dtype=np.int64),
+    ) -> Block:
+        return Block(
+            columns={**group_columns, self._output_name(): values},
+            positions=np.arange(len(values), dtype=np.int64),
         )
-        return split_into_blocks(block, self.context.block_size)
 
     def _output_name(self) -> str:
         return self.spec.output_name()
@@ -113,7 +93,7 @@ class _AggregateBase(Operator):
 class HashAggregate(_AggregateBase):
     """Hash-grouped aggregation: one probe per input tuple."""
 
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         data = self._drain_child()
         for name in self.spec.group_by:
             if name not in data.columns and len(data):
@@ -123,7 +103,7 @@ class HashAggregate(_AggregateBase):
             argument = data.column(self.spec.argument)
 
         if not len(data):
-            return []
+            return None
 
         if self.spec.group_by:
             key_arrays = [data.column(name) for name in self.spec.group_by]
@@ -144,7 +124,7 @@ class HashAggregate(_AggregateBase):
 
         self.events.group_lookups += len(data)
         values = self._group_reduce(group_ids, num_groups, argument)
-        return self._result_blocks(group_columns, values)
+        return self._result_block(group_columns, values)
 
 
 class SortAggregate(_AggregateBase):
@@ -154,10 +134,10 @@ class SortAggregate(_AggregateBase):
     comparisons only for the run detection, as the input order is free.
     """
 
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         data = self._drain_child()
         if not len(data):
-            return []
+            return None
         if not self.spec.group_by:
             raise PlanError("sort aggregation requires a group-by key")
         key_arrays = [data.column(name) for name in self.spec.group_by]
@@ -183,4 +163,4 @@ class SortAggregate(_AggregateBase):
             name: keys[starts] for name, keys in zip(self.spec.group_by, key_arrays)
         }
         values = self._group_reduce(group_ids, num_groups, argument)
-        return self._result_blocks(group_columns, values)
+        return self._result_block(group_columns, values)

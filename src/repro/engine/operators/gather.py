@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 
 import numpy as np
 
-from repro.engine.blocks import Block, concat_blocks, split_into_blocks
+from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.aggregate import _AggregateBase
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import Operator, RunOnce
 from repro.engine.query import AggregateFunction, AggregateSpec
 from repro.errors import EngineError, PlanError
 
@@ -65,7 +64,7 @@ class GatherOperator(Operator):
     def _open(self) -> None:
         self._cursor = 0
 
-    def _next(self) -> Block | None:
+    def _next(self, want: int | None) -> Block | None:
         if self._cursor >= len(self._blocks):
             return None
         block = self._blocks[self._cursor]
@@ -83,10 +82,10 @@ class MergePartials(_AggregateBase):
     both ``sum_X`` and ``count`` for AVG.
     """
 
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         data = self._drain_child()
         if not len(data):
-            return []
+            return None
         spec = self.spec
         if spec.group_by:
             key_arrays = [data.column(name) for name in spec.group_by]
@@ -108,7 +107,7 @@ class MergePartials(_AggregateBase):
         self.events.group_lookups += len(data)
         self.events.agg_updates += len(data)
         values = self._merge_reduce(data, group_ids, num_groups)
-        return self._result_blocks(group_columns, values)
+        return self._result_block(group_columns, values)
 
     def _merge_reduce(
         self, data: Block, group_ids: np.ndarray, num_groups: int
@@ -147,7 +146,7 @@ class MergePartials(_AggregateBase):
         raise EngineError(f"unsupported aggregate function: {function}")
 
 
-class MergeSortedRuns(Operator):
+class MergeSortedRuns(RunOnce):
     """K-way merge of per-partition runs, each sorted on ``keys``.
 
     Heap entries compare as ``(key values..., global position)``: each
@@ -173,8 +172,6 @@ class MergeSortedRuns(Operator):
         self.keys = tuple(keys)
         self._runs = list(runs)
         self._detail = detail
-        self._ready: deque[Block] = deque()
-        self._done = False
 
     def describe(self) -> str:
         base = f"keys={', '.join(self.keys)}"
@@ -182,23 +179,11 @@ class MergeSortedRuns(Operator):
             base += f" | {self._detail}"
         return base
 
-    def _open(self) -> None:
-        self._ready.clear()
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._ready.extend(self._merge())
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.popleft()
-
-    def _merge(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         runs = [run for run in self._runs if len(run)]
         if not runs:
             # Preserve the shared output schema of a no-result query.
-            return [concat_blocks(self._runs)]
+            return concat_blocks(self._runs)
         for run in runs:
             for key in self.keys:
                 if key not in run.columns:
@@ -238,8 +223,7 @@ class MergeSortedRuns(Operator):
         width = sum(int(col.dtype.itemsize) for col in merged.columns.values())
         self.events.values_copied += n * len(merged.columns)
         self.events.bytes_copied += n * width
-        out = Block(
+        return Block(
             columns={name: col[order] for name, col in merged.columns.items()},
             positions=merged.positions[order],
         )
-        return split_into_blocks(out, self.context.block_size)

@@ -12,14 +12,19 @@ import math
 
 import numpy as np
 
-from repro.engine.blocks import Block, split_into_blocks
+from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
-from repro.errors import EngineError, PlanError
+from repro.engine.operators.base import Operator, RunOnce
+from repro.errors import PlanError
 
 
 class Limit(Operator):
-    """Pass through at most ``count`` tuples, then stop pulling."""
+    """Pass through at most ``count`` tuples, then stop pulling.
+
+    Each pull tells the child how many tuples are still wanted, so a
+    scan below releases no page — and hands off no logical block — past
+    the one that satisfies the limit.
+    """
 
     def __init__(self, context: ExecutionContext, child: Operator, count: int):
         super().__init__(context)
@@ -38,21 +43,20 @@ class Limit(Operator):
     def _open(self) -> None:
         self._remaining = self.count
 
-    def _next(self) -> Block | None:
+    def _next(self, want: int | None) -> Block | None:
         if self._remaining <= 0:
             return None
-        block = self.child.next()
+        want = self._remaining if want is None else min(want, self._remaining)
+        block = self.child.next(want)
         if block is None:
             return None
         if len(block) > self._remaining:
-            mask = np.zeros(len(block), dtype=bool)
-            mask[: self._remaining] = True
-            block = block.take(mask)
+            block = block.head(self._remaining)
         self._remaining -= len(block)
         return block
 
 
-class TopN(Operator):
+class TopN(RunOnce):
     """The ``k`` tuples with the smallest (or largest) key values."""
 
     def __init__(
@@ -70,8 +74,6 @@ class TopN(Operator):
         self.key = key
         self.count = count
         self.descending = descending
-        self._ready: list[Block] = []
-        self._done = False
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -80,20 +82,9 @@ class TopN(Operator):
         order = "largest" if self.descending else "smallest"
         return f"{order} {self.count} by {self.key}"
 
-    def _open(self) -> None:
-        self._ready = []
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._ready = self._compute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.pop(0)
-
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         best: Block | None = None
+        per_tuple = max(1.0, math.log2(self.count + 1))
         while True:
             block = self.child.next()
             if block is None:
@@ -102,10 +93,11 @@ class TopN(Operator):
                 continue
             if self.key not in block.columns:
                 raise PlanError(f"top-N key {self.key!r} missing from input")
-            merged = block if best is None else _concat_pair(best, block)
-            # Maintaining a k-bounded heap: log2(k) per inserted tuple.
+            merged = block if best is None else concat_blocks([best, block])
+            # Maintaining a k-bounded heap: log2(k) per inserted tuple,
+            # rounded down per logical block as the block iterator would.
             self.events.sort_comparisons += int(
-                len(block) * max(1.0, math.log2(self.count + 1))
+                (block.block_sizes() * per_tuple).astype(np.int64).sum()
             )
             keys = merged.column(self.key)
             order = np.argsort(keys, kind="stable")
@@ -117,28 +109,13 @@ class TopN(Operator):
             mask[take] = True
             best = merged.take(mask)
         if best is None:
-            return []
+            return None
         keys = best.column(self.key)
         order = np.argsort(keys, kind="stable")
         if self.descending:
             order = order[::-1]
-        final = Block(
+        return Block(
             columns={name: col[order] for name, col in best.columns.items()},
             positions=best.positions[order],
         )
-        return split_into_blocks(final, self.context.block_size)
 
-
-def _concat_pair(a: Block, b: Block) -> Block:
-    if a.attribute_names != b.attribute_names:
-        raise EngineError(
-            f"cannot merge blocks with attributes {a.attribute_names} and "
-            f"{b.attribute_names}"
-        )
-    return Block(
-        columns={
-            name: np.concatenate([a.columns[name], b.columns[name]])
-            for name in a.attribute_names
-        },
-        positions=np.concatenate([a.positions, b.positions]),
-    )

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.blocks import Block, concat_blocks, split_into_blocks
+from repro.engine.blocks import Block, concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import Operator, RunOnce
 from repro.errors import EngineError, PlanError
 
 
-class MergeJoin(Operator):
+class MergeJoin(RunOnce):
     """One-to-many merge join of two sorted block streams."""
 
     def __init__(
@@ -32,26 +32,12 @@ class MergeJoin(Operator):
         self.right = right
         self.left_key = left_key
         self.right_key = right_key
-        self._ready: list[Block] = []
-        self._done = False
 
     def children(self) -> list[Operator]:
         return [self.left, self.right]
 
     def describe(self) -> str:
         return f"{self.left_key} = {self.right_key}"
-
-    def _open(self) -> None:
-        self._ready = []
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._ready = self._compute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.pop(0)
 
     def _drain(self, child: Operator) -> Block:
         blocks = []
@@ -63,11 +49,11 @@ class MergeJoin(Operator):
                 blocks.append(block)
         return concat_blocks(blocks)
 
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         left = self._drain(self.left)
         right = self._drain(self.right)
         if not len(left) or not len(right):
-            return []
+            return None
         left_keys = left.column(self.left_key)
         right_keys = right.column(self.right_key)
         self._check_sorted(left_keys, "left")
@@ -110,11 +96,8 @@ class MergeJoin(Operator):
         self.events.values_copied += matched * len(out_columns)
         self.events.bytes_copied += matched * width
 
-        block = Block(
-            columns=out_columns,
-            positions=right.positions[right_sel],
-        )
-        return split_into_blocks(block, self.context.block_size)
+        # A join without a match still emits its (empty) output schema.
+        return Block(columns=out_columns, positions=right.positions[right_sel])
 
     @staticmethod
     def _check_sorted(keys: np.ndarray, side: str) -> None:

@@ -34,7 +34,7 @@ import numpy as np
 from repro.compression.base import CodecKind
 from repro.compression.dictionary import DictionaryCodec
 from repro.cpusim.cache import classify_access
-from repro.engine.blocks import Block
+from repro.engine.blocks import Block, logical_bounds
 from repro.engine.compressed_exec import rewrite_all
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
 
@@ -53,7 +53,7 @@ class ColumnScanner(RunOnceScanner):
     def describe(self) -> str:
         return f"{super().describe()} | {len(self._attrs)} scan node(s)"
 
-    def _execute(self) -> None:
+    def _compute(self) -> Block:
         """Run the node pipeline over the whole table.
 
         Nodes logically exchange 100-tuple blocks; the work and the
@@ -62,15 +62,15 @@ class ColumnScanner(RunOnceScanner):
         """
         positions, collected = self._run_first_node(self._attrs[0])
         for attr in self._attrs[1:]:
-            positions, collected = self._run_inner_node(attr, positions, collected)
-        # The final node's output blocks are the scanner's own output,
-        # which the base class already counts on emission.
-        self.events.blocks_produced -= self._block_count(positions.size)
-        self._emit(
-            Block(
-                columns={name: collected[name] for name in self.select},
-                positions=positions,
+            # What the node before handed this one; the last node's
+            # hand-offs are the scanner's own, counted as they are made.
+            self.events.blocks_produced += len(
+                logical_bounds(self.context.block_size, (positions.size,))
             )
+            positions, collected = self._run_inner_node(attr, positions, collected)
+        return Block(
+            columns={name: collected[name] for name in self.select},
+            positions=positions,
         )
 
     def _run_first_node(self, attr: str) -> tuple[np.ndarray, dict]:
@@ -130,7 +130,6 @@ class ColumnScanner(RunOnceScanner):
         else:
             positions = np.zeros(0, dtype=np.int64)
             values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
-        events.blocks_produced += self._block_count(positions.size)
         return positions, ({attr: values} if selected else {})
 
     def _run_inner_node(
@@ -220,11 +219,4 @@ class ColumnScanner(RunOnceScanner):
         if attr in self.select:
             collected = dict(collected)
             collected[attr] = values
-        events.blocks_produced += self._block_count(positions.size)
         return positions, collected
-
-    def _block_count(self, tuples: int) -> int:
-        if tuples <= 0:
-            return 0
-        block_size = self.context.block_size
-        return (tuples + block_size - 1) // block_size

@@ -15,10 +15,10 @@ select ∘ gather ∘ decompress over columns.  Here live
   and the pipelined scanner's position-driven nodes) and under a shared
   stream's windows (:mod:`repro.engine.sharing`);
 * :class:`Scanner` — validation, access order, row window,
-  ``describe()``, the empty block, the ready queue and the per-run
-  filter kernel (:meth:`Scanner._filter_pages`, under
-  :class:`PagedScanner` and a shared stream's riders) — with
-  :class:`PagedScanner` (an I/O unit at a time, released page by page:
+  ``describe()``, the empty block and the per-run filter kernel
+  (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
+  shared stream's riders) — with :class:`PagedScanner` (an I/O unit at a
+  time, released as one batch of as many pages as the consumer wants:
   row, PAX) and :class:`RunOnceScanner` (whole table in the first
   ``next()``: fused, pipelined, index).
 
@@ -39,9 +39,9 @@ import numpy as np
 
 from repro.compression.base import CodecKind
 from repro.cpusim.cache import page_lines
-from repro.engine.blocks import Block, split_into_blocks
+from repro.engine.blocks import Block, as_batch
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import Operator, RunOnce
 from repro.engine.predicate import Predicate
 from repro.errors import CompressionError, PlanError, StorageError
 from repro.obs import metrics as obs_metrics
@@ -297,7 +297,6 @@ class Scanner(Operator):
         self._attrs = filtered + [name for name in select if name not in filtered]
         self._predicate_kinds = self._compressed_kinds(filtered)
         self._select_kinds = self._compressed_kinds(self._attrs[len(filtered) :])
-        self._ready: deque[Block] = deque()
         self._unit_pages = unit_pages(context.calibration, table.page_size)
 
     def _compressed_kinds(self, names) -> list[CodecKind]:
@@ -318,7 +317,7 @@ class Scanner(Operator):
         return detail
 
     def _open(self) -> None:
-        self._ready.clear()
+        self._held = None
 
     def _guarded(self, decode, file, page: int, row_span: int, data=None):
         """:func:`guarded_decode` for this query.
@@ -332,15 +331,16 @@ class Scanner(Operator):
             obs_metrics.PAGES_SALVAGED.inc()
         return result
 
-    def _charge_lazy_decodes(self, page_count: int, qualified: int) -> None:
-        """Decompression of an already-decoded page, for what was touched."""
+    def _charge_lazy_decodes(self, tuples: int, on_hit_pages: int, qualified: int) -> None:
+        """Decompression of already-decoded pages, for what was touched:
+        ``tuples`` on the pages, ``on_hit_pages`` of them on the pages
+        with a qualifying tuple, ``qualified`` in all."""
         events = self.events
         for kind in self._predicate_kinds:
-            events.count_decode(kind, page_count)
-        if qualified:
-            whole = self.LAZY_WHOLE_PAGE_KINDS
-            for kind in self._select_kinds:
-                events.count_decode(kind, page_count if kind in whole else qualified)
+            events.count_decode(kind, tuples)
+        whole = self.LAZY_WHOLE_PAGE_KINDS
+        for kind in self._select_kinds:
+            events.count_decode(kind, on_hit_pages if kind in whole else qualified)
 
     def _project(self, columns, mask, qualified: int, row_base: int) -> Block:
         """Copy the qualifying tuples' selected attributes into a block."""
@@ -359,9 +359,6 @@ class Scanner(Operator):
             positions=row_base + rows,
         )
 
-    def _emit(self, block: Block, start: int = 0, stop: int | None = None) -> None:
-        self._ready.extend(split_into_blocks(block, self.context.block_size, start, stop))
-
     def _empty_block(self) -> Block:
         """A zero-row block that keeps the output schema alive."""
         schema = self.table.schema
@@ -371,7 +368,9 @@ class Scanner(Operator):
         }
         return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
-    def _filter_pages(self, counts: np.ndarray, columns, mask, row_base: int) -> list[tuple]:
+    def _filter_pages(
+        self, counts: np.ndarray, columns, mask, row_base: int
+    ) -> tuple[np.ndarray, Block]:
         """Filter and project adjacent decoded pages in one pass.
 
         The one per-run kernel, under :class:`PagedScanner` (a unit's
@@ -379,11 +378,12 @@ class Scanner(Operator):
         ``columns`` hold the pages' tuples back to back from row
         ``row_base`` on, ``counts`` how many each page contributed;
         ``mask`` says which of them are candidates — inside the row
-        window, or off a page that decoded — and is consumed.  Returns,
-        per page, what its release charges and emits: ``(tuples,
-        candidates, predicate evaluations, their operand bytes,
-        qualifying tuples, their offset in the block of all the pages',
-        that block)``.
+        window, or off a page that decoded — and is consumed.  Returns
+        ``(numbers, block)``: the block of all the pages' qualifying
+        tuples and, a row per quantity and a column per page, what each
+        page's release charges and emits — its tuples, candidates,
+        predicate evaluations, their operand bytes, qualifying tuples
+        and their offset in the block.
         """
         starts = np.cumsum(counts) - counts
         nonempty = counts > 0
@@ -396,16 +396,17 @@ class Scanner(Operator):
         candidates = per_page(mask)
         tally = SimpleNamespace(predicate_evals=0 * candidates, predicate_eval_bytes=0 * candidates)
         qualified = apply_predicates(tally, self._bound, columns, mask, candidates, per_page)
-        block = self._copy_out(columns, mask, row_base)
-        numbers = (
-            counts,
-            candidates,
-            tally.predicate_evals,
-            tally.predicate_eval_bytes,
-            qualified,
-            np.cumsum(qualified) - qualified,
+        numbers = np.array(
+            (
+                counts,
+                candidates,
+                tally.predicate_evals,
+                tally.predicate_eval_bytes,
+                qualified,
+                np.cumsum(qualified) - qualified,
+            )
         )
-        return [(*page, block) for page in zip(*(n.tolist() for n in numbers))]
+        return numbers, self._copy_out(columns, mask, row_base)
 
     def _guarded_units(self, file, pages, span_of, decode):
         """:func:`guarded_units` for this query: its context, its unit,
@@ -485,20 +486,22 @@ class PagedScanner(Scanner):
 
     Reads the pages overlapping the row window an I/O unit
     (``calibration.io_unit_bytes``) at a time — one read, CRC loop,
-    decode, predicate pass and projection per unit — and releases them a
-    page at a time: a page's checkpoint, events, fault and blocks land
-    when the consumer's pulls reach it, so a scan that stops early has
-    touched what a page-at-a-time scan would have (DESIGN.md, "Scan
-    core").  Subclasses say how a page is charged to the caches.
+    decode, predicate pass and projection per unit — and releases them
+    as one batch, or as many of them as the consumer wants: a page's
+    checkpoint, events and fault land, and its logical blocks are handed
+    off, only once the consumer's demand reaches it, so a scan that
+    stops early has touched what a page-at-a-time scan would have
+    (DESIGN.md, "Scan core").  Subclasses say how pages are charged to
+    the caches.
     """
 
     def _open(self) -> None:
         super()._open()
         self._page_index = 0  # the next page to read
         self._row_base = 0  # the first row of the next page to release
-        #: Pages read but not yet released, in file order: what
-        #: :meth:`_filter_unit` made of a page, or its bytes when the
-        #: unit has to be decoded page by page.
+        #: Pages read but not yet released, in file order: a unit as
+        #: ``[numbers, block, pages released]`` of :meth:`_filter_unit`,
+        #: or, when it has to be decoded page by page, each page's bytes.
         self._pending: deque = deque()
         self._emitted_any = False
 
@@ -508,13 +511,12 @@ class PagedScanner(Scanner):
     def _decode_unit(self, unit: bytes):
         return self.table.decode_unit(unit, self._attrs)
 
-    def _next(self) -> Block | None:
+    def _next(self, want: int | None) -> Block | None:
         lo, hi = self.row_range
         table = self.table
-        while not self._ready:
+        while self._held is None:
             if self._pending:
-                self._governance_check()
-                self._release(self._pending.popleft())
+                self._release(want)
                 continue
             index = self._page_index
             if index >= table.file.num_pages or self._row_base >= hi:
@@ -531,12 +533,13 @@ class PagedScanner(Scanner):
                 self._page_index += 1
                 self._row_base += span
                 continue
-            self._read_unit(index, span)
+            self._read_unit(index, span, want)
         self._emitted_any = True
-        return self._ready.popleft()
+        return self._pop(want)
 
-    def _read_unit(self, first: int, span: int) -> None:
-        """Read and decode the unit starting at page ``first``; release that page."""
+    def _read_unit(self, first: int, span: int, want: int | None) -> None:
+        """Read and decode the unit starting at page ``first``, whose
+        checkpoint has been passed, and release from it."""
         table = self.table
         file = table.file
         # Pages hold at most ``capacity`` tuples, so this many more are
@@ -558,65 +561,85 @@ class PagedScanner(Scanner):
         size = file.page_size
         self._page_index += len(unit) // size
         if decoded is not None:
-            self._pending.extend(self._filter_unit(*decoded))
+            self._pending.append([*self._filter_unit(*decoded), 0])
         else:
             # The unit failed as a whole: its pages one by one as they
             # are reached, from the bytes already read, so the fault
             # names its page and the other pages' rows survive.
             self._pending.extend(unit[at : at + size] for at in range(0, len(unit), size))
-        self._release(self._pending.popleft())
+        self._release(want, passed=1)
 
-    def _filter_unit(self, counts: np.ndarray, columns) -> list[tuple]:
+    def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
         """:meth:`_filter_pages` over decoded pages that start at row
         ``_row_base``, inside the row window."""
         mask, _in_range = window_mask(int(counts.sum()), self._row_base, self.row_range)
         return self._filter_pages(counts, columns, mask, self._row_base)
 
-    def _release(self, page) -> None:
-        """Account for the next page in file order and queue its blocks."""
-        if isinstance(page, bytes):
+    def _release(self, want: int | None, passed: int = 0) -> None:
+        """Release the next pages in file order — all that are pending,
+        or up to the one whose qualifiers reach ``want`` — as one batch.
+
+        ``passed`` of them have had their checkpoint; the others pass
+        theirs first, one per page, and then the run is charged and held
+        as a batch.  A page is never charged before its checkpoint: when
+        one raises, exactly the pages before it are charged.
+        """
+        head = self._pending[0]
+        if isinstance(head, bytes):
+            self._pending.popleft()
+            if not passed:
+                self._governance_check()
             table = self.table
             index = self._page_index - len(self._pending) - 1
             span = table.row_span_of_page(index)
-            decoded = self._guarded(self._decode, table.file, index, span, data=page)
+            decoded = self._guarded(self._decode, table.file, index, span, data=head)
             if decoded is None:
                 self._row_base += span
                 return
-            (page,) = self._filter_unit(np.array([decoded[0]]), decoded[1])
-        else:
-            self.context.corruption.pages_scanned += 1
-        count, in_range, evals, eval_bytes, qualified, start, block = page
+            self._charge_run(*self._filter_unit(np.array([decoded[0]]), decoded[1]), 0, 1)
+            return
+        numbers, block, at = head
+        stop = numbers.shape[1]
+        if want is not None:
+            reach = np.searchsorted(np.cumsum(numbers[4, at:]), want)
+            stop = min(stop, at + int(reach) + 1)
+        reached = stop if self.context.governance is None else at + passed
+        try:
+            while reached < stop:
+                self._governance_check()
+                reached += 1
+        finally:
+            self.context.corruption.pages_scanned += reached - at
+            self._charge_run(numbers, block, at, reached)
+            head[2] = reached
+            if reached == numbers.shape[1]:
+                self._pending.popleft()
+
+    def _charge_run(self, numbers: np.ndarray, block: Block, at: int, stop: int) -> None:
+        """Charge pages ``[at, stop)`` of a filtered run and hold their batch."""
+        if stop == at:
+            return
+        counts, qualified = numbers[0, at:stop], numbers[4, at:stop]
+        count, in_range, evals, eval_bytes, emitted = numbers[:5, at:stop].sum(axis=1).tolist()
         events = self.events
-        events.pages_touched += 1
+        events.pages_touched += stop - at
         events.tuples_examined += in_range
         events.predicate_evals += evals
         events.predicate_eval_bytes += eval_bytes
-        self._charge_page(count, qualified)
-        if qualified:
-            self._charge_projection(qualified)
-            self._emit(block, start, start + qualified)
+        self._charge_pages(counts, qualified)
         self._row_base += count
+        if emitted:
+            self._charge_projection(emitted)
+            if emitted < len(block):
+                start = int(numbers[5, at])
+                block = block.take(slice(start, start + emitted))
+            self._held = as_batch(block, self.context.block_size, qualified)
 
-    def _charge_page(self, count: int, qualified: int) -> None:
-        """Charge one decoded page — caches and decompression (hook)."""
+    def _charge_pages(self, counts: np.ndarray, qualified: np.ndarray) -> None:
+        """Charge decoded pages — caches and decompression — given each
+        one's tuples and qualifying tuples (hook)."""
         raise NotImplementedError
 
 
-class RunOnceScanner(Scanner):
+class RunOnceScanner(RunOnce, Scanner):
     """A scan that does all its work inside the first ``next()``."""
-
-    def _open(self) -> None:
-        super()._open()
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._execute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.popleft()
-
-    def _execute(self) -> None:
-        """Run the whole scan, leaving its blocks on the ready queue (hook)."""
-        raise NotImplementedError

@@ -28,7 +28,7 @@ class FusedColumnScanner(RunOnceScanner):
     #: read, so an empty window reads nothing.
     EMPTY_WINDOW_READS_A_PAGE = False
 
-    def _execute(self) -> None:
+    def _compute(self):
         events = self.events
         lo, hi = self.row_range
         # Rows (within the scan window) whose every accessed page
@@ -41,7 +41,7 @@ class FusedColumnScanner(RunOnceScanner):
         # Row-at-a-time iteration across the resident pages.
         events.tuples_examined += hi - lo
         qualified = apply_predicates(events, self._bound, columns, intact, hi - lo)
-        self._emit(self._project(columns, intact, qualified, lo))
+        return self._project(columns, intact, qualified, lo)
 
     def _dense_column(self, name: str, intact: np.ndarray) -> np.ndarray:
         """Rows ``[lo, hi)`` of one column; clears ``intact`` where lost."""

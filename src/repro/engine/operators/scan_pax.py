@@ -23,11 +23,12 @@ class PaxScanner(PagedScanner):
             for name in self._attrs
         ]
 
-    def _charge_page(self, count: int, qualified: int) -> None:
+    def _charge_pages(self, counts, qualified) -> None:
         events = self.events
         calibration = self.context.calibration
+        total = int(counts.sum())
         for kind, bits in self._minipages:
-            events.count_decode(kind, count)
+            events.count_decode(kind, total)
             # Only the accessed minipages move through the caches.
-            events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
-            events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
+            events.mem_seq_lines += int(page_lines(counts, bits, calibration.l2_line_bytes).sum())
+            events.l1_lines += int(page_lines(counts, bits, calibration.l1_line_bytes).sum())

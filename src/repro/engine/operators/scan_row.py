@@ -14,10 +14,10 @@ from repro.compression.base import CodecKind
 from repro.engine.operators.scan_core import PagedScanner
 
 
-def charge_row_page(events, calibration, page_size: int) -> None:
+def charge_row_page(events, calibration, page_size: int, pages: int = 1) -> None:
     """A row page is touched front to back: purely sequential traffic."""
-    events.mem_seq_lines += page_size // calibration.l2_line_bytes
-    events.l1_lines += page_size // calibration.l1_line_bytes
+    events.mem_seq_lines += pages * (page_size // calibration.l2_line_bytes)
+    events.l1_lines += pages * (page_size // calibration.l1_line_bytes)
 
 
 class RowScanner(PagedScanner):
@@ -28,6 +28,10 @@ class RowScanner(PagedScanner):
     #: whole page.
     LAZY_WHOLE_PAGE_KINDS = (CodecKind.FOR_DELTA,)
 
-    def _charge_page(self, count: int, qualified: int) -> None:
-        charge_row_page(self.events, self.context.calibration, self.table.page_size)
-        self._charge_lazy_decodes(count, qualified)
+    def _charge_pages(self, counts, qualified) -> None:
+        charge_row_page(
+            self.events, self.context.calibration, self.table.page_size, len(counts)
+        )
+        self._charge_lazy_decodes(
+            int(counts.sum()), int(counts[qualified > 0].sum()), int(qualified.sum())
+        )

@@ -11,14 +11,14 @@ import math
 
 import numpy as np
 
-from repro.engine.blocks import Block, split_into_blocks
+from repro.engine.blocks import Block
 from repro.engine.context import ExecutionContext
 from repro.engine.governance import GovernedAccumulator
-from repro.engine.operators.base import Operator
+from repro.engine.operators.base import Operator, RunOnce
 from repro.errors import PlanError
 
 
-class SortOperator(Operator):
+class SortOperator(RunOnce):
     """Sort the child's entire output on one attribute."""
 
     def __init__(
@@ -32,8 +32,6 @@ class SortOperator(Operator):
         self.child = child
         self.key = key
         self.descending = descending
-        self._ready: list[Block] = []
-        self._done = False
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -41,19 +39,7 @@ class SortOperator(Operator):
     def describe(self) -> str:
         return f"key={self.key}" + (" desc" if self.descending else "")
 
-    def _open(self) -> None:
-        self._ready = []
-        self._done = False
-
-    def _next(self) -> Block | None:
-        if not self._done:
-            self._ready = self._compute()
-            self._done = True
-        if not self._ready:
-            return None
-        return self._ready.pop(0)
-
-    def _compute(self) -> list[Block]:
+    def _compute(self) -> Block | None:
         # Materialization is charged against the query's memory budget at
         # block granularity (with a reduced-width retry before aborting).
         accumulator = GovernedAccumulator(self.context.governance, "sort")
@@ -64,7 +50,7 @@ class SortOperator(Operator):
             accumulator.add(block)
         data = accumulator.finish()
         if not len(data):
-            return []
+            return None
         if self.key not in data.columns:
             raise PlanError(f"sort key {self.key!r} missing from input")
         n = len(data)
@@ -75,8 +61,7 @@ class SortOperator(Operator):
         width = sum(int(col.dtype.itemsize) for col in data.columns.values())
         self.events.values_copied += n * len(data.columns)
         self.events.bytes_copied += n * width
-        sorted_block = Block(
+        return Block(
             columns={name: col[order] for name, col in data.columns.items()},
             positions=data.positions[order],
         )
-        return split_into_blocks(sorted_block, self.context.block_size)

@@ -4,8 +4,8 @@ The paper's experiments run one query at a time; a serving system runs
 many.  This module adds the workload layer on top of the existing
 serial operator engine without threads: queries are **cooperatively
 time-sliced** — the scheduler round-robins one operator ``next()``
-call (or, for shared scans, one stream segment) per active query per
-round, exactly the block-granular cooperation the governance layer
+call — one batch — (or, for shared scans, one stream segment) per
+active query per round, the cooperation points the governance layer
 already checkpoints on.
 
 * **Admission control** — at most ``max_inflight`` queries execute at

@@ -50,7 +50,7 @@ import numpy as np
 from repro.compression.base import CodecKind
 from repro.cpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.cpusim.events import CostEvents
-from repro.engine.blocks import Block, concat_blocks
+from repro.engine.blocks import Block, as_batch, concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
@@ -515,8 +515,8 @@ class SharedScanConsumer(Scanner):
     counts, the pages it drew on — exactly as a segment-at-a-time rider
     would.  Once its full circular pass completes it emits the runs'
     blocks re-assembled into global Record-ID order, split into
-    engine-sized blocks.  Byte-identical to a cold serial scan of the
-    same query.
+    engine-sized logical blocks.  Byte-identical to a cold serial scan of
+    the same query.
     """
 
     #: Segments arrive fully decoded, and each rider pays to process the
@@ -616,12 +616,12 @@ class SharedScanConsumer(Scanner):
         ):
             prepared = self._prepare(index, window)
         _serial, start, stop, numbers = prepared
-        count, _candidates, evals, eval_bytes, qualified, _offset, _block = numbers[index - start]
+        count, _candidates, evals, eval_bytes, qualified, _offset = numbers[index - start]
         events = self.events
         events.values_examined += count
         events.predicate_evals += evals
         events.predicate_eval_bytes += eval_bytes
-        self._charge_lazy_decodes(count, qualified)
+        self._charge_lazy_decodes(count, count if qualified else 0, qualified)
         if qualified:
             self._charge_projection(qualified)
         self._prepared = prepared if index + 1 < stop else None
@@ -635,16 +635,15 @@ class SharedScanConsumer(Scanner):
             stop += 1
         bounds = window.bounds[index - window.first : stop - window.first + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
-        numbers = self._filter_pages(
+        numbers, block = self._filter_pages(
             np.diff(bounds),
             {name: window.columns[name][lo:hi] for name in self._attrs},
             window.valid[lo:hi].copy(),
             window.lo + lo,
         )
-        block = numbers[0][-1]
         if len(block):
             self._buffered.append((index, block))
-        return window.serial, index, stop, numbers
+        return window.serial, index, stop, numbers.T.tolist()
 
     # --- operator side ----------------------------------------------------
 
@@ -681,14 +680,14 @@ class SharedScanConsumer(Scanner):
         self._buffered.sort(key=lambda pair: pair[0])
         merged = concat_blocks([block for _index, block in self._buffered])
         self._buffered = []
-        self._emit(merged if len(merged) else self._empty_block())
+        self._held = as_batch(
+            merged if len(merged) else self._empty_block(), self.context.block_size
+        )
 
-    def _next(self) -> Block | None:
+    def _next(self, want: int | None) -> Block | None:
         while not self._finalized:
             self.advance()
-        if not self._ready:
-            return None
-        return self._ready.popleft()
+        return self._pop(want)
 
     def _close(self) -> None:
         self.share.detach(self)

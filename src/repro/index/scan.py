@@ -38,7 +38,7 @@ class IndexScan(RunOnceScanner):
         self.index = index
         self.predicate = predicate
 
-    def _execute(self) -> None:
+    def _compute(self):
         events = self.events
         table = self.table
         rids = self.index.lookup_predicate(self.predicate)
@@ -62,4 +62,4 @@ class IndexScan(RunOnceScanner):
             wanted = np.zeros(count, dtype=bool)
             wanted[in_page] = True
             blocks.append(self._project(columns, wanted, in_page.size, first_row))
-        self._emit(concat_blocks(blocks) if blocks else self._empty_block())
+        return concat_blocks(blocks) if blocks else self._empty_block()

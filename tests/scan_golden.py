@@ -9,7 +9,7 @@ deliberate accounting change regenerates it in the same commit.
 
 Per case the pin holds the non-zero entries of ``events.as_dict()``, a
 CRC of the positions and of every output column (name, dtype, bytes),
-the emitted-block count, the row count, the corruption report
+the count of logical blocks handed off, the row count, the corruption report
 (``pages_scanned`` plus ``(file, page, rows_lost)`` per fault) and the
 number of governance checkpoints passed.  Shared
 cases pin both riders and the stream's own ``io_events``.
@@ -186,7 +186,8 @@ def _record(context: ExecutionContext, blocks) -> dict:
     return {
         "events": _events(context.events),
         "digest": _digest(merged),
-        "blocks": len(blocks),
+        # Logical blocks handed off; a batch with no tuple is one hand-off.
+        "blocks": sum(max(1, block.num_blocks) for block in blocks),
         "rows": len(merged),
         "pages_scanned": corruption.pages_scanned,
         "faults": [[f.file, f.page, f.rows_lost] for f in corruption.faults],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.blocks import Block, concat_blocks, split_into_blocks
+from repro.engine.blocks import Block, as_batch, concat_blocks, logical_bounds
 from repro.engine.predicate import (
     ComparisonOp,
     Predicate,
@@ -53,16 +53,57 @@ class TestBlock:
         assert rows == [(0, 0), (1, 2), (2, 4)]
 
 
-class TestSplitConcat:
-    def test_split_sizes(self):
-        parts = split_into_blocks(block(250), 100)
-        assert [len(p) for p in parts] == [100, 100, 50]
+class TestBatchConcat:
+    def test_logical_block_sizes(self):
+        batch = as_batch(block(250), 100)
+        assert batch.num_blocks == 3
+        assert batch.block_sizes().tolist() == [100, 100, 50]
+        assert [len(p) for p in batch.logical_blocks()] == [100, 100, 50]
 
-    def test_split_roundtrips_through_concat(self):
+    def test_one_block_or_none_needs_no_bounds(self):
+        assert as_batch(block(100), 100).bounds is None
+        assert as_batch(block(100), 100).num_blocks == 1
+        assert as_batch(block(0), 100).num_blocks == 0
+        assert block(7).block_sizes().tolist() == [7]
+
+    def test_no_logical_block_spans_two_runs(self):
+        # Pages of 26, 0, 250 and 100 qualifying tuples, blocks of 100.
+        assert logical_bounds(100, [26, 0, 250, 100]).tolist() == [26, 126, 226, 276, 376]
+        assert logical_bounds(100, []).tolist() == []
+        batch = as_batch(block(376), 100, runs=[26, 0, 250, 100])
+        assert batch.block_sizes().tolist() == [26, 100, 100, 50, 100]
+
+    def test_logical_blocks_roundtrip_through_concat(self):
         original = block(321)
-        rebuilt = concat_blocks(split_into_blocks(original, 64))
+        rebuilt = concat_blocks(as_batch(block(321), 64).logical_blocks())
         np.testing.assert_array_equal(rebuilt.column("a"), original.column("a"))
         np.testing.assert_array_equal(rebuilt.positions, original.positions)
+
+    @pytest.mark.parametrize(
+        "want, sizes, left",
+        [(1, [26], [100, 50]), (26, [26], [100, 50]), (27, [26, 100], [50]),
+         (126, [26, 100], [50]), (127, [26, 100, 50], None), (10_000, [26, 100, 50], None)],
+    )
+    def test_split_cuts_at_the_first_boundary_at_or_past_want(self, want, sizes, left):
+        batch = as_batch(block(176), 100, runs=[26, 150])
+        head, rest = batch.split(want)
+        assert head.block_sizes().tolist() == sizes
+        assert (rest and rest.block_sizes().tolist()) == left
+        pieces = [head] if rest is None else [head, rest]
+        np.testing.assert_array_equal(concat_blocks(pieces).positions, np.arange(176))
+
+    def test_a_single_block_is_never_split(self):
+        single = block(5)
+        head, rest = single.split(1)
+        assert head is single and rest is None
+
+    def test_head_clips_the_block_the_cut_falls_in(self):
+        batch = as_batch(block(250), 100)
+        assert batch.head(130).block_sizes().tolist() == [100, 30]
+        assert batch.head(100).block_sizes().tolist() == [100]
+        assert batch.head(7).block_sizes().tolist() == [7]
+        np.testing.assert_array_equal(batch.head(130).column("b"), np.arange(130) * 2)
+        assert block(10).head(3).num_blocks == 1
 
     def test_concat_empty(self):
         empty = concat_blocks([])
@@ -75,7 +116,7 @@ class TestSplitConcat:
 
     def test_bad_block_size_rejected(self):
         with pytest.raises(EngineError):
-            split_into_blocks(block(5), 0)
+            as_batch(block(5), 0)
 
 
 class TestPredicate:

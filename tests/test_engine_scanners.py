@@ -151,11 +151,22 @@ class TestScannerBehaviour:
             plan.next()
 
     def test_block_size_respected(self, orders_data, orders_row):
+        """A batch is as large as an I/O unit makes it; the logical
+        blocks it stands for — what is counted — keep to the block size
+        and never span two pages."""
         context = ExecutionContext(block_size=37)
         query = query_for(orders_data, ("O_ORDERDATE", "O_CUSTKEY"), 0.5)
         plan = scan_plan(context, orders_row, query)
-        blocks = plan.drain()
-        assert all(len(b) <= 37 for b in blocks)
+        batches = plan.drain()
+        assert max(len(batch) for batch in batches) > 37
+        sizes = np.concatenate([batch.block_sizes() for batch in batches])
+        assert sizes.max() == 37 and sizes.min() >= 1
+        assert context.events.blocks_produced == len(sizes)
+        capacity = orders_row.page_codec.tuples_per_page
+        positions = np.concatenate([batch.positions for batch in batches])
+        firsts = positions[np.cumsum(sizes) - sizes] // capacity
+        lasts = positions[np.cumsum(sizes) - 1] // capacity
+        np.testing.assert_array_equal(firsts, lasts)
 
 
 class TestScannerEvents:

@@ -123,8 +123,9 @@ class TestSpanTree:
         _three_op_plan(context, data).drain()
         for span in context.tracer.spans():
             assert span.wall_ns == span.open_ns + span.next_ns + span.close_ns
-            # next() is called until it returns None: calls > blocks
-            assert span.next_calls > span.blocks >= 1
+            # next() is called until it returns None, and a call hands
+            # over a batch of one or more logical blocks.
+            assert span.next_calls >= 2 and span.blocks >= 1
         agg = context.tracer.roots[0]
         # root rows = number of groups; inclusive wall dominates children
         assert agg.rows > 0

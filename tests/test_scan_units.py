@@ -12,11 +12,13 @@ for row files and for column files:
   a unit behave exactly as under a page-at-a-time scan (a context whose
   I/O unit is one page): the fault names its page, every other page's
   rows survive, nothing is read twice, every touched page is timed once;
-* **release** — a row unit's pages are accounted for one by one as the
-  consumer's pulls reach them, so a scan under a ``Limit`` has the
-  events, faults and checkpoints of the page-at-a-time scan, a cancel or
-  a deadline surfaces as the typed error with no partial result, and a
-  finished scan has passed as many checkpoints as the golden pin says.
+* **release** — a row unit's pages are released as one batch, or as
+  many of them as the consumer's demand reaches (``next(want)``), each
+  page's checkpoint passed before it is charged: a scan under a
+  ``Limit`` has the events, faults and checkpoints of the page-at-a-time
+  scan, a cancel or a deadline surfaces as the typed error with no
+  partial result and exactly the pages passed charged, and a finished
+  scan has passed as many checkpoints as the golden pin says.
   A column scan runs whole inside its first ``next()``; its checkpoints
   still come one per logical page, each before that page is charged.
 """
@@ -623,8 +625,11 @@ class TestGovernance:
         context = ExecutionContext(governance=QueryContext(on_tick=hook))
         return context, scan_plan(context, table, self.QUERY)
 
-    def test_checkpoints_fire_page_by_page(self, table):
-        """Each checkpoint sees exactly the pages before it released."""
+    def test_no_page_is_charged_before_its_checkpoint(self, table):
+        """A unit's pages pass their checkpoints first and are charged
+        together: at every checkpoint the pages charged number no more
+        than the checkpoints passed, and a finished scan has passed one
+        per logical page and one per logical block, whatever the unit."""
         runs = []
         for calibration in (
             DEFAULT_CALIBRATION,
@@ -637,15 +642,48 @@ class TestGovernance:
                     on_tick=lambda _governance: seen.append(context.events.pages_touched)
                 ),
             )
-            blocks = scan_plan(context, table, self.QUERY).drain()
-            runs.append((seen, len(blocks), context.governance.ticks))
-        assert runs[0] == runs[1]
-        seen, blocks, ticks = runs[0]
+            batches = scan_plan(context, table, self.QUERY).drain()
+            assert all(pages <= tick for tick, pages in enumerate(seen))
+            runs.append(
+                (
+                    [batch.block_sizes().tolist() for batch in batches],
+                    context.events.as_dict(),
+                    context.corruption.pages_scanned,
+                    context.governance.ticks,
+                )
+            )
+        (by_unit, *unit_totals), (by_page, *page_totals) = runs
+        # The same logical blocks, a unit's worth to the batch or a page's.
+        assert sum(by_unit, []) == sum(by_page, []) and len(by_unit) < len(by_page)
+        assert unit_totals == page_totals
+        events, pages_scanned, ticks = unit_totals
         pages = table.file.num_pages
         assert pages > 3 * (DEFAULT_CALIBRATION.io_unit_bytes // table.page_size)
-        # One per logical page (plus one per next() call).
-        assert ticks == pages + blocks + 1
-        assert set(seen) == set(range(pages + 1))
+        assert events["pages_touched"] == pages_scanned == pages
+        # One per logical page, one per logical block, one for the last next().
+        assert events["blocks_produced"] == len(sum(by_unit, []))
+        assert ticks == pages + events["blocks_produced"] + 1
+
+    @pytest.mark.parametrize("error", [QueryCancelled, QueryTimeout])
+    def test_abort_inside_a_unit_charges_exactly_the_pages_passed(self, table, error):
+        """On every exit, pages charged == page checkpoints passed."""
+        unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        # The first checkpoint is the call to next(), the second the
+        # first page's; the k-th raises with k - 2 pages passed.
+        for k in (2, 3, unit // 2, unit + 1):
+
+            def hook(governance, k=k):
+                if governance.ticks == k:
+                    _abort(governance, error)
+
+            context, plan = self._plan(table, hook)
+            plan.open()
+            with pytest.raises(error):
+                plan.next()
+            assert context.governance.ticks == k
+            assert context.events.pages_touched == k - 2
+            assert context.corruption.pages_scanned == k - 2
+            assert context.events.blocks_produced == 0
 
     def test_finished_scan_passed_the_pinned_number_of_checkpoints(self):
         golden = json.loads(GOLDEN_PATH.read_text())[GOLDEN_CASE]
@@ -924,15 +962,19 @@ class TestColumnGovernance:
         unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
         context, plan = self._plan(table, query, scanner, None)
         plan.open()
-        plan.next()  # the whole scan runs inside the first call
+        batch = plan.next()  # the whole scan runs inside the first call
         ticks = context.governance.ticks
         partkey_pages = table.column_file("L_PARTKEY").file.num_pages
         comment_pages = table.column_file("L_COMMENT").file.num_pages
-        assert comment_pages > unit and ticks == 1 + partkey_pages + comment_pages
+        # The call to next(), one per logical page, and one per logical
+        # block of the batch past the first (the call's own).
+        scan = 1 + partkey_pages + comment_pages
+        assert comment_pages > unit and batch.num_blocks > 2
+        assert ticks == scan + batch.num_blocks - 1
         # Inside the first node's first unit, between two units of the
-        # wide column, inside its last unit, and at the last checkpoint
-        # of the scan (the first is the call to next()).
-        for k in (2, partkey_pages, 1 + partkey_pages + unit, ticks - 3, ticks):
+        # wide column, inside its last unit, at the last page of the
+        # scan, and at the batch's last logical block.
+        for k in (2, partkey_pages, 1 + partkey_pages + unit, scan - 3, scan, ticks):
 
             def hook(governance, k=k):
                 if governance.ticks == k:
@@ -1181,7 +1223,8 @@ def test_a_solo_pass_reads_each_unit_once(layout, fresh_telemetry):
         files = {"row": driving}
     stream = SharedScanStream(table, query.scan_attributes(), True)
     rider = SharedScanConsumer(ExecutionContext(), stream, query)
-    assert len(rider.drain()) > 1
+    (batch,) = rider.drain()
+    assert batch.num_blocks > 1
     pages = driving.num_pages
     assert pages > unit and stream.num_segments == pages
     assert driving.unit_reads == [
@@ -1258,7 +1301,7 @@ class TestSharedGovernance:
             "rider_ticks": context.governance.ticks,
             "rider_events": context.events.as_dict(),
             "rider_pages_scanned": context.corruption.pages_scanned,
-            "rider_ready": len(rider._ready),
+            "rider_held": rider._held,
             "peer": _record(peer_context, blocks),
             "io_events": stream.io_events.as_dict(),
             "cursor": stream.cursor,
@@ -1297,7 +1340,7 @@ class TestSharedGovernance:
                 want = self._ride(table, by_page, queries, k, error, attach)
                 assert got == want, k
                 # The typed error, at that checkpoint, and no block.
-                assert got["rider_ticks"] == k and got["rider_ready"] == 0
+                assert got["rider_ticks"] == k and got["rider_held"] is None
                 assert got["rider_events"]["values_examined"] <= 2 * k * data.num_rows
                 # The peer: byte-identical to riding alone, same events.
                 for key in ("events", "digest", "blocks", "rows", "pages_scanned", "faults"):
