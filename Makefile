@@ -2,7 +2,7 @@
 # PEP 660 editable builds; in offline environments without it, the
 # legacy `setup.py develop` path below installs identically.
 
-.PHONY: install test bench fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
+.PHONY: install test bench fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate obs-test parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
 
 install:
 	pip install -e . 2>/dev/null || python setup.py develop
@@ -64,6 +64,21 @@ metrics:
 
 # CI gate: the tracing no-op path must stay within 5% of the raw engine.
 overhead-gate:
+	python benchmarks/check_tracing_overhead.py --out obs-artifacts
+
+# The telemetry battery: the recorder / metrics / slow-log / dashboard /
+# trace suites, per-query attribution under the scheduler, the
+# one-emission invariant (every bound series == its events in the ring;
+# nothing outside obs/ mutates a bound series; DESIGN §13's generated
+# kind -> series table) and the repo hygiene pins, then the four paired
+# overhead gates.
+# Run it on any change under obs/, or to a `flight.record(` /
+# `flight.blackbox(` site anywhere (engine/{scheduler,sharing,governance,
+# parallel,executor}.py, storage/{retry,write_store}.py, table_entry.py,
+# database.py, testing/chaos.py).
+obs-test:
+	pytest tests/test_obs_*.py tests/test_scheduler_telemetry.py \
+		tests/test_repo_hygiene.py -q
 	python benchmarks/check_tracing_overhead.py --out obs-artifacts
 
 # Parallel-scan speedup artifact: serial vs 2/4 workers on the fig06

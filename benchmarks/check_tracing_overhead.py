@@ -92,12 +92,12 @@ def _seed_open(self) -> None:
     self._opened = True
 
 
-def _seed_next(self) -> Block | None:
+def _seed_next(self, want: int | None = None) -> Block | None:
     if not self._opened:
         raise EngineError(f"{type(self).__name__}.next() before open()")
-    block = self._next()
+    block = self._next(want)
     if block is not None and len(block):
-        self.events.blocks_produced += 1
+        self.events.blocks_produced += block.num_blocks
     return block
 
 
@@ -115,25 +115,25 @@ _SEED = (_seed_open, _seed_next, _seed_close)
 # --- the governance-free checkpoint bodies --------------------------------
 
 
-def _nogov_next(self) -> Block | None:
-    # The shipped Operator.next() minus the governance checkpoint.
+def _nogov_next(self, want: int | None = None) -> Block | None:
+    # The shipped Operator.next() minus the governance checkpoints.
     if not self._opened:
         raise EngineError(f"{type(self).__name__}.next() before open()")
     tracer = self.context.tracer
     if tracer is None:
-        block = self._next()
+        block = self._next(want)
         if block is not None and len(block):
-            self.events.blocks_produced += 1
+            self.events.blocks_produced += block.num_blocks
         return block
     frame = tracer.enter(self, "next")
     rows = 0
     blocks = 0
     try:
-        block = self._next()
+        block = self._next(want)
         if block is not None and len(block):
-            self.events.blocks_produced += 1
             rows = len(block)
-            blocks = 1
+            blocks = block.num_blocks
+            self.events.blocks_produced += blocks
         return block
     finally:
         tracer.exit(frame, self.context.events, rows=rows, blocks=blocks)

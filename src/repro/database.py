@@ -35,11 +35,9 @@ from repro.engine.scheduler import JobHandle, QueryHandle, Scheduler, WorkloadQu
 from repro.errors import ChecksumError, PlanError, StorageError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ScanMeasurement, measure_scan
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 from repro.obs.export import QueryProfile
 from repro.obs.provenance import provenance
-from repro.obs.recorder import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import SpanTracer
 from repro.storage.layout import Layout
@@ -297,8 +295,7 @@ class Database:
             target = entry.tables[self.layouts[0]]
         if not hybrid:
             return target, None
-        if obs_metrics.enabled():
-            obs_metrics.WRITE_HYBRID_QUERIES.inc()
+        flight.record("write.hybrid", table=table)
         return target, build_overlay(entry.store, scan).apply
 
     def query(
@@ -493,7 +490,7 @@ class Database:
 
     # --- observability -------------------------------------------------------
 
-    def flight_recorder(self) -> FlightRecorder:
+    def flight_recorder(self) -> flight.FlightRecorder:
         """The process-wide flight recorder (lifecycle event ring).
 
         One recorder serves the whole process — every Database, every

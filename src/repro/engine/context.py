@@ -38,6 +38,11 @@ class ExecutionContext:
     #: skips every governance checkpoint.
     governance: QueryContext | None = None
 
+    @property
+    def label(self) -> str | None:
+        """The query's governance label: what its lifecycle events carry."""
+        return self.governance.label if self.governance is not None else None
+
     def reset_events(self) -> None:
         """Fresh counters (e.g. between repeated executions).
 

@@ -13,7 +13,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
 from repro.engine.plan import ColumnScannerKind, build_plan
 from repro.engine.query import Query, ScanQuery
-from repro.obs import metrics as obs_metrics
+from repro.obs import recorder as flight
 from repro.storage.scrub import CorruptionReport
 from repro.storage.table import Table
 
@@ -89,10 +89,12 @@ def run_scan(
     if salvage:
         context.strict_integrity = False
     plan = build_plan(context, table, query, column_scanner)
-    if not obs_metrics.enabled():
-        return execute_plan(plan)
     started = time.perf_counter()
     result = execute_plan(plan)
-    obs_metrics.QUERIES.inc()
-    obs_metrics.QUERY_SECONDS.observe(time.perf_counter() - started)
+    flight.record(
+        "query.done",
+        context.label,
+        latency_s=time.perf_counter() - started,
+        rows=result.num_tuples,
+    )
     return result

@@ -50,7 +50,6 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 
 __all__ = [
@@ -170,7 +169,6 @@ class QueryContext:
         if hook is not None:
             hook(self)
         if self.token.cancelled:
-            obs_metrics.GOVERNANCE_CANCELLATIONS.inc()
             detail = self.token.reason or "cancellation token tripped"
             self.note(f"cancelled in {where or 'plan'}: {detail}")
             flight.record(
@@ -181,7 +179,6 @@ class QueryContext:
             )
             raise QueryCancelled(f"{self.label} cancelled ({detail})")
         if self.deadline is not None and time.monotonic() > self.deadline:
-            obs_metrics.GOVERNANCE_TIMEOUTS.inc()
             self.note(f"deadline exceeded in {where or 'plan'}")
             flight.record(
                 "governance.timeout",
@@ -215,7 +212,6 @@ class QueryContext:
 
     def budget_abort(self, what: str, needed: int) -> None:
         """Record and raise the spill-free typed abort."""
-        obs_metrics.GOVERNANCE_BUDGET_ABORTS.inc()
         flight.record(
             "governance.budget_abort", self.label, what=what, needed=needed
         )
@@ -364,8 +360,10 @@ class GovernedAccumulator:
             total = sum(block_nbytes(b) for b in narrow) + block_nbytes(incoming)
             governance.release(self.reserved)
             if governance.try_reserve(total):
-                obs_metrics.GOVERNANCE_NARROW_RETRIES.inc()
                 governance.narrow_retries += 1
+                flight.record(
+                    "governance.narrow_retry", governance.label, what=self.what, kept=total
+                )
                 governance.note(
                     f"{self.what}: reduced-width retry kept the working set "
                     f"at {total:,} B (was {self.reserved + nbytes:,} B)"
@@ -457,7 +455,6 @@ class CircuitBreaker:
         self.failures[key] = count
         if count == self.threshold:
             self.trips += 1
-            obs_metrics.GOVERNANCE_BREAKER_TRIPS.inc()
             flight.record("governance.breaker_trip", key=str(key))
             return True
         return False

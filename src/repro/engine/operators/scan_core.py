@@ -57,10 +57,9 @@ def _salvage(context: ExecutionContext, file, page: int, row_span: int, exc) -> 
     """The integrity policy for a page that failed: abort or record and skip."""
     if context.strict_integrity:
         raise exc
-    governance = context.governance
     flight.record(
         "storage.salvage",
-        governance.label if governance is not None else None,
+        context.label,
         file=file.name,
         page=page,
         error=type(exc).__name__,

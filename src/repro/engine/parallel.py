@@ -96,7 +96,6 @@ from repro.engine.operators.limit import Limit, TopN
 from repro.engine.plan import ColumnScannerKind, build_plan, decompose_aggregate
 from repro.engine.query import AggregateSpec, Query, ScanQuery
 from repro.errors import PlanError
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 from repro.obs.trace import SpanTracer
 from repro.storage.partition import PartitionedTable, partition_ranges
@@ -454,7 +453,6 @@ class _Supervision:
             if reason is None:
                 break
             submit = self.base
-            obs_metrics.GOVERNANCE_DEGRADATIONS.inc()
             flight.record(
                 "parallel.degrade",
                 self.label,
@@ -580,7 +578,6 @@ class _Supervision:
                         # it inline keeps the accounting exactly-once.
                         reason = f"{type(reply).__name__}: {reply}"
                         self._fail(index)
-                        obs_metrics.GOVERNANCE_PARTITION_RETRIES.inc()
                         flight.record(
                             "parallel.retry", self.label, partition=index, reason=reason
                         )
@@ -597,7 +594,6 @@ class _Supervision:
                         continue
                     if not self.supervised:
                         return f"dispatch guard expired after {patience:.0f}s"
-                    obs_metrics.GOVERNANCE_STALLS.inc()
                     flight.record(
                         "parallel.stall",
                         self.label,
@@ -866,8 +862,13 @@ def parallel_query(
         outputs = [_execute_task(task, governance) for task in tasks]
     dispatch_seconds = time.perf_counter() - started
     if mode != "inline":
-        obs_metrics.PARALLEL_DISPATCH_SECONDS.observe(dispatch_seconds)
-        obs_metrics.PARALLEL_TABLE_SHIPS.inc(ships)
+        flight.record(
+            "parallel.dispatch",
+            context.label,
+            mode=mode,
+            seconds=dispatch_seconds,
+            ships=ships,
+        )
 
     outputs.sort(key=lambda out: out.index)
     _merge_accounting(context, outputs)
@@ -901,4 +902,11 @@ def parallel_query(
         info["governance"] = list(notes)
         info["dispatch_ms"] = dispatch_seconds * 1e3
         info["tables_shipped"] = ships
+    # One finished query, whichever mode ran its partitions.
+    flight.record(
+        "query.done",
+        context.label,
+        latency_s=time.perf_counter() - started,
+        rows=result.num_tuples,
+    )
     return result

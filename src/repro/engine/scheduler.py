@@ -57,8 +57,8 @@ from repro.engine.plan import ColumnScannerKind, scan_plan
 from repro.engine.query import Query, ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer
 from repro.errors import EngineError, PlanError, ReproError
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
+from repro.obs.explain import render_explain
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 from repro.obs.trace import SpanTracer
 from repro.storage.table import Table
@@ -298,8 +298,6 @@ class Scheduler:
         handle.post = post
         self._handles.append(handle)
         self._queue.append(handle)
-        obs_metrics.SCHEDULER_SUBMITTED.inc()
-        obs_metrics.SCHEDULER_QUEUE_DEPTH.observe(len(self._queue))
         flight.record(
             "scheduler.submit",
             governance.label,
@@ -314,20 +312,18 @@ class Scheduler:
         while self._queue and len(self._active) < self.max_inflight:
             handle = self._queue.popleft()
             handle.admitted_at = time.monotonic()
-            obs_metrics.SCHEDULER_ADMISSION_WAIT.observe(handle.queue_seconds or 0.0)
             try:
                 # Queue time is charged to the deadline: a query that
                 # waited past it fails here without running a page.
                 handle.governance.check("admission")
                 plan, context = self._build_plan(handle)
             except ReproError as exc:
-                self._finish_failed(handle, exc)
+                self._finish(handle, exc)
                 continue
             handle.state = QueryState.RUNNING
             self._active.append(
                 (handle, self._execute(handle, plan, context), plan)
             )
-            obs_metrics.SCHEDULER_INFLIGHT.set(len(self._active))
             flight.record(
                 "scheduler.admit",
                 handle.governance.label,
@@ -413,8 +409,7 @@ class Scheduler:
                 flight.record(
                     "scheduler.job.failed", job.label, error=type(job.error).__name__
                 )
-                if flight.enabled():
-                    flight.RECORDER.dump_blackbox(job.label, error=job.error)
+                flight.blackbox(job.label, error=job.error)
                 if not isinstance(exc, Exception):
                     raise
 
@@ -447,11 +442,11 @@ class Scheduler:
                 next(gen)
             except StopIteration:
                 self._active.remove(entry)
-                self._finish_done(handle)
+                self._finish(handle)
             except BaseException as exc:
                 self._active.remove(entry)
                 self._abandon_plan(plan)
-                self._finish_failed(handle, _typed(exc))
+                self._finish(handle, _typed(exc))
                 if not isinstance(exc, Exception):
                     raise
             self._admit()
@@ -487,91 +482,56 @@ class Scheduler:
 
     # --- completion -------------------------------------------------------
 
-    def _finish_done(self, handle: QueryHandle) -> None:
-        handle.state = QueryState.DONE
+    def _finish(self, handle: QueryHandle, error: Exception | None = None) -> None:
+        """The one exit of a scheduled query: one lifecycle event, then a
+        failure's one black box (so the box holds that event too), one
+        slow-log entry, and the span tree grafted onto the query's track."""
+        handle.state = QueryState.DONE if error is None else QueryState.FAILED
+        handle.error = error
         handle.finished_at = time.monotonic()
-        self.completed += 1
-        obs_metrics.SCHEDULER_COMPLETED.inc()
+        handle._scheduler = None
+        label, result, tracer = handle.governance.label, handle.result, handle._tracer
+        rows = result.num_tuples if result is not None else None
+        if error is None:
+            self.completed += 1
+            kind, outcome = "scheduler.done", {"rows": rows}
+        else:
+            self.failed += 1
+            kind, outcome = "scheduler.failed", {"error": type(error).__name__}
         flight.record(
-            "scheduler.done",
-            handle.governance.label,
-            latency_s=round(handle.latency or 0.0, 6),
-            rows=handle.result.num_tuples if handle.result is not None else None,
+            kind,
+            label,
+            latency_s=round(handle.latency, 6),
+            inflight=len(self._active),
+            **outcome,
         )
-        self._observe_finish(handle)
-        if self.tracer is not None:
-            self._attach_trace(handle)
-
-    def _finish_failed(self, handle: QueryHandle, exc: Exception) -> None:
-        handle.state = QueryState.FAILED
-        handle.error = exc
-        handle.finished_at = time.monotonic()
-        self.failed += 1
-        obs_metrics.SCHEDULER_FAILED.inc()
-        flight.record(
-            "scheduler.failed",
-            handle.governance.label,
-            error=type(exc).__name__,
-            latency_s=round(handle.latency or 0.0, 6),
-        )
-        if flight.enabled():
-            # Exactly one black box per failed query: the event slice
-            # above is already in the ring, so the dump captures this
-            # failure's full lifecycle.
-            flight.RECORDER.dump_blackbox(
-                handle.governance.label,
-                error=exc,
+        if error is not None:
+            flight.blackbox(
+                label,
+                error=error,
                 governance=handle.governance.snapshot(),
-                tracer=handle._tracer,
+                tracer=tracer,
                 replay=handle.replay,
             )
-        self._observe_finish(handle)
-        if self.tracer is not None:
-            self._attach_trace(handle)
-
-    def _observe_finish(self, handle: QueryHandle) -> None:
-        """Window metrics + slow-query log shared by both outcomes."""
-        handle._scheduler = None
-        obs_metrics.SCHEDULER_INFLIGHT.set(len(self._active))
-        latency = handle.latency or 0.0
-        obs_metrics.WINDOW_QUERY_LATENCY.observe(latency)
-        obs_metrics.WINDOW_QPS.set(obs_metrics.WINDOW_QUERY_LATENCY.rate())
         explain = None
-        if handle._tracer is not None and handle._tracer.roots:
-            from repro.obs.explain import render_explain
-
-            explain = render_explain(handle._tracer)
+        if tracer is not None and tracer.roots:
+            explain = render_explain(tracer)
+            self.tracer.attach_subtree(
+                tracer.roots, tracer.slices, track=handle.index, epoch_ns=tracer.epoch_ns
+            )
         self.slowlog.observe(
             SlowQueryEntry(
-                label=handle.governance.label,
+                label=label,
                 table=handle.query.table,
-                latency_s=latency,
+                latency_s=handle.latency,
                 queue_s=handle.queue_seconds or 0.0,
                 slices=handle.slices,
-                rows=handle.result.num_tuples if handle.result is not None else None,
-                error=type(handle.error).__name__ if handle.error else None,
+                rows=rows,
+                error=outcome.get("error"),
                 shared=handle.shared,
-                events=handle.result.events.as_dict()
-                if handle.result is not None
-                else {},
+                events=result.events.as_dict() if result is not None else {},
                 explain=explain,
             )
-        )
-
-    def _attach_trace(self, handle: QueryHandle) -> None:
-        """Graft the query's span tree onto its own scheduler track."""
-        # The per-query tracer lives on the plan's context; reach it via
-        # the generator's closed-over context is gone by now, so it is
-        # recorded on the handle when the plan was built.
-        tracer = getattr(handle, "_tracer", None)
-        if tracer is None or not tracer.roots:
-            return
-        assert self.tracer is not None
-        self.tracer.attach_subtree(
-            tracer.roots,
-            tracer.slices,
-            track=handle.index,
-            epoch_ns=tracer.epoch_ns,
         )
 
     # --- reporting --------------------------------------------------------

@@ -328,7 +328,7 @@ class SharedScanStream:
             self._consumers.remove(consumer)
             flight.record(
                 "share.detach",
-                consumer._flight_label(),
+                consumer.context.label,
                 table=self.table.schema.name,
                 riders=len(self._consumers),
             )
@@ -541,14 +541,6 @@ class SharedScanConsumer(Scanner):
         #: Segment the stream was at when we attached (for EXPLAIN).
         self.attach_cursor = share.cursor
         self._remaining = share.attach(self)
-        flight.record(
-            "share.attach",
-            self._flight_label(),
-            table=share.table.schema.name,
-            cursor=self.attach_cursor,
-            segments=share.num_segments,
-            riders=len(share.consumers),
-        )
         #: ``(first segment, block)`` per filtered run with output.
         self._buffered: list[tuple[int, Block]] = []
         #: The run being released: ``(window serial, first segment,
@@ -562,11 +554,6 @@ class SharedScanConsumer(Scanner):
             f"{super().describe()} | shared, attached@segment "
             f"{self.attach_cursor}/{self.share.num_segments}"
         )
-
-    def _flight_label(self) -> str | None:
-        """This rider's query label for flight-recorder attribution."""
-        governance = self.context.governance
-        return governance.label if governance is not None else None
 
     # --- stream side ------------------------------------------------------
 
@@ -738,13 +725,21 @@ class ScanShareManager:
         consumer = SharedScanConsumer(context, stream, query)
         if hit:
             self.hits += 1
-            obs_metrics.SCHEDULER_SHARE_HITS.inc()
         else:
             # Listed once it has a rider: a stream here always has one.
             self._streams[key] = stream
             self.misses += 1
-            obs_metrics.SCHEDULER_SHARE_MISSES.inc()
-        obs_metrics.SHARE_HIT_RATIO.set(self.hits / (self.hits + self.misses))
+        flight.record(
+            "share.attach",
+            context.label,
+            table=table.schema.name,
+            cursor=consumer.attach_cursor,
+            segments=stream.num_segments,
+            riders=len(stream.consumers),
+            hit=int(hit),
+            miss=int(not hit),
+            hit_ratio=self.hits / (self.hits + self.misses),
+        )
         return consumer
 
     def _retire(self, key: tuple, stream: SharedScanStream) -> None:
@@ -769,7 +764,7 @@ class ScanShareManager:
                 "cursor": stream.cursor,
                 "segments": stream.num_segments,
                 "riders": [
-                    consumer._flight_label() or "?"
+                    consumer.context.label or "?"
                     for consumer in stream.consumers
                 ],
             }

@@ -1,21 +1,22 @@
-"""Observability: span tracing, EXPLAIN ANALYZE, metrics, provenance.
+"""Observability: lifecycle events and their views, span tracing, provenance.
 
 The measurement substrate for every performance claim this repo makes:
 
-* :mod:`repro.obs.trace` — per-operator span tracing with exact
-  :class:`~repro.cpusim.events.CostEvents` attribution;
-* :mod:`repro.obs.explain` — EXPLAIN ANALYZE text rendering;
-* :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and flat
-  profiles (:class:`QueryProfile` bundles one traced query);
-* :mod:`repro.obs.metrics` — process-wide Prometheus-style counters and
-  log-scale histograms (``python -m repro.obs.metrics`` for
-  exposition);
-* :mod:`repro.obs.provenance` — git SHA + calibration fingerprint
-  stamps for results artifacts.
+* :mod:`repro.obs.recorder` — ``record(kind, query, **detail)``, the one
+  call a producer makes for a lifecycle fact; the flight-recorder ring
+  and the black boxes frozen from it;
+* :mod:`repro.obs.metrics` — the Prometheus-style registry, its series
+  declared as views of those events (``python -m repro.obs.metrics``);
+* :mod:`repro.obs.slowlog`, :mod:`repro.obs.dashboard` — the per-batch
+  slow-query log and the live scheduler board;
+* :mod:`repro.obs.trace`, :mod:`repro.obs.explain`,
+  :mod:`repro.obs.export` — per-operator spans with exact
+  :class:`~repro.cpusim.events.CostEvents` attribution, EXPLAIN ANALYZE
+  text, Chrome ``trace_event`` JSON (:class:`QueryProfile`);
+* :mod:`repro.obs.provenance` — git SHA + calibration fingerprint stamps.
 
-Everything is opt-in: with ``ExecutionContext.tracer`` left ``None``
-and metrics quiesced via :func:`repro.obs.metrics.disable`, the engine
-runs its untraced fast path.
+The recorder and the registry are on by default (``disable()`` on either
+quiesces it); span tracing is opt-in via ``ExecutionContext.tracer``.
 """
 
 from repro.obs import metrics

@@ -5,12 +5,14 @@ and histograms registered in a process-global :data:`REGISTRY`, with
 text-format exposition (`the format Prometheus scrapes
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_).
 
-Hooks live at coarse grain only — per query, per page decode, per retry,
-per simulated I/O unit — never per tuple, so the always-on cost is a
-handful of integer adds per page.  :func:`disable` turns every
-``inc``/``observe`` into an early return for true no-op runs (the
-overhead gate in CI measures the engine with the whole obs layer
-quiescent).
+A series declared with ``on="layer.event"`` (and at most one ``field=``
+of the event's detail) is a *view* of that lifecycle event:
+:func:`repro.obs.recorder.record` updates it, no producer does.  Bare
+series are the ones measured per page or per simulated I/O unit, which
+would flood the event ring, and the ``WRITE_STAGED_BYTES`` level.
+:func:`disable` turns every update into an early return for true no-op
+runs (the overhead gate in CI measures the engine with the whole obs
+layer quiescent).
 
 Beyond cumulative counters and histograms, the registry carries two
 workload-level shapes added for the scheduler dashboard:
@@ -49,6 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "SlidingWindow",
+    "WindowRate",
     "enabled",
     "enable",
     "disable",
@@ -109,10 +112,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-class Counter:
-    """A monotonically increasing value."""
+class _Scalar:
+    """One named number: what a counter and a gauge share."""
 
     __slots__ = ("name", "help", "_value")
+    TYPE = ""
 
     def __init__(self, name: str, help: str):
         self.name = _check_name(name)
@@ -123,6 +127,23 @@ class Counter:
     def value(self) -> float:
         return self._value
 
+    def reset(self) -> None:
+        self._value = 0.0
+
+    def render(self) -> list[str]:
+        return [
+            f"# HELP {self.name} {self.help}",
+            f"# TYPE {self.name} {self.TYPE}",
+            f"{self.name} {_fmt(self.value)}",
+        ]
+
+
+class Counter(_Scalar):
+    """A monotonically increasing value."""
+
+    __slots__ = ()
+    TYPE = "counter"
+
     def inc(self, amount: float = 1.0) -> None:
         if not _enabled:
             return
@@ -130,21 +151,13 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease: {amount}")
         self._value += amount
 
-    def reset(self) -> None:
-        self._value = 0.0
-
-    def render(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} counter",
-            f"{self.name} {_fmt(self._value)}",
-        ]
+    apply = inc  # what a bound event does to the series
 
 
 class Histogram:
     """A cumulative histogram over fixed (log-scale) bucket bounds."""
 
-    __slots__ = ("name", "help", "bounds", "_counts", "_sum", "_count")
+    __slots__ = ("name", "help", "bounds", "_counts", "sum", "count")
 
     def __init__(self, name: str, help: str, buckets: list[float] | None = None):
         self.name = _check_name(name)
@@ -152,18 +165,7 @@ class Histogram:
         self.bounds = sorted(buckets if buckets is not None else LATENCY_BUCKETS)
         if not self.bounds:
             raise ValueError(f"histogram {name} needs at least one bucket")
-        # One slot per finite bound plus the implicit +Inf overflow slot.
-        self._counts = [0] * (len(self.bounds) + 1)
-        self._sum = 0.0
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
+        self.reset()
 
     def observe(self, value: float, times: int = 1) -> None:
         """Record ``value`` (``times`` observations of it)."""
@@ -171,13 +173,16 @@ class Histogram:
             return
         # `le` semantics: the first bound >= value owns the observation.
         self._counts[bisect.bisect_left(self.bounds, value)] += times
-        self._sum += value * times
-        self._count += times
+        self.sum += value * times
+        self.count += times
+
+    apply = observe
 
     def reset(self) -> None:
+        # One slot per finite bound plus the implicit +Inf overflow slot.
         self._counts = [0] * (len(self.bounds) + 1)
-        self._sum = 0.0
-        self._count = 0
+        self.sum = 0.0
+        self.count = 0
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, ending with ``(inf, count)``."""
@@ -186,7 +191,7 @@ class Histogram:
         for bound, count in zip(self.bounds, self._counts):
             running += count
             out.append((bound, running))
-        out.append((float("inf"), self._count))
+        out.append((float("inf"), self.count))
         return out
 
     def render(self) -> list[str]:
@@ -197,29 +202,23 @@ class Histogram:
         for bound, running in self.bucket_counts():
             le = "+Inf" if bound == float("inf") else _fmt(bound)
             lines.append(f'{self.name}_bucket{{le="{le}"}} {running}')
-        lines.append(f"{self.name}_sum {_fmt(self._sum)}")
-        lines.append(f"{self.name}_count {self._count}")
+        lines.append(f"{self.name}_sum {_fmt(self.sum)}")
+        lines.append(f"{self.name}_count {self.count}")
         return lines
 
 
-class Gauge:
+class Gauge(_Scalar):
     """A level that can go up and down (in-flight queries, hit ratio)."""
 
-    __slots__ = ("name", "help", "_value")
-
-    def __init__(self, name: str, help: str):
-        self.name = _check_name(name)
-        self.help = help
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
+    __slots__ = ()
+    TYPE = "gauge"
 
     def set(self, value: float) -> None:
         if not _enabled:
             return
         self._value = float(value)
+
+    apply = set
 
     def inc(self, amount: float = 1.0) -> None:
         if not _enabled:
@@ -228,16 +227,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
-
-    def reset(self) -> None:
-        self._value = 0.0
-
-    def render(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} gauge",
-            f"{self.name} {_fmt(self._value)}",
-        ]
 
 
 class SlidingWindow:
@@ -279,6 +268,8 @@ class SlidingWindow:
             return
         self._samples.append((self._clock(), float(value)))
 
+    apply = observe
+
     def _prune(self) -> None:
         horizon = self._clock() - self.window_s
         while self._samples and self._samples[0][0] < horizon:
@@ -296,8 +287,7 @@ class SlidingWindow:
 
     def rate(self) -> float:
         """Events per second over the window (qps when fed completions)."""
-        self._prune()
-        return len(self._samples) / self.window_s
+        return self.count / self.window_s
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile of in-window values; NaN when empty.
@@ -328,49 +318,71 @@ class SlidingWindow:
         return lines
 
 
+class WindowRate(Gauge):
+    """A window's event rate as a gauge, computed when it is read (so it
+    falls to 0 once the workload idles)."""
+
+    __slots__ = ("_window",)
+
+    def __init__(self, name: str, help: str, window: SlidingWindow):
+        super().__init__(name, help)
+        self._window = window
+
+    @property
+    def value(self) -> float:
+        return self._window.rate()
+
+
 class MetricsRegistry:
-    """Named metrics plus their text-format exposition."""
+    """Named metrics, the events they are views of, and the exposition.
+
+    ``on`` binds a series to one event kind (or a tuple of kinds),
+    ``field`` to one key of its detail: a counter adds the field (1
+    without one), a histogram or window observes it, a gauge is set to it.
+    """
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram | SlidingWindow] = {}
+        #: Event kind → ``(series, detail field or None)`` per bound series.
+        self.bindings: dict[str, list[tuple]] = {}
 
-    def counter(self, name: str, help: str) -> Counter:
+    def counter(self, name: str, help: str, on=None, field=None) -> Counter:
         """Get or create a counter (idempotent per name)."""
-        return self._register(name, lambda: Counter(name, help), Counter)
+        return self._register(Counter(name, help), on, field)
 
-    def gauge(self, name: str, help: str) -> Gauge:
+    def gauge(self, name: str, help: str, on=None, field=None) -> Gauge:
         """Get or create a gauge (idempotent per name)."""
-        return self._register(name, lambda: Gauge(name, help), Gauge)
+        return self._register(Gauge(name, help), on, field)
 
     def histogram(
-        self, name: str, help: str, buckets: list[float] | None = None
+        self, name: str, help: str, buckets: list[float] | None = None, on=None, field=None
     ) -> Histogram:
         """Get or create a histogram (idempotent per name)."""
-        return self._register(name, lambda: Histogram(name, help, buckets), Histogram)
+        return self._register(Histogram(name, help, buckets), on, field)
 
     def window(
-        self, name: str, help: str, window_s: float = 60.0
+        self, name: str, help: str, window_s: float = 60.0, on=None, field=None
     ) -> SlidingWindow:
         """Get or create a sliding-window summary (idempotent per name)."""
-        return self._register(
-            name, lambda: SlidingWindow(name, help, window_s), SlidingWindow
-        )
+        return self._register(SlidingWindow(name, help, window_s), on, field)
 
-    def _register(self, name, build, expected):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = build()
-        elif not isinstance(metric, expected):
+    def _register(self, metric, on=None, field=None):
+        held = self._metrics.setdefault(metric.name, metric)
+        if not isinstance(held, type(metric)):
             raise ValueError(
-                f"metric {name!r} already registered as {type(metric).__name__}"
+                f"metric {metric.name!r} already registered as {type(held).__name__}"
             )
-        return metric
+        if held is metric:
+            for kind in (on,) if isinstance(on, str) else on or ():
+                self.bindings.setdefault(kind, []).append((metric, field))
+        return held
 
-    def get(self, name: str) -> Counter | Gauge | Histogram | SlidingWindow:
-        return self._metrics[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
+    def apply(self, kind: str, detail: dict) -> None:
+        """Update every series bound to ``kind`` from one event's detail."""
+        if not _enabled:
+            return
+        for metric, field in self.bindings.get(kind, ()):
+            metric.apply(1 if field is None else detail[field])
 
     def reset_values(self) -> None:
         """Zero every metric (tests); registrations are kept."""
@@ -380,7 +392,7 @@ class MetricsRegistry:
     def render(self) -> str:
         """Prometheus text exposition format, newline-terminated."""
         lines: list[str] = []
-        for name in self.names():
+        for name in sorted(self._metrics):
             lines.extend(self._metrics[name].render())
         return "\n".join(lines) + "\n"
 
@@ -399,10 +411,14 @@ def render_prometheus() -> str:
 # before the first query still sees the series at zero).
 
 QUERIES = REGISTRY.counter(
-    "repro_queries_total", "Scan queries executed by the engine."
+    "repro_queries_total",
+    "Scan queries executed by the engine.",
+    on=("query.done", "scheduler.done"),
 )
 QUERY_SECONDS = REGISTRY.histogram(
-    "repro_query_seconds", "Wall-clock latency of one query execution."
+    "repro_query_seconds",
+    "Wall-clock latency of one query execution.",
+    on=("query.done", "scheduler.done"), field="latency_s",
 )
 PAGE_DECODE_SECONDS = REGISTRY.histogram(
     "repro_page_decode_seconds", "Wall-clock time to read+decode one page."
@@ -414,14 +430,17 @@ PAGES_SALVAGED = REGISTRY.counter(
 RETRY_ATTEMPTS = REGISTRY.counter(
     "repro_io_retry_attempts_total",
     "Transient-read retries issued by the storage retry policy.",
+    on="storage.retry",
 )
 RETRY_BACKOFF_SECONDS = REGISTRY.counter(
     "repro_io_retry_backoff_seconds_total",
     "Total backoff delay scheduled before storage retries.",
+    on="storage.retry", field="delay_s",
 )
 RETRY_EXHAUSTED = REGISTRY.counter(
     "repro_io_retry_exhausted_total",
     "Reads that failed even after exhausting the retry budget.",
+    on="storage.retry_exhausted",
 )
 IO_UNITS = REGISTRY.counter(
     "repro_iosim_units_total", "I/O units served by the disk-array simulator."
@@ -436,71 +455,88 @@ IO_SEEKS = REGISTRY.counter(
 GOVERNANCE_TIMEOUTS = REGISTRY.counter(
     "repro_governance_timeouts_total",
     "Queries aborted because their wall-clock deadline passed.",
+    on="governance.timeout",
 )
 GOVERNANCE_CANCELLATIONS = REGISTRY.counter(
     "repro_governance_cancellations_total",
     "Queries aborted by a tripped cancellation token.",
+    on="governance.cancel",
 )
 GOVERNANCE_BUDGET_ABORTS = REGISTRY.counter(
     "repro_governance_budget_aborts_total",
     "Spill-free aborts after a memory budget was exceeded.",
+    on="governance.budget_abort",
 )
 GOVERNANCE_NARROW_RETRIES = REGISTRY.counter(
     "repro_governance_narrow_retries_total",
     "Reduced-width retries that kept a working set inside its budget.",
+    on="governance.narrow_retry",
 )
 GOVERNANCE_BREAKER_TRIPS = REGISTRY.counter(
     "repro_governance_breaker_trips_total",
     "Circuit-breaker openings for repeatedly failing partitions.",
+    on="governance.breaker_trip",
 )
 GOVERNANCE_PARTITION_RETRIES = REGISTRY.counter(
     "repro_governance_partition_retries_total",
     "Single-partition kill-and-retry recoveries by the supervisor.",
+    on="parallel.retry",
 )
 GOVERNANCE_DEGRADATIONS = REGISTRY.counter(
     "repro_governance_degradations_total",
     "Worker-count degradation steps taken by the supervision ladder.",
+    on="parallel.degrade",
 )
 GOVERNANCE_STALLS = REGISTRY.counter(
     "repro_governance_stalls_total",
     "Workers declared stalled after missing their heartbeat window.",
+    on="parallel.stall",
 )
 PARALLEL_DISPATCH_SECONDS = REGISTRY.histogram(
     "repro_parallel_dispatch_seconds",
     "Submit to last worker output of one fleet-dispatched parallel query.",
+    on="parallel.dispatch", field="seconds",
 )
 PARALLEL_TABLE_SHIPS = REGISTRY.counter(
     "repro_parallel_table_ships_total",
     "Table copies sent over their pipe to already-running workers.",
+    on="parallel.dispatch", field="ships",
 )
 SCHEDULER_SUBMITTED = REGISTRY.counter(
     "repro_scheduler_submitted_total",
     "Queries submitted to the concurrent scheduler.",
+    on="scheduler.submit",
 )
 SCHEDULER_COMPLETED = REGISTRY.counter(
     "repro_scheduler_completed_total",
     "Scheduled queries that completed with a result.",
+    on="scheduler.done",
 )
 SCHEDULER_FAILED = REGISTRY.counter(
     "repro_scheduler_failed_total",
     "Scheduled queries that finished with a typed error.",
+    on="scheduler.failed",
 )
 SCHEDULER_QUEUE_DEPTH = REGISTRY.histogram(
     "repro_scheduler_queue_depth",
     "Admission-queue depth observed at each submit.",
     buckets=exponential_buckets(1, 2.0, 11),
+    on="scheduler.submit", field="queue_depth",
 )
 SCHEDULER_ADMISSION_WAIT = REGISTRY.histogram(
     "repro_scheduler_admission_wait_seconds",
     "Queue time between submit and admission (counted in the deadline).",
+    on="scheduler.admit", field="queue_s",
 )
 SCHEDULER_SHARE_HITS = REGISTRY.counter(
     "repro_scheduler_share_hits_total",
     "Queries that attached to an in-progress shared scan.",
+    on="share.attach", field="hit",
 )
 SCHEDULER_SHARE_MISSES = REGISTRY.counter(
     "repro_scheduler_share_misses_total",
     "Queries that had to start a fresh scan stream.",
+    on="share.attach", field="miss",
 )
 SCHEDULER_SHARED_PAGES = REGISTRY.counter(
     "repro_scheduler_shared_pages_total",
@@ -509,27 +545,35 @@ SCHEDULER_SHARED_PAGES = REGISTRY.counter(
 SCHEDULER_INFLIGHT = REGISTRY.gauge(
     "repro_scheduler_inflight",
     "Queries currently admitted and running in the scheduler.",
+    on=("scheduler.admit", "scheduler.done", "scheduler.failed"), field="inflight",
 )
 SHARE_HIT_RATIO = REGISTRY.gauge(
     "repro_scheduler_share_hit_ratio",
     "Fraction of scheduled scans that attached to an in-progress stream.",
+    on="share.attach", field="hit_ratio",
 )
 WINDOW_QUERY_LATENCY = REGISTRY.window(
     "repro_window_query_latency_seconds",
     "Per-query latency over the trailing 60 s window (summary quantiles).",
     window_s=60.0,
+    on=("scheduler.done", "scheduler.failed"), field="latency_s",
 )
-WINDOW_QPS = REGISTRY.gauge(
-    "repro_window_qps",
-    "Query completions per second over the trailing 60 s window.",
+WINDOW_QPS = REGISTRY._register(
+    WindowRate(
+        "repro_window_qps",
+        "Query completions per second over the trailing 60 s window.",
+        WINDOW_QUERY_LATENCY,
+    )
 )
 WRITE_STAGED_ROWS = REGISTRY.counter(
     "repro_write_staged_rows_total",
     "Rows staged into write-optimized stores via insert.",
+    on="write.stage", field="rows",
 )
 WRITE_DELETED_ROWS = REGISTRY.counter(
     "repro_write_deleted_rows_total",
     "Rows newly marked in delete vectors (idempotent re-deletes excluded).",
+    on="write.delete", field="newly",
 )
 WRITE_STAGED_BYTES = REGISTRY.gauge(
     "repro_write_staged_bytes",
@@ -538,26 +582,32 @@ WRITE_STAGED_BYTES = REGISTRY.gauge(
 WRITE_HYBRID_QUERIES = REGISTRY.counter(
     "repro_write_hybrid_queries_total",
     "Queries answered through the hybrid base+delta overlay.",
+    on="write.hybrid",
 )
 WRITE_MERGES = REGISTRY.counter(
     "repro_write_merges_total",
     "Write-store merges committed into the read store.",
+    on="write.merge.commit",
 )
 WRITE_MERGE_ABORTS = REGISTRY.counter(
     "repro_write_merge_aborts_total",
     "Merges aborted (crash injection, governance, or I/O failure).",
+    on="write.merge.abort",
 )
 WRITE_MERGE_SECONDS = REGISTRY.histogram(
     "repro_write_merge_seconds",
     "Wall-clock time of one write-store merge (rebuild through commit).",
+    on="write.merge.commit", field="seconds",
 )
 WRITE_MERGED_ROWS = REGISTRY.counter(
     "repro_write_merged_rows_total",
     "Staged rows drained into the read store by committed merges.",
+    on="write.merge.commit", field="staged",
 )
 WRITE_RECLAIMED_ROWS = REGISTRY.counter(
     "repro_write_reclaimed_rows_total",
     "Deleted rows physically reclaimed by committed merges.",
+    on="write.merge.commit", field="reclaimed",
 )
 
 

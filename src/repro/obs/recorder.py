@@ -9,40 +9,48 @@ retries, salvaged pages, circuit-breaker trips, parallel-worker crashes
 and degradations — emitted by the scheduler, the sharing layer,
 governance, the parallel supervisor, and the storage retry policy.
 
+**One fact, one emission.**  :func:`record` is the only call a producer
+makes for a lifecycle fact: it updates every series
+:mod:`repro.obs.metrics` declares ``on=`` the kind (under the metrics
+flag), then appends to the ring (under the recorder flag).
+
 The recorder is **on by default** and built to stay under the same
 <5% budget the tracing and governance layers are held to (a third
 paired gate in ``benchmarks/check_tracing_overhead.py`` measures it):
-recording one event is a guard branch, a monotonic clock read, and one
-``deque.append``; the ring evicts oldest-first so memory is bounded no
-matter how long the process serves.  ``disable()`` turns every
-``record()`` into an early return.  Appends are plain CPython deque
-operations — atomic under the GIL — so no lock is taken anywhere.
+recording one event is a binding lookup, a guard branch, a monotonic
+clock read, and one ``deque.append``; the ring evicts oldest-first so
+memory is bounded no matter how long the process serves.  ``disable()``
+stops the appends.  Appends are plain CPython deque operations — atomic
+under the GIL — so no lock is taken anywhere.
 
 **Black boxes.**  On any query failure — a governance abort, a decode
 error, a chaos-injected kill — the failing query's *event slice* (every
 ring event carrying its label), its governance snapshot, its span tree
 (when traced), and a provenance stamp are frozen into one JSON-ready
-black-box dict, exactly one per failure.  The scheduler dumps one for
-every failed handle; the chaos harness dumps one per raised case and
-stamps it with the ``python -m repro.testing.chaos --seed N`` replay
-command, so a black box found in a CI artifact can be re-run to the
-same typed error.  :meth:`repro.database.Database.flight_recorder` and
+black-box dict, exactly one per failure, through :func:`blackbox`.  The
+scheduler dumps one for every failed handle and job, an aborted merge
+its own; the chaos harness dumps one per raised case and stamps it with
+the ``python -m repro.testing.chaos --seed N`` replay command, so a
+black box found in a CI artifact can be re-run to the same typed error.
+:meth:`repro.database.Database.flight_recorder` and
 :meth:`~repro.database.Database.dump_blackbox` expose both from the
 facade.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro.obs import metrics
 
 __all__ = [
     "FlightRecorder",
     "RECORDER",
     "RecorderEvent",
+    "blackbox",
     "disable",
     "enable",
     "enabled",
@@ -66,13 +74,12 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """No-op mode: every :func:`record` returns immediately."""
+    """Stop the ring and the black boxes; bound series are still fed."""
     global _enabled
     _enabled = False
 
 
-@dataclass(frozen=True)
-class RecorderEvent:
+class RecorderEvent(NamedTuple):
     """One structured lifecycle event in the ring.
 
     ``kind`` is a dotted ``layer.event`` name (``scheduler.submit``,
@@ -90,13 +97,7 @@ class RecorderEvent:
     detail: dict
 
     def as_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "ts_ns": self.ts_ns,
-            "kind": self.kind,
-            "query": self.query,
-            "detail": dict(self.detail),
-        }
+        return {**self._asdict(), "detail": dict(self.detail)}
 
 
 class FlightRecorder:
@@ -111,10 +112,10 @@ class FlightRecorder:
         if capacity < 1:
             raise ValueError(f"recorder capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self._ring: deque[RecorderEvent] = deque(maxlen=capacity)
+        #: Raw event tuples: :meth:`events` wraps them when they are read.
+        self._ring: deque[tuple] = deque(maxlen=capacity)
         self._seq = 0
-        #: Events evicted from the ring (oldest-first) since construction.
-        self.evicted = 0
+        self._cleared_at = 0
         #: Black-box dicts, newest last, bounded like the ring.
         self.blackboxes: deque[dict] = deque(maxlen=max_blackboxes)
         self._blackbox_seq = 0
@@ -123,15 +124,20 @@ class FlightRecorder:
 
     def record(self, kind: str, query: str | None = None, **detail) -> None:
         """Append one event, evicting the oldest when full."""
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
-        self._ring.append(
-            RecorderEvent(self._seq, time.monotonic_ns(), kind, query, detail)
-        )
+        self.append(kind, query, detail)
+
+    def append(self, kind: str, query: str | None, detail: dict) -> None:
+        """:meth:`record` with the detail as the dict it already is."""
+        self._ring.append((self._seq, time.monotonic_ns(), kind, query, detail))
         self._seq += 1
 
     def __len__(self) -> int:
         return len(self._ring)
+
+    @property
+    def evicted(self) -> int:
+        """Events evicted from the ring (oldest-first) since the last clear."""
+        return self._seq - self._cleared_at - len(self._ring)
 
     def events(
         self, kind: str | None = None, query: str | None = None
@@ -143,7 +149,7 @@ class FlightRecorder:
         events by its governance label.
         """
         out = []
-        for event in self._ring:
+        for event in map(RecorderEvent._make, self._ring):
             if query is not None and event.query != query:
                 continue
             if kind is not None and not (
@@ -157,7 +163,7 @@ class FlightRecorder:
         """Drop every buffered event and black box (sequence kept)."""
         self._ring.clear()
         self.blackboxes.clear()
-        self.evicted = 0
+        self._cleared_at = self._seq
 
     # --- black boxes ------------------------------------------------------
 
@@ -199,16 +205,14 @@ class FlightRecorder:
 
     def write_blackboxes(self, directory) -> list[pathlib.Path]:
         """Write every held black box as ``blackbox-<seq>.json``."""
+        from repro.obs.export import write_json
+
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for box in self.blackboxes:
-            path = directory / f"blackbox-{box['seq']:04d}.json"
-            path.write_text(
-                json.dumps(box, indent=2, default=str) + "\n", encoding="utf-8"
-            )
-            paths.append(path)
-        return paths
+        return [
+            write_json(directory / f"blackbox-{box['seq']:04d}.json", box)
+            for box in self.blackboxes
+        ]
 
 
 #: The process-wide recorder every instrumented subsystem writes to.
@@ -216,7 +220,12 @@ RECORDER = FlightRecorder()
 
 
 def record(kind: str, query: str | None = None, **detail) -> None:
-    """Emit one event to the global ring (no-op while disabled)."""
-    if not _enabled:
-        return
-    RECORDER.record(kind, query, **detail)
+    """Emit one lifecycle fact to the bound series and the global ring."""
+    metrics.REGISTRY.apply(kind, detail)
+    if _enabled:
+        RECORDER.append(kind, query, detail)
+
+
+def blackbox(query: str, **parts) -> dict | None:
+    """``RECORDER.dump_blackbox(query, **parts)``; nothing while disabled."""
+    return RECORDER.dump_blackbox(query, **parts) if _enabled else None

@@ -13,9 +13,9 @@ vs execution split, time-slice count, the per-query CostEvents diff
 stream, and the full EXPLAIN ANALYZE text when the batch was traced.
 
 :meth:`repro.database.Database.run_workload` attaches a log to each
-batch and returns it in the info dict::
+batch and leaves it in the dict the caller passes as ``info``::
 
-    results, info = db.run_workload(requests, info=True)
+    handles = db.run_workload(requests, info=(info := {}))
     print(info["slowlog"].render())
 """
 
@@ -85,8 +85,7 @@ class SlowQueryLog:
         self.top_k = top_k
         #: ``(latency, insertion_seq, entry)`` min-heap; root = fastest kept.
         self._heap: list[tuple[float, int, SlowQueryEntry]] = []
-        self._seq = 0
-        #: Queries observed (kept or not), for the render header.
+        #: Queries observed (kept or not): the render header, the heap's tie-break.
         self.observed = 0
 
     def observe(self, entry: SlowQueryEntry) -> bool:
@@ -94,8 +93,7 @@ class SlowQueryLog:
         self.observed += 1
         if entry.latency_s < self.threshold_s:
             return False
-        item = (entry.latency_s, self._seq, entry)
-        self._seq += 1
+        item = (entry.latency_s, self.observed, entry)
         if len(self._heap) < self.top_k:
             heapq.heappush(self._heap, item)
             return True

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.errors import TransientIOError
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 
 T = TypeVar("T")
@@ -77,14 +76,11 @@ def retry_io(operation: Callable[..., T], policy: RetryPolicy | None = None, *ar
             return operation(*args)
         except TransientIOError:
             if retry_index == policy.max_attempts - 1:
-                obs_metrics.RETRY_EXHAUSTED.inc()
                 flight.record(
                     "storage.retry_exhausted", attempts=policy.max_attempts
                 )
                 raise
-            obs_metrics.RETRY_ATTEMPTS.inc()
             delay = policy.delay_for(retry_index)
-            obs_metrics.RETRY_BACKOFF_SECONDS.inc(delay)
             flight.record(
                 "storage.retry",
                 attempt=retry_index + 1,

@@ -400,18 +400,19 @@ class WriteOptimizedStore:
             flight.record(
                 "write.merge.abort", label, error=type(exc).__name__, **detail
             )
-            obs_metrics.WRITE_MERGE_ABORTS.inc()
-            if blackbox and flight.enabled():
-                flight.RECORDER.dump_blackbox(label, error=exc)
+            if blackbox:
+                flight.blackbox(label, error=exc)
             raise
         self.end_merge()
         self.reset(merge.data.num_rows)
-        obs_metrics.WRITE_MERGES.inc()
-        obs_metrics.WRITE_MERGE_SECONDS.observe(time.perf_counter() - started)
-        obs_metrics.WRITE_MERGED_ROWS.inc(staged)
-        obs_metrics.WRITE_RECLAIMED_ROWS.inc(reclaimed)
         flight.record(
-            "write.merge.commit", label, rows=merge.data.num_rows, **detail
+            "write.merge.commit",
+            label,
+            rows=merge.data.num_rows,
+            staged=staged,
+            reclaimed=reclaimed,
+            seconds=time.perf_counter() - started,
+            **detail,
         )
 
     def merge_into(

@@ -15,7 +15,6 @@ import numpy as np
 from repro.compression.advisor import CompressionAdvisor
 from repro.data.generator import GeneratedTable
 from repro.design.materialize import MaterializedView, ViewRouter, materialize_view
-from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -75,10 +74,8 @@ class TableEntry:
     def insert_many(self, rows: list[tuple]) -> None:
         """Stage a batch, all or none (see ``WriteOptimizedStore.insert_many``)."""
         self.store.insert_many(rows)
-        obs_metrics.WRITE_STAGED_ROWS.inc(len(rows))
         flight.record(
             "write.stage",
-            None,
             table=self.name,
             rows=len(rows),
             staged=len(self.store),
@@ -98,10 +95,8 @@ class TableEntry:
                 [positions, store.base_rows + np.flatnonzero(live)]
             )
         newly = store.delete(positions)
-        obs_metrics.WRITE_DELETED_ROWS.inc(newly)
         flight.record(
             "write.delete",
-            None,
             table=self.name,
             newly=newly,
             deleted=store.deletes.count(),

@@ -17,6 +17,7 @@ import sys
 import time
 
 from repro.testing.genquery import generate_case
+from repro.testing.chaos import dump_blackboxes
 from repro.testing.harness import SuiteReport, minimize_case, run_case, run_suite
 
 
@@ -127,15 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             + "\n",
             encoding="utf-8",
         )
-    if args.blackbox_dir is not None:
-        import pathlib
-
-        from repro.obs import recorder as flight
-
-        directory = pathlib.Path(args.blackbox_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = flight.RECORDER.write_blackboxes(directory)
-        print(f"{len(written)} black box(es) written to {directory}", file=sys.stderr)
+    dump_blackboxes(args.blackbox_dir, file=sys.stderr)
     return 0 if report.ok else 1
 
 

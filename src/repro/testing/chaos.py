@@ -302,20 +302,6 @@ class ChaosOutcome:
         return not self.violations
 
 
-def _dump_chaos_blackbox(
-    chaos: ChaosCase, exc: Exception, governance: QueryContext
-) -> None:
-    """One replayable black box per raised engine-level chaos case."""
-    if not flight.enabled():
-        return
-    flight.RECORDER.dump_blackbox(
-        governance.label,
-        error=exc,
-        governance=governance.snapshot(),
-        replay=f"python -m repro.testing.chaos --seed {chaos.seed}",
-    )
-
-
 def run_chaos_case(chaos: ChaosCase) -> ChaosOutcome:
     """Run one chaos case and check the governance invariant."""
     outcome = ChaosOutcome(seed=chaos.seed, mode=chaos.mode)
@@ -351,15 +337,19 @@ def run_chaos_case(chaos: ChaosCase) -> ChaosOutcome:
         result = run_generated(
             case, config, table, context, case.workers, **supervision
         )
-    except GovernanceError as exc:
-        outcome.raised = type(exc).__name__
-        _dump_chaos_blackbox(chaos, exc, governance)
     except Exception as exc:  # noqa: BLE001 - an untyped escape is a finding
         outcome.raised = type(exc).__name__
-        outcome.violations.append(
-            f"untyped failure escaped governance: {type(exc).__name__}: {exc}"
+        if not isinstance(exc, GovernanceError):
+            outcome.violations.append(
+                f"untyped failure escaped governance: {type(exc).__name__}: {exc}"
+            )
+        # One replayable black box per raised engine-level chaos case.
+        flight.blackbox(
+            governance.label,
+            error=exc,
+            governance=governance.snapshot(),
+            replay=f"python -m repro.testing.chaos --seed {chaos.seed}",
         )
-        _dump_chaos_blackbox(chaos, exc, governance)
     outcome.elapsed = time.monotonic() - started
     outcome.outcomes = list(governance.outcomes)
 
@@ -699,6 +689,14 @@ def run_chaos_suite(num_cases: int, start_seed: int = 0, progress=None) -> Chaos
 # --- CLI ------------------------------------------------------------------------
 
 
+def dump_blackboxes(directory, file=None) -> None:
+    """``--blackbox-dir`` of the fuzz and chaos CLIs: what the run's failures
+    left in the flight recorder, one JSON file per black box."""
+    if directory is not None:
+        paths = flight.RECORDER.write_blackboxes(directory)
+        print(f"wrote {len(paths)} black box(es) to {directory}", file=file)
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
     import sys
@@ -728,12 +726,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def dump_blackboxes() -> None:
-        if args.blackbox_dir is None:
-            return
-        paths = flight.RECORDER.write_blackboxes(args.blackbox_dir)
-        print(f"wrote {len(paths)} black box(es) to {args.blackbox_dir}")
-
     if args.workload_seed is not None:
         case = generate_workload_chaos_case(args.workload_seed)
         print(case.describe())
@@ -746,7 +738,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         for violation in outcome.violations:
             print(f"  VIOLATION: {violation}")
-        dump_blackboxes()
+        dump_blackboxes(args.blackbox_dir)
         return 0 if outcome.ok else 1
 
     if args.seed is not None:
@@ -761,7 +753,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  note: {note}")
         for violation in outcome.violations:
             print(f"  VIOLATION: {violation}")
-        dump_blackboxes()
+        dump_blackboxes(args.blackbox_dir)
         return 0 if outcome.ok else 1
 
     last_tick = [0.0]
@@ -778,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run_chaos_suite(args.cases, start_seed=args.start_seed, progress=progress)
     print(report.format())
-    dump_blackboxes()
+    dump_blackboxes(args.blackbox_dir)
     return 0 if report.ok else 1
 
 
