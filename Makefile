@@ -28,12 +28,15 @@ write-fuzz:
 
 # Crash-safe merge matrix: kill the merge at every declared fault point
 # and require reopen to see exactly old-or-new with a clean scrub — plus
-# the write-path suite and the merge_into tests, so all four merge doors
-# run where a write-path change is gated.
+# the write-path suite, the merge_into tests (all four merge doors, and
+# the staged columns built once per write) and the delete-vector
+# properties (set_many against the set() loop, all-or-none), so a
+# change to storage/{write_store,delete_vector}.py is gated in one place.
 crash-matrix:
 	pytest tests/test_merge_crash_matrix.py tests/test_write_path.py \
 		tests/test_storage_tables.py::TestWriteStore \
-		tests/test_storage_integrity.py::TestVerificationHooks -q
+		tests/test_storage_integrity.py::TestVerificationHooks \
+		tests/test_property_codecs.py -q
 
 # Chaos harness smoke: 200 seeded lifecycle faults (worker kills/stalls,
 # slow decodes, allocation spikes, tight deadlines, mid-scan cancels) vs
@@ -95,18 +98,31 @@ workload-bench:
 	python benchmarks/bench_workload_throughput.py --out workload-artifacts
 
 # The scheduler test battery: equivalence vs serial, scan-sharing
-# properties, chaos under concurrency, the parallel worker fleet, and
+# properties (among them: the run a pump delivers is not observable —
+# runs of 1, 3, a window and more leave the bytes, events, ticks,
+# faults and cursor of the segment-at-a-time stream, pinned at the
+# parent of PR 24), every exit of a window-long pump (an abort at each
+# checkpoint, a corrupt page at the first, a middle and the last
+# segment), chaos under concurrency, the parallel worker fleet, and
 # every result shape on every executor through the one plan builder.
+# Run it on any change to engine/scheduler.py or engine/sharing.py:
+# what a timeslice pumps may move poll() rounds, never an event.
 scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
-		tests/test_scheduler_chaos.py tests/test_parallel_equivalence.py \
+		tests/test_scan_units.py::TestSharedRunExits \
+		tests/test_scan_units.py::TestSharedGovernance \
+		tests/test_scheduler_chaos.py tests/test_scheduler_telemetry.py \
+		tests/test_parallel_equivalence.py \
 		tests/test_parallel_dispatch.py tests/test_query_request.py -q
 
 # The scan battery: every scan strategy against the golden pin
 # (CostEvents, output bytes, logical blocks, corruption, governance
 # ticks), the unit-vs-page properties and differentials (scanners,
-# shared streams, and every operator above a scan: tests/test_batches.py,
-# with its every-checkpoint aborts and block-iterator pins), the scanner
+# shared streams — by unit against by page, and by run against by
+# segment: tests/test_scan_sharing.py's run-length property and
+# tests/test_scan_units.py's TestSharedRunExits — and every operator
+# above a scan: tests/test_batches.py, with its every-checkpoint aborts
+# and block-iterator pins), the scanner
 # / salvage / sharing / scheduler / telemetry / property / extension /
 # index suites, then 200 differential fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
@@ -135,7 +151,7 @@ scan-golden:
 # Live scheduler board: a demo concurrent workload redrawn as it runs.
 # `python -m repro.obs.dashboard --html board.html` for a snapshot page.
 dashboard:
-	python -m repro.obs.dashboard --frames 5
+	python -m repro.obs.dashboard --frames 1
 
 # Regression sentinel: run the benchmark spine once and compare it,
 # workload by workload, against the committed ten-run baseline (exit 1

@@ -126,7 +126,8 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
         delta_positions = np.zeros(0, dtype=np.int64)
         delta_columns = {}
     # deleted is snapshot-stable: mask()/cumulative() already copied out
-    # of the bitmap, and staged column arrays are built fresh per call.
+    # of the bitmap, and the delta columns are copies picked out of the
+    # store's (read-only, per-version) staged columns.
     return HybridOverlay(
         deleted=deleted,
         shift=shift,

@@ -4,9 +4,13 @@ The paper's experiments run one query at a time; a serving system runs
 many.  This module adds the workload layer on top of the existing
 serial operator engine without threads: queries are **cooperatively
 time-sliced** — the scheduler round-robins one operator ``next()``
-call — one batch — (or, for shared scans, one stream segment) per
-active query per round, the cooperation points the governance layer
-already checkpoints on.
+call — one batch — (or, for shared scans, one pump of the stream: the
+window's run of segments, an I/O unit at most) per active query per
+round.  A slice is sized by the unit of I/O, not by the page; the
+governance layer still checkpoints once per logical block and once per
+segment *inside* it, so a query's ticks, charges and typed-error points
+are those of a segment-at-a-time ride and only the interleaving of
+``poll()`` rounds is coarser.
 
 * **Admission control** — at most ``max_inflight`` queries execute at
   once; the rest wait in a FIFO queue.  A query's governance deadline
@@ -354,9 +358,12 @@ class Scheduler:
         plan.open()
         blocks = []
         if isinstance(plan, SharedScanConsumer):
-            # Segment-granular slicing: one stream pump per timeslice
-            # (a consumer may also finish passively off peers' pumps).
-            while plan.advance():
+            # Window-granular slicing: one stream pump — the window's
+            # run of segments, a checkpoint per segment inside it — per
+            # timeslice (a consumer may also finish passively off
+            # peers' pumps).
+            window = plan.share.window_segments
+            while plan.advance(window):
                 yield
         while True:
             block = plan.next()

@@ -7,25 +7,29 @@ engine-side implementation lives here:
 
 * :class:`SharedScanStream` — one circular pass over a table's needed
   column set.  A *segment* (one driving page's worth of rows) is its
-  unit of delivery and accounting: whoever pumps the stream drives it a
-  segment at a time, and every attached consumer that still needs the
-  segment receives it.  A *window* (an I/O unit of adjacent segments) is
-  its unit of reading: each file under a window is read, CRC-checked
-  and decoded through the scan core's one unit reader, a healthy unit
-  per numpy call.  The stream's I/O (pages touched, bytes read) is
-  accounted **once**, per logical page as each segment is delivered, on
-  the stream's own :class:`~repro.cpusim.events.CostEvents`, mirroring
-  the iosim shared-stream model (:mod:`repro.iosim.sharing`), while
-  decode and predicate CPU is charged **per consumer** — each query
-  still pays to process the delivered values.
+  unit of accounting: pages are charged, checkpoints passed and faults
+  recorded segment by segment.  A *run* (adjacent segments, as many as
+  the caller asks for, within one window) is its unit of delivery:
+  whoever pumps the stream drives it a run at a time, and every attached
+  consumer receives the part of the run it still needs.  A *window* (an
+  I/O unit of adjacent segments) is its unit of reading: each file under
+  a window is read, CRC-checked and decoded through the scan core's one
+  unit reader, a healthy unit per numpy call.  The stream's I/O (pages
+  touched, bytes read) is accounted **once**, per logical page as each
+  segment is delivered, on the stream's own
+  :class:`~repro.cpusim.events.CostEvents`, mirroring the iosim
+  shared-stream model (:mod:`repro.iosim.sharing`), while decode and
+  predicate CPU is charged **per consumer** — each query still pays to
+  process the delivered values.
 * :class:`SharedScanConsumer` — a :class:`~repro.engine.operators.
   scan_core.Scanner` view of one query's ride on the stream.  A consumer
   attaches *mid-flight* at the stream's current position, rides to the
   end, wraps around for the prefix it missed (circular scan), and
   detaches after exactly one full pass.  It filters and projects a
-  window's segments in one pass and is charged for them one delivery at
-  a time.  Output is re-assembled into global Record-ID order before
-  emission, so the result is byte-identical to a cold serial scan.
+  window's segments in one pass and is charged for them one delivery —
+  one run, the sum of its segments' numbers — at a time.  Output is
+  re-assembled into global Record-ID order before emission, so the
+  result is byte-identical to a cold serial scan.
 * :class:`ScanShareManager` — the attach point: queries over the same
   table, column set, and integrity mode join the in-progress stream;
   everything else gets a fresh one.  A stream is dropped with its last
@@ -43,6 +47,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -143,24 +148,35 @@ class _Window:
 
 
 def _no_checkpoint() -> None:
-    """A stream is governed by no query: its riders check, per advance."""
+    """A stream is governed by no query: its riders check, per segment pumped."""
+
+
+def _needed_until(remaining: set[int], start: int, limit: int) -> int:
+    """Where the adjacent segments of ``remaining`` from ``start`` end, ``limit`` at most."""
+    while start < limit and start in remaining:
+        start += 1
+    return start
 
 
 class SharedScanStream:
     """One circular scan over ``attrs`` of ``table``, shared by consumers.
 
-    A *segment* is the unit of delivery and accounting, a *window* the
-    unit of reading.  Segments are the driving file's pages: the row
-    file's pages (row and PAX layouts) or the pages of the column file
-    with the *most* pages (column layout — its pages bound the finest
-    row spans, and every other needed column is swept alongside it).  A
-    window is the run of adjacent segments some rider still needs, at
-    most an I/O unit of driving pages (``calibration.io_unit_bytes``)
-    and never across the wrap: each file under it is read, CRC-checked
-    and decoded through the scan core's unit reader — a healthy unit in
-    one call, a unit with a corrupt page, a short read or RLE pages page
-    by page from the bytes already read, as each segment is reached —
-    and ``step()`` cuts one segment from it per call.
+    A *segment* is the unit of accounting, a *run* the unit of delivery,
+    a *window* the unit of reading.  Segments are the driving file's
+    pages: the row file's pages (row and PAX layouts) or the pages of
+    the column file with the *most* pages (column layout — its pages
+    bound the finest row spans, and every other needed column is swept
+    alongside it).  A window is the run of adjacent segments some rider
+    still needs, at most an I/O unit of driving pages
+    (``calibration.io_unit_bytes``) and never across the wrap: each file
+    under it is read, CRC-checked and decoded through the scan core's
+    unit reader — a healthy unit in one call, a unit with a corrupt
+    page, a short read or RLE pages page by page from the bytes already
+    read, as each segment is reached.  ``step(want)`` cuts a run of up
+    to ``want`` segments from it per call — ``step()`` one, the
+    scheduler's timeslice the rest of the window — and what a run
+    charges, to the stream and to each rider, is the sum of what its
+    segments charge one at a time, whatever the run length.
 
     The modeled I/O is charged at delivery, per logical page: a row page
     per delivery; a column page unless it is among the last
@@ -217,6 +233,15 @@ class SharedScanStream:
             raise PlanError(
                 f"unsupported table type for sharing: {type(table).__name__}"
             )
+        #: Segment ``i`` holds rows ``_starts[i]`` to ``_starts[i + 1]``.
+        self._starts = np.array(
+            [lo for _page, lo, _hi in self._segments] + [hi for _page, _lo, hi in self._segments[-1:]],
+            dtype=np.int64,
+        )
+        schema = table.schema
+        self._dtypes = {
+            name: schema.attribute(name).attr_type.numpy_dtype() for name in self.attrs
+        }
 
     # --- geometry ---------------------------------------------------------
 
@@ -301,6 +326,11 @@ class SharedScanStream:
         return len(self._segments)
 
     @property
+    def window_segments(self) -> int:
+        """The most segments one window, and so one run, can hold."""
+        return self._unit_pages
+
+    @property
     def cursor(self) -> int:
         """The segment index the stream will serve next."""
         return self._cursor
@@ -346,108 +376,143 @@ class SharedScanStream:
 
     # --- the circular pump ------------------------------------------------
 
-    def step(self) -> bool:
-        """Deliver the next needed segment (circularly) to its takers.
+    def step(self, want: int = 1, checkpoint: Callable[[], None] = _no_checkpoint) -> int:
+        """Deliver the next run of needed segments (circularly) to its takers.
 
-        Returns False when no attached consumer needs anything.  Raises
-        the stream's terminal error (strict-integrity decode failure)
-        to whoever pumps after it tripped.
+        The run starts at the first segment from the cursor that some
+        consumer needs and takes the adjacent segments its takers still
+        need: at most ``want`` of them, never past the end of the window
+        or the wrap.  ``checkpoint()`` is passed once per segment, before
+        that segment is charged; when it raises, or a strict-integrity
+        decode fails, the segments before that one have been charged and
+        are delivered, the cursor is left on it, and the error goes to
+        whoever pumps — a decode failure as the stream's terminal error,
+        to every later pump too.  Each taker receives the part of the
+        run it still needs in one delivery.
+
+        Returns how many segments were delivered: 0 when no attached
+        consumer needs anything.
         """
         if self._failed is not None:
             raise self._failed
         total = len(self._segments)
         if total == 0 or self.idle:
-            return False
+            return 0
         for offset in range(total):
             index = (self._cursor + offset) % total
             takers = [c for c in self._consumers if index in c._remaining]
-            if not takers:
-                continue
-            try:
-                window, pages = self._load(index)
-            except SALVAGEABLE_ERRORS as exc:
-                # Strict integrity: the whole stream dies with the typed
-                # error every rider would have hit scanning alone.
-                self._failed = exc
-                raise
-            self._cursor = (index + 1) % total
-            if index + 1 == total:
-                # The circular pass wrapped back to segment 0.
-                flight.record(
-                    "share.wrap",
-                    table=self.table.schema.name,
-                    riders=len(takers),
-                )
-            for consumer in takers:
-                consumer._receive(index, window, pages)
-            return True
-        return False
+            if takers:
+                break
+        else:
+            return 0
+        window = self._window_over(index)
+        # A window opened from here would end an I/O unit on, at most.
+        limit = window.stop if window is not None else min(total, index + self._unit_pages)
+        limit = min(limit, index + want)
+        # Where each taker's need of adjacent segments ends.
+        ends = [_needed_until(taker._remaining, index + 1, limit) for taker in takers]
+        pages: list[list[tuple]] = []
+        try:
+            self._load(index, max(ends), checkpoint, pages)
+        except SALVAGEABLE_ERRORS as exc:
+            # Strict integrity: the whole stream dies with the typed
+            # error every rider would have hit scanning alone.
+            self._failed = exc
+            raise
+        finally:
+            reached = index + len(pages)
+            if reached > index:
+                self._cursor = reached % total
+                if reached == total:
+                    # The circular pass wrapped back to segment 0.
+                    flight.record(
+                        "share.wrap",
+                        table=self.table.schema.name,
+                        riders=sum(end == total for end in ends),
+                    )
+                for consumer, end in zip(takers, ends):
+                    consumer._receive(index, min(end, reached), self._window, pages)
+        return reached - index
 
     # --- reading ----------------------------------------------------------
 
-    def _load(self, index: int) -> tuple[_Window, list[tuple]]:
-        """Charge and settle what segment ``index`` draws on.
+    def _load(self, index: int, stop: int, checkpoint, pages: list[list[tuple]]) -> None:
+        """Charge and settle what segments ``[index, stop)`` draw on.
 
-        Returns the window holding it and ``((file name, page id),
-        fault)`` per page drawn on; ``fault`` is ``None`` for a decoded
-        page, else the stream's :class:`~repro.storage.scrub.PageFault`
-        for it.  A page is charged to the stream by the rule in the
-        class docstring, *before* it is pulled: a strict failure leaves
-        its page charged and the cursor on its segment.
+        Appends to ``pages``, per segment settled, its ``((file name,
+        page id), fault)`` per page drawn on; ``fault`` is ``None`` for
+        a decoded page, else the stream's :class:`~repro.storage.scrub.
+        PageFault` for it.  A segment's ``checkpoint()`` comes first,
+        and a page is charged to the stream by the rule in the class
+        docstring *before* it is pulled: an error leaves ``pages`` at
+        the segments before the one it came from, and a strict failure
+        its page charged.
         """
-        window = self._window
-        if window is None or not window.first <= index < window.stop:
+        checkpoint()
+        window = self._window_over(index)
+        if window is None:
             window = self._window = self._open_window(index)
-        settled = window.ready == window.stop  # nothing left to pull
         lost = self._lost
-        io_events = self.io_events
-        page_size = self.table.page_size
-        pages = []
-        for source, feed in zip(self._sources, window.feeds):
-            fifo = source.fifo
-            name = source.name
-            for page in range(source.first[index], source.last[index] + 1):
-                key = (name, page)
-                if key not in lost:
-                    buffered = fifo is not None and page in fifo
-                    if not buffered:
-                        io_events.pages_touched += 1
-                        io_events.bytes_read += page_size
-                        obs_metrics.SCHEDULER_SHARED_PAGES.inc()
-                    if not settled:
-                        self._pull(window, source, feed, page)
-                    if fifo is not None and not buffered and key not in lost:
-                        while len(fifo) >= self._CACHE_PAGES:
-                            del fifo[next(iter(fifo))]
-                        fifo[page] = None
-                pages.append((key, lost.get(key)))
-        if not settled:
+        feeds = list(zip(self._sources, window.feeds))
+        touched = 0
+        try:
+            for segment in range(index, stop):
+                if segment > index:
+                    checkpoint()
+                drawn = []
+                for source, feed in feeds:
+                    fifo = source.fifo
+                    name = source.name
+                    unpulled = feed.pages
+                    for page in range(source.first[segment], source.last[segment] + 1):
+                        key = (name, page)
+                        if key not in lost:
+                            buffered = fifo is not None and page in fifo
+                            if not buffered:
+                                touched += 1
+                            if feed.at < len(unpulled) and unpulled[feed.at] <= page:
+                                self._pull(window, source, feed, page)
+                            if fifo is not None and not buffered and key not in lost:
+                                while len(fifo) >= self._CACHE_PAGES:
+                                    del fifo[next(iter(fifo))]
+                                fifo[page] = None
+                        drawn.append((key, lost.get(key)))
+                pages.append(drawn)
+        finally:
+            self.io_events.pages_touched += touched
+            self.io_events.bytes_read += touched * self.table.page_size
+            obs_metrics.SCHEDULER_SHARED_PAGES.inc(touched)
             ready = window.stop
-            for source, feed in zip(self._sources, window.feeds):
+            for source, feed in feeds:
                 if feed.at < len(feed.pages):
                     # Settled: the segments wholly before the next unpulled page.
                     ready = bisect_left(source.last, feed.pages[feed.at], window.first, ready)
             window.ready = ready
-        return window, pages
+
+    def _window_over(self, index: int) -> _Window | None:
+        """The current window, if segment ``index`` is in it."""
+        window = self._window
+        if window is not None and window.first <= index < window.stop:
+            return window
+        return None
 
     def _open_window(self, index: int) -> _Window:
         """A window from segment ``index`` on; nothing is read yet."""
-        segments = self._segments
         stop = index + 1
-        limit = min(len(segments), index + self._unit_pages)
-        while stop < limit and any(stop in c._remaining for c in self._consumers):
+        limit = min(len(self._segments), index + self._unit_pages)
+        needs = [consumer._remaining for consumer in self._consumers]
+        while stop < limit:
+            for remaining in needs:
+                if stop in remaining:
+                    break
+            else:
+                break  # nobody needs it: the window ends here
             stop += 1
-        lo = segments[index][1]
-        bounds = np.array(
-            [seg_lo for _page, seg_lo, _hi in segments[index:stop]] + [segments[stop - 1][2]],
-            dtype=np.int64,
-        )
-        bounds -= lo
-        schema = self.table.schema
-        columns = {
-            name: np.zeros(int(bounds[-1]), dtype=schema.attribute(name).attr_type.numpy_dtype())
-            for name in self.attrs
-        }
+        bounds = self._starts[index : stop + 1]
+        lo = int(bounds[0])
+        bounds = bounds - lo
+        rows = int(bounds[-1])
+        columns = {name: np.zeros(rows, dtype=dtype) for name, dtype in self._dtypes.items()}
         self._windows_opened += 1
         window = _Window(
             serial=self._windows_opened,
@@ -457,7 +522,7 @@ class SharedScanStream:
             lo=lo,
             bounds=bounds,
             columns=columns,
-            valid=np.ones(int(bounds[-1]), dtype=bool),
+            valid=np.ones(rows, dtype=bool),
         )
         window.feeds = [self._open_feed(window, source) for source in self._sources]
         return window
@@ -494,7 +559,10 @@ class SharedScanStream:
             first_row = source.first_row(pages[at])
             for name, values in decoded.items():
                 start, stop, skipped = window.rows_of(first_row, len(values))
-                window.columns[name][start:stop] = values[skipped : skipped + stop - start]
+                if stop - start == len(values) == len(window.valid):
+                    window.columns[name] = values  # the piece is the window: no copy
+                else:
+                    window.columns[name][start:stop] = values[skipped : skipped + stop - start]
 
     @staticmethod
     def _invalidate(window: _Window, source: _Source, page: int) -> None:
@@ -509,11 +577,12 @@ class SharedScanConsumer(Scanner):
     A :class:`~repro.engine.operators.scan_core.Scanner` whose
     ``_receive`` is kernel + buffer: on the first delivery it sees from
     a window it filters and projects, in one predicate pass and one
-    copy (:meth:`Scanner._filter_pages`), the run of segments it still
-    needs from there; each delivery then *releases* one segment's
-    numbers — values examined, predicate and decode charges, projection
-    counts, the pages it drew on — exactly as a segment-at-a-time rider
-    would.  Once its full circular pass completes it emits the runs'
+    copy (:meth:`Scanner._filter_pages`), the segments delivered and the
+    settled ones it still needs after them; each delivery then
+    *releases* its run's numbers — values examined, predicate and decode
+    charges, projection counts, the pages it drew on — as one sum, equal
+    to what a segment-at-a-time rider is charged over the same
+    segments.  Once its full circular pass completes it emits the runs'
     blocks re-assembled into global Record-ID order, split into
     engine-sized logical blocks.  Byte-identical to a cold serial scan of
     the same query.
@@ -543,8 +612,9 @@ class SharedScanConsumer(Scanner):
         self._remaining = share.attach(self)
         #: ``(first segment, block)`` per filtered run with output.
         self._buffered: list[tuple[int, Block]] = []
-        #: The run being released: ``(window serial, first segment,
-        #: stop, per-segment numbers)``.  Holds no window data.
+        #: The filtered run being released: ``(window serial, first
+        #: segment, stop, running totals of its segments' numbers)``.
+        #: Holds no window data.
         self._prepared: tuple | None = None
         self._finalized = False
         self._seen_pages: set[tuple[str, int]] = set()
@@ -557,8 +627,9 @@ class SharedScanConsumer(Scanner):
 
     # --- stream side ------------------------------------------------------
 
-    def _receive(self, index: int, window: _Window, pages: list[tuple]) -> None:
-        """Process one delivered segment (called by the stream).
+    def _receive(self, index: int, stop: int, window: _Window, pages: list[list[tuple]]) -> None:
+        """Process one delivered run, segments ``[index, stop)`` (called
+        by the stream); ``pages[k]`` is what segment ``index + k`` drew on.
 
         Deliveries run during *whoever pumps* — often a peer's
         timeslice — yet mutate this consumer's own ``context.events``.
@@ -571,55 +642,61 @@ class SharedScanConsumer(Scanner):
         """
         tracer = self.context.tracer
         if tracer is None:
-            self._receive_inner(index, window, pages)
+            self._receive_inner(index, stop, window, pages)
             return
         frame = tracer.enter(self, "receive")
         try:
-            self._receive_inner(index, window, pages)
+            self._receive_inner(index, stop, window, pages)
         finally:
             tracer.exit(frame, self.context.events)
 
-    def _receive_inner(self, index: int, window: _Window, pages: list[tuple]) -> None:
-        self._remaining.discard(index)
+    def _receive_inner(
+        self, index: int, stop: int, window: _Window, pages: list[list[tuple]]
+    ) -> None:
+        self._remaining.difference_update(range(index, stop))
         # Copy what the stream's reads found into this query's report,
         # once per page (a column page may serve several segments).
         corruption = self.context.corruption
         seen = self._seen_pages
-        for key, fault in pages:
-            if key in seen:
-                continue
-            seen.add(key)
-            if fault is None:
-                corruption.pages_scanned += 1
-            else:
-                obs_metrics.PAGES_SALVAGED.inc()
-                corruption.faults.append(fault)
+        for drawn in pages[: stop - index]:
+            for key, fault in drawn:
+                if key in seen:
+                    continue
+                seen.add(key)
+                if fault is None:
+                    corruption.pages_scanned += 1
+                else:
+                    obs_metrics.PAGES_SALVAGED.inc()
+                    corruption.faults.append(fault)
 
-        prepared = self._prepared
-        if (
-            prepared is None
-            or prepared[0] != window.serial
-            or not prepared[1] <= index < prepared[2]
-        ):
-            prepared = self._prepare(index, window)
-        _serial, start, stop, numbers = prepared
-        count, _candidates, evals, eval_bytes, qualified, _offset = numbers[index - start]
         events = self.events
-        events.values_examined += count
-        events.predicate_evals += evals
-        events.predicate_eval_bytes += eval_bytes
-        self._charge_lazy_decodes(count, count if qualified else 0, qualified)
-        if qualified:
+        while index < stop:
+            prepared = self._prepared
+            if (
+                prepared is None
+                or prepared[0] != window.serial
+                or not prepared[1] <= index < prepared[2]
+            ):
+                prepared = self._prepare(index, stop, window)
+            _serial, first, last, sums = prepared
+            upto = min(stop, last)
+            count, evals, eval_bytes, qualified, on_hit_segments = (
+                total[upto - first] - total[index - first] for total in sums
+            )
+            events.values_examined += count
+            events.predicate_evals += evals
+            events.predicate_eval_bytes += eval_bytes
+            self._charge_lazy_decodes(count, on_hit_segments, qualified)
             self._charge_projection(qualified)
-        self._prepared = prepared if index + 1 < stop else None
+            self._prepared = prepared if upto < last else None
+            index = upto
 
-    def _prepare(self, index: int, window: _Window) -> tuple:
-        """Filter and project the run of settled segments still needed
-        from ``index`` on; nothing is charged before its release."""
-        remaining = self._remaining
-        stop = index + 1
-        while stop < window.ready and stop in remaining:
-            stop += 1
+    def _prepare(self, index: int, least: int, window: _Window) -> tuple:
+        """Filter and project segments ``[index, least)`` and the
+        settled ones still needed after them; nothing is charged before
+        its release.  A release charges differences of the running
+        totals kept here, one row per quantity."""
+        stop = _needed_until(self._remaining, least, window.ready)
         bounds = window.bounds[index - window.first : stop - window.first + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
         numbers, block = self._filter_pages(
@@ -630,7 +707,15 @@ class SharedScanConsumer(Scanner):
         )
         if len(block):
             self._buffered.append((index, block))
-        return window.serial, index, stop, numbers.T.tolist()
+        counts, _candidates, evals, eval_bytes, qualified, _offsets = numbers.tolist()
+        # Tuples on the segments with a qualifying tuple: what a codec
+        # that decodes whole pages is charged for a selected attribute.
+        on_hit = [count if hits else 0 for count, hits in zip(counts, qualified)]
+        sums = [
+            list(accumulate(row, initial=0))
+            for row in (counts, evals, eval_bytes, qualified, on_hit)
+        ]
+        return window.serial, index, stop, sums
 
     # --- operator side ----------------------------------------------------
 
@@ -638,21 +723,25 @@ class SharedScanConsumer(Scanner):
         """The ride began at attach: opening resets nothing, so a rider
         pumped to the end before it is drained keeps its blocks."""
 
-    def advance(self) -> bool:
-        """One cooperative timeslice: pump the stream one segment.
+    def advance(self, want: int = 1) -> bool:
+        """One cooperative timeslice: pump the stream one run, of at
+        most ``want`` segments (the scheduler asks for a window).
 
-        Returns True while more pumping is needed for *this* consumer;
-        once its pass is complete the output is finalized and False is
-        returned (drain the blocks with ``next()``).  Deliveries made
-        while a *peer* pumps shrink ``_remaining`` too, so a consumer
-        may finish without ever pumping itself.
+        One governance checkpoint per segment pumped, passed before the
+        segment is charged to anyone.  Returns True while more pumping
+        is needed for *this* consumer; once its pass is complete the
+        output is finalized and False is returned (drain the blocks with
+        ``next()``).  Deliveries made while a *peer* pumps shrink
+        ``_remaining`` too, so a consumer may finish without ever
+        pumping itself.
         """
         if self._finalized:
             return False
         if self.share.failed is not None:
             raise self.share.failed
-        self._governance_check()
-        if self._remaining and not self.share.step():
+        if not self._remaining:
+            self._governance_check()
+        elif not self.share.step(min(want, len(self._remaining)), self._governance_check):
             raise EngineError(
                 "shared scan stream stalled with segments outstanding"
             )
@@ -673,7 +762,7 @@ class SharedScanConsumer(Scanner):
 
     def _next(self, want: int | None) -> Block | None:
         while not self._finalized:
-            self.advance()
+            self.advance(self.share.window_segments)
         return self._pop(want)
 
     def _close(self) -> None:

@@ -125,11 +125,19 @@ class DeleteVector:
         return bool(self._bits[byte] & np.uint8(1 << bit))
 
     def set_many(self, positions) -> int:
-        """Mark a batch of positions deleted; returns how many were live."""
-        newly = 0
-        for position in np.asarray(positions, dtype=np.int64).tolist():
-            if self.set(position):
-                newly += 1
+        """Mark a batch of positions deleted, all or none; returns how
+        many were live (a position repeated in the batch counts once)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        outside = positions[(positions < 0) | (positions >= self._size)]
+        if outside.size:
+            raise StorageError(
+                f"position {int(outside[0])} outside delete vector [0, {self._size})"
+            )
+        positions = np.unique(positions)
+        newly = positions.size - int(np.count_nonzero(self.is_deleted(positions)))
+        np.bitwise_or.at(
+            self._bits, positions >> 3, np.left_shift(1, positions & 7).astype(np.uint8)
+        )
         return newly
 
     # --- vectorized views -------------------------------------------------
@@ -156,9 +164,8 @@ class DeleteVector:
 
     def count(self) -> int:
         """Popcount: how many positions are deleted."""
-        if self._size == 0:
-            return 0
-        return int(self.mask().sum())
+        # Bits past ``size`` are never set, so the bytes count as they are.
+        return int(np.unpackbits(self._bits).sum())
 
     @property
     def is_empty(self) -> bool:

@@ -105,6 +105,10 @@ class WriteOptimizedStore:
         self.memory_budget = memory_budget
         self._row_bytes = sum(attr.width for attr in schema)
         self._staged: list[tuple] = []
+        #: Bumped by every change to the staged tuples or the base they
+        #: follow; ``_columns`` is ``(version, staged columns)`` as last built.
+        self._version = 0
+        self._columns: tuple[int, dict[str, np.ndarray]] = (0, {})
         self._base_rows = 0
         self._deletes = DeleteVector(0)
         self._merging = False
@@ -155,6 +159,7 @@ class WriteOptimizedStore:
             )
         self._base_rows = int(num_rows)
         self._deletes = DeleteVector(self.total_rows)
+        self._version += 1
 
     def reset(self, base_rows: int) -> None:
         """Post-merge state: nothing staged, nothing deleted, new base."""
@@ -162,6 +167,7 @@ class WriteOptimizedStore:
         self._staged.clear()
         self._base_rows = int(base_rows)
         self._deletes = DeleteVector(base_rows)
+        self._version += 1
 
     # --- merge freeze -----------------------------------------------------
 
@@ -213,6 +219,7 @@ class WriteOptimizedStore:
                 f"exceeds the {self.memory_budget}-byte budget (merge to drain)"
             )
         self._staged.extend(rows)
+        self._version += 1
         self._deletes.grow(self.total_rows)
         # A level: every staged byte enters here and leaves in reset().
         obs_metrics.WRITE_STAGED_BYTES.inc(batch_bytes)
@@ -230,14 +237,22 @@ class WriteOptimizedStore:
     # --- reads ------------------------------------------------------------
 
     def staged_columns(self) -> dict[str, np.ndarray]:
-        """The staged tuples as columns (empty dict when nothing staged)."""
-        if not self._staged:
-            return {}
-        columns = {}
-        for index, attr in enumerate(self.schema):
-            raw = [row[index] for row in self._staged]
-            columns[attr.name] = np.asarray(raw, dtype=attr.attr_type.numpy_dtype())
-        return columns
+        """The staged tuples as columns (empty dict when nothing staged).
+
+        Built once per version of the store and shared by every read of
+        that version: the arrays are read-only, the dict is the caller's.
+        """
+        version, columns = self._columns
+        if version != self._version:
+            columns = {}
+            if self._staged:
+                for index, attr in enumerate(self.schema):
+                    raw = [row[index] for row in self._staged]
+                    column = np.asarray(raw, dtype=attr.attr_type.numpy_dtype())
+                    column.setflags(write=False)
+                    columns[attr.name] = column
+            self._columns = (self._version, columns)
+        return dict(columns)
 
     def match_staged(self, predicates) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """The staged columns, and which staged rows pass every predicate.

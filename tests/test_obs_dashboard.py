@@ -102,7 +102,7 @@ class TestCli:
     def test_frames_emit_intermediate_boards(self, capsys):
         assert (
             dashboard.main(
-                ["--clients", "4", "--rows", "2000", "--frames", "2", "--no-ansi"]
+                ["--clients", "4", "--rows", "2000", "--frames", "1", "--no-ansi"]
             )
             == 0
         )

@@ -113,10 +113,11 @@ def _drive_every_producer(monkeypatch) -> None:
     run_scan(table, QUERY)
 
     # Scheduler: healthy riders on one wrapping stream, a timeout in the
-    # queue, a cancel, a budget abort.
+    # queue, a cancel, a budget abort.  A timeslice pumps a window, so
+    # the stream's table is two windows long: 40 row pages.
+    table = load_table(generate_orders(5_000, seed=22), Layout.ROW)
     scheduler = Scheduler(max_inflight=4, share_scans=True)
     first = scheduler.submit(table, QUERY, label="rider 0")
-    scheduler.poll()
     scheduler.poll()
     assert scheduler.manager.live_streams(), "rider 0 must still be mid-pass"
     late = scheduler.submit(table, QUERY, label="rider 1 (mid-flight)")

@@ -349,3 +349,47 @@ def test_delete_vector_tail_bits_must_be_zero():
     struct.pack_into("<I", blob, header_struct.size, zlib.crc32(forged_head))
     with pytest.raises(StorageError, match="past its logical size"):
         DeleteVector.from_bytes(bytes(blob))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dv_vectors(), st.data())
+def test_delete_vector_set_many_matches_the_set_loop(built, data):
+    """One numpy pass marks what a loop over ``set`` marks, and counts
+    what it counts: a position repeated in the batch once, one deleted
+    before not at all."""
+    vector, _positions = built
+    size = vector.size
+    batch = data.draw(
+        st.lists(st.integers(min_value=0, max_value=max(size - 1, 0)), max_size=300)
+        if size
+        else st.just([])
+    )
+    looped = vector.copy()
+    newly = sum(looped.set(position) for position in batch)
+    assert vector.set_many(batch) == newly
+    assert vector == looped and vector.count() == looped.count()
+    assert vector.set_many(batch) == 0  # idempotent
+
+
+def test_delete_vector_set_many_is_all_or_none():
+    import pytest
+
+    vector = DeleteVector(100)
+    vector.set(7)
+    for batch, outside in (([5, 10**9], 10**9), ([10**9, 5], 10**9), ([5, -1], -1), ([5, 100], 100)):
+        with pytest.raises(StorageError, match=f"position {outside} outside"):
+            vector.set_many(batch)
+        assert vector.deleted_positions().tolist() == [7]  # 5 was not applied
+    assert vector.set_many([]) == 0 and vector.count() == 1
+    assert vector.set_many([5, 5, 7, 99]) == 2  # duplicates once, 7 was deleted
+    assert vector.deleted_positions().tolist() == [5, 7, 99]
+
+
+def test_delete_vector_set_many_spans_a_grow():
+    vector = DeleteVector(10)
+    assert vector.set_many([9]) == 1
+    vector.grow(1_000)  # past the allocated bytes
+    assert vector.set_many([9, 10, 63, 64, 999]) == 4
+    assert vector.deleted_positions().tolist() == [9, 10, 63, 64, 999]
+    assert vector.count() == 5 and DeleteVector.from_bytes(vector.to_bytes()) == vector
+    assert DeleteVector(0).set_many([]) == 0 and DeleteVector(0).count() == 0

@@ -12,28 +12,34 @@ scan of the same query.
 
 from __future__ import annotations
 
+import functools
 import gc
+import json
 import random
 import weakref
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.compression.base import CodecKind
 from repro.compression.registry import build_codec_for_values
+from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.generator import GeneratedTable
 from repro.data.tpch import generate_orders, orders_schema
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
+from repro.engine.governance import QueryContext
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
-from repro.errors import ChecksumError, PlanError
+from repro.errors import ChecksumError, PlanError, ReproError
 from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.table import ColumnTable
 from repro.testing.oracle import oracle_scan
+from tests import scan_golden as golden
 
 ROWS = 700
 
@@ -413,3 +419,192 @@ class TestShareManager:
         manager.discard(fresh)
         assert manager.live_streams() == []
         assert manager.io_pages() == 2 + table.file.num_pages
+
+
+# --- run length is not observable -------------------------------------------------
+
+
+def _run_length_table(dataset: str, layout: Layout, faulty: bool):
+    """``(table, calibration, queries)``: LINEITEM plain or Fig-5 at 4 KB
+    pages, four to the window, or the RLE / DICT / FOR ORDERS above at
+    256-byte pages, three to the window — every pass is many windows."""
+    if dataset == "orders":
+        data = _coded_orders(seed=11)
+        if layout is not Layout.COLUMN:
+            # RLE is a column codec: its runs do not fit a 256-byte row page.
+            plain = orders_schema().attribute("O_SHIPPRIORITY").codec_spec
+            data = data.with_schema(data.schema.with_codecs({"O_SHIPPRIORITY": plain}))
+        table = load_table(data, layout, page_size=256)
+        if faulty:
+            plan = FaultPlan(seed=7)
+            for page in golden.CORRUPT_PAGES:
+                plan.schedule_bit_flip(page, byte=11, bit=3)
+            plan.wrap_table(table)
+        price = predicate_for_selectivity("O_TOTALPRICE", data.columns["O_TOTALPRICE"], 0.3)
+        key = predicate_for_selectivity("O_ORDERKEY", data.columns["O_ORDERKEY"], 0.5)
+        queries = [
+            QUERY,
+            ScanQuery("ORDERS", select=QUERY.select, predicates=(price,)),
+            ScanQuery("ORDERS", select=("O_SHIPPRIORITY", "O_CUSTKEY"), predicates=(key,)),
+        ]
+        return table, DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=3 * 256), queries
+    table = golden._table(dataset, layout, faulty)
+    named = golden._queries(dataset)
+    queries = [named[name] for name in ("one-10pct", "two-10pct", "band", "text")]
+    return table, DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=4 * 4096), queries
+
+
+def _run_length_schedule(
+    rng: random.Random, segments: int, window: int, queries: int, wrap: bool
+) -> list:
+    """Who attaches when and who pumps how far, in segments — so the same
+    schedule can be driven at any run length.  ``("attach", query)`` or
+    ``("pump", rider, segments)``; every rider is pumped dry at the end.
+    With ``wrap`` a third rider joins just after the cursor has wrapped.
+
+    ``moved`` counts the segments delivered so far on a clean stream: a
+    rider attached at ``moved == a`` needs pumping until ``a + segments``.
+    """
+    schedule = [("attach", rng.randrange(queries))]
+    attached_at = [0]
+    moved = 0
+    for rider in range(1, rng.randint(3, 4) if wrap else rng.randint(1, 4)):
+        cursor = moved % segments
+        # Where the next rider joins: inside the window, on its edge or
+        # well into the pass.
+        distance = rng.choice(
+            [rng.randint(1, window - 1), window - cursor % window, rng.randint(window, segments - 1)]
+        )
+        if wrap and rider == 1:
+            distance = rng.randint(window + 1, segments - 1)
+        if wrap and rider == 2:
+            distance = segments - cursor + rng.randint(0, window)
+        while distance > 0:
+            live = [k for k, at in enumerate(attached_at) if moved < at + segments]
+            chunk = rng.randint(1, distance)
+            schedule.append(("pump", rng.choice(live), chunk))
+            distance -= chunk
+            moved += chunk
+        schedule.append(("attach", rng.randrange(queries)))
+        attached_at.append(moved)
+    return schedule
+
+
+def _drive_run_length(table, calibration, queries, schedule, strict: bool, run: int) -> dict:
+    """Drive ``schedule`` with pumps of ``run`` segments; 1 is the bare
+    ``advance()`` (and runs on the parent commit as written)."""
+    attrs = tuple(dict.fromkeys(name for query in queries for name in query.scan_attributes()))
+    stream = SharedScanStream(table, attrs, strict, calibration)
+    riders: list = []
+    raised: list = []
+
+    def pump(which: int, segments: float) -> None:
+        rider = riders[which]
+        if rider is None or raised[which] is not None:
+            return
+        governance = rider.context.governance
+        try:
+            while segments > 0:
+                before = governance.ticks
+                more = rider.advance() if run == 1 else rider.advance(int(min(run, segments)))
+                segments -= governance.ticks - before
+                if not more:
+                    break
+        except ReproError as exc:
+            raised[which] = type(exc).__name__
+            stream.detach(rider)
+
+    for action in schedule:
+        if action[0] == "pump":
+            pump(action[1], action[2])
+            continue
+        context = ExecutionContext(strict_integrity=strict, governance=QueryContext())
+        try:
+            rider = SharedScanConsumer(context, stream, queries[action[1]])
+            rider.open()
+            raised.append(None)
+        except ReproError as exc:  # the stream had failed already
+            rider = None
+            raised.append(type(exc).__name__)
+        riders.append(rider)
+    outcome = {"attach_cursors": [rider.attach_cursor for rider in riders if rider is not None]}
+    for which in range(len(riders)):
+        pump(which, float("inf"))
+    outcome["riders"] = []
+    for rider, error in zip(riders, raised):
+        blocks = []
+        if error is None:
+            while (block := rider.next()) is not None:
+                blocks.append(block)
+            rider.close()
+        record = golden._record(rider.context, blocks) if rider is not None else {}
+        outcome["riders"].append({**record, "raises": error})
+    outcome["stream"] = {
+        "io_events": stream.io_events.as_dict(),
+        "cursor": stream.cursor,
+        "failed": type(stream.failed).__name__,
+        "lost": sorted(
+            [file, page, fault.rows_lost] for (file, page), fault in stream._lost.items()
+        ),
+        "riders_left": len(stream.consumers),
+    }
+    return outcome
+
+
+#: CRC-32 of the run-of-one outcomes below, measured at the parent commit
+#: (347a23d, segment-at-a-time delivery): the reference is the old code.
+RUN_OF_ONE_AT_PARENT = {
+    ("plain", "ROW"): "9b1ad9df",
+    ("plain", "PAX"): "dd71d201",
+    ("plain", "COLUMN"): "fa70e291",
+    ("z", "ROW"): "ff81ff55",
+    ("z", "PAX"): "ae72b5e1",
+    ("z", "COLUMN"): "240d5e9d",
+    ("orders", "ROW"): "fbee379c",
+    ("orders", "PAX"): "5e69a51e",
+    ("orders", "COLUMN"): "4150ef0e",
+}
+
+
+def _run_length_cases(dataset: str, layout: Layout):
+    """``(window, strict, drive)`` per seeded case: ``drive(run)`` is the
+    case's outcome at that run length.  Odd seeds read the faulty
+    table, every other one of them strictly; every fourth seed has a
+    rider join after the wrap."""
+    for seed in range(8):
+        rng = random.Random(f"run-length-{dataset}-{layout.name}-{seed}")
+        faulty = seed % 2 == 1
+        strict = not faulty or seed % 4 == 3
+        table, calibration, queries = _run_length_table(dataset, layout, faulty)
+        attrs = tuple(dict.fromkeys(name for query in queries for name in query.scan_attributes()))
+        segments = SharedScanStream(table, attrs, True, calibration).num_segments
+        window = calibration.io_unit_bytes // table.page_size
+        assert segments > 3 * window
+        schedule = _run_length_schedule(rng, segments, window, len(queries), wrap=seed % 4 == 0)
+        yield window, strict, functools.partial(
+            _drive_run_length, table, calibration, queries, schedule, strict
+        )
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+@pytest.mark.parametrize("dataset", ["plain", "z", "orders"])
+def test_run_length_is_not_observable(dataset, layout):
+    """The same seeded schedule — 1 to 4 riders attaching at random
+    cursors, mid-window and after the wrap, clean, salvage and strict —
+    driven in runs of 1, 3, a window and more than a window: result
+    bytes, every rider's events, ticks and corruption report, the
+    stream's I/O, lost pages and cursor do not depend on the run."""
+    crc = 0
+    wrapped = mid_window = failed = lost = 0
+    for window, strict, drive in _run_length_cases(dataset, layout):
+        reference = drive(1)
+        for run in (3, window, window + 5):
+            assert drive(run) == reference, run
+        crc = zlib.crc32(json.dumps(reference, sort_keys=True).encode(), crc)
+        cursors = reference["attach_cursors"]
+        wrapped += any(b < a for a, b in zip(cursors, cursors[1:]))
+        mid_window += any(cursor % window for cursor in cursors)
+        failed += reference["stream"]["failed"] != "NoneType"
+        lost += bool(reference["stream"]["lost"])
+    assert wrapped and mid_window and failed and lost
+    assert f"{crc:08x}" == RUN_OF_ONE_AT_PARENT[dataset, layout.name]

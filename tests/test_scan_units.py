@@ -30,6 +30,7 @@ import gc
 import json
 import time
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedSca
 from repro.errors import (
     ChecksumError,
     CompressionError,
+    MemoryBudgetExceeded,
     PageFormatError,
     QueryCancelled,
     QueryTimeout,
@@ -1245,6 +1247,8 @@ def test_a_solo_pass_reads_each_unit_once(layout, fresh_telemetry):
 def _abort(governance, error) -> None:
     if error is QueryCancelled:
         governance.token.cancel("mid-window")
+    elif error is MemoryBudgetExceeded:
+        governance.budget_abort("mid-window spike", 64)
     else:
         governance.deadline = time.monotonic() - 1.0
 
@@ -1347,3 +1351,235 @@ class TestSharedGovernance:
                     assert got["peer"][key] == solo[key], (k, key)
         finally:
             gc.enable()
+
+
+# --- every exit of a run -----------------------------------------------------------
+
+#: Segments to the window in the run tests: small, so that every
+#: checkpoint of a window-long pump, and the first of the next, is tried.
+RUN_WINDOW = 8
+
+
+def _run_calibration():
+    return DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=RUN_WINDOW * 4096)
+
+
+def _pump(rider, run: int) -> bool:
+    """One pump of ``run`` segments; 1 is the bare ``advance()``, which
+    is also what the parent commit (segment-at-a-time delivery) runs."""
+    return rider.advance() if run == 1 else rider.advance(run)
+
+
+def _crc(outcomes) -> str:
+    return f"{zlib.crc32(json.dumps(outcomes, sort_keys=True).encode()):08x}"
+
+
+#: CRC-32 of the run-of-one outcomes of the two tests below, measured at
+#: the parent commit (347a23d): the reference is the old code.
+RUN_EXITS_AT_PARENT = {
+    ("abort", "ROW"): "022bf987",
+    ("fault", "ROW"): "afe9a68e",
+    ("abort", "COLUMN"): "fdd66943",
+    ("fault", "COLUMN"): "474a1a54",
+}
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN], ids=lambda l: l.name)
+class TestSharedRunExits:
+    """A pump of a window's run leaves, on every way out of it, what the
+    same segments pumped one ``advance()`` at a time leave."""
+
+    #: The peer pumps this many segments alone first: the rider joins
+    #: mid-window, and its first pump runs to the window's end.
+    ATTACH_AFTER = RUN_WINDOW + 3
+
+    @staticmethod
+    def _queries(data):
+        # One share key: the same attributes, different predicates and order.
+        return (
+            _select(data, ("L_COMMENT", "L_ORDERKEY"), ("L_ORDERKEY", 0.4)),
+            _select(data, ("L_ORDERKEY", "L_COMMENT")),
+        )
+
+    def _abort_ride(self, table, queries, k, error, beside: bool, run: int) -> dict:
+        """A rider that aborts at its ``k``-th checkpoint while pumping
+        runs of ``run`` segments, alone or beside an attached peer."""
+        calibration = _run_calibration()
+        manager = ScanShareManager()
+        peer = peer_context = None
+        if beside:
+            peer_context = ExecutionContext(calibration=calibration, governance=QueryContext())
+            peer = manager.acquire(table, queries[0], peer_context)
+            peer.open()
+            for _pump_ in range(self.ATTACH_AFTER):
+                peer.advance()
+
+        def hook(governance):
+            if governance.ticks == k:
+                _abort(governance, error)
+
+        context = ExecutionContext(
+            calibration=calibration, governance=QueryContext(memory_budget=1, on_tick=hook)
+        )
+        rider = manager.acquire(table, queries[1], context)
+        rider.open()
+        stream = rider.share
+        with pytest.raises(error):
+            while True:
+                _pump(rider, run)
+        at_abort = {"cursor": stream.cursor, "io_events": stream.io_events.as_dict()}
+        # Mid-window (none is open before the first checkpoint is passed):
+        # the rider is let go of while the test still holds it.
+        window = stream._window
+        window_column = window and weakref.ref(next(iter(window.columns.values())))
+        del window
+        manager.discard(rider)
+        blocks = []
+        if beside:
+            while (block := peer.next()) is not None:
+                blocks.append(block)
+            peer.close()
+        assert not window_column or window_column() is None, "a discarded rider kept the window"
+        assert manager.live_streams() == []
+        return {
+            "rider_ticks": context.governance.ticks,
+            "rider_events": context.events.as_dict(),
+            "rider_pages_scanned": context.corruption.pages_scanned,
+            "rider_held": rider._held,
+            "peer": _record(peer_context, blocks) if beside else None,
+            "at_abort": at_abort,
+            "io_events": stream.io_events.as_dict(),
+            "cursor": stream.cursor,
+        }
+
+    def _abort_outcomes(self, layout, run: int) -> dict:
+        """Every checkpoint of the rider's first pump (to the window's
+        end when it joined beside the peer) and into the next window,
+        for each kind of abort, alone and beside the peer."""
+        data = _shared_case("plain")[0]
+        table = _shared_table("plain", layout)
+        queries = self._queries(data)
+        outcomes = {}
+        gc.disable()
+        try:
+            for beside in (False, True):
+                for error in (QueryCancelled, QueryTimeout, MemoryBudgetExceeded):
+                    for k in range(1, RUN_WINDOW + 3):
+                        outcomes[f"{beside} {error.__name__} {k}"] = self._abort_ride(
+                            table, queries, k, error, beside, run
+                        )
+        finally:
+            gc.enable()
+        return outcomes
+
+    def test_an_abort_at_each_checkpoint_of_a_run(self, layout):
+        reference = self._abort_outcomes(layout, 1)
+        for run in (3, RUN_WINDOW, RUN_WINDOW + 5):
+            for case, got in self._abort_outcomes(layout, run).items():
+                assert got == reference[case], (case, run)
+        for case, want in reference.items():
+            beside, k = case.startswith("True"), int(case.split()[-1])
+            # The typed error at that checkpoint, no block, and exactly
+            # the segments before it delivered and charged.
+            assert want["rider_ticks"] == k and want["rider_held"] is None
+            assert want["rider_pages_scanned"] >= k - 1
+            attach = self.ATTACH_AFTER if beside else 0
+            assert want["at_abort"]["cursor"] == attach + k - 1
+            if layout is not Layout.COLUMN:
+                assert want["at_abort"]["io_events"]["pages_touched"] == attach + k - 1
+        assert _crc(reference) == RUN_EXITS_AT_PARENT["abort", layout.name]
+
+    def _fault_ride(self, data, layout, queries, victim: int, strict: bool, run: int) -> dict:
+        """Two riders from segment 0, the first pumping runs of ``run``,
+        over a table whose driving page ``victim`` is corrupt."""
+        table = load_table(data, layout, page_size=4096)
+        file = table.file if layout is not Layout.COLUMN else table.column_file("L_COMMENT").file
+        file._data[victim * file.page_size + 97] ^= 0xFF
+        calibration = _run_calibration()
+        manager = ScanShareManager()
+        contexts = [
+            ExecutionContext(
+                calibration=calibration, strict_integrity=strict, governance=QueryContext()
+            )
+            for _query in queries
+        ]
+        riders = [
+            manager.acquire(table, query, context) for query, context in zip(queries, contexts)
+        ]
+        assert riders[0].share is riders[1].share
+        stream = riders[0].share
+        raised = [None, None]
+        blocks: list = [[], []]
+        for which, rider in enumerate(riders):
+            rider.open()
+            try:
+                while _pump(rider, run):
+                    pass
+                while (block := rider.next()) is not None:
+                    blocks[which].append(block)
+                rider.close()
+            except ReproError as exc:
+                raised[which] = type(exc).__name__
+        window = stream._window
+        window_column = window and weakref.ref(next(iter(window.columns.values())))
+        del window
+        for rider in riders:
+            manager.discard(rider)
+        # (A failed stream's window lives as long as its error's traceback.)
+        if stream.failed is None:
+            assert window_column is None or window_column() is None
+        assert manager.live_streams() == []
+        outcome = {
+            "failed": type(stream.failed).__name__,
+            "cursor": stream.cursor,
+            "io_events": stream.io_events.as_dict(),
+            "shared_io_pages": manager.io_pages(),
+        }
+        for which, label in enumerate(("first", "second")):
+            outcome[label] = {**_record(contexts[which], blocks[which]), "raises": raised[which]}
+        return outcome
+
+    def _fault_outcomes(self, layout, run: int) -> dict:
+        """Strict and salvage rides over a corrupt page at the first, the
+        second, a middle and the last segment of the first window, and
+        at the first of the next."""
+        data = _shared_case("plain")[0]
+        queries = self._queries(data)
+        outcomes = {}
+        gc.disable()
+        try:
+            for strict in (True, False):
+                for victim in (0, 1, RUN_WINDOW // 2, RUN_WINDOW - 1, RUN_WINDOW):
+                    outcomes[f"{strict} {victim}"] = self._fault_ride(
+                        data, layout, queries, victim, strict, run
+                    )
+        finally:
+            gc.enable()
+        return outcomes
+
+    def test_a_corrupt_page_at_the_first_a_middle_and_the_last_segment(self, layout):
+        reference = self._fault_outcomes(layout, 1)
+        for run in (3, RUN_WINDOW, RUN_WINDOW + 5):
+            for case, got in self._fault_outcomes(layout, run).items():
+                assert got == reference[case], (case, run)
+        for case, want in reference.items():
+            strict, victim = case.startswith("True"), int(case.split()[-1])
+            if not strict:
+                assert want["failed"] == "NoneType"
+                assert [page for _file, page, _rows in want["first"]["faults"]] == [victim]
+                assert want["first"]["faults"] == want["second"]["faults"]
+                continue
+            # Strict: the failing page is charged, the cursor is on its
+            # segment, every segment before it was delivered — to the
+            # pumping rider and to its peer.
+            assert want["failed"] == "ChecksumError"
+            assert want["first"]["raises"] == want["second"]["raises"] == "ChecksumError"
+            assert want["cursor"] == victim
+            assert want["first"]["ticks"] == victim + 1
+            assert want["first"]["pages_scanned"] >= victim
+            assert want["second"]["events"].get("values_examined", 0) == want["first"][
+                "events"
+            ].get("values_examined", 0)
+            if layout is not Layout.COLUMN:
+                assert want["io_events"]["pages_touched"] == victim + 1
+        assert _crc(reference) == RUN_EXITS_AT_PARENT["fault", layout.name]

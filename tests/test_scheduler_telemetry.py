@@ -147,18 +147,27 @@ class TestBoard:
     def test_board_exposes_live_shared_streams(self, workload):
         table, queries = workload
         scheduler = Scheduler(max_inflight=8, share_scans=True)
+        boards = []
         for index, query in enumerate(queries):
-            scheduler.submit(table, query, label=f"stream q{index}")
+            # The table is one window long, so the whole pass is the
+            # first rider's first timeslice: the board is read from
+            # inside it, at that rider's checkpoints.
+            scheduler.submit(
+                table,
+                query,
+                label=f"stream q{index}",
+                on_tick=(lambda _governance: boards.append(scheduler.board()["streams"]))
+                if index == 0
+                else None,
+            )
         assert scheduler.poll()
-        streams = scheduler.board()["streams"]
+        assert boards[0] == []  # its admission check: no stream yet
+        streams = boards[1]
         assert len(streams) == 1
         stream = streams[0]
         assert stream["table"] == "ORDERS"
         assert stream["segments"] > 0
-        # A rider may already have finished off its peers' pumps in the
-        # first round, so the board shows between 1 and all of them.
-        riders = set(stream["riders"])
-        assert riders and riders <= {f"stream q{i}" for i in range(len(queries))}
+        assert set(stream["riders"]) == {f"stream q{i}" for i in range(len(queries))}
         scheduler.run()
         assert scheduler.board()["streams"] == []
 

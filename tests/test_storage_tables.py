@@ -144,6 +144,39 @@ class TestWriteStore:
         with pytest.raises(SchemaError):
             store.insert((1, 2, 3))
 
+    def test_staged_columns_are_built_once_per_write(self, orders_data):
+        """One rebuild per version of the store: reads between two writes
+        share read-only arrays, a write (or a merge's reset) drops them,
+        and what a read or a merge makes of them is its own copy."""
+        from repro.storage.write_store import WriteOptimizedStore
+
+        table = load_table(orders_data, Layout.COLUMN)
+        store = WriteOptimizedStore(orders_data.schema)
+        store.attach_base(table.num_rows)
+        assert store.staged_columns() == {}
+        rows = [(1, 1, 42, b"O", b"5-LOW", 777, 0), (2, 2, 43, b"F", b"1-URGENT", 888, 0)]
+        store.insert(rows[0])
+        first = store.staged_columns()
+        again, _live = store.match_staged(())
+        assert all(again[name] is column for name, column in first.items())
+        assert not any(column.flags.writeable for column in first.values())
+        first.pop("O_CUSTKEY")  # the dict is the caller's
+        assert "O_CUSTKEY" in store.staged_columns()
+        store.delete([0])  # a delete does not touch the staged tuples
+        assert store.staged_columns()["O_ORDERKEY"] is first["O_ORDERKEY"]
+        with pytest.raises(SchemaError):
+            store.insert_many([rows[1], (1, 2, 3)])  # refused whole: same version
+        assert store.staged_columns()["O_ORDERKEY"] is first["O_ORDERKEY"]
+        store.insert(rows[1])
+        second = store.staged_columns()
+        assert second["O_ORDERKEY"] is not first["O_ORDERKEY"]
+        assert second["O_CUSTKEY"].tolist() == [42, 43] and first["O_ORDERKEY"].tolist() == [1]
+        merged = store.merged_columns(table.columns_dict())
+        assert all(column.flags.writeable for column in merged.values())
+        assert len(merged["O_CUSTKEY"]) == table.num_rows + 1
+        store.reset(table.num_rows)
+        assert store.staged_columns() == {}
+
     def test_merge_without_staged_rows_is_identity(self, orders_data):
         from repro.storage.write_store import WriteOptimizedStore
 
