@@ -103,10 +103,19 @@ workload-bench:
 # faults and cursor of the segment-at-a-time stream, pinned at the
 # parent of PR 24), every exit of a window-long pump (an abort at each
 # checkpoint, a corrupt page at the first, a middle and the last
-# segment), chaos under concurrency, the parallel worker fleet, and
-# every result shape on every executor through the one plan builder.
+# segment), queued riders (a query that boards a live stream while it
+# waits for admission: results, events and corruption pinned at
+# b530eec, before queued queries boarded, in tests/test_scan_sharing.py, one stream per column
+# set per batch, a boarding pass that looks up only what changed; every
+# exit of a queued rider — timeout, cancel, a killed pumping peer, a
+# strict stream failure — in tests/test_scheduler_chaos.py::
+# TestQueuedRiders; stream and window freed by reference count in
+# tests/test_scheduler_equivalence.py), chaos under concurrency, the
+# parallel worker fleet, and every result shape on every executor
+# through the one build_plan.
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
-# what a timeslice pumps may move poll() rounds, never an event.
+# what a timeslice pumps, or who rides while queued, may move poll()
+# rounds, stream counts and stream I/O, never a query's event.
 scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
 		tests/test_scan_units.py::TestSharedRunExits \

@@ -8,16 +8,17 @@ sharing arm:
 
 1. **correctness (hard gate)** — every handle's result must be
    byte-identical to the serial scan of the same query;
-2. **I/O gate (hard)** — with >= 2 co-running clients, shared scans
-   must *strictly* reduce the scheduler's modeled I/O bytes versus the
-   sharing-off arm (the circular stream reads each page once per pass
-   instead of once per rider);
+2. **I/O gate (hard)** — at every client count the modeled I/O that
+   sharing saves over the sharing-off arm must reach the iosim model's
+   share for the same clients (:func:`repro.iosim.measure_competing_scans`,
+   all arriving together) less 0.1 point: one circular pass serves the
+   whole batch, queued clients included, so 64 clients read the table
+   once, not once per admission window of ``MAX_INFLIGHT``;
 3. **latency + throughput** — p50/p95/p99 of per-query latency (queue
    time included, as governance counts it) and queries/second from the
    batch makespan;
-4. **paper-scale model** — :func:`repro.iosim.measure_competing_scans`
-   numbers for the same client counts on the simulated disk array
-   (machine-independent shape of Figure 11).
+4. **paper-scale model** — the same model's numbers on the simulated
+   disk array (machine-independent shape of Figure 11).
 
 Emits a provenance-stamped ``bench_workload_throughput.json`` under
 ``--out`` for the CI artifact upload.
@@ -53,6 +54,8 @@ SELECTIVITY = 0.30
 SELECT = ("O_ORDERKEY", "O_CUSTKEY", "O_TOTALPRICE", "O_ORDERDATE")
 CLIENT_COUNTS = (1, 4, 16, 64)
 MAX_INFLIGHT = 8
+#: How far below the model's I/O saving the measured one may fall.
+IO_SAVED_SLACK = 0.001
 
 
 def _workload():
@@ -127,6 +130,12 @@ def main(argv: list[str] | None = None) -> int:
         f"max_inflight={MAX_INFLIGHT}"
     )
 
+    # Paper-scale model: the same client counts on the simulated array,
+    # all arriving together (the worst competing-scans regime).
+    points = {
+        clients: measure_competing_scans(table_bytes, [0.0] * clients)
+        for clients in CLIENT_COUNTS
+    }
     arms = []
     ok = True
     for clients in CLIENT_COUNTS:
@@ -141,26 +150,18 @@ def main(argv: list[str] | None = None) -> int:
             f"p99 {on['latency_p99_seconds'] * 1e3:6.1f} ms | "
             f"off {off['qps']:7.1f} qps | io saved {saved:6.1%}"
         )
-        if clients >= 2:
-            gate = on["modeled_io_bytes"] < off["modeled_io_bytes"]
-            ok = ok and gate
-            if not gate:
-                print(
-                    f"  FAIL: sharing did not reduce modeled I/O at "
-                    f"{clients} clients ({on['modeled_io_bytes']} >= "
-                    f"{off['modeled_io_bytes']})"
-                )
+        target = points[clients].io_savings - IO_SAVED_SLACK
+        if saved < target:
+            ok = False
+            print(
+                f"  FAIL: sharing saved {saved:.2%} of modeled I/O at {clients} "
+                f"clients, below the model's {points[clients].io_savings:.2%} - 0.1 pt"
+            )
     print(
         "correctness: every concurrent result byte-identical to serial; "
         f"I/O gate {'OK' if ok else 'FAIL'}"
     )
-
-    # Paper-scale model: the same client counts on the simulated array,
-    # all arriving together (the worst competing-scans regime).
-    model = {}
-    for clients in CLIENT_COUNTS:
-        point = measure_competing_scans(table_bytes, [0.0] * clients)
-        model[str(clients)] = point.as_dict()
+    for clients, point in points.items():
         print(
             f"model: {clients:>2} clients -> sharing saves "
             f"{point.io_savings:.1%} of bytes, {point.speedup:.2f}x makespan"
@@ -176,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 "max_inflight": MAX_INFLIGHT,
                 "client_counts": list(CLIENT_COUNTS),
                 "arms": arms,
-                "model": model,
+                "model": {str(clients): point.as_dict() for clients, point in points.items()},
                 "ok": ok,
                 "provenance": provenance(),
             },

@@ -12,16 +12,23 @@ segment *inside* it, so a query's ticks, charges and typed-error points
 are those of a segment-at-a-time ride and only the interleaving of
 ``poll()`` rounds is coarser.
 
-* **Admission control** — at most ``max_inflight`` queries execute at
-  once; the rest wait in a FIFO queue.  A query's governance deadline
-  starts at *submit* time, so queue time counts against it and a query
-  whose deadline lapses while queued fails fast with
-  :class:`~repro.errors.QueryTimeout` without ever running.
-* **Shared scans** — co-running queries over the same table and column
-  set attach to one circular :class:`~repro.engine.sharing.
+* **Admission control** — at most ``max_inflight`` queries advance at
+  once; the rest wait in a FIFO queue.  ``max_inflight`` bounds the
+  queries that advance, not the ones that receive: once the window is
+  full, a queued query whose share key names a live stream *boards* it
+  — its plan is built there and then, attached at the stream's cursor —
+  and takes its segments off its peers' pumps while it waits; admission
+  then runs that plan.  A query's governance deadline starts at
+  *submit* time, so queue time counts against it and a query whose
+  deadline lapses (or that is cancelled) while queued fails fast at
+  admission with :class:`~repro.errors.QueryTimeout` (or
+  :class:`~repro.errors.QueryCancelled`) without ever advancing — a
+  rider that boarded leaves its stream first.
+* **Shared scans** — queries over the same table and column set, running
+  or queued, attach to one circular :class:`~repro.engine.sharing.
   SharedScanStream` (I/O once, per-consumer CPU), mirroring the
   Figure 11 competing-scans model (:func:`repro.iosim.sharing.
-  measure_competing_scans`).
+  measure_competing_scans`): a batch reads each column set once.
 * **Isolation** — each query runs under its own
   :class:`~repro.engine.context.ExecutionContext` and
   :class:`~repro.engine.governance.QueryContext`; one query's timeout,
@@ -59,7 +66,7 @@ from repro.engine.executor import QueryResult
 from repro.engine.governance import CancellationToken, QueryContext
 from repro.engine.plan import ColumnScannerKind, scan_plan
 from repro.engine.query import Query, ScanQuery
-from repro.engine.sharing import ScanShareManager, SharedScanConsumer
+from repro.engine.sharing import ScanShareManager, SharedScanConsumer, share_key
 from repro.errors import EngineError, PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.explain import render_explain
@@ -127,6 +134,12 @@ class QueryHandle:
         self.error: Exception | None = None
         #: True when the query rode a shared scan stream.
         self.shared = False
+        #: Its :func:`~repro.engine.sharing.share_key` when the scheduler
+        #: shares scans, computed once at submit.
+        self.share_key: tuple | None = None
+        #: ``(plan, context)`` built when it boarded a live stream while
+        #: queued; its admission takes it.
+        self._built: tuple | None = None
         #: Cooperative timeslices granted so far.
         self.slices = 0
         #: Command that reproduces this query's failure (chaos cases
@@ -237,6 +250,11 @@ class Scheduler:
         #: Every finished query is offered to the batch slow-query log.
         self.slowlog = slowlog if slowlog is not None else SlowQueryLog()
         self._queue: deque[QueryHandle] = deque()
+        #: Queued handles not riding yet, by share key, in queue order.
+        self._unboarded: dict[tuple, deque[QueryHandle]] = {}
+        #: Share keys to look up at the next boarding pass: those of
+        #: handles submitted, or streams opened, since the last one.
+        self._board_keys: dict[tuple, None] = {}
         #: ``(handle, timeslice generator, plan)`` per admitted query.
         self._active: list[tuple] = []
         self._handles: list[QueryHandle] = []
@@ -302,6 +320,10 @@ class Scheduler:
         handle.post = post
         self._handles.append(handle)
         self._queue.append(handle)
+        if self.share_scans:
+            key = handle.share_key = share_key(table, query, not salvage)
+            self._unboarded.setdefault(key, deque()).append(handle)
+            self._board_keys[key] = None
         flight.record(
             "scheduler.submit",
             governance.label,
@@ -316,14 +338,25 @@ class Scheduler:
         while self._queue and len(self._active) < self.max_inflight:
             handle = self._queue.popleft()
             handle.admitted_at = time.monotonic()
+            built, handle._built = handle._built, None
+            if built is None and handle.share_key is not None:
+                self._unboard(handle)
             try:
                 # Queue time is charged to the deadline: a query that
-                # waited past it fails here without running a page.
+                # waited past it fails here without advancing a page.
                 handle.governance.check("admission")
-                plan, context = self._build_plan(handle)
+                if built is None:
+                    built = self._build_plan(handle)
+                    if handle.share_key is not None:
+                        # It may have opened a stream its queue can board.
+                        self._board_keys[handle.share_key] = None
             except ReproError as exc:
+                if built is not None:
+                    # It rode while queued: leave the stream to its peers.
+                    self.manager.discard(built[0])
                 self._finish(handle, exc)
                 continue
+            plan, context = built
             handle.state = QueryState.RUNNING
             self._active.append(
                 (handle, self._execute(handle, plan, context), plan)
@@ -334,6 +367,28 @@ class Scheduler:
                 queue_s=round(handle.queue_seconds or 0.0, 6),
                 inflight=len(self._active),
             )
+        if self._queue and self._board_keys:
+            self._board()
+
+    def _board(self) -> None:
+        """The window is full: each queued handle whose share key names a
+        live stream boards it, its plan built now, and receives segments
+        off its peers' pumps until admission runs that plan.  Only keys
+        submitted or opened since the last pass are looked up."""
+        keys, self._board_keys = self._board_keys, {}
+        for key in keys:
+            if key not in self._unboarded or self.manager.live_stream(key) is None:
+                continue
+            for handle in self._unboarded.pop(key):
+                handle._built = self._build_plan(handle)
+
+    def _unboard(self, handle: QueryHandle) -> None:
+        """``handle`` leaves the queue without having boarded: the queue
+        is FIFO and a pass boards a key's whole line, so it heads its own."""
+        waiting = self._unboarded[handle.share_key]
+        waiting.popleft()
+        if not waiting:
+            del self._unboarded[handle.share_key]
 
     def _build_plan(self, handle: QueryHandle):
         context = ExecutionContext(governance=handle.governance)
@@ -343,7 +398,14 @@ class Scheduler:
             context.tracer = SpanTracer()
             handle._tracer = context.tracer
         if self.share_scans:
-            plan = self.manager.acquire(handle.table, handle.query, context)
+            plan = self.manager.acquire(
+                handle.table,
+                handle.query,
+                context,
+                handle.share_key,
+                # Not admitted yet: it boards while it waits.
+                queued=handle.admitted_at is None,
+            )
             handle.shared = True
         else:
             plan = scan_plan(
@@ -562,9 +624,16 @@ class Scheduler:
         return total
 
     def board(self) -> dict:
-        """Live scheduler board for the dashboard: queues, riders, streams."""
+        """Live scheduler board for the dashboard: queues, riders, streams
+        (each stream's ``queued`` lists its riders still waiting for
+        admission)."""
+        queued = [handle.governance.label for handle in self._queue]
+        waiting = set(queued)
+        streams = self.manager.board()
+        for stream in streams:
+            stream["queued"] = [label for label in stream["riders"] if label in waiting]
         return {
-            "queued": [handle.governance.label for handle in self._queue],
+            "queued": queued,
             "running": [
                 {
                     "label": handle.governance.label,
@@ -574,7 +643,7 @@ class Scheduler:
                 }
                 for handle, _, _ in self._active
             ],
-            "streams": self.manager.board(),
+            "streams": streams,
             "jobs": [
                 {
                     "label": job.label,

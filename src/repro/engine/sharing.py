@@ -31,9 +31,10 @@ engine-side implementation lives here:
   re-assembled into global Record-ID order before emission, so the
   result is byte-identical to a cold serial scan.
 * :class:`ScanShareManager` — the attach point: queries over the same
-  table, column set, and integrity mode join the in-progress stream;
-  everything else gets a fresh one.  A stream is dropped with its last
-  rider; its I/O totals stay.
+  table, column set, and integrity mode join the in-progress stream —
+  running, or still queued for admission — and everything else gets a
+  fresh one.  A stream is dropped with its last rider; its I/O totals
+  stay.
 
 Salvage mode drops the union of corrupt-page row spans across the
 needed columns — exactly the rows a serial salvage scan would lose —
@@ -599,7 +600,7 @@ class SharedScanConsumer(Scanner):
         query: ScanQuery,
     ):
         super().__init__(context, share.table, query.select, query.predicates)
-        missing = set(query.scan_attributes()) - set(share.attrs)
+        missing = set(self._attrs).difference(share.attrs)
         if missing:
             raise PlanError(
                 f"shared stream lacks attributes {sorted(missing)} "
@@ -775,10 +776,13 @@ class ScanShareManager:
     Streams are keyed by (table identity, needed column set, integrity
     mode); a query matching a stream that still has riders attaches to
     it mid-flight (share *hit*), anything else starts a fresh stream
-    (share *miss*).  A stream is dropped when its last rider detaches —
-    its I/O totals are folded into the manager's counters for
-    workload-level accounting, and nothing of it stays reachable from
-    here.
+    (share *miss*).  A rider need not be running to attach: the
+    scheduler boards a query still waiting for admission onto the live
+    stream its key names (:meth:`live_stream`), and it receives its
+    segments off its peers' pumps while it waits.  A stream is dropped
+    when its last rider — running or queued — detaches: its I/O totals
+    are folded into the manager's counters for workload-level
+    accounting, and nothing of it stays reachable from here.
     """
 
     def __init__(self) -> None:
@@ -790,13 +794,22 @@ class ScanShareManager:
         self.misses = 0
 
     def acquire(
-        self, table: Table, query: ScanQuery, context: ExecutionContext
+        self,
+        table: Table,
+        query: ScanQuery,
+        context: ExecutionContext,
+        key: tuple | None = None,
+        queued: bool = False,
     ) -> SharedScanConsumer:
         """A consumer for ``query``, shared with compatible live scans.
 
-        A fresh stream reads by the I/O unit of ``context``'s calibration.
+        ``key`` is the query's :func:`share_key` when the caller has it
+        already; ``queued`` marks a rider that boards while it waits for
+        admission (the ``share.attach`` event says so).  A fresh stream
+        reads by the I/O unit of ``context``'s calibration.
         """
-        key = share_key(table, query, context.strict_integrity)
+        if key is None:
+            key = share_key(table, query, context.strict_integrity)
         stream = self._streams.get(key)
         if stream is not None and stream.failed is not None:
             # Its riders are on their way out; it charges nothing more.
@@ -828,8 +841,14 @@ class ScanShareManager:
             hit=int(hit),
             miss=int(not hit),
             hit_ratio=self.hits / (self.hits + self.misses),
+            queued=int(queued),
         )
         return consumer
+
+    def live_stream(self, key: tuple) -> SharedScanStream | None:
+        """The live, healthy stream a query with share key ``key`` would join."""
+        stream = self._streams.get(key)
+        return stream if stream is not None and stream.failed is None else None
 
     def _retire(self, key: tuple, stream: SharedScanStream) -> None:
         """Drop ``stream`` (no riders left, or failed), keeping its totals."""

@@ -111,6 +111,8 @@ def render_board(
             riders = ", ".join(stream["riders"][:4])
             if len(stream["riders"]) > 4:
                 riders += f", +{len(stream['riders']) - 4}"
+            if stream["queued"]:
+                riders += f" ({len(stream['queued'])} queued)"
             lines.append(
                 f"  {stream['table']:<10} segment {stream['cursor']}/"
                 f"{stream['segments']}  riders: {riders}"

@@ -26,14 +26,22 @@ from repro.compression.base import CodecKind
 from repro.compression.registry import build_codec_for_values
 from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.generator import GeneratedTable
-from repro.data.tpch import generate_orders, orders_schema
+from repro.data.tpch import (
+    apply_fig5_compression,
+    generate_lineitem,
+    generate_orders,
+    orders_schema,
+)
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
 from repro.engine.governance import QueryContext
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
+from repro.engine.scheduler import QueryState, Scheduler
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
 from repro.errors import ChecksumError, PlanError, ReproError
+from repro.obs import recorder as flight
+from repro.obs.slowlog import SlowQueryLog
 from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -608,3 +616,154 @@ def test_run_length_is_not_observable(dataset, layout):
         lost += bool(reference["stream"]["lost"])
     assert wrapped and mid_window and failed and lost
     assert f"{crc:08x}" == RUN_OF_ONE_AT_PARENT[dataset, layout.name]
+
+
+# --- riding while queued is not observable ----------------------------------------
+
+
+#: Golden queries by share key: the members of a family read one column set.
+QUEUED_FAMILIES = {
+    "one": ("one-0.1pct", "one-10pct", "one-100pct"),
+    "two": ("two-0.1pct", "two-10pct", "two-100pct"),
+    "band": ("band",),
+    "all16": ("all16",),
+    "text": ("text",),
+}
+
+
+def _queued_tables(dataset: str, layout: Layout) -> list:
+    """LINEITEM one window long (400 rows) and several: 3,000 rows (38-116
+    row pages), 7,000 for COLUMN (its ``band`` / ``all16`` files 49-51
+    pages)."""
+    tables = []
+    for rows in (400, 7_000 if layout is Layout.COLUMN else golden.ROWS):
+        data = generate_lineitem(rows, seed=golden.SEED)
+        tables.append(load_table(apply_fig5_compression(data) if dataset == "z" else data, layout))
+    return tables
+
+
+def _queued_outcomes(dataset: str, layout: Layout) -> tuple[list, int, int]:
+    """Seeded batches with a queue: 2-3 share keys, ``max_inflight`` 1-4,
+    one salvage query mixed in, a second wave submitted after 1-2 rounds.
+
+    Asserts each handle's result bytes against its serial ``run_scan``
+    and returns ``(outcomes, boarded, boarded mid-pass)``: per handle its
+    events and corruption report (faults sorted: a rider's attach point
+    orders them), and how many ``share.attach`` events were of a queued
+    rider, and how many of those boarded past cursor 0.  Runs as written
+    on the parent commit, where no rider boards.
+    """
+    named = golden._queries(dataset)
+    outcomes, boarded, mid_pass = [], 0, 0
+    for size, table in enumerate(_queued_tables(dataset, layout)):
+        for seed in range(4):
+            rng = random.Random(f"queued-riders-{dataset}-{layout.name}-{size}-{seed}")
+            # ``band`` reads several windows of every larger table: the
+            # first query pumps it, so later waves board it mid-pass.
+            others = sorted(set(QUEUED_FAMILIES) - {"band"})
+            families = ["band", *rng.sample(others, rng.randint(1, 2))]
+            queries = [named["band"]] + [
+                named[rng.choice(QUEUED_FAMILIES[rng.choice(families)])]
+                for _ in range(rng.randint(7, 11))
+            ]
+            salvaged = rng.randrange(len(queries))
+            max_inflight = rng.randint(1, 4)
+            # The first wave overfills the window, so the second one queues.
+            split = rng.randint(max_inflight + 1, len(queries) - 2)
+            polls = rng.randint(1, 2)
+            scheduler = Scheduler(max_inflight=max_inflight)
+            flight.RECORDER.clear()
+            handles = []
+            for index, query in enumerate(queries):
+                if index == split:
+                    for _ in range(polls):
+                        scheduler.poll()
+                handles.append(scheduler.submit(table, query, salvage=index == salvaged))
+            scheduler.run()
+            for index, (handle, query) in enumerate(zip(handles, queries)):
+                serial = run_scan(table, query, salvage=index == salvaged)
+                assert golden._digest(handle.result.as_block()) == golden._digest(serial.as_block())
+                corruption = handle.result.corruption
+                outcomes.append(
+                    {
+                        "events": golden._events(handle.result.events),
+                        "pages_scanned": corruption.pages_scanned,
+                        "faults": sorted([f.file, f.page, f.rows_lost] for f in corruption.faults),
+                    }
+                )
+            for event in flight.RECORDER.events("share.attach"):
+                if event.detail.get("queued"):
+                    boarded += 1
+                    mid_pass += event.detail["cursor"] > 0
+    return outcomes, boarded, mid_pass
+
+
+#: CRC-32 of the outcomes above, measured at the parent commit (b530eec,
+#: where a queued query attaches only once admitted): the reference is
+#: the old code.
+QUEUED_AT_PARENT = {
+    ("plain", "ROW"): "6b07198b",
+    ("plain", "PAX"): "8b2cc63f",
+    ("plain", "COLUMN"): "c6ef6523",
+    ("z", "ROW"): "15d2f839",
+    ("z", "PAX"): "cf2e0187",
+    ("z", "COLUMN"): "c0309806",
+}
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+@pytest.mark.parametrize("dataset", ["plain", "z"])
+def test_riding_while_queued_is_not_observable(dataset, layout):
+    """A query that boards a live stream while it waits for admission
+    returns the bytes of its serial scan, and the events and corruption
+    report it had when it attached only once admitted: what rode early
+    is its attach point, the stream count and the streams' I/O."""
+    outcomes, boarded, mid_pass = _queued_outcomes(dataset, layout)
+    assert boarded and mid_pass
+    crc = zlib.crc32(json.dumps(outcomes, sort_keys=True).encode())
+    assert f"{crc:08x}" == QUEUED_AT_PARENT[dataset, layout.name]
+
+
+def test_a_batch_reads_each_column_set_once():
+    """64 queries over two column sets, eight admitted at a time, on a
+    table one window long: one stream per column set, and the 56 queries
+    that queue board it while they wait — shared, and logged so."""
+    data = generate_orders(2_000, seed=5)
+    table = load_table(data, Layout.COLUMN)
+    wide = ("O_ORDERKEY", "O_CUSTKEY", "O_TOTALPRICE", "O_ORDERDATE")
+    narrow = ("O_CUSTKEY", "O_TOTALPRICE")
+    scheduler = Scheduler(max_inflight=8, slowlog=SlowQueryLog(top_k=64))
+    handles = []
+    for index in range(64):
+        select = narrow if index % 4 == 3 else wide
+        attr = select[index % len(select)]
+        predicate = predicate_for_selectivity(attr, data.column(attr), (index % 10) / 10)
+        handles.append(
+            scheduler.submit(table, ScanQuery("ORDERS", select=select, predicates=(predicate,)))
+        )
+    assert scheduler.poll()
+    assert sum(stream["queued"] != [] for stream in scheduler.board()["streams"]) == 2
+    scheduler.run()
+    stats = scheduler.stats()
+    assert (stats["share_misses"], stats["share_hits"]) == (2, 62)
+    assert all(handle.state is QueryState.DONE and handle.shared for handle in handles)
+    assert len(scheduler.slowlog) == 64
+    assert all(entry.shared for entry in scheduler.slowlog.entries())
+    assert scheduler.manager.live_streams() == []
+
+
+def test_boarding_looks_up_only_what_changed():
+    """A boarding pass looks up the share keys submitted or opened since
+    the last one, never the whole queue: over a batch of queries none
+    of which can board (every key its own table), the lookups are
+    linear in the batch, not in queue length x admission rounds."""
+    tables = [load_table(generate_orders(50, seed=seed), Layout.COLUMN) for seed in range(24)]
+    scheduler = Scheduler(max_inflight=2)
+    lookups = []
+    live_stream = scheduler.manager.live_stream
+    scheduler.manager.live_stream = lambda key: lookups.append(key) or live_stream(key)
+    handles = [scheduler.submit(table, QUERY) for table in tables]
+    scheduler.run()
+    assert all(handle.state is QueryState.DONE for handle in handles)
+    assert scheduler.manager.misses == len(tables)
+    assert len(lookups) <= len(tables)

@@ -18,6 +18,8 @@ under ``pytest --run-chaos`` (or ``make chaos-deep``).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import numpy as np
@@ -26,8 +28,9 @@ from repro.data.tpch import generate_orders
 from repro.engine.executor import run_scan
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
-from repro.errors import EngineError, QueryCancelled, QueryTimeout
+from repro.errors import ChecksumError, EngineError, QueryCancelled, QueryTimeout
 from repro.obs import recorder as flight
+from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.testing.chaos import (
@@ -160,6 +163,117 @@ class TestPeerIsolation:
         scheduler.run()
         assert late.state is QueryState.DONE, late.error
         assert late.result.num_tuples == 500
+
+
+class TestQueuedRiders:
+    """Every exit of a query that boarded a live stream while it waited
+    for admission: the typed error it would have hit on its own and
+    exactly one black box; peers byte-identical to their serial runs;
+    every stream gone once the batch is.
+
+    ``max_inflight=1`` and a table two windows long: the one admitted
+    query pumps, the queued ones ride, and a pass outlives a pump.  A
+    salvage query in the same queue reads on a stream of its own.
+    """
+
+    QUERY = TestPeerIsolation.QUERY
+    PEERS = 3
+
+    @staticmethod
+    def _table(corrupt_page: int | None = None):
+        # 5,000 ROW rows: 40 pages, two windows of 32.
+        table = load_table(generate_orders(5_000, seed=21), Layout.ROW)
+        if corrupt_page is not None:
+            plan = FaultPlan(seed=5)
+            plan.schedule_bit_flip(corrupt_page, byte=11, bit=3)
+            plan.wrap_table(table)
+        return table
+
+    def _run(self, table, victim: dict, pumper: dict | None = None, cancel=False):
+        """Submit a pumper, a victim, the peers and a salvager; run;
+        check the salvager; return the rest."""
+        flight.RECORDER.clear()
+        scheduler = Scheduler(max_inflight=1, share_scans=True)
+        first = scheduler.submit(table, self.QUERY, label="pumper", **(pumper or {}))
+        doomed = scheduler.submit(table, self.QUERY, label="victim", **victim)
+        peers = [
+            scheduler.submit(table, self.QUERY, label=f"peer {index}")
+            for index in range(self.PEERS)
+        ]
+        salvager = scheduler.submit(table, self.QUERY, label="salvager", salvage=True)
+        assert scheduler.poll()  # the pumper's first window
+        assert doomed.state is QueryState.QUEUED
+        assert [event.detail["queued"] for event in flight.RECORDER.events("share.attach")] == [
+            0, 1, *[1] * self.PEERS
+        ]
+        (stream,) = scheduler.board()["streams"]
+        assert set(stream["queued"]) == {"victim", *(peer.governance.label for peer in peers)}
+        if cancel:
+            doomed.cancel("cancelled while queued")
+        scheduler.run()
+        assert scheduler.manager.live_streams() == []
+        assert scheduler.manager.misses == 2
+        assert salvager.state is QueryState.DONE, salvager.error
+        salvaged = run_scan(table, self.QUERY, salvage=True)
+        np.testing.assert_array_equal(salvager.result.positions, salvaged.positions)
+        assert salvager.result.corruption.faults == salvaged.corruption.faults
+        return first, doomed, peers
+
+    def _assert_serial(self, handles) -> None:
+        serial = run_scan(self._table(), self.QUERY)
+        for handle in handles:
+            assert handle.state is QueryState.DONE, handle.error
+            assert handle.shared
+            np.testing.assert_array_equal(handle.result.positions, serial.positions)
+            for name, column in serial.columns.items():
+                np.testing.assert_array_equal(handle.result.columns[name], column)
+
+    @staticmethod
+    def _boxes() -> list[tuple[str, str]]:
+        return sorted((box["query"], box["error"]["type"]) for box in flight.RECORDER.blackboxes)
+
+    def test_timeout_while_queued_after_boarding(self):
+        table = self._table()
+        first, doomed, peers = self._run(
+            table,
+            victim={"timeout": 0.02},
+            # The pumper outlives the victim's deadline: 40 checkpoints of 2 ms.
+            pumper={"on_tick": lambda _governance: time.sleep(0.002)},
+        )
+        assert isinstance(doomed.error, QueryTimeout) and doomed.result is None
+        assert doomed.shared and doomed.admitted_at is not None
+        assert self._boxes() == [("victim", "QueryTimeout")]
+        self._assert_serial([first, *peers])
+
+    def test_cancel_while_queued(self):
+        first, doomed, peers = self._run(self._table(), victim={}, cancel=True)
+        assert isinstance(doomed.error, QueryCancelled) and doomed.result is None
+        assert self._boxes() == [("victim", "QueryCancelled")]
+        self._assert_serial([first, *peers])
+
+    def test_kill_of_the_peer_that_pumps(self):
+        table = self._table()
+
+        def kill(governance):
+            if governance.ticks > 36:  # mid second window
+                raise ChaosKill("injected kill of the pumping peer")
+
+        first, doomed, peers = self._run(table, victim={}, pumper={"on_tick": kill})
+        assert isinstance(first.error, ChaosKill)
+        assert self._boxes() == [("pumper", "ChaosKill")]
+        self._assert_serial([doomed, *peers])
+
+    def test_strict_stream_failure_while_riders_are_queued(self):
+        with pytest.raises(ChecksumError):  # what each would hit on its own
+            run_scan(self._table(corrupt_page=36), self.QUERY)
+        first, doomed, peers = self._run(self._table(corrupt_page=36), victim={})
+        handles = [first, doomed, *peers]
+        errors = {id(handle.error) for handle in handles}
+        assert all(isinstance(handle.error, ChecksumError) for handle in handles)
+        assert len(errors) == 1, "every rider carries the stream's one error"
+        assert self._boxes() == sorted(
+            (handle.governance.label, "ChecksumError") for handle in handles
+        )
 
 
 class TestUntypedFailures:

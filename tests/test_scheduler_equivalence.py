@@ -25,7 +25,9 @@ from repro.engine.executor import run_scan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler, WorkloadQuery
+from repro.engine.sharing import SharedScanStream
 from repro.errors import QueryTimeout
+from repro.obs import recorder as flight
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.testing.harness import CONFIGS
@@ -244,9 +246,12 @@ class TestDatabaseFacade:
 
     def test_a_finished_batch_is_freed_by_reference_count(self, db, monkeypatch):
         """A finished handle lets go of its scheduler: the batch's
-        scheduler, streams and plans go when ``run_workload`` returns
-        and its results when the handles do — no cycle collector."""
-        schedulers, streams = [], []
+        scheduler, streams, windows and plans go when ``run_workload``
+        returns and its results when the handles do — no cycle
+        collector.  Eight of the twelve queries ride while queued, so
+        the one stream and its window live until the last of them is
+        admitted and leaves."""
+        schedulers, streams, windows = [], [], []
 
         class Recorded(Scheduler):
             def __init__(self, *args, **kwargs):
@@ -258,17 +263,31 @@ class TestDatabaseFacade:
                 streams.append(weakref.ref(plan.share))
                 return plan, context
 
+        open_window = SharedScanStream._open_window
+
+        def recorded_window(stream, index):
+            window = open_window(stream, index)
+            windows.append(weakref.ref(window.valid))  # a slotted window: its own array
+            return window
+
         monkeypatch.setattr("repro.database.Scheduler", Recorded)
+        monkeypatch.setattr(SharedScanStream, "_open_window", recorded_window)
         requests = [
             WorkloadQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE")) for _ in range(12)
         ]
+        info: dict = {}
+        flight.RECORDER.clear()
         gc.disable()
         try:
-            handles = db.run_workload(requests, max_inflight=4)
+            handles = db.run_workload(requests, max_inflight=4, info=info)
             (scheduler,) = schedulers
             assert scheduler() is None, "the batch's scheduler waits for the cycle collector"
-            assert len(streams) == len(requests)
+            assert (info["share_misses"], info["share_hits"]) == (1, 11)
+            attaches = flight.RECORDER.events("share.attach")
+            assert [event.detail["queued"] for event in attaches] == [0] * 4 + [1] * 8
+            assert len(streams) == len(requests) and len(windows) == 1
             assert all(stream() is None for stream in streams)
+            assert windows[0]() is None
             assert all(handle.state is QueryState.DONE for handle in handles)
             # A finished handle still answers, at once.
             assert handles[0].wait() is handles[0]
