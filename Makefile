@@ -133,7 +133,9 @@ scheduler-test:
 # above a scan: tests/test_batches.py, with its every-checkpoint aborts
 # and block-iterator pins), the scanner
 # / salvage / sharing / scheduler / telemetry / property / extension /
-# index suites, then 200 differential fuzz cases.
+# index suites, the page-integrity suites (CRC checked once per load,
+# strict and salvage over corrupt pages, fault injection), then 200
+# differential fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
 # engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
@@ -148,7 +150,8 @@ scan-test:
 		tests/test_salvage_differential.py tests/test_scan_sharing.py \
 		tests/test_scheduler_equivalence.py tests/test_scheduler_telemetry.py \
 		tests/test_property_engine.py tests/test_extensions.py \
-		tests/test_index.py -q
+		tests/test_index.py tests/test_storage_integrity.py \
+		tests/test_storage_pax.py tests/test_failure_injection.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

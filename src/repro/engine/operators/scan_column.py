@@ -160,9 +160,11 @@ class ColumnScanner(RunOnceScanner):
             #: Values on each touched page; 0 where salvage dropped it.
             counts = np.zeros(len(touched), dtype=np.int64)
 
-            def gather(unit, t, pages):
+            def gather(unit, t, pages, verify):
                 on = slice(cuts[t], cuts[t + pages])
-                return column_file.gather_unit(unit, page_ids[on] - touched[t], in_page[on])
+                return column_file.gather_unit(
+                    unit, page_ids[on] - touched[t], in_page[on], verify
+                )
 
             chunks, lost = [], []
             for t, pages, gathered in self._guarded_units(

@@ -70,7 +70,7 @@ def _salvage(context: ExecutionContext, file, page: int, row_span: int, exc) -> 
 def guarded_decode(
     context: ExecutionContext, decode, file, page: int, row_span: int, data=None
 ):
-    """Read one page and ``decode`` its bytes, under the integrity policy.
+    """Read one page and ``decode(bytes, verify)`` it, under the integrity policy.
 
     Strict mode lets any error propagate (a checksum mismatch aborts
     the query).  Salvage mode records the fault in ``context.corruption``
@@ -78,17 +78,23 @@ def guarded_decode(
     ``None``: the caller skips the page but keeps positions aligned.
     Only successful decodes reach ``repro_page_decode_seconds``.
     ``data`` is the page's bytes when a unit read has fetched them.
+    ``verify`` is false for a page the file has already seen pass its
+    CRC (:meth:`~repro.storage.pagefile.PagedFile.verified`); a page
+    that passes it here is marked so.
     """
     timed = obs_metrics.enabled()
+    verify = not file.verified(page)
     try:
         if timed:
             started = time.perf_counter()
-        result = decode(file.read_page(page) if data is None else data)
+        result = decode(file.read_page(page) if data is None else data, verify)
         if timed:
             obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
     except SALVAGEABLE_ERRORS as exc:
         _salvage(context, file, page, row_span, exc)
         return None
+    if verify:
+        file.mark_verified(page)
     context.corruption.pages_scanned += 1
     return result
 
@@ -96,15 +102,23 @@ def guarded_decode(
 def guarded_decode_unit(
     context: ExecutionContext, decode_unit, file, start: int, count: int, row_span: int
 ):
-    """Read an I/O unit and ``decode_unit`` it whole: ``(unit bytes, decoded)``.
+    """Read an I/O unit and ``decode_unit(unit, verify)`` it whole:
+    ``(unit bytes, decoded)``.
 
-    One read and one decode (which checks the CRCs) serve a healthy
-    unit.  ``decoded`` is ``None`` when a page fails its checksum or the
-    unit does not decode: the caller hands the pages' bytes to
-    :func:`guarded_decode` one by one, which names the page and applies
-    the policy.  ``unit`` is ``None`` when page ``start`` could not be
-    read and salvage dropped it.  Pages count as scanned when the scan
-    gets to them, which is the caller's to say.
+    Where a page's CRC gets checked is decided here, by what the file
+    says its pages have passed since it was loaded
+    (:meth:`~repro.storage.pagefile.PagedFile.verified`): a unit whose
+    pages all have is decoded with no check; one none of whose pages
+    has is decoded with every check, and its pages are marked when it
+    decodes; one with some pages verified and some not is not decoded
+    whole, so that each unverified page is checked once, by its own
+    decode, which names it when it fails.  ``decoded`` is ``None`` then
+    and when a page fails its checksum or the unit does not decode: the
+    caller hands the pages' bytes to :func:`guarded_decode` one by one,
+    which names the page and applies the policy.  ``unit`` is ``None``
+    when page ``start`` could not be read and salvage dropped it.  Pages
+    count as scanned when the scan gets to them, which is the caller's
+    to say.
     """
     timed = obs_metrics.enabled()
     if timed:
@@ -114,12 +128,17 @@ def guarded_decode_unit(
     except SALVAGEABLE_ERRORS as exc:
         _salvage(context, file, start, row_span, exc)
         return None, None
+    pages = len(unit) // file.page_size
+    verified = file.verified(start, pages)
+    if 0 < verified < pages:
+        return unit, None
     try:
-        decoded = decode_unit(unit)
+        decoded = decode_unit(unit, not verified)
     except SALVAGEABLE_ERRORS:
-        decoded = None
-    if timed and decoded is not None:
-        pages = len(unit) // file.page_size
+        return unit, None
+    if not verified:
+        file.mark_verified(start, pages)
+    if timed:
         obs_metrics.PAGE_DECODE_SECONDS.observe((time.perf_counter() - started) / pages, pages)
     return unit, decoded
 
@@ -138,10 +157,12 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
     sharing`), which pulls a piece only when a segment needs it.  A unit
     is a run of pages adjacent in the file, ``run`` of them from
     ``pages[at]``, read as one buffer; ``decoded`` is what
-    ``decode(unit, at, run)`` made of it.  A unit that does not decode
-    whole is served page by page from the bytes already read, so a fault
-    names its page: ``decoded`` is then what ``decode(data, at, 1)``
-    made of one page, or ``None`` where salvage dropped it
+    ``decode(unit, at, run, verify)`` made of it, ``verify`` saying
+    whether to check the CRCs (:func:`guarded_decode_unit`).  A unit that
+    does not decode whole is served page by page from the bytes already
+    read, so a fault names its page: ``decoded`` is then what
+    ``decode(data, at, 1, verify)`` made of one page, or ``None`` where
+    salvage dropped it
     (``span_of(at)`` rows are recorded lost).  A unit that comes back
     short — a later page would not read — is followed by one that starts
     at that page.  One ``checkpoint()`` per page, passed before anything
@@ -161,7 +182,7 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
             run += 1
         unit, decoded = guarded_decode_unit(
             context,
-            lambda unit: decode(unit, at, len(unit) // size),
+            lambda unit, verify: decode(unit, at, len(unit) // size, verify),
             file,
             page,
             run,
@@ -172,6 +193,9 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
             at += 1
             continue
         run = len(unit) // size
+        # This generator waits across yields, holding then no view of
+        # the file's buffer (which would keep the file from growing).
+        unit = None if decoded is not None else bytes(unit)
         if decoded is not None:
             for _page in range(1, run):
                 checkpoint()
@@ -179,12 +203,12 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
             yield at, run, decoded
             at += run
             continue
-        for start in range(0, len(unit), size):
+        for start in range(0, run * size, size):
             if start:
                 checkpoint()
             yield at, 1, guarded_decode(
                 context,
-                lambda data: decode(data, at, 1),
+                lambda data, verify: decode(data, at, 1, verify),
                 file,
                 pages[at],
                 span_of(at),
@@ -461,8 +485,8 @@ class Scanner(Operator):
         def span_of(at):
             return column_file.row_span_of_page(pages[at], num_rows)
 
-        def decode(data, _at, _run):
-            return column_file.decode_unit(data, codes)
+        def decode(data, _at, _run, verify):
+            return column_file.decode_unit(data, codes, verify)
 
         for at, run, decoded in self._guarded_units(file, pages, span_of, decode):
             if decoded is None:
@@ -504,11 +528,11 @@ class PagedScanner(Scanner):
         self._pending: deque = deque()
         self._emitted_any = False
 
-    def _decode(self, page: bytes):
-        return self.table.decode_page(page, self._attrs)
+    def _decode(self, page: bytes, verify: bool):
+        return self.table.decode_page(page, self._attrs, verify)
 
-    def _decode_unit(self, unit: bytes):
-        return self.table.decode_unit(unit, self._attrs)
+    def _decode_unit(self, unit: bytes, verify: bool):
+        return self.table.decode_unit(unit, self._attrs, verify)
 
     def _next(self, want: int | None) -> Block | None:
         lo, hi = self.row_range
@@ -562,10 +586,12 @@ class PagedScanner(Scanner):
         if decoded is not None:
             self._pending.append([*self._filter_unit(*decoded), 0])
         else:
-            # The unit failed as a whole: its pages one by one as they
-            # are reached, from the bytes already read, so the fault
-            # names its page and the other pages' rows survive.
-            self._pending.extend(unit[at : at + size] for at in range(0, len(unit), size))
+            # Not decoded whole (a page failed, or only some are
+            # verified): its pages one by one as they are reached, from
+            # the bytes already read, so a fault names its page and the
+            # other pages' rows survive.  Copies, as they may wait across
+            # next() calls, and a view would keep the file from growing.
+            self._pending.extend(bytes(unit[at : at + size]) for at in range(0, len(unit), size))
         self._release(want, passed=1)
 
     def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
@@ -584,7 +610,7 @@ class PagedScanner(Scanner):
         one raises, exactly the pages before it are charged.
         """
         head = self._pending[0]
-        if isinstance(head, bytes):
+        if not isinstance(head, list):  # a page's bytes, not a filtered run
             self._pending.popleft()
             if not passed:
                 self._governance_check()

@@ -92,7 +92,7 @@ class _Source:
     #: wraps it in place).
     name: str
     owner: object
-    #: ``decode(data, at, run) -> {attribute: values}`` of ``run``
+    #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
     #: adjacent pages: the unit reader's callback.
     decode: Callable
     first_row: Callable[[int], int]
@@ -290,9 +290,9 @@ class SharedScanStream:
         capacity = table.page_codec.tuples_per_page
         pages = [page_id for page_id, _lo, _hi in self._segments]
 
-        def decode(data, _at, run):
+        def decode(data, _at, run, verify):
             decoder = table.decode_unit if run > 1 else table.decode_page
-            return decoder(data, attrs)[1]
+            return decoder(data, attrs, verify)[1]
 
         return _Source(
             name=table.file.name,
@@ -314,7 +314,9 @@ class SharedScanStream:
         return _Source(
             name=column_file.file.name,
             owner=column_file,
-            decode=lambda data, _at, _run: {name: column_file.decode_unit(data)[1]},
+            decode=lambda data, _at, _run, verify: {
+                name: column_file.decode_unit(data, verify=verify)[1]
+            },
             first_row=column_file.first_row_of_page,
             span_of=lambda page: column_file.row_span_of_page(page, num_rows),
             first=first,

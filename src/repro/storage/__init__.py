@@ -6,9 +6,11 @@ for column storage) with an entry count at the head and page info (page
 id, compression state) in a fixed-offset trailer.  Pages are stored
 adjacently in a file; a column table uses one file per column.
 
-Every page trailer carries a CRC32 checksum, verified on every decode
-(:mod:`repro.storage.page`); transient read faults are retried with
-bounded backoff (:mod:`repro.storage.retry`); seeded fault injection
+Every page trailer carries a CRC32 checksum, verified the first time a
+scan reads the page after its file is loaded, and by every scrub
+(:mod:`repro.storage.page`, :mod:`repro.storage.pagefile`); transient
+read faults are retried with bounded backoff
+(:mod:`repro.storage.retry`); seeded fault injection
 lives in :mod:`repro.storage.faults` and integrity sweeps in
 :mod:`repro.storage.scrub`.
 """

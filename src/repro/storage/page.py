@@ -51,7 +51,8 @@ _TRAILER = struct.Struct("<IIq")  # page_id, crc32, codec base value
 
 #: Process-wide switch: set ``False`` to skip CRC verification on decode
 #: (measured by ``benchmarks/bench_ablation_checksum.py``; never disable
-#: in production use).  Checksums are still *written* while disabled.
+#: in production use).  Checksums are still *written* while disabled, and
+#: no page counts as verified (:meth:`PagedFile.mark_verified`).
 _VERIFY_CHECKSUMS = True
 
 
@@ -94,12 +95,16 @@ def _assemble(page_size: int, count: int, payload: bytes, page_id: int, base: in
     return page[: -PAGE_TRAILER_BYTES + 4] + _HEADER.pack(page_checksum(page)) + page[-8:]
 
 
-def _disassemble(page: bytes, page_size: int) -> tuple[int, bytes, int, int]:
+def _disassemble(
+    page: bytes, page_size: int, verify: bool = True
+) -> tuple[int, bytes, int, int]:
+    """``(count, payload, page id, base)``; the CRC is checked unless
+    ``verify`` is false (the page passed it since its file was loaded)."""
     if len(page) != page_size:
         raise PageFormatError(f"page has {len(page)} bytes, expected {page_size}")
     (count,) = _HEADER.unpack_from(page, 0)
     page_id, crc, base = _TRAILER.unpack_from(page, page_size - PAGE_TRAILER_BYTES)
-    if _VERIFY_CHECKSUMS:
+    if verify and _VERIFY_CHECKSUMS:
         actual = page_checksum(page)
         if actual != crc:
             raise ChecksumError(
@@ -192,26 +197,28 @@ class TuplePageCodec:
             )
 
     def decode_columns(
-        self, page: bytes, names: tuple[str, ...] | None = None
+        self, page: bytes, names: tuple[str, ...] | None = None, verify: bool = True
     ) -> tuple[int, int, Mapping[str, np.ndarray]]:
         """Parse a page into ``(page_id, count, columns)`` — of ``names``;
         by default of every attribute, each decoded when first read."""
-        count, _payload, page_id, _base = _disassemble(page, self.page_size)
+        count, _payload, page_id, _base = _disassemble(page, self.page_size, verify)
         self._check_claim(count)
         if names is None:
             return page_id, count, _ColumnsOnDemand(self, page, count)
         return page_id, count, self._gather(page, [count], names)
 
     def decode_unit(
-        self, unit: bytes, names: tuple[str, ...] | None = None
+        self, unit: bytes, names: tuple[str, ...] | None = None, verify: bool = True
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Verify and decode ``names`` over a *dense* unit: ``(page counts, columns)``.
+        """Verify (unless ``verify`` is false) and decode ``names`` over a
+        *dense* unit: ``(page counts, columns)``.
 
         ``_gather`` flattens ``(pages, tuples_per_page)`` arrays, which
         needs every page but the last full and the last not empty; any
         other unit is malformed here and is decoded page by page.
         """
-        verify_unit(unit, self.page_size)
+        if verify:
+            verify_unit(unit, self.page_size)
         pages = len(unit) // self.page_size
         counts = np.ndarray((pages,), "<u4", unit, 0, (self.page_size,))
         if (
@@ -328,14 +335,17 @@ class ColumnPageCodec:
         payload, state = self.codec.encode_page(values)
         return _assemble(self.page_size, len(values), payload, page_id, state.base)
 
-    def decode(self, page: bytes) -> tuple[int, np.ndarray]:
+    def decode(self, page: bytes, verify: bool = True) -> tuple[int, np.ndarray]:
         """Parse a page into ``(page_id, value array)`` (full decode)."""
-        count, payload, page_id, base = _disassemble(page, self.page_size)
+        count, payload, page_id, base = _disassemble(page, self.page_size, verify)
         values = self.codec.decode_page(payload, count, PageCodecState(base=base))
         return page_id, values
 
-    def decode_unit(self, unit: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Verify adjacent pages and unpack them: ``(counts, bases, codes)``.
+    def decode_unit(
+        self, unit: bytes, verify: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Verify adjacent pages (unless ``verify`` is false) and unpack
+        them: ``(counts, bases, codes)``.
 
         ``codes[p, i]`` is value ``i`` of page ``p``, undecoded: a row is
         as long as the unit's fullest page (a lone short page is unpacked
@@ -356,7 +366,8 @@ class ColumnPageCodec:
             raise CompressionError(f"{type(codec).__name__} has no fixed-width codes")
         if not pages or len(unit) % size:
             raise PageFormatError(f"{len(unit)}-byte unit is not whole {size}-byte pages")
-        verify_unit(unit, size)
+        if verify:
+            verify_unit(unit, size)
         counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
         longest = max(counts.tolist())
         if longest > self.values_per_page:
@@ -388,11 +399,13 @@ class ColumnPageCodec:
         page = _assemble(self.page_size, consumed, payload, page_id, state.base)
         return page, consumed
 
-    def decode_raw(self, page: bytes) -> tuple[int, int, bytes, PageCodecState]:
+    def decode_raw(
+        self, page: bytes, verify: bool = True
+    ) -> tuple[int, int, bytes, PageCodecState]:
         """Parse a page without decoding values.
 
         Returns ``(page_id, count, payload, state)`` so scanners can do
         selective decodes via :meth:`Codec.decode_positions`.
         """
-        count, payload, page_id, base = _disassemble(page, self.page_size)
+        count, payload, page_id, base = _disassemble(page, self.page_size, verify)
         return page_id, count, payload, PageCodecState(base=base)

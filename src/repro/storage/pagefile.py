@@ -9,12 +9,16 @@ Reads go through :func:`repro.storage.retry.retry_io`: a subclass (see
 :class:`~repro.errors.TransientIOError` from :meth:`_read_page_raw`, and
 ``read_page`` retries it with bounded exponential backoff before
 surfacing the failure.
+
+A file remembers which of its pages have passed their CRC since it was
+loaded (:meth:`verified`, :meth:`mark_verified`), so the scan core
+checks a page once per load rather than once per scan.
 """
 
 from __future__ import annotations
 
 from repro.errors import StorageError
-from repro.storage.page import DEFAULT_PAGE_SIZE
+from repro.storage.page import DEFAULT_PAGE_SIZE, checksum_verification_enabled
 from repro.storage.retry import RetryPolicy, retry_io
 
 
@@ -34,6 +38,14 @@ class PagedFile:
         #: Backoff for transient read faults (``None`` → module default).
         self.retry_policy = retry_policy
         self._data = bytearray()
+        #: One byte per page, 1 once the page has passed its CRC; pages
+        #: past its end are unverified.
+        self._verified = bytearray()
+
+    def __getstate__(self) -> dict:
+        # An unpickled file is freshly loaded: every page is checked on
+        # its first read there.
+        return {**self.__dict__, "_verified": bytearray()}
 
     @classmethod
     def from_bytes(
@@ -86,17 +98,20 @@ class PagedFile:
 
     def _read_page_raw(self, index: int) -> bytes:
         """One read attempt (fault-injection subclasses override this)."""
-        return self._slice(index, 1)
+        return bytes(self._slice(index, 1))
 
-    def read_pages(self, start: int, count: int) -> bytes:
+    def read_pages(self, start: int, count: int) -> memoryview | bytes:
         """Read up to ``count`` adjacent pages as one buffer (an I/O unit).
 
         Whole pages from ``start``, at least one.  These bytes are in
-        memory and never fault, so a unit is one slice; under a subclass
-        that intercepts :meth:`_read_page_raw` it is composed of
-        :meth:`read_page` calls, each page injected, retried and counted
-        on its own.  An error is page ``start``'s: a later page that
-        cannot be read ends the unit before it and leads the next one.
+        memory and never fault, so a unit is a read-only view of them,
+        no copy; hold it no longer than its decode, since a live view
+        stops :meth:`append_page` from growing the buffer.  Under a
+        subclass that intercepts :meth:`_read_page_raw` a unit is
+        composed of :meth:`read_page` calls, each page injected, retried
+        and counted on its own.  An error is page ``start``'s: a later
+        page that cannot be read ends the unit before it and leads the
+        next one.
         """
         if type(self)._read_page_raw is PagedFile._read_page_raw:
             return self._slice(start, count)
@@ -108,14 +123,48 @@ class PagedFile:
             pass
         return b"".join(pages)
 
-    def _slice(self, start: int, count: int) -> bytes:
+    def _slice(self, start: int, count: int) -> memoryview:
         if not 0 <= start < start + count <= self.num_pages:
             raise StorageError(
                 f"pages [{start}, {start + count}) out of range "
                 f"[0, {self.num_pages}) in {self.name!r}"
             )
         size = self.page_size
-        return bytes(memoryview(self._data)[start * size : (start + count) * size])
+        return memoryview(self._data).toreadonly()[start * size : (start + count) * size]
+
+    def verified(self, start: int, count: int = 1) -> int:
+        """How many of pages ``[start, start + count)`` have passed their
+        CRC since this file was loaded.
+
+        Only an exact :class:`PagedFile` counts any: a subclass may hand
+        back bytes other than its buffer's (fault injection, a wrapper
+        sharing another file's buffer), so every read of it is checked.
+        """
+        if type(self) is not PagedFile:
+            return 0
+        return self._verified.count(1, start, start + count)
+
+    def mark_verified(self, start: int, count: int = 1) -> None:
+        """Pages ``[start, start + count)`` just passed their CRC.
+
+        Nothing is recorded while checks are off
+        (:func:`~repro.storage.page.set_checksum_verification`).
+        """
+        if not checksum_verification_enabled():
+            return
+        flags = self._verified
+        if len(flags) < start + count:
+            flags.extend(bytes(start + count - len(flags)))
+        flags[start : start + count] = b"\x01" * count
+
+    def corrupt(self, page: int, offset: int) -> None:
+        """Flip every bit of byte ``offset`` of ``page`` in the live
+        buffer, and forget that the page was verified (a testing aid)."""
+        if not (0 <= page < self.num_pages and 0 <= offset < self.page_size):
+            raise StorageError(f"no byte {offset} of page {page} in {self.name!r}")
+        self._data[page * self.page_size + offset] ^= 0xFF
+        if page < len(self._verified):
+            self._verified[page] = 0
 
     def iter_pages(self, start: int = 0):
         """Yield pages in file order, from ``start``."""

@@ -117,8 +117,8 @@ class PaxPageCodec:
         payload_area = body.ljust(self._payload_bytes, b"\x00") + base_area
         return _assemble(self.page_size, count, payload_area, page_id, 0)
 
-    def _split(self, page: bytes) -> tuple[int, int, bytes, list[int]]:
-        count, payload, page_id, _base = _disassemble(page, self.page_size)
+    def _split(self, page: bytes, verify: bool = True) -> tuple[int, int, bytes, list[int]]:
+        count, payload, page_id, _base = _disassemble(page, self.page_size, verify)
         if count > self.tuples_per_page:
             raise PageFormatError(
                 f"page claims {count} tuples, capacity is {self.tuples_per_page}"
@@ -131,16 +131,16 @@ class PaxPageCodec:
         return page_id, count, payload[: self._payload_bytes], bases
 
     def decode_columns(
-        self, page: bytes, names: tuple[str, ...] | None = None
+        self, page: bytes, names: tuple[str, ...] | None = None, verify: bool = True
     ) -> tuple[int, int, dict[str, np.ndarray]]:
         """Decode the minipages of ``names`` (default: every attribute).
 
-        One split — one CRC over the page — serves every requested
-        attribute; the other attributes' minipages are never touched,
-        which is the PAX payoff.  Returns ``(page_id, count, columns)``
-        like the row page codecs.
+        One split — one CRC over the page, unless ``verify`` is false —
+        serves every requested attribute; the other attributes'
+        minipages are never touched, which is the PAX payoff.  Returns
+        ``(page_id, count, columns)`` like the row page codecs.
         """
-        page_id, count, payload, bases = self._split(page)
+        page_id, count, payload, bases = self._split(page, verify)
         columns = {}
         for name in self.schema.attribute_names if names is None else names:
             index = self.schema.index_of(name)
@@ -152,13 +152,13 @@ class PaxPageCodec:
         return page_id, count, columns
 
     def decode_unit(
-        self, unit: bytes, names: tuple[str, ...] | None = None
+        self, unit: bytes, names: tuple[str, ...] | None = None, verify: bool = True
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The row codecs' unit interface, ``(page counts, columns)``; the
         unit's minipages are still verified and decoded page by page."""
         size = self.page_size
         decoded = [
-            self.decode_columns(unit[start : start + size], names)
+            self.decode_columns(unit[start : start + size], names, verify)
             for start in range(0, len(unit), size)
         ]
         counts = np.array([count for _page_id, count, _columns in decoded])

@@ -28,9 +28,9 @@ On-disk format versions:
   system sees only checksummed v2 pages.  Note the fresh checksums
   attest to the bytes *as read*; v1 files carry no protection against
   corruption that happened before the upgrade.
-* **v2** (current): every page trailer carries a CRC32, verified on
-  every decode, and ``meta.json`` carries ``meta_crc32`` over its own
-  canonical JSON, verified on open.
+* **v2** (current): every page trailer carries a CRC32, verified on a
+  page's first read after the table is opened, and ``meta.json``
+  carries ``meta_crc32`` over its own canonical JSON, verified on open.
 
 ``open_table`` by default is strict: torn writes (trailing partial
 pages), truncated files, and metadata damage raise

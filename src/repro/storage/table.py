@@ -92,23 +92,27 @@ class PagedTable(Table):
         """The codec of this layout's pages."""
 
     def decode_page(
-        self, page: bytes, attrs: tuple[str, ...]
+        self, page: bytes, attrs: tuple[str, ...], verify: bool = True
     ) -> tuple[int, dict[str, np.ndarray]]:
-        """Verify and decode ``attrs`` of one page: ``(tuple count, columns)``."""
-        _page_id, count, columns = self.page_codec.decode_columns(page, attrs)
+        """Verify and decode ``attrs`` of one page: ``(tuple count, columns)``.
+
+        ``verify=False`` skips the CRC, for a page that has passed it
+        since its file was loaded (:meth:`PagedFile.verified`).
+        """
+        _page_id, count, columns = self.page_codec.decode_columns(page, attrs, verify)
         return count, columns
 
     def decode_unit(
-        self, unit: bytes, attrs: tuple[str, ...]
+        self, unit: bytes, attrs: tuple[str, ...], verify: bool = True
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Verify and decode ``attrs`` over adjacent pages read as one
         buffer: ``(tuple count per page, columns in file order)``.
 
         A unit with a corrupt page, or one the codec cannot flatten,
         raises without saying which page: the caller goes back to
-        :meth:`decode_page`, page by page.
+        :meth:`decode_page`, page by page.  ``verify`` as there.
         """
-        return self.page_codec.decode_unit(unit, attrs)
+        return self.page_codec.decode_unit(unit, attrs, verify)
 
     @property
     def total_bytes(self) -> int:
@@ -182,14 +186,17 @@ class ColumnFile:
     def is_variable(self) -> bool:
         return self.page_codec.codec.is_variable
 
-    def decode_page(self, page: bytes, codes: bool = False) -> np.ndarray:
-        """Every value of one page, decoded — or its ``codes``, undecoded."""
+    def decode_page(self, page: bytes, codes: bool = False, verify: bool = True) -> np.ndarray:
+        """Every value of one page, decoded — or its ``codes``, undecoded;
+        ``verify`` as :meth:`PagedTable.decode_page`'s."""
         if not codes:
-            return self.page_codec.decode(page)[1]
-        _page_id, count, payload, _state = self.page_codec.decode_raw(page)
+            return self.page_codec.decode(page, verify)[1]
+        _page_id, count, payload, _state = self.page_codec.decode_raw(page, verify)
         return self.page_codec.codec.unpack_codes(payload, count)
 
-    def decode_unit(self, unit: bytes, codes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def decode_unit(
+        self, unit: bytes, codes: bool = False, verify: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`decode_page` over adjacent pages read as one buffer:
         ``(value count per page, values in file order)``.
 
@@ -200,9 +207,9 @@ class ColumnFile:
         whatever its codec, and its error is that page's.
         """
         if len(unit) == self.page_codec.page_size:
-            values = self.decode_page(unit, codes)
+            values = self.decode_page(unit, codes, verify)
             return np.array([len(values)]), values
-        counts, bases, values = self.page_codec.decode_unit(unit)
+        counts, bases, values = self.page_codec.decode_unit(unit, verify)
         per_page = counts.tolist()
         if per_page[:-1] != [self.values_per_page] * (len(per_page) - 1):
             raise PageFormatError(f"unit is not dense: page counts {per_page}")
@@ -211,7 +218,7 @@ class ColumnFile:
         return counts, values.reshape(-1)[: sum(per_page)]
 
     def gather_unit(
-        self, unit: bytes, pages: np.ndarray, in_page: np.ndarray
+        self, unit: bytes, pages: np.ndarray, in_page: np.ndarray, verify: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """Value ``in_page[i]`` of the unit's page ``pages[i]``, for every
         ``i``: ``(value count per page, values)``.
@@ -224,9 +231,9 @@ class ColumnFile:
         """
         codec = self.page_codec.codec
         if len(unit) == self.page_codec.page_size:
-            _page_id, count, payload, state = self.page_codec.decode_raw(unit)
+            _page_id, count, payload, state = self.page_codec.decode_raw(unit, verify)
             return np.array([count]), codec.decode_positions(payload, count, state, in_page)[0]
-        counts, bases, codes = self.page_codec.decode_unit(unit)
+        counts, bases, codes = self.page_codec.decode_unit(unit, verify)
         if (in_page >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
         if codec.decodes_whole_page:

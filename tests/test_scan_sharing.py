@@ -241,11 +241,6 @@ class TestDegenerateGeometry:
             SharedScanConsumer(ExecutionContext(), stream, QUERY)
 
 
-def _corrupt_page(paged_file, page_index: int) -> None:
-    offset = page_index * paged_file.page_size + 97
-    paged_file._data[offset] ^= 0xFF
-
-
 class TestSalvagePages:
     """Corrupt pages drop the same rows as a serial salvage scan."""
 
@@ -257,7 +252,7 @@ class TestSalvagePages:
             victim = table.column_file("O_ORDERKEY").file
         else:
             victim = table.file
-        _corrupt_page(victim, victim.num_pages // 2)
+        victim.corrupt(victim.num_pages // 2, 97)
         want = run_scan(table, QUERY, salvage=True)
         assert not want.is_complete
         context = ExecutionContext(strict_integrity=False)
@@ -273,7 +268,7 @@ class TestSalvagePages:
         data = _coded_orders(seed=53)
         table = load_table(data, Layout.COLUMN)
         victim = table.column_file("O_SHIPPRIORITY").file
-        _corrupt_page(victim, 0)
+        victim.corrupt(0, 97)
         want = run_scan(table, QUERY, salvage=True)
         probe = SharedScanStream(table, QUERY.scan_attributes(), False)
         for attach_at in range(0, probe.num_segments + 1, 2):
@@ -311,7 +306,7 @@ class TestSalvagePages:
     def test_strict_stream_fails_every_rider_typed(self):
         data = _coded_orders(seed=59)
         table = load_table(data, Layout.ROW)
-        _corrupt_page(table.file, 0)
+        table.file.corrupt(0, 97)
         stream = SharedScanStream(table, QUERY.scan_attributes(), True)
         first = SharedScanConsumer(ExecutionContext(), stream, QUERY)
         second = SharedScanConsumer(ExecutionContext(), stream, QUERY)
@@ -408,7 +403,7 @@ class TestShareManager:
     def test_a_failed_stream_is_replaced_and_counted_once(self):
         data = _coded_orders(seed=59)
         table = load_table(data, Layout.ROW)
-        _corrupt_page(table.file, 1)
+        table.file.corrupt(1, 97)
         manager = ScanShareManager()
         doomed = [manager.acquire(table, QUERY, ExecutionContext()) for _ in range(2)]
         doomed[0].open()

@@ -1494,7 +1494,7 @@ class TestSharedRunExits:
         over a table whose driving page ``victim`` is corrupt."""
         table = load_table(data, layout, page_size=4096)
         file = table.file if layout is not Layout.COLUMN else table.column_file("L_COMMENT").file
-        file._data[victim * file.page_size + 97] ^= 0xFF
+        file.corrupt(victim, 97)
         calibration = _run_calibration()
         manager = ScanShareManager()
         contexts = [
@@ -1583,3 +1583,67 @@ class TestSharedRunExits:
             if layout is not Layout.COLUMN:
                 assert want["io_events"]["pages_touched"] == victim + 1
         assert _crc(reference) == RUN_EXITS_AT_PARENT["fault", layout.name]
+
+
+# --- a page corrupted after a scan verified it ------------------------------------
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+class TestCorruptedAfterVerified:
+    """A file checks a page once per load; a page flipped in memory after
+    a scan verified it is named on the next read all the same, by the
+    serial scan and by a shared stream's rider: strict raises its
+    ``ChecksumError``, salvage drops it alone, as a page-at-a-time scan
+    of a table flipped before it was ever read does."""
+
+    #: In the second unit of the driving file, on every layout.
+    VICTIM = 40
+
+    @staticmethod
+    def _loaded(layout):
+        data, page_size, _unit, queries = _shared_case("plain")
+        table = load_table(data, layout, page_size=page_size)
+        driving = table.file if layout is not Layout.COLUMN else table.column_file("L_COMMENT")
+        return table, getattr(driving, "file", driving), queries[1]
+
+    @staticmethod
+    def _scan(table, query, strict: bool, by_page: bool, rider: bool) -> dict:
+        calibration = _shared_calibrations("plain")[by_page]
+        context = ExecutionContext(
+            calibration=calibration, strict_integrity=strict, governance=QueryContext()
+        )
+        if rider:
+            stream = SharedScanStream(table, query.scan_attributes(), strict, calibration)
+            blocks = SharedScanConsumer(context, stream, query).drain()
+        else:
+            blocks = scan_plan(context, table, query).drain()
+        return _record(context, blocks)
+
+    @pytest.mark.parametrize("rider", [False, True], ids=["serial", "rider"])
+    def test_strict_names_the_page(self, layout, rider):
+        table, file, query = self._loaded(layout)
+        self._scan(table, query, True, False, rider)
+        assert file.verified(self.VICTIM)
+        file.corrupt(self.VICTIM, 97)
+        for _again in range(2):
+            with pytest.raises(ChecksumError, match=f"page {self.VICTIM} checksum"):
+                self._scan(table, query, True, False, rider)
+
+    @pytest.mark.parametrize("rider", [False, True], ids=["serial", "rider"])
+    def test_salvage_drops_the_page_alone(self, layout, rider):
+        table, file, query = self._loaded(layout)
+        self._scan(table, query, False, False, rider)
+        verified = file.verified(0, file.num_pages)
+        assert file.verified(self.VICTIM)
+        file.corrupt(self.VICTIM, 97)
+        got = [self._scan(table, query, False, False, rider) for _again in range(2)]
+
+        reference_table, reference_file, _query = self._loaded(layout)
+        reference_file.corrupt(self.VICTIM, 97)
+        want = self._scan(reference_table, query, False, True, rider)
+        assert got == [want, want]
+        assert [page for _file, page, _rows in want["faults"]] == [self.VICTIM]
+        assert want["faults"][0][0] == file.name
+        # Every other page stays verified; the corrupt one is not again.
+        assert file.verified(0, file.num_pages) == verified - 1
+        assert not file.verified(self.VICTIM)

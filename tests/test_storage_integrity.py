@@ -9,15 +9,21 @@ corrupt page, and v1-format directories still open and query correctly.
 """
 
 import json
+import pickle
 import struct
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.data.tpch import generate_orders
 from repro.database import Database
+from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
+from repro.engine.plan import scan_plan
 from repro.engine.query import ScanQuery
+from repro.engine.sharing import SharedScanConsumer, SharedScanStream
 from repro.errors import (
     ChecksumError,
     PageFormatError,
@@ -30,6 +36,7 @@ from repro.storage.faults import (
     flip_bit_on_disk,
     tear_file,
 )
+from repro.storage import page as page_module
 from repro.storage.layout import Layout
 from repro.storage.loader import BulkLoader, load_table
 from repro.storage.page import (
@@ -51,7 +58,9 @@ from repro.storage.scrub import (
     scrub_table,
     verify_table,
 )
+from repro.storage.table import ColumnTable
 from repro.storage.write_store import WriteOptimizedStore
+from repro.testing.chaos import slow_down_table
 
 LAYOUTS = (Layout.ROW, Layout.COLUMN, Layout.PAX)
 ROWS = 500
@@ -484,3 +493,127 @@ class TestPagedFileInvariants:
         page = codec.encode(0, {k: v[:3] for k, v in orders.columns.items()})
         with pytest.raises(PageFormatError):
             codec.decode(page[:128])
+
+
+# --- a page is checked once per load ------------------------------------------
+
+
+def _files(table) -> list[PagedFile]:
+    if isinstance(table, ColumnTable):
+        return [column_file.file for column_file in table.column_files.values()]
+    return [table.file]
+
+
+def _verified(table) -> int:
+    return sum(file.verified(0, file.num_pages) for file in _files(table))
+
+
+def _pages(table) -> int:
+    return sum(file.num_pages for file in _files(table))
+
+
+class _Checks:
+    """Page CRCs computed since last asked: two ``crc32`` calls each."""
+
+    def __init__(self, monkeypatch):
+        self._calls = 0
+        real = zlib.crc32
+
+        def crc32(*args):
+            self._calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(page_module, "zlib", SimpleNamespace(crc32=crc32))
+
+    def take(self) -> int:
+        taken, self._calls = self._calls // 2, 0
+        return taken
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestVerifiedOncePerLoad:
+    """A scan checks a page's CRC the first time it reads it after the
+    load; the exceptions — wrappers, scrub and verify, checks switched
+    off, an unpickled file — check as before."""
+
+    def test_a_page_is_checked_on_its_first_read(self, orders, select, layout, monkeypatch):
+        table = load_table(orders, layout)
+        checks = _Checks(monkeypatch)
+        full_scan(table, select)
+        assert checks.take() == _pages(table) == _verified(table)
+        full_scan(table, select)
+        assert checks.take() == 0
+        # Scrub and verify look at every page, whatever the file says.
+        assert scrub_table(table).is_clean
+        assert checks.take() == _pages(table)
+        verify_table(table)
+        assert checks.take() == _pages(table)
+
+    @pytest.mark.parametrize("wrapper", ["faulty", "slow"])
+    def test_a_wrapper_checks_every_read(self, orders, select, layout, wrapper, monkeypatch):
+        table = load_table(orders, layout)
+        inner = _files(table)
+        full_scan(table, select)
+        assert _verified(table) == _pages(table)
+        plan = FaultPlan(seed=5)
+        if wrapper == "faulty":
+            plan.wrap_table(table)
+        else:
+            slow_down_table(table, 0.0)
+        checks = _Checks(monkeypatch)
+        for _scan in range(2):
+            full_scan(table, select)
+            assert checks.take() == _pages(table)
+        assert _verified(table) == 0
+        # A flip the wrapper hands back, or one in the buffer it shares.
+        if wrapper == "faulty":
+            plan.schedule_bit_flip(page=0, byte=97, bit=0)
+        else:
+            inner[0].corrupt(0, 97)
+        for _scan in range(2):
+            with pytest.raises(ChecksumError):
+                full_scan(table, select)
+
+    def test_an_unpickled_file_is_freshly_loaded(self, orders, select, layout, monkeypatch):
+        table = load_table(orders, layout)
+        full_scan(table, select)
+        shipped = pickle.loads(pickle.dumps(table))
+        assert _verified(table) == _pages(table)
+        assert _verified(shipped) == 0
+        file = _files(table)[0]
+        assert pickle.loads(pickle.dumps(file)).verified(0, file.num_pages) == 0
+        checks = _Checks(monkeypatch)
+        full_scan(shipped, select)
+        assert checks.take() == _pages(shipped)
+
+    def test_checks_switched_off_verify_nothing(self, orders, select, layout):
+        table = load_table(orders, layout)
+        previous = set_checksum_verification(False)
+        try:
+            full_scan(table, select)
+            assert _verified(table) == 0
+            _files(table)[0].corrupt(0, 97)
+        finally:
+            set_checksum_verification(previous)
+        with pytest.raises(ChecksumError):
+            full_scan(table, select)
+
+    def test_no_view_of_a_file_outlives_its_decode(self, orders, select, layout):
+        """A unit is a view of its file's buffer, and a live view would
+        make growing the file a ``BufferError``: none outlives its decode
+        — not in a result, a suspended scan or a stream mid-pass, nor
+        where a failing unit is decoded page by page."""
+        table = load_table(orders, layout)
+        query = ScanQuery("ORDERS", select=select)
+        result = run_scan(table, query)
+        max(_files(table), key=len).corrupt(1, 97)
+        suspended = scan_plan(ExecutionContext(strict_integrity=False), table, query)
+        suspended.open()
+        assert suspended.next(1) is not None
+        stream = SharedScanStream(table, query.scan_attributes(), False)
+        rider = SharedScanConsumer(ExecutionContext(strict_integrity=False), stream, query)
+        rider.open()
+        assert rider.advance()
+        for file in _files(table):
+            file.append_page(file.read_page(0))
+        assert result.num_tuples == ROWS

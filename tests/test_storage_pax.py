@@ -125,27 +125,40 @@ class TestPaxScanner:
         for name in query.select:
             np.testing.assert_array_equal(a.column(name), b.column(name))
 
-    def test_one_checksum_per_page_whatever_the_projection(
-        self, orders_data, pax_orders, monkeypatch
-    ):
-        """Five accessed attributes still verify each page's CRC once.
+    def test_one_checksum_per_page_whatever_the_projection(self, orders_data, monkeypatch):
+        """Five accessed attributes verify each page's CRC once per load:
+        every page on the first scan after the load, none on the next,
+        and after a flip in memory the flipped page alone.
 
         (The scan's CostEvents are pinned by ``test_scan_golden``; the
         checksum is real-clock work the modeled events never counted.)
         """
+        from repro.errors import ChecksumError
         from repro.storage import page as page_module
 
+        table = load_table(orders_data, Layout.PAX)
         calls = []
         real = page_module.page_checksum
         monkeypatch.setattr(
             page_module, "page_checksum", lambda raw: calls.append(1) or real(raw)
         )
         query = ScanQuery("ORDERS", select=tuple(orders_data.schema.attribute_names)[:5])
-        counted = run_scan(pax_orders, query)
-        assert counted.events.pages_touched == pax_orders.file.num_pages
+        counted = run_scan(table, query)
+        assert counted.events.pages_touched == table.file.num_pages > 2
         assert len(calls) == counted.events.pages_touched
-        monkeypatch.undo()
-        assert run_scan(pax_orders, query).events == counted.events
+        calls.clear()
+        assert run_scan(table, query).events == counted.events
+        assert calls == []
+
+        victim = table.file.num_pages // 2
+        table.file.corrupt(victim, 97)
+        with pytest.raises(ChecksumError, match=f"page {victim} checksum"):
+            run_scan(table, query)
+        assert len(calls) == 1
+        calls.clear()
+        salvaged = run_scan(table, query, salvage=True)
+        assert [fault.page for fault in salvaged.corruption.faults] == [victim]
+        assert len(calls) == 1
 
     def test_memory_traffic_scales_with_projection(self, orders_data, pax_orders):
         from repro.engine.predicate import predicate_for_selectivity
