@@ -111,8 +111,10 @@ workload-bench:
 # strict stream failure — in tests/test_scheduler_chaos.py::
 # TestQueuedRiders; stream and window freed by reference count in
 # tests/test_scheduler_equivalence.py), chaos under concurrency, the
-# parallel worker fleet, and every result shape on every executor
-# through the one build_plan.
+# parallel worker fleet, every result shape on every executor through
+# the one build_plan, and the scheduler's one read path (an ast pin in
+# tests/test_query_request.py: every scheduled plan comes from
+# ScanShareManager.acquire; sharing off only means no second rider).
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
 # what a timeslice pumps, or who rides while queued, may move poll()
 # rounds, stream counts and stream I/O, never a query's event.

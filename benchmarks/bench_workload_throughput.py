@@ -4,7 +4,9 @@ Drives the cooperative scheduler with 1, 4, 16, and 64 simultaneous
 clients — every client a COLUMN-layout ORDERS selection at ~30%
 selectivity over the same column set, the regime where Figure 11's
 competing-scans contention bites — and reports, per client count and
-sharing arm:
+sharing arm.  Every scheduled query rides a scan stream: sharing on,
+one stream serves the batch; sharing off, each query opens its own and
+rides it alone, so the off arm reads the table once per client:
 
 1. **correctness (hard gate)** — every handle's result must be
    byte-identical to the serial scan of the same query;

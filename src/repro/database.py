@@ -434,7 +434,6 @@ class Database:
         share_scans: bool = True,
         layout: Layout | None = None,
         use_views: bool = True,
-        column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
         trace: bool = False,
         info: dict | None = None,
         slowlog: SlowQueryLog | None = None,
@@ -445,11 +444,12 @@ class Database:
         :class:`~repro.engine.scheduler.WorkloadQuery` (or a dict of
         its fields).  A fresh scheduler executes the batch with
         admission control (``max_inflight``), cooperative
-        time-slicing, and — with ``share_scans`` — shared circular
-        scans for co-running queries over the same table and column
-        set.  Handles come back in submission order; failed queries
-        carry their typed error on ``handle.error`` instead of
-        raising.  ``info``, when given, receives the scheduler's
+        time-slicing, and circular scan streams — with ``share_scans``
+        one per table and column set, shared by co-running queries;
+        without, one per query.  Handles come back in submission
+        order; failed queries carry their typed error on
+        ``handle.error`` instead of raising.  ``info``, when given,
+        receives the scheduler's
         workload stats (queue depth, share hit-rate, modeled I/O) plus
         the batch's :class:`~repro.obs.slowlog.SlowQueryLog` under
         ``"slowlog"`` (pass your own via ``slowlog=`` to set the
@@ -458,7 +458,6 @@ class Database:
         scheduler = Scheduler(
             max_inflight=max_inflight,
             share_scans=share_scans,
-            column_scanner=column_scanner,
             trace=trace,
             slowlog=slowlog,
         )

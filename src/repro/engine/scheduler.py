@@ -2,15 +2,15 @@
 
 The paper's experiments run one query at a time; a serving system runs
 many.  This module adds the workload layer on top of the existing
-serial operator engine without threads: queries are **cooperatively
-time-sliced** — the scheduler round-robins one operator ``next()``
-call — one batch — (or, for shared scans, one pump of the stream: the
-window's run of segments, an I/O unit at most) per active query per
-round.  A slice is sized by the unit of I/O, not by the page; the
-governance layer still checkpoints once per logical block and once per
-segment *inside* it, so a query's ticks, charges and typed-error points
-are those of a segment-at-a-time ride and only the interleaving of
-``poll()`` rounds is coarser.
+serial operator engine without threads: every scheduled query rides a
+:class:`~repro.engine.sharing.SharedScanStream`, and queries are
+**cooperatively time-sliced** — the scheduler round-robins one pump of
+a query's stream (the window's run of segments, an I/O unit at most),
+then one hand-off of its result batch, per active query per round.  A
+slice is sized by the unit of I/O, not by the page; the governance
+layer still checkpoints once per segment *inside* it, so a query's
+ticks, charges and typed-error points are those of a segment-at-a-time
+ride and only the interleaving of ``poll()`` rounds is coarser.
 
 * **Admission control** — at most ``max_inflight`` queries advance at
   once; the rest wait in a FIFO queue.  ``max_inflight`` bounds the
@@ -25,10 +25,12 @@ are those of a segment-at-a-time ride and only the interleaving of
   :class:`~repro.errors.QueryCancelled`) without ever advancing — a
   rider that boarded leaves its stream first.
 * **Shared scans** — queries over the same table and column set, running
-  or queued, attach to one circular :class:`~repro.engine.sharing.
-  SharedScanStream` (I/O once, per-consumer CPU), mirroring the
-  Figure 11 competing-scans model (:func:`repro.iosim.sharing.
-  measure_competing_scans`): a batch reads each column set once.
+  or queued, attach to one circular stream (I/O once, per-consumer
+  CPU), mirroring the Figure 11 competing-scans model
+  (:func:`repro.iosim.sharing.measure_competing_scans`): a batch reads
+  each column set once.  ``share_scans=False`` keeps Figure 11's
+  control arm by giving each query a share key no other can match: it
+  opens its own stream and never takes a second rider.
 * **Isolation** — each query runs under its own
   :class:`~repro.engine.context.ExecutionContext` and
   :class:`~repro.engine.governance.QueryContext`; one query's timeout,
@@ -64,9 +66,8 @@ from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult
 from repro.engine.governance import CancellationToken, QueryContext
-from repro.engine.plan import ColumnScannerKind, scan_plan
 from repro.engine.query import Query, ScanQuery
-from repro.engine.sharing import ScanShareManager, SharedScanConsumer, share_key
+from repro.engine.sharing import ScanShareManager, share_key
 from repro.errors import EngineError, PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.explain import render_explain
@@ -121,22 +122,18 @@ class QueryHandle:
         query: ScanQuery,
         governance: QueryContext,
         salvage: bool,
-        column_scanner: ColumnScannerKind,
+        share_key: tuple,
     ):
         self.index = index
         self.table = table
         self.query = query
         self.governance = governance
         self.salvage = salvage
-        self.column_scanner = column_scanner
         self.state = QueryState.QUEUED
         self.result: QueryResult | None = None
         self.error: Exception | None = None
-        #: True when the query rode a shared scan stream.
-        self.shared = False
-        #: Its :func:`~repro.engine.sharing.share_key` when the scheduler
-        #: shares scans, computed once at submit.
-        self.share_key: tuple | None = None
+        #: The key of the stream it rides, computed once at submit.
+        self.share_key = share_key
         #: ``(plan, context)`` built when it boarded a live stream while
         #: queued; its admission takes it.
         self._built: tuple | None = None
@@ -228,14 +225,14 @@ class Scheduler:
     oracle run.  Only plain scan queries (projection + conjunctive
     predicates) are schedulable; a :class:`~repro.engine.query.Query`
     with materializing operators runs on the serial or the parallel
-    executor.
+    executor.  Every query rides a shared scan stream; with
+    ``share_scans=False`` each one opens its own and rides it alone.
     """
 
     def __init__(
         self,
         max_inflight: int = 8,
         share_scans: bool = True,
-        column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
         trace: bool = False,
         slowlog: SlowQueryLog | None = None,
     ):
@@ -243,7 +240,6 @@ class Scheduler:
             raise PlanError(f"max_inflight must be >= 1: {max_inflight}")
         self.max_inflight = max_inflight
         self.share_scans = share_scans
-        self.column_scanner = column_scanner
         self.manager = ScanShareManager()
         #: Per-query span trees land here, one track per query index.
         self.tracer: SpanTracer | None = SpanTracer() if trace else None
@@ -274,7 +270,6 @@ class Scheduler:
         cancellation: CancellationToken | None = None,
         salvage: bool = False,
         label: str = "",
-        column_scanner: ColumnScannerKind | None = None,
         on_tick: Callable[[QueryContext], None] | None = None,
         replay: str = "",
         post: Callable[[QueryResult], QueryResult] | None = None,
@@ -300,30 +295,32 @@ class Scheduler:
                     "on the serial or the parallel executor"
                 )
             query = query.scan
+        index = len(self._handles)
         governance = QueryContext.start(
             timeout=timeout,
             memory_budget=memory_budget,
             token=cancellation,
-            label=label or f"scheduled query #{len(self._handles)} on {query.table}",
+            label=label or f"scheduled query #{index} on {query.table}",
         )
         governance.on_tick = on_tick
+        key = share_key(table, query, not salvage)
+        if not self.share_scans:
+            key = (key, index)  # no other query's: it rides alone
         handle = QueryHandle(
-            index=len(self._handles),
+            index=index,
             scheduler=self,
             table=table,
             query=query,
             governance=governance,
             salvage=salvage,
-            column_scanner=column_scanner or self.column_scanner,
+            share_key=key,
         )
         handle.replay = replay
         handle.post = post
         self._handles.append(handle)
         self._queue.append(handle)
-        if self.share_scans:
-            key = handle.share_key = share_key(table, query, not salvage)
-            self._unboarded.setdefault(key, deque()).append(handle)
-            self._board_keys[key] = None
+        self._unboarded.setdefault(key, deque()).append(handle)
+        self._board_keys[key] = None
         flight.record(
             "scheduler.submit",
             governance.label,
@@ -339,7 +336,7 @@ class Scheduler:
             handle = self._queue.popleft()
             handle.admitted_at = time.monotonic()
             built, handle._built = handle._built, None
-            if built is None and handle.share_key is not None:
+            if built is None:
                 self._unboard(handle)
             try:
                 # Queue time is charged to the deadline: a query that
@@ -347,9 +344,8 @@ class Scheduler:
                 handle.governance.check("admission")
                 if built is None:
                     built = self._build_plan(handle)
-                    if handle.share_key is not None:
-                        # It may have opened a stream its queue can board.
-                        self._board_keys[handle.share_key] = None
+                    # It may have opened a stream its queue can board.
+                    self._board_keys[handle.share_key] = None
             except ReproError as exc:
                 if built is not None:
                     # It rode while queued: leave the stream to its peers.
@@ -397,20 +393,14 @@ class Scheduler:
         if self.tracer is not None:
             context.tracer = SpanTracer()
             handle._tracer = context.tracer
-        if self.share_scans:
-            plan = self.manager.acquire(
-                handle.table,
-                handle.query,
-                context,
-                handle.share_key,
-                # Not admitted yet: it boards while it waits.
-                queued=handle.admitted_at is None,
-            )
-            handle.shared = True
-        else:
-            plan = scan_plan(
-                context, handle.table, handle.query, handle.column_scanner
-            )
+        plan = self.manager.acquire(
+            handle.table,
+            handle.query,
+            context,
+            handle.share_key,
+            # Not admitted yet: it boards while it waits.
+            queued=handle.admitted_at is None,
+        )
         return plan, context
 
     # --- execution --------------------------------------------------------
@@ -418,15 +408,13 @@ class Scheduler:
     def _execute(self, handle: QueryHandle, plan, context: ExecutionContext):
         """Generator: one yield per cooperative timeslice."""
         plan.open()
+        # Window-granular slicing: one stream pump — the window's run of
+        # segments, a checkpoint per segment inside it — per timeslice
+        # (a rider may also finish passively off peers' pumps).
+        window = plan.share.window_segments
+        while plan.advance(window):
+            yield
         blocks = []
-        if isinstance(plan, SharedScanConsumer):
-            # Window-granular slicing: one stream pump — the window's
-            # run of segments, a checkpoint per segment inside it — per
-            # timeslice (a consumer may also finish passively off
-            # peers' pumps).
-            window = plan.share.window_segments
-            while plan.advance(window):
-                yield
         while True:
             block = plan.next()
             if block is None:
@@ -514,7 +502,8 @@ class Scheduler:
                 self._finish(handle)
             except BaseException as exc:
                 self._active.remove(entry)
-                self._abandon_plan(plan)
+                # Leave the stream to its peers.
+                self.manager.discard(plan)
                 self._finish(handle, _typed(exc))
                 if not isinstance(exc, Exception):
                     raise
@@ -525,16 +514,6 @@ class Scheduler:
             or self._queue
             or any(not job.done for job in self._jobs)
         )
-
-    def _abandon_plan(self, plan) -> None:
-        """Release a failed query's plan without touching share peers."""
-        if isinstance(plan, SharedScanConsumer):
-            self.manager.discard(plan)
-            return
-        try:
-            plan.close()
-        except Exception:  # the query has already failed; peers must run on
-            pass
 
     def run(self) -> None:
         """Drive every submitted query to completion."""
@@ -597,7 +576,6 @@ class Scheduler:
                 slices=handle.slices,
                 rows=rows,
                 error=outcome.get("error"),
-                shared=handle.shared,
                 events=result.events.as_dict() if result is not None else {},
                 explain=explain,
             )
@@ -608,20 +586,6 @@ class Scheduler:
     def handles(self) -> list[QueryHandle]:
         """Every handle ever submitted, in submission order."""
         return list(self._handles)
-
-    def modeled_io_bytes(self) -> int:
-        """Total modeled I/O of the workload so far, shares counted once.
-
-        Shared streams account their page reads exactly once on the
-        stream (see :class:`~repro.engine.sharing.SharedScanStream`);
-        unshared queries each pay for their own pages.
-        """
-        total = self.manager.io_bytes()
-        for handle in self._handles:
-            if handle.shared or handle.result is None:
-                continue
-            total += handle.result.events.pages_touched * handle.table.page_size
-        return total
 
     def board(self) -> dict:
         """Live scheduler board for the dashboard: queues, riders, streams
@@ -639,7 +603,6 @@ class Scheduler:
                     "label": handle.governance.label,
                     "table": handle.query.table,
                     "slices": handle.slices,
-                    "shared": handle.shared,
                 }
                 for handle, _, _ in self._active
             ],
@@ -673,6 +636,7 @@ class Scheduler:
             "max_inflight": self.max_inflight,
             "share_scans": self.share_scans,
             "max_queue_wait_s": max(queue_waits, default=0.0),
-            "modeled_io_bytes": self.modeled_io_bytes(),
+            # Every query rides a stream, which charges its pages once.
+            "modeled_io_bytes": self.manager.io_bytes(),
             **self.manager.stats(),
         }

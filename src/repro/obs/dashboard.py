@@ -92,10 +92,9 @@ def render_board(
         lines.append(rule)
         lines.append(f"running ({len(board['running'])}):")
         for entry in board["running"][:10]:
-            shared = "shared" if entry["shared"] else "solo"
             lines.append(
-                f"  {entry['label'][: width - 30]:<{width - 30}} "
-                f"{entry['table']:<10} {shared:<6} slices={entry['slices']}"
+                f"  {entry['label'][: width - 23]:<{width - 23}} "
+                f"{entry['table']:<10} slices={entry['slices']}"
             )
         if not board["running"]:
             lines.append("  (idle)")

@@ -9,8 +9,9 @@ finished query whose latency clears ``threshold_s`` competes for one of
 entry freezes the forensics the scheduler had at finish time — queue
 vs execution split, time-slice count, the per-query CostEvents diff
 (each scheduled query runs on its own ``ExecutionContext``, so its
-``events`` *is* the diff against zero), whether it rode a shared
-stream, and the full EXPLAIN ANALYZE text when the batch was traced.
+``events`` *is* the diff against zero; its pages are charged to the
+scan stream it rode, not to it), and the full EXPLAIN ANALYZE text when
+the batch was traced.
 
 :meth:`repro.database.Database.run_workload` attaches a log to each
 batch and leaves it in the dict the caller passes as ``info``::
@@ -41,8 +42,6 @@ class SlowQueryEntry:
     rows: int | None
     #: Typed error name for failed queries, ``None`` for completed ones.
     error: str | None
-    #: Whether the query rode a shared circular scan stream.
-    shared: bool
     #: Per-query CostEvents diff (pages, decode ns, tuples, ...).
     events: dict = field(default_factory=dict)
     #: EXPLAIN ANALYZE text when the batch ran with ``trace=True``.
@@ -54,17 +53,13 @@ class SlowQueryEntry:
             f"{self.label} [{status}] table={self.table} "
             f"latency={self.latency_s * 1e3:.2f}ms "
             f"(queued {self.queue_s * 1e3:.2f}ms) "
-            f"slices={self.slices} rows={self.rows} "
-            f"shared={'yes' if self.shared else 'no'}"
+            f"slices={self.slices} rows={self.rows}"
         ]
         if self.events:
             pages = self.events.get("pages_touched", 0)
             values = self.events.get("values_examined", 0)
             copied = self.events.get("bytes_copied", 0)
-            lines.append(
-                f"  events: pages={pages} values={values} copied={copied}B"
-                + ("  (stream pays the I/O)" if self.shared else "")
-            )
+            lines.append(f"  events: pages={pages} values={values} copied={copied}B")
         if self.explain:
             lines.extend("  | " + line for line in self.explain.splitlines())
         return "\n".join(lines)

@@ -553,11 +553,7 @@ def run_workload_chaos_case(case: WorkloadChaosCase) -> WorkloadChaosOutcome:
         for scan in scans
     ]
 
-    scheduler = Scheduler(
-        max_inflight=case.max_inflight,
-        share_scans=case.share_scans,
-        column_scanner=config.column_scanner,
-    )
+    scheduler = Scheduler(max_inflight=case.max_inflight, share_scans=case.share_scans)
     started = time.monotonic()
     handles = [
         scheduler.submit(

@@ -16,7 +16,6 @@ def _entry(label: str, latency_s: float, **kwargs) -> SlowQueryEntry:
         slices=3,
         rows=10,
         error=None,
-        shared=False,
     )
     defaults.update(kwargs)
     return SlowQueryEntry(label=label, latency_s=latency_s, **defaults)
@@ -49,9 +48,7 @@ class TestSlowQueryLog:
     def test_render_is_slowest_first_with_forensics(self):
         log = SlowQueryLog(top_k=3)
         log.observe(_entry("a", 0.01, events={"pages_touched": 7}))
-        log.observe(
-            _entry("b", 0.02, error="QueryTimeout", shared=True, events={})
-        )
+        log.observe(_entry("b", 0.02, error="QueryTimeout", events={}))
         text = log.render()
         assert text.splitlines()[0].startswith("slow-query log: top 2 of 2")
         assert text.index("#1 b") < text.index("#2 a")

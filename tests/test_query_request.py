@@ -330,17 +330,19 @@ SHAPE_OPERATORS = {
 }
 
 
+def _called(node: ast.Call) -> str | None:
+    """The name a call calls: ``f(...)`` and ``x.f(...)`` both give ``f``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _constructions(tree: ast.AST) -> list[tuple[str, int]]:
     """``(operator, line)`` for every call of a shape operator in ``tree``."""
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in SHAPE_OPERATORS:
-            found.append((name, node.lineno))
-    return found
+    return [
+        (_called(node), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called(node) in SHAPE_OPERATORS
+    ]
 
 
 def test_shape_operators_are_constructed_only_by_the_one_builder():
@@ -375,3 +377,31 @@ def test_shape_operators_are_constructed_only_by_the_one_builder():
         ]
     assert not offenders, offenders
     assert builder_constructs == SHAPE_OPERATORS
+
+
+def test_the_scheduler_has_one_read_path():
+    """Every scheduled plan is a rider from ``ScanShareManager.acquire``:
+    ``engine/scheduler.py`` neither imports nor calls ``scan_plan`` or
+    ``build_plan`` and never asks whether a plan rides a stream, so a
+    second read path can only come back on purpose."""
+    planners = {"scan_plan", "build_plan"}
+    path = pathlib.Path(repro.__file__).parent / "engine" / "scheduler.py"
+    tree = ast.parse(path.read_text())
+    offenders, calls = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            offenders += [
+                f"{node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name in planners
+            ]
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called(node)
+        calls.add(name)
+        if name in planners:
+            offenders.append(f"{node.lineno}: calls {name}")
+        if name == "isinstance" and "SharedScanConsumer" in ast.unparse(node.args[1]):
+            offenders.append(f"{node.lineno}: asks whether a plan is a SharedScanConsumer")
+    assert not offenders, offenders
+    assert "acquire" in calls

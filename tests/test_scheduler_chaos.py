@@ -223,7 +223,6 @@ class TestQueuedRiders:
         serial = run_scan(self._table(), self.QUERY)
         for handle in handles:
             assert handle.state is QueryState.DONE, handle.error
-            assert handle.shared
             np.testing.assert_array_equal(handle.result.positions, serial.positions)
             for name, column in serial.columns.items():
                 np.testing.assert_array_equal(handle.result.columns[name], column)
@@ -241,7 +240,7 @@ class TestQueuedRiders:
             pumper={"on_tick": lambda _governance: time.sleep(0.002)},
         )
         assert isinstance(doomed.error, QueryTimeout) and doomed.result is None
-        assert doomed.shared and doomed.admitted_at is not None
+        assert doomed.admitted_at is not None
         assert self._boxes() == [("victim", "QueryTimeout")]
         self._assert_serial([first, *peers])
 

@@ -94,11 +94,8 @@ def test_concurrent_matches_serial(orders_data, config_name, sharing, n):
     config = CONFIG_BY_NAME[config_name]
     queries = make_workload(seed=n * 101 + len(config_name), n=n, data=orders_data)
     table = load_table(orders_data, config.layout)
-    scheduler = Scheduler(
-        max_inflight=max(2, n // 4),
-        share_scans=sharing == "on",
-        column_scanner=config.column_scanner,
-    )
+    scheduler = Scheduler(max_inflight=max(2, n // 4), share_scans=sharing == "on")
+    flight.RECORDER.clear()
     handles = [scheduler.submit(table, query) for query in queries]
     scheduler.run()
     serial_table = load_table(orders_data, config.layout)
@@ -109,7 +106,12 @@ def test_concurrent_matches_serial(orders_data, config_name, sharing, n):
     stats = scheduler.stats()
     assert stats["completed"] == n and stats["failed"] == 0
     if sharing == "off":
-        assert stats["share_hits"] == 0
+        # "Off" means no second rider: a stream per query, none boarded.
+        assert (stats["share_hits"], stats["share_misses"]) == (0, n)
+        attaches = flight.RECORDER.events("share.attach")
+        assert len(attaches) == n
+        assert all(event.detail["hit"] == 0 for event in attaches)
+        assert all(event.detail["queued"] == 0 for event in attaches)
 
 
 @pytest.mark.parametrize("config_name", [config.name for config in CONFIGS])
@@ -118,9 +120,7 @@ def test_identical_queries_share_one_stream(orders_data, config_name):
     config = CONFIG_BY_NAME[config_name]
     table = load_table(orders_data, config.layout)
     query = ScanQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE"))
-    scheduler = Scheduler(
-        max_inflight=8, share_scans=True, column_scanner=config.column_scanner
-    )
+    scheduler = Scheduler(max_inflight=8, share_scans=True)
     handles = [scheduler.submit(table, query) for _ in range(8)]
     scheduler.run()
     want = run_scan(
@@ -130,10 +130,82 @@ def test_identical_queries_share_one_stream(orders_data, config_name):
     )
     for handle in handles:
         assert handle.state is QueryState.DONE, handle.error
-        assert handle.shared
         assert_identical(handle.result, want)
     stats = scheduler.stats()
     assert stats["share_hits"] == 7 and stats["share_misses"] == 1
+
+
+class TestModeledIO:
+    """What ``stats()["modeled_io_bytes"]`` counts, sharing on and off:
+    every query rides a stream, and a stream charges its pages once,
+    whether its riders finish or fail."""
+
+    SELECT = ("O_ORDERKEY", "O_CUSTKEY", "O_TOTALPRICE")
+    #: Pages one completed share-off query over 20,000 ORDERS rows and
+    #: ``SELECT`` reads at 1, 30 and 100 % selectivity on O_TOTALPRICE,
+    #: measured at the parent commit (24864db), when such a query ran
+    #: a scan plan of its own.
+    PAGES_AT_PARENT = {Layout.ROW: 158, Layout.PAX: 158, Layout.COLUMN: 60}
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_orders(20_000, seed=1)
+
+    @pytest.mark.parametrize("layout", list(PAGES_AT_PARENT), ids=lambda layout: layout.name)
+    def test_share_off_reads_what_it_read_at_parent(self, data, layout):
+        table = load_table(data, layout)
+        queries = [
+            ScanQuery(
+                "ORDERS",
+                select=self.SELECT,
+                predicates=(
+                    predicate_for_selectivity(
+                        "O_TOTALPRICE", data.column("O_TOTALPRICE"), selectivity
+                    ),
+                ),
+            )
+            for selectivity in (0.01, 0.3, 1.0)
+        ]
+        scheduler = Scheduler(share_scans=False)
+        for query in queries:
+            scheduler.submit(table, query)
+        scheduler.run()
+        assert scheduler.completed == len(queries)
+        pages = self.PAGES_AT_PARENT[layout]
+        assert scheduler.stats()["modeled_io_bytes"] == len(queries) * pages * table.page_size
+        for query in queries:
+            assert run_scan(table, query).events.pages_touched == pages
+
+    def test_a_clustered_predicate_is_where_a_stream_reads_more(self, data):
+        """Where share-off I/O moved: a stream reads every page of its
+        column set, while the pipelined scanner's position-driven nodes
+        skip pages with no qualifying position — on the sorted
+        O_ORDERKEY, 1 % is a prefix of the table."""
+        table = load_table(data, Layout.COLUMN)
+        predicate = predicate_for_selectivity("O_ORDERKEY", data.column("O_ORDERKEY"), 0.01)
+        query = ScanQuery("ORDERS", select=self.SELECT, predicates=(predicate,))
+        scheduler = Scheduler(share_scans=False)
+        scheduler.submit(table, query)
+        scheduler.run()
+        assert scheduler.stats()["modeled_io_bytes"] == 60 * table.page_size
+        # What it read at the parent commit, on a scan plan of its own.
+        assert run_scan(table, query).events.pages_touched == 22
+
+    @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN], ids=lambda layout: layout.name)
+    def test_a_query_that_fails_mid_scan_counts_the_pages_it_read(self, data, layout):
+        def kill(governance):
+            if governance.ticks > 3:
+                raise RuntimeError("killed mid-scan")
+
+        table = load_table(data, layout)
+        read = {}
+        for sharing in (True, False):
+            scheduler = Scheduler(share_scans=sharing)
+            handle = scheduler.submit(table, ScanQuery("ORDERS", select=self.SELECT), on_tick=kill)
+            scheduler.run()
+            assert handle.state is QueryState.FAILED and handle.result is None
+            read[sharing] = scheduler.stats()["modeled_io_bytes"]
+        assert read[False] == read[True] > 0
 
 
 def test_oracle_spot_check(orders_data):

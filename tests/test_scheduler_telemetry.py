@@ -135,7 +135,7 @@ class TestBoard:
         board = scheduler.board()
         assert len(board["running"]) == 2  # max_inflight admitted
         entry = board["running"][0]
-        assert set(entry) == {"label", "table", "slices", "shared"}
+        assert set(entry) == {"label", "table", "slices"}
         assert entry["table"] == "ORDERS"
         assert entry["slices"] >= 1
 

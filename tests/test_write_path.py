@@ -140,7 +140,6 @@ def test_hybrid_equals_rebuilt_scheduler(arch, layout, scanner, sharing):
             dict(table=name, select=SELECT, predicates=(predicate,)),
         ],
         share_scans=sharing,
-        column_scanner=scanner,
     )
     for handle in handles:
         assert handle.error is None
@@ -383,8 +382,7 @@ def _direct_results(db, name, query, scanner, workers) -> dict:
 
     base = db.table(name)
     scheduled = Scheduler().submit(base, query).value()
-    unshared = Scheduler(share_scans=False, column_scanner=scanner)
-    workload = unshared.submit(base, query).value()
+    workload = Scheduler(share_scans=False).submit(base, query).value()
     return {
         "serial": run_scan(base, query, column_scanner=scanner),
         "parallel": (
@@ -403,8 +401,9 @@ def test_dirty_query_identical_on_all_four_paths(arch, layout, scanner):
 
     The overlay is applied at the plan boundary and charges nothing, so
     on each path the ``CostEvents`` are those of the same executor run
-    directly on the base table — and serial agrees with an unshared
-    ``run_workload`` event for event.
+    directly on the base table — and an unshared ``run_workload``
+    agrees with ``submit`` event for event: a lone rider either way,
+    its pages charged to its stream.
     """
     db, data, name = _dirty_database(layout)
     predicate = db.predicate(name, "O_TOTALPRICE", 0.6)
@@ -417,7 +416,7 @@ def test_dirty_query_identical_on_all_four_paths(arch, layout, scanner):
         "parallel": db.query(name, workers=2, **args),
         "submit": db.submit(name, **args).value(),
         "run_workload": db.run_workload(
-            [dict(table=name, **args)], share_scans=False, column_scanner=scanner
+            [dict(table=name, **args)], share_scans=False
         )[0].value(),
     }
     direct = _direct_results(db, name, query, scanner, min(2, os.cpu_count() or 1))
@@ -425,7 +424,7 @@ def test_dirty_query_identical_on_all_four_paths(arch, layout, scanner):
         _assert_same(result, expected)
         assert result.events.as_dict() == direct[path].events.as_dict(), path
     assert (
-        results["serial"].events.as_dict()
+        results["submit"].events.as_dict()
         == results["run_workload"].events.as_dict()
     )
 
