@@ -27,10 +27,10 @@ with the recorder module flag off vs on, holding the enabled-by-default
 cost of :mod:`repro.obs.recorder` to the same 5% budget.
 
 A fourth paired gate prices the hybrid write path's read-side promise:
-with nothing staged and nothing deleted, dispatching a scan through
-:func:`repro.engine.hybrid.run_scan_with_store` (the same check
-``Database``'s resolver makes for every query) must cost no more than the plain
-``run_scan`` — the empty-delta fast path is one ``has_changes`` check.
+with nothing staged and nothing deleted, a scan through
+``Database.query(..., layout=...)`` — whose resolver makes the
+``has_changes`` check for every query — must cost no more than the
+plain ``run_scan`` of the same table.
 
 Measurement is built for noisy shared runners: both arms alternate in
 paired cycles (each block re-warmed after the method swap, because
@@ -255,49 +255,43 @@ def measure_recorder(cycles: int, samples: int) -> tuple[float, list[float]]:
     )
 
 
-#: Arm selector for the write-path gate (no method swapping: the arms
-#: differ only in which entry point dispatches the scan).
-_WRITE_ARM = {"hybrid": False}
-_WRITE_STORE = None
-
-
-def _write_sample(table, query) -> float:
-    from repro.engine.hybrid import run_scan_with_store
-
-    started = time.perf_counter()
-    if _WRITE_ARM["hybrid"]:
-        for _ in range(BATCH):
-            result = run_scan_with_store(table, query, _WRITE_STORE)
-    else:
-        for _ in range(BATCH):
-            result = run_scan(table, query)
-    assert result.num_tuples > 0
-    return time.perf_counter() - started
-
-
 def measure_write_path(cycles: int, samples: int) -> tuple[float, list[float]]:
-    """Write-path gate: plain scan vs hybrid dispatch with an empty delta.
+    """Write-path gate: plain scan vs the facade over an empty write store.
 
-    Every table now carries a write store, so every query pays the
-    hybrid dispatch (one ``has_changes`` check) even when nothing is
-    staged.  The candidate arm routes through
-    :func:`repro.engine.hybrid.run_scan_with_store` with an attached
-    but empty store — the resolve step of a clean table — and must
-    stay within the same 5% budget as the other disabled-feature arms.
+    Every table a ``Database`` holds carries a write store, so every
+    query pays the resolver's hybrid check even when nothing is staged.
+    The candidate arm queries through ``Database.query`` with the
+    layout named (no view routing) — the path every facade read takes —
+    and the baseline arm runs ``run_scan`` on the same table; the
+    difference must stay within the same 5% budget as the other
+    disabled-feature arms.
     """
-    from repro.storage.write_store import WriteOptimizedStore
+    from repro.database import Database
 
-    global _WRITE_STORE
-    data = generate_lineitem(ROWS, seed=5)
-    store = WriteOptimizedStore(data.schema)
-    store.attach_base(data.num_rows)
-    _WRITE_STORE = store
+    db = Database(layouts=(Layout.COLUMN,))
+    db.create_table(generate_lineitem(ROWS, seed=5))
+    table = db.table("LINEITEM")
+    arm = {"facade": False}
+
+    def sample(_table, query) -> float:
+        started = time.perf_counter()
+        if arm["facade"]:
+            for _ in range(BATCH):
+                result = db.query(
+                    "LINEITEM", query.select, query.predicates, layout=Layout.COLUMN
+                )
+        else:
+            for _ in range(BATCH):
+                result = run_scan(table, query)
+        assert result.num_tuples > 0
+        return time.perf_counter() - started
+
     return _paired(
         cycles,
         samples,
-        lambda: _WRITE_ARM.__setitem__("hybrid", False),
-        lambda: _WRITE_ARM.__setitem__("hybrid", True),
-        sample=_write_sample,
+        lambda: arm.update(facade=False),
+        lambda: arm.update(facade=True),
+        sample=sample,
     )
 
 

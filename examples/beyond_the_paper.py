@@ -38,7 +38,7 @@ def cstore_projections(data, base_table) -> None:
         compress=True,
         use_rle=True,
     )
-    print(f"   view {view.name}: {view.bytes_per_tuple:.1f} B/tuple vs "
+    print(f"   view {view.name}: {view.table.total_bytes / view.table.num_rows:.1f} B/tuple vs "
           f"{base_table.total_bytes / base_table.num_rows:.1f} B/tuple base")
     for attr in view.attributes:
         spec = view.table.schema.attribute(attr).spec

@@ -37,11 +37,6 @@ class TextPackCodec(Codec):
                 f"{attr_type.width}"
             )
 
-    @property
-    def packed_width(self) -> int:
-        """Stored bytes per value."""
-        return self._packed_width
-
     def encode_codes(self, values: np.ndarray) -> tuple[np.ndarray, int]:
         values = np.asarray(values, dtype=f"S{self.attr_type.width}")
         longest = max((len(v) for v in values.tolist()), default=0)

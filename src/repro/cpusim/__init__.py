@@ -10,7 +10,6 @@ bound), and ``usr-rest``.
 """
 
 from repro.cpusim.breakdown import CpuBreakdown
-from repro.cpusim.cache import line_coverage, lines_touched
 from repro.cpusim.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpusim.costmodel import CpuModel
 from repro.cpusim.events import CostEvents
@@ -21,6 +20,4 @@ __all__ = [
     "CpuModel",
     "Calibration",
     "DEFAULT_CALIBRATION",
-    "lines_touched",
-    "line_coverage",
 ]

@@ -9,7 +9,7 @@ the hardware prefetcher keeps up (sequential); when it hops across a
 sparse position list, each touched line is a random miss.
 
 The model is written once, for any number of pages at a time
-(:func:`classify_access`); the one-page functions are spellings of it.
+(:func:`classify_access`).
 """
 
 from __future__ import annotations
@@ -65,41 +65,3 @@ def classify_access(
     total = page_lines(np.asarray(counts, dtype=np.int64), value_bits, line_bytes)
     dense = touched / np.maximum(total, 1) >= threshold  # an empty page has no coverage
     return np.where(dense, total, 0), np.where(dense, 0, touched)
-
-
-def lines_touched(positions: np.ndarray, value_bits: int, line_bytes: int) -> int:
-    """Distinct cache lines containing the values at ``positions``.
-
-    ``positions`` are value indexes within one page, ascending; values
-    are fixed width (``value_bits``), densely packed from the start of
-    the page.
-    """
-    # No coverage reaches an infinite threshold: every touched line is "random".
-    return classify_page_access(positions, 0, value_bits, line_bytes, np.inf)[1]
-
-
-def line_coverage(
-    positions: np.ndarray,
-    count: int,
-    value_bits: int,
-    line_bytes: int,
-) -> tuple[int, float]:
-    """``(touched, fraction-of-page-lines)`` for a positional access."""
-    total = page_lines(count, value_bits, line_bytes)
-    if total == 0:
-        return 0, 0.0
-    touched = lines_touched(positions, value_bits, line_bytes)
-    return touched, touched / total
-
-
-def classify_page_access(
-    positions: np.ndarray,
-    count: int,
-    value_bits: int,
-    line_bytes: int,
-    threshold: float = PREFETCH_COVERAGE_THRESHOLD,
-) -> tuple[int, int]:
-    """:func:`classify_access` of one page: ``(seq_lines, rand_lines)``."""
-    pages = np.zeros(np.size(positions), dtype=np.int64)
-    seq, rand = classify_access(pages, positions, [count], value_bits, line_bytes, threshold)
-    return int(seq[0]), int(rand[0])

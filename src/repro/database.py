@@ -217,31 +217,21 @@ class Database:
         matched = run_scan(entry.tables[self.layouts[0]], scan).positions
         return entry.delete(matched, predicates)
 
-    def merge(
-        self, table: str, verify: bool = False, background: bool = False
-    ) -> JobHandle | None:
+    def merge(self, table: str, verify: bool = False) -> None:
         """Drain the write store into freshly rebuilt read-store tables.
 
-        Foreground (default): rebuild every materialized layout with
-        deletes reclaimed and staged rows appended (re-clustered on the
-        declared ``sort_key``, stable), swap them in, re-materialize
-        views, and clear the staging area.  ``verify=True`` sweeps the
-        rebuilt pages before the swap, so a merge can never install
-        corrupt pages.  A failure re-raises with one black box dumped.
-
-        Background: the same work proceeds incrementally on the
-        database's scheduler (one layout per step) — returns a
-        :class:`~repro.engine.scheduler.JobHandle`; drive it with
-        ``db.scheduler.run()`` (or interleave your own submits).
-        Queries in flight finish on the old snapshot; writes are frozen
-        until the merge commits.
+        Rebuild every materialized layout with deletes reclaimed and
+        staged rows appended (re-clustered on the declared
+        ``sort_key``, stable), swap them in, re-materialize views, and
+        clear the staging area.  ``verify=True`` sweeps the rebuilt
+        pages before the swap, so a merge can never install corrupt
+        pages.  A failure re-raises with one black box dumped.  For the
+        same work on the scheduler, between timeslices, see
+        :meth:`start_merge`.
         """
-        if background:
-            return self.start_merge(table, verify=verify)
         steps = self._entry(table).merge_steps(f"merge {table}", verify, blackbox=True)
         for _ in steps:
             pass
-        return None
 
     def start_merge(self, table: str, verify: bool = False) -> JobHandle:
         """Kick off an incremental merge on the database's scheduler.
@@ -429,7 +419,7 @@ class Database:
 
     def run_workload(
         self,
-        requests: list,
+        requests: list[WorkloadQuery],
         max_inflight: int = 8,
         share_scans: bool = True,
         layout: Layout | None = None,
@@ -441,9 +431,9 @@ class Database:
         """Run a batch of scans concurrently and return their handles.
 
         Each element of ``requests`` is a
-        :class:`~repro.engine.scheduler.WorkloadQuery` (or a dict of
-        its fields).  A fresh scheduler executes the batch with
-        admission control (``max_inflight``), cooperative
+        :class:`~repro.engine.scheduler.WorkloadQuery`.  A fresh
+        scheduler executes the batch with admission control
+        (``max_inflight``), cooperative
         time-slicing, and circular scan streams — with ``share_scans``
         one per table and column set, shared by co-running queries;
         without, one per query.  Handles come back in submission
@@ -462,8 +452,6 @@ class Database:
             slowlog=slowlog,
         )
         for index, request in enumerate(requests):
-            if isinstance(request, dict):
-                request = WorkloadQuery(**request)
             self._submit(
                 scheduler,
                 request.table,
@@ -623,16 +611,3 @@ class Database:
             raise PlanError(f"layout {layout} not materialized")
         scan = ScanQuery(table, select=select, predicates=predicates)
         return measure_scan(self.table(table, layout), scan, config)
-
-    def compare_layouts(
-        self,
-        table: str,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        config: ExperimentConfig | None = None,
-    ) -> dict[Layout, ScanMeasurement]:
-        """Estimate the same scan under every materialized layout."""
-        return {
-            layout: self.estimate(table, select, predicates, layout, config)
-            for layout in self.layouts
-        }

@@ -60,12 +60,6 @@ class MaterializedView:
             page_size=self.table.page_size,
         )
 
-    @property
-    def bytes_per_tuple(self) -> float:
-        if self.table.num_rows == 0:
-            return 0.0
-        return self.table.total_bytes / self.table.num_rows
-
 
 def materialize_view(
     data: GeneratedTable,

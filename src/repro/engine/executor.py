@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpusim.events import CostEvents
-from repro.engine.blocks import Block, concat_blocks
+from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
 from repro.engine.plan import ColumnScannerKind, build_plan
@@ -53,9 +53,6 @@ class QueryResult:
         if not self.columns:
             return [() for _ in range(self.num_tuples)]
         return list(zip(*(self.columns[name].tolist() for name in self.columns)))
-
-    def as_block(self) -> Block:
-        return Block(columns=self.columns, positions=self.positions)
 
 
 def execute_plan(plan: Operator) -> QueryResult:

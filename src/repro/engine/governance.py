@@ -153,10 +153,6 @@ class QueryContext:
             return None
         return self.deadline - time.monotonic()
 
-    @property
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
     def check(self, where: str = "") -> None:
         """One cooperative checkpoint; raises the typed error when due.
 

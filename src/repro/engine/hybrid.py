@@ -23,12 +23,9 @@ order``.  The overlay is not a plan node: it charges no
 query's modeled cost and EXPLAIN tree are those of its base plan.
 
 ``Database`` builds the overlay in its resolver and applies it after
-whichever executor ran (resolve -> execute -> overlay).
-:func:`run_scan_with_store` is the same pipeline for callers holding a
-bare table and store, and the drop-in replacement for
-:func:`~repro.engine.executor.run_scan`: with no pending edits it falls
-through to the plain scan (one predicate check — this is the candidate
-arm of the empty-delta overhead gate in
+whichever executor ran (resolve -> execute -> overlay); with no pending
+edits the resolver builds none (one ``has_changes`` check — the
+candidate arm of the empty-delta overhead gate in
 ``benchmarks/check_tracing_overhead.py``).
 
 Snapshot semantics: an overlay captures the store's state at build
@@ -42,11 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, run_scan
-from repro.engine.plan import ColumnScannerKind
+from repro.engine.executor import QueryResult
 from repro.engine.query import ScanQuery
-from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.write_store import WriteOptimizedStore
@@ -134,23 +128,3 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
         delta_columns=delta_columns,
         delta_positions=delta_positions,
     )
-
-
-def run_scan_with_store(
-    table: Table,
-    query: ScanQuery,
-    store: "WriteOptimizedStore | None",
-    context: ExecutionContext | None = None,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-    salvage: bool = False,
-) -> QueryResult:
-    """Serial scan that sees the write store's pending edits, if any.
-
-    The empty-delta fall-through is the whole fast path: one attribute
-    load and one predicate check before handing off to the unchanged
-    :func:`run_scan`, which the paired overhead gate holds under 5%.
-    """
-    if store is None or not store.has_changes:
-        return run_scan(table, query, context, column_scanner, salvage)
-    overlay = build_overlay(store, query)
-    return overlay.apply(run_scan(table, query, context, column_scanner, salvage))

@@ -326,10 +326,6 @@ class Scanner(Operator):
         specs = (self.table.schema.attribute(name).spec for name in names)
         return [spec.kind for spec in specs if spec.is_compressed]
 
-    def scan_attribute_order(self) -> list[str]:
-        """The attributes this scan reads, deepest (predicates) first."""
-        return list(self._attrs)
-
     def describe(self) -> str:
         detail = f"{self.table.schema.name}: {', '.join(self.select)}"
         if self.predicates:

@@ -6,8 +6,7 @@ partition in a small persistent **fleet** of worker processes and
 merging the materialized partials in the parent:
 
 * plain selections: concatenate worker blocks in partition order
-  (already global Record-ID order), fixing up positions of physically
-  partitioned shards by their ``row_start``;
+  (already global Record-ID order);
 * aggregates: each worker computes decomposed partials
   (count/sum/min/max, sum+count for AVG — see
   :func:`repro.engine.plan.decompose_aggregate`) and
@@ -98,7 +97,7 @@ from repro.engine.query import AggregateSpec, Query, ScanQuery
 from repro.errors import PlanError
 from repro.obs import recorder as flight
 from repro.obs.trace import SpanTracer
-from repro.storage.partition import PartitionedTable, partition_ranges
+from repro.storage.partition import partition_ranges
 from repro.storage.pagefile import PagedFile
 from repro.storage.scrub import CorruptionReport
 from repro.storage.table import ColumnTable, Table
@@ -135,8 +134,7 @@ class WorkerTask:
     index: int
     table: Table | None          #: ``None``: the worker's resident copy
     query: Query                 #: the whole request, shape included
-    row_range: tuple[int, int] | None
-    position_offset: int
+    row_range: tuple[int, int]
     column_scanner: ColumnScannerKind
     calibration: Calibration
     block_size: int
@@ -262,8 +260,6 @@ def _execute_task(
         result = run(task.query)
         columns = result.columns
         positions = result.positions
-        if task.position_offset:
-            positions = positions + task.position_offset
     return WorkerOutput(
         index=task.index,
         columns=columns,
@@ -692,7 +688,7 @@ def _merge_plan(
 
 
 def parallel_query(
-    table: Table | PartitionedTable,
+    table: Table,
     query: ScanQuery | Query,
     *,
     workers: int = 2,
@@ -714,10 +710,8 @@ def parallel_query(
 ) -> QueryResult:
     """Execute one decomposable query across row-range partitions.
 
-    ``table`` may be a plain table (split logically into ``partitions``
-    contiguous row ranges, default one per worker) or a
-    :class:`~repro.storage.partition.PartitionedTable` (its physical
-    shards are used as-is).  ``workers <= 1`` runs the same
+    ``table`` is split logically into ``partitions`` contiguous row
+    ranges, default one per worker.  ``workers <= 1`` runs the same
     partition-and-merge machinery in-process, which keeps the merge
     path — and its cost accounting — testable without a pool.
 
@@ -768,26 +762,14 @@ def parallel_query(
     governance = context.governance
     policy = policy or SupervisionPolicy()
 
-    # Partition list: (table, residency token, row_range, position_offset)
-    # per task; ``preload`` is what a newly forked worker is born holding.
-    preload: dict = {}
-    if isinstance(table, PartitionedTable):
-        shards = [
-            (part.table, _residency_token(part.table), None, part.row_start)
-            for part in table.partitions
-        ]
-        schema_table: Table = table.partitions[0].table
-    else:
-        count = partitions if partitions is not None else workers
-        token = _residency_token(table)
-        shards = [
-            (table, token, (lo, hi), 0)
-            for lo, hi in partition_ranges(table.num_rows, count)
-        ]
-        schema_table = table
-        if token is not None:
-            preload[token] = table
-    query.scan.validate_against(schema_table.schema)
+    # One row window per task; ``preload`` is what a newly forked worker
+    # is born holding.
+    ranges = partition_ranges(
+        table.num_rows, partitions if partitions is not None else workers
+    )
+    token = _residency_token(table)
+    preload = {token: table} if token is not None else {}
+    query.scan.validate_against(table.schema)
     # Only supervised queries (governance, a breaker, or injected worker
     # faults) pay for a worker-side context that beats.
     supervised = any(
@@ -798,14 +780,13 @@ def parallel_query(
     # its materializing working set is ~1/N of the serial one.
     budget_share = None
     if governance is not None and governance.memory_budget is not None:
-        budget_share = max(1, governance.memory_budget // len(shards))
+        budget_share = max(1, governance.memory_budget // len(ranges))
     tasks = [
         WorkerTask(
             index=index,
-            table=shard_table,
+            table=table,
             query=query,
             row_range=row_range,
-            position_offset=offset,
             column_scanner=column_scanner,
             calibration=context.calibration,
             block_size=context.block_size,
@@ -818,7 +799,7 @@ def parallel_query(
             heartbeat_interval=policy.heartbeat_interval,
             token=token,
         )
-        for index, (shard_table, token, row_range, offset) in enumerate(shards)
+        for index, row_range in enumerate(ranges)
     ]
 
     mode = "inline"
@@ -839,7 +820,7 @@ def parallel_query(
             base=base,
             first=first,
             keys={
-                task.index: (schema_table.schema.name, task.index, task.row_range)
+                task.index: (table.schema.name, task.index, task.row_range)
                 for task in tasks
             },
             governance=governance,

@@ -25,10 +25,6 @@ class SecondaryIndex:
         self._sorted_values = np.asarray(values)[order]
         self._sorted_rids = order.astype(np.int64)
 
-    @property
-    def entry_count(self) -> int:
-        return self.num_rows
-
     def lookup_range(self, low, high) -> np.ndarray:
         """RIDs with ``low <= value <= high``, sorted by RID."""
         left = int(np.searchsorted(self._sorted_values, low, side="left"))
@@ -66,7 +62,3 @@ class SecondaryIndex:
         if op is Op.EQ:
             return self.lookup_range(value, value)
         raise PlanError(f"secondary index cannot serve operator {op.value!r}")
-
-    def selectivity_of(self, predicate: Predicate) -> float:
-        """Fraction of rows the predicate qualifies, from the index."""
-        return self.lookup_predicate(predicate).size / self.num_rows

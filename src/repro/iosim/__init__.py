@@ -15,12 +15,10 @@ casing.
 from repro.iosim.request import FileExtent, IoRequest
 from repro.iosim.sharing import (
     CompetingScansMeasurement,
-    MergeCompetitionMeasurement,
     SharedScanOutcome,
     SharedScanQuery,
     SharedScanSimulator,
     measure_competing_scans,
-    measure_merge_competition,
 )
 from repro.iosim.sim import DiskArraySim, StreamStats
 from repro.iosim.streams import ScanStream, SubmissionPolicy
@@ -37,8 +35,6 @@ __all__ = [
     "SharedScanQuery",
     "SharedScanOutcome",
     "CompetingScansMeasurement",
-    "MergeCompetitionMeasurement",
     "measure_competing_scans",
-    "measure_merge_competition",
     "competing_row_scan",
 ]

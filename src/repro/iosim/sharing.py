@@ -238,107 +238,3 @@ def measure_competing_scans(
         shared_bytes_read=shared_bytes,
         independent_bytes_read=table_bytes * len(queries),
     )
-
-
-@dataclass(frozen=True)
-class MergeCompetitionMeasurement:
-    """Query latency with a background merge competing for the array.
-
-    The merge is modeled as the paper's tuple mover: one sequential
-    read of the old segment plus one sequential write-sized read of the
-    new segment (the simulator is read-only, so the write stream is
-    represented by an equal-sized read — the head contention is what
-    matters).  ``slowdown`` is the factor by which the merge stretches
-    the query scan, the write-store analogue of Figure 11's competing
-    scans.
-    """
-
-    query_solo_seconds: float
-    merge_solo_seconds: float
-    query_contended_seconds: float
-    merge_contended_seconds: float
-
-    @property
-    def slowdown(self) -> float:
-        """Query latency multiplier while the merge runs."""
-        if self.query_solo_seconds == 0:
-            return 1.0
-        return self.query_contended_seconds / self.query_solo_seconds
-
-    @property
-    def merge_stretch(self) -> float:
-        """Merge duration multiplier caused by the foreground scan."""
-        if self.merge_solo_seconds == 0:
-            return 1.0
-        return self.merge_contended_seconds / self.merge_solo_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "query_solo_seconds": self.query_solo_seconds,
-            "merge_solo_seconds": self.merge_solo_seconds,
-            "query_contended_seconds": self.query_contended_seconds,
-            "merge_contended_seconds": self.merge_contended_seconds,
-            "slowdown": self.slowdown,
-            "merge_stretch": self.merge_stretch,
-        }
-
-
-def measure_merge_competition(
-    table_bytes: int,
-    merge_bytes: int | None = None,
-    query_arrival: float | None = None,
-    sim: DiskArraySim | None = None,
-    prefetch_depth: int | None = None,
-) -> MergeCompetitionMeasurement:
-    """Model a query scan racing a background merge on one array.
-
-    ``merge_bytes`` defaults to ``2 x table_bytes`` (read the old
-    segment, write the new one).  The merge starts at time zero;
-    ``query_arrival`` defaults to half-way through the solo merge, so
-    the query lands mid-merge and contends with the tuple mover's
-    in-flight requests.  Latencies are measured from each stream's own
-    start, through the shared :class:`~repro.iosim.sim.DiskArraySim`,
-    so the result reflects the same seek/transfer calibration as every
-    other iosim figure.
-    """
-    if table_bytes <= 0:
-        raise SimulationError(f"table must be non-empty: {table_bytes}")
-    if merge_bytes is None:
-        merge_bytes = 2 * table_bytes
-    if merge_bytes <= 0:
-        raise SimulationError(f"merge stream must be non-empty: {merge_bytes}")
-    sim = sim or DiskArraySim()
-    depth = (
-        prefetch_depth
-        if prefetch_depth is not None
-        else sim.calibration.default_prefetch_depth
-    )
-
-    def _stream(name: str, file: str, size: int, start: float = 0.0) -> ScanStream:
-        return ScanStream(
-            name=name,
-            files=[FileExtent(file, size)],
-            unit_bytes=sim.unit_bytes,
-            prefetch_depth=depth,
-            policy=SubmissionPolicy.ROW,
-            start_time=start,
-        )
-
-    query_solo = sim.solo_scan_seconds(_stream("query", "T", table_bytes))
-    merge_solo = sim.solo_scan_seconds(_stream("merge", "M", merge_bytes))
-    if query_arrival is None:
-        query_arrival = merge_solo / 2
-    if query_arrival < 0:
-        raise SimulationError(f"arrival must be non-negative: {query_arrival}")
-    stats = sim.run(
-        [
-            _stream("query", "T", table_bytes, start=query_arrival),
-            _stream("merge", "M", merge_bytes),
-        ]
-    )
-    return MergeCompetitionMeasurement(
-        query_solo_seconds=query_solo,
-        merge_solo_seconds=merge_solo,
-        query_contended_seconds=stats["query"].finish_time - query_arrival,
-        merge_contended_seconds=stats["merge"].finish_time,
-    )

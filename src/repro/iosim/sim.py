@@ -56,11 +56,6 @@ class StreamStats:
         """Wall time from stream start to its last completed unit."""
         return self.finish_time - self.start_time
 
-    @property
-    def io_seconds(self) -> float:
-        """Disk time spent on this stream's own requests."""
-        return self.seek_seconds + self.transfer_seconds
-
 
 @dataclass
 class _StreamState:

@@ -21,7 +21,6 @@ The policy controls how many windows a stream keeps in flight:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -93,17 +92,6 @@ class ScanStream:
     @property
     def total_bytes(self) -> int:
         return sum(f.size_bytes for f in self.files)
-
-    @property
-    def total_units(self) -> int:
-        return sum(
-            math.ceil(f.size_bytes / self.unit_bytes)
-            for f in self.files
-            if f.size_bytes
-        )
-
-    def num_windows(self) -> int:
-        return len(self._windows)
 
     def windows(self) -> list[_Window]:
         """The stream's windows in submission order."""

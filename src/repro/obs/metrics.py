@@ -384,11 +384,6 @@ class MetricsRegistry:
         for metric, field in self.bindings.get(kind, ()):
             metric.apply(1 if field is None else detail[field])
 
-    def reset_values(self) -> None:
-        """Zero every metric (tests); registrations are kept."""
-        for metric in self._metrics.values():
-            metric.reset()
-
     def render(self) -> str:
         """Prometheus text exposition format, newline-terminated."""
         lines: list[str] = []

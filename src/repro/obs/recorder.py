@@ -115,7 +115,6 @@ class FlightRecorder:
         #: Raw event tuples: :meth:`events` wraps them when they are read.
         self._ring: deque[tuple] = deque(maxlen=capacity)
         self._seq = 0
-        self._cleared_at = 0
         #: Black-box dicts, newest last, bounded like the ring.
         self.blackboxes: deque[dict] = deque(maxlen=max_blackboxes)
         self._blackbox_seq = 0
@@ -133,11 +132,6 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    @property
-    def evicted(self) -> int:
-        """Events evicted from the ring (oldest-first) since the last clear."""
-        return self._seq - self._cleared_at - len(self._ring)
 
     def events(
         self, kind: str | None = None, query: str | None = None
@@ -163,7 +157,6 @@ class FlightRecorder:
         """Drop every buffered event and black box (sequence kept)."""
         self._ring.clear()
         self.blackboxes.clear()
-        self._cleared_at = self._seq
 
     # --- black boxes ------------------------------------------------------
 

@@ -172,10 +172,6 @@ class DeleteVector:
         """True when no position is deleted."""
         return not self._bits.any()
 
-    def deleted_positions(self) -> np.ndarray:
-        """The deleted positions, ascending."""
-        return np.flatnonzero(self.mask()).astype(np.int64)
-
     def cumulative(self) -> np.ndarray:
         """Prefix counts: ``cum[p]`` = deleted positions strictly before p.
 

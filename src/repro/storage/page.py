@@ -161,6 +161,17 @@ def downgrade_page_v2(page: bytes) -> bytes:
     return page[: len(page) - PAGE_TRAILER_BYTES] + _TRAILER_V1.pack(page_id, base)
 
 
+def refuse_variable_codecs(schema: TableSchema, codecs: list[Codec]) -> None:
+    """Row and PAX pages give every value a fixed-width slot, so a codec
+    without one (RLE) is refused before any page is written."""
+    for attr, codec in zip(schema, codecs):
+        if codec.is_variable:
+            raise StorageError(
+                f"{schema.name}.{attr.name}: {attr.spec.kind.name} is a column "
+                "codec; row and PAX pages hold fixed-width values"
+            )
+
+
 class TuplePageCodec:
     """What the plain and the bit-packed row page codec share.
 

@@ -29,7 +29,12 @@ import numpy as np
 from repro.compression.base import Codec, CodecKind, PageCodecState
 from repro.compression.registry import build_codec
 from repro.errors import PageFormatError, StorageError
-from repro.storage.page import _assemble, _disassemble, page_payload_bytes
+from repro.storage.page import (
+    _assemble,
+    _disassemble,
+    page_payload_bytes,
+    refuse_variable_codecs,
+)
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.types.schema import TableSchema
 
@@ -46,6 +51,7 @@ class PaxPageCodec:
         self._codecs: list[Codec] = [
             build_codec(attr.spec, attr.attr_type) for attr in schema
         ]
+        refuse_variable_codecs(schema, self._codecs)
         self._bits = [codec.bits_per_value for codec in self._codecs]
         self._frame_attrs = [
             index
@@ -168,11 +174,6 @@ class PaxPageCodec:
         }
         return counts, columns
 
-    def decode_attribute(self, page: bytes, name: str) -> tuple[int, int, np.ndarray]:
-        """Decode one attribute's minipage: ``(page_id, count, values)``."""
-        page_id, count, columns = self.decode_columns(page, (name,))
-        return page_id, count, columns[name]
-
     def _base_for(self, attr_index: int, bases: list[int]) -> int:
         if attr_index in self._frame_attrs:
             return bases[self._frame_attrs.index(attr_index)]
@@ -181,7 +182,3 @@ class PaxPageCodec:
     def attribute_bits(self, name: str) -> int:
         """Packed width of one attribute's values."""
         return self._bits[self.schema.index_of(name)]
-
-    def codec_for(self, name: str) -> Codec:
-        """The runtime codec of one attribute."""
-        return self._codecs[self.schema.index_of(name)]

@@ -73,7 +73,6 @@ from repro.types.schema import Attribute, TableSchema
 
 _META_NAME = "meta.json"
 _META_CRC_KEY = "meta_crc32"
-_MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
@@ -430,112 +429,3 @@ def open_table(
         )
         column_files[attr.name] = column_file
     return ColumnTable(schema, column_files, num_rows, page_size=page_size)
-
-
-# --- partitioned tables ----------------------------------------------------------
-
-
-def _partition_dirname(index: int) -> str:
-    return f"p{index:04d}"
-
-
-def save_partitioned_table(
-    ptable, directory: str | pathlib.Path
-) -> pathlib.Path:
-    """Persist a :class:`~repro.storage.partition.PartitionedTable`.
-
-    Layout on disk: one :func:`save_table` directory per partition
-    (``p0000/``, ``p0001/``, ...) plus a checksummed ``manifest.json``
-    describing the row ranges.  The whole tree is staged and renamed
-    into place like :func:`save_table`, manifest last, so a crash
-    mid-save never leaves a directory that opens.
-    """
-    directory = pathlib.Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    staging = directory.parent / f".{directory.name}.saving"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir()
-    for partition in ptable.partitions:
-        save_table(partition.table, staging / _partition_dirname(partition.index))
-    manifest = ptable.manifest()
-    manifest["format_version"] = _FORMAT_VERSION
-    manifest[_META_CRC_KEY] = _meta_checksum(manifest)
-    _write_file_durably(
-        staging / _MANIFEST_NAME, json.dumps(manifest, indent=2).encode("utf-8")
-    )
-    _fsync_directory(staging)
-    if directory.exists():
-        retired = directory.parent / f".{directory.name}.old"
-        if retired.exists():
-            shutil.rmtree(retired)
-        directory.rename(retired)
-        staging.rename(directory)
-        shutil.rmtree(retired)
-    else:
-        staging.rename(directory)
-    _fsync_directory(directory.parent)
-    return directory
-
-
-def load_partition_manifest(directory: str | pathlib.Path) -> dict:
-    """Read and checksum-verify a partitioned table's manifest."""
-    directory = pathlib.Path(directory)
-    manifest_path = directory / _MANIFEST_NAME
-    if not manifest_path.exists():
-        raise StorageError(f"no {_MANIFEST_NAME} in {directory}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StorageError(
-            f"{manifest_path} is corrupt or half-written: {exc}"
-        ) from exc
-    stored = manifest.get(_META_CRC_KEY)
-    if stored is None:
-        raise ChecksumError(f"{manifest_path} has no checksum")
-    actual = _meta_checksum(manifest)
-    if stored != actual:
-        raise ChecksumError(
-            f"{manifest_path} checksum mismatch: stored {stored:#010x}, "
-            f"computed {actual:#010x}"
-        )
-    return manifest
-
-
-def is_partitioned_directory(directory: str | pathlib.Path) -> bool:
-    """True when ``directory`` holds a partitioned table (has a manifest)."""
-    return (pathlib.Path(directory) / _MANIFEST_NAME).exists()
-
-
-def open_partitioned_table(
-    directory: str | pathlib.Path,
-    salvage: CorruptionReport | None = None,
-    retry_policy: RetryPolicy | None = None,
-):
-    """Load a partitioned table written by :func:`save_partitioned_table`.
-
-    Per-partition page damage follows the same strict/salvage policy as
-    :func:`open_table`; manifest damage always raises, since without the
-    row ranges the global Record IDs cannot be reconstructed.
-    """
-    from repro.storage.partition import PartitionedTable, TablePartition
-
-    directory = pathlib.Path(directory)
-    manifest = load_partition_manifest(directory)
-    layout = Layout(manifest["layout"])
-    partitions = []
-    for entry in manifest["partitions"]:
-        table = open_table(
-            directory / _partition_dirname(entry["index"]),
-            salvage=salvage,
-            retry_policy=retry_policy,
-        )
-        partitions.append(
-            TablePartition(
-                index=entry["index"],
-                row_start=entry["row_start"],
-                row_end=entry["row_end"],
-                table=table,
-            )
-        )
-    return PartitionedTable(partitions, layout, page_size=manifest["page_size"])

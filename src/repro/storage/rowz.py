@@ -16,24 +16,23 @@ import struct
 
 import numpy as np
 
-from repro.compression.base import Codec, CodecKind, PageCodecState
+from repro.compression.base import Codec, CodecKind
 from repro.compression.bitpack import (
     check_codes,
     gather_bits,
     gather_bytes,
-    pack_bits,
     scatter_bits,
     scatter_bytes,
-    unpack_bits,
 )
 from repro.compression.registry import build_codec
-from repro.errors import PageFormatError, StorageError
+from repro.errors import StorageError
 from repro.storage.page import (
     DEFAULT_PAGE_SIZE,
     PAGE_HEADER_BYTES,
     TuplePageCodec,
     _assemble,
     page_payload_bytes,
+    refuse_variable_codecs,
 )
 from repro.types.schema import TableSchema
 
@@ -56,6 +55,7 @@ class CompressedRowPageCodec(TuplePageCodec):
         self._codecs: list[Codec] = [
             build_codec(attr.spec, attr.attr_type) for attr in schema
         ]
+        refuse_variable_codecs(schema, self._codecs)
         self._bits = [codec.bits_per_value for codec in self._codecs]
         self._bit_offsets = np.cumsum([0] + self._bits).tolist()
         self.row_bits = sum(self._bits)
@@ -91,10 +91,7 @@ class CompressedRowPageCodec(TuplePageCodec):
         for index, attr in enumerate(self.schema):
             codec = self._codecs[index]
             bits = self._bits[index]
-            if codec.is_variable:
-                codes, base = self._chop(codec.encode_page(columns[attr.name])[0], count, bits), 0
-            else:
-                codes, base = codec.encode_codes(columns[attr.name])
+            codes, base = codec.encode_codes(columns[attr.name])
             if index in self._frame_attrs:
                 bases.append(base)
             offset = self._bit_offsets[index]
@@ -104,18 +101,6 @@ class CompressedRowPageCodec(TuplePageCodec):
                 scatter_bits(packed, *geometry, offset, bits, check_codes(codes, bits))
         base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
         return _assemble(self.page_size, count, bytes(packed) + base_area, page_id, 0)
-
-    @staticmethod
-    def _chop(payload: bytes, count: int, bits: int) -> np.ndarray:
-        """A variable codec's (RLE's) payload cut into ``count`` pieces of
-        ``bits`` bits, its stand-in for codes — if it compressed that far."""
-        stream_bytes = (count * bits + 7) // 8
-        if len(payload) > stream_bytes:
-            raise PageFormatError(
-                f"{len(payload)}-byte payload does not fit {count} x {bits} bits "
-                "of a row page"
-            )
-        return unpack_bits(payload.ljust(stream_bytes, b"\x00"), bits, count)
 
     def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
         """Per attribute of ``names``: one gather of its codes from every
@@ -144,21 +129,10 @@ class CompressedRowPageCodec(TuplePageCodec):
                 codes = gather_bytes(unit, *geometry, offset, bits // 8)
             else:
                 codes = gather_bits(unit, *geometry, offset, bits)
-            if codec.is_variable:
-                # No fixed-width codes (RLE): the tuples' bits are the
-                # page payload, cut up; re-pack and decode page by page.
-                values = np.concatenate(
-                    [
-                        codec.decode_page(pack_bits(row[:n], bits), n, PageCodecState())
-                        for row, n in zip(codes, counts)
-                    ]
-                )
-            else:
-                base = (
-                    bases[self._frame_attrs.index(index)]
-                    if index in self._frame_attrs
-                    else 0
-                )
-                values = codec.decode_codes(codes, base).reshape(-1)[:total]
-            columns[name] = values
+            base = (
+                bases[self._frame_attrs.index(index)]
+                if index in self._frame_attrs
+                else 0
+            )
+            columns[name] = codec.decode_codes(codes, base).reshape(-1)[:total]
         return columns

@@ -59,19 +59,8 @@ class CorruptionReport:
         return not self.faults
 
     @property
-    def pages_skipped(self) -> int:
-        return sum(1 for fault in self.faults if fault.page != WHOLE_FILE)
-
-    @property
     def estimated_rows_lost(self) -> int:
         return sum(fault.rows_lost for fault in self.faults)
-
-    def per_file(self) -> dict[str, int]:
-        """Fault count per file name."""
-        counts: dict[str, int] = {}
-        for fault in self.faults:
-            counts[fault.file] = counts.get(fault.file, 0) + 1
-        return counts
 
     def record(self, file: str, page: int, rows_lost: int, error: Exception | str) -> None:
         self.faults.append(
@@ -141,43 +130,11 @@ def verify_table(table) -> CorruptionReport:
     return report
 
 
-def scrub_partitioned(ptable) -> CorruptionReport:
-    """Scrub every partition of a partitioned table into one report."""
-    report = CorruptionReport()
-    for partition in ptable.partitions:
-        shard = scrub_table(partition.table)
-        for fault in shard.faults:
-            report.record(
-                f"{fault.file}[p{partition.index}]",
-                fault.page,
-                fault.rows_lost,
-                fault.error,
-            )
-        report.pages_scanned += shard.pages_scanned
-    return report
-
-
 def scrub_directory(directory: str | pathlib.Path) -> CorruptionReport:
-    """Open a persisted table (salvaging what loads) and scrub it.
-
-    Partitioned directories (those holding a ``manifest.json``) are
-    swept partition by partition, faults tagged with the partition
-    index.
-    """
-    from repro.storage.persist import (
-        is_partitioned_directory,
-        open_partitioned_table,
-        open_table,
-    )
+    """Open a persisted table (salvaging what loads) and scrub it."""
+    from repro.storage.persist import open_table
 
     report = CorruptionReport()
-    if is_partitioned_directory(directory):
-        try:
-            ptable = open_partitioned_table(directory, salvage=report)
-        except ReproError as exc:
-            report.record("manifest.json", WHOLE_FILE, 0, exc)
-            return report
-        return report.merge(scrub_partitioned(ptable))
     try:
         table = open_table(directory, salvage=report)
     except ReproError as exc:

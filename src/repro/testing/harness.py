@@ -42,6 +42,7 @@ from repro.engine.parallel import parallel_query
 from repro.engine.plan import ColumnScannerKind
 from repro.engine.predicate import ComparisonOp, Predicate
 from repro.engine.query import AggregateFunction, Query, ScanQuery
+from repro.engine.scheduler import WorkloadQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer
 from repro.errors import GovernanceError
 from repro.storage.layout import Layout
@@ -593,7 +594,7 @@ def _run_write_case(case: GeneratedCase) -> CaseOutcome:
         if not ok or not check(
             f"{config.name} scheduler sharing={case.sharing}",
             lambda: db.run_workload(
-                [dict(table=name, **scan)], share_scans=case.sharing
+                [WorkloadQuery(name, **scan)], share_scans=case.sharing
             )[0].value(),
         ):
             return outcome

@@ -10,10 +10,18 @@ from repro.data.tpch import (
     generate_lineitem,
     generate_orders,
 )
+from repro.obs import metrics
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 
 SMALL_ROWS = 1_500
+
+
+def zero_metrics() -> None:
+    """Zero every series of the process-wide registry (registrations are
+    kept), so a test reads only what it caused."""
+    for series in metrics.REGISTRY._metrics.values():
+        series.reset()
 
 
 def pytest_addoption(parser):

@@ -128,6 +128,25 @@ class TestRleThroughStorage:
         )
         return load_table(packed, Layout.COLUMN), lineitem_data
 
+    @pytest.mark.parametrize("layout_name", ["ROW", "PAX"])
+    def test_row_and_pax_loads_refuse_rle(self, lineitem_data, layout_name, monkeypatch):
+        """RLE is a column codec: a row or PAX load names the attribute
+        and raises its typed error before any page is written."""
+        from repro.errors import StorageError
+        from repro.storage.layout import Layout
+        from repro.storage.loader import load_table
+        from repro.storage.pagefile import PagedFile
+
+        spec = RleCodec.spec_for_values(lineitem_data.column("L_ORDERKEY"))
+        packed = lineitem_data.with_schema(
+            lineitem_data.schema.with_codecs({"L_ORDERKEY": spec})
+        )
+        written = []
+        monkeypatch.setattr(PagedFile, "append_page", lambda _file, page: written.append(page))
+        with pytest.raises(StorageError, match=r"LINEITEM\.L_ORDERKEY: RLE is a column codec"):
+            load_table(packed, Layout[layout_name])
+        assert written == []
+
     def test_column_roundtrip(self, rle_table):
         table, data = rle_table
         np.testing.assert_array_equal(

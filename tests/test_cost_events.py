@@ -204,7 +204,6 @@ class TestParallelMerge:
                     table=table,
                     query=Query(query),
                     row_range=row_range,
-                    position_offset=0,
                     column_scanner=ColumnScannerKind.PIPELINED,
                     calibration=context.calibration,
                     block_size=context.block_size,

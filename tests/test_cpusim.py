@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression.base import CodecKind
 from repro.cpusim.breakdown import CpuBreakdown
-from repro.cpusim.cache import (
-    classify_access,
-    classify_page_access,
-    line_coverage,
-    lines_touched,
-    page_lines,
-)
+from repro.cpusim.cache import PREFETCH_COVERAGE_THRESHOLD, classify_access, page_lines
 from repro.cpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.cpusim.costmodel import CpuModel
 from repro.cpusim.events import CostEvents
@@ -56,12 +50,25 @@ class TestCostEvents:
         assert events.total_decodes() == 10
 
 
+def classify_page_access(
+    positions, count, value_bits, line_bytes, threshold=PREFETCH_COVERAGE_THRESHOLD
+):
+    """:func:`classify_access` of one page: ``(seq_lines, rand_lines)``."""
+    pages = np.zeros(np.size(positions), dtype=np.int64)
+    seq, rand = classify_access(pages, positions, [count], value_bits, line_bytes, threshold)
+    return int(seq[0]), int(rand[0])
+
+
+def lines_touched(positions, value_bits, line_bytes):
+    """Distinct lines under ``positions``: no coverage reaches an
+    infinite threshold, so every touched line is "random"."""
+    return classify_page_access(positions, 0, value_bits, line_bytes, np.inf)[1]
+
+
 class TestCacheModel:
     def test_dense_positions_cover_all_lines(self):
         positions = np.arange(128)
-        touched, coverage = line_coverage(positions, 128, 32, 128)
-        assert touched == page_lines(128, 32, 128)
-        assert coverage == 1.0
+        assert classify_page_access(positions, 128, 32, 128) == (page_lines(128, 32, 128), 0)
 
     def test_sparse_positions_touch_few_lines(self):
         positions = np.array([0, 1000])
@@ -174,9 +181,6 @@ def test_classify_access_is_the_union1d_model_page_by_page(
         for chosen, count in zip(per_page, counts.tolist())
     ]
     assert list(zip(seq.tolist(), rand.tolist())) == expected
-    # ... and the one-page spelling is the same function.
-    for chosen, count, pair in zip(per_page, counts.tolist(), expected):
-        assert classify_page_access(chosen, count, value_bits, line_bytes) == pair
 
 
 def test_exactly_half_the_lines_is_dense_on_every_page():

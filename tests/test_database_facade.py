@@ -72,9 +72,15 @@ class TestDatabase:
 
     def test_estimate_and_compare(self, db):
         pred = db.predicate("ORDERS", "O_ORDERDATE", 0.10)
-        estimates = db.compare_layouts(
-            "ORDERS", select=("O_ORDERDATE", "O_CUSTKEY"), predicates=(pred,)
-        )
+        estimates = {
+            layout: db.estimate(
+                "ORDERS",
+                select=("O_ORDERDATE", "O_CUSTKEY"),
+                predicates=(pred,),
+                layout=layout,
+            )
+            for layout in db.layouts
+        }
         assert set(estimates) == {Layout.ROW, Layout.COLUMN}
         assert estimates[Layout.COLUMN].elapsed < estimates[Layout.ROW].elapsed
 

@@ -139,7 +139,7 @@ class TestScannerBehaviour:
             pred_attr="O_ORDERDATE",
         )
         plan = scan_plan(context, orders_column, query)
-        assert plan.scan_attribute_order()[0] == "O_ORDERDATE"
+        assert plan._attrs[0] == "O_ORDERDATE"
 
     def test_next_before_open_rejected(self, orders_column, orders_data):
         from repro.errors import EngineError

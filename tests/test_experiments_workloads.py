@@ -52,11 +52,7 @@ class TestPreparedTables:
     def test_predicate_helper(self):
         prepared = prepare_orders(2_000, seed=5)
         predicate = prepared.predicate("O_ORDERDATE", 0.10)
-        from repro.engine.predicate import achieved_selectivity
-
-        achieved = achieved_selectivity(
-            predicate, prepared.data.column("O_ORDERDATE")
-        )
+        achieved = predicate.evaluate(prepared.data.column("O_ORDERDATE")).mean()
         assert achieved == pytest.approx(0.10, abs=0.03)
 
     def test_attrs_prefix(self):

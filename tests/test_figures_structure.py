@@ -66,6 +66,3 @@ class TestQueryResultHelpers:
             orders_data.column("O_ORDERKEY")[0],
             orders_data.column("O_CUSTKEY")[0],
         )
-        block = result.as_block()
-        assert len(block) == result.num_tuples
-        assert block.attribute_names == ["O_ORDERKEY", "O_CUSTKEY"]

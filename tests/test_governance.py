@@ -88,7 +88,7 @@ class TestQueryContext:
     def test_expired_deadline_raises_typed_timeout(self):
         governance = QueryContext.start(timeout=0.0)
         time.sleep(0.001)
-        assert governance.expired
+        assert governance.remaining() < 0
         with pytest.raises(QueryTimeout, match="deadline"):
             governance.check("unit test")
         assert any("deadline exceeded" in note for note in governance.outcomes)

@@ -36,7 +36,8 @@ class TestStreams:
         files = [FileExtent("a", 1_000_000), FileExtent("b", 2_000_000)]
         stream = make_stream("s", files)
         assert stream.total_bytes == 3_000_000
-        assert stream.total_units == 3 + 6  # ceil per file at 384 KiB units
+        units = sum(len(window.unit_extents()) for window in stream.windows())
+        assert units == 3 + 6  # ceil per file at 384 KiB units
 
     def test_empty_file_skipped(self):
         stream = make_stream("s", [FileExtent("a", 0), FileExtent("b", 100)])
@@ -148,16 +149,13 @@ class TestCompetition:
         assert stats["late"].start_time == 1_000.0
         assert stats["late"].finish_time > 1_000.0
         assert stats["late"].elapsed == pytest.approx(
-            stats["late"].io_seconds, rel=0.01
+            stats["late"].seek_seconds + stats["late"].transfer_seconds, rel=0.01
         )
 
     def test_io_seconds_split(self):
         sim = DiskArraySim()
         stream = make_stream("s", [FileExtent("T", 5 * sim.unit_bytes)])
         stats = sim.run([stream])["s"]
-        assert stats.io_seconds == pytest.approx(
-            stats.seek_seconds + stats.transfer_seconds
-        )
         assert stats.transfer_seconds == pytest.approx(
             stats.bytes_read / DEFAULT_CALIBRATION.total_disk_bandwidth
         )

@@ -85,8 +85,8 @@ class TestStreamEdges:
         stream = ScanStream(
             "s", [FileExtent("T", 100)], sim.unit_bytes, 48, SubmissionPolicy.ROW
         )
-        assert stream.num_windows() == 1
-        assert stream.total_units == 1
+        (window,) = stream.windows()
+        assert len(window.unit_extents()) == 1
 
 
 class TestEncodePrefixDefaults:

@@ -28,16 +28,17 @@ from repro.obs.provenance import git_sha, provenance
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.retry import RetryPolicy, retry_io
+from tests.conftest import zero_metrics
 
 
 @pytest.fixture(autouse=True)
 def metrics_enabled():
     """Each test starts enabled with zeroed values, and leaves no residue."""
     metrics.enable()
-    metrics.REGISTRY.reset_values()
+    zero_metrics()
     yield
     metrics.enable()
-    metrics.REGISTRY.reset_values()
+    zero_metrics()
 
 
 class TestCounter:

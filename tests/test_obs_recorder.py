@@ -11,6 +11,7 @@ from repro.database import Database
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
 from repro.engine.query import ScanQuery
+from repro.engine.scheduler import WorkloadQuery
 from repro.errors import QueryTimeout
 from repro.obs import SpanTracer
 from repro.obs import recorder as flight
@@ -35,7 +36,6 @@ class TestRing:
         for index in range(6):
             recorder.record("t.event", index=index)
         assert len(recorder) == 4
-        assert recorder.evicted == 2
         assert [event.seq for event in recorder.events()] == [2, 3, 4, 5]
         assert [event.detail["index"] for event in recorder.events()] == [
             2, 3, 4, 5,
@@ -152,14 +152,11 @@ class TestWorkloadIntegration:
         return database
 
     def _requests(self, timeout=None):
+        select = ("O_ORDERKEY", "O_TOTALPRICE")
         return [
-            {"table": "ORDERS", "select": ("O_ORDERKEY", "O_TOTALPRICE")},
-            {
-                "table": "ORDERS",
-                "select": ("O_ORDERKEY", "O_TOTALPRICE"),
-                "timeout": timeout,
-            },
-            {"table": "ORDERS", "select": ("O_ORDERKEY", "O_TOTALPRICE")},
+            WorkloadQuery("ORDERS", select=select),
+            WorkloadQuery("ORDERS", select=select, timeout=timeout),
+            WorkloadQuery("ORDERS", select=select),
         ]
 
     def test_each_failure_dumps_exactly_one_blackbox(self, db):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.tpch import generate_orders
 from repro.database import Database
+from repro.engine.scheduler import WorkloadQuery
 from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
 
 
@@ -70,9 +71,7 @@ class TestWorkloadCapture:
 
     def test_run_workload_returns_a_populated_slowlog(self, db):
         info = {}
-        requests = [
-            {"table": "ORDERS", "select": ("O_ORDERKEY",)} for _ in range(4)
-        ]
+        requests = [WorkloadQuery("ORDERS", select=("O_ORDERKEY",))] * 4
         handles = db.run_workload(requests, info=info)
         log = info["slowlog"]
         assert isinstance(log, SlowQueryLog)
@@ -86,9 +85,7 @@ class TestWorkloadCapture:
 
     def test_custom_log_controls_threshold_and_k(self, db):
         log = SlowQueryLog(threshold_s=3600.0, top_k=2)
-        requests = [
-            {"table": "ORDERS", "select": ("O_ORDERKEY",)} for _ in range(3)
-        ]
+        requests = [WorkloadQuery("ORDERS", select=("O_ORDERKEY",))] * 3
         db.run_workload(requests, slowlog=log)
         assert log.observed == 3
         assert len(log) == 0  # nothing clears a one-hour threshold
@@ -96,7 +93,7 @@ class TestWorkloadCapture:
     def test_traced_batches_attach_explain_text(self, db):
         info = {}
         db.run_workload(
-            [{"table": "ORDERS", "select": ("O_ORDERKEY",)}],
+            [WorkloadQuery("ORDERS", select=("O_ORDERKEY",))],
             trace=True,
             info=info,
         )
@@ -107,13 +104,7 @@ class TestWorkloadCapture:
     def test_failed_queries_carry_their_error(self, db):
         info = {}
         db.run_workload(
-            [
-                {
-                    "table": "ORDERS",
-                    "select": ("O_ORDERKEY",),
-                    "timeout": 1e-9,
-                }
-            ],
+            [WorkloadQuery("ORDERS", select=("O_ORDERKEY",), timeout=1e-9)],
             info=info,
         )
         entries = info["slowlog"].entries()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cpusim.events import CostEvents
 from repro.data.tpch import generate_lineitem, generate_orders
 from repro.database import Database
 from repro.engine.context import ExecutionContext
@@ -216,7 +217,7 @@ class TestNoOpParity:
 
 class TestResetEventsRegression:
     def test_events_survive_repeated_executions(self, data):
-        """reset_events() replaces the object; operators must re-read it.
+        """A caller replaces ``context.events``; operators must re-read it.
 
         Regression for a latent aliasing bug: an operator caching
         ``context.events`` at construction would write the second run's
@@ -230,7 +231,7 @@ class TestResetEventsRegression:
         first_counts = first.as_dict()
         assert first.values_examined > 0
 
-        context.reset_events()
+        context.events = CostEvents()
         assert context.events is not first
         plan.drain()
         second = context.events
@@ -244,7 +245,7 @@ class TestResetEventsRegression:
         table = load_table(data, Layout.COLUMN)
         result = run_scan(table, _query(data), context)
         saved = result.events.as_dict()
-        context.reset_events()
+        context.events = CostEvents()
         run_scan(table, _query(data), context)
         assert result.events.as_dict() == saved
 

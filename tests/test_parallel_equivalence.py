@@ -29,7 +29,6 @@ from repro.engine.query import AggregateFunction, AggregateSpec, ScanQuery
 from repro.errors import PlanError
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
-from repro.storage.partition import PartitionedTable
 from repro.testing.oracle import oracle_aggregate, oracle_scan, pyvalue
 
 ROWS = 900  # not divisible by 7: the uneven-partition case is real
@@ -342,29 +341,6 @@ class TestAggregates:
         parallel = parallel_query(
             table, query, workers=2, partitions=7, aggregate=spec
         )
-        assert_results_equal(parallel, serial)
-
-
-class TestPhysicalPartitions:
-    @pytest.mark.parametrize("layout", (Layout.ROW, Layout.COLUMN))
-    def test_partitioned_table_equals_monolithic(self, data, query, layout):
-        ptable = PartitionedTable.from_data(data, layout, 3)
-        mono = load_table(data, layout)
-        serial = run_scan(mono, query)
-        parallel = parallel_query(ptable, query, workers=2)
-        assert_results_equal(parallel, serial, layout)
-
-    def test_saved_partitioned_table_round_trips(self, tmp_path, data, query):
-        from repro.storage.persist import (
-            open_partitioned_table,
-            save_partitioned_table,
-        )
-
-        ptable = PartitionedTable.from_data(data, Layout.ROW, 4)
-        save_partitioned_table(ptable, tmp_path / "orders")
-        reopened = open_partitioned_table(tmp_path / "orders")
-        serial = run_scan(load_table(data, Layout.ROW), query)
-        parallel = parallel_query(reopened, query, workers=2)
         assert_results_equal(parallel, serial)
 
 

@@ -122,7 +122,7 @@ def _check_salvage(data, table, layout, faults, column_scanner=ColumnScannerKind
 
     # Accounting matches the injected plan exactly.
     assert not result.is_complete
-    assert result.corruption.pages_skipped == len(faults)
+    assert len(result.corruption.faults) == len(faults)
     assert result.corruption.estimated_rows_lost == expected_lost
     injected = set()
     for attr, page_id in faults:

@@ -56,8 +56,10 @@ def _spec(kind: CodecKind, attr_type, values: np.ndarray):
     return build_codec_for_values(kind, attr_type, values, page_capacity_hint=256).spec
 
 
-def _coded_orders(seed: int) -> GeneratedTable:
-    """ORDERS data with RLE, dictionary, and FOR codecs assigned."""
+def _coded_orders(seed: int, layout: Layout = Layout.COLUMN) -> GeneratedTable:
+    """ORDERS data with RLE, dictionary, and FOR codecs assigned — RLE
+    only for ``Layout.COLUMN``: it is a column codec, and row and PAX
+    pages refuse it, so their ``O_SHIPPRIORITY`` stays plain."""
     data = generate_orders(ROWS, seed=seed)
     schema = data.schema
     # Sort one column's values into runs so RLE has something to encode
@@ -65,10 +67,14 @@ def _coded_orders(seed: int) -> GeneratedTable:
     columns = dict(data.columns)
     columns["O_SHIPPRIORITY"] = np.sort(columns["O_SHIPPRIORITY"])
     specs = {
-        "O_SHIPPRIORITY": _spec(
-            CodecKind.RLE,
-            schema.attribute("O_SHIPPRIORITY").attr_type,
-            columns["O_SHIPPRIORITY"],
+        "O_SHIPPRIORITY": (
+            _spec(
+                CodecKind.RLE,
+                schema.attribute("O_SHIPPRIORITY").attr_type,
+                columns["O_SHIPPRIORITY"],
+            )
+            if layout is Layout.COLUMN
+            else schema.attribute("O_SHIPPRIORITY").codec_spec
         ),
         "O_ORDERSTATUS": _spec(
             CodecKind.DICT,
@@ -138,7 +144,7 @@ class TestCircularAttach:
 
     @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN])
     def test_every_attach_page_matches_cold_scan(self, layout):
-        data = _coded_orders(seed=11)
+        data = _coded_orders(seed=11, layout=layout)
         table = load_table(data, layout)
         want = run_scan(load_table(data, layout), QUERY)
         probe = SharedScanStream(table, QUERY.scan_attributes(), True)
@@ -204,7 +210,7 @@ class TestCircularAttach:
         from repro.engine.blocks import concat_blocks
 
         merged = concat_blocks(blocks)
-        assert_identical(merged, want.as_block())
+        assert_identical(merged, want)
         assert_identical(got_second, want)
         # Both detached after their single pass.
         assert stream.consumers == ()
@@ -246,7 +252,7 @@ class TestSalvagePages:
 
     @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN])
     def test_salvage_matches_serial_salvage(self, layout):
-        data = _coded_orders(seed=47)
+        data = _coded_orders(seed=47, layout=layout)
         table = load_table(data, layout)
         if isinstance(table, ColumnTable):
             victim = table.column_file("O_ORDERKEY").file
@@ -283,7 +289,7 @@ class TestSalvagePages:
     @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN])
     def test_unreadable_page_is_salvaged_like_a_serial_scan(self, layout):
         """A read that exhausts its retries is a lost page, not a dead stream."""
-        data = _coded_orders(seed=67)
+        data = _coded_orders(seed=67, layout=layout)
 
         def unreadable_table():
             table = load_table(data, layout)
@@ -304,7 +310,7 @@ class TestSalvagePages:
         assert {f.page for f in got.corruption.faults} == {0}
 
     def test_strict_stream_fails_every_rider_typed(self):
-        data = _coded_orders(seed=59)
+        data = _coded_orders(seed=59, layout=Layout.ROW)
         table = load_table(data, Layout.ROW)
         table.file.corrupt(0, 97)
         stream = SharedScanStream(table, QUERY.scan_attributes(), True)
@@ -401,7 +407,7 @@ class TestShareManager:
         assert manager.stats()["shared_io_pages"] == manager.io_pages() > live_total
 
     def test_a_failed_stream_is_replaced_and_counted_once(self):
-        data = _coded_orders(seed=59)
+        data = _coded_orders(seed=59, layout=Layout.ROW)
         table = load_table(data, Layout.ROW)
         table.file.corrupt(1, 97)
         manager = ScanShareManager()
@@ -432,11 +438,7 @@ def _run_length_table(dataset: str, layout: Layout, faulty: bool):
     pages, four to the window, or the RLE / DICT / FOR ORDERS above at
     256-byte pages, three to the window — every pass is many windows."""
     if dataset == "orders":
-        data = _coded_orders(seed=11)
-        if layout is not Layout.COLUMN:
-            # RLE is a column codec: its runs do not fit a 256-byte row page.
-            plain = orders_schema().attribute("O_SHIPPRIORITY").codec_spec
-            data = data.with_schema(data.schema.with_codecs({"O_SHIPPRIORITY": plain}))
+        data = _coded_orders(seed=11, layout=layout)
         table = load_table(data, layout, page_size=256)
         if faulty:
             plan = FaultPlan(seed=7)
@@ -677,7 +679,7 @@ def _queued_outcomes(dataset: str, layout: Layout) -> tuple[list, int, int]:
             scheduler.run()
             for index, (handle, query) in enumerate(zip(handles, queries)):
                 serial = run_scan(table, query, salvage=index == salvaged)
-                assert golden._digest(handle.result.as_block()) == golden._digest(serial.as_block())
+                assert golden._digest(handle.result) == golden._digest(serial)
                 corruption = handle.result.corruption
                 outcomes.append(
                     {

@@ -74,6 +74,7 @@ from repro.storage.scrub import CorruptionReport
 from repro.storage.table import PaxTable, RowTable, build_column_file
 from repro.types.datatypes import FixedTextType, IntType
 from repro.types.schema import Attribute, TableSchema
+from tests.conftest import zero_metrics
 from tests.scan_golden import (
     CORRUPT_PAGES,
     GOLDEN_PATH,
@@ -496,11 +497,11 @@ def _outcome(result, context) -> dict:
 @pytest.fixture()
 def fresh_telemetry():
     metrics.enable()
-    metrics.REGISTRY.reset_values()
+    zero_metrics()
     flight.enable()
     flight.RECORDER.clear()
     yield
-    metrics.REGISTRY.reset_values()
+    zero_metrics()
     flight.RECORDER.clear()
 
 
@@ -523,7 +524,7 @@ class TestFaultsMidUnit:
     def test_salvage_names_the_page_and_keeps_the_rest(self, data, fresh_telemetry):
         query = self._query(data)
         clean = run_scan(load_table(data, Layout.ROW), query)
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
         table, plan = _faulty_row_table(data)
         assert table.file.num_pages > FLAKY  # both faults sit mid-table
         context = _unit_at_a_time()
@@ -855,7 +856,7 @@ def _rle_outcomes(table, query, kind, window=None) -> list[dict]:
         DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
     ):
         context = ExecutionContext(calibration=calibration, governance=QueryContext())
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
         result = execute_plan(scan_plan(context, table, query, kind, row_range=window))
         assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
         outcomes.append(_outcome(result, context))

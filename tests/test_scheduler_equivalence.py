@@ -276,7 +276,7 @@ class TestDatabaseFacade:
     def test_run_workload_order_and_stats(self, db, orders_data):
         requests = [
             WorkloadQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE")),
-            {"table": "ORDERS", "select": ("O_CUSTKEY",), "label": "dict-form"},
+            WorkloadQuery("ORDERS", select=("O_CUSTKEY",), label="custkey"),
             WorkloadQuery(
                 "ORDERS",
                 select=("O_ORDERKEY", "O_TOTALPRICE"),

@@ -36,6 +36,7 @@ from repro.obs import recorder as flight
 from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
+from tests.conftest import zero_metrics
 
 ROWS = 4_000
 
@@ -112,13 +113,13 @@ class TestRegistryIsTheWorkloadSum:
     def test_registry_counts_the_batch_not_the_query(self, workload):
         table, queries = workload
         metrics.enable()
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
         _run_traced(table, queries, share=False)
         assert metrics.SCHEDULER_COMPLETED.value == len(queries)
         # The window saw every completion; per-query latencies live on
         # the handles, never in the registry.
         assert metrics.WINDOW_QUERY_LATENCY.count == len(queries)
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
 
 
 class TestBoard:
@@ -181,11 +182,11 @@ class TestSharedReadsUseTheGuardedRead:
     @pytest.fixture(autouse=True)
     def _fresh_telemetry(self):
         metrics.enable()
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
         flight.enable()
         flight.RECORDER.clear()
         yield
-        metrics.REGISTRY.reset_values()
+        zero_metrics()
         flight.RECORDER.clear()
 
     @staticmethod

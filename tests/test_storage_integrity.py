@@ -205,7 +205,7 @@ class TestFaultPlan:
 
         result = full_scan(faulty_table(), select, salvage=True)
         assert not result.is_complete
-        assert result.corruption.pages_skipped >= 1
+        assert result.corruption.faults
         surviving = np.isin(clean.positions, result.positions)
         for name in select:
             np.testing.assert_array_equal(

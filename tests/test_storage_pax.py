@@ -40,9 +40,9 @@ class TestPaxPageCodec:
         n = 50
         slices = {k: v[:n] for k, v in orders_data.columns.items()}
         page = codec.encode(0, slices)
-        _pid, count, values = codec.decode_attribute(page, "O_CUSTKEY")
+        _pid, count, columns = codec.decode_columns(page, ("O_CUSTKEY",))
         assert count == n
-        np.testing.assert_array_equal(values, slices["O_CUSTKEY"])
+        np.testing.assert_array_equal(columns["O_CUSTKEY"], slices["O_CUSTKEY"])
 
     def test_decode_columns_subset_matches_single_attribute_decodes(self, orders_z_data):
         codec = PaxPageCodec(orders_z_data.schema)
@@ -53,7 +53,7 @@ class TestPaxPageCodec:
         assert (page_id, count, tuple(columns)) == (7, 200, names)
         for name in names:
             np.testing.assert_array_equal(
-                columns[name], codec.decode_attribute(page, name)[2]
+                columns[name], codec.decode_columns(page, (name,))[2][name]
             )
 
     def test_minipages_are_disjoint(self, orders_data):

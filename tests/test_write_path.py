@@ -24,6 +24,7 @@ from repro.engine.governance import QueryContext
 from repro.engine.hybrid import build_overlay
 from repro.engine.plan import ColumnScannerKind
 from repro.engine.query import ScanQuery
+from repro.engine.scheduler import WorkloadQuery
 from repro.errors import (
     GovernanceError,
     MemoryBudgetExceeded,
@@ -136,8 +137,8 @@ def test_hybrid_equals_rebuilt_scheduler(arch, layout, scanner, sharing):
     expected = run_scan(rebuilt, query)
     handles = db.run_workload(
         [
-            dict(table=name, select=SELECT, predicates=(predicate,)),
-            dict(table=name, select=SELECT, predicates=(predicate,)),
+            WorkloadQuery(name, select=SELECT, predicates=(predicate,)),
+            WorkloadQuery(name, select=SELECT, predicates=(predicate,)),
         ],
         share_scans=sharing,
     )
@@ -299,7 +300,7 @@ def test_background_merge_snapshot_semantics():
     # pre-merge state, so it must answer identically no matter how far
     # the merge has progressed when it runs.
     before = db.submit(name, select=SELECT, predicates=(predicate,))
-    job = db.merge(name, background=True)
+    job = db.start_merge(name)
     while db.scheduler.poll():
         pass
     assert job.done and not job.failed
@@ -325,7 +326,7 @@ def test_background_merge_failure_unfreezes_and_reports():
         schema=entry.data.schema,
         columns={k: v[:-1] for k, v in entry.data.columns.items()},
     )
-    job = db.merge(name, background=True)
+    job = db.start_merge(name)
     while db.scheduler.poll():
         pass
     assert job.done and job.failed
@@ -416,7 +417,7 @@ def test_dirty_query_identical_on_all_four_paths(arch, layout, scanner):
         "parallel": db.query(name, workers=2, **args),
         "submit": db.submit(name, **args).value(),
         "run_workload": db.run_workload(
-            [dict(table=name, **args)], share_scans=False
+            [WorkloadQuery(name, **args)], share_scans=False
         )[0].value(),
     }
     direct = _direct_results(db, name, query, scanner, min(2, os.cpu_count() or 1))
@@ -471,7 +472,7 @@ def test_hybrid_query_metric_rises_once_per_dirty_query(monkeypatch):
         "parallel": lambda: db.query(name, select=SELECT, workers=2),
         "submit": lambda: db.submit(name, select=SELECT).value(),
         "run_workload": lambda: db.run_workload(
-            [dict(table=name, select=SELECT)]
+            [WorkloadQuery(name, select=SELECT)]
         )[0].value(),
         "profile": lambda: db.profile(name, select=SELECT).result,
     }
@@ -517,10 +518,13 @@ def test_foreground_and_background_merge_emit_the_same_lifecycle():
     def lifecycle(background: bool) -> list:
         db, data, name = _dirty_database(Layout.COLUMN)
         flight.RECORDER.clear()
-        job = db.merge(name, background=background)
-        while background and db.scheduler.poll():
-            pass
-        assert job is None or job.result == ROWS
+        if background:
+            job = db.start_merge(name)
+            while db.scheduler.poll():
+                pass
+            assert job.result == ROWS
+        else:
+            db.merge(name)
         assert not db.write_store(name).has_changes
         # ``seconds`` is the commit's measured wall time: the one key that
         # differs between two runs of the same merge.
@@ -530,17 +534,6 @@ def test_foreground_and_background_merge_emit_the_same_lifecycle():
         ]
 
     assert lifecycle(background=False) == lifecycle(background=True)
-
-
-def test_iosim_merge_competition_model():
-    from repro.iosim import measure_merge_competition
-
-    measurement = measure_merge_competition(4 * 1024 * 1024)
-    assert measurement.slowdown >= 1.0
-    assert measurement.merge_stretch >= 1.0
-    assert measurement.merge_solo_seconds > measurement.query_solo_seconds
-    payload = measurement.as_dict()
-    assert payload["slowdown"] == measurement.slowdown
 
 
 # --- one merge protocol behind four doors -------------------------------------
