@@ -28,10 +28,12 @@ write-fuzz:
 
 # Crash-safe merge matrix: kill the merge at every declared fault point
 # and require reopen to see exactly old-or-new with a clean scrub — plus
-# the write-path suite, the merge_into tests (all four merge doors, and
-# the staged columns built once per write) and the delete-vector
-# properties (set_many against the set() loop, all-or-none), so a
-# change to storage/{write_store,delete_vector}.py is gated in one place.
+# the write-path suite (a mistyped batch refused whole, an overlay kept
+# whatever lands after it), the merge_into tests (all four merge doors,
+# and the staged columns made once per insert) and the delete-vector
+# properties (set_many against the set() loop, all-or-none, snapshots
+# that stay put), so a change to storage/{write_store,delete_vector}.py
+# or engine/hybrid.py is gated in one place.  CI's write-path job runs it.
 crash-matrix:
 	pytest tests/test_merge_crash_matrix.py tests/test_write_path.py \
 		tests/test_storage_tables.py::TestWriteStore \
@@ -136,15 +138,16 @@ scheduler-test:
 # and block-iterator pins), the scanner
 # / salvage / sharing / scheduler / telemetry / property / extension /
 # index suites, the page-integrity suites (CRC checked once per load,
-# strict and salvage over corrupt pages, fault injection), then 200
-# differential fuzz cases.
+# strict and salvage over corrupt pages, fault injection), the loads'
+# unit encoder against CRCs of the page-at-a-time one for every page
+# codec (tests/test_page_encode.py), then 200 differential fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
 # engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
 # pass reads a page once and times every page it decodes),
-# index/scan.py, storage/{table,page,rowz,pagefile}.py, compression/ or
-# cpusim/cache.py (the cache-line model the column scans charge through;
-# its union1d reference lives in tests/test_cpusim.py).
+# index/scan.py, storage/{table,page,rowz,pax,pagefile,loader}.py,
+# compression/ or cpusim/cache.py (the cache-line model the column scans
+# charge through; its union1d reference lives in tests/test_cpusim.py).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
 		tests/test_batches.py tests/test_engine_blocks.py \
@@ -153,7 +156,8 @@ scan-test:
 		tests/test_scheduler_equivalence.py tests/test_scheduler_telemetry.py \
 		tests/test_property_engine.py tests/test_extensions.py \
 		tests/test_index.py tests/test_storage_integrity.py \
-		tests/test_storage_pax.py tests/test_failure_injection.py -q
+		tests/test_storage_pax.py tests/test_failure_injection.py \
+		tests/test_page_encode.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

@@ -2,10 +2,11 @@
 
 This is the glue between the write-optimized store and every read
 architecture in the engine.  A :class:`HybridOverlay` is an immutable
-snapshot of one table's pending edits, precomputed per query:
+snapshot of one table's pending edits, as one query sees them:
 
 * a deleted-mask and prefix-count *shift* array over global positions,
-  so base-scan output can be filtered and remapped vectorized;
+  so base-scan output can be filtered and remapped vectorized (built
+  once per version of the store and shared by its queries);
 * the staged rows already projected to the query's select list,
   filtered by its predicates, and positioned at rebuilt-table
   coordinates.
@@ -29,8 +30,13 @@ candidate arm of the empty-delta overhead gate in
 ``benchmarks/check_tracing_overhead.py``).
 
 Snapshot semantics: an overlay captures the store's state at build
-time (the delete mask and staged columns are copied), so a query keeps
-its view even if writes land while a scheduled query is in flight.
+time, so a query keeps its view even if writes land while a scheduled
+query is in flight.  The delete mask and shift are the store's
+per-version :meth:`~repro.storage.write_store.WriteOptimizedStore.
+delete_snapshot`, read-only and shared with every other read of that
+version; a later write makes new ones.  The delta rows are picked out
+of the store's staged columns, read-only views that no later write
+rewrites.
 """
 
 from __future__ import annotations
@@ -97,21 +103,19 @@ class HybridOverlay:
 def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverlay:
     """Snapshot a store's edits, projected through one query.
 
-    Staged rows are filtered here — deleted-again staged rows dropped,
-    the query's predicates evaluated vectorized on the staged columns —
-    so :meth:`HybridOverlay.apply` only concatenates precomputed arrays.
+    The store's delete snapshot is shared, not rebuilt; what is built
+    here is the query's own: staged rows matched against its predicates
+    and deleted-again ones dropped, so :meth:`HybridOverlay.apply` only
+    concatenates precomputed arrays.
     """
     base_rows = store.base_rows
-    total_rows = store.total_rows
-    deletes = store.deletes
-    shift = deletes.cumulative()
-    deleted = None if deletes.is_empty else deletes.mask()
-    if total_rows > base_rows:
+    deleted, shift = store.delete_snapshot()
+    if store.total_rows > base_rows:
         staged, live = store.match_staged(query.predicates)
         if deleted is not None:
-            live &= ~deleted[base_rows:total_rows]
+            live &= ~deleted[base_rows:]
         picked = np.flatnonzero(live)
-        global_positions = base_rows + picked.astype(np.int64)
+        global_positions = base_rows + picked
         delta_positions = global_positions - shift[global_positions]
         delta_columns = {
             name: staged[name][picked] for name in query.select
@@ -119,9 +123,6 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
     else:
         delta_positions = np.zeros(0, dtype=np.int64)
         delta_columns = {}
-    # deleted is snapshot-stable: mask()/cumulative() already copied out
-    # of the bitmap, and the delta columns are copies picked out of the
-    # store's (read-only, per-version) staged columns.
     return HybridOverlay(
         deleted=deleted,
         shift=shift,

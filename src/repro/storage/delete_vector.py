@@ -9,10 +9,11 @@ write store's staged rows (positions ``[base_rows, total_rows)``), so
 a single vector describes the whole hybrid table.
 
 The in-memory form is a packed ``uint8`` numpy bitmap with vectorized
-membership (:meth:`DeleteVector.is_deleted`) and prefix counts
-(:meth:`DeleteVector.cumulative`) — exactly the two primitives the
-hybrid scan layer needs to filter deleted rows out of a base scan and
-remap the survivors' positions to rebuilt-table coordinates.
+membership (:meth:`DeleteVector.is_deleted`) and a read-only
+:meth:`DeleteVector.snapshot` — the deleted-mask and its prefix counts,
+exactly what the hybrid scan layer needs to filter deleted rows out of
+a base scan and remap the survivors' positions to rebuilt-table
+coordinates.
 
 The serialized form (:meth:`DeleteVector.to_bytes`) is paged and
 checksummed like every other on-disk structure in the storage layer: a
@@ -142,13 +143,26 @@ class DeleteVector:
 
     # --- vectorized views -------------------------------------------------
 
-    def mask(self) -> np.ndarray:
-        """Boolean deleted-mask over all ``size`` positions."""
-        if self._size == 0:
-            return np.zeros(0, dtype=bool)
-        return np.unpackbits(self._bits, count=self._size, bitorder="little").astype(
-            bool
-        )
+    def snapshot(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(deleted, shift)``: the vector as the hybrid read path needs it.
+
+        ``deleted`` is the boolean deleted-mask over all ``size``
+        positions, ``None`` when none is deleted.  ``shift[p]`` counts
+        the deleted positions strictly before ``p`` (length ``size +
+        1``), so a surviving row at global position ``p`` lands at
+        rebuilt-table position ``p - shift[p]``.  Both are fresh,
+        read-only arrays: later changes to the vector leave them as
+        they are.
+        """
+        shift = np.zeros(self._size + 1, dtype=np.int64)
+        deleted = None
+        if not self.is_empty:
+            deleted = np.unpackbits(self._bits, count=self._size, bitorder="little")
+            deleted = deleted.view(bool)
+            np.cumsum(deleted, out=shift[1:])
+            deleted.flags.writeable = False
+        shift.flags.writeable = False
+        return deleted, shift
 
     def is_deleted(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an array of positions."""
@@ -171,18 +185,6 @@ class DeleteVector:
     def is_empty(self) -> bool:
         """True when no position is deleted."""
         return not self._bits.any()
-
-    def cumulative(self) -> np.ndarray:
-        """Prefix counts: ``cum[p]`` = deleted positions strictly before p.
-
-        Length ``size + 1`` (``cum[size]`` is the total popcount), so a
-        surviving row at global position ``p`` lands at rebuilt-table
-        position ``p - cum[p]``.
-        """
-        out = np.zeros(self._size + 1, dtype=np.int64)
-        if self._size:
-            np.cumsum(self.mask(), out=out[1:])
-        return out
 
     # --- paged checksummed codec -----------------------------------------
 
@@ -269,9 +271,9 @@ class DeleteVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeleteVector):
             return NotImplemented
-        return self._size == other._size and np.array_equal(
-            self.mask(), other.mask()
-        )
+        # Bits past ``size`` are never set, and equal sizes mean equal
+        # byte counts.
+        return self._size == other._size and np.array_equal(self._bits, other._bits)
 
     def __repr__(self) -> str:
         return f"DeleteVector(size={self._size}, deleted={self.count()})"

@@ -3,13 +3,15 @@
 The paper's systems are bulk-loaded (warehouse style); the loader packs
 pages to capacity with no free space, assigning sequential page ids per
 file (the Record ID of a value is its page id plus its position on the
-page).
+page).  Pages are encoded and appended an I/O unit at a time, the unit
+a scan reads them back by (:meth:`encode_pages` of the page codecs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.generator import GeneratedTable
 from repro.errors import StorageError
 from repro.storage.layout import Layout
@@ -17,10 +19,11 @@ from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.pagefile import PagedFile
 from repro.storage.table import (
     ColumnTable,
+    PagedTable,
+    PaxTable,
     RowTable,
     Table,
     build_column_file,
-    make_row_page_codec,
 )
 
 
@@ -37,6 +40,8 @@ class BulkLoader:
             raise StorageError(f"page size must be positive: {page_size}")
         self.page_size = page_size
         self.verify = verify
+        #: Pages encoded and appended at once.
+        self._unit_pages = max(1, DEFAULT_CALIBRATION.io_unit_bytes // page_size)
 
     def load(self, data: GeneratedTable, layout: Layout) -> Table:
         """Load ``data`` under the requested layout."""
@@ -52,41 +57,26 @@ class BulkLoader:
             verify_table(table)
         return table
 
-    def load_pax(self, data: GeneratedTable) -> "PaxTable":
+    def load_pax(self, data: GeneratedTable) -> PaxTable:
         """Pack tuples into PAX pages (per-attribute minipages)."""
-        from repro.storage.pax import PaxPageCodec
-        from repro.storage.table import PaxTable
-
-        schema = data.schema
-        page_codec = PaxPageCodec(schema, self.page_size)
-        file = PagedFile(schema.name, page_size=self.page_size)
-        capacity = page_codec.tuples_per_page
-        for start in range(0, data.num_rows, capacity):
-            end = min(start + capacity, data.num_rows)
-            page_slices = {
-                name: col[start:end] for name, col in data.columns.items()
-            }
-            file.append_page(page_codec.encode(file.num_pages, page_slices))
-        return PaxTable(schema, file, data.num_rows, page_size=self.page_size)
+        return self._load_tuples(data, PaxTable)
 
     def load_row(self, data: GeneratedTable) -> RowTable:
         """Pack whole tuples into one file of row pages."""
+        return self._load_tuples(data, RowTable)
+
+    def _load_tuples(self, data: GeneratedTable, table_class: type[PagedTable]) -> PagedTable:
+        """One file of whole-tuple pages, in the page codec ``table_class`` uses."""
         schema = data.schema
-        page_codec = make_row_page_codec(schema, self.page_size)
         file = PagedFile(schema.name, page_size=self.page_size)
-        capacity = page_codec.tuples_per_page
-        num_rows = data.num_rows
-        # Convert once to the disk-facing dtypes for speed.
-        columns = {
-            attr.name: np.asarray(data.columns[attr.name])
-            for attr in schema
-        }
-        for start in range(0, num_rows, capacity):
-            end = min(start + capacity, num_rows)
-            page_slices = {name: col[start:end] for name, col in columns.items()}
-            page = page_codec.encode(file.num_pages, page_slices)
-            file.append_page(page)
-        return RowTable(schema, file, num_rows, page_size=self.page_size)
+        table = table_class(schema, file, data.num_rows, page_size=self.page_size)
+        step = table.page_codec.tuples_per_page * self._unit_pages
+        for start in range(0, data.num_rows, step):
+            chunk = {
+                attr.name: data.columns[attr.name][start : start + step] for attr in schema
+            }
+            file.append_pages(table.page_codec.encode_pages(file.num_pages, chunk))
+        return table
 
     def load_column(self, data: GeneratedTable) -> ColumnTable:
         """Pack each attribute into its own file of column pages."""
@@ -95,36 +85,25 @@ class BulkLoader:
         for attr in schema:
             column_file = build_column_file(schema, attr.name, self.page_size)
             values = data.columns[attr.name]
+            file, page_codec = column_file.file, column_file.page_codec
             if column_file.is_variable:
-                self._load_variable_column(column_file, values)
+                # Where a page ends depends on the data: one run, then a
+                # page directory from the pages' value counts.
+                pages = page_codec.encode_pages(0, values)
+                file.append_pages(pages)
+                counts = np.ndarray(
+                    (len(pages) // self.page_size,), "<u4", pages, 0, (self.page_size,)
+                )
+                column_file.first_rows = np.cumsum(counts, dtype=np.int64) - counts
+                column_file.effective_bits = page_codec.codec.effective_bits(values)
             else:
-                capacity = column_file.values_per_page
-                for start in range(0, data.num_rows, capacity):
-                    chunk = values[start : start + capacity]
-                    page = column_file.page_codec.encode(
-                        column_file.file.num_pages, chunk
+                step = column_file.values_per_page * self._unit_pages
+                for start in range(0, data.num_rows, step):
+                    file.append_pages(
+                        page_codec.encode_pages(file.num_pages, values[start : start + step])
                     )
-                    column_file.file.append_page(page)
             column_files[attr.name] = column_file
         return ColumnTable(schema, column_files, data.num_rows, page_size=self.page_size)
-
-    @staticmethod
-    def _load_variable_column(column_file, values: np.ndarray) -> None:
-        """Variable-capacity codec: fill pages greedily, build the
-        page directory."""
-        first_rows = []
-        position = 0
-        while position < len(values):
-            first_rows.append(position)
-            page, consumed = column_file.page_codec.encode_prefix(
-                column_file.file.num_pages, values[position:]
-            )
-            column_file.file.append_page(page)
-            position += consumed
-        column_file.first_rows = np.asarray(first_rows, dtype=np.int64)
-        column_file.effective_bits = column_file.page_codec.codec.effective_bits(
-            values
-        )
 
 
 def load_table(

@@ -84,15 +84,79 @@ def page_checksum(page: bytes) -> int:
     return zlib.crc32(page[crc_offset + 4 :], crc)
 
 
-def _assemble(page_size: int, count: int, payload: bytes, page_id: int, base: int) -> bytes:
+def _unit_checksums(unit, page_size: int) -> list[int]:
+    """:func:`page_checksum` of every page of ``unit`` (adjacent whole
+    pages): two ``crc32`` calls per page over memoryview ranges, no page
+    copied."""
+    view = memoryview(unit)
+    crc_at = page_size - PAGE_TRAILER_BYTES + 4
+    crc32 = zlib.crc32
+    return [
+        crc32(view[start + crc_at + 4 : start + page_size], crc32(view[start : start + crc_at]))
+        for start in range(0, len(view) - page_size + 1, page_size)
+    ]
+
+
+def page_counts(count: int, capacity: int) -> list[int]:
+    """Entries per page when ``count`` entries fill pages of ``capacity``
+    in order: full pages, then the rest (none for no entries)."""
+    full, rest = divmod(count, capacity)
+    return [capacity] * full + [rest] * (rest > 0)
+
+
+def tuple_count(columns: Mapping[str, np.ndarray]) -> int:
+    """How many tuples ``columns``, one slice per attribute, hold."""
+    counts = {len(col) for col in columns.values()}
+    if len(counts) != 1:
+        raise PageFormatError(f"ragged column slices: {sorted(counts)}")
+    return counts.pop()
+
+
+def page_payloads(columns: Mapping[str, np.ndarray], counts: list[int], encode) -> list[bytes]:
+    """``encode`` of each page's slices of ``columns``, pages of ``counts`` tuples."""
+    payloads = []
+    start = 0
+    for count in counts:
+        payloads.append(encode({name: col[start : start + count] for name, col in columns.items()}))
+        start += count
+    return payloads
+
+
+def assemble_pages(
+    page_size: int, first_page_id: int, counts: list[int], payloads, bases=0
+) -> bytes:
+    """Adjacent pages, ids from ``first_page_id``, as one buffer.
+
+    Page ``p`` holds ``counts[p]`` entries, the payload ``payloads[p]``
+    (zero-padded to capacity) and the trailer base ``bases`` (one per
+    page, or one for all).  ``payloads`` is one ``bytes`` per page or a
+    ``(pages, n)`` ``uint8`` array of them.  Counts and trailers go in
+    as strided arrays over the ``(pages, page_size)`` buffer, and each
+    page's CRC is taken over it in place.
+    """
+    pages = len(counts)
     capacity = page_payload_bytes(page_size)
-    if len(payload) > capacity:
-        raise PageFormatError(
-            f"payload of {len(payload)} bytes exceeds page capacity {capacity}"
-        )
-    padding = b"\x00" * (capacity - len(payload))
-    page = _HEADER.pack(count) + payload + padding + _TRAILER.pack(page_id, 0, base)
-    return page[: -PAGE_TRAILER_BYTES + 4] + _HEADER.pack(page_checksum(page)) + page[-8:]
+    array = isinstance(payloads, np.ndarray)
+    longest = payloads.shape[1] if array else max(map(len, payloads), default=0)
+    if longest > capacity:
+        raise PageFormatError(f"payload of {longest} bytes exceeds page capacity {capacity}")
+    buffer = np.zeros((pages, page_size), dtype=np.uint8)
+    if array:
+        buffer[:, PAGE_HEADER_BYTES : PAGE_HEADER_BYTES + longest] = payloads
+    else:
+        for page, payload in zip(buffer, payloads):
+            page[PAGE_HEADER_BYTES : PAGE_HEADER_BYTES + len(payload)] = np.frombuffer(
+                payload, dtype=np.uint8
+            )
+    trailer = page_size - PAGE_TRAILER_BYTES
+    buffer[:, :PAGE_HEADER_BYTES].view("<u4")[:, 0] = counts
+    buffer[:, trailer : trailer + 4].view("<u4")[:, 0] = np.arange(
+        first_page_id, first_page_id + pages
+    )
+    buffer[:, page_size - 8 :].view("<i8")[:, 0] = bases
+    crcs = _unit_checksums(buffer.reshape(-1), page_size)
+    buffer[:, trailer + 4 : trailer + 8].view("<u4")[:, 0] = crcs
+    return buffer.tobytes()
 
 
 def _disassemble(
@@ -118,22 +182,17 @@ def _disassemble(
 def verify_unit(unit: bytes, page_size: int) -> None:
     """Check every page of ``unit`` (adjacent whole pages) against its CRC.
 
-    The stored CRCs are read once, as a strided view; a page's checksum
-    (:func:`page_checksum`'s) is then two ``crc32`` calls over memoryview
-    ranges, no page copied.  Which page failed is for the per-page decode
-    to say: a failing unit is decoded again page by page.
+    The stored CRCs are read once, as a strided view, and compared with
+    :func:`_unit_checksums`.  Which page failed is for the per-page
+    decode to say: a failing unit is decoded again page by page.
     """
     pages = len(unit) // page_size
     if not (_VERIFY_CHECKSUMS and pages):
         return
-    view = memoryview(unit)
     crc_at = page_size - PAGE_TRAILER_BYTES + 4
-    stored = np.ndarray(pages, "<u4", view, offset=crc_at, strides=page_size).tolist()
-    crc32 = zlib.crc32
-    for page, start in enumerate(range(0, pages * page_size, page_size)):
-        crc = crc32(view[start + crc_at + 4 : start + page_size], crc32(view[start : start + crc_at]))
-        if crc != stored[page]:
-            raise ChecksumError(f"page {page} of a unit fails its checksum")
+    stored = np.ndarray(pages, "<u4", unit, offset=crc_at, strides=page_size).tolist()
+    if _unit_checksums(unit, page_size) != stored:
+        raise ChecksumError("a page of a unit fails its checksum")
 
 
 def upgrade_page_v1(page: bytes) -> bytes:
@@ -176,8 +235,10 @@ class TuplePageCodec:
     """What the plain and the bit-packed row page codec share.
 
     Pages of up to ``tuples_per_page`` tuples ``_stride`` bytes apart; a
-    subclass lays a tuple out (``encode``) and reads attributes back
-    from every tuple slot of adjacent pages at once (``_gather``).
+    subclass lays one page's tuples out (``_payload``; the plain codec
+    lays out every page of a run at once, ``_payloads``) and reads
+    attributes back from every tuple slot of adjacent pages at once
+    (``_gather``).
     """
 
     page_size: int
@@ -189,17 +250,17 @@ class TuplePageCodec:
         """On-disk bytes per tuple."""
         return self._stride
 
-    def _tuple_count(self, columns: dict[str, np.ndarray]) -> int:
-        """How many tuples ``columns`` (one page's slices) hold."""
-        counts = {len(col) for col in columns.values()}
-        if len(counts) != 1:
-            raise PageFormatError(f"ragged column slices: {sorted(counts)}")
-        count = counts.pop()
-        if count > self.tuples_per_page:
-            raise PageFormatError(
-                f"{count} tuples exceed page capacity {self.tuples_per_page}"
-            )
-        return count
+    def encode_pages(self, first_page_id: int, columns: Mapping[str, np.ndarray]) -> bytes:
+        """The pages ``columns`` (one equal-length slice per attribute)
+        fill, in order and each full but the last, as one buffer; page
+        ids count up from ``first_page_id``."""
+        counts = page_counts(tuple_count(columns), self.tuples_per_page)
+        return assemble_pages(
+            self.page_size, first_page_id, counts, self._payloads(columns, counts)
+        )
+
+    def _payloads(self, columns, counts: list[int]):
+        return page_payloads(columns, counts, self._payload)
 
     def _check_claim(self, count: int) -> None:
         if count > self.tuples_per_page:
@@ -299,13 +360,14 @@ class RowPageCodec(TuplePageCodec):
                 f"({page_payload_bytes(page_size)} bytes)"
             )
 
-    def encode(self, page_id: int, columns: dict[str, np.ndarray]) -> bytes:
-        """Build one page from column slices (all the same length)."""
-        count = self._tuple_count(columns)
-        rows = np.zeros(count, dtype=self._disk_dtype)
+    def _payloads(self, columns, counts: list[int]) -> np.ndarray:
+        """Every page's tuples in one pass: the run's tuple slots as one
+        zeroed record array, one row of it per page."""
+        rows = np.zeros((len(counts), self.tuples_per_page), dtype=self._disk_dtype)
+        slots = rows.reshape(-1)[: sum(counts)]
         for attr in self.schema:
-            rows[attr.name] = columns[attr.name]
-        return _assemble(self.page_size, count, rows.tobytes(), page_id, 0)
+            slots[attr.name] = columns[attr.name]
+        return rows.view(np.uint8)
 
     def decode(self, page: bytes) -> tuple[int, np.ndarray]:
         """Parse a page into ``(page_id, structured row array)``."""
@@ -337,14 +399,36 @@ class ColumnPageCodec:
         self.page_size = page_size
         self.values_per_page = codec.values_per_page(page_payload_bytes(page_size))
 
-    def encode(self, page_id: int, values: np.ndarray) -> bytes:
-        """Build one page from a slice of the column."""
-        if len(values) > self.values_per_page:
-            raise PageFormatError(
-                f"{len(values)} values exceed page capacity {self.values_per_page}"
-            )
-        payload, state = self.codec.encode_page(values)
-        return _assemble(self.page_size, len(values), payload, page_id, state.base)
+    def encode_pages(self, first_page_id: int, values: np.ndarray) -> bytes:
+        """The pages a slice of the column fills, in order, as one buffer;
+        page ids count up from ``first_page_id``.
+
+        Uncompressed values are laid out for every page in one pass.
+        Any other codec encodes a page at a time
+        (:meth:`Codec.encode_prefix`), so a variable-capacity one (RLE)
+        decides where each page ends; the page headers say how many
+        values each took.
+        """
+        codec = self.codec
+        if not codec.spec.is_compressed:
+            attr_type = codec.attr_type
+            attr_type.validate(values)
+            counts = page_counts(len(values), self.values_per_page)
+            dtype = "<i4" if attr_type.is_integer else f"S{attr_type.width}"
+            slots = np.zeros((len(counts), self.values_per_page), dtype=dtype)
+            slots.reshape(-1)[: len(values)] = values
+            payloads = slots.view(np.uint8)
+            return assemble_pages(self.page_size, first_page_id, counts, payloads)
+        capacity = page_payload_bytes(self.page_size)
+        counts, payloads, bases = [], [], []
+        position = 0
+        while position < len(values):
+            payload, state, consumed = codec.encode_prefix(values[position:], capacity)
+            counts.append(consumed)
+            payloads.append(payload)
+            bases.append(state.base)
+            position += consumed
+        return assemble_pages(self.page_size, first_page_id, counts, payloads, bases)
 
     def decode(self, page: bytes, verify: bool = True) -> tuple[int, np.ndarray]:
         """Parse a page into ``(page_id, value array)`` (full decode)."""
@@ -397,18 +481,6 @@ class ColumnPageCodec:
         else:
             codes = unpack_streams(unit, (pages,), (size,), PAGE_HEADER_BYTES, bits, longest)
         return counts, bases, codes
-
-    def encode_prefix(self, page_id: int, values: np.ndarray) -> tuple[bytes, int]:
-        """Fill one page with a data-dependent number of leading values.
-
-        Used for variable-capacity codecs (RLE); returns the page bytes
-        and how many values were consumed.
-        """
-        payload, state, consumed = self.codec.encode_prefix(
-            values, page_payload_bytes(self.page_size)
-        )
-        page = _assemble(self.page_size, consumed, payload, page_id, state.base)
-        return page, consumed
 
     def decode_raw(
         self, page: bytes, verify: bool = True

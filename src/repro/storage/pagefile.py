@@ -81,15 +81,19 @@ class PagedFile:
         """Total file size in bytes."""
         return len(self._data)
 
-    def append_page(self, page: bytes) -> int:
-        """Append one page; returns its page index."""
-        if len(page) != self.page_size:
+    def append_pages(self, pages: bytes) -> int:
+        """Append whole pages in one write; returns the first one's index.
+
+        The pages are unverified, as every page of a fresh load is: a
+        scan checks each one's CRC on its first read.
+        """
+        if len(pages) % self.page_size:
             raise StorageError(
-                f"page of {len(page)} bytes does not match page size "
-                f"{self.page_size} for file {self.name!r}"
+                f"{len(pages)} bytes are not whole {self.page_size}-byte "
+                f"pages for file {self.name!r}"
             )
         index = self.num_pages
-        self._data.extend(page)
+        self._data.extend(pages)
         return index
 
     def read_page(self, index: int) -> bytes:
@@ -106,7 +110,7 @@ class PagedFile:
         Whole pages from ``start``, at least one.  These bytes are in
         memory and never fault, so a unit is a read-only view of them,
         no copy; hold it no longer than its decode, since a live view
-        stops :meth:`append_page` from growing the buffer.  Under a
+        stops :meth:`append_pages` from growing the buffer.  Under a
         subclass that intercepts :meth:`_read_page_raw` a unit is
         composed of :meth:`read_page` calls, each page injected, retried
         and counted on its own.  An error is page ``start``'s: a later

@@ -30,12 +30,15 @@ from repro.compression.base import Codec, CodecKind, PageCodecState
 from repro.compression.registry import build_codec
 from repro.errors import PageFormatError, StorageError
 from repro.storage.page import (
-    _assemble,
+    DEFAULT_PAGE_SIZE,
     _disassemble,
+    assemble_pages,
+    page_counts,
     page_payload_bytes,
+    page_payloads,
     refuse_variable_codecs,
+    tuple_count,
 )
-from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.types.schema import TableSchema
 
 _BASE_SLOT = struct.Struct("<q")
@@ -100,16 +103,17 @@ class PaxPageCodec:
         """(byte offset within payload, byte length) of one minipage."""
         return self._minipage_offsets[attr_index], self._minipage_bytes[attr_index]
 
-    def encode(self, page_id: int, columns: dict[str, np.ndarray]) -> bytes:
-        """Build one PAX page from column slices (same length each)."""
-        counts = {len(col) for col in columns.values()}
-        if len(counts) != 1:
-            raise PageFormatError(f"ragged column slices: {sorted(counts)}")
-        count = counts.pop()
-        if count > self.tuples_per_page:
-            raise PageFormatError(
-                f"{count} tuples exceed page capacity {self.tuples_per_page}"
-            )
+    def encode_pages(self, first_page_id: int, columns: dict[str, np.ndarray]) -> bytes:
+        """The PAX pages ``columns`` (one equal-length slice per
+        attribute) fill, in order, as one buffer; page ids count up from
+        ``first_page_id``.  Minipages are per page, so each page's
+        payload is encoded on its own."""
+        counts = page_counts(tuple_count(columns), self.tuples_per_page)
+        payloads = page_payloads(columns, counts, self._payload)
+        return assemble_pages(self.page_size, first_page_id, counts, payloads)
+
+    def _payload(self, columns: dict[str, np.ndarray]) -> bytes:
+        """One page's minipages, then its frame bases."""
         parts = []
         bases = []
         for index, attr in enumerate(self.schema):
@@ -120,8 +124,7 @@ class PaxPageCodec:
             parts.append(payload.ljust(self._minipage_bytes[index], b"\x00"))
         body = b"".join(parts)
         base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
-        payload_area = body.ljust(self._payload_bytes, b"\x00") + base_area
-        return _assemble(self.page_size, count, payload_area, page_id, 0)
+        return body.ljust(self._payload_bytes, b"\x00") + base_area
 
     def _split(self, page: bytes, verify: bool = True) -> tuple[int, int, bytes, list[int]]:
         count, payload, page_id, _base = _disassemble(page, self.page_size, verify)

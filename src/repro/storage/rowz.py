@@ -30,9 +30,9 @@ from repro.storage.page import (
     DEFAULT_PAGE_SIZE,
     PAGE_HEADER_BYTES,
     TuplePageCodec,
-    _assemble,
     page_payload_bytes,
     refuse_variable_codecs,
+    tuple_count,
 )
 from repro.types.schema import TableSchema
 
@@ -80,11 +80,10 @@ class CompressedRowPageCodec(TuplePageCodec):
                 f"compressed row stride {self._stride} exceeds page payload"
             )
 
-    def encode(self, page_id: int, columns: dict[str, np.ndarray]) -> bytes:
-        """Build one page from column slices (all the same length)."""
-        count = self._tuple_count(columns)
-        if not count:
-            return _assemble(self.page_size, 0, b"", page_id, 0)
+    def _payload(self, columns: dict[str, np.ndarray]) -> bytes:
+        """One page's tuples, bit-packed, then its frame bases (codes
+        and bases are per page, so pages are encoded one at a time)."""
+        count = tuple_count(columns)
         packed = bytearray(self._payload_bytes)
         geometry = ((count,), (self._stride,))
         bases = []
@@ -100,7 +99,7 @@ class CompressedRowPageCodec(TuplePageCodec):
             else:
                 scatter_bits(packed, *geometry, offset, bits, check_codes(codes, bits))
         base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
-        return _assemble(self.page_size, count, bytes(packed) + base_area, page_id, 0)
+        return bytes(packed) + base_area
 
     def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
         """Per attribute of ``names``: one gather of its codes from every

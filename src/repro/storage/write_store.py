@@ -5,15 +5,21 @@ periodically moved in bulk into the read-optimized store (the design
 C-Store uses).  The paper itself only measures the read store; this
 component makes the library usable end to end:
 
-* inserts accumulate in row-major order in memory (optionally under a
-  byte budget, enforced with the same
+* inserts accumulate in memory as columns, one growable numpy buffer
+  per attribute, each batch converted and type-checked once
+  (optionally under a byte budget, enforced with the same
   :class:`~repro.errors.MemoryBudgetExceeded` the query governor uses);
+  a read sees read-only views of the filled prefix, which no later
+  write rewrites;
 * deletes are *marked* in a :class:`~repro.storage.delete_vector.
   DeleteVector` over global row positions — both base-table rows and
   staged rows are addressable, so an insert can be deleted again
   before it ever reaches disk;
 * reads see the edits through the hybrid overlay layer
-  (:mod:`repro.engine.hybrid`) without touching the read store;
+  (:mod:`repro.engine.hybrid`) without touching the read store; the
+  delete vector's mask and prefix counts are built once per version of
+  the store (:meth:`WriteOptimizedStore.delete_snapshot`) and shared
+  by every read of it;
 * a merge rebuilds the read store with deletes reclaimed and staged
   tuples appended, preserving the table's physical layout and
   refreshing each column's codec parameters (a staged value may fall
@@ -104,21 +110,31 @@ class WriteOptimizedStore:
             raise StorageError(f"memory budget must be positive: {memory_budget}")
         self.memory_budget = memory_budget
         self._row_bytes = sum(attr.width for attr in schema)
-        self._staged: list[tuple] = []
-        #: Bumped by every change to the staged tuples or the base they
-        #: follow; ``_columns`` is ``(version, staged columns)`` as last built.
-        self._version = 0
-        self._columns: tuple[int, dict[str, np.ndarray]] = (0, {})
+        #: One buffer per attribute; rows ``[0, _length)`` are staged,
+        #: the rest is capacity.  A row once staged is never rewritten.
+        self._buffers = self._empty_buffers()
+        self._length = 0
+        #: What a read of the current version sees, built by its first
+        #: read: the staged columns (until the next insert or reset) and
+        #: the delete snapshot (until the next insert, delete or reset).
+        self._views: dict[str, np.ndarray] | None = None
+        self._snapshot: tuple[np.ndarray | None, np.ndarray] | None = None
         self._base_rows = 0
         self._deletes = DeleteVector(0)
         self._merging = False
 
+    def _empty_buffers(self) -> dict[str, np.ndarray]:
+        return {
+            attr.name: np.empty(0, dtype=attr.attr_type.numpy_dtype())
+            for attr in self.schema
+        }
+
     def __len__(self) -> int:
-        return len(self._staged)
+        return self._length
 
     @property
     def is_empty(self) -> bool:
-        return not self._staged
+        return not self._length
 
     # --- shape ------------------------------------------------------------
 
@@ -130,7 +146,7 @@ class WriteOptimizedStore:
     @property
     def total_rows(self) -> int:
         """Addressable global positions: base rows plus staged rows."""
-        return self._base_rows + len(self._staged)
+        return self._base_rows + self._length
 
     @property
     def deletes(self) -> DeleteVector:
@@ -139,13 +155,14 @@ class WriteOptimizedStore:
 
     @property
     def staged_bytes(self) -> int:
-        """Uncompressed bytes held by the staged tuples."""
-        return len(self._staged) * self._row_bytes
+        """Uncompressed bytes held by the staged rows (not the buffers'
+        capacity: what the byte budget counts)."""
+        return self._length * self._row_bytes
 
     @property
     def has_changes(self) -> bool:
         """Whether a read must overlay this store (staged or deleted rows)."""
-        return bool(self._staged) or not self._deletes.is_empty
+        return bool(self._length) or not self._deletes.is_empty
 
     def attach_base(self, num_rows: int) -> None:
         """Bind the store to a read-store snapshot of ``num_rows`` rows.
@@ -153,21 +170,26 @@ class WriteOptimizedStore:
         Resets position accounting: the delete vector starts clean over
         the new base (staged rows, if any, shift to follow it).
         """
-        if self._staged:
+        if self._length:
             raise StorageError(
                 "cannot re-attach a base under staged rows; merge or clear first"
             )
         self._base_rows = int(num_rows)
         self._deletes = DeleteVector(self.total_rows)
-        self._version += 1
+        self._snapshot = None
 
     def reset(self, base_rows: int) -> None:
-        """Post-merge state: nothing staged, nothing deleted, new base."""
+        """Post-merge state: nothing staged, nothing deleted, new base.
+
+        Staging starts over in fresh buffers, so the columns earlier
+        reads were handed keep their rows.
+        """
         obs_metrics.WRITE_STAGED_BYTES.dec(self.staged_bytes)
-        self._staged.clear()
+        self._buffers = self._empty_buffers()
+        self._length = 0
         self._base_rows = int(base_rows)
         self._deletes = DeleteVector(base_rows)
-        self._version += 1
+        self._views = self._snapshot = None
 
     # --- merge freeze -----------------------------------------------------
 
@@ -198,16 +220,18 @@ class WriteOptimizedStore:
         self.insert_many([row])
 
     def insert_many(self, rows: list[tuple]) -> None:
-        """Stage a batch of tuples, all or none: arity and the byte budget
-        are checked for the whole batch before any row is staged."""
+        """Stage a batch of tuples, all or none: arity, every attribute's
+        type and range, and the byte budget are checked for the whole
+        batch before any row is staged."""
         self._check_writable("insert")
         rows = [tuple(row) for row in rows]
-        for row in rows:
-            if len(row) != len(self.schema):
-                raise SchemaError(
-                    f"tuple of {len(row)} values for {len(self.schema)}-attribute "
-                    f"table {self.schema.name!r}"
-                )
+        arity = len(self.schema)
+        wrong = set(map(len, rows)) - {arity}
+        if wrong:
+            raise SchemaError(
+                f"tuple of {min(wrong)} values for {arity}-attribute "
+                f"table {self.schema.name!r}"
+            )
         batch_bytes = len(rows) * self._row_bytes
         if (
             self.memory_budget is not None
@@ -218,11 +242,45 @@ class WriteOptimizedStore:
                 f"{self.staged_bytes} bytes; inserting {batch_bytes} more "
                 f"exceeds the {self.memory_budget}-byte budget (merge to drain)"
             )
-        self._staged.extend(rows)
-        self._version += 1
+        if not rows:
+            return
+        columns = self._batch_columns(rows)
+        start, end = self._length, self._length + len(rows)
+        for name, column in columns.items():
+            buffer = self._buffers[name]
+            if end > len(buffer):
+                # Amortized doubling into a new buffer: views of the old
+                # one keep the rows they were handed.
+                grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+                grown[:start] = buffer[:start]
+                self._buffers[name] = buffer = grown
+            buffer[start:end] = column
+        self._length = end
+        self._views = self._snapshot = None
         self._deletes.grow(self.total_rows)
         # A level: every staged byte enters here and leaves in reset().
         obs_metrics.WRITE_STAGED_BYTES.inc(batch_bytes)
+
+    def _batch_columns(self, rows: list[tuple]) -> dict[str, np.ndarray]:
+        """The batch as one array per attribute, each converted and
+        checked (:meth:`~repro.types.datatypes.AttributeType.validate`)
+        once; a value its attribute cannot store raises
+        :class:`SchemaError` naming the attribute."""
+        columns = {}
+        for attr, values in zip(self.schema, zip(*rows)):
+            attr_type = attr.attr_type
+            try:
+                # Text is inferred to its longest value, so validate
+                # sees an over-long one before the buffer would cut it.
+                dtype = np.int64 if attr_type.is_integer else np.bytes_
+                column = np.asarray(values, dtype=dtype)
+                attr_type.validate(column)
+            except (SchemaError, TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(
+                    f"cannot stage {self.schema.name}.{attr.name}: {exc}"
+                ) from None
+            columns[attr.name] = column
+        return columns
 
     def delete(self, positions) -> int:
         """Mark global positions deleted; returns how many were live.
@@ -232,27 +290,38 @@ class WriteOptimizedStore:
         insertion order.  Deleting is idempotent.
         """
         self._check_writable("delete")
-        return self._deletes.set_many(positions)
+        newly = self._deletes.set_many(positions)
+        if newly:
+            self._snapshot = None
+        return newly
 
     # --- reads ------------------------------------------------------------
 
     def staged_columns(self) -> dict[str, np.ndarray]:
-        """The staged tuples as columns (empty dict when nothing staged).
+        """The staged rows as columns (empty dict when nothing staged).
 
-        Built once per version of the store and shared by every read of
-        that version: the arrays are read-only, the dict is the caller's.
+        Read-only views of the staged prefix of each buffer, made once
+        per insert and shared by every read until the next: the arrays
+        are read-only and no later write changes them, the dict is the
+        caller's.
         """
-        version, columns = self._columns
-        if version != self._version:
-            columns = {}
-            if self._staged:
-                for index, attr in enumerate(self.schema):
-                    raw = [row[index] for row in self._staged]
-                    column = np.asarray(raw, dtype=attr.attr_type.numpy_dtype())
-                    column.setflags(write=False)
-                    columns[attr.name] = column
-            self._columns = (self._version, columns)
-        return dict(columns)
+        if self._views is None:
+            self._views = {}
+            if self._length:
+                for name, buffer in self._buffers.items():
+                    view = buffer[: self._length]
+                    view.flags.writeable = False
+                    self._views[name] = view
+        return dict(self._views)
+
+    def delete_snapshot(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """:meth:`DeleteVector.snapshot` of the current version, built on
+        its first read and shared by every read until the next insert,
+        delete or reset (the hybrid overlay's and :meth:`merged_columns`'s
+        one source)."""
+        if self._snapshot is None:
+            self._snapshot = self._deletes.snapshot()
+        return self._snapshot
 
     def match_staged(self, predicates) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """The staged columns, and which staged rows pass every predicate.
@@ -261,7 +330,7 @@ class WriteOptimizedStore:
         predicate delete; the delete vector is the caller's business.
         """
         staged = self.staged_columns()
-        live = np.ones(len(self._staged), dtype=bool)
+        live = np.ones(self._length, dtype=bool)
         if staged:  # nothing staged: no columns to index
             for predicate in predicates:
                 live &= predicate.evaluate(staged[predicate.attr])
@@ -290,8 +359,9 @@ class WriteOptimizedStore:
             }
         else:
             merged = {name: existing[name] for name in names}
-        if not self._deletes.is_empty:
-            live = ~self._deletes.mask()
+        deleted, _ = self.delete_snapshot()
+        if deleted is not None:
+            live = np.flatnonzero(~deleted)  # one index gather per column
             merged = {name: column[live] for name, column in merged.items()}
         return merged
 
@@ -398,7 +468,7 @@ class WriteOptimizedStore:
         """
         self.begin_merge()
         started = time.perf_counter()
-        staged = len(self._staged)
+        staged = self._length
         reclaimed = self._deletes.count()
         detail["table"] = schema.name
         flight.record(

@@ -142,7 +142,7 @@ class TestRleThroughStorage:
             lineitem_data.schema.with_codecs({"L_ORDERKEY": spec})
         )
         written = []
-        monkeypatch.setattr(PagedFile, "append_page", lambda _file, page: written.append(page))
+        monkeypatch.setattr(PagedFile, "append_pages", lambda _file, pages: written.append(pages))
         with pytest.raises(StorageError, match=r"LINEITEM\.L_ORDERKEY: RLE is a column codec"):
             load_table(packed, Layout[layout_name])
         assert written == []

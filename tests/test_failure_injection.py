@@ -62,7 +62,7 @@ class TestCorruptPages:
     def test_row_page_with_corrupt_count_fails_checksum(self, orders_data):
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:10] for k, v in orders_data.columns.items()}
-        page = codec.encode(0, slices)
+        page = codec.encode_pages(0, slices)
         bad = corrupt_count(page, 100_000)
         with pytest.raises(ChecksumError):
             codec.decode(bad)
@@ -72,7 +72,7 @@ class TestCorruptPages:
         # sanity check still rejects the page.
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:10] for k, v in orders_data.columns.items()}
-        page = codec.encode(0, slices)
+        page = codec.encode_pages(0, slices)
         bad = restamp_checksum(corrupt_count(page, 100_000))
         with pytest.raises(PageFormatError):
             codec.decode(bad)
@@ -81,7 +81,7 @@ class TestCorruptPages:
         codec = ColumnPageCodec(
             build_codec(CodecSpec(kind=CodecKind.PACK, bits=8), IntType())
         )
-        page = codec.encode(0, np.arange(10))
+        page = codec.encode_pages(0, np.arange(10))
         bad = restamp_checksum(corrupt_count(page, 10**6))
         with pytest.raises(ReproError):
             codec.decode(bad)
@@ -89,14 +89,14 @@ class TestCorruptPages:
     def test_truncated_page(self, orders_data):
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:10] for k, v in orders_data.columns.items()}
-        page = codec.encode(0, slices)
+        page = codec.encode_pages(0, slices)
         with pytest.raises(PageFormatError):
             codec.decode(page[: DEFAULT_PAGE_SIZE // 2])
 
     def test_payload_bit_flip_fails_checksum(self, orders_data):
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:10] for k, v in orders_data.columns.items()}
-        page = bytearray(codec.encode(0, slices))
+        page = bytearray(codec.encode_pages(0, slices))
         page[500] ^= 0x04
         with pytest.raises(ChecksumError):
             codec.decode(bytes(page))
@@ -105,7 +105,7 @@ class TestCorruptPages:
         # The CRC covers the trailer's page id and base fields too.
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:10] for k, v in orders_data.columns.items()}
-        page = bytearray(codec.encode(7, slices))
+        page = bytearray(codec.encode_pages(7, slices))
         page[-1] ^= 0x80  # high byte of the FOR base
         with pytest.raises(ChecksumError):
             codec.decode(bytes(page))
@@ -122,7 +122,7 @@ class TestCorruptPages:
     def test_page_trailer_survives_payload_padding(self, orders_data):
         codec = RowPageCodec(orders_data.schema)
         slices = {k: v[:1] for k, v in orders_data.columns.items()}
-        page = codec.encode(1234, slices)
+        page = codec.encode_pages(1234, slices)
         page_id, rows = codec.decode(page)
         assert page_id == 1234
         assert len(rows) == 1
@@ -136,9 +136,9 @@ class TestCorruptPages:
 class TestMalformedFiles:
     def test_mixed_page_sizes_rejected(self):
         file = PagedFile("t", page_size=256)
-        file.append_page(b"\x00" * 256)
+        file.append_pages(b"\x00" * 256)
         with pytest.raises(StorageError):
-            file.append_page(b"\x00" * 512)
+            file.append_pages(b"\x00" * 384)
 
     def test_partial_trailing_bytes_rejected(self):
         # num_pages floors the division, so from_bytes must reject

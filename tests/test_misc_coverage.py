@@ -136,7 +136,7 @@ class TestPagedFileRepr:
         from repro.storage.pagefile import PagedFile
 
         file = PagedFile("ORDERS.O_CUSTKEY", page_size=64)
-        file.append_page(b"\x00" * 64)
+        file.append_pages(b"\x00" * 64)
         text = repr(file)
         assert "ORDERS.O_CUSTKEY" in text
         assert "pages=1" in text

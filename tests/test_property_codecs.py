@@ -226,6 +226,11 @@ from repro.storage.delete_vector import DeleteVector  # noqa: E402
 dv_sizes = st.integers(min_value=0, max_value=2_000)
 
 
+def deleted_positions(vector: DeleteVector) -> list[int]:
+    deleted, _shift = vector.snapshot()
+    return [] if deleted is None else np.flatnonzero(deleted).tolist()
+
+
 @st.composite
 def dv_vectors(draw):
     size = draw(dv_sizes)
@@ -262,20 +267,51 @@ def test_delete_vector_popcount_matches_oracle(built):
     vector, positions = built
     oracle = set(positions)
     assert vector.count() == len(oracle)
-    assert np.flatnonzero(vector.mask()).tolist() == sorted(oracle)
-    mask = vector.mask()
-    assert mask.sum() == len(oracle)
+    deleted, shift = vector.snapshot()
+    assert (deleted is None) == (not oracle) == vector.is_empty
+    assert deleted_positions(vector) == sorted(oracle)
+    if deleted is not None:
+        assert deleted.dtype == bool and len(deleted) == vector.size
+        assert deleted.sum() == len(oracle)
     for position in list(oracle)[:20]:
         assert vector.test(position)
-    # Cumulative prefix counts agree with a running oracle sum.
-    cumulative = vector.cumulative()
-    assert cumulative[0] == 0
-    assert cumulative[-1] == len(oracle)
+    # Prefix counts agree with a running oracle sum.
+    assert shift.dtype == np.int64 and len(shift) == vector.size + 1
+    assert shift[0] == 0
+    assert shift[-1] == len(oracle)
     running = 0
     for position in sorted(oracle):
-        assert cumulative[position] == running
+        assert shift[position] == running
         running += 1
-        assert cumulative[position + 1] == running
+        assert shift[position + 1] == running
+
+
+@settings(max_examples=40, deadline=None)
+@given(dv_vectors(), st.data())
+def test_delete_vector_snapshot_is_read_only_and_stays_put(built, data):
+    """A snapshot is the vector as it was: read-only, and untouched by
+    later deletes and grows, which show in the next snapshot only."""
+    import pytest
+
+    vector, _positions = built
+    before = deleted_positions(vector)
+    deleted, shift = vector.snapshot()
+    kept = (None if deleted is None else deleted.copy(), shift.copy())
+    for array in (deleted, shift):
+        if array is not None:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+    vector.grow(vector.size + data.draw(st.integers(0, 40)))
+    vector.set_many(
+        data.draw(st.lists(st.integers(0, vector.size - 1), max_size=20)) if vector.size else []
+    )
+    if kept[0] is None:
+        assert deleted is None
+    else:
+        np.testing.assert_array_equal(deleted, kept[0])
+    np.testing.assert_array_equal(shift, kept[1])
+    assert set(before) <= set(deleted_positions(vector))
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,10 +414,10 @@ def test_delete_vector_set_many_is_all_or_none():
     for batch, outside in (([5, 10**9], 10**9), ([10**9, 5], 10**9), ([5, -1], -1), ([5, 100], 100)):
         with pytest.raises(StorageError, match=f"position {outside} outside"):
             vector.set_many(batch)
-        assert np.flatnonzero(vector.mask()).tolist() == [7]  # 5 was not applied
+        assert deleted_positions(vector) == [7]  # 5 was not applied
     assert vector.set_many([]) == 0 and vector.count() == 1
     assert vector.set_many([5, 5, 7, 99]) == 2  # duplicates once, 7 was deleted
-    assert np.flatnonzero(vector.mask()).tolist() == [5, 7, 99]
+    assert deleted_positions(vector) == [5, 7, 99]
 
 
 def test_delete_vector_set_many_spans_a_grow():
@@ -389,6 +425,6 @@ def test_delete_vector_set_many_spans_a_grow():
     assert vector.set_many([9]) == 1
     vector.grow(1_000)  # past the allocated bytes
     assert vector.set_many([9, 10, 63, 64, 999]) == 4
-    assert np.flatnonzero(vector.mask()).tolist() == [9, 10, 63, 64, 999]
+    assert deleted_positions(vector) == [9, 10, 63, 64, 999]
     assert vector.count() == 5 and DeleteVector.from_bytes(vector.to_bytes()) == vector
     assert DeleteVector(0).set_many([]) == 0 and DeleteVector(0).count() == 0

@@ -164,7 +164,7 @@ def test_page_split_invariance(raw):
         decoded = []
         for start in range(0, len(values), capacity):
             chunk = values[start : start + capacity]
-            page = page_codec.encode(start // capacity, chunk)
+            page = page_codec.encode_pages(start // capacity, chunk)
             _pid, out = page_codec.decode(page)
             decoded.append(out)
         np.testing.assert_array_equal(np.concatenate(decoded), values)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import struct
 import time
 import weakref
 import zlib
@@ -110,9 +111,9 @@ def reference_unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
 
 
 def reference_encode_row_page(page_codec, page_id: int, columns: dict) -> bytes:
-    """``CompressedRowPageCodec.encode`` as it was: per-attribute payload
-    bits pasted into a (tuples x stride*8) bit matrix."""
-    from repro.storage.page import _assemble
+    """A compressed row page as it was first encoded: per-attribute
+    payload bits pasted into a (tuples x stride*8) bit matrix."""
+    from repro.storage.page import page_checksum
     from repro.storage.rowz import _BASE_SLOT
 
     count = len(next(iter(columns.values())))
@@ -131,7 +132,9 @@ def reference_encode_row_page(page_codec, page_id: int, columns: dict) -> bytes:
     packed = np.packbits(bit_matrix.reshape(-1), bitorder="little").tobytes()
     base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
     body = packed.ljust(page_codec._payload_bytes, b"\x00") + base_area
-    return _assemble(page_codec.page_size, count, body, page_id, 0)
+    page = bytearray(struct.pack("<I", count) + body + struct.pack("<IIq", page_id, 0, 0))
+    struct.pack_into("<I", page, len(page) - 12, page_checksum(page))
+    return bytes(page)
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,10 +217,7 @@ def _text_attribute(rng, name: str, kind: str, width: int, rows: int):
 def _build_row_table(schema: TableSchema, columns: dict, rows: int) -> RowTable:
     """Encode pages straight through the page codec (no loader checks)."""
     table = RowTable(schema, PagedFile(schema.name, PAGE_SIZE), rows, PAGE_SIZE)
-    capacity = table.page_codec.tuples_per_page
-    for start in range(0, rows, capacity):
-        chunk = {name: col[start : start + capacity] for name, col in columns.items()}
-        table.file.append_page(table.page_codec.encode(table.file.num_pages, chunk))
+    table.file.append_pages(table.page_codec.encode_pages(0, columns))
     return table
 
 
@@ -327,11 +327,7 @@ def test_decode_page_decodes_only_the_attributes_asked_for():
 def _build_column_file(attribute: Attribute, values: np.ndarray, page_size: int):
     """Encode pages straight through the column page codec."""
     column_file = build_column_file(TableSchema("C", (attribute,)), attribute.name, page_size)
-    capacity = column_file.values_per_page
-    for start in range(0, len(values), capacity):
-        page_id = column_file.file.num_pages
-        page = column_file.page_codec.encode(page_id, values[start : start + capacity])
-        column_file.file.append_page(page)
+    column_file.file.append_pages(column_file.page_codec.encode_pages(0, values))
     return column_file
 
 

@@ -92,14 +92,14 @@ def full_scan(table, select, **kwargs):
 class TestPageChecksum:
     def test_checksum_stored_in_trailer(self, orders):
         codec = RowPageCodec(orders.schema)
-        page = codec.encode(3, {k: v[:5] for k, v in orders.columns.items()})
+        page = codec.encode_pages(3, {k: v[:5] for k, v in orders.columns.items()})
         _page_id, crc, _base = struct.unpack("<IIq", page[-PAGE_TRAILER_BYTES:])
         assert crc == page_checksum(page)
 
     def test_verification_toggle_restores(self, orders):
         codec = RowPageCodec(orders.schema)
         page = bytearray(
-            codec.encode(0, {k: v[:5] for k, v in orders.columns.items()})
+            codec.encode_pages(0, {k: v[:5] for k, v in orders.columns.items()})
         )
         page[100] ^= 1
         assert checksum_verification_enabled()
@@ -116,7 +116,7 @@ class TestPageChecksum:
 
     def test_v1_upgrade_roundtrip(self, orders):
         codec = RowPageCodec(orders.schema)
-        page = codec.encode(42, {k: v[:5] for k, v in orders.columns.items()})
+        page = codec.encode_pages(42, {k: v[:5] for k, v in orders.columns.items()})
         v1 = downgrade_page_v2(page)
         # v1 trailers store (page_id, base) as two i64s — no CRC.
         assert struct.unpack("<qq", v1[-PAGE_TRAILER_BYTES:])[0] == 42
@@ -490,7 +490,7 @@ class TestPagedFileInvariants:
 
     def test_truncated_page_decode(self, orders):
         codec = RowPageCodec(orders.schema)
-        page = codec.encode(0, {k: v[:3] for k, v in orders.columns.items()})
+        page = codec.encode_pages(0, {k: v[:3] for k, v in orders.columns.items()})
         with pytest.raises(PageFormatError):
             codec.decode(page[:128])
 
@@ -615,5 +615,5 @@ class TestVerifiedOncePerLoad:
         rider.open()
         assert rider.advance()
         for file in _files(table):
-            file.append_page(file.read_page(0))
+            file.append_pages(file.read_page(0))
         assert result.num_tuples == ROWS

@@ -13,6 +13,7 @@ from repro.storage.page import (
     PAGE_TRAILER_BYTES,
     ColumnPageCodec,
     RowPageCodec,
+    assemble_pages,
     page_payload_bytes,
 )
 from repro.types.datatypes import IntType
@@ -44,7 +45,7 @@ class TestRowPageCodec:
     def test_roundtrip(self):
         schema, columns = orders_columns(50)
         codec = RowPageCodec(schema)
-        page = codec.encode(7, {k: v[:50] for k, v in columns.items()})
+        page = codec.encode_pages(7, {k: v[:50] for k, v in columns.items()})
         assert len(page) == DEFAULT_PAGE_SIZE
         page_id, rows = codec.decode(page)
         assert page_id == 7
@@ -54,17 +55,25 @@ class TestRowPageCodec:
     def test_decode_columns_interface(self):
         schema, columns = orders_columns(20)
         codec = RowPageCodec(schema)
-        page = codec.encode(0, {k: v[:20] for k, v in columns.items()})
+        page = codec.encode_pages(0, {k: v[:20] for k, v in columns.items()})
         page_id, count, decoded = codec.decode_columns(page)
         assert (page_id, count) == (0, 20)
         for name in schema.attribute_names:
             np.testing.assert_array_equal(decoded[name], columns[name][:20])
 
-    def test_overflow_rejected(self):
+    def test_tuples_past_capacity_fill_the_next_page(self):
         schema, columns = orders_columns(200)
         codec = RowPageCodec(schema, page_size=512)
-        with pytest.raises(PageFormatError):
-            codec.encode(0, columns)
+        pages = codec.encode_pages(5, columns)
+        capacity = codec.tuples_per_page
+        assert len(pages) == 512 * -(-200 // capacity)
+        decoded = [codec.decode(pages[i : i + 512]) for i in range(0, len(pages), 512)]
+        assert [page_id for page_id, _rows in decoded] == list(range(5, 5 + len(decoded)))
+        assert [len(rows) for _id, rows in decoded[:-1]] == [capacity] * (len(decoded) - 1)
+        np.testing.assert_array_equal(
+            np.concatenate([rows["O_ORDERKEY"] for _id, rows in decoded]),
+            columns["O_ORDERKEY"],
+        )
 
     def test_ragged_slices_rejected(self):
         schema, columns = orders_columns(10)
@@ -72,7 +81,7 @@ class TestRowPageCodec:
         bad = {k: v[:10] for k, v in columns.items()}
         bad["O_CUSTKEY"] = bad["O_CUSTKEY"][:5]
         with pytest.raises(PageFormatError):
-            codec.encode(0, bad)
+            codec.encode_pages(0, bad)
 
     def test_wrong_page_size_rejected(self):
         schema, _ = orders_columns(1)
@@ -100,7 +109,7 @@ class TestColumnPageCodec:
         spec = CodecSpec(kind=CodecKind.FOR, bits=16)
         codec = ColumnPageCodec(build_codec(spec, IntType()))
         values = np.arange(1_000, 1_100)
-        page = codec.encode(3, values)
+        page = codec.encode_pages(3, values)
         page_id, decoded = codec.decode(page)
         assert page_id == 3
         np.testing.assert_array_equal(decoded, values)
@@ -108,14 +117,22 @@ class TestColumnPageCodec:
     def test_decode_raw_exposes_state(self):
         spec = CodecSpec(kind=CodecKind.FOR, bits=16)
         codec = ColumnPageCodec(build_codec(spec, IntType()))
-        page = codec.encode(0, np.arange(500, 510))
+        page = codec.encode_pages(0, np.arange(500, 510))
         _pid, count, payload, state = codec.decode_raw(page)
         assert count == 10
         assert state.base == 500
         assert len(payload) == page_payload_bytes(DEFAULT_PAGE_SIZE)
 
-    def test_overflow_rejected(self):
+    def test_values_past_capacity_fill_the_next_page(self):
         codec = self._codec()
-        too_many = np.zeros(codec.values_per_page + 1, dtype=np.int64)
-        with pytest.raises(PageFormatError):
-            codec.encode(0, too_many)
+        values = np.arange(codec.values_per_page + 1)
+        pages = codec.encode_pages(0, values)
+        assert len(pages) == 2 * DEFAULT_PAGE_SIZE
+        first, second = pages[:DEFAULT_PAGE_SIZE], pages[DEFAULT_PAGE_SIZE:]
+        np.testing.assert_array_equal(codec.decode(first)[1], values[:-1])
+        assert codec.decode(second)[0] == 1
+        np.testing.assert_array_equal(codec.decode(second)[1], values[-1:])
+
+    def test_payload_past_capacity_rejected(self):
+        with pytest.raises(PageFormatError, match="exceeds page capacity"):
+            assemble_pages(64, 0, [1], [b"\x01" * 45])

@@ -29,7 +29,7 @@ class TestPaxPageCodec:
         codec = PaxPageCodec(orders_data.schema)
         n = codec.tuples_per_page
         slices = {k: v[:n] for k, v in orders_data.columns.items()}
-        page = codec.encode(3, slices)
+        page = codec.encode_pages(3, slices)
         page_id, count, columns = codec.decode_columns(page)
         assert (page_id, count) == (3, n)
         for name, expected in slices.items():
@@ -39,7 +39,7 @@ class TestPaxPageCodec:
         codec = PaxPageCodec(orders_data.schema)
         n = 50
         slices = {k: v[:n] for k, v in orders_data.columns.items()}
-        page = codec.encode(0, slices)
+        page = codec.encode_pages(0, slices)
         _pid, count, columns = codec.decode_columns(page, ("O_CUSTKEY",))
         assert count == n
         np.testing.assert_array_equal(columns["O_CUSTKEY"], slices["O_CUSTKEY"])
@@ -47,7 +47,7 @@ class TestPaxPageCodec:
     def test_decode_columns_subset_matches_single_attribute_decodes(self, orders_z_data):
         codec = PaxPageCodec(orders_z_data.schema)
         slices = {k: v[:200] for k, v in orders_z_data.columns.items()}
-        page = codec.encode(7, slices)
+        page = codec.encode_pages(7, slices)
         names = ("O_TOTALPRICE", "O_ORDERKEY", "O_ORDERSTATUS")
         page_id, count, columns = codec.decode_columns(page, names)
         assert (page_id, count, tuple(columns)) == (7, 200, names)
@@ -66,12 +66,25 @@ class TestPaxPageCodec:
             assert offset == end
             end = offset + length
 
-    def test_overflow_rejected(self, orders_data):
+    def test_tuples_past_capacity_fill_the_next_page(self, orders_data):
         codec = PaxPageCodec(orders_data.schema)
         n = codec.tuples_per_page + 1
         slices = {k: v[:n] for k, v in orders_data.columns.items()}
-        with pytest.raises(PageFormatError):
-            codec.encode(0, slices)
+        pages = codec.encode_pages(4, slices)
+        size = codec.page_size
+        assert len(pages) == 2 * size
+        first_id, first_count, _ = codec.decode_columns(pages[:size])
+        second_id, second_count, last = codec.decode_columns(pages[size:])
+        assert (first_id, first_count, second_id, second_count) == (4, n - 1, 5, 1)
+        for name, expected in slices.items():
+            np.testing.assert_array_equal(last[name], expected[-1:])
+
+    def test_ragged_slices_rejected(self, orders_data):
+        codec = PaxPageCodec(orders_data.schema)
+        slices = {k: v[:10] for k, v in orders_data.columns.items()}
+        slices["O_CUSTKEY"] = slices["O_CUSTKEY"][:5]
+        with pytest.raises(PageFormatError, match="ragged"):
+            codec.encode_pages(0, slices)
 
     def test_compressed_minipages(self, orders_z_data):
         codec = PaxPageCodec(orders_z_data.schema)
@@ -79,7 +92,7 @@ class TestPaxPageCodec:
         assert codec.tuples_per_page > 300
         n = codec.tuples_per_page
         slices = {k: v[:n] for k, v in orders_z_data.columns.items()}
-        page = codec.encode(0, slices)
+        page = codec.encode_pages(0, slices)
         _pid, _count, columns = codec.decode_columns(page)
         for name, expected in slices.items():
             np.testing.assert_array_equal(columns[name], expected)

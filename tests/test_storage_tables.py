@@ -17,7 +17,7 @@ from repro.storage.table import make_row_page_codec
 class TestPagedFile:
     def test_append_and_read(self):
         file = PagedFile("t", page_size=64)
-        index = file.append_page(b"a" * 64)
+        index = file.append_pages(b"a" * 64)
         assert index == 0
         assert file.read_page(0) == b"a" * 64
         assert file.num_pages == 1
@@ -26,7 +26,7 @@ class TestPagedFile:
     def test_wrong_size_rejected(self):
         file = PagedFile("t", page_size=64)
         with pytest.raises(StorageError):
-            file.append_page(b"short")
+            file.append_pages(b"short")
 
     def test_out_of_range_rejected(self):
         file = PagedFile("t", page_size=64)
@@ -36,7 +36,7 @@ class TestPagedFile:
     def test_iter_pages_order(self):
         file = PagedFile("t", page_size=8)
         for i in range(5):
-            file.append_page(bytes([i]) * 8)
+            file.append_pages(bytes([i]) * 8)
         pages = list(file.iter_pages())
         assert len(pages) == 5
         assert pages[3] == b"\x03" * 8
@@ -145,9 +145,10 @@ class TestWriteStore:
             store.insert((1, 2, 3))
 
     def test_staged_columns_are_built_once_per_write(self, orders_data):
-        """One rebuild per version of the store: reads between two writes
-        share read-only arrays, a write (or a merge's reset) drops them,
-        and what a read or a merge makes of them is its own copy."""
+        """Made once per insert: reads between two inserts share read-only
+        arrays (a delete leaves them be), an insert (or a merge's reset)
+        hands out new ones, and what a read or a merge makes of them is
+        its own copy."""
         from repro.storage.write_store import WriteOptimizedStore
 
         table = load_table(orders_data, Layout.COLUMN)

@@ -718,3 +718,113 @@ def test_predicate_delete_removes_exactly_what_the_query_saw(num_predicates):
     )
     # Deleting again matches the same rows and finds none of them live.
     assert db.delete(name, predicates=predicates) == 0
+
+
+# --- a batch is type-checked before it is staged -------------------------------
+
+
+def test_a_mistyped_batch_is_refused_and_the_table_stays_usable():
+    """A value its attribute cannot hold is refused at insert, naming the
+    attribute, and the batch stages nothing: text where an integer goes,
+    an integer past 32 bits (it would read back, then fail every merge)
+    or past 64, and text too long for its field or not ASCII.  Python
+    ``str`` still stages as text, and the table answers, deletes and
+    merges as before."""
+    from repro.engine.predicate import ComparisonOp, Predicate
+    from repro.obs import metrics
+
+    data = generate_orders(ROWS, seed=29)
+    db = Database(layouts=(Layout.COLUMN,))
+    db.create_table(data)
+    name = data.schema.name
+    schema = data.schema
+    store = db.write_store(name)
+    row = [data.columns[a.name][0].item() for a in schema]
+    db.insert_many(name, [tuple(row)])
+    staged = store.staged_columns()
+
+    def state():
+        return (
+            len(store),
+            store.total_rows,
+            store.staged_bytes,
+            metrics.WRITE_STAGED_BYTES.value,
+        )
+
+    before = state()
+    too_long = b"x" * (schema.attribute("O_ORDERPRIORITY").width + 1)
+    for attr, bad in (
+        ("O_CUSTKEY", "abc"),
+        ("O_CUSTKEY", 2**33 + 5),
+        ("O_CUSTKEY", 2**70),
+        ("O_CUSTKEY", None),
+        ("O_ORDERPRIORITY", too_long),
+        ("O_ORDERPRIORITY", "ürgent"),
+    ):
+        mistyped = list(row)
+        mistyped[schema.index_of(attr)] = bad
+        with pytest.raises(SchemaError, match=f"ORDERS.{attr}"):
+            db.insert_many(name, [tuple(row), tuple(mistyped)])
+        assert state() == before
+        # No new version: reads still share the same staged columns.
+        assert store.staged_columns()["O_CUSTKEY"] is staged["O_CUSTKEY"]
+
+    as_str = list(row)
+    as_str[schema.index_of("O_ORDERPRIORITY")] = "2-HIGH"
+    db.insert_many(name, [tuple(as_str)])
+    result = db.query(name, select=("O_CUSTKEY", "O_ORDERPRIORITY"))
+    assert result.num_tuples == ROWS + 2
+    assert result.columns["O_ORDERPRIORITY"][-2:].tolist() == [row[4], b"2-HIGH"]
+    custkey = Predicate("O_CUSTKEY", ComparisonOp.EQ, row[schema.index_of("O_CUSTKEY")])
+    deleted = db.delete(name, predicates=(custkey,))
+    assert deleted >= 2
+    db.merge(name)
+    assert db.table(name).num_rows == ROWS + 2 - deleted
+    assert not store.has_changes
+
+
+# --- an overlay is a snapshot -----------------------------------------------------
+
+
+def test_an_overlay_keeps_its_version_whatever_lands_after():
+    """A query submitted at version v, and a fan-out whose overlay was
+    built at v, answer v's image after an insert that fits the staging
+    buffers, one that makes them grow, a position and a predicate delete,
+    and a merge.  What v's readers share — the delete mask and shift, the
+    staged columns — is read-only, and a delete makes new ones rather
+    than change them."""
+    from repro.engine.parallel import parallel_query
+
+    db, data, name = _dirty_database(Layout.COLUMN)
+    store = db.write_store(name)
+    row = tuple(data.columns[a.name][20] for a in data.schema)
+    db.insert(name, row)  # 5 staged rows in buffers of 8: room to append in place
+    predicate = db.predicate(name, "O_TOTALPRICE", 0.5)
+    query = ScanQuery(name, select=SELECT, predicates=(predicate,))
+    expected = run_scan(store.rebuild(db.table(name)), query)
+    submitted = db.submit(name, select=SELECT, predicates=(predicate,))
+    base, overlay = db.table(name), build_overlay(store, query)
+    deleted, shift = store.delete_snapshot()
+    staged = store.staged_columns()
+    assert overlay.deleted is deleted and overlay.shift is shift
+    shared = [deleted, shift, *staged.values()]
+    assert not any(array.flags.writeable for array in shared)
+    kept = [array.copy() for array in shared]
+
+    db.insert_many(name, [row, row])  # fits: the same buffer, past v's rows
+    assert store.staged_columns()["O_ORDERKEY"].base is staged["O_ORDERKEY"].base
+    db.insert_many(name, [row] * 4)  # grows into a new buffer
+    assert store.staged_columns()["O_ORDERKEY"].base is not staged["O_ORDERKEY"].base
+    db.delete(name, positions=[1, ROWS + 6])
+    new_deleted, new_shift = store.delete_snapshot()
+    assert new_deleted is not deleted and new_shift is not shift
+    assert db.delete(name, predicates=(db.predicate(name, "O_ORDERDATE", 0.2),)) > 0
+    db.merge(name)
+    for array, copy in zip(shared, kept):
+        np.testing.assert_array_equal(array, copy)
+
+    while db.scheduler.poll():
+        pass
+    _assert_same(submitted.result, expected)
+    fanned_out = parallel_query(base, query, workers=2, partitions=2)
+    _assert_same(overlay.apply(fanned_out), expected)
