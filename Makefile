@@ -2,16 +2,13 @@
 # PEP 660 editable builds; in offline environments without it, the
 # legacy `setup.py develop` path below installs identically.
 
-.PHONY: install test bench fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate obs-test parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
+.PHONY: install test fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate obs-test parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
 
 install:
 	pip install -e . 2>/dev/null || python setup.py develop
 
 test:
 	pytest tests/
-
-bench:
-	pytest benchmarks/ --benchmark-only
 
 # Differential fuzzing: 2,000 seeded cases through every layout x codec
 # configuration vs the pure-Python oracle.  Replay one failure with
@@ -91,7 +88,7 @@ obs-test:
 parallel-bench:
 	python benchmarks/bench_parallel_scan.py --out parallel-artifacts
 
-all: install test bench
+all: install test
 
 # Concurrent-workload throughput artifact: 1/4/16/64 clients through the
 # cooperative scheduler, shared scans on vs off, with hard byte-identity

@@ -3,9 +3,8 @@
 The observability layer promises zero-overhead when disabled: with
 ``ExecutionContext.tracer is None`` the operator layer takes one
 attribute load plus a branch per ``open()``/``next()``/``close()``
-call.  This script measures that promise on ``bench_engine_micro``'s
-smallest configuration (the 4,000-row pipelined column scan at 10%
-selectivity):
+call.  This script measures that promise on a pipelined column scan of
+4,000 LINEITEM rows at 10% selectivity:
 
 1. **baseline** — ``Operator.open/next/close`` temporarily replaced by
    the pre-instrumentation (seed) bodies, metrics disabled;
@@ -76,7 +75,7 @@ from repro.engine.scheduler import Scheduler
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 
-#: bench_engine_micro's smallest engine config.
+#: The column scan the tracing and governance gates time.
 ROWS = 4_000
 SELECTIVITY = 0.10
 SELECT = ("L_PARTKEY", "L_ORDERKEY", "L_QUANTITY", "L_SHIPMODE")

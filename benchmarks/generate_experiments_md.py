@@ -150,8 +150,8 @@ Regenerate everything with::
     # or, per experiment:
     python -m repro.experiments figure-6
 
-The benchmark harness (``pytest benchmarks/ --benchmark-only``) asserts
-each shape programmatically.
+``tests/test_paper_shapes.py`` asserts each shape programmatically, on
+one run of every experiment per test session.
 """
 
 

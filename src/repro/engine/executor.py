@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,11 +80,13 @@ def run_scan(
     (aggregate, sort, limit, top-N, merge join above the scan).
     With ``salvage=True`` the scan degrades instead of aborting on
     corrupt pages: their rows are skipped consistently across scan
-    nodes and tallied in :attr:`QueryResult.corruption`.
+    nodes and tallied in :attr:`QueryResult.corruption`; the scan runs
+    under a copy of ``context`` that shares its events, corruption
+    report, tracer and governance, so the caller's context stays strict.
     """
     context = context or ExecutionContext()
     if salvage:
-        context.strict_integrity = False
+        context = replace(context, strict_integrity=False)
     plan = build_plan(context, table, query, column_scanner)
     started = time.perf_counter()
     result = execute_plan(plan)

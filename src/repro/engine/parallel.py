@@ -757,7 +757,7 @@ def parallel_query(
 
     context = context or ExecutionContext()
     if salvage:
-        context.strict_integrity = False
+        context = replace(context, strict_integrity=False)
     trace = context.tracer is not None
     governance = context.governance
     policy = policy or SupervisionPolicy()

@@ -23,12 +23,6 @@ from repro.model.speedup import (
 )
 from repro.model.contour import speedup_grid
 from repro.model.calibrate import scanner_params_from_measurement
-from repro.model.trends import (
-    TrendPoint,
-    columns_more_attractive_over_time,
-    projected_cpdb,
-    speedup_trajectory,
-)
 
 __all__ = [
     "HardwareParams",
@@ -45,8 +39,4 @@ __all__ = [
     "crossover_projectivity",
     "speedup_grid",
     "scanner_params_from_measurement",
-    "projected_cpdb",
-    "speedup_trajectory",
-    "TrendPoint",
-    "columns_more_attractive_over_time",
 ]

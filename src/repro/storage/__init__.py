@@ -24,10 +24,8 @@ from repro.storage.page import (
     PAGE_TRAILER_BYTES,
     ColumnPageCodec,
     RowPageCodec,
-    checksum_verification_enabled,
     page_checksum,
     page_payload_bytes,
-    set_checksum_verification,
 )
 from repro.storage.pagefile import PagedFile
 from repro.storage.persist import open_table, save_table
@@ -59,12 +57,10 @@ __all__ = [
     "FaultyPagedFile",
     "PageFault",
     "RetryPolicy",
-    "checksum_verification_enabled",
     "page_checksum",
     "retry_io",
     "scrub_directory",
     "scrub_table",
-    "set_checksum_verification",
     "verify_table",
     "CompressedRowPageCodec",
     "schema_is_compressed",

@@ -10,7 +10,7 @@ class Layout(enum.Enum):
 
     ``ROW`` and ``COLUMN`` are the paper's two contenders (Figure 3);
     ``PAX`` is the Section 6 hybrid — row-store I/O with column-grouped
-    pages — implemented as an extension for the ablation benches.
+    pages — implemented as an extension for the pax-comparison experiment.
     """
 
     ROW = "row"

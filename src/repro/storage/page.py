@@ -49,25 +49,6 @@ _HEADER = struct.Struct("<I")
 _TRAILER_V1 = struct.Struct("<qq")  # page_id, codec base value
 _TRAILER = struct.Struct("<IIq")  # page_id, crc32, codec base value
 
-#: Process-wide switch: set ``False`` to skip CRC verification on decode
-#: (measured by ``benchmarks/bench_ablation_checksum.py``; never disable
-#: in production use).  Checksums are still *written* while disabled, and
-#: no page counts as verified (:meth:`PagedFile.mark_verified`).
-_VERIFY_CHECKSUMS = True
-
-
-def set_checksum_verification(enabled: bool) -> bool:
-    """Toggle decode-time CRC verification; returns the previous value."""
-    global _VERIFY_CHECKSUMS
-    previous = _VERIFY_CHECKSUMS
-    _VERIFY_CHECKSUMS = bool(enabled)
-    return previous
-
-
-def checksum_verification_enabled() -> bool:
-    """Whether decodes currently verify page checksums."""
-    return _VERIFY_CHECKSUMS
-
 
 def page_payload_bytes(page_size: int) -> int:
     """Payload capacity of one page."""
@@ -168,7 +149,7 @@ def _disassemble(
         raise PageFormatError(f"page has {len(page)} bytes, expected {page_size}")
     (count,) = _HEADER.unpack_from(page, 0)
     page_id, crc, base = _TRAILER.unpack_from(page, page_size - PAGE_TRAILER_BYTES)
-    if verify and _VERIFY_CHECKSUMS:
+    if verify:
         actual = page_checksum(page)
         if actual != crc:
             raise ChecksumError(
@@ -187,7 +168,7 @@ def verify_unit(unit: bytes, page_size: int) -> None:
     decode to say: a failing unit is decoded again page by page.
     """
     pages = len(unit) // page_size
-    if not (_VERIFY_CHECKSUMS and pages):
+    if not pages:
         return
     crc_at = page_size - PAGE_TRAILER_BYTES + 4
     stored = np.ndarray(pages, "<u4", unit, offset=crc_at, strides=page_size).tolist()

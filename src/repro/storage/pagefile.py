@@ -18,7 +18,7 @@ checks a page once per load rather than once per scan.
 from __future__ import annotations
 
 from repro.errors import StorageError
-from repro.storage.page import DEFAULT_PAGE_SIZE, checksum_verification_enabled
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.retry import RetryPolicy, retry_io
 
 
@@ -149,13 +149,7 @@ class PagedFile:
         return self._verified.count(1, start, start + count)
 
     def mark_verified(self, start: int, count: int = 1) -> None:
-        """Pages ``[start, start + count)`` just passed their CRC.
-
-        Nothing is recorded while checks are off
-        (:func:`~repro.storage.page.set_checksum_verification`).
-        """
-        if not checksum_verification_enabled():
-            return
+        """Pages ``[start, start + count)`` just passed their CRC."""
         flags = self._verified
         if len(flags) < start + count:
             flags.extend(bytes(start + count - len(flags)))

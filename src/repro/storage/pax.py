@@ -6,8 +6,8 @@ live on the same page — but groups each attribute's values into a
 identical to a row store (whole pages, one file), while the CPU touches
 only the minipages of the attributes a query accesses, giving
 column-store cache behaviour.  The paper cites this as the middle point
-between NSM and DSM; implementing it lets the ablation benches separate
-the cache effect from the I/O effect.
+between NSM and DSM; implementing it lets the pax-comparison experiment
+separate the cache effect from the I/O effect.
 
 Layout of a PAX page::
 

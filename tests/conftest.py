@@ -1,4 +1,5 @@
-"""Shared fixtures: small generated tables in both layouts."""
+"""Shared fixtures: small generated tables in both layouts, and one run
+of each registered experiment."""
 
 from __future__ import annotations
 
@@ -10,11 +11,15 @@ from repro.data.tpch import (
     generate_lineitem,
     generate_orders,
 )
+from repro.experiments.figures import ALL_EXPERIMENTS
 from repro.obs import metrics
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 
 SMALL_ROWS = 1_500
+
+#: Rows each registered experiment executes on in a test session.
+EXPERIMENT_ROWS = 1_200
 
 
 def zero_metrics() -> None:
@@ -53,6 +58,22 @@ def pytest_collection_modifyitems(config, items):
         for marker_name, skip in skips.items():
             if marker_name in item.keywords:
                 item.add_marker(skip)
+
+
+class _ExperimentRuns(dict):
+    """Experiment name -> its output at :data:`EXPERIMENT_ROWS`, run on
+    first lookup and kept."""
+
+    def __missing__(self, name: str):
+        output = self[name] = ALL_EXPERIMENTS[name](num_rows=EXPERIMENT_ROWS)
+        return output
+
+
+@pytest.fixture(scope="session")
+def experiment_runs():
+    """One run of each registered experiment per session: the structural
+    checks and every paper-shape assertion read it."""
+    return _ExperimentRuns()
 
 
 @pytest.fixture(scope="session")

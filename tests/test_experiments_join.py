@@ -108,10 +108,8 @@ class TestMeasureJoin:
 
 
 class TestJoinAnalysisExperiment:
-    def test_runs_and_validates_eq2(self):
-        from repro.experiments.figures import join_analysis
-
-        out = join_analysis.run(num_rows=1_200)
+    def test_runs_and_validates_eq2(self, experiment_runs):
+        out = experiment_runs["join-analysis"]
         predicted = out.series["eq2_predicted"][0]
         measured = out.series["eq2_measured"][0]
         assert abs(predicted - measured) / measured < 0.10

@@ -1,4 +1,4 @@
-"""Scan sharing, compressed execution, and trend-projection tests."""
+"""Scan sharing and compressed execution tests."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,8 @@ from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
 from repro.engine.predicate import ComparisonOp, Predicate
 from repro.engine.query import ScanQuery
-from repro.errors import CalibrationError, SimulationError
+from repro.errors import SimulationError
 from repro.iosim.sharing import SharedScanQuery, SharedScanSimulator
-from repro.model.params import QueryShape
-from repro.model.trends import (
-    CPDB_1995,
-    CPDB_2005,
-    columns_more_attractive_over_time,
-    projected_cpdb,
-    speedup_trajectory,
-)
 from repro.types.datatypes import FixedTextType
 
 GB = 1_000_000_000
@@ -176,34 +168,3 @@ class TestCompressedExecutionEndToEnd:
             compressed.column, query, ExecutionContext(compressed_execution=True)
         )
         np.testing.assert_array_equal(on.positions, off.positions)
-
-
-class TestTrends:
-    def test_reference_points(self):
-        assert projected_cpdb(1995) == pytest.approx(CPDB_1995)
-        assert projected_cpdb(2005) == pytest.approx(CPDB_2005)
-
-    def test_growth_is_exponential(self):
-        assert projected_cpdb(2015) == pytest.approx(90.0, rel=0.01)
-
-    def test_factors(self):
-        assert projected_cpdb(2005, multicore_factor=2.0) == pytest.approx(60.0)
-        assert projected_cpdb(2005, num_disks=3) == pytest.approx(10.0)
-
-    def test_validation(self):
-        with pytest.raises(CalibrationError):
-            projected_cpdb(1980)
-        with pytest.raises(CalibrationError):
-            projected_cpdb(2005, multicore_factor=0)
-
-    def test_conclusion_claim_holds(self):
-        shape = QueryShape(32.0, 16.0, 0.10, 8, 4)
-        points = speedup_trajectory(shape, [1995, 2000, 2005, 2010, 2015, 2020])
-        assert columns_more_attractive_over_time(points)
-        assert points[-1].speedup >= points[0].speedup
-
-    def test_trajectory_needs_two_points(self):
-        shape = QueryShape(32.0, 16.0, 0.10, 8, 4)
-        points = speedup_trajectory(shape, [2005])
-        with pytest.raises(CalibrationError):
-            columns_more_attractive_over_time(points)

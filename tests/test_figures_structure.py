@@ -2,26 +2,18 @@
 
 Every experiment must run at small scale, render, and produce
 non-empty tables and numeric series — the catch-all that keeps a new
-figure module honest.
+figure module honest.  Each reads the session's one run of its
+experiment (``experiment_runs``, tests/conftest.py).
 """
 
 import pytest
 
 from repro.experiments.figures import ALL_EXPERIMENTS
 
-ROWS = 1_200
-
-
-@pytest.fixture(scope="module")
-def outputs():
-    return {
-        name: runner(num_rows=ROWS) for name, runner in ALL_EXPERIMENTS.items()
-    }
-
 
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-def test_experiment_produces_tables(outputs, name):
-    output = outputs[name]
+def test_experiment_produces_tables(experiment_runs, name):
+    output = experiment_runs[name]
     assert output.tables, f"{name} produced no tables"
     for table in output.tables:
         assert table.rows, f"{name}: table {table.title!r} is empty"
@@ -30,15 +22,15 @@ def test_experiment_produces_tables(outputs, name):
 
 
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-def test_experiment_renders(outputs, name):
-    text = outputs[name].render()
-    assert outputs[name].name in text
+def test_experiment_renders(experiment_runs, name):
+    text = experiment_runs[name].render()
+    assert experiment_runs[name].name in text
     assert len(text.splitlines()) > 3
 
 
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-def test_experiment_series_are_numeric(outputs, name):
-    output = outputs[name]
+def test_experiment_series_are_numeric(experiment_runs, name):
+    output = experiment_runs[name]
     assert output.series, f"{name} exposes no series for assertions"
     for key, values in output.series.items():
         assert values, f"{name}: series {key!r} is empty"

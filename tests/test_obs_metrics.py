@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import pathlib
 import re
@@ -384,37 +383,24 @@ class TestProvenance:
         )
 
 
-class TestBenchmarkPublishing:
-    def test_publish_writes_provenance_stamped_json(self, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "bench_common",
-            pathlib.Path(__file__).resolve().parent.parent
-            / "benchmarks"
-            / "_common.py",
-        )
-        common = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(common)
-        common.RESULTS_DIR = tmp_path
+class TestFigureJson:
+    def test_experiments_json_is_provenance_stamped(self, tmp_path, capsys, experiment_runs):
+        from repro.experiments.__main__ import main
 
-        from repro.experiments.report import ExperimentOutput, FigureResult
-
-        output = ExperimentOutput(
-            name="Demo figure",
-            tables=[
-                FigureResult(
-                    title="t", headers=["a", "b"], rows=[["x", 1], ["y", 2]]
-                )
-            ],
-            series={"speedup": [1.0, 2.0]},
-        )
-        common.publish(output, "demo.txt")
+        assert main(["--json", str(tmp_path), "figure-2"]) == 0
         capsys.readouterr()
-
-        assert (tmp_path / "demo.txt").exists()
-        payload = json.loads((tmp_path / "demo.json").read_text())
-        assert payload["name"] == "Demo figure"
-        assert payload["tables"][0]["rows"] == [["x", 1], ["y", 2]]
-        assert payload["series"]["speedup"] == [1.0, 2.0]
+        payload = json.loads((tmp_path / "figure-2.json").read_text())
+        # Figure 2 is drawn from the model alone, so the CLI's rows do
+        # not move it off the session's run.
+        output = experiment_runs["figure-2"]
+        assert payload["name"] == output.name
+        assert payload["experiment"] == "figure-2"
+        assert [table["title"] for table in payload["tables"]] == [
+            table.title for table in output.tables
+        ]
+        assert payload["tables"][0]["headers"] == list(output.tables[0].headers)
+        assert len(payload["tables"][0]["rows"]) == len(output.tables[0].rows)
+        assert payload["series"] == output.series
         # provenance() may append "-dirty" to the commit of record
         assert payload["provenance"]["git_sha"].startswith(git_sha())
-        assert payload["provenance"]["calibration_fingerprint"]
+        assert payload["provenance"]["calibration_fingerprint"] == Calibration().fingerprint()

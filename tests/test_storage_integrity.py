@@ -21,6 +21,7 @@ from repro.data.tpch import generate_orders
 from repro.database import Database
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
+from repro.engine.parallel import parallel_query
 from repro.engine.plan import scan_plan
 from repro.engine.query import ScanQuery
 from repro.engine.sharing import SharedScanConsumer, SharedScanStream
@@ -42,10 +43,8 @@ from repro.storage.loader import BulkLoader, load_table
 from repro.storage.page import (
     PAGE_TRAILER_BYTES,
     RowPageCodec,
-    checksum_verification_enabled,
     downgrade_page_v2,
     page_checksum,
-    set_checksum_verification,
     upgrade_page_v1,
 )
 from repro.storage.pagefile import PagedFile
@@ -95,24 +94,6 @@ class TestPageChecksum:
         page = codec.encode_pages(3, {k: v[:5] for k, v in orders.columns.items()})
         _page_id, crc, _base = struct.unpack("<IIq", page[-PAGE_TRAILER_BYTES:])
         assert crc == page_checksum(page)
-
-    def test_verification_toggle_restores(self, orders):
-        codec = RowPageCodec(orders.schema)
-        page = bytearray(
-            codec.encode_pages(0, {k: v[:5] for k, v in orders.columns.items()})
-        )
-        page[100] ^= 1
-        assert checksum_verification_enabled()
-        previous = set_checksum_verification(False)
-        try:
-            assert previous is True
-            # Verification off: the flip decodes (wrong values, no error) —
-            # this is the ablation-benchmark mode, not a correctness mode.
-            codec.decode(bytes(page))
-        finally:
-            set_checksum_verification(True)
-        with pytest.raises(ChecksumError):
-            codec.decode(bytes(page))
 
     def test_v1_upgrade_roundtrip(self, orders):
         codec = RowPageCodec(orders.schema)
@@ -455,6 +436,32 @@ class TestDatabaseIntegrity:
         assert not result.is_complete
         assert 0 < result.num_tuples < ROWS
 
+    @pytest.mark.parametrize("door", ["run_scan", "parallel_query", "Database.query"])
+    def test_salvage_leaves_the_callers_context_strict(self, orders, select, door):
+        """A salvage call runs under a copy of the caller's context: the
+        skipped page lands in the caller's report, and the caller's next
+        query is strict again."""
+        db = Database(layouts=(Layout.ROW,))
+        db.create_table(orders)
+        table = db.table("ORDERS")
+        table.file.corrupt(0, 97)
+        query = ScanQuery("ORDERS", select=select)
+        context = ExecutionContext()
+        salvage = {
+            "run_scan": lambda: run_scan(table, query, context, salvage=True),
+            "parallel_query": lambda: parallel_query(
+                table, query, context=context, salvage=True
+            ),
+            "Database.query": lambda: db.query(
+                "ORDERS", select=select, context=context, salvage=True
+            ),
+        }[door]
+        assert 0 < salvage().num_tuples < ROWS
+        assert not context.corruption.is_clean
+        assert context.strict_integrity
+        with pytest.raises(ChecksumError):
+            db.query("ORDERS", select=select, context=context)
+
 
 # --- loader / write-store verification hooks ----------------------------------
 
@@ -585,18 +592,6 @@ class TestVerifiedOncePerLoad:
         checks = _Checks(monkeypatch)
         full_scan(shipped, select)
         assert checks.take() == _pages(shipped)
-
-    def test_checks_switched_off_verify_nothing(self, orders, select, layout):
-        table = load_table(orders, layout)
-        previous = set_checksum_verification(False)
-        try:
-            full_scan(table, select)
-            assert _verified(table) == 0
-            _files(table)[0].corrupt(0, 97)
-        finally:
-            set_checksum_verification(previous)
-        with pytest.raises(ChecksumError):
-            full_scan(table, select)
 
     def test_no_view_of_a_file_outlives_its_decode(self, orders, select, layout):
         """A unit is a view of its file's buffer, and a live view would
