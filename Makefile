@@ -113,7 +113,10 @@ workload-bench:
 # parallel worker fleet, every result shape on every executor through
 # the one build_plan, and the scheduler's one read path (an ast pin in
 # tests/test_query_request.py: every scheduled plan comes from
-# ScanShareManager.acquire; sharing off only means no second rider).
+# ScanShareManager.acquire; sharing off only means no second rider),
+# and riders filtered together per (attribute, comparison) against
+# every rider filtering alone, pinned at 7573dad (tests/test_scan_sharing.py::
+# test_filtering_riders_together_is_not_observable).
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
 # what a timeslice pumps, or who rides while queued, may move poll()
 # rounds, stream counts and stream I/O, never a query's event.
@@ -130,7 +133,9 @@ scheduler-test:
 # ticks), the unit-vs-page properties and differentials (scanners,
 # shared streams — by unit against by page, and by run against by
 # segment: tests/test_scan_sharing.py's run-length property and
-# tests/test_scan_units.py's TestSharedRunExits — and every operator
+# tests/test_scan_units.py's TestSharedRunExits; riders filtered together
+# against riders filtering alone: the same file's
+# test_filtering_riders_together_is_not_observable — and every operator
 # above a scan: tests/test_batches.py, with its every-checkpoint aborts
 # and block-iterator pins), the scanner
 # / salvage / sharing / scheduler / telemetry / property / extension /

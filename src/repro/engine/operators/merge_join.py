@@ -58,7 +58,8 @@ class MergeJoin(RunOnce):
         right_keys = right.column(self.right_key)
         self._check_sorted(left_keys, "left")
         self._check_sorted(right_keys, "right")
-        if np.unique(left_keys).size != left_keys.size:
+        # Sorted, so a duplicate sits next to its twin.
+        if np.any(left_keys[1:] == left_keys[:-1]):
             raise PlanError(
                 f"merge join requires unique keys on the left input "
                 f"({self.left_key!r})"

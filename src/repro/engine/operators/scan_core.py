@@ -309,6 +309,17 @@ class Scanner(Operator):
         self.select = tuple(select)
         self.predicates = tuple(predicates)
         self.row_range = normalize_row_range(row_range, table.num_rows)
+        for predicate in self.predicates:
+            # A constant the attribute cannot be compared with fails the
+            # plan here, not a page (or a peer's shared pass) later.
+            dtype = schema.attribute(predicate.attr).attr_type.numpy_dtype()
+            try:
+                predicate.evaluate(np.zeros(1, dtype=dtype))
+            except Exception as exc:
+                raise PlanError(
+                    f"{schema.name}.{predicate.attr} ({dtype}) cannot be compared "
+                    f"with {predicate.value!r}: {exc}"
+                ) from exc
         #: ``(predicate, attr, operand bytes)`` for :func:`apply_predicates`.
         self._bound = tuple(
             (p, p.attr, schema.attribute(p.attr).width) for p in self.predicates
@@ -364,15 +375,15 @@ class Scanner(Operator):
     def _project(self, columns, mask, qualified: int, row_base: int) -> Block:
         """Copy the qualifying tuples' selected attributes into a block."""
         self._charge_projection(qualified)
-        return self._copy_out(columns, mask, row_base)
+        return self._copy_out(columns, np.flatnonzero(mask), row_base)
 
     def _charge_projection(self, qualified: int) -> None:
         events = self.events
         events.values_copied += qualified * len(self.select)
         events.bytes_copied += qualified * self._selected_width
 
-    def _copy_out(self, columns, mask, row_base: int) -> Block:
-        rows = np.flatnonzero(mask)
+    def _copy_out(self, columns, rows: np.ndarray, row_base: int) -> Block:
+        """The selected attributes of ``columns`` at offsets ``rows``."""
         return Block(
             columns={name: columns[name][rows] for name in self.select},
             positions=row_base + rows,
@@ -425,7 +436,7 @@ class Scanner(Operator):
                 np.cumsum(qualified) - qualified,
             )
         )
-        return numbers, self._copy_out(columns, mask, row_base)
+        return numbers, self._copy_out(columns, np.flatnonzero(mask), row_base)
 
     def _guarded_units(self, file, pages, span_of, decode):
         """:func:`guarded_units` for this query: its context, its unit,

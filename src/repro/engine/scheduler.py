@@ -376,7 +376,13 @@ class Scheduler:
             if key not in self._unboarded or self.manager.live_stream(key) is None:
                 continue
             for handle in self._unboarded.pop(key):
-                handle._built = self._build_plan(handle)
+                try:
+                    handle._built = self._build_plan(handle)
+                except ReproError as exc:
+                    # A plan that cannot be built fails its own query
+                    # now; it never boards, nor runs.
+                    self._queue.remove(handle)
+                    self._finish(handle, exc)
 
     def _unboard(self, handle: QueryHandle) -> None:
         """``handle`` leaves the queue without having boarded: the queue

@@ -64,6 +64,7 @@ from repro.engine.operators.scan_core import (
     guarded_units,
     unit_pages,
 )
+from repro.engine.predicate import Predicate
 from repro.engine.query import ScanQuery
 from repro.errors import EngineError, PlanError
 from repro.obs import metrics as obs_metrics
@@ -159,6 +160,28 @@ def _needed_until(remaining: set[int], start: int, limit: int) -> int:
     return start
 
 
+def _exact(value, dtype: np.dtype) -> bool:
+    """Whether ``value`` is one value of ``dtype``'s kind that converts to
+    it exactly: comparing a column with an array of such constants then
+    answers what comparing it with each constant alone does."""
+    try:
+        scalar = np.asarray(value)
+        return (
+            scalar.ndim == 0
+            and scalar.dtype.kind == dtype.kind
+            and np.array(value, dtype=dtype).item() == value
+        )
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _running(rows: np.ndarray) -> list[list[int]]:
+    """Each row's running totals from 0: ``accumulate(row, initial=0)``."""
+    sums = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=sums[:, 1:])
+    return sums.tolist()
+
+
 class SharedScanStream:
     """One circular scan over ``attrs`` of ``table``, shared by consumers.
 
@@ -243,6 +266,28 @@ class SharedScanStream:
         self._dtypes = {
             name: schema.attribute(name).attr_type.numpy_dtype() for name in self.attrs
         }
+        #: The codec kind of each compressed attribute: every rider's
+        #: decode charges are looked up here, not worked out per rider.
+        self._kinds = {
+            name: spec.kind
+            for name in self.attrs
+            if (spec := schema.attribute(name).spec).is_compressed
+        }
+        # Segments ``[index, stop)`` draw on ``_pages_upto[stop] -
+        # _pages_upto[index] + _shared_pages[index]`` pages, each counted
+        # once: a page is shared only by adjacent segments, as pages and
+        # segments both ascend with the rows.
+        fresh = np.zeros(len(self._segments), dtype=np.int64)
+        shared = np.zeros(len(self._segments), dtype=np.int64)
+        for source in self._sources:
+            first = np.array(source.first, dtype=np.int64)
+            last = np.array(source.last, dtype=np.int64)
+            joined = first[1:] == last[:-1]
+            shared[1:] += joined
+            fresh += last - first + 1
+            fresh[1:] -= joined
+        self._pages_upto = list(accumulate(fresh.tolist(), initial=0))
+        self._shared_pages = shared.tolist()
 
     # --- geometry ---------------------------------------------------------
 
@@ -337,6 +382,15 @@ class SharedScanStream:
     def cursor(self) -> int:
         """The segment index the stream will serve next."""
         return self._cursor
+
+    def _pages_drawn(self, index: int, stop: int) -> tuple[int, set]:
+        """How many pages segments ``[index, stop)`` draw on, each once,
+        and each file's first and last of them: the only ones a run
+        before or after it can draw on too."""
+        count = self._pages_upto[stop] - self._pages_upto[index] + self._shared_pages[index]
+        ends = {(source.name, source.first[index]) for source in self._sources}
+        ends.update((source.name, source.last[stop - 1]) for source in self._sources)
+        return count, ends
 
     @property
     def consumers(self) -> tuple:
@@ -433,9 +487,64 @@ class SharedScanStream:
                         table=self.table.schema.name,
                         riders=sum(end == total for end in ends),
                     )
-                for consumer, end in zip(takers, ends):
-                    consumer._receive(index, min(end, reached), self._window, pages)
+                leasts = [min(end, reached) for end in ends]
+                self._filter_together(index, takers, leasts, self._window)
+                for consumer, least in zip(takers, leasts):
+                    consumer._receive(index, least, self._window, pages)
         return reached - index
+
+    #: The most mask bytes :meth:`_filter_together` holds at once.
+    _MASK_BYTES = 1 << 20
+
+    def _filter_together(self, index: int, takers: list, leasts: list[int], window: _Window) -> None:
+        """Filter in one pass per group the takers of a delivery from
+        segment ``index`` that start a fresh run there and test one
+        constant each (:attr:`SharedScanConsumer._together`).
+
+        A group shares an attribute, a comparison and a run ``[index,
+        stop)`` without lost rows: the run's values are compared once
+        with the column of the group's constants, a mask row per member,
+        and each member's qualifying rows are cut at the run's segment
+        bounds for its per-segment counts.  Each member is left the block
+        and running totals its own
+        :meth:`~SharedScanConsumer._prepare` would have made, so its
+        delivery — still its own ``_receive`` — charges what it would
+        have alone.  Everyone else prepares alone, in ``_receive``.
+        """
+        groups: dict[tuple, list] = {}
+        for taker, least in zip(takers, leasts):
+            if taker._together is not None and taker._stale(index, window):
+                stop = _needed_until(taker._remaining, least, window.ready)
+                groups.setdefault((*taker._together, stop), []).append(taker)
+        for (attr, op, stop), riders in groups.items():
+            bounds = window.bounds[index - window.first : stop - window.first + 1]
+            lo, hi = int(bounds[0]), int(bounds[-1])
+            if len(riders) < 2 or not window.valid[lo:hi].all():
+                continue
+            counts = np.diff(bounds)
+            columns = {name: window.columns[name][lo:hi] for name in self.attrs}
+            # Run-relative: the k-th segment holds rows edges[k] to edges[k + 1].
+            edges = bounds - lo
+            tallies = list(accumulate(counts.tolist(), initial=0))
+            width = riders[0]._bound[0][2]
+            # Every candidate is examined once: counts, evaluations and
+            # their operand bytes are the same for the whole group.
+            examined = [tallies, tallies, [tally * width for tally in tallies]]
+            per_pass = max(1, self._MASK_BYTES // (hi - lo))
+            for at in range(0, len(riders), per_pass):
+                chunk = riders[at : at + per_pass]
+                constants = np.array(
+                    [rider.predicates[0].value for rider in chunk], dtype=self._dtypes[attr]
+                )
+                masks = Predicate(attr, op, constants[:, None]).evaluate(columns[attr])
+                rows = [np.flatnonzero(mask) for mask in masks]
+                qualified = np.diff([np.searchsorted(hits, edges) for hits in rows], axis=1)
+                on_hit = np.where(qualified > 0, counts, 0)
+                for rider, hits, hit_sums, hit_tuples in zip(
+                    chunk, rows, _running(qualified), _running(on_hit)
+                ):
+                    block = rider._copy_out(columns, hits, window.lo + lo)
+                    rider._keep(window, index, stop, block, [*examined, hit_sums, hit_tuples])
 
     # --- reading ----------------------------------------------------------
 
@@ -579,9 +688,11 @@ class SharedScanConsumer(Scanner):
 
     A :class:`~repro.engine.operators.scan_core.Scanner` whose
     ``_receive`` is kernel + buffer: on the first delivery it sees from
-    a window it filters and projects, in one predicate pass and one
-    copy (:meth:`Scanner._filter_pages`), the segments delivered and the
-    settled ones it still needs after them; each delivery then
+    a window it filters and projects the segments delivered and the
+    settled ones it still needs after them — alone, in one predicate
+    pass and one copy (:meth:`Scanner._filter_pages`), or beside the
+    riders of the delivery that compare the same attribute the same way
+    (:meth:`SharedScanStream._filter_together`); each delivery then
     *releases* its run's numbers — values examined, predicate and decode
     charges, projection counts, the pages it drew on — as one sum, equal
     to what a segment-at-a-time rider is charged over the same
@@ -601,6 +712,8 @@ class SharedScanConsumer(Scanner):
         share: SharedScanStream,
         query: ScanQuery,
     ):
+        # Set first: the scanner's set-up reads the stream's codec kinds.
+        self.share = share
         super().__init__(context, share.table, query.select, query.predicates)
         missing = set(self._attrs).difference(share.attrs)
         if missing:
@@ -608,8 +721,16 @@ class SharedScanConsumer(Scanner):
                 f"shared stream lacks attributes {sorted(missing)} "
                 f"(carries {sorted(share.attrs)})"
             )
-        self.share = share
         self.query = query
+        #: ``(attribute, comparison)`` of the query's one predicate when
+        #: its constant is exactly a value of the attribute's dtype: the
+        #: stream filters riders with the same pair together
+        #: (:meth:`SharedScanStream._filter_together`).
+        self._together = None
+        if len(self.predicates) == 1:
+            predicate = self.predicates[0]
+            if _exact(predicate.value, share._dtypes[predicate.attr]):
+                self._together = (predicate.attr, predicate.op)
         #: Segment the stream was at when we attached (for EXPLAIN).
         self.attach_cursor = share.cursor
         self._remaining = share.attach(self)
@@ -620,7 +741,14 @@ class SharedScanConsumer(Scanner):
         #: Holds no window data.
         self._prepared: tuple | None = None
         self._finalized = False
+        #: Pages already copied into the corruption report, or — for a
+        #: delivery counted without a lost page — only its first and last
+        #: per file: the only ones a later delivery can draw on again.
         self._seen_pages: set[tuple[str, int]] = set()
+
+    def _compressed_kinds(self, names) -> list[CodecKind]:
+        kinds = self.share._kinds
+        return [kinds[name] for name in names if name in kinds]
 
     def describe(self) -> str:
         return (
@@ -661,25 +789,28 @@ class SharedScanConsumer(Scanner):
         # once per page (a column page may serve several segments).
         corruption = self.context.corruption
         seen = self._seen_pages
-        for drawn in pages[: stop - index]:
-            for key, fault in drawn:
-                if key in seen:
-                    continue
-                seen.add(key)
-                if fault is None:
-                    corruption.pages_scanned += 1
-                else:
-                    obs_metrics.PAGES_SALVAGED.inc()
-                    corruption.faults.append(fault)
+        if self.share._lost:
+            for drawn in pages[: stop - index]:
+                for key, fault in drawn:
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if fault is None:
+                        corruption.pages_scanned += 1
+                    else:
+                        obs_metrics.PAGES_SALVAGED.inc()
+                        corruption.faults.append(fault)
+        else:
+            # Nothing lost: every page drawn on is scanned, and only the
+            # delivery's end pages can have come in an earlier one.
+            count, ends = self.share._pages_drawn(index, stop)
+            corruption.pages_scanned += count - len(ends & seen)
+            seen |= ends
 
         events = self.events
         while index < stop:
             prepared = self._prepared
-            if (
-                prepared is None
-                or prepared[0] != window.serial
-                or not prepared[1] <= index < prepared[2]
-            ):
+            if self._stale(index, window):
                 prepared = self._prepare(index, stop, window)
             _serial, first, last, sums = prepared
             upto = min(stop, last)
@@ -708,8 +839,6 @@ class SharedScanConsumer(Scanner):
             window.valid[lo:hi].copy(),
             window.lo + lo,
         )
-        if len(block):
-            self._buffered.append((index, block))
         counts, _candidates, evals, eval_bytes, qualified, _offsets = numbers.tolist()
         # Tuples on the segments with a qualifying tuple: what a codec
         # that decodes whole pages is charged for a selected attribute.
@@ -718,7 +847,25 @@ class SharedScanConsumer(Scanner):
             list(accumulate(row, initial=0))
             for row in (counts, evals, eval_bytes, qualified, on_hit)
         ]
-        return window.serial, index, stop, sums
+        return self._keep(window, index, stop, block, sums)
+
+    def _keep(self, window: _Window, index: int, stop: int, block: Block, sums: list) -> tuple:
+        """Hold the filtered run ``[index, stop)``: its block, and the
+        running totals its releases charge differences of."""
+        if len(block):
+            self._buffered.append((index, block))
+        self._prepared = (window.serial, index, stop, sums)
+        return self._prepared
+
+    def _stale(self, index: int, window: _Window) -> bool:
+        """Whether a delivery from segment ``index`` of ``window`` needs a
+        run filtered: the one held does not cover it."""
+        prepared = self._prepared
+        return (
+            prepared is None
+            or prepared[0] != window.serial
+            or not prepared[1] <= index < prepared[2]
+        )
 
     # --- operator side ----------------------------------------------------
 

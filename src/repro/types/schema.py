@@ -8,6 +8,7 @@ into row or column files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.errors import SchemaError
@@ -33,9 +34,10 @@ class Attribute:
         if not self.name or not self.name.isidentifier():
             raise SchemaError(f"invalid attribute name: {self.name!r}")
 
-    @property
+    @cached_property
     def spec(self) -> "CodecSpec":
-        """The effective codec spec (identity when none was chosen)."""
+        """The effective codec spec (identity when none was chosen); made
+        once per attribute."""
         if self.codec_spec is None:
             from repro.compression.identity import IdentityCodec
 
@@ -83,12 +85,16 @@ class TableSchema:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(attr.name for attr in self.attributes)
 
+    @cached_property
+    def _by_name(self) -> dict[str, Attribute]:
+        return {attr.name: attr for attr in self.attributes}
+
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name."""
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise SchemaError(f"no attribute {name!r} in table {self.name!r}")
+        attr = self._by_name.get(name)
+        if attr is None:
+            raise SchemaError(f"no attribute {name!r} in table {self.name!r}")
+        return attr
 
     def index_of(self, name: str) -> int:
         """Ordinal position of an attribute."""

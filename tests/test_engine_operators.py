@@ -266,6 +266,21 @@ class TestMergeJoin:
                 right_key="L_ORDERKEY",
             )
 
+    def test_duplicate_left_keys_are_a_plan_error(self, joined_pair):
+        """LINEITEM's sorted ``L_ORDERKEY`` repeats: on the left it fails
+        the uniqueness check (a duplicate sits next to its twin)."""
+        plan = merge_join_plan(
+            ExecutionContext(),
+            joined_pair["line_col"],
+            ScanQuery("LINEITEM", select=("L_ORDERKEY",)),
+            joined_pair["orders_col"],
+            ScanQuery("ORDERS", select=("O_ORDERKEY",)),
+            left_key="L_ORDERKEY",
+            right_key="O_ORDERKEY",
+        )
+        with pytest.raises(PlanError, match="unique keys on the left"):
+            execute_plan(plan)
+
     def test_comparisons_counted(self, joined_pair):
         context = ExecutionContext()
         plan = merge_join_plan(

@@ -35,13 +35,14 @@ from repro.data.tpch import (
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
 from repro.engine.governance import QueryContext
-from repro.engine.predicate import predicate_for_selectivity
+from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
 from repro.errors import ChecksumError, PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.slowlog import SlowQueryLog
+from repro.obs.trace import SpanTracer
 from repro.storage.faults import FaultPlan
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -495,9 +496,13 @@ def _run_length_schedule(
     return schedule
 
 
-def _drive_run_length(table, calibration, queries, schedule, strict: bool, run: int) -> dict:
+def _drive_run_length(
+    table, calibration, queries, schedule, strict: bool, run: int, traced: bool = False
+) -> dict:
     """Drive ``schedule`` with pumps of ``run`` segments; 1 is the bare
-    ``advance()`` (and runs on the parent commit as written)."""
+    ``advance()`` (and runs on the parent commit as written).  With
+    ``traced`` every other rider has a tracer, and its span totals are
+    recorded too."""
     attrs = tuple(dict.fromkeys(name for query in queries for name in query.scan_attributes()))
     stream = SharedScanStream(table, attrs, strict, calibration)
     riders: list = []
@@ -524,6 +529,8 @@ def _drive_run_length(table, calibration, queries, schedule, strict: bool, run: 
             pump(action[1], action[2])
             continue
         context = ExecutionContext(strict_integrity=strict, governance=QueryContext())
+        if traced and len(riders) % 2:
+            context.tracer = SpanTracer()
         try:
             rider = SharedScanConsumer(context, stream, queries[action[1]])
             rider.open()
@@ -543,6 +550,8 @@ def _drive_run_length(table, calibration, queries, schedule, strict: bool, run: 
                 blocks.append(block)
             rider.close()
         record = golden._record(rider.context, blocks) if rider is not None else {}
+        if rider is not None and rider.context.tracer is not None:
+            record["traced"] = golden._events(rider.context.tracer.total_events())
         outcome["riders"].append({**record, "raises": error})
     outcome["stream"] = {
         "io_events": stream.io_events.as_dict(),
@@ -719,6 +728,138 @@ def test_riding_while_queued_is_not_observable(dataset, layout):
     assert boarded and mid_pass
     crc = zlib.crc32(json.dumps(outcomes, sort_keys=True).encode())
     assert f"{crc:08x}" == QUEUED_AT_PARENT[dataset, layout.name]
+
+
+# --- filtering riders together is not observable ---------------------------------
+
+
+def _together_queries(data: GeneratedTable) -> list[ScanQuery]:
+    """Riders a stream can filter together — every comparison on
+    ``O_CUSTKEY`` at three constants, ``np.int64`` among them, and three
+    text constants — and riders that filter alone: constants no int64
+    array holds as they are (``2**70``, floats), conjunctions and a scan
+    with no predicate."""
+    keys = data.columns["O_CUSTKEY"]
+    low, mid, high = (int(np.quantile(keys, q)) for q in (0.2, 0.5, 0.8))
+    wide = ("O_ORDERKEY", "O_CUSTKEY", "O_TOTALPRICE")
+
+    def one(select, attr, op, value):
+        return ScanQuery("ORDERS", select=select, predicates=(Predicate(attr, op, value),))
+
+    queries = [one(wide, "O_CUSTKEY", op, value) for op in ComparisonOp for value in (low, mid, np.int64(high))]
+    queries += [
+        one(("O_ORDERKEY",), "O_CUSTKEY", ComparisonOp.LE, value)
+        for value in (2**40, 2**70, -(2**70), mid + 0.5, float(mid))
+    ]
+    queries += [
+        one(("O_ORDERSTATUS", "O_TOTALPRICE"), "O_ORDERSTATUS", ComparisonOp.EQ, status)
+        for status in (b"F", b"O", b"P")
+    ]
+    price = int(np.quantile(data.columns["O_TOTALPRICE"], 0.6))
+    queries += [
+        ScanQuery(
+            "ORDERS",
+            select=wide,
+            predicates=(
+                Predicate("O_CUSTKEY", ComparisonOp.GE, low),
+                Predicate("O_CUSTKEY", ComparisonOp.LT, high),
+            ),
+        ),
+        ScanQuery(
+            "ORDERS",
+            select=("O_SHIPPRIORITY", "O_ORDERSTATUS"),
+            predicates=(
+                Predicate("O_TOTALPRICE", ComparisonOp.LE, price),
+                Predicate("O_ORDERKEY", ComparisonOp.GT, low),
+            ),
+        ),
+        QUERY,
+    ]
+    return queries
+
+
+def _together_cases(layout: Layout):
+    """``(table, queries, attached, strict, drive)`` per seeded case:
+    clean, a salvage stream over corrupt pages and a strict one that
+    fails, over the ORDERS above at 1 KB row and PAX pages (23 of them)
+    or 256-byte column pages (12 per file), three pages to the window.
+    Every query rides, in three shuffled waves at seeded cursors
+    (``attached``: the queries in attach order), pumped a window at a
+    time as the scheduler does, one rider in two traced."""
+    data = _coded_orders(seed=11, layout=layout)
+    queries = _together_queries(data)
+    page_size = 256 if layout is Layout.COLUMN else 1024
+    calibration = DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=3 * page_size)
+    for seed, (faulty, strict) in enumerate(((False, True), (True, False), (True, True))):
+        rng = random.Random(f"together-{layout.name}-{seed}")
+        table = load_table(data, layout, page_size=page_size)
+        if faulty:
+            plan = FaultPlan(seed=7)
+            for page in golden.CORRUPT_PAGES:
+                plan.schedule_bit_flip(page, byte=11, bit=3)
+            plan.wrap_table(table)
+        segments = SharedScanStream(table, ("O_ORDERKEY",), True, calibration).num_segments
+        order = rng.sample(range(len(queries)), len(queries))
+        cuts = sorted(rng.sample(range(1, len(queries)), 2))
+        schedule = [("attach", query) for query in order[: cuts[0]]]
+        schedule.append(("pump", 0, rng.randint(1, segments - 1)))
+        schedule += [("attach", query) for query in order[cuts[0] : cuts[1]]]
+        schedule.append(("pump", cuts[0], rng.randint(1, segments)))
+        schedule += [("attach", query) for query in order[cuts[1] :]]
+        yield table, queries, order, strict, functools.partial(
+            _drive_run_length, table, calibration, queries, schedule, strict, 3, traced=True
+        )
+
+
+#: CRC-32 of the outcomes above, measured at the parent commit (7573dad,
+#: where every rider filters alone): the reference is the old code.
+TOGETHER_AT_PARENT = {
+    "ROW": "ed2d13e5",
+    "PAX": "97d9de9b",
+    "COLUMN": "a33fb48e",
+}
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+def test_filtering_riders_together_is_not_observable(layout, monkeypatch):
+    """Riders a delivery filters in one pass per (attribute, comparison)
+    — every comparison, ``np.int64`` and text constants, beside riders
+    that must filter alone (``2**70``, floats, conjunctions, lost rows) —
+    each get the bytes, events, ticks, corruption and span totals they
+    get when every rider filters alone, and on a clean stream the bytes
+    of a serial scan."""
+    crc = wrapped = mid_window = lost = failed = 0
+    together = []
+    original = SharedScanStream._filter_together
+
+    def spy(stream, index, takers, leasts, window):
+        stale = [taker for taker in takers if taker._stale(index, window)]
+        original(stream, index, takers, leasts, window)
+        together.extend(taker for taker in stale if not taker._stale(index, window))
+
+    for table, queries, attached, strict, drive in _together_cases(layout):
+        with monkeypatch.context() as patch:
+            patch.setattr(SharedScanStream, "_filter_together", spy)
+            got = drive()
+        with monkeypatch.context() as patch:
+            patch.setattr(SharedScanStream, "_filter_together", lambda *args: None)
+            assert drive() == got
+        for query, rider in zip(attached, got["riders"]):
+            # A salvage stream loses the rows of every file it carries.
+            if rider["raises"] is None and not got["stream"]["lost"]:
+                serial = run_scan(table, queries[query], salvage=not strict)
+                assert rider["digest"] == golden._digest(serial)
+        crc = zlib.crc32(json.dumps(got, sort_keys=True).encode(), crc)
+        cursors = got["attach_cursors"]
+        wrapped += any(b < a for a, b in zip(cursors, cursors[1:]))
+        mid_window += any(cursor % 3 for cursor in cursors)
+        lost += bool(got["stream"]["lost"])
+        failed += got["stream"]["failed"] != "NoneType"
+    assert wrapped and mid_window and lost and failed
+    grouped = {rider._together for rider in together}
+    assert {op for _attr, op in grouped} == set(ComparisonOp)
+    assert ("O_ORDERSTATUS", ComparisonOp.EQ) in grouped
+    assert f"{crc:08x}" == TOGETHER_AT_PARENT[layout.name]
 
 
 def test_a_batch_reads_each_column_set_once():

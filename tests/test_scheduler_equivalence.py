@@ -22,11 +22,11 @@ import pytest
 from repro.data.tpch import generate_orders
 from repro.database import Database
 from repro.engine.executor import run_scan
-from repro.engine.predicate import predicate_for_selectivity
+from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler, WorkloadQuery
 from repro.engine.sharing import SharedScanStream
-from repro.errors import QueryTimeout
+from repro.errors import PlanError, QueryTimeout
 from repro.obs import recorder as flight
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
@@ -230,6 +230,44 @@ def test_seed_replay_is_deterministic(orders_data):
     assert a == b
     c = make_workload(seed=43, n=8, data=orders_data)
     assert a != c
+
+
+class TestIllTypedConstant:
+    """A constant its attribute cannot be compared with fails its own
+    query with a :class:`PlanError` naming both, when its plan is built —
+    serially, at admission, or boarding a peer's stream — and never a
+    peer that shares its stream."""
+
+    SELECT = ("O_ORDERKEY", "O_CUSTKEY")
+    GOOD = (Predicate("O_CUSTKEY", ComparisonOp.LE, 10**6),)
+    BAD = (Predicate("O_CUSTKEY", ComparisonOp.LE, "abc"),)
+
+    @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN], ids=lambda l: l.name)
+    @pytest.mark.parametrize("order", ["good-bad", "bad-good", "good-good-bad"])
+    def test_only_the_ill_typed_query_fails(self, orders_data, layout, order):
+        db = Database(layouts=(layout,))
+        db.create_table(orders_data)
+        predicates = [self.GOOD if name == "good" else self.BAD for name in order.split("-")]
+        handles = db.run_workload(
+            [WorkloadQuery("ORDERS", self.SELECT, chosen) for chosen in predicates],
+            max_inflight=1,
+        )
+        want = run_scan(db.table("ORDERS"), ScanQuery("ORDERS", self.SELECT, self.GOOD))
+        assert want.num_tuples == ROWS
+        for chosen, handle in zip(predicates, handles):
+            if chosen is self.GOOD:
+                assert handle.state is QueryState.DONE
+                assert_identical(handle.result, want)
+            else:
+                assert handle.state is QueryState.FAILED
+                assert isinstance(handle.error, PlanError)
+                assert "O_CUSTKEY" in str(handle.error) and "'abc'" in str(handle.error)
+
+    @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+    def test_a_serial_scan_refuses_it_typed(self, orders_data, layout):
+        table = load_table(orders_data, layout)
+        with pytest.raises(PlanError, match="O_CUSTKEY"):
+            run_scan(table, ScanQuery("ORDERS", self.SELECT, self.BAD))
 
 
 class TestInterleavedSubmission:
