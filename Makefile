@@ -142,7 +142,9 @@ scheduler-test:
 # index suites, the page-integrity suites (CRC checked once per load,
 # strict and salvage over corrupt pages, fault injection), the loads'
 # unit encoder against CRCs of the page-at-a-time one for every page
-# codec (tests/test_page_encode.py), then 200 differential fuzz cases.
+# codec (tests/test_page_encode.py), the page codecs' strides,
+# capacities and round trips (tests/test_storage_{page,tables}.py), then
+# 200 differential fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
 # engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
@@ -159,7 +161,8 @@ scan-test:
 		tests/test_property_engine.py tests/test_extensions.py \
 		tests/test_index.py tests/test_storage_integrity.py \
 		tests/test_storage_pax.py tests/test_failure_injection.py \
-		tests/test_page_encode.py -q
+		tests/test_page_encode.py tests/test_storage_page.py \
+		tests/test_storage_tables.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

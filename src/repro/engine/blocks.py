@@ -97,16 +97,6 @@ class Block:
             raise EngineError(f"no column {name!r} in block ({self.attribute_names})")
         return self.columns[name]
 
-    def with_column(self, name: str, values: np.ndarray) -> "Block":
-        """A block with one more attribute attached (no copy of others)."""
-        if len(values) != len(self):
-            raise EngineError(
-                f"attaching {len(values)} values to a {len(self)}-tuple block"
-            )
-        columns = dict(self.columns)
-        columns[name] = values
-        return Block(columns=columns, positions=self.positions)
-
     def take(self, rows) -> "Block":
         """The sub-block of ``rows``: a boolean mask, or a slice (views)."""
         return Block(

@@ -42,17 +42,3 @@ class ExecutionContext:
     def label(self) -> str | None:
         """The query's governance label: what its lifecycle events carry."""
         return self.governance.label if self.governance is not None else None
-
-    def reset_events(self) -> None:
-        """Fresh counters (e.g. between repeated executions).
-
-        The old :attr:`events` object is *replaced*, not zeroed, so a
-        :class:`~repro.engine.executor.QueryResult` holding it keeps
-        the counts of the execution that produced it.  Operators must
-        therefore never cache the events object across calls — they
-        read it through :attr:`Operator.events
-        <repro.engine.operators.base.Operator.events>` on every call,
-        which always resolves to the context's current object.
-        """
-        self.events = CostEvents()
-        self.corruption = CorruptionReport()

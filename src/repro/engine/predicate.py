@@ -82,11 +82,3 @@ def predicate_for_selectivity(
         return Predicate(attr, ComparisonOp.LT, int(values.min()))
     threshold = np.quantile(values, selectivity, method="lower")
     return Predicate(attr, ComparisonOp.LE, int(threshold))
-
-
-def achieved_selectivity(predicate: Predicate, values: np.ndarray) -> float:
-    """Fraction of ``values`` the predicate actually qualifies."""
-    values = np.asarray(values)
-    if values.size == 0:
-        return 0.0
-    return float(np.count_nonzero(predicate.evaluate(values))) / values.size

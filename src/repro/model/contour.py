@@ -9,15 +9,6 @@ import numpy as np
 from repro.model.params import QueryShape
 from repro.model.speedup import SpeedupModel
 
-#: Figure 2's colour bands, as (lower bound, label).
-FIG2_BANDS = (
-    (1.8, "1.8-2.0+"),
-    (1.6, "1.6-1.8"),
-    (1.2, "1.2-1.6"),
-    (0.8, "0.8-1.2"),
-    (0.0, "0.4-0.8"),
-)
-
 
 @dataclass(frozen=True)
 class SpeedupGrid:
@@ -26,12 +17,6 @@ class SpeedupGrid:
     widths: np.ndarray
     cpdbs: np.ndarray
     values: np.ndarray
-
-    def band(self, value: float) -> str:
-        for lower, label in FIG2_BANDS:
-            if value >= lower:
-                return label
-        return FIG2_BANDS[-1][1]
 
     def render(self) -> str:
         """ASCII rendering of the contour (``cpdb`` decreasing downward)."""

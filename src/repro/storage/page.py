@@ -36,8 +36,9 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.compression.base import Codec, PageCodecState
+from repro.compression.base import Codec, CodecKind, PageCodecState
 from repro.compression.bitpack import unpack_streams
+from repro.compression.registry import build_codec
 from repro.errors import ChecksumError, CompressionError, PageFormatError, StorageError
 from repro.types.schema import TableSchema
 
@@ -48,6 +49,8 @@ PAGE_TRAILER_BYTES = 16
 _HEADER = struct.Struct("<I")
 _TRAILER_V1 = struct.Struct("<qq")  # page_id, codec base value
 _TRAILER = struct.Struct("<IIq")  # page_id, crc32, codec base value
+_BASE_SLOT = struct.Struct("<q")  # a frame-coded attribute's base, in a tuple page
+_FRAME_KINDS = (CodecKind.FOR, CodecKind.FOR_DELTA)
 
 
 def page_payload_bytes(page_size: int) -> int:
@@ -201,21 +204,31 @@ def downgrade_page_v2(page: bytes) -> bytes:
     return page[: len(page) - PAGE_TRAILER_BYTES] + _TRAILER_V1.pack(page_id, base)
 
 
-def refuse_variable_codecs(schema: TableSchema, codecs: list[Codec]) -> None:
-    """Row and PAX pages give every value a fixed-width slot, so a codec
-    without one (RLE) is refused before any page is written."""
-    for attr, codec in zip(schema, codecs):
-        if codec.is_variable:
-            raise StorageError(
-                f"{schema.name}.{attr.name}: {attr.spec.kind.name} is a column "
-                "codec; row and PAX pages hold fixed-width values"
-            )
+def unit_codes(
+    codec: Codec, unit, pages: int, page_size: int, offset: int, count: int
+) -> np.ndarray:
+    """The codes of ``count`` values stored back to back from byte
+    ``offset`` of each of ``pages`` adjacent pages of ``unit``:
+    ``(pages, count)``, undecoded.
+
+    A column page's payload is one such run of codes, at
+    ``PAGE_HEADER_BYTES``; a PAX minipage is another, further on by its
+    offset.  Verbatim codes, text or 32-bit integers, are a view of
+    ``unit``; word reads of packed codes overrun a run by at most
+    ``GATHER_SLACK_BYTES``, which the page trailer covers.
+    """
+    bits = codec.bits_per_value
+    if codec.text_codes or not codec.spec.is_compressed:
+        kind = "S" if codec.text_codes else "<u"
+        strides = (page_size, bits // 8)
+        return np.ndarray((pages, count), f"{kind}{bits // 8}", unit, offset, strides)
+    return unpack_streams(unit, (pages,), (page_size,), offset, bits, count)
 
 
 class TuplePageCodec:
-    """What the plain and the bit-packed row page codec share.
+    """What the row page codecs, plain and bit-packed, and PAX share.
 
-    Pages of up to ``tuples_per_page`` tuples ``_stride`` bytes apart; a
+    Pages of up to ``tuples_per_page`` tuples of ``_stride`` bytes; a
     subclass lays one page's tuples out (``_payload``; the plain codec
     lays out every page of a run at once, ``_payloads``) and reads
     attributes back from every tuple slot of adjacent pages at once
@@ -372,6 +385,78 @@ class RowPageCodec(TuplePageCodec):
         return columns
 
 
+class CodedPageCodec(TuplePageCodec):
+    """What compressed row pages and PAX pages share: every attribute
+    stored as its codec's fixed-width codes.
+
+    A page keeps, in front of its trailer, one 8-byte base slot per
+    frame-coded attribute (FOR, FOR-delta), in schema order.  A subclass
+    sets ``tuples_per_page``, lays a page's codes out (``_payload``) and
+    says where an attribute's codes sit on adjacent pages (``_codes``).
+    """
+
+    def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
+        self.schema = schema
+        self.page_size = page_size
+        self._codecs: list[Codec] = [build_codec(attr.spec, attr.attr_type) for attr in schema]
+        for attr, codec in zip(schema, self._codecs):
+            # A codec without fixed-width codes (RLE) is refused before
+            # any page is written.
+            if codec.is_variable:
+                raise StorageError(
+                    f"{schema.name}.{attr.name}: {attr.spec.kind.name} is a column "
+                    "codec; row and PAX pages hold fixed-width values"
+                )
+        self._bits = [codec.bits_per_value for codec in self._codecs]
+        # A tuple's codes, padded to a whole number of bytes (ORDERS-Z: 12).
+        self._stride = (sum(self._bits) + 7) // 8
+        self._frame_attrs = [
+            index for index, attr in enumerate(schema) if attr.spec.kind in _FRAME_KINDS
+        ]
+        base_area = _BASE_SLOT.size * len(self._frame_attrs)
+        self._payload_bytes = page_payload_bytes(page_size) - base_area
+        if self._payload_bytes <= 0:
+            raise StorageError(
+                f"page size {page_size} cannot hold {len(self._frame_attrs)} "
+                "frame base slots"
+            )
+
+    def attribute_bits(self, name: str) -> int:
+        """Packed width of one attribute's values."""
+        return self._bits[self.schema.index_of(name)]
+
+    def _with_bases(self, body: bytes, bases: list[int]) -> bytes:
+        """One page's payload: its codes, ``body``, then its frame bases."""
+        base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
+        return bytes(body).ljust(self._payload_bytes, b"\x00") + base_area
+
+    def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
+        """Per attribute of ``names``: its codes on every page
+        (``_codes``), then one ``decode_codes`` over the ``(pages,
+        tuples)`` codes with the pages' bases; no other attribute's codes
+        are looked at."""
+        pages = len(counts)
+        total = sum(counts)
+        bases = np.ndarray(
+            (len(self._frame_attrs), pages),
+            "<i8",
+            unit,
+            PAGE_HEADER_BYTES + self._payload_bytes,
+            (_BASE_SLOT.size, self.page_size),
+        )
+        columns = {}
+        for name in self.schema.attribute_names if names is None else names:
+            index = self.schema.index_of(name)
+            base = (
+                bases[self._frame_attrs.index(index)]
+                if index in self._frame_attrs
+                else 0
+            )
+            codes = self._codes(unit, pages, index)
+            columns[name] = self._codecs[index].decode_codes(codes, base).reshape(-1)[:total]
+        return columns
+
+
 class ColumnPageCodec:
     """Encodes/decodes column pages: single-attribute values via a codec."""
 
@@ -428,12 +513,11 @@ class ColumnPageCodec:
         no further than its values) and padding from ``counts[p]`` on.
         ``codec.decode_codes(codes, bases)`` gives the values, of all of
         them or of any selection that keeps a page's codes along the
-        last axis.  Verbatim codes are a view of
-        ``unit``; word reads of packed codes overrun a payload by at most
-        ``GATHER_SLACK_BYTES``, which the page trailer covers.  A codec
-        without fixed-width codes (RLE) raises, as does a unit with a
-        corrupt page, without saying which: the caller goes back to
-        :meth:`decode` or :meth:`decode_raw`, page by page.
+        last axis (:func:`unit_codes`: verbatim codes are a view of
+        ``unit``).  A codec without fixed-width codes (RLE) raises, as
+        does a unit with a corrupt page, without saying which: the
+        caller goes back to :meth:`decode` or :meth:`decode_raw`, page by
+        page.
         """
         codec = self.codec
         size = self.page_size
@@ -451,17 +535,7 @@ class ColumnPageCodec:
                 f"page counts {counts.tolist()} exceed the capacity, {self.values_per_page}"
             )
         bases = np.ndarray((pages,), "<i8", unit, size - 8, (size,))
-        bits = codec.bits_per_value
-        if codec.text_codes or not codec.spec.is_compressed:
-            # Stored verbatim, text or 32-bit integers: a view of the unit.
-            kind = "S" if codec.text_codes else "<u"
-            strides = (size, bits // 8)
-            codes = np.ndarray(
-                (pages, longest), f"{kind}{bits // 8}", unit, PAGE_HEADER_BYTES, strides
-            )
-        else:
-            codes = unpack_streams(unit, (pages,), (size,), PAGE_HEADER_BYTES, bits, longest)
-        return counts, bases, codes
+        return counts, bases, unit_codes(codec, unit, pages, size, PAGE_HEADER_BYTES, longest)
 
     def decode_raw(
         self, page: bytes, verify: bool = True

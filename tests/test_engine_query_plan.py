@@ -119,12 +119,6 @@ class TestPlanBuilders:
 
 
 class TestExecutionContext:
-    def test_reset_events(self):
-        context = ExecutionContext()
-        context.events.tuples_examined = 10
-        context.reset_events()
-        assert context.events.tuples_examined == 0
-
     def test_defaults(self):
         context = ExecutionContext()
         assert context.block_size == 100

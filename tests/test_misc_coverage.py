@@ -1,5 +1,5 @@
 """Remaining-surface tests: breakdown rendering, stream edge cases,
-contour bands, encode_prefix defaults, calibration hardware knobs."""
+encode_prefix defaults, calibration hardware knobs."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.iosim.request import FileExtent, IoRequest
 from repro.iosim.sim import DiskArraySim
 from repro.iosim.streams import ScanStream, SubmissionPolicy
-from repro.model.contour import FIG2_BANDS, SpeedupGrid
 from repro.types.datatypes import IntType
 
 
@@ -39,24 +38,6 @@ class TestBreakdownRendering:
             "usr-L1": 4.0,
             "usr-rest": 5.0,
         }
-
-
-class TestContourBands:
-    def test_band_labels(self):
-        grid = SpeedupGrid(
-            widths=np.array([4.0]),
-            cpdbs=np.array([9.0]),
-            values=np.array([[1.0]]),
-        )
-        assert grid.band(1.9) == "1.8-2.0+"
-        assert grid.band(1.7) == "1.6-1.8"
-        assert grid.band(1.3) == "1.2-1.6"
-        assert grid.band(1.0) == "0.8-1.2"
-        assert grid.band(0.5) == "0.4-0.8"
-
-    def test_bands_cover_positive_reals(self):
-        lowers = [low for low, _label in FIG2_BANDS]
-        assert min(lowers) == 0.0
 
 
 class TestStreamEdges:

@@ -79,16 +79,8 @@ UNREACHED = {
         "the Section 5 model's crossover, which examples/ exercises",
     "design/mv_advisor.py:MaterializedViewAdvisor.affinity":
         "the attribute-affinity counts ([9] in the paper) the MV advisor's docstring names",
-    "model/contour.py:SpeedupGrid.band":
-        "Figure 2's legend: which FIG2_BANDS colour band a predicted speedup falls in",
-    "engine/blocks.py:Block.with_column":
-        "block API beside column/take: attaches a derived attribute without copying the rest",
-    "engine/predicate.py:achieved_selectivity":
-        "the measured side of predicate_for_selectivity: the fraction a predicate qualifies",
     "engine/query.py:ScanQuery.predicates_on":
         "query API: the predicates bound to one attribute, as an access-path choice reads them",
-    "engine/context.py:ExecutionContext.reset_events":
-        "context API: fresh counters for a reused context, replaced so old results keep theirs",
     "engine/executor.py:QueryResult.is_complete":
         "documented result API (README 'Integrity')",
     "obs/export.py:QueryProfile.save_chrome_trace":

@@ -114,7 +114,7 @@ def reference_encode_row_page(page_codec, page_id: int, columns: dict) -> bytes:
     """A compressed row page as it was first encoded: per-attribute
     payload bits pasted into a (tuples x stride*8) bit matrix."""
     from repro.storage.page import page_checksum
-    from repro.storage.rowz import _BASE_SLOT
+    from repro.storage.page import _BASE_SLOT
 
     count = len(next(iter(columns.values())))
     bit_matrix = np.zeros((count, page_codec.stride * 8), dtype=np.uint8)
@@ -214,15 +214,16 @@ def _text_attribute(rng, name: str, kind: str, width: int, rows: int):
     return Attribute(name, attr_type, spec), values
 
 
-def _build_row_table(schema: TableSchema, columns: dict, rows: int) -> RowTable:
+def _build_table(table_class, schema: TableSchema, columns: dict, rows: int):
     """Encode pages straight through the page codec (no loader checks)."""
-    table = RowTable(schema, PagedFile(schema.name, PAGE_SIZE), rows, PAGE_SIZE)
+    table = table_class(schema, PagedFile(schema.name, PAGE_SIZE), rows, PAGE_SIZE)
     table.file.append_pages(table.page_codec.encode_pages(0, columns))
     return table
 
 
 @settings(max_examples=150, deadline=None)
 @given(
+    table_class=st.sampled_from((RowTable, PaxTable)),
     kind=st.sampled_from(INT_KINDS + TEXT_KINDS),
     bits=st.integers(1, 63),
     shift=st.integers(1, 9),
@@ -232,10 +233,11 @@ def _build_row_table(schema: TableSchema, columns: dict, rows: int) -> RowTable:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_decode_unit_is_the_concatenation_of_page_decodes(
-    kind, bits, shift, rows, ordered, subset, seed
+    table_class, kind, bits, shift, rows, ordered, subset, seed
 ):
     """Every codec kind x width 1-63 x zig-zag x bit offset x partial
-    last page x empty file x attribute subset, on compressed row pages."""
+    last page x empty file x attribute subset, on compressed row pages
+    and on PAX pages (where the offset moves the probed minipage)."""
     rng = np.random.default_rng(seed)
     # A ``shift``-bit lead column puts the probed one at any bit offset.
     lead, lead_values = _int_attribute(rng, "lead", "pack", shift, rows, False)
@@ -246,7 +248,7 @@ def test_decode_unit_is_the_concatenation_of_page_decodes(
     tail, tail_values = _int_attribute(rng, "tail", "for-delta", 7, rows, True)
     schema = TableSchema("T", (lead, probe, tail))
     columns = {"lead": lead_values, "probe": probe_values, "tail": tail_values}
-    table = _build_row_table(schema, columns, rows)
+    table = _build_table(table_class, schema, columns, rows)
     attrs = tuple(sorted(subset))
     pages = table.file.num_pages
     np.testing.assert_array_equal(table.read_column("probe"), probe_values)
@@ -266,6 +268,8 @@ def test_decode_unit_is_the_concatenation_of_page_decodes(
         assert unit_columns[name].dtype == joined.dtype
         np.testing.assert_array_equal(unit_columns[name], joined)
         np.testing.assert_array_equal(unit_columns[name], columns[name])
+    if table_class is not RowTable:
+        return
 
     # Stored bytes are what the bit-matrix encoder produced ...
     page_codec = table.page_codec
@@ -306,6 +310,42 @@ def test_plain_pages_decode_by_unit_as_by_page(table_class):
     for name in attrs:
         np.testing.assert_array_equal(columns[name], data.columns[name])
         np.testing.assert_array_equal(columns[name], table.read_column(name))
+    # A short page in front of a full one is not a dense unit: it is
+    # refused whole, and its pages decode one at a time.
+    codec = table.page_codec
+    short = {name: column[:10] for name, column in data.columns.items()}
+    full = {name: column[10 : 10 + codec.tuples_per_page] for name, column in data.columns.items()}
+    pages = codec.encode_pages(0, short) + codec.encode_pages(1, full)
+    with pytest.raises(PageFormatError):
+        table.decode_unit(pages, attrs)
+    size = codec.page_size
+    for page, expected in ((pages[:size], short), (pages[size:], full)):
+        count, columns = table.decode_page(page, attrs)
+        assert count == len(expected["L_PARTKEY"])
+        for name in attrs:
+            np.testing.assert_array_equal(columns[name], expected[name])
+
+
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX])
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "fig5"])
+def test_a_decoded_column_never_aliases_its_bytes(orders_data, orders_z_data, layout, compressed):
+    """Text and integer attributes, by unit of one page and of several
+    and by page: every decoded column owns its values, so none pins the
+    file's buffer or shows a later write to it."""
+    data = orders_z_data if compressed else orders_data
+    table = load_table(data, layout)
+    names = data.schema.attribute_names
+    kinds = {data.schema.attribute(name).attr_type.is_integer for name in names}
+    assert kinds == {True, False} and table.file.num_pages >= 3
+    for pages in (1, 3):
+        unit = table.file.read_pages(0, pages)
+        _counts, columns = table.decode_unit(unit, names)
+        for name in names:
+            assert not np.shares_memory(columns[name], np.frombuffer(unit, np.uint8)), name
+    page = table.file.read_page(0)
+    _count, columns = table.decode_page(page, names)
+    for name in names:
+        assert not np.shares_memory(columns[name], np.frombuffer(page, np.uint8)), name
 
 
 def test_decode_page_decodes_only_the_attributes_asked_for():

@@ -15,6 +15,7 @@ from repro.storage.page import (
     RowPageCodec,
     assemble_pages,
     page_payload_bytes,
+    unit_codes,
 )
 from repro.types.datatypes import IntType
 
@@ -136,3 +137,40 @@ class TestColumnPageCodec:
     def test_payload_past_capacity_rejected(self):
         with pytest.raises(PageFormatError, match="exceeds page capacity"):
             assemble_pages(64, 0, [1], [b"\x01" * 45])
+
+
+class TestUnitCodes:
+    """Column pages and PAX minipages share one code extraction."""
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "fig5"])
+    @pytest.mark.parametrize("name", orders_schema().attribute_names)
+    def test_a_minipage_holds_a_column_pages_codes(
+        self, orders_data, orders_z_data, compressed, name
+    ):
+        """Two pages of one attribute, as column pages and as PAX
+        minipages: the codes read at the payload and at the minipage's
+        offset are the same, and decode to the attribute's values."""
+        from repro.storage.pax import PaxPageCodec
+
+        data = orders_z_data if compressed else orders_data
+        pax = PaxPageCodec(data.schema)
+        per_page = pax.tuples_per_page
+        values = data.columns[name][: 2 * per_page]
+        assert len(values) == 2 * per_page
+        index = data.schema.index_of(name)
+        codec = pax._codecs[index]
+        column = ColumnPageCodec(codec)
+        column_unit = b"".join(
+            column.encode_pages(page, values[page * per_page : (page + 1) * per_page])
+            for page in range(2)
+        )
+        pax_unit = pax.encode_pages(0, {n: c[: 2 * per_page] for n, c in data.columns.items()})
+        size = pax.page_size
+        column_codes = unit_codes(codec, column_unit, 2, size, PAGE_HEADER_BYTES, per_page)
+        offset = PAGE_HEADER_BYTES + pax._minipage_offsets[index]
+        pax_codes = unit_codes(codec, pax_unit, 2, size, offset, per_page)
+        assert pax_codes.shape == (2, per_page)
+        np.testing.assert_array_equal(pax_codes, column_codes)
+        bases = np.ndarray((2,), "<i8", column_unit, size - 8, (size,))
+        decoded = codec.decode_codes(pax_codes, bases).reshape(-1)
+        np.testing.assert_array_equal(decoded, values)

@@ -57,14 +57,15 @@ class TestPaxPageCodec:
             )
 
     def test_minipages_are_disjoint(self, orders_data):
+        """Minipages follow one another in schema order, each where the
+        last one ends, and all of them end before the frame bases."""
         codec = PaxPageCodec(orders_data.schema)
-        extents = [
-            codec.minipage_extent(i) for i in range(len(orders_data.schema))
-        ]
+        extents = zip(codec._minipage_offsets, codec._minipage_bytes, strict=True)
         end = 0
         for offset, length in extents:
             assert offset == end
             end = offset + length
+        assert end <= codec._payload_bytes
 
     def test_tuples_past_capacity_fill_the_next_page(self, orders_data):
         codec = PaxPageCodec(orders_data.schema)
@@ -147,31 +148,27 @@ class TestPaxScanner:
         checksum is real-clock work the modeled events never counted.)
         """
         from repro.errors import ChecksumError
-        from repro.storage import page as page_module
+        from tests.test_storage_integrity import _Checks
 
         table = load_table(orders_data, Layout.PAX)
-        calls = []
-        real = page_module.page_checksum
-        monkeypatch.setattr(
-            page_module, "page_checksum", lambda raw: calls.append(1) or real(raw)
-        )
+        # A page is checked alone (page_checksum) or with its unit
+        # (_unit_checksums): two crc32 calls each way.
+        checks = _Checks(monkeypatch)
         query = ScanQuery("ORDERS", select=tuple(orders_data.schema.attribute_names)[:5])
         counted = run_scan(table, query)
         assert counted.events.pages_touched == table.file.num_pages > 2
-        assert len(calls) == counted.events.pages_touched
-        calls.clear()
+        assert checks.take() == counted.events.pages_touched
         assert run_scan(table, query).events == counted.events
-        assert calls == []
+        assert checks.take() == 0
 
         victim = table.file.num_pages // 2
         table.file.corrupt(victim, 97)
         with pytest.raises(ChecksumError, match=f"page {victim} checksum"):
             run_scan(table, query)
-        assert len(calls) == 1
-        calls.clear()
+        assert checks.take() == 1
         salvaged = run_scan(table, query, salvage=True)
         assert [fault.page for fault in salvaged.corruption.faults] == [victim]
-        assert len(calls) == 1
+        assert checks.take() == 1
 
     def test_memory_traffic_scales_with_projection(self, orders_data, pax_orders):
         from repro.engine.predicate import predicate_for_selectivity
