@@ -150,8 +150,9 @@ scheduler-test:
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
 # pass reads a page once and times every page it decodes),
 # index/scan.py, storage/{table,page,rowz,pax,pagefile,loader}.py,
-# compression/ or cpusim/cache.py (the cache-line model the column scans
-# charge through; its union1d reference lives in tests/test_cpusim.py).
+# compression/ or cpusim/cache.py (`position_lines`, the cache-line model
+# the column scans charge through; its union1d page-by-page reference
+# lives in tests/test_cpusim.py).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
 		tests/test_batches.py tests/test_engine_blocks.py \

@@ -8,8 +8,8 @@ they touch on each page: when a scan node visits most of a page's lines
 the hardware prefetcher keeps up (sequential); when it hops across a
 sparse position list, each touched line is a random miss.
 
-The model is written once, for any number of pages at a time
-(:func:`classify_access`).
+The model is written once, for all of a scan node's pages and every
+line size at a time (:func:`position_lines`).
 """
 
 from __future__ import annotations
@@ -27,21 +27,22 @@ def page_lines(count, value_bits: int, line_bytes: int):
     return (count * value_bits + line_bits - 1) // line_bits
 
 
-def classify_access(
-    pages: np.ndarray,
-    positions: np.ndarray,
+def position_lines(
+    bounds: np.ndarray,
+    in_page: np.ndarray,
     counts: np.ndarray,
     value_bits: int,
-    line_bytes: int,
+    line_sizes,
     threshold: float = PREFETCH_COVERAGE_THRESHOLD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a positional access into ``(seq_lines, rand_lines)`` per page.
+) -> list[tuple[int, int]]:
+    """The lines a position-driven access moves: ``(seq_lines,
+    rand_lines)`` summed over its pages, one pair per line size.
 
-    ``positions[i]`` is a value index on page ``pages[i]`` of the
-    ``len(counts)`` pages accessed; page ``p`` holds ``counts[p]`` values
-    of fixed width (``value_bits``), densely packed from its start.
-    ``pages`` ascends and the positions of one page ascend strictly, as
-    a position list does.  A page's *touched* lines are the distinct
+    Page ``t`` of the ``len(counts)`` pages accessed holds ``counts[t]``
+    values of fixed width (``value_bits``), densely packed from its
+    start, and the positions ``in_page[bounds[t]:bounds[t + 1]]`` —
+    value indexes on it, strictly ascending, as a position list's are;
+    a page may have none.  A page's *touched* lines are the distinct
     cache lines holding a value's first or last bit (a wide value can
     straddle lines).  Where they cover at least ``threshold`` of the
     lines the page occupies, all of those arrive via the prefetcher;
@@ -49,19 +50,35 @@ def classify_access(
 
     In such a list the line ids ``first0, last0, first1, last1, ...``
     never descend within a page, so a line is distinct when it differs
-    from the id before it — no sort.
+    from the id before it — no sort.  Every line size is one row of the
+    same arrays: the positions' bit offsets are computed once.
     """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    offsets = np.asarray(in_page, dtype=np.int64) * value_bits
+    size = offsets.size
+    line_bytes = np.array(line_sizes, dtype=np.int64)[:, None]
     line_bits = line_bytes * 8
-    pages = np.asarray(pages, dtype=np.int64)
-    offsets = np.asarray(positions, dtype=np.int64) * value_bits
+    rows = np.arange(len(line_sizes))[:, None]
     first = offsets // line_bits
     last = (offsets + (value_bits - 1)) // line_bits
-    fresh = np.empty(first.size, dtype=bool)  # is ``first`` a line not yet seen?
-    fresh[:1] = True
-    np.not_equal(first[1:], last[:-1], out=fresh[1:])
-    fresh[1:] |= pages[1:] != pages[:-1]
-    distinct = fresh + (last != first).view(np.int8)
-    touched = np.bincount(pages, distinct, len(counts)).astype(np.int64)
+    # Is ``first`` a line not yet seen on its page?  A column more than
+    # there are positions, where an empty last page's front falls.
+    fresh = np.empty((len(line_sizes), size + 1), dtype=bool)
+    np.not_equal(first[:, 1:], last[:, :-1], out=fresh[:, 1:size])
+    fresh[:, bounds[:-1]] = True
+    fresh[:, size] = False
+    # Plus a line a value straddles into.
+    touched = _per_page(fresh, bounds + rows * (size + 1))
+    touched += _per_page(last != first, bounds + rows * size)
     total = page_lines(np.asarray(counts, dtype=np.int64), value_bits, line_bytes)
     dense = touched / np.maximum(total, 1) >= threshold  # an empty page has no coverage
-    return np.where(dense, total, 0), np.where(dense, 0, touched)
+    seq = (total * dense).sum(axis=1).tolist()
+    rand = (touched * ~dense).sum(axis=1).tolist()
+    return list(zip(seq, rand))
+
+
+def _per_page(marks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many of each row's ``marks`` fall on each page, where row
+    ``r``'s pages start at the flat offsets ``bounds[r]``."""
+    edges = np.searchsorted(np.flatnonzero(marks), bounds)
+    return edges[:, 1:] - edges[:, :-1]

@@ -11,9 +11,11 @@ block-iterator format the rest of the engine uses.
 
 Both kinds of node work an I/O unit of column pages at a time — read,
 CRC, decode, then one predicate pass (first node) or one gather of the
-wanted positions (later nodes) per unit, and one cache classification
-per node — while every charge, checkpoint and fault stays per logical
-page (DESIGN.md, "Scan core").
+wanted positions (later nodes) per unit, and one cache-line pass per
+node for every line size — while every charge, checkpoint and fault
+stays per logical page (DESIGN.md, "Scan core").  A later node's unit is
+one I/O unit's span of the pages its positions touch: the pages between
+them are never read.
 
 The cost consequences the paper measures all live here:
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from repro.compression.base import CodecKind
 from repro.compression.dictionary import DictionaryCodec
-from repro.cpusim.cache import classify_access
+from repro.cpusim.cache import position_lines
 from repro.engine.blocks import Block, logical_bounds
 from repro.engine.compressed_exec import rewrite_all
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
@@ -155,15 +157,17 @@ class ColumnScanner(RunOnceScanner):
             # The sorted list cut at page boundaries: touched page ``t``
             # holds positions ``cuts[t]:cuts[t + 1]``.
             turns = np.flatnonzero(page_ids[1:] != page_ids[:-1]) + 1
-            cuts = [0, *turns.tolist(), positions.size]
-            touched = page_ids[cuts[:-1]].tolist()
+            bounds = np.concatenate(([0], turns, [positions.size]))
+            cuts = bounds.tolist()
+            touched = page_ids[bounds[:-1]].tolist()
             #: Values on each touched page; 0 where salvage dropped it.
             counts = np.zeros(len(touched), dtype=np.int64)
 
             def gather(unit, t, pages, verify):
-                on = slice(cuts[t], cuts[t + pages])
+                # Touched pages ``t`` on, in the unit back to back.
+                in_unit = np.repeat(np.arange(pages), np.diff(bounds[t : t + pages + 1]))
                 return column_file.gather_unit(
-                    unit, page_ids[on] - touched[t], in_page[on], verify
+                    unit, in_unit, in_page[cuts[t] : cuts[t + pages]], verify
                 )
 
             chunks, lost = [], []
@@ -177,25 +181,30 @@ class ColumnScanner(RunOnceScanner):
                     chunks.append(page_values)
             if chunks:
                 values = np.concatenate(chunks)
-            on_page = np.cumsum(np.bincount(turns, minlength=positions.size))
             if lost:
                 # Salvage: this column cannot supply a dropped page's rows,
                 # so they leave the pipeline — the position list and every
                 # collected column shrink in lockstep — and with no position
                 # left on it the page is charged nothing below.
+                on_page = np.repeat(np.arange(len(touched)), np.diff(bounds))
                 keep = ~np.isin(on_page, lost)
-                positions, in_page, on_page = positions[keep], in_page[keep], on_page[keep]
+                positions, in_page = positions[keep], in_page[keep]
                 collected = {name: col[keep] for name, col in collected.items()}
+                bounds = np.searchsorted(on_page[keep], np.arange(len(touched) + 1))
 
             events.pages_touched += len(touched) - len(lost)
             whole = codec.decodes_whole_page
             events.count_decode(spec.kind, int(counts.sum()) if whole else positions.size)
-            access = (on_page, in_page, counts, codec.bits_per_value)
-            seq, rand = classify_access(*access, calibration.l2_line_bytes)
-            events.mem_seq_lines += int(seq.sum())
-            events.mem_rand_lines += int(rand.sum())
-            seq, rand = classify_access(*access, calibration.l1_line_bytes)
-            events.l1_lines += int(seq.sum() + rand.sum())
+            (seq, rand), (l1_seq, l1_rand) = position_lines(
+                bounds,
+                in_page,
+                counts,
+                codec.bits_per_value,
+                (calibration.l2_line_bytes, calibration.l1_line_bytes),
+            )
+            events.mem_seq_lines += seq
+            events.mem_rand_lines += rand
+            events.l1_lines += l1_seq + l1_rand
 
         if bound:
             # Rewrite: qualifying tuples are copied whole to new blocks.

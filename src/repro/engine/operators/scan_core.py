@@ -32,6 +32,7 @@ decoded in (DESIGN.md, "Scan core").
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from types import SimpleNamespace
 
@@ -83,7 +84,7 @@ def guarded_decode(
     that passes it here is marked so.
     """
     timed = obs_metrics.enabled()
-    verify = not file.verified(page)
+    verify = not file.verified((page,))
     try:
         if timed:
             started = time.perf_counter()
@@ -94,16 +95,15 @@ def guarded_decode(
         _salvage(context, file, page, row_span, exc)
         return None
     if verify:
-        file.mark_verified(page)
+        file.mark_verified((page,))
     context.corruption.pages_scanned += 1
     return result
 
 
-def guarded_decode_unit(
-    context: ExecutionContext, decode_unit, file, start: int, count: int, row_span: int
-):
-    """Read an I/O unit and ``decode_unit(unit, verify)`` it whole:
-    ``(unit bytes, decoded)``.
+def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row_span: int):
+    """Read the ascending ``pages`` as one I/O unit
+    (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) and
+    ``decode_unit(unit, verify)`` it whole: ``(unit bytes, decoded)``.
 
     Where a page's CRC gets checked is decided here, by what the file
     says its pages have passed since it was loaded
@@ -116,30 +116,32 @@ def guarded_decode_unit(
     and when a page fails its checksum or the unit does not decode: the
     caller hands the pages' bytes to :func:`guarded_decode` one by one,
     which names the page and applies the policy.  ``unit`` is ``None``
-    when page ``start`` could not be read and salvage dropped it.  Pages
-    count as scanned when the scan gets to them, which is the caller's
-    to say.
+    when page ``pages[0]`` could not be read and salvage dropped it; it
+    holds fewer pages than listed when a later one could not be read.
+    Pages count as scanned when the scan gets to them, which is the
+    caller's to say.
     """
     timed = obs_metrics.enabled()
     if timed:
         started = time.perf_counter()
     try:
-        unit = file.read_pages(start, count)
+        unit = file.read_pages(pages)
     except SALVAGEABLE_ERRORS as exc:
-        _salvage(context, file, start, row_span, exc)
+        _salvage(context, file, pages[0], row_span, exc)
         return None, None
-    pages = len(unit) // file.page_size
-    verified = file.verified(start, pages)
-    if 0 < verified < pages:
+    read = pages[: len(unit) // file.page_size]
+    verified = file.verified(read)
+    if 0 < verified < len(read):
         return unit, None
     try:
         decoded = decode_unit(unit, not verified)
     except SALVAGEABLE_ERRORS:
         return unit, None
     if not verified:
-        file.mark_verified(start, pages)
+        file.mark_verified(read)
     if timed:
-        obs_metrics.PAGE_DECODE_SECONDS.observe((time.perf_counter() - started) / pages, pages)
+        seconds = time.perf_counter() - started
+        obs_metrics.PAGE_DECODE_SECONDS.observe(seconds / len(read), len(read))
     return unit, decoded
 
 
@@ -155,8 +157,11 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
     The one unit reader: under :meth:`Scanner._guarded_units` (the
     column scans) and a shared stream's windows (:mod:`repro.engine.
     sharing`), which pulls a piece only when a segment needs it.  A unit
-    is a run of pages adjacent in the file, ``run`` of them from
-    ``pages[at]``, read as one buffer; ``decoded`` is what
+    is one I/O unit's span of the listed pages: ``pages[at]`` and every
+    following one that lies within ``unit_size`` pages of it (and inside
+    the file), ``run`` of them, read as one buffer of those pages alone
+    — adjacent pages are the unit a dense scan reads, and a page the list
+    skips is never read, checked or counted.  ``decoded`` is what
     ``decode(unit, at, run, verify)`` made of it, ``verify`` saying
     whether to check the CRCs (:func:`guarded_decode_unit`).  A unit that
     does not decode whole is served page by page from the bytes already
@@ -172,20 +177,16 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
     at = 0
     while at < len(pages):
         checkpoint()
-        page = pages[at]
-        # A run ends at a gap, at the unit's size and at the end of
-        # the file: a salvage-opened file can be shorter than its
-        # directory, and each page past it is lost by name.
-        longest = min(unit_size, len(pages) - at, file.num_pages - page)
-        run = 1
-        while run < longest and pages[at + run] == page + run:
-            run += 1
+        # A span ends at the unit's size and at the end of the file: a
+        # salvage-opened file can be shorter than its directory, and
+        # each page past it is lost by name.
+        end = min(pages[at] + unit_size, file.num_pages)
+        stop = bisect_left(pages, end, at + 1, min(len(pages), at + unit_size))
         unit, decoded = guarded_decode_unit(
             context,
             lambda unit, verify: decode(unit, at, len(unit) // size, verify),
             file,
-            page,
-            run,
+            pages[at:stop],
             span_of(at),
         )
         if unit is None:
@@ -502,9 +503,8 @@ class Scanner(Operator):
                 counts, data = decoded
                 rows = len(data)
                 events.pages_touched += run
-                for count in counts.tolist():
-                    events.mem_seq_lines += page_lines(count, bits, l2_line_bytes)
-                    events.l1_lines += page_lines(count, bits, l1_line_bytes)
+                events.mem_seq_lines += int(page_lines(counts, bits, l2_line_bytes).sum())
+                events.l1_lines += int(page_lines(counts, bits, l1_line_bytes).sum())
             yield row_base, rows, data
             row_base += rows
         if pages.stop < file.num_pages:
@@ -578,7 +578,7 @@ class PagedScanner(Scanner):
         wanted = -(-(self.row_range[1] - self._row_base) // capacity)
         pages = min(self._unit_pages, file.num_pages - first, wanted)
         unit, decoded = guarded_decode_unit(
-            self.context, self._decode_unit, file, first, pages, span
+            self.context, self._decode_unit, file, range(first, first + pages), span
         )
         if unit is None:
             # Salvage: skip the unreadable page but advance the global

@@ -8,6 +8,8 @@ of PAX, with I/O identical to a row store (Section 6).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cpusim.cache import page_lines
 from repro.engine.operators.scan_core import PagedScanner
 
@@ -17,18 +19,18 @@ class PaxScanner(PagedScanner):
 
     def __init__(self, context, table, select, predicates=(), row_range=None):
         super().__init__(context, table, select, predicates, row_range)
-        #: ``(codec kind, packed bits)`` of each accessed minipage.
-        self._minipages = [
-            (table.schema.attribute(name).spec.kind, table.page_codec.attribute_bits(name))
-            for name in self._attrs
-        ]
+        #: Codec kind and packed bits of each accessed minipage.
+        self._kinds = [table.schema.attribute(name).spec.kind for name in self._attrs]
+        self._bits = np.array([table.page_codec.attribute_bits(name) for name in self._attrs])
 
     def _charge_pages(self, counts, qualified) -> None:
         events = self.events
         calibration = self.context.calibration
         total = int(counts.sum())
-        for kind, bits in self._minipages:
+        for kind in self._kinds:
             events.count_decode(kind, total)
-            # Only the accessed minipages move through the caches.
-            events.mem_seq_lines += int(page_lines(counts, bits, calibration.l2_line_bytes).sum())
-            events.l1_lines += int(page_lines(counts, bits, calibration.l1_line_bytes).sum())
+        # Only the accessed minipages move through the caches: each
+        # page's count against each minipage's width, one call a line size.
+        per_page, bits = counts[:, None], self._bits
+        events.mem_seq_lines += int(page_lines(per_page, bits, calibration.l2_line_bytes).sum())
+        events.l1_lines += int(page_lines(per_page, bits, calibration.l1_line_bytes).sum())

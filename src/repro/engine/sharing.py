@@ -94,7 +94,7 @@ class _Source:
     name: str
     owner: object
     #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
-    #: adjacent pages: the unit reader's callback.
+    #: pages read back to back: the unit reader's callback.
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
@@ -668,13 +668,24 @@ class SharedScanStream:
                 self._lost[(fault.file, fault.page)] = fault
                 self._invalidate(window, source, pages[at])
                 continue
-            first_row = source.first_row(pages[at])
+            piece = pages[at : at + run]
+            parts = [(source.first_row(piece[0]), 0, None)]
+            if piece[-1] - piece[0] >= run:
+                # The unit spans a known-lost page it did not read: each
+                # page's values go to its own rows.
+                ends = np.cumsum([source.span_of(page) for page in piece]).tolist()
+                parts = [
+                    (source.first_row(page), lo, hi)
+                    for page, lo, hi in zip(piece, [0, *ends], ends)
+                ]
             for name, values in decoded.items():
-                start, stop, skipped = window.rows_of(first_row, len(values))
-                if stop - start == len(values) == len(window.valid):
-                    window.columns[name] = values  # the piece is the window: no copy
-                else:
-                    window.columns[name][start:stop] = values[skipped : skipped + stop - start]
+                for first_row, lo, hi in parts:
+                    part = values[lo:hi]
+                    start, stop, skipped = window.rows_of(first_row, len(part))
+                    if stop - start == len(part) == len(window.valid):
+                        window.columns[name] = part  # the piece is the window: no copy
+                    else:
+                        window.columns[name][start:stop] = part[skipped : skipped + stop - start]
 
     @staticmethod
     def _invalidate(window: _Window, source: _Source, page: int) -> None:

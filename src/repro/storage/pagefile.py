@@ -104,28 +104,37 @@ class PagedFile:
         """One read attempt (fault-injection subclasses override this)."""
         return bytes(self._slice(index, 1))
 
-    def read_pages(self, start: int, count: int) -> memoryview | bytes:
-        """Read up to ``count`` adjacent pages as one buffer (an I/O unit).
+    def read_pages(self, pages) -> memoryview | bytes:
+        """Read the ascending ``pages`` (at least one) as one buffer: an
+        I/O unit.
 
-        Whole pages from ``start``, at least one.  These bytes are in
-        memory and never fault, so a unit is a read-only view of them,
-        no copy; hold it no longer than its decode, since a live view
-        stops :meth:`append_pages` from growing the buffer.  Under a
-        subclass that intercepts :meth:`_read_page_raw` a unit is
-        composed of :meth:`read_page` calls, each page injected, retried
-        and counted on its own.  An error is page ``start``'s: a later
-        page that cannot be read ends the unit before it and leads the
-        next one.
+        These bytes are in memory and never fault: the unit is one slice
+        of the file from ``pages[0]`` to ``pages[-1]``, and the listed
+        pages are gathered out of it back to back — a read-only view, no
+        copy, when they are adjacent; hold it no longer than its decode,
+        since a live view stops :meth:`append_pages` from growing the
+        buffer.  Under a subclass that intercepts :meth:`_read_page_raw`
+        a unit is composed of :meth:`read_page` calls, one per listed
+        page, each injected, retried and counted on its own.  An error is
+        page ``pages[0]``'s: a later page that cannot be read ends the
+        unit before it and leads the next one.  A page that is not listed
+        is never read.
         """
+        first = pages[0]
         if type(self)._read_page_raw is PagedFile._read_page_raw:
-            return self._slice(start, count)
-        pages = [self.read_page(start)]
+            count = pages[-1] - first + 1
+            span = self._slice(first, count)
+            if count == len(pages):
+                return span
+            size = self.page_size
+            return b"".join([span[(p - first) * size : (p - first + 1) * size] for p in pages])
+        read = [self.read_page(first)]
         try:
-            for index in range(start + 1, start + count):
-                pages.append(self.read_page(index))
+            for index in pages[1:]:
+                read.append(self.read_page(index))
         except StorageError:
             pass
-        return b"".join(pages)
+        return b"".join(read)
 
     def _slice(self, start: int, count: int) -> memoryview:
         if not 0 <= start < start + count <= self.num_pages:
@@ -136,24 +145,33 @@ class PagedFile:
         size = self.page_size
         return memoryview(self._data).toreadonly()[start * size : (start + count) * size]
 
-    def verified(self, start: int, count: int = 1) -> int:
-        """How many of pages ``[start, start + count)`` have passed their
-        CRC since this file was loaded.
+    def verified(self, pages) -> int:
+        """How many of ``pages`` have passed their CRC since this file was
+        loaded.
 
         Only an exact :class:`PagedFile` counts any: a subclass may hand
         back bytes other than its buffer's (fault injection, a wrapper
         sharing another file's buffer), so every read of it is checked.
         """
-        if type(self) is not PagedFile:
+        if type(self) is not PagedFile or not pages:
             return 0
-        return self._verified.count(1, start, start + count)
-
-    def mark_verified(self, start: int, count: int = 1) -> None:
-        """Pages ``[start, start + count)`` just passed their CRC."""
         flags = self._verified
-        if len(flags) < start + count:
-            flags.extend(bytes(start + count - len(flags)))
-        flags[start : start + count] = b"\x01" * count
+        first, stop = pages[0], pages[-1] + 1
+        if stop - first == len(pages):
+            return flags.count(1, first, stop)
+        return sum(flags[page] for page in pages if page < len(flags))
+
+    def mark_verified(self, pages) -> None:
+        """``pages`` just passed their CRC."""
+        flags = self._verified
+        first, stop = pages[0], pages[-1] + 1
+        if len(flags) < stop:
+            flags.extend(bytes(stop - len(flags)))
+        if stop - first == len(pages):
+            flags[first:stop] = b"\x01" * (stop - first)
+        else:
+            for page in pages:
+                flags[page] = 1
 
     def corrupt(self, page: int, offset: int) -> None:
         """Flip every bit of byte ``offset`` of ``page`` in the live

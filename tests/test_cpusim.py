@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression.base import CodecKind
 from repro.cpusim.breakdown import CpuBreakdown
-from repro.cpusim.cache import PREFETCH_COVERAGE_THRESHOLD, classify_access, page_lines
+from repro.cpusim.cache import PREFETCH_COVERAGE_THRESHOLD, page_lines, position_lines
 from repro.cpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.cpusim.costmodel import CpuModel
 from repro.cpusim.events import CostEvents
@@ -53,10 +53,10 @@ class TestCostEvents:
 def classify_page_access(
     positions, count, value_bits, line_bytes, threshold=PREFETCH_COVERAGE_THRESHOLD
 ):
-    """:func:`classify_access` of one page: ``(seq_lines, rand_lines)``."""
-    pages = np.zeros(np.size(positions), dtype=np.int64)
-    seq, rand = classify_access(pages, positions, [count], value_bits, line_bytes, threshold)
-    return int(seq[0]), int(rand[0])
+    """:func:`position_lines` of one page: ``(seq_lines, rand_lines)``."""
+    bounds = [0, np.size(positions)]
+    ((seq, rand),) = position_lines(bounds, positions, [count], value_bits, [line_bytes], threshold)
+    return seq, rand
 
 
 def lines_touched(positions, value_bits, line_bytes):
@@ -134,25 +134,38 @@ def reference_classify_page_access(positions, count, value_bits, line_bytes, thr
 #: wider than an L1 line, so one value can cover three lines (the model
 #: counts its first and its last).
 VALUE_BITS = st.one_of(st.integers(1, 63), st.integers(1, 69).map(lambda width: 8 * width))
-#: How a page's positions are drawn: none at all, a sparse few, the
-#: first value of every other line (coverage at or next to exactly 0.5),
-#: a random half, everything.
+#: The calibration's L1 and L2 lines, and two that are not a power of
+#: two — 48 B is narrower than a 69-byte value.
+LINE_SIZES = (64, 128, 48, 100)
+#: How a page's positions are drawn: none at all (what salvage leaves of
+#: a dropped page), a sparse few, the first value of every other line
+#: (coverage at or next to exactly 0.5), a random half, everything.
 DENSITIES = ("none", "sparse", "alternate-lines", "half", "all")
+
+
+def lines_page_by_page(per_page, counts, value_bits, line_sizes):
+    """:func:`position_lines` of each page alone: one list of pairs per page."""
+    return [
+        position_lines([0, chosen.size], chosen, [count], value_bits, line_sizes)
+        for chosen, count in zip(per_page, counts)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     pages=st.integers(1, 40),
     value_bits=VALUE_BITS,
-    line_bytes=st.sampled_from((64, 128)),
     payload_bytes=st.sampled_from((236, 1004, 4076)),
     last_fill=st.floats(0.01, 1.0),
     densities=st.lists(st.sampled_from(DENSITIES), min_size=40, max_size=40),
+    alternate_line=st.sampled_from(LINE_SIZES),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_classify_access_is_the_union1d_model_page_by_page(
-    pages, value_bits, line_bytes, payload_bytes, last_fill, densities, seed
+def test_position_lines_is_the_union1d_model_page_by_page(
+    pages, value_bits, payload_bytes, last_fill, densities, alternate_line, seed
 ):
+    """Every line size in one call, against the sort + unique model of
+    each page: the sums over the pages, and each page alone."""
     rng = np.random.default_rng(seed)
     capacity = payload_bytes * 8 // value_bits
     counts = np.full(pages, capacity)
@@ -164,7 +177,7 @@ def test_classify_access_is_the_union1d_model_page_by_page(
         elif density == "sparse":
             chosen = np.unique(rng.integers(0, count, 3))
         elif density == "alternate-lines":
-            starts = np.arange(0, count * value_bits, 2 * line_bytes * 8)
+            starts = np.arange(0, count * value_bits, 2 * alternate_line * 8)
             chosen = np.unique(-(-starts // value_bits))
             chosen = chosen[chosen < count]
         elif density == "half":
@@ -172,26 +185,36 @@ def test_classify_access_is_the_union1d_model_page_by_page(
         else:
             chosen = np.arange(count)
         per_page.append(chosen)
-    on_page = np.repeat(np.arange(pages), [chosen.size for chosen in per_page])
+    bounds = np.cumsum([0] + [chosen.size for chosen in per_page])
     in_page = np.concatenate(per_page)
 
-    seq, rand = classify_access(on_page, in_page, counts, value_bits, line_bytes)
+    sums = position_lines(bounds, in_page, counts, value_bits, LINE_SIZES)
     expected = [
-        reference_classify_page_access(chosen, count, value_bits, line_bytes)
+        [
+            reference_classify_page_access(chosen, count, value_bits, line_bytes)
+            for line_bytes in LINE_SIZES
+        ]
         for chosen, count in zip(per_page, counts.tolist())
     ]
-    assert list(zip(seq.tolist(), rand.tolist())) == expected
+    assert sums == [tuple(map(sum, zip(*pairs))) for pairs in zip(*expected)]
+    assert lines_page_by_page(per_page, counts.tolist(), value_bits, LINE_SIZES) == expected
 
 
 def test_exactly_half_the_lines_is_dense_on_every_page():
     """Coverage == 0.5 counts as prefetchable, page by page, beside a
     page just under it and a page with no position at all."""
-    # 32-bit values, 128 B lines: 100 values occupy 4 lines.
-    on_page = np.array([0, 0, 1, 3, 3])
+    # 32-bit values: 100 values occupy 4 lines of 128 B, 7 of 64 B.
+    bounds = [0, 2, 3, 3, 5]
     in_page = np.array([0, 90, 0, 0, 90])
-    seq, rand = classify_access(on_page, in_page, [100, 100, 100, 100], 32, 128)
-    assert seq.tolist() == [4, 0, 0, 4]
-    assert rand.tolist() == [0, 1, 0, 0]
+    counts = [100, 100, 100, 100]
+    assert position_lines(bounds, in_page, counts, 32, (128, 64)) == [(8, 1), (0, 5)]
+    per_page = [in_page[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert lines_page_by_page(per_page, counts, 32, (128, 64)) == [
+        [(4, 0), (0, 2)],
+        [(0, 1), (0, 1)],
+        [(0, 0), (0, 0)],
+        [(4, 0), (0, 2)],
+    ]
 
 
 class TestCalibration:

@@ -123,7 +123,7 @@ def load_and_digest(case: str, rows: int):
     for holder in _files(table):
         file = holder.file
         if file.num_pages:
-            crc = zlib.crc32(file.read_pages(0, file.num_pages), crc)
+            crc = zlib.crc32(file.read_pages(range(file.num_pages)), crc)
         if getattr(holder, "first_rows", None) is not None:
             crc = zlib.crc32(np.asarray(holder.first_rows, dtype=np.int64).tobytes(), crc)
     return table, crc
@@ -195,7 +195,7 @@ def test_loads_are_the_page_at_a_time_bytes(case):
         digests.append(crc)
         assert table.num_rows == rows
         for holder in _files(table):
-            assert holder.file.verified(0, holder.file.num_pages) == 0
+            assert holder.file.verified(range(holder.file.num_pages)) == 0
     pages = max(holder.file.num_pages for holder in _files(table))
     assert pages > (UNIT_PAGES if multi_unit else 1)
     assert dict(zip(counts, digests)) == DIGESTS[case]

@@ -35,6 +35,7 @@ from repro.data.tpch import (
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import run_scan
 from repro.engine.governance import QueryContext
+from repro.engine.operators import scan_core
 from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
@@ -286,6 +287,38 @@ class TestSalvagePages:
             )
             got = _drain_consumer(rider)
             assert_identical(got, want)
+
+    def test_a_unit_spanning_a_lost_page_places_each_page_by_row(self, monkeypatch):
+        """A window opened after a page was lost leaves it out of its page
+        list, so one unit spans it: the pages on either side land on their
+        own rows, as in a serial salvage scan of every attach point."""
+        data = _coded_orders(seed=53)
+        table = load_table(data, Layout.COLUMN, page_size=256)
+        calibration = DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=4 * 256)
+        victim = table.column_file("O_TOTALPRICE").file
+        lost = victim.num_pages // 2
+        victim.corrupt(lost, 97)
+        want = run_scan(table, QUERY, salvage=True)
+        faults = [(f.file, f.page, f.rows_lost) for f in want.corruption.faults]
+        assert [page for _file, page, _rows in faults] == [lost]
+        spans = []
+        real = scan_core.guarded_decode_unit
+
+        def spy(context, decode_unit, file, pages, row_span):
+            if file is victim and pages[0] < lost < pages[-1] and lost not in pages:
+                spans.append(list(pages))
+            return real(context, decode_unit, file, pages, row_span)
+
+        monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
+        probe = SharedScanStream(table, QUERY.scan_attributes(), False, calibration)
+        for attach_at in range(probe.num_segments + 1):
+            stream = SharedScanStream(table, QUERY.scan_attributes(), False, calibration)
+            _advance_stream(stream, QUERY, attach_at)
+            rider = SharedScanConsumer(ExecutionContext(strict_integrity=False), stream, QUERY)
+            got = _drain_consumer(rider)
+            assert_identical(got, want)
+            assert [(f.file, f.page, f.rows_lost) for f in got.corruption.faults] == faults
+        assert spans
 
     @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN])
     def test_unreadable_page_is_salvaged_like_a_serial_scan(self, layout):

@@ -48,7 +48,7 @@ from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute_plan, run_scan
 from repro.engine.governance import QueryContext
-from repro.engine.operators import Limit
+from repro.engine.operators import Limit, scan_core
 from repro.engine.plan import scan_plan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
@@ -258,7 +258,7 @@ def test_decode_unit_is_the_concatenation_of_page_decodes(
             table.decode_unit(b"", attrs)
         return
 
-    unit = table.file.read_pages(0, pages)
+    unit = table.file.read_pages(range(pages))
     counts, unit_columns = table.decode_unit(unit, attrs)
     singly = [table.decode_page(table.file.read_page(i), attrs) for i in range(pages)]
     assert counts.tolist() == [count for count, _columns in singly]
@@ -304,7 +304,7 @@ def test_plain_pages_decode_by_unit_as_by_page(table_class):
     data = generate_lineitem(700, seed=5)
     table = load_table(data, Layout.ROW if table_class is RowTable else Layout.PAX)
     attrs = ("L_SHIPMODE", "L_PARTKEY", "L_COMMENT")
-    unit = table.file.read_pages(0, table.file.num_pages)
+    unit = table.file.read_pages(range(table.file.num_pages))
     counts, columns = table.decode_unit(unit, attrs)
     assert int(counts.sum()) == 700 and list(columns) == list(attrs)
     for name in attrs:
@@ -338,7 +338,7 @@ def test_a_decoded_column_never_aliases_its_bytes(orders_data, orders_z_data, la
     kinds = {data.schema.attribute(name).attr_type.is_integer for name in names}
     assert kinds == {True, False} and table.file.num_pages >= 3
     for pages in (1, 3):
-        unit = table.file.read_pages(0, pages)
+        unit = table.file.read_pages(range(pages))
         _counts, columns = table.decode_unit(unit, names)
         for name in names:
             assert not np.shares_memory(columns[name], np.frombuffer(unit, np.uint8)), name
@@ -399,7 +399,7 @@ def test_column_decode_unit_is_the_concatenation_of_page_decodes(
     # Any run of adjacent pages is a unit: the whole file, its first
     # page alone, and the tail from a random page on.
     for first, count in {(0, pages), (0, 1), (start := int(rng.integers(pages)), pages - start)}:
-        unit = file.read_pages(first, count)
+        unit = file.read_pages(range(first, first + count))
         counts, decoded = column_file.decode_unit(unit)
         joined = np.concatenate(singly[first : first + count])
         assert counts.tolist() == [len(page) for page in singly[first : first + count]]
@@ -429,13 +429,13 @@ def test_column_decode_unit_is_the_concatenation_of_page_decodes(
     # Padding past a short last page's count is never a value.
     last = np.array([pages - 1])
     with pytest.raises(CompressionError):
-        column_file.gather_unit(file.read_pages(0, pages), last, np.array([len(singly[-1])]))
+        column_file.gather_unit(file.read_pages(range(pages)), last, np.array([len(singly[-1])]))
     with pytest.raises(CompressionError):
         column_file.gather_unit(file.read_page(pages - 1), 0 * last, np.array([len(singly[-1])]))
 
     if kind in ("pack", "dict", "for", "for-delta", "text-dict"):
         # The undecoded codes (compressed execution compares them).
-        _counts, codes = column_file.decode_unit(file.read_pages(0, pages), codes=True)
+        _counts, codes = column_file.decode_unit(file.read_pages(range(pages)), codes=True)
         by_page = [column_file.decode_page(file.read_page(i), codes=True) for i in range(pages)]
         np.testing.assert_array_equal(codes, np.concatenate(by_page))
         if kind in ("dict", "text-dict"):
@@ -453,7 +453,7 @@ def test_fig5_column_files_decode_by_unit_as_by_page(dataset):
     for name, column_file in table.column_files.items():
         file = column_file.file
         units = [
-            file.read_pages(first, min(32, file.num_pages - first))
+            file.read_pages(range(first, min(first + 32, file.num_pages)))
             for first in range(0, file.num_pages, 32)
         ]
         column = np.concatenate([column_file.decode_unit(unit)[1] for unit in units])
@@ -475,10 +475,10 @@ def test_a_unit_that_cannot_be_flattened_is_refused():
     rle = view.table.column_file("L_QUANTITY")
     assert rle.is_variable and rle.file.num_pages > 1
     with pytest.raises(CompressionError, match="no fixed-width codes"):
-        rle.decode_unit(rle.file.read_pages(0, 2))
+        rle.decode_unit(rle.file.read_pages(range(2)))
 
     dense = view.table.column_file("L_SUPPKEY")
-    unit = dense.file.read_pages(0, 3)
+    unit = dense.file.read_pages(range(3))
     flipped = bytearray(unit)
     flipped[64 + 11] ^= 1 << 3
     with pytest.raises(ChecksumError):
@@ -869,6 +869,109 @@ def test_a_truncated_column_loses_only_its_missing_pages(scanner, tmp_path):
     assert outcomes[0] == outcomes[1]
 
 
+# --- a position-driven node reads one I/O unit's span of its pages at a time ------
+
+SPAN_ROWS = 12_000
+
+
+def _sparse_case():
+    """A 1 % node over ``L_COMMENT`` (204 pages at these rows) behind a
+    dense ``L_PARTKEY``: ``(data, query, unit pages, touched pages)``."""
+    data = generate_lineitem(SPAN_ROWS, seed=77)
+    predicate = predicate_for_selectivity("L_PARTKEY", data.columns["L_PARTKEY"], 0.01)
+    query = ScanQuery(
+        data.schema.name, select=("L_PARTKEY", "L_COMMENT"), predicates=(predicate,)
+    )
+    table = load_table(data, Layout.COLUMN)
+    positions = run_scan(table, query).positions
+    per_page = table.column_file("L_COMMENT").values_per_page
+    touched = sorted(set((positions // per_page).tolist()))
+    return data, query, DEFAULT_CALIBRATION.io_unit_bytes // table.page_size, touched
+
+
+def _spans(pages: list[int], unit: int) -> list[list[int]]:
+    """``pages`` cut into I/O units: each takes the pages that lie within
+    ``unit`` pages of its first."""
+    spans: list[list[int]] = []
+    for page in pages:
+        if spans and page < spans[-1][0] + unit:
+            spans[-1].append(page)
+        else:
+            spans.append([page])
+    return spans
+
+
+def _sparse_scan(data, query, by_page: bool, strict: bool = True, corrupt=None) -> dict:
+    """:func:`tests.scan_golden._record` of the pipelined scan of a fresh
+    table, its ``L_COMMENT`` page ``corrupt`` flipped first."""
+    table = load_table(data, Layout.COLUMN)
+    if corrupt is not None:
+        table.column_file("L_COMMENT").file.corrupt(corrupt, 97)
+    context = _page_at_a_time() if by_page else _unit_at_a_time()
+    context = ExecutionContext(
+        calibration=context.calibration, strict_integrity=strict, governance=QueryContext()
+    )
+    return _record(context, scan_plan(context, table, query).drain())
+
+
+#: CRC-32 of what the tests below pin, measured at the parent commit
+#: (cb05d54), where a unit ended at every gap between touched pages.
+SPANS_AT_PARENT = {"untouched": "39f65bd2", "touched": "06ebe429"}
+
+
+class TestSpanUnits:
+    """A position-driven node reads, checks and decodes the pages its
+    positions touch one I/O unit's span at a time, never a page they
+    skip — and nothing a page-at-a-time scan could see moves."""
+
+    def test_a_sparse_node_reads_one_unit_per_span(self, monkeypatch):
+        data, query, unit, touched = _sparse_case()
+        table = load_table(data, Layout.COLUMN)
+        comments = table.column_file("L_COMMENT").file
+        reads = []
+        read = scan_core.guarded_decode_unit
+
+        def spy(context, decode_unit, file, pages, row_span):
+            if file is comments:
+                reads.append(list(pages))
+            return read(context, decode_unit, file, pages, row_span)
+
+        monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
+        run_scan(table, query, _unit_at_a_time())
+        span = touched[-1] - touched[0] + 1
+        runs = 1 + sum(b - a > 1 for a, b in zip(touched, touched[1:]))
+        assert len(reads) <= -(-span // unit) < runs
+        assert reads == _spans(touched, unit)
+        assert comments.verified(range(comments.num_pages)) == len(touched)
+
+    def test_an_untouched_corrupt_page_inside_a_span_is_never_read(self):
+        data, query, unit, touched = _sparse_case()
+        span = next(span for span in _spans(touched, unit) if span[-1] - span[0] >= len(span))
+        victim = next(page for page in range(span[0], span[-1]) if page not in span)
+        clean = _sparse_scan(data, query, by_page=False)
+        got = _sparse_scan(data, query, by_page=False, corrupt=victim)
+        assert got == clean == _sparse_scan(data, query, by_page=True, corrupt=victim)
+        first_node = load_table(data, Layout.COLUMN).column_file("L_PARTKEY").file
+        assert got["pages_scanned"] == first_node.num_pages + len(touched)
+        assert _crc(got) == SPANS_AT_PARENT["untouched"]
+
+    def test_a_touched_corrupt_page_inside_a_span_is_named(self):
+        data, query, unit, touched = _sparse_case()
+        span = next(span for span in _spans(touched, unit) if span[1] - span[0] > 1)
+        victim = span[1]  # behind a gap, in the middle of its unit's buffer
+        for by_page in (False, True):
+            with pytest.raises(ChecksumError, match=rf"page {victim} checksum"):
+                _sparse_scan(data, query, by_page, corrupt=victim)
+        got = _sparse_scan(data, query, False, strict=False, corrupt=victim)
+        assert got == _sparse_scan(data, query, True, strict=False, corrupt=victim)
+        clean = run_scan(load_table(data, Layout.COLUMN), query)
+        per_page = load_table(data, Layout.COLUMN).column_file("L_COMMENT").values_per_page
+        on_victim = int((clean.positions // per_page == victim).sum())
+        assert got["faults"] == [["LINEITEM.L_COMMENT", victim, on_victim]]
+        assert got["rows"] == len(clean.positions) - on_victim
+        assert _crc(got) == SPANS_AT_PARENT["touched"]
+
+
 RLE_ATTRS = ("L_QUANTITY", "L_LINENUMBER", "L_SUPPKEY")
 
 
@@ -1234,9 +1337,9 @@ class _CountingFile(PagedFile):
         self.unit_reads: list[tuple[int, int]] = []
         self.page_reads = 0
 
-    def read_pages(self, start: int, count: int) -> bytes:
-        self.unit_reads.append((start, count))
-        return super().read_pages(start, count)
+    def read_pages(self, pages) -> bytes:
+        self.unit_reads.append((pages[0], len(pages)))
+        return super().read_pages(pages)
 
     def read_page(self, index: int) -> bytes:
         self.page_reads += 1
@@ -1660,7 +1763,7 @@ class TestCorruptedAfterVerified:
     def test_strict_names_the_page(self, layout, rider):
         table, file, query = self._loaded(layout)
         self._scan(table, query, True, False, rider)
-        assert file.verified(self.VICTIM)
+        assert file.verified([self.VICTIM])
         file.corrupt(self.VICTIM, 97)
         for _again in range(2):
             with pytest.raises(ChecksumError, match=f"page {self.VICTIM} checksum"):
@@ -1670,8 +1773,8 @@ class TestCorruptedAfterVerified:
     def test_salvage_drops_the_page_alone(self, layout, rider):
         table, file, query = self._loaded(layout)
         self._scan(table, query, False, False, rider)
-        verified = file.verified(0, file.num_pages)
-        assert file.verified(self.VICTIM)
+        verified = file.verified(range(file.num_pages))
+        assert file.verified([self.VICTIM])
         file.corrupt(self.VICTIM, 97)
         got = [self._scan(table, query, False, False, rider) for _again in range(2)]
 
@@ -1682,5 +1785,5 @@ class TestCorruptedAfterVerified:
         assert [page for _file, page, _rows in want["faults"]] == [self.VICTIM]
         assert want["faults"][0][0] == file.name
         # Every other page stays verified; the corrupt one is not again.
-        assert file.verified(0, file.num_pages) == verified - 1
-        assert not file.verified(self.VICTIM)
+        assert file.verified(range(file.num_pages)) == verified - 1
+        assert not file.verified([self.VICTIM])

@@ -512,7 +512,7 @@ def _files(table) -> list[PagedFile]:
 
 
 def _verified(table) -> int:
-    return sum(file.verified(0, file.num_pages) for file in _files(table))
+    return sum(file.verified(range(file.num_pages)) for file in _files(table))
 
 
 def _pages(table) -> int:
@@ -588,7 +588,7 @@ class TestVerifiedOncePerLoad:
         assert _verified(table) == _pages(table)
         assert _verified(shipped) == 0
         file = _files(table)[0]
-        assert pickle.loads(pickle.dumps(file)).verified(0, file.num_pages) == 0
+        assert pickle.loads(pickle.dumps(file)).verified(range(file.num_pages)) == 0
         checks = _Checks(monkeypatch)
         full_scan(shipped, select)
         assert checks.take() == _pages(shipped)
