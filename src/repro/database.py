@@ -435,7 +435,9 @@ class Database:
         scheduler executes the batch with admission control
         (``max_inflight``), cooperative
         time-slicing, and circular scan streams — with ``share_scans``
-        one per table and column set, shared by co-running queries;
+        shared by co-running queries, one per row or PAX table whatever
+        they project (a query needing an attribute no live stream
+        decodes opens another) and one per column table and column set;
         without, one per query.  Handles come back in submission
         order; failed queries carry their typed error on
         ``handle.error`` instead of raising.  ``info``, when given,

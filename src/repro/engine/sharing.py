@@ -30,11 +30,14 @@ engine-side implementation lives here:
   one run, the sum of its segments' numbers — at a time.  Output is
   re-assembled into global Record-ID order before emission, so the
   result is byte-identical to a cold serial scan.
-* :class:`ScanShareManager` — the attach point: queries over the same
-  table, column set, and integrity mode join the in-progress stream —
-  running, or still queued for admission — and everything else gets a
-  fresh one.  A stream is dropped with its last rider; its I/O totals
-  stay.
+* :class:`ScanShareManager` — the attach point: a query joins an
+  in-progress stream of its :func:`share_key` — running, or still queued
+  for admission — that carries all of its attributes, and otherwise
+  gets a fresh one beside it.  A row or PAX page holds whole tuples, so
+  a paged table's key is the table and integrity mode alone and one
+  stream serves every projection it decodes; a column table's key also
+  names the column set.  A stream is dropped with its last rider; its
+  I/O totals stay.
 
 Salvage mode drops the union of corrupt-page row spans across the
 needed columns — exactly the rows a serial salvage scan would lose —
@@ -49,7 +52,7 @@ import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,12 +79,31 @@ __all__ = [
     "SharedScanConsumer",
     "SharedScanStream",
     "share_key",
+    "share_needs",
 ]
 
 
 def share_key(table: Table, query: ScanQuery, strict_integrity: bool) -> tuple:
-    """The attach-compatibility key: same table, column set, integrity."""
+    """The attach-compatibility key: same table and integrity mode, and
+    on a column table the same column set.
+
+    A row or PAX stream reads the same pages whatever it decodes, so a
+    paged key leaves the column set out: a query rides any live stream
+    of its key that carries its :func:`share_needs`, and opens one
+    beside them otherwise.  A column stream reads one file per column,
+    so its key fixes the columns, and any live stream of it serves."""
+    if isinstance(table, PagedTable):
+        return (id(table), strict_integrity)
     return (id(table), frozenset(query.scan_attributes()), strict_integrity)
+
+
+def share_needs(table: Table, query: ScanQuery) -> frozenset | None:
+    """What a live stream of the query's :func:`share_key` must carry for
+    the query to ride it: its scan attributes on a paged table; ``None``
+    on a column table, whose key already names them."""
+    if isinstance(table, PagedTable):
+        return frozenset(query.scan_attributes())
+    return None
 
 
 @dataclass(slots=True)
@@ -98,9 +120,10 @@ class _Source:
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
-    #: Segment ``i`` draws on pages ``first[i]`` to ``last[i]``.
-    first: list[int]
-    last: list[int]
+    #: Segment ``i`` draws on pages ``first[i]`` to ``last[i]`` (a row
+    #: file: page ``i``, both a ``range``).
+    first: Sequence[int]
+    last: Sequence[int]
     #: The modeled buffer of a column file — the ids of the last pages
     #: charged for it, oldest first; ``None`` for a row file (it has none).
     fifo: dict[int, None] | None
@@ -110,8 +133,9 @@ class _Source:
 class _Feed:
     """One source's share of a window: its pages, pulled a piece at a time."""
 
-    #: Ascending page ids the window reads (known-lost pages left out).
-    pages: list[int]
+    #: Ascending page ids the window reads: its page range, less the
+    #: known-lost pages when there are any.
+    pages: Sequence[int]
     #: The unit reader over them; lazy, so a page's error is raised by
     #: the delivery that first draws on it.
     pieces: Iterator
@@ -134,11 +158,22 @@ class _Window:
     #: The ``k``-th segment holds rows ``lo + bounds[k]`` to ``lo + bounds[k + 1]``.
     lo: int
     bounds: np.ndarray
-    #: Full width: zero where invalid or not yet pulled.
+    #: Full width, zero where invalid or not yet pulled; an attribute
+    #: is in only once a piece of it came (:meth:`column`).
     columns: dict[str, np.ndarray]
     #: False where a lost page's span fell.
     valid: np.ndarray
+    #: The stream's dtype per attribute.
+    dtypes: dict[str, np.dtype]
     feeds: list[_Feed] = field(default_factory=list)
+
+    def column(self, name: str) -> np.ndarray:
+        """Attribute ``name`` over the whole window: a piece that covered
+        it, else zeros to pull pieces into."""
+        column = self.columns.get(name)
+        if column is None:
+            column = self.columns[name] = np.zeros(len(self.valid), dtype=self.dtypes[name])
+        return column
 
     def rows_of(self, first_row: int, count: int) -> tuple[int, int, int]:
         """``(start, stop, skipped)``: where rows ``[first_row, first_row
@@ -206,8 +241,8 @@ class SharedScanStream:
     per delivery; a column page unless it is among the last
     ``_CACHE_PAGES`` charged for its file (the modeled buffer, which
     outlives an idle stream) or already lost.  The window is the real
-    buffer and belongs to the riders: a stream without riders holds no
-    decoded data.
+    buffer and belongs to the riders: a stream without riders, or
+    failed, holds no decoded data.
     """
 
     #: Pages the modeled buffer keeps per column file.
@@ -246,22 +281,22 @@ class SharedScanStream:
         #: ``(file name, page) -> PageFault`` of every page salvage lost:
         #: such a page is never read (or charged) again.
         self._lost: dict[tuple[str, int], object] = {}
-        # ``_segments``: (driving page id, row lo, row hi), in row order.
+        #: What a rider's attributes must be a subset of to ride.
+        self.carries = frozenset(self.attrs)
+        #: Segment ``i`` holds rows ``_starts[i]`` to ``_starts[i + 1]``.
         if isinstance(table, PagedTable):
-            self._segments = self._paged_segments()
+            self._starts = self._paged_starts()
             self._sources = [self._paged_source()]
         elif isinstance(table, ColumnTable):
-            self._segments = self._column_segments()
+            self._starts = self._column_starts()
             self._sources = [self._column_source(name) for name in self.attrs]
         else:
             raise PlanError(
                 f"unsupported table type for sharing: {type(table).__name__}"
             )
-        #: Segment ``i`` holds rows ``_starts[i]`` to ``_starts[i + 1]``.
-        self._starts = np.array(
-            [lo for _page, lo, _hi in self._segments] + [hi for _page, _lo, hi in self._segments[-1:]],
-            dtype=np.int64,
-        )
+        #: Where the last :meth:`_load` stopped: the first segment it did
+        #: not settle.
+        self._reached = 0
         schema = table.schema
         self._dtypes = {
             name: schema.attribute(name).attr_type.numpy_dtype() for name in self.attrs
@@ -277,8 +312,8 @@ class SharedScanStream:
         # _pages_upto[index] + _shared_pages[index]`` pages, each counted
         # once: a page is shared only by adjacent segments, as pages and
         # segments both ascend with the rows.
-        fresh = np.zeros(len(self._segments), dtype=np.int64)
-        shared = np.zeros(len(self._segments), dtype=np.int64)
+        fresh = np.zeros(self.num_segments, dtype=np.int64)
+        shared = np.zeros(self.num_segments, dtype=np.int64)
         for source in self._sources:
             first = np.array(source.first, dtype=np.int64)
             last = np.array(source.last, dtype=np.int64)
@@ -291,32 +326,28 @@ class SharedScanStream:
 
     # --- geometry ---------------------------------------------------------
 
-    def _paged_segments(self) -> list[tuple[int, int, int]]:
-        """Row/PAX: one segment per page of the one file."""
+    def _paged_starts(self) -> np.ndarray:
+        """Row/PAX: one segment per page of the one file with rows on it —
+        every page full but the last."""
         table = self.table
-        segments = []
-        base = 0
-        for page_id in range(table.file.num_pages):
-            span = table.row_span_of_page(page_id)
-            if span > 0:
-                segments.append((page_id, base, base + span))
-            base += span
-        return segments
+        capacity = table.page_codec.tuples_per_page
+        pages = min(table.file.num_pages, -(-table.num_rows // capacity))
+        return np.minimum(np.arange(pages + 1, dtype=np.int64) * capacity, table.num_rows)
 
-    def _column_segments(self) -> list[tuple[int, int, int]]:
+    def _column_starts(self) -> np.ndarray:
         """Column layout: one segment per page of the driving column."""
         table = self.table
         driver = self._driving_column()
-        if driver is None:
-            return []
-        column_file = table.column_file(driver)
-        segments = []
-        for page_id in range(column_file.file.num_pages):
-            lo = column_file.first_row_of_page(page_id)
-            span = column_file.row_span_of_page(page_id, table.num_rows)
-            if span > 0:
-                segments.append((page_id, lo, lo + span))
-        return segments
+        starts = [0]
+        if driver is not None:
+            column_file = table.column_file(driver)
+            for page_id in range(column_file.file.num_pages):
+                lo = column_file.first_row_of_page(page_id)
+                span = column_file.row_span_of_page(page_id, table.num_rows)
+                if span > 0:
+                    # Its first row replaces the end of the page before.
+                    starts[-1:] = [lo, lo + span]
+        return np.array(starts, dtype=np.int64)
 
     def _driving_column(self) -> str | None:
         """The needed column with the most pages (finest segments)."""
@@ -333,7 +364,7 @@ class SharedScanStream:
         """Row/PAX: every attribute off the one file, a page per segment."""
         table, attrs = self.table, self.attrs
         capacity = table.page_codec.tuples_per_page
-        pages = [page_id for page_id, _lo, _hi in self._segments]
+        pages = range(self.num_segments)
 
         def decode(data, _at, run, verify):
             decoder = table.decode_unit if run > 1 else table.decode_page
@@ -354,8 +385,8 @@ class SharedScanStream:
         """Column layout: one attribute's file, the pages covering each segment's rows."""
         num_rows = self.table.num_rows
         column_file = self.table.column_file(name)
-        rows = np.array([(lo, hi - 1) for _page, lo, hi in self._segments], dtype=np.int64)
-        first, last = column_file.page_of_positions(rows.reshape(-1, 2).T).tolist()
+        starts = self._starts
+        first, last = column_file.page_of_positions(np.stack([starts[:-1], starts[1:] - 1])).tolist()
         return _Source(
             name=column_file.file.name,
             owner=column_file,
@@ -371,7 +402,7 @@ class SharedScanStream:
 
     @property
     def num_segments(self) -> int:
-        return len(self._segments)
+        return len(self._starts) - 1
 
     @property
     def window_segments(self) -> int:
@@ -392,6 +423,18 @@ class SharedScanStream:
         ends.update((source.name, source.last[stop - 1]) for source in self._sources)
         return count, ends
 
+    def _drawn(self, segment: int) -> list[tuple]:
+        """``((file name, page id), fault)`` per page segment ``segment``
+        draws on, once it is settled: ``fault`` is ``None`` for a decoded
+        page, else the stream's :class:`~repro.storage.scrub.PageFault`
+        for it."""
+        lost = self._lost
+        return [
+            ((source.name, page), lost.get((source.name, page)))
+            for source in self._sources
+            for page in range(source.first[segment], source.last[segment] + 1)
+        ]
+
     @property
     def consumers(self) -> tuple:
         return tuple(self._consumers)
@@ -407,7 +450,7 @@ class SharedScanStream:
         if self._failed is not None:
             raise self._failed
         self._consumers.append(consumer)
-        return set(range(len(self._segments)))
+        return set(range(self.num_segments))
 
     def detach(self, consumer: "SharedScanConsumer") -> None:
         """Leave the stream (end of pass, failure, or cancellation)."""
@@ -452,7 +495,7 @@ class SharedScanStream:
         """
         if self._failed is not None:
             raise self._failed
-        total = len(self._segments)
+        total = self.num_segments
         if total == 0 or self.idle:
             return 0
         for offset in range(total):
@@ -468,16 +511,15 @@ class SharedScanStream:
         limit = min(limit, index + want)
         # Where each taker's need of adjacent segments ends.
         ends = [_needed_until(taker._remaining, index + 1, limit) for taker in takers]
-        pages: list[list[tuple]] = []
         try:
-            self._load(index, max(ends), checkpoint, pages)
+            self._load(index, max(ends), checkpoint)
         except SALVAGEABLE_ERRORS as exc:
             # Strict integrity: the whole stream dies with the typed
             # error every rider would have hit scanning alone.
             self._failed = exc
             raise
         finally:
-            reached = index + len(pages)
+            reached = self._reached
             if reached > index:
                 self._cursor = reached % total
                 if reached == total:
@@ -490,7 +532,11 @@ class SharedScanStream:
                 leasts = [min(end, reached) for end in ends]
                 self._filter_together(index, takers, leasts, self._window)
                 for consumer, least in zip(takers, leasts):
-                    consumer._receive(index, least, self._window, pages)
+                    consumer._receive(index, least, self._window)
+            if self._failed is not None:
+                # It serves nothing more: its window goes now, not with
+                # its last rider.
+                self._window = None
         return reached - index
 
     #: The most mask bytes :meth:`_filter_together` holds at once.
@@ -522,7 +568,7 @@ class SharedScanStream:
             if len(riders) < 2 or not window.valid[lo:hi].all():
                 continue
             counts = np.diff(bounds)
-            columns = {name: window.columns[name][lo:hi] for name in self.attrs}
+            columns = {name: window.column(name)[lo:hi] for name in self.attrs}
             # Run-relative: the k-th segment holds rows edges[k] to edges[k + 1].
             edges = bounds - lo
             tallies = list(accumulate(counts.tolist(), initial=0))
@@ -548,18 +594,17 @@ class SharedScanStream:
 
     # --- reading ----------------------------------------------------------
 
-    def _load(self, index: int, stop: int, checkpoint, pages: list[list[tuple]]) -> None:
+    def _load(self, index: int, stop: int, checkpoint) -> None:
         """Charge and settle what segments ``[index, stop)`` draw on.
 
-        Appends to ``pages``, per segment settled, its ``((file name,
-        page id), fault)`` per page drawn on; ``fault`` is ``None`` for
-        a decoded page, else the stream's :class:`~repro.storage.scrub.
-        PageFault` for it.  A segment's ``checkpoint()`` comes first,
-        and a page is charged to the stream by the rule in the class
-        docstring *before* it is pulled: an error leaves ``pages`` at
-        the segments before the one it came from, and a strict failure
-        its page charged.
+        A segment's ``checkpoint()`` comes first, then the pages it
+        newly draws on — a page it shares with the segment before it in
+        the run was that one's — each charged to the stream by the rule
+        in the class docstring *before* it is pulled.  ``_reached`` is
+        left at the first segment not settled: on an error the one it
+        came from, a strict failure's page charged.
         """
+        self._reached = index
         checkpoint()
         window = self._window_over(index)
         if window is None:
@@ -571,26 +616,28 @@ class SharedScanStream:
             for segment in range(index, stop):
                 if segment > index:
                     checkpoint()
-                drawn = []
                 for source, feed in feeds:
                     fifo = source.fifo
                     name = source.name
                     unpulled = feed.pages
-                    for page in range(source.first[segment], source.last[segment] + 1):
-                        key = (name, page)
-                        if key not in lost:
-                            buffered = fifo is not None and page in fifo
-                            if not buffered:
-                                touched += 1
-                            if feed.at < len(unpulled) and unpulled[feed.at] <= page:
-                                self._pull(window, source, feed, page)
-                            if fifo is not None and not buffered and key not in lost:
-                                while len(fifo) >= self._CACHE_PAGES:
-                                    del fifo[next(iter(fifo))]
-                                fifo[page] = None
-                        drawn.append((key, lost.get(key)))
-                pages.append(drawn)
+                    first = source.first[segment]
+                    if segment > index and first == source.last[segment - 1]:
+                        first += 1
+                    for page in range(first, source.last[segment] + 1):
+                        if lost and (name, page) in lost:
+                            continue
+                        buffered = fifo is not None and page in fifo
+                        if not buffered:
+                            touched += 1
+                        if feed.at < len(unpulled) and unpulled[feed.at] <= page:
+                            self._pull(window, source, feed, page)
+                        if fifo is not None and not buffered and (name, page) not in lost:
+                            while len(fifo) >= self._CACHE_PAGES:
+                                del fifo[next(iter(fifo))]
+                            fifo[page] = None
+            segment = stop
         finally:
+            self._reached = segment
             self.io_events.pages_touched += touched
             self.io_events.bytes_read += touched * self.table.page_size
             obs_metrics.SCHEDULER_SHARED_PAGES.inc(touched)
@@ -611,7 +658,7 @@ class SharedScanStream:
     def _open_window(self, index: int) -> _Window:
         """A window from segment ``index`` on; nothing is read yet."""
         stop = index + 1
-        limit = min(len(self._segments), index + self._unit_pages)
+        limit = min(self.num_segments, index + self._unit_pages)
         needs = [consumer._remaining for consumer in self._consumers]
         while stop < limit:
             for remaining in needs:
@@ -624,7 +671,6 @@ class SharedScanStream:
         lo = int(bounds[0])
         bounds = bounds - lo
         rows = int(bounds[-1])
-        columns = {name: np.zeros(rows, dtype=dtype) for name, dtype in self._dtypes.items()}
         self._windows_opened += 1
         window = _Window(
             serial=self._windows_opened,
@@ -633,19 +679,23 @@ class SharedScanStream:
             ready=index,
             lo=lo,
             bounds=bounds,
-            columns=columns,
+            columns={},
             valid=np.ones(rows, dtype=bool),
+            dtypes=self._dtypes,
         )
         window.feeds = [self._open_feed(window, source) for source in self._sources]
         return window
 
     def _open_feed(self, window: _Window, source: _Source) -> _Feed:
-        pages = []
-        for page in range(source.first[window.first], source.last[window.stop - 1] + 1):
-            if (source.name, page) in self._lost:
-                self._invalidate(window, source, page)
-            else:
-                pages.append(page)
+        pages = range(source.first[window.first], source.last[window.stop - 1] + 1)
+        if self._lost:
+            kept = []
+            for page in pages:
+                if (source.name, page) in self._lost:
+                    self._invalidate(window, source, page)
+                else:
+                    kept.append(page)
+            pages = kept
         pieces = guarded_units(
             self._context,
             self._unit_pages,
@@ -685,7 +735,7 @@ class SharedScanStream:
                     if stop - start == len(part) == len(window.valid):
                         window.columns[name] = part  # the piece is the window: no copy
                     else:
-                        window.columns[name][start:stop] = part[skipped : skipped + stop - start]
+                        window.column(name)[start:stop] = part[skipped : skipped + stop - start]
 
     @staticmethod
     def _invalidate(window: _Window, source: _Source, page: int) -> None:
@@ -769,9 +819,9 @@ class SharedScanConsumer(Scanner):
 
     # --- stream side ------------------------------------------------------
 
-    def _receive(self, index: int, stop: int, window: _Window, pages: list[list[tuple]]) -> None:
+    def _receive(self, index: int, stop: int, window: _Window) -> None:
         """Process one delivered run, segments ``[index, stop)`` (called
-        by the stream); ``pages[k]`` is what segment ``index + k`` drew on.
+        by the stream).
 
         Deliveries run during *whoever pumps* — often a peer's
         timeslice — yet mutate this consumer's own ``context.events``.
@@ -784,25 +834,23 @@ class SharedScanConsumer(Scanner):
         """
         tracer = self.context.tracer
         if tracer is None:
-            self._receive_inner(index, stop, window, pages)
+            self._receive_inner(index, stop, window)
             return
         frame = tracer.enter(self, "receive")
         try:
-            self._receive_inner(index, stop, window, pages)
+            self._receive_inner(index, stop, window)
         finally:
             tracer.exit(frame, self.context.events)
 
-    def _receive_inner(
-        self, index: int, stop: int, window: _Window, pages: list[list[tuple]]
-    ) -> None:
+    def _receive_inner(self, index: int, stop: int, window: _Window) -> None:
         self._remaining.difference_update(range(index, stop))
         # Copy what the stream's reads found into this query's report,
         # once per page (a column page may serve several segments).
         corruption = self.context.corruption
         seen = self._seen_pages
         if self.share._lost:
-            for drawn in pages[: stop - index]:
-                for key, fault in drawn:
+            for segment in range(index, stop):
+                for key, fault in self.share._drawn(segment):
                     if key in seen:
                         continue
                     seen.add(key)
@@ -846,7 +894,7 @@ class SharedScanConsumer(Scanner):
         lo, hi = int(bounds[0]), int(bounds[-1])
         numbers, block = self._filter_pages(
             np.diff(bounds),
-            {name: window.columns[name][lo:hi] for name in self._attrs},
+            {name: window.column(name)[lo:hi] for name in self._attrs},
             window.valid[lo:hi].copy(),
             window.lo + lo,
         )
@@ -931,23 +979,25 @@ class SharedScanConsumer(Scanner):
 
 
 class ScanShareManager:
-    """The attach point: route each query to a live compatible stream.
+    """The attach point: route each query to a live stream that serves it.
 
-    Streams are keyed by (table identity, needed column set, integrity
-    mode); a query matching a stream that still has riders attaches to
-    it mid-flight (share *hit*), anything else starts a fresh stream
-    (share *miss*).  A rider need not be running to attach: the
-    scheduler boards a query still waiting for admission onto the live
-    stream its key names (:meth:`live_stream`), and it receives its
-    segments off its peers' pumps while it waits.  A stream is dropped
-    when its last rider — running or queued — detaches: its I/O totals
-    are folded into the manager's counters for workload-level
-    accounting, and nothing of it stays reachable from here.
+    Streams are keyed by :func:`share_key`.  A query attaches mid-flight
+    to the newest live stream of its key that carries all of its
+    attributes (share *hit*); anything else starts a fresh stream (share
+    *miss*) beside the key's others, so a paged key can have several
+    live streams at once, each decoding its own attributes.  A rider
+    need not be running to attach: the scheduler boards a query still
+    waiting for admission onto a live stream that serves it
+    (:meth:`live_stream`), and it receives its segments off its peers'
+    pumps while it waits.  A stream is dropped when its last rider —
+    running or queued — detaches, or when a query of its key finds it
+    failed: its I/O totals are folded into the manager's counters, once,
+    and nothing of it stays reachable from here.
     """
 
     def __init__(self) -> None:
-        #: Streams with riders attached, by share key.
-        self._streams: dict[tuple, SharedScanStream] = {}
+        #: Streams with riders attached, by share key, oldest first.
+        self._streams: dict[tuple, list[SharedScanStream]] = {}
         #: I/O of the streams dropped so far.
         self._retired_io = CostEvents()
         self.hits = 0
@@ -959,27 +1009,41 @@ class ScanShareManager:
         query: ScanQuery,
         context: ExecutionContext,
         key: tuple | None = None,
+        needs: frozenset | None = None,
         queued: bool = False,
+        wanted=(),
     ) -> SharedScanConsumer:
-        """A consumer for ``query``, shared with compatible live scans.
+        """A consumer for ``query``, on a live stream that serves it or a
+        fresh one.
 
-        ``key`` is the query's :func:`share_key` when the caller has it
-        already; ``queued`` marks a rider that boards while it waits for
+        ``key`` and ``needs`` are the query's :func:`share_key` and
+        :func:`share_needs` when the caller has them already (both, or
+        neither); ``queued`` marks a rider that boards while it waits for
         admission (the ``share.attach`` event says so).  A fresh stream
-        reads by the I/O unit of ``context``'s calibration.
+        reads by the I/O unit of ``context``'s calibration and decodes
+        the query's attributes, then those of ``wanted`` it lacks and the
+        table has: the scheduler names there what the queries queued
+        under a paged key read, so that they can ride it too.
         """
         if key is None:
             key = share_key(table, query, context.strict_integrity)
-        stream = self._streams.get(key)
-        if stream is not None and stream.failed is not None:
-            # Its riders are on their way out; it charges nothing more.
-            self._retire(key, stream)
-            stream = None
+            needs = share_needs(table, query)
+        stream = None
+        for candidate in reversed(self._streams.get(key, [])[:]):
+            if candidate.failed is not None:
+                # Its riders are on their way out; it charges nothing more.
+                self._retire(key, candidate)
+            elif stream is None and (needs is None or needs <= candidate.carries):
+                stream = candidate
         hit = stream is not None
         if not hit:
+            attrs = query.scan_attributes()
+            # Only what the table has: a query naming anything else
+            # fails on a stream of its own, not on its peers'.
+            known = table.schema.attribute_names
             stream = SharedScanStream(
                 table,
-                query.scan_attributes(),
+                (*attrs, *(name for name in wanted if name in known and name not in attrs)),
                 context.strict_integrity,
                 context.calibration,
                 on_empty=functools.partial(self._retire, key),
@@ -989,7 +1053,7 @@ class ScanShareManager:
             self.hits += 1
         else:
             # Listed once it has a rider: a stream here always has one.
-            self._streams[key] = stream
+            self._streams.setdefault(key, []).append(stream)
             self.misses += 1
         flight.record(
             "share.attach",
@@ -998,6 +1062,8 @@ class ScanShareManager:
             cursor=consumer.attach_cursor,
             segments=stream.num_segments,
             riders=len(stream.consumers),
+            attrs=len(consumer._attrs),
+            stream_attrs=len(stream.attrs),
             hit=int(hit),
             miss=int(not hit),
             hit_ratio=self.hits / (self.hits + self.misses),
@@ -1005,15 +1071,22 @@ class ScanShareManager:
         )
         return consumer
 
-    def live_stream(self, key: tuple) -> SharedScanStream | None:
-        """The live, healthy stream a query with share key ``key`` would join."""
-        stream = self._streams.get(key)
-        return stream if stream is not None and stream.failed is None else None
+    def live_stream(self, key: tuple, needs: frozenset | None = None) -> SharedScanStream | None:
+        """The live, healthy stream a query with share key ``key`` and
+        :func:`share_needs` ``needs`` would join: the newest of the key's
+        that carries ``needs`` (any of them, for ``None``)."""
+        for stream in reversed(self._streams.get(key, ())):
+            if stream.failed is None and (needs is None or needs <= stream.carries):
+                return stream
+        return None
 
     def _retire(self, key: tuple, stream: SharedScanStream) -> None:
         """Drop ``stream`` (no riders left, or failed), keeping its totals."""
-        if self._streams.get(key) is stream:
-            del self._streams[key]
+        streams = self._streams.get(key, [])
+        if stream in streams:
+            streams.remove(stream)
+            if not streams:
+                del self._streams[key]
             self._retired_io.merge(stream.io_events)
 
     def discard(self, consumer: SharedScanConsumer) -> None:
@@ -1022,19 +1095,22 @@ class ScanShareManager:
 
     def live_streams(self) -> list[SharedScanStream]:
         """Streams that still have riders attached."""
-        return list(self._streams.values())
+        return [stream for streams in self._streams.values() for stream in streams]
 
     def board(self) -> list[dict]:
-        """Live-stream summaries for the scheduler dashboard."""
+        """Live-stream summaries for the scheduler dashboard: each
+        stream's attribute count, and each rider's beside its label."""
         return [
             {
                 "table": stream.table.schema.name,
                 "cursor": stream.cursor,
                 "segments": stream.num_segments,
+                "attrs": len(stream.attrs),
                 "riders": [
                     consumer.context.label or "?"
                     for consumer in stream.consumers
                 ],
+                "rider_attrs": [len(consumer._attrs) for consumer in stream.consumers],
             }
             for stream in self.live_streams()
         ]
@@ -1042,12 +1118,12 @@ class ScanShareManager:
     def io_bytes(self) -> int:
         """Bytes read by every stream ever created, each counted once."""
         return self._retired_io.bytes_read + sum(
-            stream.io_events.bytes_read for stream in self._streams.values()
+            stream.io_events.bytes_read for stream in self.live_streams()
         )
 
     def io_pages(self) -> int:
         return self._retired_io.pages_touched + sum(
-            stream.io_events.pages_touched for stream in self._streams.values()
+            stream.io_events.pages_touched for stream in self.live_streams()
         )
 
     def stats(self) -> dict:

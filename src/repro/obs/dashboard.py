@@ -5,7 +5,8 @@ through the cooperative scheduler one ``poll()`` round per frame and
 redraws the *scheduler board* between rounds: workload counters,
 trailing-window latency percentiles and qps, in-flight and sharing
 gauges, the admission queue, running queries with their timeslice
-counts, live shared-scan streams (cursor position and attached riders),
+counts, live shared-scan streams (cursor position and attached riders,
+a rider that reads fewer attributes than its stream as ``[2/3]``),
 open circuit-breaker keys, and the tail of the flight-recorder ring.
 
 Everything renders from the same sources production code uses —
@@ -107,7 +108,12 @@ def render_board(
             lines.append("  (empty)")
         lines.append(f"shared streams ({len(board['streams'])}):")
         for stream in board["streams"]:
-            riders = ", ".join(stream["riders"][:4])
+            # A rider that reads fewer attributes than its stream decodes
+            # rode a wider stream: it shows its count against the stream's.
+            riders = ", ".join(
+                label if count == stream["attrs"] else f"{label} [{count}/{stream['attrs']}]"
+                for label, count in zip(stream["riders"][:4], stream["rider_attrs"])
+            )
             if len(stream["riders"]) > 4:
                 riders += f", +{len(stream['riders']) - 4}"
             if stream["queued"]:

@@ -25,6 +25,7 @@ import pytest
 from repro.compression.base import CodecKind
 from repro.compression.registry import build_codec_for_values
 from repro.cpusim.calibration import DEFAULT_CALIBRATION
+from repro.database import Database
 from repro.data.generator import GeneratedTable
 from repro.data.tpch import (
     apply_fig5_compression,
@@ -38,10 +39,11 @@ from repro.engine.governance import QueryContext
 from repro.engine.operators import scan_core
 from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
-from repro.engine.scheduler import QueryState, Scheduler
+from repro.engine.scheduler import QueryState, Scheduler, WorkloadQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
-from repro.errors import ChecksumError, PlanError, ReproError
+from repro.errors import ChecksumError, PlanError, ReproError, SchemaError
 from repro.obs import recorder as flight
+from repro.obs.dashboard import render_board
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import SpanTracer
 from repro.storage.faults import FaultPlan
@@ -660,7 +662,7 @@ def test_run_length_is_not_observable(dataset, layout):
 # --- riding while queued is not observable ----------------------------------------
 
 
-#: Golden queries by share key: the members of a family read one column set.
+#: Golden queries by column set: the members of a family read one.
 QUEUED_FAMILIES = {
     "one": ("one-0.1pct", "one-10pct", "one-100pct"),
     "two": ("two-0.1pct", "two-10pct", "two-100pct"),
@@ -681,19 +683,60 @@ def _queued_tables(dataset: str, layout: Layout) -> list:
     return tables
 
 
-def _queued_outcomes(dataset: str, layout: Layout) -> tuple[list, int, int]:
-    """Seeded batches with a queue: 2-3 share keys, ``max_inflight`` 1-4,
-    one salvage query mixed in, a second wave submitted after 1-2 rounds.
+def _queued_batch(table, queries, salvaged: int, max_inflight: int, split: int, polls: int):
+    """One scheduled batch of ``queries``: those before ``split`` are
+    submitted, ``polls`` rounds run, then the rest are submitted and the
+    batch is run out; query ``salvaged`` reads in salvage mode.
 
     Asserts each handle's result bytes against its serial ``run_scan``
     and returns ``(outcomes, boarded, boarded mid-pass)``: per handle its
     events and corruption report (faults sorted: a rider's attach point
     orders them), and how many ``share.attach`` events were of a queued
-    rider, and how many of those boarded past cursor 0.  Runs as written
-    on the parent commit, where no rider boards.
+    rider, and how many of those boarded past cursor 0.
+    """
+    scheduler = Scheduler(max_inflight=max_inflight)
+    flight.RECORDER.clear()
+    handles = []
+    for index, query in enumerate(queries):
+        if index == split:
+            for _ in range(polls):
+                scheduler.poll()
+        handles.append(scheduler.submit(table, query, salvage=index == salvaged))
+    scheduler.run()
+    outcomes = []
+    for index, (handle, query) in enumerate(zip(handles, queries)):
+        serial = run_scan(table, query, salvage=index == salvaged)
+        assert golden._digest(handle.result) == golden._digest(serial)
+        corruption = handle.result.corruption
+        outcomes.append(
+            {
+                "events": golden._events(handle.result.events),
+                "pages_scanned": corruption.pages_scanned,
+                "faults": sorted([f.file, f.page, f.rows_lost] for f in corruption.faults),
+            }
+        )
+    boarded = [
+        event.detail["cursor"]
+        for event in flight.RECORDER.events("share.attach")
+        if event.detail.get("queued")
+    ]
+    return outcomes, len(boarded), sum(cursor > 0 for cursor in boarded)
+
+
+def _queued_outcomes(dataset: str, layout: Layout) -> tuple[dict, int, int]:
+    """Seeded batches with a queue, in two scenarios, and ``(outcomes by
+    scenario, boarded, boarded mid-pass)`` over both (:func:`_queued_batch`).
+
+    ``mixed``: 2-3 column sets, ``max_inflight`` 1-4, one salvage query
+    mixed in, a second wave submitted after 1-2 rounds.  ``wide first``:
+    ``all16`` alone for one round with ``max_inflight`` 1, then 4-7
+    narrower queries, one of them salvaged — on a row or PAX table more
+    than a window long, those its stream carries board it mid-pass.
+    Both run as written on the parent commit of each pin below.
     """
     named = golden._queries(dataset)
-    outcomes, boarded, mid_pass = [], 0, 0
+    outcomes = {"mixed": [], "wide first": []}
+    boarded = mid_pass = 0
     for size, table in enumerate(_queued_tables(dataset, layout)):
         for seed in range(4):
             rng = random.Random(f"queued-riders-{dataset}-{layout.name}-{size}-{seed}")
@@ -710,36 +753,25 @@ def _queued_outcomes(dataset: str, layout: Layout) -> tuple[list, int, int]:
             # The first wave overfills the window, so the second one queues.
             split = rng.randint(max_inflight + 1, len(queries) - 2)
             polls = rng.randint(1, 2)
-            scheduler = Scheduler(max_inflight=max_inflight)
-            flight.RECORDER.clear()
-            handles = []
-            for index, query in enumerate(queries):
-                if index == split:
-                    for _ in range(polls):
-                        scheduler.poll()
-                handles.append(scheduler.submit(table, query, salvage=index == salvaged))
-            scheduler.run()
-            for index, (handle, query) in enumerate(zip(handles, queries)):
-                serial = run_scan(table, query, salvage=index == salvaged)
-                assert golden._digest(handle.result) == golden._digest(serial)
-                corruption = handle.result.corruption
-                outcomes.append(
-                    {
-                        "events": golden._events(handle.result.events),
-                        "pages_scanned": corruption.pages_scanned,
-                        "faults": sorted([f.file, f.page, f.rows_lost] for f in corruption.faults),
-                    }
-                )
-            for event in flight.RECORDER.events("share.attach"):
-                if event.detail.get("queued"):
-                    boarded += 1
-                    mid_pass += event.detail["cursor"] > 0
+            got = _queued_batch(table, queries, salvaged, max_inflight, split, polls)
+            outcomes["mixed"] += got[0]
+            boarded, mid_pass = boarded + got[1], mid_pass + got[2]
+        for seed in range(2):
+            rng = random.Random(f"wide-first-{dataset}-{layout.name}-{size}-{seed}")
+            narrower = sorted(set(named) - {"all16"})
+            queries = [named["all16"]] + [
+                named[rng.choice(narrower)] for _ in range(rng.randint(4, 7))
+            ]
+            salvaged = rng.randrange(1, len(queries))
+            got = _queued_batch(table, queries, salvaged, 1, 1, 1)
+            outcomes["wide first"] += got[0]
+            boarded, mid_pass = boarded + got[1], mid_pass + got[2]
     return outcomes, boarded, mid_pass
 
 
-#: CRC-32 of the outcomes above, measured at the parent commit (b530eec,
-#: where a queued query attaches only once admitted): the reference is
-#: the old code.
+#: CRC-32 of the ``mixed`` outcomes above, measured at the parent commit
+#: (b530eec, where a queued query attaches only once admitted): the
+#: reference is the old code.
 QUEUED_AT_PARENT = {
     ("plain", "ROW"): "6b07198b",
     ("plain", "PAX"): "8b2cc63f",
@@ -747,6 +779,17 @@ QUEUED_AT_PARENT = {
     ("z", "ROW"): "15d2f839",
     ("z", "PAX"): "cf2e0187",
     ("z", "COLUMN"): "c0309806",
+}
+
+#: CRC-32 of the ``wide first`` outcomes, measured at the parent commit
+#: (1ebb20e, where a share key names the column set on every layout).
+WIDE_FIRST_AT_PARENT = {
+    ("plain", "ROW"): "cb330898",
+    ("plain", "PAX"): "25cfb317",
+    ("plain", "COLUMN"): "6ebbafc2",
+    ("z", "ROW"): "682a79ae",
+    ("z", "PAX"): "683b990c",
+    ("z", "COLUMN"): "3faaea02",
 }
 
 
@@ -759,8 +802,10 @@ def test_riding_while_queued_is_not_observable(dataset, layout):
     is its attach point, the stream count and the streams' I/O."""
     outcomes, boarded, mid_pass = _queued_outcomes(dataset, layout)
     assert boarded and mid_pass
-    crc = zlib.crc32(json.dumps(outcomes, sort_keys=True).encode())
+    crc = zlib.crc32(json.dumps(outcomes["mixed"], sort_keys=True).encode())
     assert f"{crc:08x}" == QUEUED_AT_PARENT[dataset, layout.name]
+    crc = zlib.crc32(json.dumps(outcomes["wide first"], sort_keys=True).encode())
+    assert f"{crc:08x}" == WIDE_FIRST_AT_PARENT[dataset, layout.name]
 
 
 # --- filtering riders together is not observable ---------------------------------
@@ -920,6 +965,172 @@ def test_a_batch_reads_each_column_set_once():
     assert all(handle.state is QueryState.DONE for handle in handles)
     assert len(scheduler.slowlog) == 64
     assert scheduler.manager.live_streams() == []
+
+
+#: The paged cells of the row-key tests: ``(layout, Fig-5 compression)``.
+ROW_KEY_CELLS = {"ROW": (Layout.ROW, False), "ROW-Z": (Layout.ROW, True), "PAX": (Layout.PAX, False)}
+
+
+def _two_projections(cell: str, faulty: bool) -> tuple[list, dict, object]:
+    """Two requests in one ``run_workload`` that project ``{A, B}`` and
+    ``{B, C}`` under one predicate on ``A`` — salvaged over a corrupt
+    page when ``faulty`` — checked against their serial ``run_scan``:
+    per rider its events and corruption report, the batch's stats, and
+    the table."""
+    layout, compress = ROW_KEY_CELLS[cell]
+    data = generate_orders(5_000, seed=34)
+    db = Database(layouts=(layout,))
+    db.create_table(data, compress=compress)
+    table = db.table("ORDERS")
+    if faulty:
+        table.file.corrupt(table.file.num_pages * 3 // 4, 97)
+    predicate = predicate_for_selectivity("O_TOTALPRICE", data.column("O_TOTALPRICE"), 0.3)
+    requests = [
+        WorkloadQuery("ORDERS", select=select, predicates=(predicate,), salvage=faulty)
+        for select in (("O_TOTALPRICE", "O_CUSTKEY"), ("O_CUSTKEY", "O_ORDERDATE"))
+    ]
+    handles = db.run_workload(requests, info=(info := {}))
+    outcomes = []
+    for handle, request in zip(handles, requests):
+        query = ScanQuery("ORDERS", select=request.select, predicates=request.predicates)
+        assert_identical(handle.result, run_scan(table, query, salvage=faulty))
+        corruption = handle.result.corruption
+        outcomes.append(
+            {
+                "events": golden._events(handle.result.events),
+                "pages_scanned": corruption.pages_scanned,
+                "faults": [[f.file, f.page, f.rows_lost] for f in corruption.faults],
+            }
+        )
+    return outcomes, info, table
+
+
+#: CRC-32 of :func:`_two_projections`' rider outcomes, measured at the
+#: parent commit (1ebb20e, where the two projections open two streams).
+TWO_PROJECTIONS_AT_PARENT = {
+    ("ROW", False): "c069f51b",
+    ("ROW", True): "9c015770",
+    ("ROW-Z", False): "000c4e21",
+    ("ROW-Z", True): "1345dcc8",
+    ("PAX", False): "c069f51b",
+    ("PAX", True): "9c015770",
+}
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "salvage"])
+@pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+def test_two_projections_of_a_row_table_share_one_pass(cell, faulty):
+    """A row page holds whole tuples: queries that project different
+    attributes of a ROW, ROW-Z or PAX table ride one stream, which reads
+    the file once, and each rider gets the bytes, events and corruption
+    report it got riding a stream of its own."""
+    outcomes, info, table = _two_projections(cell, faulty)
+    assert (info["share_misses"], info["share_hits"]) == (1, 1)
+    assert info["shared_io_pages"] == table.file.num_pages
+    assert not faulty or all(outcome["faults"] for outcome in outcomes)
+    crc = zlib.crc32(json.dumps(outcomes, sort_keys=True).encode())
+    assert f"{crc:08x}" == TWO_PROJECTIONS_AT_PARENT[cell, faulty]
+
+
+def _ledgers(scheduler, ledgers: dict) -> int:
+    """Remember every live stream's I/O ledger; returns their pages."""
+    for stream in scheduler.manager.live_streams():
+        ledgers[id(stream)] = stream.io_events
+    return sum(ledger.pages_touched for ledger in ledgers.values())
+
+
+@pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+def test_a_query_needing_more_opens_a_stream_beside(cell):
+    """A query submitted once its key's stream is mid-pass, reading an
+    attribute that stream does not decode, opens a second stream beside
+    it; both finish, and each stream's I/O counts once — while both are
+    live, after the first is retired, and at the end."""
+    layout, compress = ROW_KEY_CELLS[cell]
+    # More than two windows: the first stream is still mid-pass after two rounds.
+    data = generate_orders(36_000 if compress else 12_000, seed=36)
+    table = load_table(apply_fig5_compression(data) if compress else data, layout)
+    predicate = predicate_for_selectivity("O_TOTALPRICE", data.column("O_TOTALPRICE"), 0.2)
+    queries = [
+        ScanQuery("ORDERS", select=select, predicates=(predicate,))
+        for select in (("O_CUSTKEY",), ("O_ORDERDATE",))
+    ]
+    scheduler = Scheduler(max_inflight=2)
+    ledgers: dict = {}
+    handles = [scheduler.submit(table, queries[0])]
+    assert scheduler.poll()
+    (first,) = scheduler.manager.live_streams()
+    assert 0 < first.cursor and first.num_segments > 2 * first.window_segments
+    handles.append(scheduler.submit(table, queries[1]))
+    assert scheduler.poll()
+    assert len(scheduler.manager.live_streams()) == 2
+    counted = [_ledgers(scheduler, ledgers) == scheduler.manager.io_pages()]
+    while scheduler.poll():
+        counted.append(_ledgers(scheduler, ledgers) == scheduler.manager.io_pages())
+    assert all(counted) and len(ledgers) == 2
+    assert scheduler.manager.io_pages() == 2 * table.file.num_pages
+    stats = scheduler.stats()
+    assert (stats["share_misses"], stats["share_hits"]) == (2, 0)
+    assert stats["shared_io_bytes"] == 2 * table.file.num_pages * table.page_size
+    for handle, query in zip(handles, queries):
+        assert_identical(handle.value(), run_scan(table, query))
+
+
+@pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+def test_a_queued_query_boards_only_a_stream_that_carries_it(cell):
+    """Behind a running wide rider, a narrower queued query boards its
+    stream mid-pass — its ``share.attach`` and the board show its two
+    attributes beside the stream's three — while one that reads an
+    attribute the stream lacks waits and opens its own at admission."""
+    layout, compress = ROW_KEY_CELLS[cell]
+    # More than two windows: the wide rider is still mid-pass after two rounds.
+    data = generate_orders(36_000 if compress else 12_000, seed=37)
+    table = load_table(apply_fig5_compression(data) if compress else data, layout)
+    predicate = predicate_for_selectivity("O_TOTALPRICE", data.column("O_TOTALPRICE"), 0.2)
+    queries = [
+        ScanQuery("ORDERS", select=select, predicates=(predicate,))
+        for select in (("O_CUSTKEY", "O_ORDERDATE"), ("O_CUSTKEY",), ("O_SHIPPRIORITY",))
+    ]
+    labels = ("wide", "covered", "lacking")
+    scheduler = Scheduler(max_inflight=1)
+    flight.RECORDER.clear()
+    handles = [scheduler.submit(table, queries[0], label=labels[0])]
+    assert scheduler.poll()
+    handles += [
+        scheduler.submit(table, query, label=label) for query, label in zip(queries[1:], labels[1:])
+    ]
+    assert scheduler.poll()
+    (stream,) = scheduler.board()["streams"]
+    assert (stream["attrs"], stream["riders"], stream["rider_attrs"]) == (3, ["wide", "covered"], [3, 2])
+    assert stream["queued"] == ["covered"]
+    assert "riders: wide, covered [2/3] (1 queued)" in render_board(scheduler)
+    scheduler.run()
+    attaches = {event.query: event.detail for event in flight.RECORDER.events("share.attach")}
+    assert attaches["covered"]["queued"] == 1 and attaches["covered"]["cursor"] > 0
+    assert (attaches["covered"]["attrs"], attaches["covered"]["stream_attrs"]) == (2, 3)
+    assert attaches["lacking"]["queued"] == 0 and attaches["lacking"]["miss"] == 1
+    assert (attaches["lacking"]["attrs"], attaches["lacking"]["stream_attrs"]) == (2, 2)
+    for handle, query in zip(handles, queries):
+        assert_identical(handle.value(), run_scan(table, query))
+
+
+@pytest.mark.parametrize("bad_first", [False, True], ids=["good-first", "bad-first"])
+def test_a_query_naming_an_unknown_attribute_fails_alone(bad_first):
+    """Its attributes are queued under the row key too, yet the stream
+    its peer opens decodes only what the table has: the peer finishes,
+    and the query fails with its own typed error."""
+    table = load_table(generate_orders(2_000, seed=38), Layout.ROW)
+    queries = {
+        "good": ScanQuery("ORDERS", select=("O_CUSTKEY",)),
+        "bad": ScanQuery("ORDERS", select=("O_CUSTKEY", "O_NOSUCH")),
+    }
+    scheduler = Scheduler(max_inflight=1)
+    order = ("bad", "good") if bad_first else ("good", "bad")
+    handles = {name: scheduler.submit(table, queries[name]) for name in order}
+    scheduler.run()
+    assert handles["good"].state is QueryState.DONE, handles["good"].error
+    assert_identical(handles["good"].result, run_scan(table, queries["good"]))
+    assert handles["bad"].state is QueryState.FAILED
+    assert isinstance(handles["bad"].error, SchemaError)
 
 
 def test_boarding_looks_up_only_what_changed():
