@@ -6,7 +6,8 @@ select ∘ gather ∘ decompress over columns.  Here live
 
 * :func:`guarded_decode` — the one accounted page read+decode under the
   integrity policy (strict aborts, salvage records and skips) — and
-  :func:`guarded_decode_unit`, which serves a healthy I/O unit whole;
+  :func:`guarded_decode_unit`, which serves a healthy run of adjacent
+  pages whole: an I/O unit, or a row or PAX scan's prefetch window;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
 * :func:`guarded_units` — the one unit-at-a-time reader of a file's
@@ -17,10 +18,10 @@ select ∘ gather ∘ decompress over columns.  Here live
 * :class:`Scanner` — validation, access order, row window,
   ``describe()``, the empty block and the per-run filter kernel
   (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
-  shared stream's riders) — with :class:`PagedScanner` (an I/O unit at a
-  time, released as one batch of as many pages as the consumer wants:
-  row, PAX) and :class:`RunOnceScanner` (whole table in the first
-  ``next()``: fused, pipelined, index).
+  shared stream's riders) — with :class:`PagedScanner` (a prefetch
+  window of I/O units at a time, released as one batch of as many pages
+  as the consumer wants: row, PAX) and :class:`RunOnceScanner` (whole
+  table in the first ``next()``: fused, pipelined, index).
 
 A strategy says how a page is charged to the memory hierarchy, when its
 decompression is charged, and what it does with a decoded page.
@@ -101,8 +102,9 @@ def guarded_decode(
 
 
 def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row_span: int):
-    """Read the ascending ``pages`` as one I/O unit
-    (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) and
+    """Read the ascending ``pages`` as one buffer
+    (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) — an I/O
+    unit, or a :class:`PagedScanner`'s prefetch window of them — and
     ``decode_unit(unit, verify)`` it whole: ``(unit bytes, decoded)``.
 
     Where a page's CRC gets checked is decided here, by what the file
@@ -146,7 +148,9 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
 
 
 def unit_pages(calibration, page_size: int) -> int:
-    """Pages per I/O unit: what a scan reads, checks and decodes at once."""
+    """Pages per I/O unit: what a column scan or a shared stream reads,
+    checks and decodes at once, and what a row or PAX scan's prefetch
+    window is counted in."""
     return max(1, calibration.io_unit_bytes // page_size)
 
 
@@ -404,7 +408,7 @@ class Scanner(Operator):
     ) -> tuple[np.ndarray, Block]:
         """Filter and project adjacent decoded pages in one pass.
 
-        The one per-run kernel, under :class:`PagedScanner` (a unit's
+        The one per-run kernel, under :class:`PagedScanner` (a window's
         pages) and a shared stream's riders (a window's segments).
         ``columns`` hold the pages' tuples back to back from row
         ``row_base`` on, ``counts`` how many each page contributed;
@@ -512,24 +516,28 @@ class Scanner(Operator):
 
 
 class PagedScanner(Scanner):
-    """Unit-at-a-time scan of a one-file table (row and PAX layouts).
+    """Window-at-a-time scan of a one-file table (row and PAX layouts).
 
-    Reads the pages overlapping the row window an I/O unit
-    (``calibration.io_unit_bytes``) at a time — one read, CRC loop,
-    decode, predicate pass and projection per unit — and releases them
-    as one batch, or as many of them as the consumer wants: a page's
+    Reads the pages overlapping the row window a prefetch window at a
+    time — ``calibration.default_prefetch_depth`` I/O units of
+    ``calibration.io_unit_bytes``, or one unit under a demand hint
+    (:meth:`_window_pages`) — with one read, CRC loop, decode, predicate
+    pass and projection per window, and releases them as one batch, or
+    as many of them as the consumer wants: a page's
     checkpoint, events and fault land, and its logical blocks are handed
     off, only once the consumer's demand reaches it, so a scan that
     stops early has touched what a page-at-a-time scan would have
-    (DESIGN.md, "Scan core").  Subclasses say how pages are charged to
-    the caches.
+    (DESIGN.md, "Scan core").  Checkpoints pass at release, so a cancel
+    or a deadline is seen at least once a window: up to 6 MB (48 units
+    of 128 KB) read and decoded between two.  Subclasses say how pages
+    are charged to the caches.
     """
 
     def _open(self) -> None:
         super()._open()
         self._page_index = 0  # the next page to read
         self._row_base = 0  # the first row of the next page to release
-        #: Pages read but not yet released, in file order: a unit as
+        #: Pages read but not yet released, in file order: a window as
         #: ``[numbers, block, pages released]`` of :meth:`_filter_unit`,
         #: or, when it has to be decoded page by page, each page's bytes.
         self._pending: deque = deque()
@@ -563,12 +571,12 @@ class PagedScanner(Scanner):
                 self._page_index += 1
                 self._row_base += span
                 continue
-            self._read_unit(index, span, want)
+            self._read_window(index, span, want)
         self._emitted_any = True
         return self._pop(want)
 
-    def _read_unit(self, first: int, span: int, want: int | None) -> None:
-        """Read and decode the unit starting at page ``first``, whose
+    def _read_window(self, first: int, span: int, want: int | None) -> None:
+        """Read and decode the window starting at page ``first``, whose
         checkpoint has been passed, and release from it."""
         table = self.table
         file = table.file
@@ -576,7 +584,7 @@ class PagedScanner(Scanner):
         # certain to start inside the window.
         capacity = table.page_codec.tuples_per_page
         wanted = -(-(self.row_range[1] - self._row_base) // capacity)
-        pages = min(self._unit_pages, file.num_pages - first, wanted)
+        pages = self._window_pages(first, min(file.num_pages - first, wanted), want)
         unit, decoded = guarded_decode_unit(
             self.context, self._decode_unit, file, range(first, first + pages), span
         )
@@ -600,6 +608,31 @@ class PagedScanner(Scanner):
             # next() calls, and a view would keep the file from growing.
             self._pending.extend(bytes(unit[at : at + size]) for at in range(0, len(unit), size))
         self._release(want, passed=1)
+
+    def _window_pages(self, first: int, limit: int, want: int | None) -> int:
+        """How many of the ``limit`` pages from ``first`` one read takes.
+
+        Under a demand hint, one I/O unit, so that a ``Limit`` decodes
+        no further than the unit its answer ends in.  Otherwise a
+        prefetch window of up to ``calibration.default_prefetch_depth``
+        whole units whose pages share one verification state — every
+        page checked since the load, or none — so the window decodes
+        whole, with no CRC or with every one.  A unit holding both is
+        read alone, and goes page by page (:func:`guarded_decode_unit`).
+        """
+        unit = self._unit_pages
+        if want is not None:
+            return min(unit, limit)
+        limit = min(unit * self.context.calibration.default_prefetch_depth, limit)
+        file = self.table.file
+        if file.verified(range(first, first + limit)) in (0, limit):
+            return limit
+        state = file.verified((first,))  # of the window: 1 verified, 0 not
+        for stop in range(0, limit, unit):
+            size = min(unit, limit - stop)
+            if file.verified(range(first + stop, first + stop + size)) != size * state:
+                return stop or size  # the first unit mixed, or a later one differs
+        return limit
 
     def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
         """:meth:`_filter_pages` over decoded pages that start at row

@@ -59,6 +59,9 @@ SCANNERS = {
 }
 SELECTIVITIES = {"0.1pct": 0.001, "10pct": 0.1, "100pct": 1.0}
 CORRUPT_PAGES = (1, 5)
+#: Calibration overrides of the page-at-a-time scan: a one-page I/O
+#: unit, and one unit to a row or PAX scan's read.
+PAGE_AT_A_TIME = {"io_unit_bytes": 4096, "default_prefetch_depth": 1}
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,7 +200,7 @@ def _record(context: ExecutionContext, blocks) -> dict:
 
 
 def _context(salvage: bool = False, compressed_execution: bool = False, **overrides):
-    """``overrides`` are calibration fields (``io_unit_bytes=4096``: page at a time)."""
+    """``overrides`` are calibration fields (:data:`PAGE_AT_A_TIME`: page at a time)."""
     return ExecutionContext(
         calibration=DEFAULT_CALIBRATION.with_overrides(**overrides),
         strict_integrity=not salvage,

@@ -1,13 +1,15 @@
 """Batches: what ``next()`` hands off against what is accounted.
 
-``next()`` hands over a batch — an I/O unit's qualifying tuples, or a
-materializing operator's whole output — stamped with the logical blocks
+``next()`` hands over a batch — a row or PAX scan's prefetch window of
+qualifying tuples, a column scan's I/O unit, or a materializing
+operator's whole output — stamped with the logical blocks
 it stands for (DESIGN.md, "Scan core").  Three contracts:
 
 * **differential** — every operator above a ROW, PAX or COLUMN scan has
   the events, result bytes, logical blocks and checkpoints of the same
   plan over a page-at-a-time scan (a context whose I/O unit is one
-  page), which hands over a page's worth at a time;
+  page, read one unit at a time), which hands over a page's worth at a
+  time;
 * **governance** — a cancel or a deadline at *every* checkpoint of such
   a plan is the typed error and nothing else, with no more pages charged
   than checkpoints passed;
@@ -93,9 +95,16 @@ def _shapes(layout: Layout) -> dict[str, Query]:
     }
 
 
-def _context(layout: Layout, unit_pages: int, hook=None, **fields) -> ExecutionContext:
+def _context(
+    layout: Layout, unit_pages: int, hook=None, depth: int | None = None, **fields
+) -> ExecutionContext:
+    """I/O units of ``unit_pages`` pages, ``depth`` of them to a row or
+    PAX scan's read (the calibration's prefetch depth unless said; one
+    for one-page units: the page-at-a-time scan)."""
+    if depth is None:
+        depth = 1 if unit_pages == 1 else DEFAULT_CALIBRATION.default_prefetch_depth
     calibration = DEFAULT_CALIBRATION.with_overrides(
-        io_unit_bytes=unit_pages * PAGE_SIZES[layout]
+        io_unit_bytes=unit_pages * PAGE_SIZES[layout], default_prefetch_depth=depth
     )
     return ExecutionContext(
         calibration=calibration, governance=QueryContext(on_tick=hook), **fields
@@ -163,19 +172,23 @@ class TestOperatorsByUnitAgainstByPage:
 
 
 def test_a_row_scan_hands_over_a_unit_and_a_limit_only_what_it_wants():
-    """The mechanism, by count: one ``next()`` per unit with qualifiers —
-    and under a ``Limit``, the batch ends at the logical block that
-    satisfies it, the pages behind it unreleased."""
+    """The mechanism, by count: one ``next()`` per prefetch window with
+    qualifiers — and under a ``Limit``, which reads a unit at a time, the
+    batch ends at the logical block that satisfies it, the pages behind
+    it unreleased."""
     _lineitem, table, _orders = _tables(Layout.ROW)
     query = ScanQuery("LINEITEM", select=("L_ORDERKEY",))
     capacity = table.page_codec.tuples_per_page
     pages = table.file.num_pages
 
-    context = _context(Layout.ROW, UNIT_PAGES)
-    batches = scan_plan(context, table, query).drain()
-    assert len(batches) == -(-pages // UNIT_PAGES)
-    assert [batch.num_blocks for batch in batches[:-1]] == [UNIT_PAGES] * (len(batches) - 1)
-    assert context.events.blocks_produced == pages
+    for depth in (DEFAULT_CALIBRATION.default_prefetch_depth, 2):
+        window = UNIT_PAGES * depth
+        context = _context(Layout.ROW, UNIT_PAGES, depth=depth)
+        batches = scan_plan(context, table, query).drain()
+        assert len(batches) == -(-pages // window)
+        assert [batch.num_blocks for batch in batches[:-1]] == [window] * (len(batches) - 1)
+        assert context.events.blocks_produced == pages
+    assert len(batches) > 2  # the table spans several two-unit windows
 
     context = _context(Layout.ROW, UNIT_PAGES)
     limited = Limit(context, scan_plan(context, table, query), capacity + 1).drain()

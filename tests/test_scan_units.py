@@ -79,6 +79,7 @@ from tests.conftest import zero_metrics
 from tests.scan_golden import (
     CORRUPT_PAGES,
     GOLDEN_PATH,
+    PAGE_AT_A_TIME,
     SCANNERS,
     WINDOWS,
     _queries,
@@ -500,17 +501,23 @@ FLIPPED, FLAKY = 33, 35  # both inside the second 32-page unit (LINEITEM-Z has 3
 
 
 def _page_at_a_time() -> ExecutionContext:
-    """A context whose I/O unit is one page: the page-at-a-time scan."""
-    calibration = DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=4096)
+    """A context whose I/O unit is one page, read one unit at a time: the
+    page-at-a-time scan."""
+    calibration = DEFAULT_CALIBRATION.with_overrides(**PAGE_AT_A_TIME)
     return ExecutionContext(calibration=calibration, governance=QueryContext())
 
 
-def _unit_at_a_time() -> ExecutionContext:
+def _window_at_a_time() -> ExecutionContext:
     return ExecutionContext(governance=QueryContext())
 
 
-def _faulty_row_table(data):
-    table = load_table(data, Layout.ROW)
+def _lineitem(dataset: str):
+    plain = generate_lineitem(ROWS, seed=77)
+    return apply_fig5_compression(plain) if dataset == "z" else plain
+
+
+def _faulty_table(data, layout: Layout = Layout.ROW):
+    table = load_table(data, layout)
     table.file.retry_policy = RetryPolicy(sleep=lambda _seconds: None)
     plan = FaultPlan(seed=9)
     plan.schedule_bit_flip(FLIPPED, byte=11, bit=3)
@@ -545,8 +552,7 @@ def fresh_telemetry():
 class TestFaultsMidUnit:
     @pytest.fixture()
     def data(self, dataset):
-        plain = generate_lineitem(ROWS, seed=77)
-        return apply_fig5_compression(plain) if dataset == "z" else plain
+        return _lineitem(dataset)
 
     @staticmethod
     def _query(data) -> ScanQuery:
@@ -561,9 +567,9 @@ class TestFaultsMidUnit:
         query = self._query(data)
         clean = run_scan(load_table(data, Layout.ROW), query)
         zero_metrics()
-        table, plan = _faulty_row_table(data)
+        table, plan = _faulty_table(data)
         assert table.file.num_pages > FLAKY  # both faults sit mid-table
-        context = _unit_at_a_time()
+        context = _window_at_a_time()
         result = run_scan(table, query, context, salvage=True)
 
         capacity = table.page_codec.tuples_per_page
@@ -588,7 +594,7 @@ class TestFaultsMidUnit:
         assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
 
         # Differential: the page-at-a-time scan of the same faults.
-        reference_table, _plan = _faulty_row_table(data)
+        reference_table, _plan = _faulty_table(data)
         reference_context = _page_at_a_time()
         reference = run_scan(reference_table, query, reference_context, salvage=True)
         assert _outcome(result, context) == _outcome(reference, reference_context)
@@ -596,20 +602,24 @@ class TestFaultsMidUnit:
     def test_strict_raises_the_pages_checksum_error(self, data):
         query = self._query(data)
         messages = []
-        for context in (_unit_at_a_time(), _page_at_a_time()):
-            table, _plan = _faulty_row_table(data)
+        for context in (_window_at_a_time(), _page_at_a_time()):
+            table, _plan = _faulty_table(data)
             with pytest.raises(ChecksumError, match=f"page {FLIPPED} checksum") as raised:
                 run_scan(table, query, context)
             messages.append((str(raised.value), context.governance.ticks > 0))
         assert messages[0] == messages[1]
 
     def test_unreadable_page_is_dropped_alone(self, data):
-        """Retries exhausted: the unit before ends short of the page, and
-        the page, tried once more at the head of the next unit, is
-        dropped by name."""
+        """Retries exhausted: the window before ends short of the page, and
+        the page, tried once more at the head of the next window, is
+        dropped by name — a retry budget spent per window that reaches it."""
         query = self._query(data)
         outcomes = []
-        for context, budgets in ((_unit_at_a_time(), 2), (_page_at_a_time(), 1)):
+        for context in (_window_at_a_time(), _page_at_a_time()):
+            calibration = context.calibration
+            window = calibration.io_unit_bytes * calibration.default_prefetch_depth // 4096
+            # A window that reaches the page past its head, then the one it heads.
+            budgets = 1 if FLAKY % window == 0 else 2
             table = load_table(data, Layout.ROW)
             table.file.retry_policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
             plan = FaultPlan(seed=1).schedule_transient_reads(10_000, page=FLAKY)
@@ -627,8 +637,8 @@ class TestFaultsMidUnit:
         run strict: the flipped page is read but never reached)."""
         query = self._query(data)
         outcomes = []
-        for context in (_unit_at_a_time(), _page_at_a_time()):
-            table, _plan = _faulty_row_table(data)
+        for context in (_window_at_a_time(), _page_at_a_time()):
+            table, _plan = _faulty_table(data)
             context.strict_integrity = limit < 400
             blocks = Limit(context, scan_plan(context, table, query), limit).drain()
             outcomes.append(
@@ -660,8 +670,8 @@ class TestGovernance:
 
     QUERY = ScanQuery("LINEITEM", select=("L_ORDERKEY", "L_QUANTITY"))
 
-    def _plan(self, table, hook):
-        context = ExecutionContext(governance=QueryContext(on_tick=hook))
+    def _plan(self, table, hook, calibration=DEFAULT_CALIBRATION):
+        context = ExecutionContext(calibration=calibration, governance=QueryContext(on_tick=hook))
         return context, scan_plan(context, table, self.QUERY)
 
     def test_no_page_is_charged_before_its_checkpoint(self, table):
@@ -672,7 +682,9 @@ class TestGovernance:
         runs = []
         for calibration in (
             DEFAULT_CALIBRATION,
-            DEFAULT_CALIBRATION.with_overrides(io_unit_bytes=table.page_size),
+            DEFAULT_CALIBRATION.with_overrides(
+                io_unit_bytes=table.page_size, default_prefetch_depth=1
+            ),
         ):
             seen = []
             context = ExecutionContext(
@@ -692,7 +704,7 @@ class TestGovernance:
                 )
             )
         (by_unit, *unit_totals), (by_page, *page_totals) = runs
-        # The same logical blocks, a unit's worth to the batch or a page's.
+        # The same logical blocks, a window's worth to the batch or a page's.
         assert sum(by_unit, []) == sum(by_page, []) and len(by_unit) < len(by_page)
         assert unit_totals == page_totals
         events, pages_scanned, ticks = unit_totals
@@ -734,26 +746,168 @@ class TestGovernance:
     def test_abort_between_units_is_typed_and_leaves_no_partial_result(
         self, table, error
     ):
-        unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        # Two-unit windows, so that the table spans several.
+        window = 2 * (DEFAULT_CALIBRATION.io_unit_bytes // table.page_size)
+        assert table.file.num_pages > window
 
         def hook(governance):
-            # Fires among the second unit's checkpoints, the first done.
-            if context.events.pages_touched == unit:
+            # Fires among the second window's checkpoints, the first done.
+            if context.events.pages_touched == window:
                 if error is QueryCancelled:
-                    governance.token.cancel("between units")
+                    governance.token.cancel("between windows")
                 else:
                     governance.deadline = time.monotonic() - 1.0
 
-        context, plan = self._plan(table, hook)
+        context, plan = self._plan(
+            table, hook, DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=2)
+        )
         plan.open()
         with pytest.raises(error):
             while plan.next() is not None:
                 pass
-        # The abort is the only outcome: none of the second unit's pages
+        # The abort is the only outcome: none of the second window's pages
         # was charged or emitted.
-        assert context.events.pages_touched == unit
+        assert context.events.pages_touched == window
         full = run_scan(table, self.QUERY)
         assert full.num_tuples == ROWS
+
+
+# --- row and PAX scans read a prefetch window -----------------------------------
+
+WINDOW_TABLES = {
+    "row": (Layout.ROW, "plain"),
+    "row-z": (Layout.ROW, "z"),
+    "pax": (Layout.PAX, "plain"),
+}
+
+
+def _depth_context(depth: int, salvage: bool = False) -> ExecutionContext:
+    """Row and PAX scans reading ``depth`` I/O units at a time."""
+    return ExecutionContext(
+        calibration=DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=depth),
+        strict_integrity=not salvage,
+        governance=QueryContext(),
+    )
+
+
+@pytest.mark.parametrize("salvage", [False, True], ids=["strict", "salvage"])
+@pytest.mark.parametrize("name", list(WINDOW_TABLES))
+def test_the_window_size_is_not_observable(name, salvage):
+    """A bit flip and a transient fault inside the second unit, read one,
+    two and the default 48 units at a time: the same result bytes,
+    events, ticks, faults, pages scanned and injected faults — and under
+    strict integrity the same error, raised at the same checkpoint."""
+    layout, dataset = WINDOW_TABLES[name]
+    data = _lineitem(dataset)
+    query = TestFaultsMidUnit._query(data)
+    outcomes = []
+    for depth in (1, 2, DEFAULT_CALIBRATION.default_prefetch_depth):
+        table, plan = _faulty_table(data, layout)
+        unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        assert unit <= FLIPPED < FLAKY < min(2 * unit, table.file.num_pages)
+        context = _depth_context(depth, salvage)
+        if salvage:
+            outcome = _outcome(run_scan(table, query, context, salvage=True), context)
+            lost = table.row_span_of_page(FLIPPED)
+            assert outcome["faults"] == [(table.file.name, FLIPPED, lost)]
+        else:
+            with pytest.raises(ChecksumError, match=f"page {FLIPPED} checksum") as raised:
+                run_scan(table, query, context)
+            outcome = {
+                "error": str(raised.value),
+                "events": context.events.as_dict(),
+                "pages_scanned": context.corruption.pages_scanned,
+                "ticks": context.governance.ticks,
+            }
+        outcome["injected"] = (plan.transient_raised, plan.pages_corrupted)
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class _ReadSpy:
+    """Records every ``read_pages`` call of a resident file, which stays
+    an exact :class:`PagedFile` (its verification flags keep counting)."""
+
+    def __init__(self, monkeypatch, file: PagedFile):
+        self.reads: list[range] = []
+        read_pages = file.read_pages
+
+        def spy(pages):
+            self.reads.append(pages)
+            return read_pages(pages)
+
+        monkeypatch.setattr(file, "read_pages", spy)
+
+    def take(self) -> list[range]:
+        reads, self.reads = self.reads, []
+        return reads
+
+
+@pytest.mark.parametrize("name", list(WINDOW_TABLES))
+class TestWindowRules:
+    @staticmethod
+    def _case(name):
+        layout, dataset = WINDOW_TABLES[name]
+        data = _lineitem(dataset)
+        return data, TestFaultsMidUnit._query(data), layout
+
+    @staticmethod
+    def _page_decodes(monkeypatch) -> list[int]:
+        pages = []
+        decode = scan_core.guarded_decode
+
+        def spy(context, decode_page, file, page, row_span, data=None):
+            pages.append(page)
+            return decode(context, decode_page, file, page, row_span, data)
+
+        monkeypatch.setattr(scan_core, "guarded_decode", spy)
+        return pages
+
+    def test_a_limit_reads_one_unit_and_a_full_scan_after_it_windows(self, name, monkeypatch):
+        """Under a demand hint a scan reads an I/O unit, not a window.  The
+        next full scan reads that verified unit as a window of its own
+        and the unverified rest as another — no page decoded alone — and
+        sees what a scan of a fresh table sees."""
+        data, query, layout = self._case(name)
+        table = load_table(data, layout)
+        pages, unit = table.file.num_pages, DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        assert unit < pages < DEFAULT_CALIBRATION.default_prefetch_depth * unit
+        spy = _ReadSpy(monkeypatch, table.file)
+        capacity = table.page_codec.tuples_per_page
+        context = _window_at_a_time()
+        Limit(context, scan_plan(context, table, query), capacity + 1).drain()
+        assert spy.take() == [range(0, unit)]
+        assert table.file.verified(range(pages)) == unit
+
+        page_decodes = self._page_decodes(monkeypatch)
+        context = _window_at_a_time()
+        after = run_scan(table, query, context)
+        assert spy.take() == [range(0, unit), range(unit, pages)]
+        assert page_decodes == []
+        fresh_context = _window_at_a_time()
+        fresh = run_scan(load_table(data, layout), query, fresh_context)
+        assert _outcome(after, context) == _outcome(fresh, fresh_context)
+
+    def test_a_unit_partly_verified_is_read_alone_page_by_page(self, name, monkeypatch):
+        """A windowed scan that started mid-unit left the first unit partly
+        verified: the full scan after it reads that unit alone and decodes
+        it page by page, each page checked at most once, then windows."""
+        data, query, layout = self._case(name)
+        table = load_table(data, layout)
+        pages, unit = table.file.num_pages, DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
+        start = 5 * table.page_codec.tuples_per_page
+        scan_plan(ExecutionContext(), table, query, row_range=(start, table.num_rows)).drain()
+        assert table.file.verified(range(unit)) == unit - 5
+
+        spy = _ReadSpy(monkeypatch, table.file)
+        page_decodes = self._page_decodes(monkeypatch)
+        context = _window_at_a_time()
+        after = run_scan(table, query, context)
+        assert spy.take() == [range(0, unit), range(unit, pages)]
+        assert page_decodes == list(range(unit))
+        fresh_context = _window_at_a_time()
+        fresh = run_scan(load_table(data, layout), query, fresh_context)
+        assert _outcome(after, context) == _outcome(fresh, fresh_context)
 
 
 # --- column scans: the unit path against the page path -------------------------
@@ -773,7 +927,7 @@ class TestColumnUnitsAgainstPages:
                 for faults in ({}, {"corrupt": True, "salvage": True}):
                     by_unit = _run_scan(dataset, scanner, query, window, **faults)
                     by_page = _run_scan(
-                        dataset, scanner, query, window, io_unit_bytes=4096, **faults
+                        dataset, scanner, query, window, **PAGE_AT_A_TIME, **faults
                     )
                     assert by_unit == by_page
                     lost |= {page for _file, page, _rows in by_unit["faults"]}
@@ -785,7 +939,7 @@ class TestColumnUnitsAgainstPages:
         for shape in ("all16", "one-10pct"):
             query = _queries(dataset)[shape]
             messages = []
-            for unit in ({}, {"io_unit_bytes": 4096}):
+            for unit in ({}, PAGE_AT_A_TIME):
                 with pytest.raises(ChecksumError, match=r"page [15] checksum") as raised:
                     _run_scan(dataset, scanner, query, None, corrupt=True, **unit)
                 messages.append(str(raised.value))
@@ -812,7 +966,7 @@ def test_unreadable_column_page_ends_its_unit_and_is_dropped_alone(scanner):
     kind = SCANNERS[scanner][1]
     clean = run_scan(load_table(data, Layout.COLUMN), query, column_scanner=kind)
     outcomes = []
-    for context, budgets in ((_unit_at_a_time(), 2), (_page_at_a_time(), 1)):
+    for context, budgets in ((_window_at_a_time(), 2), (_page_at_a_time(), 1)):
         table = load_table(data, Layout.COLUMN)
         comments = table.column_file("L_COMMENT")
         comments.file.retry_policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None)
@@ -846,7 +1000,7 @@ def test_a_truncated_column_loses_only_its_missing_pages(scanner, tmp_path):
     dropped = 3
     drop_trailing_pages(tmp_path / "lineitem" / "L_COMMENT.pages", 4096, pages=dropped)
     outcomes = []
-    for context in (_unit_at_a_time(), _page_at_a_time()):
+    for context in (_window_at_a_time(), _page_at_a_time()):
         table = open_table(tmp_path / "lineitem", salvage=CorruptionReport())
         comments = table.column_file("L_COMMENT")
         present = comments.file.num_pages
@@ -907,7 +1061,7 @@ def _sparse_scan(data, query, by_page: bool, strict: bool = True, corrupt=None) 
     table = load_table(data, Layout.COLUMN)
     if corrupt is not None:
         table.column_file("L_COMMENT").file.corrupt(corrupt, 97)
-    context = _page_at_a_time() if by_page else _unit_at_a_time()
+    context = _page_at_a_time() if by_page else _window_at_a_time()
     context = ExecutionContext(
         calibration=context.calibration, strict_integrity=strict, governance=QueryContext()
     )
@@ -937,7 +1091,7 @@ class TestSpanUnits:
             return read(context, decode_unit, file, pages, row_span)
 
         monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
-        run_scan(table, query, _unit_at_a_time())
+        run_scan(table, query, _window_at_a_time())
         span = touched[-1] - touched[0] + 1
         runs = 1 + sum(b - a > 1 for a, b in zip(touched, touched[1:]))
         assert len(reads) <= -(-span // unit) < runs
