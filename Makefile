@@ -143,8 +143,10 @@ scheduler-test:
 # strict and salvage over corrupt pages, fault injection), the loads'
 # unit encoder against CRCs of the page-at-a-time one for every page
 # codec (tests/test_page_encode.py), the page codecs' strides,
-# capacities and round trips (tests/test_storage_{page,tables}.py), then
-# 200 differential fuzz cases.
+# capacities and round trips (tests/test_storage_{page,tables}.py), the
+# codec suites (bit packing, dictionary, frame-of-reference, their
+# properties) and the wanted-codes gather against a full decode then a
+# take (tests/test_column_gather.py), then 200 differential fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
 # engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
@@ -163,7 +165,9 @@ scan-test:
 		tests/test_index.py tests/test_storage_integrity.py \
 		tests/test_storage_pax.py tests/test_failure_injection.py \
 		tests/test_page_encode.py tests/test_storage_page.py \
-		tests/test_storage_tables.py -q
+		tests/test_storage_tables.py tests/test_compression_bitpack.py \
+		tests/test_compression_dictionary.py tests/test_compression_frame.py \
+		tests/test_property_codecs.py tests/test_column_gather.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

@@ -177,31 +177,6 @@ class Codec(abc.ABC):
         """Unpack all ``count`` values of a page."""
         return self.decode_codes(self.unpack_codes(payload, count), state.base)
 
-    def decode_positions(
-        self,
-        payload: bytes,
-        count: int,
-        state: PageCodecState,
-        positions: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """Unpack only the values at ``positions`` (sorted, in-page).
-
-        Returns ``(values, values_decoded)`` where ``values_decoded`` is
-        the number of decode operations the CPU model charges: schemes
-        with :attr:`decodes_whole_page` set decode all ``count`` values
-        regardless of how few are requested, the others one per
-        position.  (The Python-level work is a full unpack then a gather
-        either way; the *cost accounting* is what matters for the study.)
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size and (positions[0] < 0 or positions[-1] >= count):
-            raise CompressionError(
-                f"position out of page range [0, {count}): "
-                f"{positions[0]}..{positions[-1]}"
-            )
-        values = self.decode_page(payload, count, state)[positions]
-        return values, count if self.decodes_whole_page else int(positions.size)
-
     def effective_bits(self, values: np.ndarray) -> float:
         """Average stored bits per value on this data.
 

@@ -11,6 +11,8 @@ every fixed-stride record of a buffer (bit ``b`` of a record is bit
 ``b % 8`` of its byte ``b // 8``).  A compressed row page is such a
 buffer with a record per tuple, a packed column page one with a record
 per ``lcm(bits, 8)`` bits (:func:`pack_bits`, :func:`unpack_bits`).
+:func:`gather_bits_at` reads fields at any bit offsets: the few codes
+a position list wants from column pages, without unpacking the rest.
 """
 
 from __future__ import annotations
@@ -74,6 +76,33 @@ def gather_bits(buffer, shape, strides, bit_offset: int, bits: int) -> np.ndarra
     ninth = np.ndarray(shape, np.uint8, buffer, first + 8, strides)
     value = (word >> np.uint64(shift)) | (ninth.astype(np.uint64) << np.uint64(64 - shift))
     return (value & np.uint64((1 << bits) - 1)).astype(np.int64)
+
+
+def gather_bits_at(
+    buffer, offset: int, stride: int, rows: np.ndarray, bit_offsets: np.ndarray, bits: int
+) -> np.ndarray:
+    """The ``bits``-wide field at bit ``bit_offsets[i]`` of row ``rows[i]``,
+    for every ``i``, as int64; rows start ``stride`` bytes apart from
+    byte ``offset`` of ``buffer`` (a column page's payload is a row).
+
+    :func:`gather_bits` for fields wherever they lie: one little-endian
+    8-byte word per field, read through an overlapping ``<u8`` view of
+    the rows (a word starting at every byte), one shift and one mask; a
+    field spilling into a ninth byte (wider than 57 bits) ORs that byte
+    in.  Words overrun their field by up to :data:`GATHER_SLACK_BYTES`,
+    which ``buffer`` must cover.
+    """
+    size = memoryview(buffer).nbytes
+    count = -(-(size - offset) // stride)
+    width = size - offset - (count - 1) * stride - 7  # the last row's words end the buffer
+    first, shift = np.divmod(bit_offsets, 8)
+    shift = shift.view(np.uint64)  # non-negative: the same bits
+    value = np.ndarray((count, width), "<u8", buffer, offset, (stride, 1))[rows, first] >> shift
+    if bits > 57:
+        ninth = np.ndarray((count, width - 1), np.uint8, buffer, offset + 8, (stride, 1))
+        value |= ninth[rows, first].astype(np.uint64) << (np.uint64(64) - shift)
+    value &= np.uint64((1 << bits) - 1)
+    return value.view(np.int64)  # below 2**63: the same bits
 
 
 def scatter_bits(buffer, shape, strides, bit_offset: int, bits: int, values) -> None:

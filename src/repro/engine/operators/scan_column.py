@@ -9,13 +9,17 @@ the resulting tuples (predicate nodes) or merely attaches its values
 (predicate-free nodes).  Blocks are exchanged between nodes in the same
 block-iterator format the rest of the engine uses.
 
-Both kinds of node work an I/O unit of column pages at a time — read,
-CRC, decode, then one predicate pass (first node) or one gather of the
-wanted positions (later nodes) per unit, and one cache-line pass per
-node for every line size — while every charge, checkpoint and fault
-stays per logical page (DESIGN.md, "Scan core").  A later node's unit is
-one I/O unit's span of the pages its positions touch: the pages between
-them are never read.
+Both kinds of node work a prefetch window of column pages at a time
+(:func:`~repro.engine.operators.scan_core.window_stop`) — one read, CRC
+loop and decode, then one predicate pass (first node) or one gather of
+the wanted positions (later nodes) per window — while every charge,
+checkpoint and fault stays per logical page (DESIGN.md, "Scan core").
+A later node's window is the pages its positions touch within the
+window's span: the pages between them are never read.  It reads only
+the codes its positions want, each at its bit offset, and decodes only
+those (:meth:`~repro.storage.table.ColumnFile.gather_unit`); the cache
+lines it moves are counted once per distinct access
+(:meth:`ColumnScanner._compute`).
 
 The cost consequences the paper measures all live here:
 
@@ -60,20 +64,51 @@ class ColumnScanner(RunOnceScanner):
 
         Nodes logically exchange 100-tuple blocks; the work and the
         block handoffs are accounted per node and per logical page,
-        while the computation is vectorized an I/O unit at a time.
+        while the computation is vectorized a prefetch window at a time.
+        While the position list is unchanged — every node that attaches
+        values after the last that filters — nodes of one page geometry
+        share its position map, and nodes that move the same lines
+        share one count of them, charged once per node that moved them.
         """
         positions, collected = self._run_first_node(self._attrs[0])
-        for attr in self._attrs[1:]:
-            # What the node before handed this one; the last node's
-            # hand-offs are the scanner's own, counted as they are made.
-            self.events.blocks_produced += len(
-                logical_bounds(self.context.block_size, (positions.size,))
-            )
-            positions, collected = self._run_inner_node(attr, positions, collected)
+        #: Position maps of the list at hand, by values per page.
+        maps: dict = {}
+        #: ``(bounds, in_page, counts, bits, nodes)`` of each distinct
+        #: line access finished nodes made, by (bounds, bits, counts).
+        lines: dict = {}
+        try:
+            for attr in self._attrs[1:]:
+                # What the node before handed this one; the last node's
+                # hand-offs are the scanner's own, counted as they are made.
+                self.events.blocks_produced += len(
+                    logical_bounds(self.context.block_size, (positions.size,))
+                )
+                handed = positions
+                positions, collected = self._run_inner_node(
+                    attr, positions, collected, maps, lines
+                )
+                if positions is not handed:
+                    maps.clear()
+        finally:
+            self._charge_lines(lines)
         return Block(
             columns={name: collected[name] for name in self.select},
             positions=positions,
         )
+
+    def _charge_lines(self, lines: dict) -> None:
+        """Charge the caches for the nodes' line accesses
+        (:func:`position_lines`), each counted once for all its nodes."""
+        events = self.events
+        calibration = self.context.calibration
+        line_sizes = (calibration.l2_line_bytes, calibration.l1_line_bytes)
+        for bounds, in_page, counts, bits, nodes in lines.values():
+            (seq, rand), (l1_seq, l1_rand) = position_lines(
+                bounds, in_page, counts, bits, line_sizes
+            )
+            events.mem_seq_lines += seq * nodes
+            events.mem_rand_lines += rand * nodes
+            events.l1_lines += (l1_seq + l1_rand) * nodes
 
     def _run_first_node(self, attr: str) -> tuple[np.ndarray, dict]:
         """Dense scan of the deepest column."""
@@ -139,10 +174,12 @@ class ColumnScanner(RunOnceScanner):
         attr: str,
         positions: np.ndarray,
         collected: dict,
+        maps: dict,
+        lines: dict,
     ) -> tuple[np.ndarray, dict]:
-        """Position-driven scan of one later column."""
+        """Position-driven scan of one later column; its line access is
+        added to ``lines``, and ``maps`` serves its position map."""
         events = self.events
-        calibration = self.context.calibration
         spec = self.table.schema.attribute(attr).spec
         column_file = self.table.column_file(attr)
         codec = column_file.page_codec.codec
@@ -153,21 +190,15 @@ class ColumnScanner(RunOnceScanner):
 
         values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
         if positions.size:
-            page_ids, in_page = column_file.locate(positions)
-            # The sorted list cut at page boundaries: touched page ``t``
-            # holds positions ``cuts[t]:cuts[t + 1]``.
-            turns = np.flatnonzero(page_ids[1:] != page_ids[:-1]) + 1
-            bounds = np.concatenate(([0], turns, [positions.size]))
-            cuts = bounds.tolist()
-            touched = page_ids[bounds[:-1]].tolist()
+            in_page, on_page, bounds, cuts, touched = _position_map(column_file, positions, maps)
             #: Values on each touched page; 0 where salvage dropped it.
             counts = np.zeros(len(touched), dtype=np.int64)
 
             def gather(unit, t, pages, verify):
                 # Touched pages ``t`` on, in the unit back to back.
-                in_unit = np.repeat(np.arange(pages), np.diff(bounds[t : t + pages + 1]))
+                start, stop = cuts[t], cuts[t + pages]
                 return column_file.gather_unit(
-                    unit, in_unit, in_page[cuts[t] : cuts[t + pages]], verify
+                    unit, on_page[start:stop] - t, in_page[start:stop], verify
                 )
 
             chunks, lost = [], []
@@ -186,7 +217,6 @@ class ColumnScanner(RunOnceScanner):
                 # so they leave the pipeline — the position list and every
                 # collected column shrink in lockstep — and with no position
                 # left on it the page is charged nothing below.
-                on_page = np.repeat(np.arange(len(touched)), np.diff(bounds))
                 keep = ~np.isin(on_page, lost)
                 positions, in_page = positions[keep], in_page[keep]
                 collected = {name: col[keep] for name, col in collected.items()}
@@ -195,16 +225,11 @@ class ColumnScanner(RunOnceScanner):
             events.pages_touched += len(touched) - len(lost)
             whole = codec.decodes_whole_page
             events.count_decode(spec.kind, int(counts.sum()) if whole else positions.size)
-            (seq, rand), (l1_seq, l1_rand) = position_lines(
-                bounds,
-                in_page,
-                counts,
-                codec.bits_per_value,
-                (calibration.l2_line_bytes, calibration.l1_line_bytes),
-            )
-            events.mem_seq_lines += seq
-            events.mem_rand_lines += rand
-            events.l1_lines += l1_seq + l1_rand
+            bits = codec.bits_per_value
+            # ``bounds`` is the map's own while no page was lost, so its
+            # identity (the entry keeps it alive) names the map.
+            key = (id(bounds), bits, counts.tobytes())
+            lines.setdefault(key, [bounds, in_page, counts, bits, 0])[4] += 1
 
         if bound:
             # Rewrite: qualifying tuples are copied whole to new blocks.
@@ -231,3 +256,27 @@ class ColumnScanner(RunOnceScanner):
             collected = dict(collected)
             collected[attr] = values
         return positions, collected
+
+
+def _position_map(column_file, positions: np.ndarray, maps: dict) -> tuple:
+    """``(in_page, on_page, bounds, cuts, touched)`` of ``positions`` on a
+    column's pages: each position's value index on its page and the index
+    of its page among the touched ones, the list cut at page boundaries
+    (touched page ``t`` holds positions ``bounds[t]:bounds[t + 1]``,
+    ``cuts`` as a list) and the touched pages.
+
+    A fixed-width column's pages hold ``values_per_page`` values each,
+    so ``maps`` keeps one map per such geometry for the list at hand; an
+    RLE column's page directory is its own.
+    """
+    geometry = column_file.values_per_page if column_file.first_rows is None else None
+    if geometry in maps:
+        return maps[geometry]
+    page_ids, in_page = column_file.locate(positions)
+    turns = np.flatnonzero(page_ids[1:] != page_ids[:-1]) + 1
+    bounds = np.concatenate(([0], turns, [positions.size]))
+    on_page = np.repeat(np.arange(turns.size + 1), np.diff(bounds))
+    found = in_page, on_page, bounds, bounds.tolist(), page_ids[bounds[:-1]].tolist()
+    if geometry is not None:
+        maps[geometry] = found
+    return found

@@ -6,15 +6,19 @@ select ∘ gather ∘ decompress over columns.  Here live
 
 * :func:`guarded_decode` — the one accounted page read+decode under the
   integrity policy (strict aborts, salvage records and skips) — and
-  :func:`guarded_decode_unit`, which serves a healthy run of adjacent
-  pages whole: an I/O unit, or a row or PAX scan's prefetch window;
+  :func:`guarded_decode_unit`, which serves a healthy run of pages
+  whole: a prefetch window, or a shared stream's I/O unit;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
-* :func:`guarded_units` — the one unit-at-a-time reader of a file's
-  pages (:func:`unit_pages` at a time), a lazy generator: under
-  :meth:`Scanner._guarded_units` (the dense :meth:`Scanner._dense_pages`
-  and the pipelined scanner's position-driven nodes) and under a shared
-  stream's windows (:mod:`repro.engine.sharing`);
+* :func:`window_stop` — the one window rule: up to
+  ``default_prefetch_depth`` I/O units, cut where the pages'
+  verification state changes;
+* :func:`guarded_units` — the one window-at-a-time reader of a file's
+  listed pages, a lazy generator: under :meth:`Scanner._guarded_units`
+  (the dense :meth:`Scanner._dense_pages` and the pipelined scanner's
+  position-driven nodes, a prefetch window at a time) and under a
+  shared stream's windows (:mod:`repro.engine.sharing`, an I/O unit at
+  a time);
 * :class:`Scanner` — validation, access order, row window,
   ``describe()``, the empty block and the per-run filter kernel
   (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
@@ -103,8 +107,8 @@ def guarded_decode(
 
 def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row_span: int):
     """Read the ascending ``pages`` as one buffer
-    (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) — an I/O
-    unit, or a :class:`PagedScanner`'s prefetch window of them — and
+    (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) — a prefetch
+    window of I/O units (:func:`window_stop`), or a shared stream's one — and
     ``decode_unit(unit, verify)`` it whole: ``(unit bytes, decoded)``.
 
     Where a page's CRC gets checked is decided here, by what the file
@@ -154,25 +158,59 @@ def unit_pages(calibration, page_size: int) -> int:
     return max(1, calibration.io_unit_bytes // page_size)
 
 
-def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
-    """Read, check and decode the ascending ``pages`` of a file an I/O
-    unit (``unit_size`` pages) at a time: yields ``(at, run, decoded)``.
+def window_stop(file, pages, at: int, unit: int, depth: int) -> int:
+    """Where one read of the ascending ``pages`` from ``pages[at]`` stops:
+    the index of the first listed page it leaves for the next.
 
-    The one unit reader: under :meth:`Scanner._guarded_units` (the
-    column scans) and a shared stream's windows (:mod:`repro.engine.
-    sharing`), which pulls a piece only when a segment needs it.  A unit
-    is one I/O unit's span of the listed pages: ``pages[at]`` and every
-    following one that lies within ``unit_size`` pages of it (and inside
-    the file), ``run`` of them, read as one buffer of those pages alone
-    — adjacent pages are the unit a dense scan reads, and a page the list
-    skips is never read, checked or counted.  ``decoded`` is what
-    ``decode(unit, at, run, verify)`` made of it, ``verify`` saying
-    whether to check the CRCs (:func:`guarded_decode_unit`).  A unit that
-    does not decode whole is served page by page from the bytes already
-    read, so a fault names its page: ``decoded`` is then what
-    ``decode(data, at, 1, verify)`` made of one page, or ``None`` where
-    salvage dropped it
-    (``span_of(at)`` rows are recorded lost).  A unit that comes back
+    The one window rule, for a row or PAX scan's prefetch window and a
+    column scan's alike: the listed pages that lie within ``depth`` I/O
+    units of ``unit`` pages of ``pages[at]``, and inside the file, cut
+    where their verification state changes — every page checked since
+    the load, or none (:meth:`~repro.storage.pagefile.PagedFile.
+    verified`) — so that a window decodes whole, with no CRC or with
+    every one.  The state is judged a unit at a time, units counted from
+    ``pages[at]``: a window ends before the first unit whose state is
+    not its first page's, and a first unit holding both is read alone,
+    to go page by page (:func:`guarded_decode_unit`).
+    """
+    first = pages[at]
+    span = unit * depth
+    # A window ends at the end of the file: a salvage-opened file can be
+    # shorter than its directory, and each page past it is lost by name.
+    end = min(first + span, file.num_pages)
+    stop = bisect_left(pages, end, at + 1, min(len(pages), at + span))
+    if file.verified(pages[at:stop]) in (0, stop - at):
+        return stop
+    state = file.verified((first,))  # of the window: 1 verified, 0 not
+    cut = at
+    for edge in range(first + unit, end + unit, unit):
+        after = bisect_left(pages, edge, cut, stop)
+        if after > cut and file.verified(pages[cut:after]) != (after - cut) * state:
+            return cut if cut > at else after  # a later unit differs, or the first mixed
+        cut = after
+    return stop
+
+
+def guarded_units(context, unit_size, depth, file, pages, span_of, decode, checkpoint):
+    """Read, check and decode the ascending ``pages`` of a file a window
+    of up to ``depth`` I/O units (``unit_size`` pages each) at a time:
+    yields ``(at, run, decoded)``.
+
+    The one window reader: under :meth:`Scanner._guarded_units` (the
+    column scans, a prefetch window at a time) and a shared stream's
+    windows (:mod:`repro.engine.sharing`, one unit at a time), which
+    pulls a piece only when a segment needs it.  A window is what
+    :func:`window_stop` says: ``pages[at]`` and the listed pages after
+    it that one read takes, ``run`` of them, read as one buffer of those
+    pages alone — adjacent pages are the window a dense scan reads, and
+    a page the list skips is never read, checked or counted.
+    ``decoded`` is what ``decode(unit, at, run, verify)`` made of it,
+    ``verify`` saying whether to check the CRCs
+    (:func:`guarded_decode_unit`).  A window that does not decode whole
+    is served page by page from the bytes already read, so a fault names
+    its page: ``decoded`` is then what ``decode(data, at, 1, verify)``
+    made of one page, or ``None`` where salvage dropped it
+    (``span_of(at)`` rows are recorded lost).  A window that comes back
     short — a later page would not read — is followed by one that starts
     at that page.  One ``checkpoint()`` per page, passed before anything
     of the page is yielded.
@@ -181,11 +219,7 @@ def guarded_units(context, unit_size, file, pages, span_of, decode, checkpoint):
     at = 0
     while at < len(pages):
         checkpoint()
-        # A span ends at the unit's size and at the end of the file: a
-        # salvage-opened file can be shorter than its directory, and
-        # each page past it is lost by name.
-        end = min(pages[at] + unit_size, file.num_pages)
-        stop = bisect_left(pages, end, at + 1, min(len(pages), at + unit_size))
+        stop = window_stop(file, pages, at, unit_size, depth)
         unit, decoded = guarded_decode_unit(
             context,
             lambda unit, verify: decode(unit, at, len(unit) // size, verify),
@@ -444,15 +478,22 @@ class Scanner(Operator):
         return numbers, self._copy_out(columns, np.flatnonzero(mask), row_base)
 
     def _guarded_units(self, file, pages, span_of, decode):
-        """:func:`guarded_units` for this query: its context, its unit,
-        one governance checkpoint per page.
+        """:func:`guarded_units` for this query: its context, its unit
+        and prefetch window, one governance checkpoint per page.
 
         ``repro_pages_salvaged_total`` counts once per *query* that lost
-        a page, so it is counted here and not in the unit reader, which
+        a page, so it is counted here and not in the window reader, which
         a shared stream runs on behalf of all its riders.
         """
         for piece in guarded_units(
-            self.context, self._unit_pages, file, pages, span_of, decode, self._governance_check
+            self.context,
+            self._unit_pages,
+            self.context.calibration.default_prefetch_depth,
+            file,
+            pages,
+            span_of,
+            decode,
+            self._governance_check,
         ):
             if piece[2] is None:
                 obs_metrics.PAGES_SALVAGED.inc()
@@ -462,8 +503,8 @@ class Scanner(Operator):
         """Yield ``(row_base, rows, data)`` per run of pages of one column in the window.
 
         Pages wholly before the window are skipped without I/O; the rest
-        arrive through :meth:`_guarded_units`, and a healthy unit is one
-        run: ``data`` holds the ``rows`` values (or, on request, the
+        arrive through :meth:`_guarded_units`, and a healthy window is
+        one run: ``data`` holds the ``rows`` values (or, on request, the
         undecoded ``codes``) of all its pages.  A page salvage had to
         drop yields ``data=None`` and its nominal span as ``rows`` — a
         placeholder that keeps later rows, and the other columns,
@@ -615,24 +656,14 @@ class PagedScanner(Scanner):
         Under a demand hint, one I/O unit, so that a ``Limit`` decodes
         no further than the unit its answer ends in.  Otherwise a
         prefetch window of up to ``calibration.default_prefetch_depth``
-        whole units whose pages share one verification state — every
-        page checked since the load, or none — so the window decodes
-        whole, with no CRC or with every one.  A unit holding both is
-        read alone, and goes page by page (:func:`guarded_decode_unit`).
+        units, cut where the pages' verification state changes
+        (:func:`window_stop`, the column scans' rule too).
         """
         unit = self._unit_pages
         if want is not None:
             return min(unit, limit)
-        limit = min(unit * self.context.calibration.default_prefetch_depth, limit)
-        file = self.table.file
-        if file.verified(range(first, first + limit)) in (0, limit):
-            return limit
-        state = file.verified((first,))  # of the window: 1 verified, 0 not
-        for stop in range(0, limit, unit):
-            size = min(unit, limit - stop)
-            if file.verified(range(first + stop, first + stop + size)) != size * state:
-                return stop or size  # the first unit mixed, or a later one differs
-        return limit
+        depth = self.context.calibration.default_prefetch_depth
+        return window_stop(self.table.file, range(first, first + limit), 0, unit, depth)
 
     def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
         """:meth:`_filter_pages` over decoded pages that start at row

@@ -699,6 +699,7 @@ class SharedScanStream:
         pieces = guarded_units(
             self._context,
             self._unit_pages,
+            1,
             source.owner.file,
             pages,
             lambda at: source.span_of(pages[at]),

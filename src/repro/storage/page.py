@@ -37,7 +37,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.compression.base import Codec, CodecKind, PageCodecState
-from repro.compression.bitpack import unpack_streams
+from repro.compression.bitpack import gather_bits_at, unpack_streams
 from repro.compression.registry import build_codec
 from repro.errors import ChecksumError, CompressionError, PageFormatError, StorageError
 from repro.types.schema import TableSchema
@@ -166,17 +166,23 @@ def _disassemble(
 def verify_unit(unit: bytes, page_size: int) -> None:
     """Check every page of ``unit`` (adjacent whole pages) against its CRC.
 
-    The stored CRCs are read once, as a strided view, and compared with
-    :func:`_unit_checksums`.  Which page failed is for the per-page
-    decode to say: a failing unit is decoded again page by page.
+    Page by page over memoryview ranges, no page copied: two ``crc32``
+    calls against the CRC in the trailer.  The error names the first
+    page that fails, as its own decode would (a unit of one page fails
+    as that page).
     """
-    pages = len(unit) // page_size
-    if not pages:
-        return
+    view = memoryview(unit)
     crc_at = page_size - PAGE_TRAILER_BYTES + 4
-    stored = np.ndarray(pages, "<u4", unit, offset=crc_at, strides=page_size).tolist()
-    if _unit_checksums(unit, page_size) != stored:
-        raise ChecksumError("a page of a unit fails its checksum")
+    crc32 = zlib.crc32
+    for start in range(0, len(view) - page_size + 1, page_size):
+        at = start + crc_at
+        page_id, stored, _base = _TRAILER.unpack_from(view, at - 4)
+        actual = crc32(view[at + 4 : start + page_size], crc32(view[start:at]))
+        if actual != stored:
+            raise ChecksumError(
+                f"page {page_id} checksum mismatch: stored {stored:#010x}, "
+                f"computed {actual:#010x}"
+            )
 
 
 def upgrade_page_v1(page: bytes) -> bytes:
@@ -515,10 +521,43 @@ class ColumnPageCodec:
         them or of any selection that keeps a page's codes along the
         last axis (:func:`unit_codes`: verbatim codes are a view of
         ``unit``).  A codec without fixed-width codes (RLE) raises, as
-        does a unit with a corrupt page, without saying which: the
-        caller goes back to :meth:`decode` or :meth:`decode_raw`, page by
-        page.
+        does a unit with a corrupt page: the caller goes back to
+        :meth:`decode` or :meth:`decode_raw`, page by page.
         """
+        counts, bases = self._unit_headers(unit, verify)
+        longest = max(counts.tolist())
+        return counts, bases, unit_codes(
+            self.codec, unit, len(counts), self.page_size, PAGE_HEADER_BYTES, longest
+        )
+
+    def gather_codes(
+        self, unit: bytes, pages: np.ndarray, slots: np.ndarray, verify: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`decode_unit` for code ``slots[i]`` of the unit's page
+        ``pages[i]`` alone, for every ``i``: ``(counts, bases, codes)``.
+
+        The unit is checked as there, and a slot at or past its page's
+        count raises (padding is never a value).  Verbatim codes are
+        taken from the unit's view, packed ones read at their bit
+        offsets (:func:`gather_bits_at`): no other code is unpacked.
+        """
+        counts, bases = self._unit_headers(unit, verify)
+        if (slots >= counts[pages]).any():
+            raise CompressionError("position past the values of its page")
+        codec = self.codec
+        size = self.page_size
+        if codec.text_codes or not codec.spec.is_compressed:
+            capacity = self.values_per_page
+            view = unit_codes(codec, unit, len(counts), size, PAGE_HEADER_BYTES, capacity)
+            return counts, bases, view[pages, slots]
+        bits = codec.bits_per_value
+        codes = gather_bits_at(unit, PAGE_HEADER_BYTES, size, pages, slots * bits, bits)
+        return counts, bases, codes
+
+    def _unit_headers(self, unit: bytes, verify: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Check a unit of adjacent pages — whole pages of fixed-width
+        codes, CRCs unless ``verify`` is false, counts within capacity —
+        and read its ``(counts, bases)``."""
         codec = self.codec
         size = self.page_size
         pages = len(unit) // size
@@ -529,21 +568,19 @@ class ColumnPageCodec:
         if verify:
             verify_unit(unit, size)
         counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
-        longest = max(counts.tolist())
-        if longest > self.values_per_page:
+        if max(counts.tolist()) > self.values_per_page:
             raise PageFormatError(
                 f"page counts {counts.tolist()} exceed the capacity, {self.values_per_page}"
             )
-        bases = np.ndarray((pages,), "<i8", unit, size - 8, (size,))
-        return counts, bases, unit_codes(codec, unit, pages, size, PAGE_HEADER_BYTES, longest)
+        return counts, np.ndarray((pages,), "<i8", unit, size - 8, (size,))
 
     def decode_raw(
         self, page: bytes, verify: bool = True
     ) -> tuple[int, int, bytes, PageCodecState]:
         """Parse a page without decoding values.
 
-        Returns ``(page_id, count, payload, state)`` so scanners can do
-        selective decodes via :meth:`Codec.decode_positions`.
+        Returns ``(page_id, count, payload, state)``, the payload as
+        stored (:meth:`ColumnFile.decode_page` unpacks its codes).
         """
         count, payload, page_id, base = _disassemble(page, self.page_size, verify)
         return page_id, count, payload, PageCodecState(base=base)

@@ -159,7 +159,9 @@ class PagedFile:
         first, stop = pages[0], pages[-1] + 1
         if stop - first == len(pages):
             return flags.count(1, first, stop)
-        return sum(flags[page] for page in pages if page < len(flags))
+        if stop > len(flags):
+            pages = [page for page in pages if page < len(flags)]
+        return sum(map(flags.__getitem__, pages))
 
     def mark_verified(self, pages) -> None:
         """``pages`` just passed their CRC."""

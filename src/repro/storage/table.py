@@ -109,8 +109,8 @@ class PagedTable(Table):
         buffer: ``(tuple count per page, columns in file order)``.
 
         A unit with a corrupt page, or one the codec cannot flatten,
-        raises without saying which page: the caller goes back to
-        :meth:`decode_page`, page by page.  ``verify`` as there.
+        raises: the caller goes back to :meth:`decode_page`, page by
+        page.  ``verify`` as there.
         """
         return self.page_codec.decode_unit(unit, attrs, verify)
 
@@ -202,9 +202,8 @@ class ColumnFile:
 
         As :meth:`PagedTable.decode_unit`: a unit with a corrupt page,
         or one that cannot be flattened (RLE pages, a page other than
-        the last not full), raises without saying which page.  A unit
-        of one page has nothing to flatten: it is decoded as a page,
-        whatever its codec, and its error is that page's.
+        the last not full), raises.  A unit of one page has nothing to
+        flatten: it is decoded as a page, whatever its codec.
         """
         if len(unit) == self.page_codec.page_size:
             values = self.decode_page(unit, codes, verify)
@@ -223,22 +222,22 @@ class ColumnFile:
         """Value ``in_page[i]`` of the unit's page ``pages[i]``, for every
         ``i``: ``(value count per page, values)``.
 
-        One fancy index into the unit's codes, then one decode of what
-        it took — of whole pages first where the codec cannot do less.
-        An index at or past its page's count raises: padding is never a
-        value.  A unit of one page is gathered from as a page
-        (:meth:`Codec.decode_positions`), whatever its codec.
+        Only the wanted codes are read and decoded
+        (:meth:`ColumnPageCodec.gather_codes`), a unit of one page as any
+        other, except where a value takes more: FOR-delta pages are
+        decoded whole, then taken from, and an RLE unit, which has no
+        fixed-width codes, is decoded as a page (:meth:`decode_unit`: a
+        unit of more raises).  An index at or past its page's count
+        raises: padding is never a value.
         """
         codec = self.page_codec.codec
-        if len(unit) == self.page_codec.page_size:
-            _page_id, count, payload, state = self.page_codec.decode_raw(unit, verify)
-            return np.array([count]), codec.decode_positions(payload, count, state, in_page)[0]
-        counts, bases, codes = self.page_codec.decode_unit(unit, verify)
+        if not (codec.is_variable or codec.decodes_whole_page):
+            counts, bases, codes = self.page_codec.gather_codes(unit, pages, in_page, verify)
+            return counts, codec.decode_codes(codes[:, None], bases[pages])[:, 0]
+        counts, values = self.decode_unit(unit, verify=verify)
         if (in_page >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
-        if codec.decodes_whole_page:
-            return counts, codec.decode_codes(codes, bases)[pages, in_page]
-        return counts, codec.decode_codes(codes[pages, in_page, None], bases[pages])[:, 0]
+        return counts, values[(np.cumsum(counts) - counts)[pages] + in_page]
 
     def locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(page index, value index on that page)`` of each global row position."""

@@ -60,7 +60,7 @@ SCANNERS = {
 SELECTIVITIES = {"0.1pct": 0.001, "10pct": 0.1, "100pct": 1.0}
 CORRUPT_PAGES = (1, 5)
 #: Calibration overrides of the page-at-a-time scan: a one-page I/O
-#: unit, and one unit to a row or PAX scan's read.
+#: unit, and one unit to a row, PAX or column scan's read.
 PAGE_AT_A_TIME = {"io_unit_bytes": 4096, "default_prefetch_depth": 1}
 
 

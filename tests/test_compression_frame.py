@@ -12,6 +12,7 @@ from repro.compression.frame import (
 )
 from repro.errors import CompressionError
 from repro.types.datatypes import FixedTextType, IntType
+from tests.test_column_gather import column_unit, gather_values
 
 
 class TestZigzag:
@@ -44,12 +45,8 @@ class TestForCodec:
         spec = ForCodec.spec_for_values(values, page_capacity=128)
         codec = ForCodec(spec, IntType())
         assert not codec.decodes_whole_page
-        payload, state = codec.encode_page(values)
-        selected, decoded = codec.decode_positions(
-            payload, 100, state, np.array([7])
-        )
-        assert selected[0] == 507
-        assert decoded == 1
+        selected = gather_values(codec, values, [7])
+        assert selected.tolist() == [507]
 
     def test_non_monotonic_uses_zigzag(self):
         values = np.array([50, 10, 60, 5])
@@ -93,14 +90,10 @@ class TestForDeltaCodec:
         values = np.arange(10)
         spec = ForDeltaCodec.spec_for_values(values, page_capacity=16)
         codec = ForDeltaCodec(spec, IntType())
-        assert codec.decodes_whole_page
-        payload, state = codec.encode_page(values)
-        selected, decoded = codec.decode_positions(
-            payload, 10, state, np.array([2])
-        )
-        assert selected[0] == 2
         # FOR-delta pays for the full page even for one position.
-        assert decoded == 10
+        assert codec.decodes_whole_page
+        selected = gather_values(codec, values, [2])
+        assert selected.tolist() == [2]
 
     def test_roundtrip_random_walk(self):
         rng = np.random.default_rng(11)
@@ -116,9 +109,9 @@ class TestForDeltaCodec:
         values = np.arange(10)
         spec = ForDeltaCodec.spec_for_values(values, page_capacity=16)
         codec = ForDeltaCodec(spec, IntType())
-        payload, state = codec.encode_page(values)
+        column_file, unit = column_unit(codec, values)
         with pytest.raises(CompressionError):
-            codec.decode_positions(payload, 10, state, np.array([10]))
+            column_file.gather_unit(unit, np.array([0]), np.array([10]))
 
     def test_empty_page(self):
         spec = ForDeltaCodec.spec_for_values(np.array([1]), page_capacity=4)

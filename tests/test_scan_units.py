@@ -50,7 +50,7 @@ from repro.engine.executor import execute_plan, run_scan
 from repro.engine.governance import QueryContext
 from repro.engine.operators import Limit, scan_core
 from repro.engine.plan import scan_plan
-from repro.engine.predicate import predicate_for_selectivity
+from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
 from repro.errors import (
@@ -790,26 +790,72 @@ def _depth_context(depth: int, salvage: bool = False) -> ExecutionContext:
     )
 
 
+def _column_window_query(data, dense: bool) -> ScanQuery:
+    """A pipelined scan that reads ``L_COMMENT`` (51 plain pages at
+    ``ROWS``) by position behind a dense ``L_PARTKEY`` — or, ``dense``,
+    as its dense first node."""
+    partkey = predicate_for_selectivity("L_PARTKEY", data.columns["L_PARTKEY"], 0.4)
+    comment = Predicate("L_COMMENT", ComparisonOp.GE, b"e")
+    return ScanQuery(
+        data.schema.name,
+        select=("L_ORDERKEY", "L_COMMENT"),
+        predicates=(comment, partkey) if dense else (partkey,),
+    )
+
+
+#: Pipelined column scans of plain LINEITEM whose ``L_COMMENT`` file
+#: carries the faults: read by position, or by the first node.
+COLUMN_WINDOW_CASES = {"column": False, "column-dense": True}
+
+
+def _faulty_comments(data):
+    """A column table whose ``L_COMMENT`` file fails as
+    :func:`_faulty_table`'s one file does: ``(table, plan, that file)``."""
+    table = load_table(data, Layout.COLUMN)
+    comments = table.column_file("L_COMMENT")
+    comments.file.retry_policy = RetryPolicy(sleep=lambda _seconds: None)
+    plan = FaultPlan(seed=9)
+    plan.schedule_bit_flip(FLIPPED, file=comments.file.name, byte=11, bit=3)
+    plan.schedule_transient_reads(2, file=comments.file.name, page=FLAKY)
+    plan.wrap_table(table)
+    return table, plan, comments.file
+
+
 @pytest.mark.parametrize("salvage", [False, True], ids=["strict", "salvage"])
-@pytest.mark.parametrize("name", list(WINDOW_TABLES))
+@pytest.mark.parametrize("name", [*WINDOW_TABLES, *COLUMN_WINDOW_CASES])
 def test_the_window_size_is_not_observable(name, salvage):
-    """A bit flip and a transient fault inside the second unit, read one,
-    two and the default 48 units at a time: the same result bytes,
-    events, ticks, faults, pages scanned and injected faults — and under
-    strict integrity the same error, raised at the same checkpoint."""
-    layout, dataset = WINDOW_TABLES[name]
-    data = _lineitem(dataset)
-    query = TestFaultsMidUnit._query(data)
+    """A bit flip and a transient fault inside the second unit of a file —
+    a row or PAX table's, or a column's that a pipelined scan reads by
+    position or as its first node — read one, two and the default 48
+    units at a time: the same result bytes, events, ticks, faults, pages
+    scanned and injected faults — and under strict integrity the same
+    error, raised at the same checkpoint."""
+    if name in COLUMN_WINDOW_CASES:
+        data = _lineitem("plain")
+        query = _column_window_query(data, COLUMN_WINDOW_CASES[name])
+    else:
+        layout, dataset = WINDOW_TABLES[name]
+        data = _lineitem(dataset)
+        query = TestFaultsMidUnit._query(data)
     outcomes = []
     for depth in (1, 2, DEFAULT_CALIBRATION.default_prefetch_depth):
-        table, plan = _faulty_table(data, layout)
+        if name in COLUMN_WINDOW_CASES:
+            table, plan, file = _faulty_comments(data)
+        else:
+            table, plan = _faulty_table(data, layout)
+            file = table.file
         unit = DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
-        assert unit <= FLIPPED < FLAKY < min(2 * unit, table.file.num_pages)
+        assert unit <= FLIPPED < FLAKY < min(2 * unit, file.num_pages)
         context = _depth_context(depth, salvage)
         if salvage:
             outcome = _outcome(run_scan(table, query, context, salvage=True), context)
-            lost = table.row_span_of_page(FLIPPED)
-            assert outcome["faults"] == [(table.file.name, FLIPPED, lost)]
+            if name in COLUMN_WINDOW_CASES:
+                # The rows lost are the page's span, or the positions on it.
+                [(faulted, page, lost)] = outcome["faults"]
+                assert (faulted, page) == (file.name, FLIPPED) and lost > 0
+            else:
+                lost = table.row_span_of_page(FLIPPED)
+                assert outcome["faults"] == [(table.file.name, FLIPPED, lost)]
         else:
             with pytest.raises(ChecksumError, match=f"page {FLIPPED} checksum") as raised:
                 run_scan(table, query, context)
@@ -907,6 +953,88 @@ class TestWindowRules:
         assert page_decodes == list(range(unit))
         fresh_context = _window_at_a_time()
         fresh = run_scan(load_table(data, layout), query, fresh_context)
+        assert _outcome(after, context) == _outcome(fresh, fresh_context)
+
+
+# --- column scans read a prefetch window too ----------------------------------
+
+
+class TestColumnWindowRules:
+    """The window rule of row and PAX scans (:class:`TestWindowRules`) in a
+    pipelined column scan, on ``L_COMMENT`` at ``SPAN_ROWS`` (204 pages,
+    seven units)."""
+
+    @staticmethod
+    def _spies(monkeypatch, file: PagedFile):
+        """``(reads, page decodes, pages whose CRC was checked)`` of ``file``."""
+        reads, page_decodes, checked = [], [], []
+        read, decode = scan_core.guarded_decode_unit, scan_core.guarded_decode
+
+        def read_spy(context, decode_unit, read_file, pages, row_span):
+            if read_file is not file:
+                return read(context, decode_unit, read_file, pages, row_span)
+
+            def verifying(unit, verify):
+                if verify:
+                    checked.extend(pages)
+                return decode_unit(unit, verify)
+
+            reads.append(pages)
+            return read(context, verifying, read_file, pages, row_span)
+
+        def decode_spy(context, decode_page, read_file, page, row_span, data=None):
+            if read_file is file:
+                page_decodes.append(page)
+            return decode(context, decode_page, read_file, page, row_span, data)
+
+        monkeypatch.setattr(scan_core, "guarded_decode_unit", read_spy)
+        monkeypatch.setattr(scan_core, "guarded_decode", decode_spy)
+        return reads, page_decodes, checked
+
+    @staticmethod
+    def _dense_query(data) -> ScanQuery:
+        """``L_COMMENT`` as the dense first node, every row qualifying."""
+        predicate = Predicate("L_COMMENT", ComparisonOp.GE, b"")
+        return ScanQuery(data.schema.name, select=("L_COMMENT",), predicates=(predicate,))
+
+    def test_a_fresh_table_decodes_each_window_whole_with_every_crc(self, monkeypatch):
+        data, sparse_query, unit, touched = _sparse_case()
+        for query, read in ((self._dense_query(data), range(204)), (sparse_query, touched)):
+            table = load_table(data, Layout.COLUMN)
+            comments = table.column_file("L_COMMENT").file
+            assert comments.num_pages == 204
+            reads, page_decodes, checked = self._spies(monkeypatch, comments)
+            run_scan(table, query, _window_at_a_time())
+            assert [list(pages) for pages in reads] == [list(read)]
+            assert page_decodes == []
+            assert checked == list(read)
+
+    def test_a_partly_verified_file_decodes_each_run_of_one_state_whole(self, monkeypatch):
+        """A position-driven node read pages 0-71 (two units and a
+        quarter): the dense scan after it reads the verified units as one
+        window with no CRC, the mixed unit alone, page by page, and the
+        rest as one window with every CRC — and sees what a scan of a
+        fresh table sees."""
+        data, _query, unit, _touched = _sparse_case()
+        table = load_table(data, Layout.COLUMN)
+        comments = table.column_file("L_COMMENT")
+        every = predicate_for_selectivity("L_PARTKEY", data.columns["L_PARTKEY"], 1.0)
+        attach = ScanQuery(data.schema.name, select=("L_PARTKEY", "L_COMMENT"), predicates=(every,))
+        rows = (2 * unit + 8) * comments.values_per_page
+        context = _window_at_a_time()
+        scan_plan(context, table, attach, row_range=(0, rows)).drain()
+        assert comments.file.verified(range(204)) == 2 * unit + 8
+
+        reads, page_decodes, checked = self._spies(monkeypatch, comments.file)
+        query = self._dense_query(data)
+        context = _window_at_a_time()
+        after = run_scan(table, query, context)
+        assert reads == [range(0, 2 * unit), range(2 * unit, 3 * unit), range(3 * unit, 204)]
+        assert page_decodes == list(range(2 * unit, 3 * unit))
+        assert checked == list(range(3 * unit, 204))
+        assert comments.file.verified(range(204)) == 204
+        fresh_context = _window_at_a_time()
+        fresh = run_scan(load_table(data, Layout.COLUMN), query, fresh_context)
         assert _outcome(after, context) == _outcome(fresh, fresh_context)
 
 
@@ -1023,7 +1151,7 @@ def test_a_truncated_column_loses_only_its_missing_pages(scanner, tmp_path):
     assert outcomes[0] == outcomes[1]
 
 
-# --- a position-driven node reads one I/O unit's span of its pages at a time ------
+# --- a position-driven node reads one window's span of its pages at a time -------
 
 SPAN_ROWS = 12_000
 
@@ -1075,28 +1203,32 @@ SPANS_AT_PARENT = {"untouched": "39f65bd2", "touched": "06ebe429"}
 
 class TestSpanUnits:
     """A position-driven node reads, checks and decodes the pages its
-    positions touch one I/O unit's span at a time, never a page they
-    skip — and nothing a page-at-a-time scan could see moves."""
+    positions touch one prefetch window's span at a time, never a page
+    they skip — and nothing a page-at-a-time scan could see moves."""
 
-    def test_a_sparse_node_reads_one_unit_per_span(self, monkeypatch):
+    def test_a_sparse_node_reads_one_window_per_span(self, monkeypatch):
+        """One read per span of ``default_prefetch_depth`` units — all 204
+        pages here — and, read a unit at a time, one per unit's span."""
         data, query, unit, touched = _sparse_case()
-        table = load_table(data, Layout.COLUMN)
-        comments = table.column_file("L_COMMENT").file
-        reads = []
-        read = scan_core.guarded_decode_unit
-
-        def spy(context, decode_unit, file, pages, row_span):
-            if file is comments:
-                reads.append(list(pages))
-            return read(context, decode_unit, file, pages, row_span)
-
-        monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
-        run_scan(table, query, _window_at_a_time())
         span = touched[-1] - touched[0] + 1
         runs = 1 + sum(b - a > 1 for a, b in zip(touched, touched[1:]))
-        assert len(reads) <= -(-span // unit) < runs
-        assert reads == _spans(touched, unit)
-        assert comments.verified(range(comments.num_pages)) == len(touched)
+        read = scan_core.guarded_decode_unit
+        for depth in (1, DEFAULT_CALIBRATION.default_prefetch_depth):
+            table = load_table(data, Layout.COLUMN)
+            comments = table.column_file("L_COMMENT").file
+            reads = []
+
+            def spy(context, decode_unit, file, pages, row_span):
+                if file is comments:
+                    reads.append(list(pages))
+                return read(context, decode_unit, file, pages, row_span)
+
+            monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
+            run_scan(table, query, _depth_context(depth))
+            assert len(reads) <= -(-span // (unit * depth)) < runs
+            assert reads == _spans(touched, unit * depth)
+            assert comments.verified(range(comments.num_pages)) == len(touched)
+        assert reads == [touched]
 
     def test_an_untouched_corrupt_page_inside_a_span_is_never_read(self):
         data, query, unit, touched = _sparse_case()
