@@ -114,9 +114,15 @@ workload-bench:
 # the one build_plan, and the scheduler's one read path (an ast pin in
 # tests/test_query_request.py: every scheduled plan comes from
 # ScanShareManager.acquire; sharing off only means no second rider),
-# and riders filtered together per (attribute, comparison) against
+# riders filtered together per (attribute, comparison) against
 # every rider filtering alone, pinned at 7573dad (tests/test_scan_sharing.py::
-# test_filtering_riders_together_is_not_observable).
+# test_filtering_riders_together_is_not_observable), a stream's window
+# size — one, two and 48 I/O units — not observable by a solo rider or
+# two riders attached mid-pass, strict and salvage, on ROW, PAX and
+# COLUMN (the stream cases of tests/test_scan_units.py::
+# test_the_window_size_is_not_observable), and the one-emission battery
+# (tests/test_obs_one_emission.py), which drives a scheduled stream
+# mid-pass.
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
 # what a timeslice pumps, or who rides while queued, may move poll()
 # rounds, stream counts and stream I/O, never a query's event.
@@ -124,7 +130,14 @@ scheduler-test:
 	pytest tests/test_scheduler_equivalence.py tests/test_scan_sharing.py \
 		tests/test_scan_units.py::TestSharedRunExits \
 		tests/test_scan_units.py::TestSharedGovernance \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-row-strict]" \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-row-salvage]" \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-pax-strict]" \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-pax-salvage]" \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-column-strict]" \
+		"tests/test_scan_units.py::test_the_window_size_is_not_observable[stream-column-salvage]" \
 		tests/test_scheduler_chaos.py tests/test_scheduler_telemetry.py \
+		tests/test_obs_one_emission.py \
 		tests/test_parallel_equivalence.py \
 		tests/test_parallel_dispatch.py tests/test_query_request.py -q
 

@@ -6,19 +6,18 @@ select ∘ gather ∘ decompress over columns.  Here live
 
 * :func:`guarded_decode` — the one accounted page read+decode under the
   integrity policy (strict aborts, salvage records and skips) — and
-  :func:`guarded_decode_unit`, which serves a healthy run of pages
-  whole: a prefetch window, or a shared stream's I/O unit;
+  :func:`guarded_decode_unit`, which serves a prefetch window whole,
+  whatever its pages' verification state, with one read, one check of
+  the pages not yet verified and one decode;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
 * :func:`window_stop` — the one window rule: up to
-  ``default_prefetch_depth`` I/O units, cut where the pages'
-  verification state changes;
+  ``default_prefetch_depth`` I/O units (:func:`window_pages`);
 * :func:`guarded_units` — the one window-at-a-time reader of a file's
   listed pages, a lazy generator: under :meth:`Scanner._guarded_units`
   (the dense :meth:`Scanner._dense_pages` and the pipelined scanner's
-  position-driven nodes, a prefetch window at a time) and under a
-  shared stream's windows (:mod:`repro.engine.sharing`, an I/O unit at
-  a time);
+  position-driven nodes) and under a shared stream's windows
+  (:mod:`repro.engine.sharing`), a prefetch window at a time;
 * :class:`Scanner` — validation, access order, row window,
   ``describe()``, the empty block and the per-run filter kernel
   (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
@@ -49,9 +48,10 @@ from repro.engine.blocks import Block, as_batch
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator, RunOnce
 from repro.engine.predicate import Predicate
-from repro.errors import CompressionError, PlanError, StorageError
+from repro.errors import ChecksumError, CompressionError, PlanError, StorageError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
+from repro.storage.page import verify_unit
 
 #: What salvage mode treats as "this page is corrupt, skip it": checksum
 #: mismatches, malformed page bytes, codec failures, missing pages, and
@@ -86,13 +86,18 @@ def guarded_decode(
     ``data`` is the page's bytes when a unit read has fetched them.
     ``verify`` is false for a page the file has already seen pass its
     CRC (:meth:`~repro.storage.pagefile.PagedFile.verified`); a page
-    that passes it here is marked so.
+    that passes it here is marked so.  A page whose bytes a unit's check
+    has just seen fail is not checked again: that failure is its fault.
     """
     timed = obs_metrics.enabled()
     verify = not file.verified((page,))
+    failed = file.failed_check
     try:
         if timed:
             started = time.perf_counter()
+        if failed is not None and failed[0] == data:
+            file.failed_check = None
+            raise failed[1]
         result = decode(file.read_page(page) if data is None else data, verify)
         if timed:
             obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
@@ -108,24 +113,24 @@ def guarded_decode(
 def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row_span: int):
     """Read the ascending ``pages`` as one buffer
     (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) — a prefetch
-    window of I/O units (:func:`window_stop`), or a shared stream's one — and
-    ``decode_unit(unit, verify)`` it whole: ``(unit bytes, decoded)``.
+    window of I/O units (:func:`window_stop`) — and ``decode_unit(unit,
+    verify)`` it whole: ``(unit bytes, decoded)``.
 
-    Where a page's CRC gets checked is decided here, by what the file
-    says its pages have passed since it was loaded
-    (:meth:`~repro.storage.pagefile.PagedFile.verified`): a unit whose
-    pages all have is decoded with no check; one none of whose pages
-    has is decoded with every check, and its pages are marked when it
-    decodes; one with some pages verified and some not is not decoded
-    whole, so that each unverified page is checked once, by its own
-    decode, which names it when it fails.  ``decoded`` is ``None`` then
-    and when a page fails its checksum or the unit does not decode: the
-    caller hands the pages' bytes to :func:`guarded_decode` one by one,
-    which names the page and applies the policy.  ``unit`` is ``None``
-    when page ``pages[0]`` could not be read and salvage dropped it; it
-    holds fewer pages than listed when a later one could not be read.
-    Pages count as scanned when the scan gets to them, which is the
-    caller's to say.
+    Each page's CRC is checked once per load, by what the file says its
+    pages have passed since it was loaded
+    (:meth:`~repro.storage.pagefile.PagedFile.verified`): a unit none of
+    whose pages has is decoded with every check, and its pages are
+    marked when it decodes; one whose pages all have is decoded with no
+    check; one with some of each has its unverified pages checked here,
+    each marked as it passes, and is then decoded with no check.
+    ``decoded`` is ``None`` when a page fails its checksum or the unit
+    does not decode: the caller hands the pages' bytes to
+    :func:`guarded_decode` one by one, which names the page and applies
+    the policy — a page this check saw fail is not checked twice.
+    ``unit`` is ``None`` when page ``pages[0]`` could not be read and
+    salvage dropped it; it holds fewer pages than listed when a later one
+    could not be read.  Pages count as scanned when the scan gets to
+    them, which is the caller's to say.
     """
     timed = obs_metrics.enabled()
     if timed:
@@ -137,7 +142,7 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
         return None, None
     read = pages[: len(unit) // file.page_size]
     verified = file.verified(read)
-    if 0 < verified < len(read):
+    if 0 < verified < len(read) and not _check_unverified(file, unit, read):
         return unit, None
     try:
         decoded = decode_unit(unit, not verified)
@@ -151,61 +156,64 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
     return unit, decoded
 
 
+def _check_unverified(file, unit, read) -> bool:
+    """Check the CRC of each page of ``unit`` (``read``, back to back)
+    that ``file`` has not seen pass, marking it when it does; False at
+    the first that fails, whose bytes and error the file then keeps for
+    that page's own decode (:func:`guarded_decode`)."""
+    size = file.page_size
+    for at, page in enumerate(read):
+        if not file.verified((page,)):
+            data = unit[at * size : (at + 1) * size]
+            try:
+                verify_unit(data, size)
+            except ChecksumError as exc:
+                file.failed_check = (bytes(data), exc.with_traceback(None))
+                return False
+            file.mark_verified((page,))
+    return True
+
+
 def unit_pages(calibration, page_size: int) -> int:
-    """Pages per I/O unit: what a column scan or a shared stream reads,
-    checks and decodes at once, and what a row or PAX scan's prefetch
-    window is counted in."""
+    """Pages per I/O unit: what a prefetch window is counted in, and what
+    a row or PAX scan reads under a demand hint."""
     return max(1, calibration.io_unit_bytes // page_size)
 
 
-def window_stop(file, pages, at: int, unit: int, depth: int) -> int:
+def window_pages(calibration, page_size: int) -> int:
+    """Pages per prefetch window: ``default_prefetch_depth`` I/O units."""
+    return unit_pages(calibration, page_size) * calibration.default_prefetch_depth
+
+
+def window_stop(file, pages, at: int, span: int) -> int:
     """Where one read of the ascending ``pages`` from ``pages[at]`` stops:
     the index of the first listed page it leaves for the next.
 
-    The one window rule, for a row or PAX scan's prefetch window and a
-    column scan's alike: the listed pages that lie within ``depth`` I/O
-    units of ``unit`` pages of ``pages[at]``, and inside the file, cut
-    where their verification state changes — every page checked since
-    the load, or none (:meth:`~repro.storage.pagefile.PagedFile.
-    verified`) — so that a window decodes whole, with no CRC or with
-    every one.  The state is judged a unit at a time, units counted from
-    ``pages[at]``: a window ends before the first unit whose state is
-    not its first page's, and a first unit holding both is read alone,
-    to go page by page (:func:`guarded_decode_unit`).
+    The one window rule, for every scan and shared stream: the listed
+    pages that lie within ``span`` pages of ``pages[at]`` (a prefetch
+    window, :func:`window_pages`), and inside the file, whatever their
+    verification state (:func:`guarded_decode_unit` checks the pages
+    that need it and decodes the window whole).
     """
     first = pages[at]
-    span = unit * depth
     # A window ends at the end of the file: a salvage-opened file can be
     # shorter than its directory, and each page past it is lost by name.
     end = min(first + span, file.num_pages)
-    stop = bisect_left(pages, end, at + 1, min(len(pages), at + span))
-    if file.verified(pages[at:stop]) in (0, stop - at):
-        return stop
-    state = file.verified((first,))  # of the window: 1 verified, 0 not
-    cut = at
-    for edge in range(first + unit, end + unit, unit):
-        after = bisect_left(pages, edge, cut, stop)
-        if after > cut and file.verified(pages[cut:after]) != (after - cut) * state:
-            return cut if cut > at else after  # a later unit differs, or the first mixed
-        cut = after
-    return stop
+    return bisect_left(pages, end, at + 1, min(len(pages), at + span))
 
 
-def guarded_units(context, unit_size, depth, file, pages, span_of, decode, checkpoint):
+def guarded_units(context, span, file, pages, span_of, decode, checkpoint):
     """Read, check and decode the ascending ``pages`` of a file a window
-    of up to ``depth`` I/O units (``unit_size`` pages each) at a time:
-    yields ``(at, run, decoded)``.
+    of up to ``span`` pages at a time: yields ``(at, run, decoded)``.
 
     The one window reader: under :meth:`Scanner._guarded_units` (the
-    column scans, a prefetch window at a time) and a shared stream's
-    windows (:mod:`repro.engine.sharing`, one unit at a time), which
-    pulls a piece only when a segment needs it.  A window is what
-    :func:`window_stop` says: ``pages[at]`` and the listed pages after
-    it that one read takes, ``run`` of them, read as one buffer of those
-    pages alone — adjacent pages are the window a dense scan reads, and
-    a page the list skips is never read, checked or counted.
-    ``decoded`` is what ``decode(unit, at, run, verify)`` made of it,
-    ``verify`` saying whether to check the CRCs
+    column scans) and a shared stream's feeds (:mod:`repro.engine.
+    sharing`), which pull a piece only when a segment needs it.  A window
+    is what :func:`window_stop` says: ``pages[at]`` and the listed pages
+    after it that one read takes, ``run`` of them, read as one buffer of
+    those pages alone — a page the list skips is never read, checked or
+    counted.  ``decoded`` is what ``decode(unit, at, run, verify)`` made
+    of it, ``verify`` saying whether to check the CRCs
     (:func:`guarded_decode_unit`).  A window that does not decode whole
     is served page by page from the bytes already read, so a fault names
     its page: ``decoded`` is then what ``decode(data, at, 1, verify)``
@@ -219,7 +227,7 @@ def guarded_units(context, unit_size, depth, file, pages, span_of, decode, check
     at = 0
     while at < len(pages):
         checkpoint()
-        stop = window_stop(file, pages, at, unit_size, depth)
+        stop = window_stop(file, pages, at, span)
         unit, decoded = guarded_decode_unit(
             context,
             lambda unit, verify: decode(unit, at, len(unit) // size, verify),
@@ -487,8 +495,7 @@ class Scanner(Operator):
         """
         for piece in guarded_units(
             self.context,
-            self._unit_pages,
-            self.context.calibration.default_prefetch_depth,
+            window_pages(self.context.calibration, file.page_size),
             file,
             pages,
             span_of,
@@ -656,14 +663,12 @@ class PagedScanner(Scanner):
         Under a demand hint, one I/O unit, so that a ``Limit`` decodes
         no further than the unit its answer ends in.  Otherwise a
         prefetch window of up to ``calibration.default_prefetch_depth``
-        units, cut where the pages' verification state changes
-        (:func:`window_stop`, the column scans' rule too).
+        units (:func:`window_stop`, every scan's rule).
         """
-        unit = self._unit_pages
         if want is not None:
-            return min(unit, limit)
-        depth = self.context.calibration.default_prefetch_depth
-        return window_stop(self.table.file, range(first, first + limit), 0, unit, depth)
+            return min(self._unit_pages, limit)
+        span = window_pages(self.context.calibration, self.table.page_size)
+        return window_stop(self.table.file, range(first, first + limit), 0, span)
 
     def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
         """:meth:`_filter_pages` over decoded pages that start at row

@@ -459,9 +459,10 @@ class Scheduler:
     def _execute(self, handle: QueryHandle, plan, context: ExecutionContext):
         """Generator: one yield per cooperative timeslice."""
         plan.open()
-        # Window-granular slicing: one stream pump — the window's run of
-        # segments, a checkpoint per segment inside it — per timeslice
-        # (a rider may also finish passively off peers' pumps).
+        # Window-granular slicing: one stream pump — the run of segments
+        # left in its prefetch window, a checkpoint per segment inside
+        # it — per timeslice (a rider may also finish passively off
+        # peers' pumps).
         window = plan.share.window_segments
         while plan.advance(window):
             yield

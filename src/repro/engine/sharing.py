@@ -11,10 +11,11 @@ engine-side implementation lives here:
   recorded segment by segment.  A *run* (adjacent segments, as many as
   the caller asks for, within one window) is its unit of delivery:
   whoever pumps the stream drives it a run at a time, and every attached
-  consumer receives the part of the run it still needs.  A *window* (an
-  I/O unit of adjacent segments) is its unit of reading: each file under
-  a window is read, CRC-checked and decoded through the scan core's one
-  unit reader, a healthy unit per numpy call.  The stream's I/O (pages
+  consumer receives the part of the run it still needs.  A *window* (a
+  prefetch window of adjacent segments, a serial scan's size) is its
+  unit of reading: each file under a window is read, CRC-checked and
+  decoded through the scan core's one window reader, a healthy window
+  per numpy call.  The stream's I/O (pages
   touched, bytes read) is accounted **once**, per logical page as each
   segment is delivered, on the stream's own
   :class:`~repro.cpusim.events.CostEvents`, mirroring the iosim
@@ -65,7 +66,7 @@ from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
     guarded_units,
-    unit_pages,
+    window_pages,
 )
 from repro.engine.predicate import Predicate
 from repro.engine.query import ScanQuery
@@ -116,7 +117,7 @@ class _Source:
     name: str
     owner: object
     #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
-    #: pages read back to back: the unit reader's callback.
+    #: pages read back to back: the window reader's callback.
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
@@ -136,7 +137,7 @@ class _Feed:
     #: Ascending page ids the window reads: its page range, less the
     #: known-lost pages when there are any.
     pages: Sequence[int]
-    #: The unit reader over them; lazy, so a page's error is raised by
+    #: The window reader over them; lazy, so a page's error is raised by
     #: the delivery that first draws on it.
     pieces: Iterator
     #: ``pages[:at]`` have been pulled into the window.
@@ -226,14 +227,16 @@ class SharedScanStream:
     the column file with the *most* pages (column layout — its pages
     bound the finest row spans, and every other needed column is swept
     alongside it).  A window is the run of adjacent segments some rider
-    still needs, at most an I/O unit of driving pages
-    (``calibration.io_unit_bytes``) and never across the wrap: each file
-    under it is read, CRC-checked and decoded through the scan core's
-    unit reader — a healthy unit in one call, a unit with a corrupt
-    page, a short read or RLE pages page by page from the bytes already
-    read, as each segment is reached.  ``step(want)`` cuts a run of up
-    to ``want`` segments from it per call — ``step()`` one, the
-    scheduler's timeslice the rest of the window — and what a run
+    still needs, at most a prefetch window of driving pages
+    (``calibration.default_prefetch_depth`` I/O units, as a serial scan
+    reads) and never across the wrap: each file under it is read,
+    CRC-checked and decoded through the scan core's window reader — a
+    healthy window in one call, whatever its pages' verification state;
+    one with a corrupt page, a short read or RLE pages page by page
+    from the bytes already read, as each segment is reached.
+    ``step(want)`` cuts a run of up to ``want`` segments from it per
+    call — ``step()`` one, the scheduler's timeslice the rest of the
+    window — and what a run
     charges, to the stream and to each rider, is the sum of what its
     segments charge one at a time, whatever the run length.
 
@@ -269,8 +272,10 @@ class SharedScanStream:
             strict_integrity=strict_integrity,
             events=self.io_events,
         )
-        #: Driving pages per window: the creating context's I/O unit.
-        self._unit_pages = unit_pages(calibration, table.page_size)
+        #: Driving pages per window: the creating context's prefetch
+        #: window, as a :class:`~repro.engine.operators.scan_core.
+        #: PagedScanner`'s.
+        self._window_pages = window_pages(calibration, table.page_size)
         #: Called with the stream when its last rider detaches.
         self._on_empty = on_empty
         self._consumers: list[SharedScanConsumer] = []
@@ -407,7 +412,7 @@ class SharedScanStream:
     @property
     def window_segments(self) -> int:
         """The most segments one window, and so one run, can hold."""
-        return self._unit_pages
+        return self._window_pages
 
     @property
     def cursor(self) -> int:
@@ -506,8 +511,8 @@ class SharedScanStream:
         else:
             return 0
         window = self._window_over(index)
-        # A window opened from here would end an I/O unit on, at most.
-        limit = window.stop if window is not None else min(total, index + self._unit_pages)
+        # A window opened from here would end a prefetch window on, at most.
+        limit = window.stop if window is not None else min(total, index + self._window_pages)
         limit = min(limit, index + want)
         # Where each taker's need of adjacent segments ends.
         ends = [_needed_until(taker._remaining, index + 1, limit) for taker in takers]
@@ -611,11 +616,19 @@ class SharedScanStream:
             window = self._window = self._open_window(index)
         lost = self._lost
         feeds = list(zip(self._sources, window.feeds))
+        # A row or PAX file with no page lost: segment ``i`` is page ``i``.
+        paged = not lost and feeds[0][0].fifo is None
         touched = 0
         try:
             for segment in range(index, stop):
                 if segment > index:
                     checkpoint()
+                if paged:
+                    source, feed = feeds[0]
+                    touched += 1
+                    if feed.at < len(feed.pages) and feed.pages[feed.at] <= segment:
+                        self._pull(window, source, feed, segment)
+                    continue
                 for source, feed in feeds:
                     fifo = source.fifo
                     name = source.name
@@ -658,7 +671,7 @@ class SharedScanStream:
     def _open_window(self, index: int) -> _Window:
         """A window from segment ``index`` on; nothing is read yet."""
         stop = index + 1
-        limit = min(self.num_segments, index + self._unit_pages)
+        limit = min(self.num_segments, index + self._window_pages)
         needs = [consumer._remaining for consumer in self._consumers]
         while stop < limit:
             for remaining in needs:
@@ -698,8 +711,7 @@ class SharedScanStream:
             pages = kept
         pieces = guarded_units(
             self._context,
-            self._unit_pages,
-            1,
+            self._window_pages,
             source.owner.file,
             pages,
             lambda at: source.span_of(pages[at]),
@@ -722,7 +734,7 @@ class SharedScanStream:
             piece = pages[at : at + run]
             parts = [(source.first_row(piece[0]), 0, None)]
             if piece[-1] - piece[0] >= run:
-                # The unit spans a known-lost page it did not read: each
+                # The piece spans a known-lost page it did not read: each
                 # page's values go to its own rows.
                 ends = np.cumsum([source.span_of(page) for page in piece]).tolist()
                 parts = [
@@ -1021,7 +1033,7 @@ class ScanShareManager:
         :func:`share_needs` when the caller has them already (both, or
         neither); ``queued`` marks a rider that boards while it waits for
         admission (the ``share.attach`` event says so).  A fresh stream
-        reads by the I/O unit of ``context``'s calibration and decodes
+        reads by the prefetch window of ``context``'s calibration and decodes
         the query's attributes, then those of ``wanted`` it lacks and the
         table has: the scheduler names there what the queries queued
         under a paged key read, so that they can ride it too.

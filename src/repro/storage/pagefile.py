@@ -25,6 +25,10 @@ from repro.storage.retry import RetryPolicy, retry_io
 class PagedFile:
     """An append-only sequence of fixed-size pages."""
 
+    #: ``(page bytes, ChecksumError)`` of the last page a window's check
+    #: saw fail, kept for that page's own decode (the scan core).
+    failed_check: tuple[bytes, Exception] | None = None
+
     def __init__(
         self,
         name: str,

@@ -3,14 +3,19 @@ of each registered experiment."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.cpusim.calibration import DEFAULT_CALIBRATION
 from repro.data.tpch import (
     apply_fig5_compression,
     generate_lineitem,
     generate_orders,
 )
+from repro.engine import scheduler as scheduler_module
+from repro.engine.context import ExecutionContext
 from repro.experiments.figures import ALL_EXPERIMENTS
 from repro.obs import metrics
 from repro.storage.layout import Layout
@@ -27,6 +32,29 @@ def zero_metrics() -> None:
     kept), so a test reads only what it caused."""
     for series in metrics.REGISTRY._metrics.values():
         series.reset()
+
+
+#: A prefetch window of one I/O unit.
+ONE_UNIT_WINDOWS = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=1)
+
+
+def one_unit_stream_windows(monkeypatch) -> None:
+    """Give every plan the scheduler builds a context whose prefetch
+    window is one I/O unit, so the streams it opens read, and its
+    timeslices pump, a unit at a time: a stream over a table a few units
+    long is still mid-pass after one pump.  (A scheduled query's events
+    do not depend on the depth; a stream's reads and pumps do.)"""
+    monkeypatch.setattr(
+        scheduler_module,
+        "ExecutionContext",
+        functools.partial(ExecutionContext, calibration=ONE_UNIT_WINDOWS),
+    )
+
+
+@pytest.fixture
+def one_unit_windows(monkeypatch):
+    """:func:`one_unit_stream_windows` for one test."""
+    one_unit_stream_windows(monkeypatch)
 
 
 def pytest_addoption(parser):

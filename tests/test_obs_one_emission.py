@@ -56,7 +56,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.storage.layout import Layout
 from repro.storage.loader import BulkLoader, load_table
 from repro.storage.retry import RetryPolicy, retry_io
-from tests.conftest import zero_metrics
+from tests.conftest import one_unit_stream_windows, zero_metrics
 
 ROWS = 1_200
 QUERY = ScanQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE"))
@@ -115,7 +115,8 @@ def _drive_every_producer(monkeypatch) -> None:
 
     # Scheduler: healthy riders on one wrapping stream, a timeout in the
     # queue, a cancel, a budget abort.  A timeslice pumps a window, so
-    # the stream's table is two windows long: 40 row pages.
+    # the stream's table is two one-unit windows long: 40 row pages.
+    one_unit_stream_windows(monkeypatch)
     table = load_table(generate_orders(5_000, seed=22), Layout.ROW)
     scheduler = Scheduler(max_inflight=4, share_scans=True)
     first = scheduler.submit(table, QUERY, label="rider 0")

@@ -795,6 +795,7 @@ WIDE_FIRST_AT_PARENT = {
 
 @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
 @pytest.mark.parametrize("dataset", ["plain", "z"])
+@pytest.mark.usefixtures("one_unit_windows")
 def test_riding_while_queued_is_not_observable(dataset, layout):
     """A query that boards a live stream while it waits for admission
     returns the bytes of its serial scan, and the events and corruption
@@ -1040,6 +1041,7 @@ def _ledgers(scheduler, ledgers: dict) -> int:
 
 
 @pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+@pytest.mark.usefixtures("one_unit_windows")
 def test_a_query_needing_more_opens_a_stream_beside(cell):
     """A query submitted once its key's stream is mid-pass, reading an
     attribute that stream does not decode, opens a second stream beside
@@ -1076,6 +1078,7 @@ def test_a_query_needing_more_opens_a_stream_beside(cell):
 
 
 @pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+@pytest.mark.usefixtures("one_unit_windows")
 def test_a_queued_query_boards_only_a_stream_that_carries_it(cell):
     """Behind a running wide rider, a narrower queued query boards its
     stream mid-pass — its ``share.attach`` and the board show its two

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import random
 import struct
 import time
 import weakref
@@ -87,6 +88,7 @@ from tests.scan_golden import (
     _run_scan,
 )
 from tests.test_scan_sharing import _coded_orders
+from tests.test_storage_integrity import _Checks
 
 # --- the old bit-matrix kernels, kept as the reference ------------------------
 
@@ -821,15 +823,58 @@ def _faulty_comments(data):
     return table, plan, comments.file
 
 
+#: Shared streams over a file faulted as a scan's is: a row or PAX
+#: table's (:func:`_faulty_table`), or a column table's ``L_COMMENT``
+#: (:func:`_faulty_comments`), which drives the stream.
+STREAM_WINDOW_CASES = {
+    "stream-row": Layout.ROW,
+    "stream-pax": Layout.PAX,
+    "stream-column": Layout.COLUMN,
+}
+
+
+def _stream_window_outcome(layout: Layout, depth: int, salvage: bool) -> dict:
+    """Two riders on a stream that reads ``depth`` units at a time, by
+    attach point: each alone (``None``), and the second attaching mid-pass,
+    20 segments in.  Per rider its bytes, events, ticks, faults and pages
+    scanned; the stream's I/O; and the faults the plan injected."""
+    data = _lineitem("plain")
+    queries = (_column_window_query(data, False), _column_window_query(data, True))
+    calibration = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=depth)
+    outcome = {}
+    for attach_after in (None, 20):
+        if layout is Layout.COLUMN:
+            table, plan, _file = _faulty_comments(data)
+        else:
+            table, plan = _faulty_table(data, layout)
+        ride = _shared_outcome(table, queries, calibration, attach_after, not salvage)
+        ride["injected"] = (plan.transient_raised, plan.pages_corrupted)
+        outcome[attach_after] = ride
+    return outcome
+
+
 @pytest.mark.parametrize("salvage", [False, True], ids=["strict", "salvage"])
-@pytest.mark.parametrize("name", [*WINDOW_TABLES, *COLUMN_WINDOW_CASES])
+@pytest.mark.parametrize("name", [*WINDOW_TABLES, *COLUMN_WINDOW_CASES, *STREAM_WINDOW_CASES])
 def test_the_window_size_is_not_observable(name, salvage):
     """A bit flip and a transient fault inside the second unit of a file —
     a row or PAX table's, or a column's that a pipelined scan reads by
-    position or as its first node — read one, two and the default 48
-    units at a time: the same result bytes, events, ticks, faults, pages
-    scanned and injected faults — and under strict integrity the same
-    error, raised at the same checkpoint."""
+    position or as its first node, or that a shared stream reads for a
+    solo rider or two riders, one attached mid-pass — read one, two and
+    the default 48 units at a time: the same result bytes, events, ticks,
+    faults, pages scanned, stream I/O and injected faults — and under
+    strict integrity the same error, raised at the same checkpoint."""
+    depths = (1, 2, DEFAULT_CALIBRATION.default_prefetch_depth)
+    if name in STREAM_WINDOW_CASES:
+        outcomes = [_stream_window_outcome(STREAM_WINDOW_CASES[name], d, salvage) for d in depths]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        for ride in outcomes[0].values():
+            if salvage:
+                assert ride["failed"] == "NoneType"
+                assert FLIPPED in [page for _file, page, _rows in ride["second"]["faults"]]
+            else:
+                assert ride["failed"] == ride["first"]["raises"] == "ChecksumError"
+            assert ride["injected"][0] == 2
+        return
     if name in COLUMN_WINDOW_CASES:
         data = _lineitem("plain")
         query = _column_window_query(data, COLUMN_WINDOW_CASES[name])
@@ -838,7 +883,7 @@ def test_the_window_size_is_not_observable(name, salvage):
         data = _lineitem(dataset)
         query = TestFaultsMidUnit._query(data)
     outcomes = []
-    for depth in (1, 2, DEFAULT_CALIBRATION.default_prefetch_depth):
+    for depth in depths:
         if name in COLUMN_WINDOW_CASES:
             table, plan, file = _faulty_comments(data)
         else:
@@ -911,9 +956,10 @@ class TestWindowRules:
 
     def test_a_limit_reads_one_unit_and_a_full_scan_after_it_windows(self, name, monkeypatch):
         """Under a demand hint a scan reads an I/O unit, not a window.  The
-        next full scan reads that verified unit as a window of its own
-        and the unverified rest as another — no page decoded alone — and
-        sees what a scan of a fresh table sees."""
+        next full scan reads the file as one window — the verified unit
+        and the unverified rest together, no page decoded alone — checks
+        the unverified pages' CRCs alone, and sees what a scan of a fresh
+        table sees."""
         data, query, layout = self._case(name)
         table = load_table(data, layout)
         pages, unit = table.file.num_pages, DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
@@ -926,18 +972,21 @@ class TestWindowRules:
         assert table.file.verified(range(pages)) == unit
 
         page_decodes = self._page_decodes(monkeypatch)
+        checks = _Checks(monkeypatch)
         context = _window_at_a_time()
         after = run_scan(table, query, context)
-        assert spy.take() == [range(0, unit), range(unit, pages)]
+        assert spy.take() == [range(0, pages)]
         assert page_decodes == []
+        assert checks.take() == pages - unit
         fresh_context = _window_at_a_time()
         fresh = run_scan(load_table(data, layout), query, fresh_context)
         assert _outcome(after, context) == _outcome(fresh, fresh_context)
 
-    def test_a_unit_partly_verified_is_read_alone_page_by_page(self, name, monkeypatch):
+    def test_a_partly_verified_window_checks_only_its_unverified_pages(self, name, monkeypatch):
         """A windowed scan that started mid-unit left the first unit partly
-        verified: the full scan after it reads that unit alone and decodes
-        it page by page, each page checked at most once, then windows."""
+        verified: the full scan after it reads the file as one window,
+        checks the CRCs of the five pages it has not seen pass, each once,
+        and decodes the window whole, no page alone."""
         data, query, layout = self._case(name)
         table = load_table(data, layout)
         pages, unit = table.file.num_pages, DEFAULT_CALIBRATION.io_unit_bytes // table.page_size
@@ -947,13 +996,116 @@ class TestWindowRules:
 
         spy = _ReadSpy(monkeypatch, table.file)
         page_decodes = self._page_decodes(monkeypatch)
+        checks = _Checks(monkeypatch)
         context = _window_at_a_time()
         after = run_scan(table, query, context)
-        assert spy.take() == [range(0, unit), range(unit, pages)]
-        assert page_decodes == list(range(unit))
+        assert spy.take() == [range(0, pages)]
+        assert page_decodes == []
+        assert checks.take() == 5
+        assert table.file.verified(range(pages)) == pages
         fresh_context = _window_at_a_time()
         fresh = run_scan(load_table(data, layout), query, fresh_context)
         assert _outcome(after, context) == _outcome(fresh, fresh_context)
+
+
+# --- a partly verified window: checked page by page, decoded whole ------------
+
+
+def _window_decoder(table, layout: Layout):
+    """``(file, decode(data, verify) -> (counts per page, {attribute:
+    values}))`` over pages read back to back: of a row or PAX table's
+    file, or of a column table's ``L_COMMENT``."""
+    if layout is Layout.COLUMN:
+        column_file = table.column_file("L_COMMENT")
+
+        def decode_column(data, verify):
+            counts, values = column_file.decode_unit(data, verify=verify)
+            return counts.tolist(), {"L_COMMENT": values}
+
+        return column_file.file, decode_column
+    attrs = ("L_ORDERKEY", "L_PARTKEY", "L_COMMENT")
+
+    def decode(data, verify):
+        if len(data) == table.page_size:
+            count, columns = table.decode_page(data, attrs, verify)
+            return [count], columns
+        counts, columns = table.decode_unit(data, attrs, verify)
+        return counts.tolist(), columns
+
+    return table.file, decode
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["salvage", "strict"])
+@pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
+@pytest.mark.parametrize("seed", range(6))
+def test_a_partly_verified_window_decodes_as_its_pages_do(seed, layout, strict, monkeypatch):
+    """A window a random subset of whose pages are verified — with one
+    unverified page flipped (odd seeds), or none — read whole equals a
+    page-by-page decode of every page with its CRC: the values, the
+    counts per page and the faults.  One CRC is computed per unverified
+    page the read reaches, the flipped one included; a strict read names
+    that page after yielding every page before it."""
+    rng = random.Random(seed)
+    table = load_table(_lineitem("plain"), layout)
+    file, decode = _window_decoder(table, layout)
+    pages = range(file.num_pages)
+    assert len(pages) < scan_core.window_pages(DEFAULT_CALIBRATION, file.page_size)
+    verified = sorted(rng.sample(pages, rng.randrange(1, len(pages))))
+    unverified = sorted(set(pages) - set(verified))
+    file.mark_verified(verified)
+    flipped = rng.choice(unverified) if seed % 2 else None
+    if flipped is not None:
+        file.corrupt(flipped, 97)
+
+    expected_counts, expected, expected_faults = [], [], []
+    for page in pages:
+        try:
+            counts, columns = decode(file.read_page(page), True)
+        except ChecksumError:
+            expected_counts.append(0)
+            expected_faults.append(page)
+            continue
+        expected_counts += counts
+        expected.append(columns)
+
+    checks = _Checks(monkeypatch)
+    context = ExecutionContext(strict_integrity=strict)
+    got_counts, got = [], []
+    pieces = scan_core.guarded_units(
+        context,
+        len(pages),
+        file,
+        pages,
+        lambda _at: 1,
+        lambda data, _at, _run, verify: decode(data, verify),
+        lambda: None,
+    )
+    if strict and flipped is not None:
+        with pytest.raises(ChecksumError, match=f"page {flipped} checksum"):
+            for _at, _run, (counts, columns) in pieces:
+                got_counts += counts
+                got.append(columns)
+        assert got_counts == expected_counts[:flipped]
+        assert checks.take() == len([page for page in unverified if page <= flipped])
+        return
+    for _at, run, decoded in pieces:
+        if flipped is None:
+            assert run == len(pages)  # one whole window
+        if decoded is None:
+            got_counts.append(0)
+        else:
+            got_counts += decoded[0]
+            got.append(decoded[1])
+    assert got_counts == expected_counts
+    for name in expected[0]:
+        np.testing.assert_array_equal(
+            np.concatenate([columns[name] for columns in got]),
+            np.concatenate([columns[name] for columns in expected]),
+        )
+    assert [fault.page for fault in context.corruption.faults] == expected_faults
+    assert expected_faults == ([] if flipped is None else [flipped])
+    assert checks.take() == len(unverified)
+    assert file.verified(pages) == len(pages) - len(expected_faults)
 
 
 # --- column scans read a prefetch window too ----------------------------------
@@ -1009,11 +1161,11 @@ class TestColumnWindowRules:
             assert page_decodes == []
             assert checked == list(read)
 
-    def test_a_partly_verified_file_decodes_each_run_of_one_state_whole(self, monkeypatch):
+    def test_a_partly_verified_file_decodes_each_window_whole(self, monkeypatch):
         """A position-driven node read pages 0-71 (two units and a
-        quarter): the dense scan after it reads the verified units as one
-        window with no CRC, the mixed unit alone, page by page, and the
-        rest as one window with every CRC — and sees what a scan of a
+        quarter): the dense scan after it reads the file as one window,
+        checks the CRCs of the other 132 pages alone, each once, decodes
+        the window whole with no page alone, and sees what a scan of a
         fresh table sees."""
         data, _query, unit, _touched = _sparse_case()
         table = load_table(data, Layout.COLUMN)
@@ -1026,12 +1178,13 @@ class TestColumnWindowRules:
         assert comments.file.verified(range(204)) == 2 * unit + 8
 
         reads, page_decodes, checked = self._spies(monkeypatch, comments.file)
+        checks = _Checks(monkeypatch)
         query = self._dense_query(data)
         context = _window_at_a_time()
         after = run_scan(table, query, context)
-        assert reads == [range(0, 2 * unit), range(2 * unit, 3 * unit), range(3 * unit, 204)]
-        assert page_decodes == list(range(2 * unit, 3 * unit))
-        assert checked == list(range(3 * unit, 204))
+        assert reads == [range(0, 204)]
+        assert page_decodes == [] and checked == []  # decoded whole, with no check
+        assert checks.take() == 204 - (2 * unit + 8)
         assert comments.file.verified(range(204)) == 204
         fresh_context = _window_at_a_time()
         fresh = run_scan(load_table(data, Layout.COLUMN), query, fresh_context)
@@ -1633,11 +1786,13 @@ class _CountingFile(PagedFile):
 
 
 @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX, Layout.COLUMN], ids=lambda l: l.name)
-def test_a_solo_pass_reads_each_unit_once(layout, fresh_telemetry):
+@pytest.mark.parametrize("depth", [2, DEFAULT_CALIBRATION.default_prefetch_depth])
+def test_a_solo_pass_reads_each_window_once(layout, depth, fresh_telemetry):
     """The mechanism, by count: a clean solo pass over a P-page driving
-    file issues ceil(P / unit) unit reads, no page read, and decodes
-    each page it read once."""
+    file issues ceil(P / window) window reads of ``depth`` units each,
+    no page read, and decodes each page it read once."""
     data, page_size, unit, queries = _shared_case("plain")
+    window = unit * depth
     table = load_table(data, layout, page_size=page_size)
     query = queries[1]
     if layout is Layout.COLUMN:
@@ -1649,14 +1804,16 @@ def test_a_solo_pass_reads_each_unit_once(layout, fresh_telemetry):
     else:
         driving = table.file = _CountingFile(table.file)
         files = {"row": driving}
-    stream = SharedScanStream(table, query.scan_attributes(), True)
+    calibration = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=depth)
+    stream = SharedScanStream(table, query.scan_attributes(), True, calibration)
     rider = SharedScanConsumer(ExecutionContext(), stream, query)
     (batch,) = rider.drain()
     assert batch.num_blocks > 1
     pages = driving.num_pages
     assert pages > unit and stream.num_segments == pages
+    assert stream.window_segments == window
     assert driving.unit_reads == [
-        (start, min(unit, pages - start)) for start in range(0, pages, unit)
+        (start, min(window, pages - start)) for start in range(0, pages, window)
     ]
     assert all(file.page_reads == 0 for file in files.values())
     read = sum(count for file in files.values() for _start, count in file.unit_reads)

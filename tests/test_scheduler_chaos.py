@@ -250,6 +250,7 @@ class TestQueuedRiders:
         assert self._boxes() == [("victim", "QueryCancelled")]
         self._assert_serial([first, *peers])
 
+    @pytest.mark.usefixtures("one_unit_windows")
     def test_kill_of_the_peer_that_pumps(self):
         table = self._table()
 
@@ -262,6 +263,7 @@ class TestQueuedRiders:
         assert self._boxes() == [("pumper", "ChaosKill")]
         self._assert_serial([doomed, *peers])
 
+    @pytest.mark.usefixtures("one_unit_windows")
     def test_strict_stream_failure_while_riders_are_queued(self):
         with pytest.raises(ChecksumError):  # what each would hit on its own
             run_scan(self._table(corrupt_page=36), self.QUERY)
