@@ -159,7 +159,11 @@ scheduler-test:
 # capacities and round trips (tests/test_storage_{page,tables}.py), the
 # codec suites (bit packing, dictionary, frame-of-reference, their
 # properties) and the wanted-codes gather against a full decode then a
-# take (tests/test_column_gather.py), then 200 differential fuzz cases.
+# take (tests/test_column_gather.py), the row scanner's decode
+# accounting (tests/test_scanner_decode_accounting.py), the seeded
+# fault-injection sweep (tests/test_integrity_stress.py) and the
+# governance suite (tests/test_governance.py), then 200 differential
+# fuzz cases.
 # Run it on any change under engine/operators/, engine/blocks.py,
 # engine/governance.py (GovernedAccumulator), engine/sharing.py,
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
@@ -180,7 +184,9 @@ scan-test:
 		tests/test_page_encode.py tests/test_storage_page.py \
 		tests/test_storage_tables.py tests/test_compression_bitpack.py \
 		tests/test_compression_dictionary.py tests/test_compression_frame.py \
-		tests/test_property_codecs.py tests/test_column_gather.py -q
+		tests/test_property_codecs.py tests/test_column_gather.py \
+		tests/test_scanner_decode_accounting.py tests/test_integrity_stress.py \
+		tests/test_governance.py -q
 	python -m repro.testing --cases 200
 
 # Rewrite tests/data/scan_golden.json from the current tree.  Never

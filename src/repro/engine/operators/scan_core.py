@@ -4,20 +4,17 @@ Every scanner sits under one identical operator layer and differs only
 in which bytes of a page it touches (Section 2.2.2); a scan is
 select ∘ gather ∘ decompress over columns.  Here live
 
-* :func:`guarded_decode` — the one accounted page read+decode under the
-  integrity policy (strict aborts, salvage records and skips) — and
-  :func:`guarded_decode_unit`, which serves a prefetch window whole,
-  whatever its pages' verification state, with one read, one check of
-  the pages not yet verified and one decode;
+* :func:`guarded_units` — the one reader under every paged scan
+  (:class:`PagedScanner`, :meth:`Scanner._guarded_units` and a shared
+  stream's windows), one read step per ``next()``: a prefetch window
+  (:func:`window_stop`) read, checked and decoded whole
+  (:func:`guarded_decode_unit`), or one page of a window that was not,
+  decoded under the integrity policy (:func:`guarded_decode`: strict
+  aborts, salvage records and skips).  Checkpoints and page counts are
+  its callers'; row and PAX pages decode through
+  :func:`decode_tuple_pages`, which holds each to its nominal span;
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
-* :func:`window_stop` — the one window rule: up to
-  ``default_prefetch_depth`` I/O units (:func:`window_pages`);
-* :func:`guarded_units` — the one window-at-a-time reader of a file's
-  listed pages, a lazy generator: under :meth:`Scanner._guarded_units`
-  (the dense :meth:`Scanner._dense_pages` and the pipelined scanner's
-  position-driven nodes) and under a shared stream's windows
-  (:mod:`repro.engine.sharing`), a prefetch window at a time;
 * :class:`Scanner` — validation, access order, row window,
   ``describe()``, the empty block and the per-run filter kernel
   (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
@@ -28,16 +25,16 @@ select ∘ gather ∘ decompress over columns.  Here live
 
 A strategy says how a page is charged to the memory hierarchy, when its
 decompression is charged, and what it does with a decoded page.
-Accounting stays per logical page — one guarded read per page read, one
-``pages_touched`` per page decoded — whatever unit bytes are fetched or
-decoded in (DESIGN.md, "Scan core").
+Accounting stays per logical page — one checkpoint and one
+``pages_scanned`` per page taken, one ``pages_touched`` per page
+decoded — whatever unit bytes are fetched or decoded in (DESIGN.md,
+"Scan core").
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,10 +45,11 @@ from repro.engine.blocks import Block, as_batch
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator, RunOnce
 from repro.engine.predicate import Predicate
-from repro.errors import ChecksumError, CompressionError, PlanError, StorageError
+from repro.errors import ChecksumError, CompressionError, PageFormatError, PlanError
+from repro.errors import StorageError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
-from repro.storage.page import verify_unit
+from repro.storage.page import PAGE_TRAILER_BYTES, verify_unit
 
 #: What salvage mode treats as "this page is corrupt, skip it": checksum
 #: mismatches, malformed page bytes, codec failures, missing pages, and
@@ -73,17 +71,15 @@ def _salvage(context: ExecutionContext, file, page: int, row_span: int, exc) -> 
     context.corruption.record(file.name, page, row_span, exc)
 
 
-def guarded_decode(
-    context: ExecutionContext, decode, file, page: int, row_span: int, data=None
-):
-    """Read one page and ``decode(bytes, verify)`` it, under the integrity policy.
+def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span: int, data):
+    """``decode(data, verify)`` page ``page``'s bytes, ``data``, read with
+    its window, under the integrity policy: the decoded page, or ``None``.
 
     Strict mode lets any error propagate (a checksum mismatch aborts
     the query).  Salvage mode records the fault in ``context.corruption``
     — the page's nominal row span is the loss estimate — and returns
     ``None``: the caller skips the page but keeps positions aligned.
     Only successful decodes reach ``repro_page_decode_seconds``.
-    ``data`` is the page's bytes when a unit read has fetched them.
     ``verify`` is false for a page the file has already seen pass its
     CRC (:meth:`~repro.storage.pagefile.PagedFile.verified`); a page
     that passes it here is marked so.  A page whose bytes a unit's check
@@ -98,7 +94,7 @@ def guarded_decode(
         if failed is not None and failed[0] == data:
             file.failed_check = None
             raise failed[1]
-        result = decode(file.read_page(page) if data is None else data, verify)
+        result = decode(data, verify)
         if timed:
             obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
     except SALVAGEABLE_ERRORS as exc:
@@ -106,7 +102,6 @@ def guarded_decode(
         return None
     if verify:
         file.mark_verified((page,))
-    context.corruption.pages_scanned += 1
     return result
 
 
@@ -124,13 +119,12 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
     check; one with some of each has its unverified pages checked here,
     each marked as it passes, and is then decoded with no check.
     ``decoded`` is ``None`` when a page fails its checksum or the unit
-    does not decode: the caller hands the pages' bytes to
-    :func:`guarded_decode` one by one, which names the page and applies
-    the policy — a page this check saw fail is not checked twice.
-    ``unit`` is ``None`` when page ``pages[0]`` could not be read and
-    salvage dropped it; it holds fewer pages than listed when a later one
-    could not be read.  Pages count as scanned when the scan gets to
-    them, which is the caller's to say.
+    does not decode: :func:`guarded_units` then serves the pages from
+    the bytes read, one by one through :func:`guarded_decode`, which
+    names the page and applies the policy — a page this check saw fail
+    is not checked twice.  ``unit`` is ``None`` when page ``pages[0]``
+    could not be read and salvage dropped it; it holds fewer pages than
+    listed when a later one could not be read.
     """
     timed = obs_metrics.enabled()
     if timed:
@@ -202,31 +196,31 @@ def window_stop(file, pages, at: int, span: int) -> int:
     return bisect_left(pages, end, at + 1, min(len(pages), at + span))
 
 
-def guarded_units(context, span, file, pages, span_of, decode, checkpoint):
+def guarded_units(context, span, file, pages, span_of, decode):
     """Read, check and decode the ascending ``pages`` of a file a window
-    of up to ``span`` pages at a time: yields ``(at, run, decoded)``.
+    of up to ``span`` pages at a time: yields ``(at, run, decoded)``, one
+    read step per ``next()``.
 
-    The one window reader: under :meth:`Scanner._guarded_units` (the
-    column scans) and a shared stream's feeds (:mod:`repro.engine.
-    sharing`), which pull a piece only when a segment needs it.  A window
-    is what :func:`window_stop` says: ``pages[at]`` and the listed pages
-    after it that one read takes, ``run`` of them, read as one buffer of
-    those pages alone — a page the list skips is never read, checked or
-    counted.  ``decoded`` is what ``decode(unit, at, run, verify)`` made
+    The one reader under every paged scan: :class:`PagedScanner` (a
+    generator per window), :meth:`Scanner._guarded_units` (the column
+    nodes) and a shared stream's feeds (:mod:`repro.engine.sharing`).
+    A window is what :func:`window_stop` says: ``pages[at]`` and the
+    listed pages after it that one read takes, ``run`` of them, read as
+    one buffer of those pages alone — a page the list skips is never
+    read, checked or counted.  ``decoded`` is what ``decode(unit, at, run, verify)`` made
     of it, ``verify`` saying whether to check the CRCs
     (:func:`guarded_decode_unit`).  A window that does not decode whole
-    is served page by page from the bytes already read, so a fault names
-    its page: ``decoded`` is then what ``decode(data, at, 1, verify)``
-    made of one page, or ``None`` where salvage dropped it
+    is served a page a step from the bytes already read, so a fault
+    names its page: ``decoded`` is then what ``decode(data, at, 1,
+    verify)`` made of one page, or ``None`` where salvage dropped it
     (``span_of(at)`` rows are recorded lost).  A window that comes back
     short — a later page would not read — is followed by one that starts
-    at that page.  One ``checkpoint()`` per page, passed before anything
-    of the page is yielded.
+    at that page.  A pure reader: a governed caller passes its
+    checkpoints, and the scan that takes a piece counts its pages.
     """
     size = file.page_size
     at = 0
     while at < len(pages):
-        checkpoint()
         stop = window_stop(file, pages, at, span)
         unit, decoded = guarded_decode_unit(
             context,
@@ -242,17 +236,13 @@ def guarded_units(context, span, file, pages, span_of, decode, checkpoint):
         run = len(unit) // size
         # This generator waits across yields, holding then no view of
         # the file's buffer (which would keep the file from growing).
-        unit = None if decoded is not None else bytes(unit)
         if decoded is not None:
-            for _page in range(1, run):
-                checkpoint()
-            context.corruption.pages_scanned += run
+            unit = None
             yield at, run, decoded
             at += run
             continue
+        unit = bytes(unit)
         for start in range(0, run * size, size):
-            if start:
-                checkpoint()
             yield at, 1, guarded_decode(
                 context,
                 lambda data, verify: decode(data, at, 1, verify),
@@ -262,6 +252,25 @@ def guarded_units(context, span, file, pages, span_of, decode, checkpoint):
                 unit[start : start + size],
             )
             at += 1
+
+
+def decode_tuple_pages(table, attrs, unit, verify: bool):
+    """``table.decode_unit(unit, attrs, verify)`` of adjacent row or PAX
+    pages, a window or one page: the decode the serial scan and a shared
+    stream hand :func:`guarded_units`.
+
+    Density holds each page but the last to capacity; the last must hold
+    ``row_span_of_page`` of the page its trailer names.  A CRC-valid page
+    claiming fewer tuples, which would shift every later Record ID,
+    raises :class:`~repro.errors.PageFormatError`, so the reader serves
+    its window page by page and the integrity policy names it.
+    """
+    counts, columns = table.decode_unit(unit, attrs, verify)
+    last = int.from_bytes(unit[-PAGE_TRAILER_BYTES:][:4], "little")  # its page id
+    span = table.row_span_of_page(last)
+    if counts[-1] != span:
+        raise PageFormatError(f"page {last} claims {counts[-1]} tuples, its span is {span}")
+    return counts, columns
 
 
 def _count(mask) -> int:
@@ -396,18 +405,6 @@ class Scanner(Operator):
     def _open(self) -> None:
         self._held = None
 
-    def _guarded(self, decode, file, page: int, row_span: int, data=None):
-        """:func:`guarded_decode` for this query.
-
-        ``repro_pages_salvaged_total`` counts once per *query* that lost
-        the page, so it is counted here and not in the guarded read,
-        which a shared stream performs on behalf of all its riders.
-        """
-        result = guarded_decode(self.context, decode, file, page, row_span, data)
-        if result is None:
-            obs_metrics.PAGES_SALVAGED.inc()
-        return result
-
     def _charge_lazy_decodes(self, tuples: int, on_hit_pages: int, qualified: int) -> None:
         """Decompression of already-decoded pages, for what was touched:
         ``tuples`` on the pages, ``on_hit_pages`` of them on the pages
@@ -486,25 +483,32 @@ class Scanner(Operator):
         return numbers, self._copy_out(columns, np.flatnonzero(mask), row_base)
 
     def _guarded_units(self, file, pages, span_of, decode):
-        """:func:`guarded_units` for this query: its context, its unit
-        and prefetch window, one governance checkpoint per page.
+        """:func:`guarded_units` for this query, in its prefetch window:
+        one checkpoint before each pull and, when governed, one for each
+        later page of a whole window before it is handed on; a decoded
+        piece's pages count as scanned.
 
         ``repro_pages_salvaged_total`` counts once per *query* that lost
         a page, so it is counted here and not in the window reader, which
         a shared stream runs on behalf of all its riders.
         """
-        for piece in guarded_units(
-            self.context,
-            window_pages(self.context.calibration, file.page_size),
-            file,
-            pages,
-            span_of,
-            decode,
-            self._governance_check,
-        ):
-            if piece[2] is None:
+        context = self.context
+        pieces = guarded_units(
+            context, window_pages(context.calibration, file.page_size), file, pages, span_of, decode
+        )
+        at = 0
+        while at < len(pages):
+            self._governance_check()
+            piece = at, run, decoded = next(pieces)
+            if decoded is None:
                 obs_metrics.PAGES_SALVAGED.inc()
+            else:
+                if context.governance is not None:
+                    for _page in range(1, run):
+                        self._governance_check()
+                context.corruption.pages_scanned += run
             yield piece
+            at += run
 
     def _dense_pages(self, column_file, codes=False):
         """Yield ``(row_base, rows, data)`` per run of pages of one column in the window.
@@ -564,45 +568,55 @@ class Scanner(Operator):
 
 
 class PagedScanner(Scanner):
-    """Window-at-a-time scan of a one-file table (row and PAX layouts).
+    """Window-at-a-time scan of a one-file table (row, ROW-Z and PAX layouts).
 
-    Reads the pages overlapping the row window a prefetch window at a
-    time — ``calibration.default_prefetch_depth`` I/O units of
-    ``calibration.io_unit_bytes``, or one unit under a demand hint
-    (:meth:`_window_pages`) — with one read, CRC loop, decode, predicate
-    pass and projection per window, and releases them as one batch, or
-    as many of them as the consumer wants: a page's
-    checkpoint, events and fault land, and its logical blocks are handed
+    Reads the pages overlapping the row window through
+    :func:`guarded_units`, one generator per window, one checkpoint
+    before each pull.  The window is one I/O unit under a demand hint,
+    so that a ``Limit`` decodes no further than the unit its answer ends
+    in, else a prefetch window (``calibration.default_prefetch_depth``
+    units of ``calibration.io_unit_bytes``), and never holds a page past
+    those that can still hold wanted rows.  A piece — a whole window, in
+    one predicate pass and projection, or one page of a window that did
+    not decode whole — is released as one batch, or as many of its
+    pages as the consumer wants: a page's checkpoint, events,
+    ``pages_scanned`` and fault land, and its logical blocks are handed
     off, only once the consumer's demand reaches it, so a scan that
     stops early has touched what a page-at-a-time scan would have
-    (DESIGN.md, "Scan core").  Checkpoints pass at release, so a cancel
-    or a deadline is seen at least once a window: up to 6 MB (48 units
-    of 128 KB) read and decoded between two.  Subclasses say how pages
-    are charged to the caches.
+    (DESIGN.md, "Scan core").  A cancel or a deadline is seen at least
+    once a window: up to 6 MB (48 units of 128 KB) read and decoded
+    between two checkpoints.  Subclasses say how pages are charged to
+    the caches.
     """
 
     def _open(self) -> None:
         super()._open()
         self._page_index = 0  # the next page to read
         self._row_base = 0  # the first row of the next page to release
-        #: Pages read but not yet released, in file order: a window as
-        #: ``[numbers, block, pages released]`` of :meth:`_filter_unit`,
-        #: or, when it has to be decoded page by page, each page's bytes.
-        self._pending: deque = deque()
+        #: The window's pages, and its unread pieces (``None`` when none).
+        self._window = range(0)
+        self._pieces = None
+        #: The piece read and not all released: ``[numbers, block, pages
+        #: released]`` of :meth:`_filter_unit`.
+        self._run: list | None = None
         self._emitted_any = False
 
-    def _decode(self, page: bytes, verify: bool):
-        return self.table.decode_page(page, self._attrs, verify)
+    def _decode_unit(self, unit, _at, _run, verify: bool):
+        return decode_tuple_pages(self.table, self._attrs, unit, verify)
 
-    def _decode_unit(self, unit: bytes, verify: bool):
-        return self.table.decode_unit(unit, self._attrs, verify)
+    def _span_of(self, at: int) -> int:
+        return self.table.row_span_of_page(self._window[at])
 
     def _next(self, want: int | None) -> Block | None:
         lo, hi = self.row_range
         table = self.table
         while self._held is None:
-            if self._pending:
+            if self._run is not None:
                 self._release(want)
+                continue
+            if self._pieces is not None:
+                self._governance_check()
+                self._read_piece(want)
                 continue
             index = self._page_index
             if index >= table.file.num_pages or self._row_base >= hi:
@@ -619,56 +633,36 @@ class PagedScanner(Scanner):
                 self._page_index += 1
                 self._row_base += span
                 continue
-            self._read_window(index, span, want)
+            # Pages hold at most ``capacity`` tuples, so this many more
+            # are certain to start inside the window.
+            wanted = -(-(hi - self._row_base) // table.page_codec.tuples_per_page)
+            pages = self._unit_pages
+            if want is None:
+                pages = window_pages(self.context.calibration, table.page_size)
+            self._window = range(index, min(table.file.num_pages, index + wanted, index + pages))
+            self._pieces = guarded_units(
+                self.context, pages, table.file, self._window, self._span_of, self._decode_unit
+            )
+            self._read_piece(want)
         self._emitted_any = True
         return self._pop(want)
 
-    def _read_window(self, first: int, span: int, want: int | None) -> None:
-        """Read and decode the window starting at page ``first``, whose
-        checkpoint has been passed, and release from it."""
-        table = self.table
-        file = table.file
-        # Pages hold at most ``capacity`` tuples, so this many more are
-        # certain to start inside the window.
-        capacity = table.page_codec.tuples_per_page
-        wanted = -(-(self.row_range[1] - self._row_base) // capacity)
-        pages = self._window_pages(first, min(file.num_pages - first, wanted), want)
-        unit, decoded = guarded_decode_unit(
-            self.context, self._decode_unit, file, range(first, first + pages), span
-        )
-        if unit is None:
-            # Salvage: skip the unreadable page but advance the global
-            # row position by its nominal span so later pages' Record
-            # IDs — and any position-joined column files — stay aligned.
+    def _read_piece(self, want: int | None) -> None:
+        """Pull the window's next piece, whose checkpoint has been passed,
+        and release from it."""
+        at, run, decoded = next(self._pieces)
+        self._page_index += run
+        if self._page_index == self._window.stop:
+            self._pieces = None
+        if decoded is None:
+            # Salvage: skip the page but advance the global row position
+            # by its nominal span so later pages' Record IDs — and any
+            # position-joined column files — stay aligned.
             obs_metrics.PAGES_SALVAGED.inc()
-            self._page_index += 1
-            self._row_base += span
+            self._row_base += self._span_of(at)
             return
-        size = file.page_size
-        self._page_index += len(unit) // size
-        if decoded is not None:
-            self._pending.append([*self._filter_unit(*decoded), 0])
-        else:
-            # Not decoded whole (a page failed, or only some are
-            # verified): its pages one by one as they are reached, from
-            # the bytes already read, so a fault names its page and the
-            # other pages' rows survive.  Copies, as they may wait across
-            # next() calls, and a view would keep the file from growing.
-            self._pending.extend(bytes(unit[at : at + size]) for at in range(0, len(unit), size))
+        self._run = [*self._filter_unit(*decoded), 0]
         self._release(want, passed=1)
-
-    def _window_pages(self, first: int, limit: int, want: int | None) -> int:
-        """How many of the ``limit`` pages from ``first`` one read takes.
-
-        Under a demand hint, one I/O unit, so that a ``Limit`` decodes
-        no further than the unit its answer ends in.  Otherwise a
-        prefetch window of up to ``calibration.default_prefetch_depth``
-        units (:func:`window_stop`, every scan's rule).
-        """
-        if want is not None:
-            return min(self._unit_pages, limit)
-        span = window_pages(self.context.calibration, self.table.page_size)
-        return window_stop(self.table.file, range(first, first + limit), 0, span)
 
     def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
         """:meth:`_filter_pages` over decoded pages that start at row
@@ -677,29 +671,17 @@ class PagedScanner(Scanner):
         return self._filter_pages(counts, columns, mask, self._row_base)
 
     def _release(self, want: int | None, passed: int = 0) -> None:
-        """Release the next pages in file order — all that are pending,
-        or up to the one whose qualifiers reach ``want`` — as one batch.
+        """Release the next pages of the piece read — all the rest, or up
+        to the one whose qualifiers reach ``want`` — as one batch.
 
         ``passed`` of them have had their checkpoint; the others pass
-        theirs first, one per page, and then the run is charged and held
-        as a batch.  A page is never charged before its checkpoint: when
-        one raises, exactly the pages before it are charged.
+        theirs first, one per page, and then the run is charged, counted
+        as scanned and held as a batch.  A page is never charged before
+        its checkpoint: when one raises, exactly the pages before it are
+        charged.
         """
-        head = self._pending[0]
-        if not isinstance(head, list):  # a page's bytes, not a filtered run
-            self._pending.popleft()
-            if not passed:
-                self._governance_check()
-            table = self.table
-            index = self._page_index - len(self._pending) - 1
-            span = table.row_span_of_page(index)
-            decoded = self._guarded(self._decode, table.file, index, span, data=head)
-            if decoded is None:
-                self._row_base += span
-                return
-            self._charge_run(*self._filter_unit(np.array([decoded[0]]), decoded[1]), 0, 1)
-            return
-        numbers, block, at = head
+        run = self._run
+        numbers, block, at = run
         stop = numbers.shape[1]
         if want is not None:
             reach = np.searchsorted(np.cumsum(numbers[4, at:]), want)
@@ -712,9 +694,9 @@ class PagedScanner(Scanner):
         finally:
             self.context.corruption.pages_scanned += reached - at
             self._charge_run(numbers, block, at, reached)
-            head[2] = reached
+            run[2] = reached
             if reached == numbers.shape[1]:
-                self._pending.popleft()
+                self._run = None
 
     def _charge_run(self, numbers: np.ndarray, block: Block, at: int, stop: int) -> None:
         """Charge pages ``[at, stop)`` of a filtered run and hold their batch."""

@@ -65,6 +65,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
+    decode_tuple_pages,
     guarded_units,
     window_pages,
 )
@@ -117,7 +118,9 @@ class _Source:
     name: str
     owner: object
     #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
-    #: pages read back to back: the window reader's callback.
+    #: pages read back to back — a window, or one page decoded alone: the
+    #: callback of :func:`~repro.engine.operators.scan_core.guarded_units`
+    #: (for a row or PAX file, ``decode_tuple_pages``).
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
@@ -370,15 +373,10 @@ class SharedScanStream:
         table, attrs = self.table, self.attrs
         capacity = table.page_codec.tuples_per_page
         pages = range(self.num_segments)
-
-        def decode(data, _at, run, verify):
-            decoder = table.decode_unit if run > 1 else table.decode_page
-            return decoder(data, attrs, verify)[1]
-
         return _Source(
             name=table.file.name,
             owner=table,
-            decode=decode,
+            decode=lambda data, _at, _run, verify: decode_tuple_pages(table, attrs, data, verify)[1],
             first_row=lambda page: page * capacity,
             span_of=table.row_span_of_page,
             first=pages,
@@ -716,7 +714,6 @@ class SharedScanStream:
             pages,
             lambda at: source.span_of(pages[at]),
             source.decode,
-            _no_checkpoint,
         )
         return _Feed(pages, pieces)
 

@@ -109,8 +109,9 @@ class PagedTable(Table):
         buffer: ``(tuple count per page, columns in file order)``.
 
         A unit with a corrupt page, or one the codec cannot flatten,
-        raises: the caller goes back to :meth:`decode_page`, page by
-        page.  ``verify`` as there.
+        raises; the scan core's reader then decodes its pages one at a
+        time, each as a one-page unit.  ``verify`` as in
+        :meth:`decode_page`.
         """
         return self.page_codec.decode_unit(unit, attrs, verify)
 

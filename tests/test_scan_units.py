@@ -49,6 +49,7 @@ from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute_plan, run_scan
 from repro.engine.governance import QueryContext
+from repro.engine import sharing
 from repro.engine.operators import Limit, scan_core
 from repro.engine.plan import scan_plan
 from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
@@ -69,6 +70,7 @@ from repro.storage.faults import FaultPlan, drop_trailing_pages
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.page import PAGE_HEADER_BYTES
+from repro.storage.page import PAGE_TRAILER_BYTES, assemble_pages
 from repro.storage.pagefile import PagedFile
 from repro.storage.persist import open_table, save_table
 from repro.storage.retry import RetryPolicy
@@ -266,6 +268,12 @@ def test_decode_unit_is_the_concatenation_of_page_decodes(
     singly = [table.decode_page(table.file.read_page(i), attrs) for i in range(pages)]
     assert counts.tolist() == [count for count, _columns in singly]
     assert set(unit_columns) == set(attrs)
+    # A unit of one page, the partial last one too, decodes as its page.
+    for page, (count, page_columns) in enumerate(singly):
+        alone_counts, alone = table.decode_unit(table.file.read_page(page), attrs)
+        assert alone_counts.tolist() == [count]
+        for name in attrs:
+            np.testing.assert_array_equal(alone[name], page_columns[name])
     for name in attrs:
         joined = np.concatenate([page_columns[name] for _count, page_columns in singly])
         assert unit_columns[name].dtype == joined.dtype
@@ -325,8 +333,12 @@ def test_plain_pages_decode_by_unit_as_by_page(table_class):
     for page, expected in ((pages[:size], short), (pages[size:], full)):
         count, columns = table.decode_page(page, attrs)
         assert count == len(expected["L_PARTKEY"])
+        # ... and each alone is a one-page unit that decodes as its page.
+        counts, alone = table.decode_unit(page, attrs)
+        assert counts.tolist() == [count]
         for name in attrs:
             np.testing.assert_array_equal(columns[name], expected[name])
+            np.testing.assert_array_equal(alone[name], expected[name])
 
 
 @pytest.mark.parametrize("layout", [Layout.ROW, Layout.PAX])
@@ -1078,7 +1090,6 @@ def test_a_partly_verified_window_decodes_as_its_pages_do(seed, layout, strict, 
         pages,
         lambda _at: 1,
         lambda data, _at, _run, verify: decode(data, verify),
-        lambda: None,
     )
     if strict and flipped is not None:
         with pytest.raises(ChecksumError, match=f"page {flipped} checksum"):
@@ -1106,6 +1117,104 @@ def test_a_partly_verified_window_decodes_as_its_pages_do(seed, layout, strict, 
     assert expected_faults == ([] if flipped is None else [flipped])
     assert checks.take() == len(unverified)
     assert file.verified(pages) == len(pages) - len(expected_faults)
+
+
+# --- the reader: one read step per next() ------------------------------------
+
+
+class TestReaderContract:
+    """``guarded_units`` reads one step per ``next()`` — a window, or one
+    page of a window that did not decode whole, decoded only when it is
+    pulled — and passes no checkpoint and counts no page: an ungoverned
+    serial scan or stream passes none per page."""
+
+    @staticmethod
+    def _row_file():
+        """``(table, decode)``: plain ROW LINEITEM, 116 pages, and the
+        serial scan's decode of two of its attributes."""
+        table = load_table(_lineitem("plain"), Layout.ROW)
+        attrs = ("L_ORDERKEY", "L_COMMENT")
+
+        def decode(unit, _at, _run, verify):
+            return scan_core.decode_tuple_pages(table, attrs, unit, verify)
+
+        return table, decode
+
+    def test_a_healthy_file_reads_one_window_per_pull(self, monkeypatch):
+        table, decode = self._row_file()
+        file = table.file
+        pages = range(file.num_pages)
+        span = -(-len(pages) // 3)
+        reads = _ReadSpy(monkeypatch, file)
+        pieces = scan_core.guarded_units(
+            ExecutionContext(), span, file, pages, table.row_span_of_page, decode
+        )
+        assert reads.take() == []
+        for window in range(3):
+            at, run, decoded = next(pieces)
+            assert at == window * span and decoded is not None
+            assert [list(read) for read in reads.take()] == [list(pages[at : at + run])]
+        assert next(pieces, None) is None
+        assert reads.take() == []
+
+    def test_a_failed_window_comes_a_page_per_pull(self, monkeypatch):
+        table, decode = self._row_file()
+        file = table.file
+        pages = range(file.num_pages)
+        flipped = 5
+        file.corrupt(flipped, 97)
+        decoded_alone = []
+        guarded_decode = scan_core.guarded_decode
+
+        def spy(context, decode_page, read_file, page, row_span, data):
+            decoded_alone.append(page)
+            return guarded_decode(context, decode_page, read_file, page, row_span, data)
+
+        monkeypatch.setattr(scan_core, "guarded_decode", spy)
+        reads = _ReadSpy(monkeypatch, file)
+        context = ExecutionContext(strict_integrity=False)
+        pieces = scan_core.guarded_units(
+            context, len(pages), file, pages, table.row_span_of_page, decode
+        )
+        for page in pages:
+            at, run, decoded = next(pieces)
+            assert (at, run) == (page, 1)
+            assert decoded_alone == list(range(page + 1))
+            assert (decoded is None) == (page == flipped)
+        assert next(pieces, None) is None
+        assert [list(read) for read in reads.take()] == [list(pages)]
+        assert [fault.page for fault in context.corruption.faults] == [flipped]
+        assert context.corruption.pages_scanned == 0  # the reader counts none
+
+    def test_an_ungoverned_read_passes_no_checkpoint_per_page(self, monkeypatch):
+        calls = {"scanner": 0, "stream": 0}
+
+        def counting(key):
+            def checkpoint(*_args):
+                calls[key] += 1
+
+            return checkpoint
+
+        monkeypatch.setattr(scan_core.Scanner, "_governance_check", counting("scanner"))
+        monkeypatch.setattr(sharing, "_no_checkpoint", counting("stream"))
+        data = _lineitem("plain")
+        table = load_table(data, Layout.ROW)
+        reads = _ReadSpy(monkeypatch, table.file)
+        query = ScanQuery(data.schema.name, select=("L_ORDERKEY",))
+        calibration = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=1)
+
+        rows = len(concat_blocks(scan_plan(ExecutionContext(calibration=calibration), table, query).drain()))
+        windows = len(reads.take())
+        assert rows == ROWS and windows == 4
+        assert calls == {"scanner": windows, "stream": 0}  # one per read step
+
+        calls["scanner"] = 0
+        stream = SharedScanStream(table, query.scan_attributes(), True, calibration)
+        rider = SharedScanConsumer(ExecutionContext(calibration=calibration), stream, query)
+        assert len(concat_blocks(rider.drain())) == ROWS
+        assert len(reads.take()) == windows
+        # The rider's one per segment pumped; the stream's reads pass none.
+        assert calls == {"scanner": stream.num_segments, "stream": 0}
 
 
 # --- column scans read a prefetch window too ----------------------------------
@@ -2230,3 +2339,59 @@ class TestCorruptedAfterVerified:
         # Every other page stays verified; the corrupt one is not again.
         assert file.verified(range(file.num_pages)) == verified - 1
         assert not file.verified([self.VICTIM])
+
+
+# --- a row or PAX page holds exactly its nominal span ---------------------------
+
+
+def _claiming(table, page: int, claim: int) -> None:
+    """Rewrite ``page`` of ``table``'s resident file as a CRC-valid page
+    that claims ``claim`` tuples, its payload and trailer base kept."""
+    file = table.file
+    size = file.page_size
+    data = file.read_page(page)
+    _page_id, _crc, base = struct.unpack_from("<IIq", data, size - PAGE_TRAILER_BYTES)
+    payload = data[PAGE_HEADER_BYTES : size - PAGE_TRAILER_BYTES]
+    file._data[page * size : (page + 1) * size] = assemble_pages(size, page, [claim], [payload], base)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["salvage", "strict"])
+@pytest.mark.parametrize("rider", [False, True], ids=["serial", "rider"])
+@pytest.mark.parametrize("victim", [20, 31], ids=["mid-window", "window-end"])
+@pytest.mark.parametrize("claim", [0, 10])
+@pytest.mark.parametrize("name", list(WINDOW_TABLES))
+def test_a_page_short_of_its_span_is_refused_by_name(name, claim, victim, rider, strict):
+    """A CRC-valid row or PAX page that claims fewer tuples than its
+    nominal span — none, or 10 — in the middle or at the end of a
+    32-page window, read by the serial scan and by a shared rider:
+    strict raises ``PageFormatError``; salvage records one fault at that
+    page and every other row comes back at its own Record ID."""
+    layout, dataset = WINDOW_TABLES[name]
+    data = _lineitem(dataset)
+    table = load_table(data, layout)
+    span = table.row_span_of_page(victim)
+    assert claim < span and victim + 1 < table.file.num_pages
+    _claiming(table, victim, claim)
+    query = ScanQuery(data.schema.name, select=("L_ORDERKEY", "L_PARTKEY", "L_COMMENT"))
+    calibration = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=1)
+    assert scan_core.window_pages(calibration, table.page_size) == 32
+    context = ExecutionContext(
+        calibration=calibration, strict_integrity=strict, governance=QueryContext()
+    )
+    if rider:
+        stream = SharedScanStream(table, query.scan_attributes(), strict, calibration)
+        plan = SharedScanConsumer(context, stream, query)
+    else:
+        plan = scan_plan(context, table, query)
+    if strict:
+        with pytest.raises(PageFormatError):
+            plan.drain()
+        return
+    result = concat_blocks(plan.drain())
+    faults = [(fault.file, fault.page, fault.rows_lost) for fault in context.corruption.faults]
+    assert faults == [(table.file.name, victim, span)]
+    start = victim * table.page_codec.tuples_per_page
+    kept = np.r_[0:start, start + span : table.num_rows]
+    np.testing.assert_array_equal(result.positions, kept)
+    for attr in query.select:
+        np.testing.assert_array_equal(result.columns[attr], data.columns[attr][kept])
