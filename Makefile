@@ -120,9 +120,13 @@ workload-bench:
 # size — one, two and 48 I/O units — not observable by a solo rider or
 # two riders attached mid-pass, strict and salvage, on ROW, PAX and
 # COLUMN (the stream cases of tests/test_scan_units.py::
-# test_the_window_size_is_not_observable), and the one-emission battery
+# test_the_window_size_is_not_observable), the one-emission battery
 # (tests/test_obs_one_emission.py), which drives a scheduled stream
-# mid-pass.
+# mid-pass, and a rider's page integrity (the rider cases of
+# tests/test_scan_units.py's TestCorruptedAfterVerified and
+# test_a_page_short_of_its_span_is_refused_by_name: a page flipped after
+# it was verified, a short page and a misplaced one, on ROW, PAX and
+# COLUMN).
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
 # what a timeslice pumps, or who rides while queued, may move poll()
 # rounds, stream counts and stream I/O, never a query's event.
@@ -140,6 +144,8 @@ scheduler-test:
 		tests/test_obs_one_emission.py \
 		tests/test_parallel_equivalence.py \
 		tests/test_parallel_dispatch.py tests/test_query_request.py -q
+	pytest tests/test_scan_units.py::TestCorruptedAfterVerified \
+		tests/test_scan_units.py::test_a_page_short_of_its_span_is_refused_by_name -k rider -q
 
 # The scan battery: every scan strategy against the golden pin
 # (CostEvents, output bytes, logical blocks, corruption, governance

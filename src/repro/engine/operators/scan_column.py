@@ -43,6 +43,7 @@ from repro.cpusim.cache import position_lines
 from repro.engine.blocks import Block, logical_bounds
 from repro.engine.compressed_exec import rewrite_all
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
+from repro.engine.operators.scan_core import check_column_unit
 
 #: Bytes to charge for the position (Record ID) in a {position, value} pair.
 _POSITION_BYTES = 4
@@ -196,9 +197,10 @@ class ColumnScanner(RunOnceScanner):
 
             def gather(unit, t, pages, verify):
                 # Touched pages ``t`` on, in the unit back to back.
+                check_column_unit(column_file, self.table.num_rows, unit, verify)
                 start, stop = cuts[t], cuts[t + pages]
                 return column_file.gather_unit(
-                    unit, on_page[start:stop] - t, in_page[start:stop], verify
+                    unit, on_page[start:stop] - t, in_page[start:stop], verify=False
                 )
 
             chunks, lost = [], []

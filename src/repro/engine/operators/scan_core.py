@@ -49,7 +49,7 @@ from repro.errors import ChecksumError, CompressionError, PageFormatError, PlanE
 from repro.errors import StorageError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
-from repro.storage.page import PAGE_TRAILER_BYTES, verify_unit
+from repro.storage.page import check_placed, check_span, verify_unit
 
 #: What salvage mode treats as "this page is corrupt, skip it": checksum
 #: mismatches, malformed page bytes, codec failures, missing pages, and
@@ -82,8 +82,10 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
     Only successful decodes reach ``repro_page_decode_seconds``.
     ``verify`` is false for a page the file has already seen pass its
     CRC (:meth:`~repro.storage.pagefile.PagedFile.verified`); a page
-    that passes it here is marked so.  A page whose bytes a unit's check
-    has just seen fail is not checked again: that failure is its fault.
+    that passes it here, and names its own position in its trailer
+    (:func:`~repro.storage.page.check_placed`), is marked so.  A page
+    whose bytes a unit's check has just seen fail is not checked again:
+    that failure is its fault.
     """
     timed = obs_metrics.enabled()
     verify = not file.verified((page,))
@@ -95,6 +97,8 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
             file.failed_check = None
             raise failed[1]
         result = decode(data, verify)
+        if verify:
+            check_placed(data, (page,), file.page_size)
         if timed:
             obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
     except SALVAGEABLE_ERRORS as exc:
@@ -117,8 +121,10 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
     whose pages has is decoded with every check, and its pages are
     marked when it decodes; one whose pages all have is decoded with no
     check; one with some of each has its unverified pages checked here,
-    each marked as it passes, and is then decoded with no check.
-    ``decoded`` is ``None`` when a page fails its checksum or the unit
+    each marked as it passes, and is then decoded with no check.  An
+    unverified page must also name its position in its trailer
+    (:func:`~repro.storage.page.check_placed`).
+    ``decoded`` is ``None`` when a page fails either check or the unit
     does not decode: :func:`guarded_units` then serves the pages from
     the bytes read, one by one through :func:`guarded_decode`, which
     names the page and applies the policy — a page this check saw fail
@@ -140,6 +146,8 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
         return unit, None
     try:
         decoded = decode_unit(unit, not verified)
+        if not verified:
+            check_placed(unit, read, file.page_size)
     except SALVAGEABLE_ERRORS:
         return unit, None
     if not verified:
@@ -151,17 +159,18 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
 
 
 def _check_unverified(file, unit, read) -> bool:
-    """Check the CRC of each page of ``unit`` (``read``, back to back)
-    that ``file`` has not seen pass, marking it when it does; False at
-    the first that fails, whose bytes and error the file then keeps for
-    that page's own decode (:func:`guarded_decode`)."""
+    """Check the CRC and placement of each page of ``unit`` (``read``,
+    back to back) that ``file`` has not seen pass, marking it when it
+    does; False at the first that fails, whose bytes and error the file
+    then keeps for that page's own decode (:func:`guarded_decode`)."""
     size = file.page_size
     for at, page in enumerate(read):
         if not file.verified((page,)):
             data = unit[at * size : (at + 1) * size]
             try:
                 verify_unit(data, size)
-            except ChecksumError as exc:
+                check_placed(data, (page,), size)
+            except (ChecksumError, PageFormatError) as exc:
                 file.failed_check = (bytes(data), exc.with_traceback(None))
                 return False
             file.mark_verified((page,))
@@ -260,17 +269,27 @@ def decode_tuple_pages(table, attrs, unit, verify: bool):
     stream hand :func:`guarded_units`.
 
     Density holds each page but the last to capacity; the last must hold
-    ``row_span_of_page`` of the page its trailer names.  A CRC-valid page
-    claiming fewer tuples, which would shift every later Record ID,
-    raises :class:`~repro.errors.PageFormatError`, so the reader serves
-    its window page by page and the integrity policy names it.
+    ``row_span_of_page`` of the page its trailer names
+    (:func:`~repro.storage.page.check_span`).  A CRC-valid page claiming
+    fewer tuples, which would shift every later Record ID, raises
+    :class:`~repro.errors.PageFormatError`, so the reader serves its
+    window page by page and the integrity policy names it.
     """
     counts, columns = table.decode_unit(unit, attrs, verify)
-    last = int.from_bytes(unit[-PAGE_TRAILER_BYTES:][:4], "little")  # its page id
-    span = table.row_span_of_page(last)
-    if counts[-1] != span:
-        raise PageFormatError(f"page {last} claims {counts[-1]} tuples, its span is {span}")
+    check_span(unit, table.page_size, table.row_span_of_page)
     return counts, columns
+
+
+def check_column_unit(column_file, num_rows: int, unit, verify: bool) -> None:
+    """What a decode of adjacent column pages does first: check their
+    CRCs unless ``verify`` is false, then hold them to the rule of
+    :func:`decode_tuple_pages` (:func:`~repro.storage.page.check_span`),
+    so a short page raises before any value or position is taken from
+    it.  The caller then decodes unchecked."""
+    size = column_file.page_codec.page_size
+    if verify:
+        verify_unit(unit, size)
+    check_span(unit, size, lambda page: column_file.row_span_of_page(page, num_rows))
 
 
 def _count(mask) -> int:
@@ -550,7 +569,8 @@ class Scanner(Operator):
             return column_file.row_span_of_page(pages[at], num_rows)
 
         def decode(data, _at, _run, verify):
-            return column_file.decode_unit(data, codes, verify)
+            check_column_unit(column_file, num_rows, data, verify)
+            return column_file.decode_unit(data, codes, verify=False)
 
         for at, run, decoded in self._guarded_units(file, pages, span_of, decode):
             if decoded is None:

@@ -11,13 +11,13 @@ engine-side implementation lives here:
   recorded segment by segment.  A *run* (adjacent segments, as many as
   the caller asks for, within one window) is its unit of delivery:
   whoever pumps the stream drives it a run at a time, and every attached
-  consumer receives the part of the run it still needs.  A *window* (a
-  prefetch window of adjacent segments, a serial scan's size) is its
-  unit of reading: each file under a window is read, CRC-checked and
-  decoded through the scan core's one window reader, a healthy window
-  per numpy call.  The stream's I/O (pages
-  touched, bytes read) is accounted **once**, per logical page as each
-  segment is delivered, on the stream's own
+  consumer receives the part of the run it still needs, and filters and
+  is charged for exactly that.  A *window* (a prefetch window of adjacent
+  segments, a serial scan's size) is its unit of reading: each file
+  under a window is read, CRC-checked and decoded through the scan
+  core's one window reader, a healthy window per numpy call.  The
+  stream's I/O (pages touched, bytes read) is accounted **once**, per
+  logical page as each segment is delivered, on the stream's own
   :class:`~repro.cpusim.events.CostEvents`, mirroring the iosim
   shared-stream model (:mod:`repro.iosim.sharing`), while decode and
   predicate CPU is charged **per consumer** — each query still pays to
@@ -26,11 +26,11 @@ engine-side implementation lives here:
   scan_core.Scanner` view of one query's ride on the stream.  A consumer
   attaches *mid-flight* at the stream's current position, rides to the
   end, wraps around for the prefix it missed (circular scan), and
-  detaches after exactly one full pass.  It filters and projects a
-  window's segments in one pass and is charged for them one delivery —
-  one run, the sum of its segments' numbers — at a time.  Output is
-  re-assembled into global Record-ID order before emission, so the
-  result is byte-identical to a cold serial scan.
+  detaches after exactly one full pass.  Each delivery is filtered and
+  projected in one pass and charged once, the sum of its segments'
+  numbers: a rider holds no row of a segment it has not been delivered.
+  Output is re-assembled into global Record-ID order before emission,
+  so the result is byte-identical to a cold serial scan.
 * :class:`ScanShareManager` — the attach point: a query joins an
   in-progress stream of its :func:`share_key` — running, or still queued
   for admission — that carries all of its attributes, and otherwise
@@ -50,7 +50,6 @@ would have hit scanning alone.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -65,6 +64,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
+    check_column_unit,
     decode_tuple_pages,
     guarded_units,
     window_pages,
@@ -151,14 +151,9 @@ class _Feed:
 class _Window:
     """The decoded run of segments a stream is serving: the real buffer."""
 
-    #: Which of its stream's windows this is (a rider remembers the
-    #: number, not the window).
-    serial: int
-    #: Segments ``[first, stop)``; those before ``ready`` are settled:
-    #: every page they draw on has been pulled.
+    #: Segments ``[first, stop)``.
     first: int
     stop: int
-    ready: int
     #: The ``k``-th segment holds rows ``lo + bounds[k]`` to ``lo + bounds[k + 1]``.
     lo: int
     bounds: np.ndarray
@@ -212,13 +207,6 @@ def _exact(value, dtype: np.dtype) -> bool:
         )
     except (TypeError, ValueError, OverflowError):
         return False
-
-
-def _running(rows: np.ndarray) -> list[list[int]]:
-    """Each row's running totals from 0: ``accumulate(row, initial=0)``."""
-    sums = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
-    np.cumsum(rows, axis=1, out=sums[:, 1:])
-    return sums.tolist()
 
 
 class SharedScanStream:
@@ -285,7 +273,6 @@ class SharedScanStream:
         self._cursor = 0
         self._failed: Exception | None = None
         self._window: _Window | None = None
-        self._windows_opened = 0
         #: ``(file name, page) -> PageFault`` of every page salvage lost:
         #: such a page is never read (or charged) again.
         self._lost: dict[tuple[str, int], object] = {}
@@ -303,7 +290,7 @@ class SharedScanStream:
                 f"unsupported table type for sharing: {type(table).__name__}"
             )
         #: Where the last :meth:`_load` stopped: the first segment it did
-        #: not settle.
+        #: not pull.
         self._reached = 0
         schema = table.schema
         self._dtypes = {
@@ -390,12 +377,15 @@ class SharedScanStream:
         column_file = self.table.column_file(name)
         starts = self._starts
         first, last = column_file.page_of_positions(np.stack([starts[:-1], starts[1:] - 1])).tolist()
+
+        def decode(data, _at, _run, verify):
+            check_column_unit(column_file, num_rows, data, verify)
+            return {name: column_file.decode_unit(data, verify=False)[1]}
+
         return _Source(
             name=column_file.file.name,
             owner=column_file,
-            decode=lambda data, _at, _run, verify: {
-                name: column_file.decode_unit(data, verify=verify)[1]
-            },
+            decode=decode,
             first_row=column_file.first_row_of_page,
             span_of=lambda page: column_file.row_span_of_page(page, num_rows),
             first=first,
@@ -428,7 +418,7 @@ class SharedScanStream:
 
     def _drawn(self, segment: int) -> list[tuple]:
         """``((file name, page id), fault)`` per page segment ``segment``
-        draws on, once it is settled: ``fault`` is ``None`` for a decoded
+        draws on, once it is pulled: ``fault`` is ``None`` for a decoded
         page, else the stream's :class:`~repro.storage.scrub.PageFault`
         for it."""
         lost = self._lost
@@ -533,9 +523,9 @@ class SharedScanStream:
                         riders=sum(end == total for end in ends),
                     )
                 leasts = [min(end, reached) for end in ends]
-                self._filter_together(index, takers, leasts, self._window)
+                filtered = self._filter_together(index, takers, leasts, self._window)
                 for consumer, least in zip(takers, leasts):
-                    consumer._receive(index, least, self._window)
+                    consumer._receive(index, least, self._window, filtered.get(consumer))
             if self._failed is not None:
                 # It serves nothing more: its window goes now, not with
                 # its last rider.
@@ -545,26 +535,27 @@ class SharedScanStream:
     #: The most mask bytes :meth:`_filter_together` holds at once.
     _MASK_BYTES = 1 << 20
 
-    def _filter_together(self, index: int, takers: list, leasts: list[int], window: _Window) -> None:
+    def _filter_together(self, index: int, takers: list, leasts: list[int], window: _Window) -> dict:
         """Filter in one pass per group the takers of a delivery from
-        segment ``index`` that start a fresh run there and test one
-        constant each (:attr:`SharedScanConsumer._together`).
+        segment ``index`` that test one constant each
+        (:attr:`SharedScanConsumer._together`): ``{rider: (block,
+        totals)}``, what each member's own
+        :meth:`~SharedScanConsumer._filter_run` would have made.
 
-        A group shares an attribute, a comparison and a run ``[index,
-        stop)`` without lost rows: the run's values are compared once
-        with the column of the group's constants, a mask row per member,
-        and each member's qualifying rows are cut at the run's segment
-        bounds for its per-segment counts.  Each member is left the block
-        and running totals its own
-        :meth:`~SharedScanConsumer._prepare` would have made, so its
-        delivery — still its own ``_receive`` — charges what it would
-        have alone.  Everyone else prepares alone, in ``_receive``.
+        A group shares an attribute, a comparison and a delivered run
+        ``[index, stop)`` without lost rows: the run's values are
+        compared once with the column of the group's constants, a mask
+        row per member, and each member's qualifying rows are cut at the
+        run's segment bounds for its tuples on segments with a hit.
+        Every member's delivery — still its own ``_receive`` — then
+        charges what it would have alone; everyone else filters alone,
+        there.
         """
         groups: dict[tuple, list] = {}
         for taker, least in zip(takers, leasts):
-            if taker._together is not None and taker._stale(index, window):
-                stop = _needed_until(taker._remaining, least, window.ready)
-                groups.setdefault((*taker._together, stop), []).append(taker)
+            if taker._together is not None:
+                groups.setdefault((*taker._together, least), []).append(taker)
+        filtered = {}
         for (attr, op, stop), riders in groups.items():
             bounds = window.bounds[index - window.first : stop - window.first + 1]
             lo, hi = int(bounds[0]), int(bounds[-1])
@@ -574,11 +565,9 @@ class SharedScanStream:
             columns = {name: window.column(name)[lo:hi] for name in self.attrs}
             # Run-relative: the k-th segment holds rows edges[k] to edges[k + 1].
             edges = bounds - lo
-            tallies = list(accumulate(counts.tolist(), initial=0))
-            width = riders[0]._bound[0][2]
-            # Every candidate is examined once: counts, evaluations and
+            # Every candidate is examined once: tuples, evaluations and
             # their operand bytes are the same for the whole group.
-            examined = [tallies, tallies, [tally * width for tally in tallies]]
+            examined = [hi - lo, hi - lo, (hi - lo) * riders[0]._bound[0][2]]
             per_pass = max(1, self._MASK_BYTES // (hi - lo))
             for at in range(0, len(riders), per_pass):
                 chunk = riders[at : at + per_pass]
@@ -588,23 +577,24 @@ class SharedScanStream:
                 masks = Predicate(attr, op, constants[:, None]).evaluate(columns[attr])
                 rows = [np.flatnonzero(mask) for mask in masks]
                 qualified = np.diff([np.searchsorted(hits, edges) for hits in rows], axis=1)
-                on_hit = np.where(qualified > 0, counts, 0)
-                for rider, hits, hit_sums, hit_tuples in zip(
-                    chunk, rows, _running(qualified), _running(on_hit)
+                on_hit = np.where(qualified > 0, counts, 0).sum(axis=1).tolist()
+                for rider, hits, emitted, tuples in zip(
+                    chunk, rows, qualified.sum(axis=1).tolist(), on_hit
                 ):
                     block = rider._copy_out(columns, hits, window.lo + lo)
-                    rider._keep(window, index, stop, block, [*examined, hit_sums, hit_tuples])
+                    filtered[rider] = block, [*examined, emitted, tuples]
+        return filtered
 
     # --- reading ----------------------------------------------------------
 
     def _load(self, index: int, stop: int, checkpoint) -> None:
-        """Charge and settle what segments ``[index, stop)`` draw on.
+        """Charge and pull what segments ``[index, stop)`` draw on.
 
         A segment's ``checkpoint()`` comes first, then the pages it
         newly draws on — a page it shares with the segment before it in
         the run was that one's — each charged to the stream by the rule
         in the class docstring *before* it is pulled.  ``_reached`` is
-        left at the first segment not settled: on an error the one it
+        left at the first segment not pulled: on an error the one it
         came from, a strict failure's page charged.
         """
         self._reached = index
@@ -652,12 +642,6 @@ class SharedScanStream:
             self.io_events.pages_touched += touched
             self.io_events.bytes_read += touched * self.table.page_size
             obs_metrics.SCHEDULER_SHARED_PAGES.inc(touched)
-            ready = window.stop
-            for source, feed in feeds:
-                if feed.at < len(feed.pages):
-                    # Settled: the segments wholly before the next unpulled page.
-                    ready = bisect_left(source.last, feed.pages[feed.at], window.first, ready)
-            window.ready = ready
 
     def _window_over(self, index: int) -> _Window | None:
         """The current window, if segment ``index`` is in it."""
@@ -682,12 +666,9 @@ class SharedScanStream:
         lo = int(bounds[0])
         bounds = bounds - lo
         rows = int(bounds[-1])
-        self._windows_opened += 1
         window = _Window(
-            serial=self._windows_opened,
             first=index,
             stop=stop,
-            ready=index,
             lo=lo,
             bounds=bounds,
             columns={},
@@ -758,19 +739,19 @@ class SharedScanConsumer(Scanner):
     """One query's ride on a :class:`SharedScanStream`.
 
     A :class:`~repro.engine.operators.scan_core.Scanner` whose
-    ``_receive`` is kernel + buffer: on the first delivery it sees from
-    a window it filters and projects the segments delivered and the
-    settled ones it still needs after them — alone, in one predicate
-    pass and one copy (:meth:`Scanner._filter_pages`), or beside the
-    riders of the delivery that compare the same attribute the same way
-    (:meth:`SharedScanStream._filter_together`); each delivery then
-    *releases* its run's numbers — values examined, predicate and decode
-    charges, projection counts, the pages it drew on — as one sum, equal
-    to what a segment-at-a-time rider is charged over the same
-    segments.  Once its full circular pass completes it emits the runs'
-    blocks re-assembled into global Record-ID order, split into
-    engine-sized logical blocks.  Byte-identical to a cold serial scan of
-    the same query.
+    ``_receive`` is kernel + buffer: a delivery's segments are filtered
+    and projected once — alone, in one predicate pass and one copy
+    (:meth:`Scanner._filter_pages`), or beside the riders of the
+    delivery that compare the same attribute the same way
+    (:meth:`SharedScanStream._filter_together`) — and their numbers
+    (values examined, predicate and decode charges, projection counts,
+    the pages they drew on) are charged as one sum, equal to what a
+    segment-at-a-time rider is charged over the same segments.  A rider
+    holds only rows of the segments it has been delivered.  Once its
+    full circular pass completes it emits the deliveries' blocks
+    re-assembled into global Record-ID order, split into engine-sized
+    logical blocks.  Byte-identical to a cold serial scan of the same
+    query.
     """
 
     #: Segments arrive fully decoded, and each rider pays to process the
@@ -805,12 +786,8 @@ class SharedScanConsumer(Scanner):
         #: Segment the stream was at when we attached (for EXPLAIN).
         self.attach_cursor = share.cursor
         self._remaining = share.attach(self)
-        #: ``(first segment, block)`` per filtered run with output.
+        #: ``(first segment, block)`` per delivery with output.
         self._buffered: list[tuple[int, Block]] = []
-        #: The filtered run being released: ``(window serial, first
-        #: segment, stop, running totals of its segments' numbers)``.
-        #: Holds no window data.
-        self._prepared: tuple | None = None
         self._finalized = False
         #: Pages already copied into the corruption report, or — for a
         #: delivery counted without a lost page — only its first and last
@@ -829,9 +806,10 @@ class SharedScanConsumer(Scanner):
 
     # --- stream side ------------------------------------------------------
 
-    def _receive(self, index: int, stop: int, window: _Window) -> None:
+    def _receive(self, index: int, stop: int, window: _Window, filtered) -> None:
         """Process one delivered run, segments ``[index, stop)`` (called
-        by the stream).
+        by the stream): filter it, unless the stream's group pass did
+        (``filtered``, its ``(block, totals)``, else ``None``), and charge it.
 
         Deliveries run during *whoever pumps* — often a peer's
         timeslice — yet mutate this consumer's own ``context.events``.
@@ -844,15 +822,15 @@ class SharedScanConsumer(Scanner):
         """
         tracer = self.context.tracer
         if tracer is None:
-            self._receive_inner(index, stop, window)
+            self._receive_inner(index, stop, window, filtered)
             return
         frame = tracer.enter(self, "receive")
         try:
-            self._receive_inner(index, stop, window)
+            self._receive_inner(index, stop, window, filtered)
         finally:
             tracer.exit(frame, self.context.events)
 
-    def _receive_inner(self, index: int, stop: int, window: _Window) -> None:
+    def _receive_inner(self, index: int, stop: int, window: _Window, filtered) -> None:
         self._remaining.difference_update(range(index, stop))
         # Copy what the stream's reads found into this query's report,
         # once per page (a column page may serve several segments).
@@ -876,30 +854,23 @@ class SharedScanConsumer(Scanner):
             corruption.pages_scanned += count - len(ends & seen)
             seen |= ends
 
+        block, totals = filtered or self._filter_run(index, stop, window)
+        if len(block):
+            self._buffered.append((index, block))
+        count, evals, eval_bytes, qualified, on_hit = totals
         events = self.events
-        while index < stop:
-            prepared = self._prepared
-            if self._stale(index, window):
-                prepared = self._prepare(index, stop, window)
-            _serial, first, last, sums = prepared
-            upto = min(stop, last)
-            count, evals, eval_bytes, qualified, on_hit_segments = (
-                total[upto - first] - total[index - first] for total in sums
-            )
-            events.values_examined += count
-            events.predicate_evals += evals
-            events.predicate_eval_bytes += eval_bytes
-            self._charge_lazy_decodes(count, on_hit_segments, qualified)
-            self._charge_projection(qualified)
-            self._prepared = prepared if upto < last else None
-            index = upto
+        events.values_examined += count
+        events.predicate_evals += evals
+        events.predicate_eval_bytes += eval_bytes
+        self._charge_lazy_decodes(count, on_hit, qualified)
+        self._charge_projection(qualified)
 
-    def _prepare(self, index: int, least: int, window: _Window) -> tuple:
-        """Filter and project segments ``[index, least)`` and the
-        settled ones still needed after them; nothing is charged before
-        its release.  A release charges differences of the running
-        totals kept here, one row per quantity."""
-        stop = _needed_until(self._remaining, least, window.ready)
+    def _filter_run(self, index: int, stop: int, window: _Window) -> tuple[Block, list[int]]:
+        """Filter and project the delivered segments ``[index, stop)`` in
+        one :meth:`Scanner._filter_pages` pass: ``(block, totals)``, the
+        tuples, predicate evaluations, their operand bytes, qualifying
+        tuples and tuples on segments with one (a whole-page codec's
+        charge for a selected attribute) that the delivery charges."""
         bounds = window.bounds[index - window.first : stop - window.first + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
         numbers, block = self._filter_pages(
@@ -908,33 +879,9 @@ class SharedScanConsumer(Scanner):
             window.valid[lo:hi].copy(),
             window.lo + lo,
         )
-        counts, _candidates, evals, eval_bytes, qualified, _offsets = numbers.tolist()
-        # Tuples on the segments with a qualifying tuple: what a codec
-        # that decodes whole pages is charged for a selected attribute.
-        on_hit = [count if hits else 0 for count, hits in zip(counts, qualified)]
-        sums = [
-            list(accumulate(row, initial=0))
-            for row in (counts, evals, eval_bytes, qualified, on_hit)
-        ]
-        return self._keep(window, index, stop, block, sums)
-
-    def _keep(self, window: _Window, index: int, stop: int, block: Block, sums: list) -> tuple:
-        """Hold the filtered run ``[index, stop)``: its block, and the
-        running totals its releases charge differences of."""
-        if len(block):
-            self._buffered.append((index, block))
-        self._prepared = (window.serial, index, stop, sums)
-        return self._prepared
-
-    def _stale(self, index: int, window: _Window) -> bool:
-        """Whether a delivery from segment ``index`` of ``window`` needs a
-        run filtered: the one held does not cover it."""
-        prepared = self._prepared
-        return (
-            prepared is None
-            or prepared[0] != window.serial
-            or not prepared[1] <= index < prepared[2]
-        )
+        count, _candidates, evals, eval_bytes, qualified, _offsets = numbers.sum(axis=1).tolist()
+        on_hit = int(numbers[0, numbers[4] > 0].sum())
+        return block, [count, evals, eval_bytes, qualified, on_hit]
 
     # --- operator side ----------------------------------------------------
 

@@ -185,6 +185,30 @@ def verify_unit(unit: bytes, page_size: int) -> None:
             )
 
 
+def check_placed(unit, pages, page_size: int) -> None:
+    """Raise :class:`PageFormatError` unless each page of ``unit``
+    (adjacent whole pages, read from the positions ``pages``) names its
+    own position in its trailer: a CRC-valid page copied over another
+    slot would hand its values that slot's Record IDs."""
+    ids = np.ndarray((len(pages),), "<u4", unit, page_size - PAGE_TRAILER_BYTES, (page_size,))
+    wrong = np.flatnonzero(ids != np.asarray(pages))
+    if wrong.size:
+        at = int(wrong[0])
+        raise PageFormatError(f"page {pages[at]} holds page {ids[at]}")
+
+
+def check_span(unit, page_size: int, span_of) -> None:
+    """Raise :class:`PageFormatError` unless the last page of ``unit``
+    (adjacent whole pages; a unit's decode holds the others full) holds
+    ``span_of`` the id its trailer names: a CRC-valid page claiming
+    fewer would shift every later Record ID."""
+    (count,) = _HEADER.unpack_from(unit, len(unit) - page_size)
+    (page,) = _HEADER.unpack_from(unit, len(unit) - PAGE_TRAILER_BYTES)
+    span = span_of(page)
+    if count != span:
+        raise PageFormatError(f"page {page} claims {count} entries, its span is {span}")
+
+
 def upgrade_page_v1(page: bytes) -> bytes:
     """Rewrite a legacy v1 page trailer as v2, computing its checksum.
 
@@ -556,8 +580,8 @@ class ColumnPageCodec:
 
     def _unit_headers(self, unit: bytes, verify: bool) -> tuple[np.ndarray, np.ndarray]:
         """Check a unit of adjacent pages — whole pages of fixed-width
-        codes, CRCs unless ``verify`` is false, counts within capacity —
-        and read its ``(counts, bases)``."""
+        codes, CRCs unless ``verify`` is false, every page full but the
+        last, which is within capacity — and read its ``(counts, bases)``."""
         codec = self.codec
         size = self.page_size
         pages = len(unit) // size
@@ -568,10 +592,10 @@ class ColumnPageCodec:
         if verify:
             verify_unit(unit, size)
         counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
-        if max(counts.tolist()) > self.values_per_page:
-            raise PageFormatError(
-                f"page counts {counts.tolist()} exceed the capacity, {self.values_per_page}"
-            )
+        per_page = counts.tolist()
+        full = self.values_per_page
+        if per_page[:-1] != [full] * (pages - 1) or per_page[-1] > full:
+            raise PageFormatError(f"unit is not dense: page counts {per_page}")
         return counts, np.ndarray((pages,), "<i8", unit, size - 8, (size,))
 
     def decode_raw(

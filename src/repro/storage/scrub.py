@@ -6,8 +6,9 @@ subsystem: salvage-mode scans accumulate one per query (surfaced through
 here build one per table or directory:
 
 * :func:`scrub_table` decodes **every page of every file** of a loaded
-  table and records each page that fails checksum or decode, with an
-  estimate of the rows it covered;
+  table and records each page that fails checksum or decode, sits
+  where its trailer does not say, or does not hold its nominal span,
+  with an estimate of the rows it covered;
 * :func:`verify_table` is the strict variant: raises
   :class:`~repro.errors.ChecksumError` if any page is bad;
 * :func:`scrub_directory` opens a persisted table (tolerating torn and
@@ -26,6 +27,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import ChecksumError, CompressionError, ReproError, StorageError
+from repro.storage.page import check_placed, check_span
 
 #: Sentinel page index for faults that affect a whole file (unreadable
 #: metadata, unparseable file) rather than one page.
@@ -87,10 +89,15 @@ class CorruptionReport:
 
 
 def _scrub_paged_file(file, decode, span_of, report: CorruptionReport) -> None:
+    """Decode every page of ``file``, which must name its own position
+    and hold its nominal span, ``span_of(index)``, as a scan holds it."""
     for index in range(file.num_pages):
         report.pages_scanned += 1
         try:
-            decode(file.read_page(index))
+            page = file.read_page(index)
+            decode(page)
+            check_placed(page, (index,), file.page_size)
+            check_span(page, file.page_size, span_of)
         except (StorageError, CompressionError) as exc:
             report.record(file.name, index, span_of(index), exc)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.registry import build_codec
-from repro.errors import CompressionError, PageFormatError, SchemaError, StorageError
+from repro.errors import CompressionError, SchemaError, StorageError
 from repro.storage.layout import Layout
 from repro.storage.page import DEFAULT_PAGE_SIZE, ColumnPageCodec, RowPageCodec
 from repro.storage.pagefile import PagedFile
@@ -210,12 +210,9 @@ class ColumnFile:
             values = self.decode_page(unit, codes, verify)
             return np.array([len(values)]), values
         counts, bases, values = self.page_codec.decode_unit(unit, verify)
-        per_page = counts.tolist()
-        if per_page[:-1] != [self.values_per_page] * (len(per_page) - 1):
-            raise PageFormatError(f"unit is not dense: page counts {per_page}")
         if not codes:
             values = self.page_codec.codec.decode_codes(values, bases)
-        return counts, values.reshape(-1)[: sum(per_page)]
+        return counts, values.reshape(-1)[: sum(counts.tolist())]
 
     def gather_unit(
         self, unit: bytes, pages: np.ndarray, in_page: np.ndarray, verify: bool = True

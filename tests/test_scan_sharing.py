@@ -551,8 +551,14 @@ def _drive_run_length(
         try:
             while segments > 0:
                 before = governance.ticks
+                held = [len(peer._buffered) if peer is not None else 0 for peer in riders]
                 more = rider.advance() if run == 1 else rider.advance(int(min(run, segments)))
                 segments -= governance.ticks - before
+                # A rider holds only rows of the segments it has been delivered.
+                for peer, start in zip(riders, held):
+                    for _at, block in peer._buffered[start:] if peer is not None else ():
+                        segment = np.searchsorted(stream._starts, block.positions, side="right") - 1
+                        assert peer._remaining.isdisjoint(segment.tolist())
                 if not more:
                     break
         except ReproError as exc:
@@ -912,16 +918,16 @@ def test_filtering_riders_together_is_not_observable(layout, monkeypatch):
     original = SharedScanStream._filter_together
 
     def spy(stream, index, takers, leasts, window):
-        stale = [taker for taker in takers if taker._stale(index, window)]
-        original(stream, index, takers, leasts, window)
-        together.extend(taker for taker in stale if not taker._stale(index, window))
+        filtered = original(stream, index, takers, leasts, window)
+        together.extend(filtered)
+        return filtered
 
     for table, queries, attached, strict, drive in _together_cases(layout):
         with monkeypatch.context() as patch:
             patch.setattr(SharedScanStream, "_filter_together", spy)
             got = drive()
         with monkeypatch.context() as patch:
-            patch.setattr(SharedScanStream, "_filter_together", lambda *args: None)
+            patch.setattr(SharedScanStream, "_filter_together", lambda *args: {})
             assert drive() == got
         for query, rider in zip(attached, got["riders"]):
             # A salvage stream loses the rows of every file it carries.

@@ -51,7 +51,7 @@ from repro.engine.executor import execute_plan, run_scan
 from repro.engine.governance import QueryContext
 from repro.engine import sharing
 from repro.engine.operators import Limit, scan_core
-from repro.engine.plan import scan_plan
+from repro.engine.plan import ColumnScannerKind, scan_plan
 from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
@@ -70,7 +70,6 @@ from repro.storage.faults import FaultPlan, drop_trailing_pages
 from repro.storage.layout import Layout
 from repro.storage.loader import load_table
 from repro.storage.page import PAGE_HEADER_BYTES
-from repro.storage.page import PAGE_TRAILER_BYTES, assemble_pages
 from repro.storage.pagefile import PagedFile
 from repro.storage.persist import open_table, save_table
 from repro.storage.retry import RetryPolicy
@@ -90,7 +89,7 @@ from tests.scan_golden import (
     _run_scan,
 )
 from tests.test_scan_sharing import _coded_orders
-from tests.test_storage_integrity import _Checks
+from tests.test_storage_integrity import _Checks, _claiming, _misplacing
 
 # --- the old bit-matrix kernels, kept as the reference ------------------------
 
@@ -2341,38 +2340,56 @@ class TestCorruptedAfterVerified:
         assert not file.verified([self.VICTIM])
 
 
-# --- a row or PAX page holds exactly its nominal span ---------------------------
+# --- a page holds exactly its nominal span, at its own slot ------------------
 
 
-def _claiming(table, page: int, claim: int) -> None:
-    """Rewrite ``page`` of ``table``'s resident file as a CRC-valid page
-    that claims ``claim`` tuples, its payload and trailer base kept."""
-    file = table.file
-    size = file.page_size
-    data = file.read_page(page)
-    _page_id, _crc, base = struct.unpack_from("<IIq", data, size - PAGE_TRAILER_BYTES)
-    payload = data[PAGE_HEADER_BYTES : size - PAGE_TRAILER_BYTES]
-    file._data[page * size : (page + 1) * size] = assemble_pages(size, page, [claim], [payload], base)
+#: Column scans of plain LINEITEM whose ``L_COMMENT`` file (the most
+#: pages) holds the victim: ``(select list, scanner)`` — read by
+#: position behind ``L_ORDERKEY``, as the pipelined scan's dense first
+#: node, or by the fused scan.
+SPAN_COLUMN_CASES = {
+    "column": (("L_ORDERKEY", "L_PARTKEY", "L_COMMENT"), ColumnScannerKind.PIPELINED),
+    "column-dense": (("L_COMMENT", "L_ORDERKEY", "L_PARTKEY"), ColumnScannerKind.PIPELINED),
+    "fused": (("L_ORDERKEY", "L_PARTKEY", "L_COMMENT"), ColumnScannerKind.FUSED),
+}
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["salvage", "strict"])
 @pytest.mark.parametrize("rider", [False, True], ids=["serial", "rider"])
 @pytest.mark.parametrize("victim", [20, 31], ids=["mid-window", "window-end"])
-@pytest.mark.parametrize("claim", [0, 10])
-@pytest.mark.parametrize("name", list(WINDOW_TABLES))
+@pytest.mark.parametrize("claim", [0, 10, "misplaced"])
+@pytest.mark.parametrize("name", [*WINDOW_TABLES, *SPAN_COLUMN_CASES])
 def test_a_page_short_of_its_span_is_refused_by_name(name, claim, victim, rider, strict):
-    """A CRC-valid row or PAX page that claims fewer tuples than its
-    nominal span — none, or 10 — in the middle or at the end of a
-    32-page window, read by the serial scan and by a shared rider:
-    strict raises ``PageFormatError``; salvage records one fault at that
-    page and every other row comes back at its own Record ID."""
-    layout, dataset = WINDOW_TABLES[name]
-    data = _lineitem(dataset)
-    table = load_table(data, layout)
-    span = table.row_span_of_page(victim)
-    assert claim < span and victim + 1 < table.file.num_pages
-    _claiming(table, victim, claim)
-    query = ScanQuery(data.schema.name, select=("L_ORDERKEY", "L_PARTKEY", "L_COMMENT"))
+    """A CRC-valid page that claims fewer entries than its nominal span
+    — none, or 10 — or a copy of page 3 at its slot, in the middle or
+    at the end of a 32-page window of a row, PAX or column file, read by
+    the serial scan (pipelined or fused on a column table) and by a
+    shared rider: strict raises ``PageFormatError``; salvage records one
+    fault at that page and every other row comes back at its own Record
+    ID."""
+    select, scanner = ("L_ORDERKEY", "L_PARTKEY", "L_COMMENT"), ColumnScannerKind.PIPELINED
+    if name in SPAN_COLUMN_CASES:
+        select, scanner = SPAN_COLUMN_CASES[name]
+        data = _lineitem("plain")
+        table = load_table(data, Layout.COLUMN)
+        column_file = table.column_file("L_COMMENT")
+        file = column_file.file
+        start = column_file.first_row_of_page(victim)
+        span = column_file.row_span_of_page(victim, table.num_rows)
+    else:
+        layout, dataset = WINDOW_TABLES[name]
+        data = _lineitem(dataset)
+        table = load_table(data, layout)
+        file = table.file
+        start = victim * table.page_codec.tuples_per_page
+        span = table.row_span_of_page(victim)
+    assert victim + 1 < file.num_pages
+    if claim == "misplaced":
+        _misplacing(file, victim, 3)
+    else:
+        assert claim < span
+        _claiming(file, victim, claim)
+    query = ScanQuery(data.schema.name, select=select)
     calibration = DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=1)
     assert scan_core.window_pages(calibration, table.page_size) == 32
     context = ExecutionContext(
@@ -2382,15 +2399,15 @@ def test_a_page_short_of_its_span_is_refused_by_name(name, claim, victim, rider,
         stream = SharedScanStream(table, query.scan_attributes(), strict, calibration)
         plan = SharedScanConsumer(context, stream, query)
     else:
-        plan = scan_plan(context, table, query)
+        plan = scan_plan(context, table, query, scanner)
     if strict:
-        with pytest.raises(PageFormatError):
+        named = f"page {victim} holds page 3" if claim == "misplaced" else None
+        with pytest.raises(PageFormatError, match=named):
             plan.drain()
         return
     result = concat_blocks(plan.drain())
     faults = [(fault.file, fault.page, fault.rows_lost) for fault in context.corruption.faults]
-    assert faults == [(table.file.name, victim, span)]
-    start = victim * table.page_codec.tuples_per_page
+    assert faults == [(file.name, victim, span)]
     kept = np.r_[0:start, start + span : table.num_rows]
     np.testing.assert_array_equal(result.positions, kept)
     for attr in query.select:

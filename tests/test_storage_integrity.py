@@ -41,8 +41,10 @@ from repro.storage import page as page_module
 from repro.storage.layout import Layout
 from repro.storage.loader import BulkLoader, load_table
 from repro.storage.page import (
+    PAGE_HEADER_BYTES,
     PAGE_TRAILER_BYTES,
     RowPageCodec,
+    assemble_pages,
     downgrade_page_v2,
     page_checksum,
     upgrade_page_v1,
@@ -424,6 +426,29 @@ class TestDatabaseIntegrity:
         with pytest.raises(ChecksumError, match="verification failed"):
             db.verify()
 
+    @pytest.mark.parametrize("fault", ["short", "misplaced"])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: layout.name)
+    def test_scrub_pinpoints_short_and_misplaced_pages(self, orders, layout, fault):
+        """A CRC-valid page that claims fewer entries than its nominal
+        span, or a copy of another page at its slot, is named by scrub
+        on every layout, and fails ``verify()``."""
+        db = Database(layouts=LAYOUTS)
+        db.create_table(orders)
+        file = max(_files(db.table("ORDERS", layout)), key=lambda file: file.num_pages)
+        assert file.num_pages >= 2
+        if fault == "short":
+            _claiming(file, 1, 10)
+        else:
+            _misplacing(file, 1, 0)
+        reports = db.scrub("ORDERS")
+        dirty = {k: v for k, v in reports.items() if not v.is_clean}
+        assert list(dirty) == [f"ORDERS:{layout.name.lower()}"]
+        (found,) = dirty[f"ORDERS:{layout.name.lower()}"].faults
+        named = "page 1 claims 10 entries" if fault == "short" else "page 1 holds page 0"
+        assert (found.file, found.page) == (file.name, 1) and found.error.startswith(named)
+        with pytest.raises(ChecksumError, match="verification failed"):
+            db.verify()
+
     def test_salvage_query_through_facade(self, orders, select):
         db = Database()
         db.create_table(orders)
@@ -503,6 +528,23 @@ class TestPagedFileInvariants:
 
 
 # --- a page is checked once per load ------------------------------------------
+
+
+def _claiming(file: PagedFile, page: int, claim: int) -> None:
+    """Rewrite ``page`` of a resident file as a CRC-valid page that
+    claims ``claim`` entries, its payload and trailer base kept."""
+    size = file.page_size
+    data = file.read_page(page)
+    _page_id, _crc, base = struct.unpack_from("<IIq", data, size - PAGE_TRAILER_BYTES)
+    payload = data[PAGE_HEADER_BYTES : size - PAGE_TRAILER_BYTES]
+    file._data[page * size : (page + 1) * size] = assemble_pages(size, page, [claim], [payload], base)
+
+
+def _misplacing(file: PagedFile, page: int, source: int) -> None:
+    """Copy page ``source`` of a resident file, CRC and trailer id kept,
+    over slot ``page``."""
+    size = file.page_size
+    file._data[page * size : (page + 1) * size] = file.read_page(source)
 
 
 def _files(table) -> list[PagedFile]:
