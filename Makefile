@@ -2,7 +2,7 @@
 # PEP 660 editable builds; in offline environments without it, the
 # legacy `setup.py develop` path below installs identically.
 
-.PHONY: install test fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate obs-test parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
+.PHONY: install test fuzz write-fuzz crash-matrix chaos chaos-deep scrub experiments experiments-md metrics overhead-gate obs-test parallel-test parallel-bench workload-bench scheduler-test scan-test scan-golden dashboard regression-check all
 
 install:
 	pip install -e . 2>/dev/null || python setup.py develop
@@ -37,8 +37,8 @@ crash-matrix:
 		tests/test_storage_integrity.py::TestVerificationHooks \
 		tests/test_property_codecs.py -q
 
-# Chaos harness smoke: 200 seeded lifecycle faults (worker kills/stalls,
-# slow decodes, allocation spikes, tight deadlines, mid-scan cancels) vs
+# Chaos harness smoke: 200 seeded lifecycle faults (partition crashes and
+# stalls, slow decodes, allocation spikes, tight deadlines, mid-scan cancels) vs
 # the governance contract — correct result XOR typed error, within
 # deadline x slack.  Replay one violation with
 # `python -m repro.testing.chaos --seed N`.
@@ -83,8 +83,23 @@ obs-test:
 		tests/test_repo_hygiene.py -q
 	python benchmarks/check_tracing_overhead.py --out obs-artifacts
 
-# Parallel-scan speedup artifact: serial vs 2/4 workers on the fig06
-# baseline workload, plus a hard byte-identity gate against serial.
+# The parallel battery: byte-identity with serial (results and merged
+# CostEvents), dispatch over the partition pool (a cancel landing
+# mid-scan, shutdown), faults (salvage reports equal to serial, crash
+# retries, what partitions on pool threads share, from two caller
+# threads at once), governance (deadlines, cancels, the supervision
+# ladder, Ctrl-C) and every result shape through the one build_plan.
+# Run it on any change to engine/parallel.py or engine/governance.py.
+parallel-test:
+	pytest tests/test_parallel_equivalence.py tests/test_parallel_dispatch.py \
+		tests/test_parallel_faults.py tests/test_governance.py \
+		tests/test_query_request.py -q
+
+# Parallel grid artifact: serial vs workers=2 on ROW, COLUMN and PAX
+# LINEITEM (a scan at 10 % and 50 %, a SUM at 50 %; --rows, default 1M),
+# plus a hard byte-identity gate against serial and the speed-up gate
+# (Figure 6 COLUMN scan at 10 % on 4 workers >= 1.5x serial, enforced on
+# 4+ cores; REPRO_PARALLEL_SPEEDUP overrides the threshold).
 parallel-bench:
 	python benchmarks/bench_parallel_scan.py --out parallel-artifacts
 
@@ -110,7 +125,7 @@ workload-bench:
 # strict stream failure — in tests/test_scheduler_chaos.py::
 # TestQueuedRiders; stream and window freed by reference count in
 # tests/test_scheduler_equivalence.py), chaos under concurrency, the
-# parallel worker fleet, every result shape on every executor through
+# parallel partition pool, every result shape on every executor through
 # the one build_plan, and the scheduler's one read path (an ast pin in
 # tests/test_query_request.py: every scheduled plan comes from
 # ScanShareManager.acquire; sharing off only means no second rider),

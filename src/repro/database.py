@@ -319,10 +319,10 @@ class Database:
         ``QueryResult.corruption`` instead.
 
         ``workers > 1`` fans the scan out over row-range partitions
-        (``partitions``, default one per worker) in a multiprocessing
-        pool — see :func:`repro.engine.parallel.parallel_query`.  The
-        worker count is clamped to ``os.cpu_count()``: oversubscribing
-        the fork pool only adds scheduling latency.
+        (``partitions``, default one per worker) on the partition
+        thread pool — see :func:`repro.engine.parallel.parallel_query`.
+        The worker count is clamped to ``os.cpu_count()``: more threads
+        than cores only add scheduling latency.
 
         ``timeout`` (seconds), ``memory_budget`` (bytes), and
         ``cancellation`` opt the query into lifecycle governance (see
@@ -518,8 +518,8 @@ class Database:
         Perfetto trace (``.chrome_trace()``/``.save_chrome_trace()``),
         and a provenance-stamped flat profile (``.to_dict()``) derive.
 
-        With ``workers > 1`` worker-process span trees are stitched
-        into the parent trace (one Perfetto track per worker).  With a
+        With ``workers > 1`` partition span trees are stitched into
+        the caller's trace (one Perfetto track per partition).  With a
         ``timeout``/``memory_budget``/``cancellation`` the profile
         carries a governance snapshot and ``explain_text()`` appends
         the governance outcomes (why the query degraded); that

@@ -1,8 +1,8 @@
 """Per-query lifecycle governance: deadlines, cancellation, memory budgets.
 
 The engine's run-to-completion scanners (the paper's Section 4 design)
-have no notion of "stop": a slow partition, a runaway sort, or a dead
-worker can hang or OOM the whole query.  This module adds the three
+have no notion of "stop": a slow partition or a runaway sort can hang
+or OOM the whole query.  This module adds the three
 cooperative controls every governed query carries in one
 :class:`QueryContext` hung off
 :attr:`~repro.engine.context.ExecutionContext.governance`:
@@ -30,8 +30,8 @@ layer pays one attribute load and a branch per check site.
 
 :class:`CircuitBreaker` and :class:`SupervisionPolicy` configure the
 parallel executor's supervision ladder (see
-:mod:`repro.engine.parallel`): per-worker heartbeats and deadlines,
-kill-and-retry of single partitions, worker-count degradation, and
+:mod:`repro.engine.parallel`): per-partition heartbeats and deadlines,
+retry of single partitions, worker-count degradation, and
 breaker-directed salvage routing for partitions that fail repeatedly.
 """
 
@@ -99,8 +99,8 @@ class QueryContext:
     """Lifecycle policy and accounting for one query execution.
 
     Build one with :meth:`start` (relative timeout) or directly with an
-    absolute ``deadline`` (``time.monotonic()`` seconds — valid across
-    forked workers, which share the monotonic clock).
+    absolute ``deadline`` (``time.monotonic()`` seconds, which parallel
+    partitions share with their caller).
     """
 
     #: Absolute ``time.monotonic()`` second the query must finish by.
@@ -119,8 +119,8 @@ class QueryContext:
     #: Human-readable governance outcomes, in order of occurrence
     #: (degradations, retries, narrowing, breaker trips, aborts).
     outcomes: list[str] = field(default_factory=list)
-    #: Called with this context on every check — heartbeat writers and
-    #: the chaos harness hook in here.  Never pickled.
+    #: Called with this context on every check — a parallel partition's
+    #: heartbeat and the chaos harness hook in here.
     on_tick: Callable[["QueryContext"], None] | None = field(
         default=None, repr=False, compare=False
     )
@@ -406,25 +406,21 @@ class GovernedAccumulator:
 class SupervisionPolicy:
     """Knobs of the parallel executor's supervision ladder.
 
-    The supervisor sleeps in ``multiprocessing.connection.wait`` on its
-    busy workers' pipes and process sentinels, so a finished partition
-    or a dead worker wakes it at once; the times below only bound how
+    The supervisor waits on its running partitions' futures, so a
+    finished partition wakes it at once; the times below only bound how
     long it waits when nothing happens.
     """
 
-    #: Supervised workers write their shared-memory heartbeat slot at
-    #: most this often (seconds).
-    heartbeat_interval: float = 0.05
-    #: Silence from a worker that is alive and busy for this long marks
-    #: its partition stalled (wedged or starved).  A dead worker is seen
-    #: through its sentinel immediately, not through this timeout.
+    #: Silence this long from a started partition (no checkpoint stamped
+    #: its beat) marks it stalled (wedged or starved).
     stall_timeout: float = 15.0
-    #: Ceiling on the time between two parent-side governance checks
+    #: Ceiling on the time between two caller-side governance checks
     #: (cancellation token, deadline) while partitions are outstanding.
-    #: Never a latency floor: results wake the supervisor themselves.
+    #: Never a latency floor: results wake the supervisor themselves,
+    #: and partitions check the caller's token and deadline themselves.
     poll_interval: float = 0.02
-    #: Overall dispatch guard for queries whose workers do not beat
-    #: (no governance, breaker or injected fault).
+    #: Dispatch guard for partitions that do not beat (no governance,
+    #: breaker or injected stall) and for those still queued on the pool.
     max_dispatch_seconds: float = 120.0
 
 
@@ -434,8 +430,8 @@ class CircuitBreaker:
     Keys are ``(table, partition index, row range)`` tuples.  After
     ``threshold`` recorded failures the breaker *opens* for that
     partition and the parallel executor routes it straight to a
-    salvage-mode serial scan (skip-don't-crash) instead of burning
-    another worker on it; a later clean non-salvage success closes it.
+    salvage-mode serial scan (skip-don't-crash) instead of running it
+    on the pool again; a later clean non-salvage success closes it.
     """
 
     def __init__(self, threshold: int = 2):

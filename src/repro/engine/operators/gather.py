@@ -1,11 +1,11 @@
-"""Parallel-merge operators: gather worker output and recombine it.
+"""Parallel-merge operators: gather partition output and recombine it.
 
 :mod:`repro.engine.parallel` executes one plan per row-range partition
-in worker processes and materializes each worker's output.  These
-operators stitch the pieces back together *in the parent plan*, so the
+on a thread pool and materializes each partition's output.  These
+operators stitch the pieces back together *in the caller's plan*, so the
 merge itself is traced and cost-accounted like any other plan node:
 
-* :class:`GatherOperator` — emit the workers' blocks in partition
+* :class:`GatherOperator` — emit the partitions' blocks in partition
   order.  Because partitions are contiguous row ranges handed out in
   order, the concatenation is already in global Record-ID order, which
   makes a plain parallel selection byte-identical to the serial scan.
@@ -40,8 +40,8 @@ from repro.errors import EngineError, PlanError
 class GatherOperator(Operator):
     """Emit pre-materialized partition outputs as a block stream.
 
-    The blocks were produced (and their work charged) inside worker
-    processes; gathering them is a pointer handoff, so this node adds
+    The blocks were produced (and their work charged) by the partitions'
+    own plans; gathering them is a pointer handoff, so this node adds
     no cost events of its own.  Empty blocks are passed through so a
     no-result scan keeps its output schema, exactly like the serial
     scanners' empty-block emission.

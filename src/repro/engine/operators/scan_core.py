@@ -93,9 +93,9 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
     try:
         if timed:
             started = time.perf_counter()
-        if failed is not None and failed[0] == data:
+        if failed is not None and failed[0] == page and failed[1] == data:
             file.failed_check = None
-            raise failed[1]
+            raise failed[2]
         result = decode(data, verify)
         if verify:
             check_placed(data, (page,), file.page_size)
@@ -171,7 +171,7 @@ def _check_unverified(file, unit, read) -> bool:
                 verify_unit(data, size)
                 check_placed(data, (page,), size)
             except (ChecksumError, PageFormatError) as exc:
-                file.failed_check = (bytes(data), exc.with_traceback(None))
+                file.failed_check = (page, bytes(data), exc.with_traceback(None))
                 return False
             file.mark_verified((page,))
     return True

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.engine.blocks import concat_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.scan_core import RunOnceScanner
+from repro.engine.operators.scan_core import RunOnceScanner, decode_tuple_pages
 from repro.engine.operators.scan_row import charge_row_page
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
@@ -47,19 +47,31 @@ class IndexScan(RunOnceScanner):
 
         per_page = table.page_codec.tuples_per_page
         page_ids = rids // per_page
+        pages = np.unique(page_ids).tolist()
+        # The touched pages go through the scan core's window reader, as
+        # a row scan's do: checked, placed and span-checked, and under
+        # the query's integrity policy and governance.
+        pieces = self._guarded_units(
+            table.file,
+            pages,
+            lambda at: table.row_span_of_page(pages[at]),
+            lambda unit, _at, _run, verify: decode_tuple_pages(table, self.select, unit, verify),
+        )
         blocks = []
-        for page_id in np.unique(page_ids):
-            first_row = int(page_id) * per_page
-            # The same page decode a row scan uses, fetched directly:
-            # index fetches run outside the salvage policy.
-            count, columns = table.decode_page(
-                table.file.read_page(int(page_id)), self.select
-            )
-            events.pages_touched += 1
-            # A fetched page streams through the caches whole.
-            charge_row_page(events, self.context.calibration, table.page_size)
-            in_page = rids[page_ids == page_id] - first_row
-            wanted = np.zeros(count, dtype=bool)
-            wanted[in_page] = True
-            blocks.append(self._project(columns, wanted, in_page.size, first_row))
+        for at, _run, decoded in pieces:
+            if decoded is None:
+                continue
+            counts, columns = decoded
+            start = 0
+            for page_id, count in zip(pages[at:], counts.tolist()):
+                first_row = page_id * per_page
+                page = {name: col[start : start + count] for name, col in columns.items()}
+                start += count
+                events.pages_touched += 1
+                # A fetched page streams through the caches whole.
+                charge_row_page(events, self.context.calibration, table.page_size)
+                in_page = rids[page_ids == page_id] - first_row
+                wanted = np.zeros(count, dtype=bool)
+                wanted[in_page] = True
+                blocks.append(self._project(page, wanted, in_page.size, first_row))
         return concat_blocks(blocks) if blocks else self._empty_block()

@@ -22,10 +22,13 @@ time window, exposed as a Prometheus *summary* with windowed
 p50/p95/p99 quantiles and an event rate — the "qps over the last
 minute" view cumulative histograms cannot give).
 
-**Concurrency note.**  The registry is process-global and the
-cooperative scheduler interleaves many queries in one thread, so every
-series here is a *workload sum* by construction — counters from
-co-running queries merge, which is the intent.  Per-query attribution
+**Concurrency note.**  The registry is process-global: the cooperative
+scheduler interleaves many queries in one thread and a parallel query
+runs its partitions on pool threads, so every series here is a
+*workload sum* by construction — counters from co-running queries
+merge, which is the intent.  Every update is a read-modify-write
+(a histogram's three), so each takes the module's one lock: no
+increment is lost between two threads.  Per-query attribution
 never goes through the registry: it lives on each query's own
 ``ExecutionContext.events`` and per-query ``SpanTracer`` (see
 :mod:`repro.obs.trace`), so interleaving cannot cross-attribute.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 import time
 from collections import deque
 
@@ -63,6 +67,9 @@ __all__ = [
 #: Module-global switch; checked by every mutation, so a disabled
 #: registry costs one attribute load + branch per hook site.
 _enabled = True
+
+#: Held by every update of every series (see the concurrency note).
+_LOCK = threading.Lock()
 
 
 def enabled() -> bool:
@@ -149,7 +156,8 @@ class Counter(_Scalar):
             return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease: {amount}")
-        self._value += amount
+        with _LOCK:
+            self._value += amount
 
     apply = inc  # what a bound event does to the series
 
@@ -172,9 +180,11 @@ class Histogram:
         if not _enabled:
             return
         # `le` semantics: the first bound >= value owns the observation.
-        self._counts[bisect.bisect_left(self.bounds, value)] += times
-        self.sum += value * times
-        self.count += times
+        slot = bisect.bisect_left(self.bounds, value)
+        with _LOCK:
+            self._counts[slot] += times
+            self.sum += value * times
+            self.count += times
 
     apply = observe
 
@@ -223,7 +233,8 @@ class Gauge(_Scalar):
     def inc(self, amount: float = 1.0) -> None:
         if not _enabled:
             return
-        self._value += amount
+        with _LOCK:
+            self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
@@ -272,8 +283,9 @@ class SlidingWindow:
 
     def _prune(self) -> None:
         horizon = self._clock() - self.window_s
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
+        with _LOCK:
+            while self._samples and self._samples[0][0] < horizon:
+                self._samples.popleft()
 
     def values(self) -> list[float]:
         """In-window observations, oldest first."""
@@ -474,7 +486,7 @@ GOVERNANCE_BREAKER_TRIPS = REGISTRY.counter(
 )
 GOVERNANCE_PARTITION_RETRIES = REGISTRY.counter(
     "repro_governance_partition_retries_total",
-    "Single-partition kill-and-retry recoveries by the supervisor.",
+    "Single-partition retries by the supervisor.",
     on="parallel.retry",
 )
 GOVERNANCE_DEGRADATIONS = REGISTRY.counter(
@@ -484,18 +496,13 @@ GOVERNANCE_DEGRADATIONS = REGISTRY.counter(
 )
 GOVERNANCE_STALLS = REGISTRY.counter(
     "repro_governance_stalls_total",
-    "Workers declared stalled after missing their heartbeat window.",
+    "Partitions declared stalled after missing their heartbeat window.",
     on="parallel.stall",
 )
 PARALLEL_DISPATCH_SECONDS = REGISTRY.histogram(
     "repro_parallel_dispatch_seconds",
-    "Submit to last worker output of one fleet-dispatched parallel query.",
+    "Submit to last partition output of one pool-dispatched parallel query.",
     on="parallel.dispatch", field="seconds",
-)
-PARALLEL_TABLE_SHIPS = REGISTRY.counter(
-    "repro_parallel_table_ships_total",
-    "Table copies sent over their pipe to already-running workers.",
-    on="parallel.dispatch", field="ships",
 )
 SCHEDULER_SUBMITTED = REGISTRY.counter(
     "repro_scheduler_submitted_total",

@@ -5,8 +5,8 @@ counters) answers "what did *this* plan do"; the flight recorder
 answers "what was the *workload* doing when things went wrong".  It is
 a fixed-capacity ring buffer of small structured events — admission,
 time slices, shared-scan attach/wrap/detach, governance aborts, storage
-retries, salvaged pages, circuit-breaker trips, parallel-worker crashes
-and degradations — emitted by the scheduler, the sharing layer,
+retries, salvaged pages, circuit-breaker trips, parallel-partition
+retries and degradations — emitted by the scheduler, the sharing layer,
 governance, the parallel supervisor, and the storage retry policy.
 
 **One fact, one emission.**  :func:`record` is the only call a producer
@@ -20,8 +20,10 @@ paired gate in ``benchmarks/check_tracing_overhead.py`` measures it):
 recording one event is a binding lookup, a guard branch, a monotonic
 clock read, and one ``deque.append``; the ring evicts oldest-first so
 memory is bounded no matter how long the process serves.  ``disable()``
-stops the appends.  Appends are plain CPython deque operations — atomic
-under the GIL — so no lock is taken anywhere.
+stops the appends.  Appends are plain CPython deque operations and
+sequence numbers come from an :func:`itertools.count` — each atomic
+under the GIL — so the ring takes no lock, and events that a parallel
+query's partitions record on pool threads never share a number.
 
 **Black boxes.**  On any query failure — a governance abort, a decode
 error, a chaos-injected kill — the failing query's *event slice* (every
@@ -39,6 +41,7 @@ facade.
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 import time
 from collections import deque
@@ -114,7 +117,7 @@ class FlightRecorder:
         self.capacity = capacity
         #: Raw event tuples: :meth:`events` wraps them when they are read.
         self._ring: deque[tuple] = deque(maxlen=capacity)
-        self._seq = 0
+        self._seq = itertools.count()
         #: Black-box dicts, newest last, bounded like the ring.
         self.blackboxes: deque[dict] = deque(maxlen=max_blackboxes)
         self._blackbox_seq = 0
@@ -127,8 +130,7 @@ class FlightRecorder:
 
     def append(self, kind: str, query: str | None, detail: dict) -> None:
         """:meth:`record` with the detail as the dict it already is."""
-        self._ring.append((self._seq, time.monotonic_ns(), kind, query, detail))
-        self._seq += 1
+        self._ring.append((next(self._seq), time.monotonic_ns(), kind, query, detail))
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -197,7 +197,7 @@ class SpanTracer:
             else:
                 self.dropped_slices += 1
 
-    # --- cross-process stitching -------------------------------------------
+    # --- stitching partition trees ------------------------------------------
 
     def attach_subtree(
         self,
@@ -209,14 +209,13 @@ class SpanTracer:
     ) -> None:
         """Graft spans recorded by another tracer into this tree.
 
-        Used by :mod:`repro.engine.parallel` to stitch worker-process
-        span trees into the parent trace.  Span ids are renumbered into
+        Used by :mod:`repro.engine.parallel` to stitch partition span
+        trees into the caller's trace.  Span ids are renumbered into
         this tracer's id space (and slice span ids remapped to match);
         slices are tagged with ``track`` so exporters can render each
         worker on its own thread.  When the worker tracer's ``epoch_ns``
         is given, slice timestamps are rebased onto this tracer's epoch
-        (``perf_counter_ns`` is machine-wide monotonic, so forked
-        workers share the clock).  ``under`` parents the subtree below
+        (``perf_counter_ns`` is monotonic across the process's threads).  ``under`` parents the subtree below
         an existing span — e.g. the gather node that consumed the
         workers' output — keeping ``total_events()`` equal to the
         parent-context plan total.

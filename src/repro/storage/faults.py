@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+import threading
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError, TransientIOError
@@ -58,10 +59,13 @@ class _BitFlip:
 
 @dataclass
 class FaultPlan:
-    """A seeded, replayable schedule of storage faults."""
+    """A seeded, replayable schedule of storage faults.  Its hooks take
+    the plan's lock: parallel partitions read through one plan on pool
+    threads, and each fault fires exactly as often as scheduled."""
 
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False)
+    _lock: threading.Lock = field(init=False, repr=False, compare=False, default_factory=threading.Lock)
     _transients: list[_TransientFault] = field(init=False, default_factory=list)
     _flips: list[_BitFlip] = field(init=False, default_factory=list)
     #: Observability for tests: how many transient errors were raised.
@@ -101,30 +105,32 @@ class FaultPlan:
     # --- runtime hooks (called by FaultyPagedFile) ---------------------------
 
     def before_read(self, file: str, page: int) -> None:
-        for fault in self._transients:
-            if fault.remaining > 0 and fault.matches(file, page):
-                fault.remaining -= 1
-                self.transient_raised += 1
-                raise TransientIOError(
-                    f"injected transient read fault: {file!r} page {page}"
-                )
+        with self._lock:
+            for fault in self._transients:
+                if fault.remaining > 0 and fault.matches(file, page):
+                    fault.remaining -= 1
+                    self.transient_raised += 1
+                    raise TransientIOError(
+                        f"injected transient read fault: {file!r} page {page}"
+                    )
 
     def corrupt_page(self, file: str, page: int, data: bytes) -> bytes:
-        corrupted = None
-        for flip in self._flips:
-            if not flip.matches(file, page):
-                continue
-            if flip.byte is None:
-                flip.byte = self._rng.randrange(len(data))
-            if flip.bit is None:
-                flip.bit = self._rng.randrange(8)
+        with self._lock:
+            corrupted = None
+            for flip in self._flips:
+                if not flip.matches(file, page):
+                    continue
+                if flip.byte is None:
+                    flip.byte = self._rng.randrange(len(data))
+                if flip.bit is None:
+                    flip.bit = self._rng.randrange(8)
+                if corrupted is None:
+                    corrupted = bytearray(data)
+                corrupted[flip.byte] ^= 1 << flip.bit
             if corrupted is None:
-                corrupted = bytearray(data)
-            corrupted[flip.byte] ^= 1 << flip.bit
-        if corrupted is None:
-            return data
-        self.pages_corrupted += 1
-        return bytes(corrupted)
+                return data
+            self.pages_corrupted += 1
+            return bytes(corrupted)
 
     # --- wrapping -----------------------------------------------------------
 

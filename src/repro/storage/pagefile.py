@@ -25,9 +25,11 @@ from repro.storage.retry import RetryPolicy, retry_io
 class PagedFile:
     """An append-only sequence of fixed-size pages."""
 
-    #: ``(page bytes, ChecksumError)`` of the last page a window's check
-    #: saw fail, kept for that page's own decode (the scan core).
-    failed_check: tuple[bytes, Exception] | None = None
+    #: ``(page, its bytes, error)`` of the last page a window's check saw
+    #: fail, kept for that page's own decode (the scan core).  A scan on
+    #: another thread may take or replace it; the page's decode then
+    #: checks it again and fails the same way.
+    failed_check: tuple[int, bytes, Exception] | None = None
 
     def __init__(
         self,
@@ -43,7 +45,9 @@ class PagedFile:
         self.retry_policy = retry_policy
         self._data = bytearray()
         #: One byte per page, 1 once the page has passed its CRC; pages
-        #: past its end are unverified.
+        #: past its end are unverified.  A flag only goes 0 → 1 for a
+        #: page that passed, so two threads' scans cost at worst a second
+        #: check of a page, never a skipped one.
         self._verified = bytearray()
 
     def __getstate__(self) -> dict:
@@ -168,11 +172,12 @@ class PagedFile:
         return sum(map(flags.__getitem__, pages))
 
     def mark_verified(self, pages) -> None:
-        """``pages`` just passed their CRC."""
+        """``pages`` just passed their CRC (maybe on two threads at once:
+        the flags grow by a count read afresh; unset ones past the end are harmless)."""
         flags = self._verified
         first, stop = pages[0], pages[-1] + 1
         if len(flags) < stop:
-            flags.extend(bytes(stop - len(flags)))
+            flags.extend(bytes(max(0, stop - len(flags))))
         if stop - first == len(pages):
             flags[first:stop] = b"\x01" * (stop - first)
         else:

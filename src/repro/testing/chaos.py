@@ -11,9 +11,10 @@ replays the differential fuzzer's generated cases while injecting
 * **tight deadlines and mid-scan cancels** — deadlines short enough to
   expire inside a scan, and cancellation tokens tripped at a seeded
   tick;
-* **worker kills and stalls** — ``os._exit`` and long sleeps inside
-  pool workers, exercising the parallel supervision ladder
-  (kill-and-retry, stall detection, degradation, circuit breaker).
+* **partition crashes and stalls** — an exception in place of a
+  partition's plan, or a long wait mid-scan, exercising the parallel
+  supervision ladder (retry, stall detection, degradation, circuit
+  breaker).
 
 Every case asserts the governance invariant:
 
@@ -69,8 +70,8 @@ __all__ = [
 
 #: Multiplier on the case deadline when bounding wall time ("slack").
 DEADLINE_SLACK = 5.0
-#: Fixed grace on top of the slack product: interpreter start-up, pool
-#: forks, and Manager spin-up on a loaded box are real but bounded.
+#: Fixed grace on top of the slack product: interpreter start-up and
+#: a loaded box are real but bounded.
 BASE_GRACE_SECONDS = 10.0
 #: Wall bound for cases that run without a deadline of their own.
 UNGOVERNED_BOUND_SECONDS = 60.0
@@ -132,7 +133,7 @@ class ChaosCase:
     alloc_spike: int = 0
     alloc_after_ticks: int = 0
     #: Parallel injections (partition index / (index, sleep seconds)).
-    inject_kill: int | None = None
+    inject_crash: int | None = None
     inject_stall: tuple[int, float] | None = None
     stall_timeout: float = 0.25
 
@@ -148,8 +149,8 @@ class ChaosCase:
             parts.append(f"slow_decode={self.slow_decode_s * 1000:.0f}ms/page")
         if self.alloc_spike:
             parts.append(f"alloc_spike={self.alloc_spike}B@tick{self.alloc_after_ticks}")
-        if self.inject_kill is not None:
-            parts.append(f"kill=partition{self.inject_kill}")
+        if self.inject_crash is not None:
+            parts.append(f"crash=partition{self.inject_crash}")
         if self.inject_stall is not None:
             parts.append(
                 f"stall=partition{self.inject_stall[0]}/{self.inject_stall[1]}s"
@@ -191,7 +192,7 @@ def generate_chaos_case(seed: int) -> ChaosCase:
         )
         roll = rng.random()
         if roll < 0.35:
-            chaos.inject_kill = rng.randrange(partitions)
+            chaos.inject_crash = rng.randrange(partitions)
         elif roll < 0.70:
             chaos.inject_stall = (rng.randrange(partitions), 0.6)
         chaos.deadline = rng.choice([0.0, 0.02]) if rng.random() < 0.2 else 15.0
@@ -268,7 +269,7 @@ def _chaos_hook(chaos: ChaosCase):
 def allowed_seconds(chaos: ChaosCase) -> float:
     """The wall bound the invariant holds the case to (deadline x slack).
 
-    A generous fixed grace covers process start-up costs that are real
+    A generous fixed grace covers start-up costs that are real
     but bounded; what the bound actually polices is *hangs* — a query
     that ignores its deadline scales past any slack multiple.
     """
@@ -321,11 +322,9 @@ def run_chaos_case(chaos: ChaosCase) -> ChaosOutcome:
     if chaos.mode == "parallel":
         supervision = dict(
             policy=SupervisionPolicy(
-                heartbeat_interval=0.03,
-                stall_timeout=chaos.stall_timeout,
-                poll_interval=0.02,
+                stall_timeout=chaos.stall_timeout, poll_interval=0.02
             ),
-            inject_kill=chaos.inject_kill,
+            inject_crash=chaos.inject_crash,
             inject_stall=chaos.inject_stall,
         )
     result: QueryResult | None = None

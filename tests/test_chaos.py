@@ -52,7 +52,7 @@ def test_generation_covers_every_injection():
     cases = [generate_chaos_case(seed) for seed in range(SMOKE_CASES)]
     assert any(case.mode == "serial" for case in cases)
     assert any(case.mode == "parallel" for case in cases)
-    assert any(case.inject_kill is not None for case in cases)
+    assert any(case.inject_crash is not None for case in cases)
     assert any(case.inject_stall is not None for case in cases)
     assert any(case.slow_decode_s for case in cases)
     assert any(case.alloc_spike for case in cases)

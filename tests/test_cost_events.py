@@ -205,14 +205,10 @@ class TestParallelMerge:
                     query=Query(query),
                     row_range=row_range,
                     column_scanner=ColumnScannerKind.PIPELINED,
-                    calibration=context.calibration,
-                    block_size=context.block_size,
-                    compressed_execution=False,
-                    strict_integrity=True,
-                    trace=False,
+                    context=ExecutionContext(),
                 )
             )
-            expected.merge(out.events)
+            expected.merge(out.context.events)
             if len(out.positions):
                 gathered_blocks += 1
         expected.blocks_produced += gathered_blocks  # parent Gather re-emits

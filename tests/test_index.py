@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cpusim.calibration import DEFAULT_CALIBRATION
+from repro.data.tpch import generate_lineitem
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute_plan, run_scan
 from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_selectivity
 from repro.engine.query import ScanQuery
-from repro.errors import PlanError, SimulationError
+from repro.errors import ChecksumError, PageFormatError, PlanError, SimulationError
 from repro.index.access_path import (
     breakeven_selectivity,
     compare_access_paths,
@@ -18,6 +19,9 @@ from repro.index.access_path import (
 )
 from repro.index.scan import IndexScan
 from repro.index.secondary import SecondaryIndex
+from repro.storage.layout import Layout
+from repro.storage.loader import load_table
+from tests.test_storage_integrity import _claiming, _misplacing
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +263,48 @@ class TestIndexEdgeCases:
         assert breakeven_selectivity(256) == pytest.approx(
             2 * breakeven_selectivity(128)
         )
+
+
+# --- the integrity policy ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "salvage"])
+@pytest.mark.parametrize("fault", ["flipped", "misplaced", "short"])
+def test_index_scan_holds_its_pages_to_the_integrity_policy(fault, strict):
+    """A bit-flipped page, a copy of page 0 at its slot, or a page that
+    claims fewer tuples than its span, fetched by an index scan, gets
+    what a row scan gives it: strict raises naming the page; salvage
+    drops that page's rows alone, records one fault, and returns what
+    the salvage row scan of the same predicate returns."""
+    data = generate_lineitem(3_000, seed=7)
+    table = load_table(data, Layout.ROW)
+    file, victim = table.file, 3
+    if fault == "flipped":
+        file.corrupt(victim, 97)
+    elif fault == "misplaced":
+        _misplacing(file, victim, 0)
+    else:
+        _claiming(file, victim, 10)
+    predicate = Predicate("L_QUANTITY", ComparisonOp.LE, 25)  # on every page
+    select = ("L_ORDERKEY", "L_QUANTITY")
+    index = SecondaryIndex(predicate.attr, data.column(predicate.attr))
+    plan = IndexScan(ExecutionContext(strict_integrity=strict), table, index, predicate, select)
+    if strict:
+        error = ChecksumError if fault == "flipped" else PageFormatError
+        with pytest.raises(error, match=f"page {victim}"):
+            execute_plan(plan)
+        return
+    result = execute_plan(plan)
+    span = table.row_span_of_page(victim)
+    start = victim * table.page_codec.tuples_per_page
+    rids = index.lookup_predicate(predicate)
+    kept = rids[(rids < start) | (rids >= start + span)]
+    np.testing.assert_array_equal(result.positions, kept)
+    for attr in select:
+        np.testing.assert_array_equal(result.columns[attr], data.column(attr)[kept])
+    faults = [(f.file, f.page, f.rows_lost) for f in result.corruption.faults]
+    assert faults == [(file.name, victim, span)]
+    scan = run_scan(table, ScanQuery("LINEITEM", select, (predicate,)), salvage=True)
+    np.testing.assert_array_equal(result.positions, scan.positions)
+    assert [(f.file, f.page) for f in scan.corruption.faults] == [(file.name, victim)]
+    assert result.corruption.pages_scanned == scan.corruption.pages_scanned == file.num_pages - 1

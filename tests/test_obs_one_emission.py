@@ -172,14 +172,12 @@ def _drive_every_producer(monkeypatch) -> None:
         with pytest.raises(RuntimeError):
             db.merge("ORDERS")
 
-    # Parallel executor: a clean fan-out, then a killed worker twice over
-    # (retry, breaker trip), then a stalled one (stall, degrade).
+    # Parallel executor: a clean fan-out, then a crashed partition twice
+    # over (retry, breaker trip), then a stalled one (stall, degrade).
     try:
         parallel_query(table, QUERY, workers=2, partitions=2)
         breaker = CircuitBreaker()
-        policy = SupervisionPolicy(
-            heartbeat_interval=0.03, stall_timeout=0.3, poll_interval=0.02
-        )
+        policy = SupervisionPolicy(stall_timeout=0.3, poll_interval=0.02)
         for _ in range(2):
             parallel_query(
                 table,
@@ -189,7 +187,7 @@ def _drive_every_producer(monkeypatch) -> None:
                 context=ExecutionContext(governance=QueryContext.start(timeout=30)),
                 policy=policy,
                 breaker=breaker,
-                inject_kill=1,
+                inject_crash=1,
             )
         parallel_query(
             table,

@@ -3,7 +3,7 @@
 :class:`~repro.engine.query.Query` is the request every executor takes
 and :func:`~repro.engine.plan.build_plan` the only code that stacks
 operators over a scan.  For every result shape the serial tree, the
-inline partition-and-merge, the worker fleet and the pure-Python oracle
+inline partition-and-merge, the partition pool and the pure-Python oracle
 must agree on all four scanner architectures; the shape constraints
 live in ``Query`` itself; executors that cannot run a shape say so with
 a typed :class:`~repro.errors.PlanError`; and a walk over ``src/repro``

@@ -11,6 +11,7 @@ corrupt page, and v1-format directories still open and query correctly.
 import json
 import pickle
 import struct
+import threading
 import zlib
 from types import SimpleNamespace
 
@@ -519,6 +520,32 @@ class TestPagedFileInvariants:
             file.read_page(2)
         with pytest.raises(StorageError):
             file.read_page(-1)
+
+    def test_marking_pages_verified_survives_a_concurrent_grow(self):
+        """Two partitions mark pages of one fresh file at once: one
+        checks the flags' length, and before it grows them the other
+        grows them past what it needs.  Neither fails, and both sets of
+        pages count as verified."""
+        file = PagedFile.from_bytes("t", b"\x00" * (4096 * 600), page_size=4096)
+        other = threading.Thread(target=file.mark_verified, args=([500, 501, 502],))
+
+        class HandOver(bytearray):
+            handed = False
+
+            def __len__(self):
+                length = super().__len__()
+                if not HandOver.handed:
+                    # Checked; now the other partition runs to the end.
+                    HandOver.handed = True
+                    other.start()
+                    other.join()
+                return length
+
+        file._verified = HandOver()
+        file.mark_verified([0, 1, 2, 3])
+        assert file.verified(range(4)) == 4
+        assert file.verified([500, 501, 502]) == 3
+        assert file.verified(range(4, 500)) == 0
 
     def test_truncated_page_decode(self, orders):
         codec = RowPageCodec(orders.schema)
