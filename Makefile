@@ -72,15 +72,18 @@ overhead-gate:
 # trace suites, per-query attribution under the scheduler, the
 # one-emission invariant (every bound series == its events in the ring;
 # nothing outside obs/ mutates a bound series; DESIGN §13's generated
-# kind -> series table) and the repo hygiene pins, then the four paired
-# overhead gates.
+# kind -> series table), the parallel salvage cases (a salvaged page
+# counts once per query on every executor) and the repo hygiene pins,
+# then the four paired overhead gates.
 # Run it on any change under obs/, or to a `flight.record(` /
 # `flight.blackbox(` site anywhere (engine/{scheduler,sharing,governance,
-# parallel,executor}.py, storage/{retry,write_store}.py, table_entry.py,
-# database.py, testing/chaos.py).
+# parallel,executor}.py, engine/operators/scan_core.py,
+# storage/{retry,write_store}.py, table_entry.py, database.py,
+# testing/chaos.py).
 obs-test:
 	pytest tests/test_obs_*.py tests/test_scheduler_telemetry.py \
 		tests/test_repo_hygiene.py -q
+	pytest tests/test_parallel_faults.py -k salvage -q
 	python benchmarks/check_tracing_overhead.py --out obs-artifacts
 
 # The parallel battery: byte-identity with serial (results and merged

@@ -13,6 +13,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
 from repro.engine.plan import ColumnScannerKind, build_plan
 from repro.engine.query import Query, ScanQuery
+from repro.errors import ReproError
 from repro.obs import recorder as flight
 from repro.storage.scrub import CorruptionReport
 from repro.storage.table import Table
@@ -88,12 +89,22 @@ def run_scan(
     if salvage:
         context = replace(context, strict_integrity=False)
     plan = build_plan(context, table, query, column_scanner)
+    # The pages its salvage dropped: the faults the report gains.
+    faults = context.corruption.faults
+    before = len(faults)
     started = time.perf_counter()
-    result = execute_plan(plan)
+    try:
+        result = execute_plan(plan)
+    except ReproError as exc:
+        flight.record(
+            "query.failed", context.label, error=type(exc).__name__, salvaged=len(faults) - before
+        )
+        raise
     flight.record(
         "query.done",
         context.label,
         latency_s=time.perf_counter() - started,
         rows=result.num_tuples,
+        salvaged=len(faults) - before,
     )
     return result

@@ -43,7 +43,7 @@ from repro.cpusim.cache import position_lines
 from repro.engine.blocks import Block, logical_bounds
 from repro.engine.compressed_exec import rewrite_all
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
-from repro.engine.operators.scan_core import check_column_unit
+from repro.engine.operators.scan_core import decode_tuple_pages
 
 #: Bytes to charge for the position (Record ID) in a {position, value} pair.
 _POSITION_BYTES = 4
@@ -186,6 +186,7 @@ class ColumnScanner(RunOnceScanner):
         codec = column_file.page_codec.codec
         bound = [b for b in self._bound if b[1] == attr]
         width = self.table.schema.attribute(attr).width
+        num_rows = self.table.num_rows
 
         events.positions_processed += positions.size
 
@@ -195,13 +196,15 @@ class ColumnScanner(RunOnceScanner):
             #: Values on each touched page; 0 where salvage dropped it.
             counts = np.zeros(len(touched), dtype=np.int64)
 
+            def page_span(page):
+                return column_file.row_span_of_page(page, num_rows)
+
             def gather(unit, t, pages, verify):
                 # Touched pages ``t`` on, in the unit back to back.
-                check_column_unit(column_file, self.table.num_rows, unit, verify)
                 start, stop = cuts[t], cuts[t + pages]
-                return column_file.gather_unit(
-                    unit, on_page[start:stop] - t, in_page[start:stop], verify=False
-                )
+                wanted = on_page[start:stop] - t, in_page[start:stop]
+                size, gather_unit = column_file.file.page_size, column_file.gather_unit
+                return decode_tuple_pages(page_span, size, unit, verify, gather_unit, *wanted)
 
             chunks, lost = [], []
             for t, pages, gathered in self._guarded_units(

@@ -263,33 +263,19 @@ def guarded_units(context, span, file, pages, span_of, decode):
             at += 1
 
 
-def decode_tuple_pages(table, attrs, unit, verify: bool):
-    """``table.decode_unit(unit, attrs, verify)`` of adjacent row or PAX
-    pages, a window or one page: the decode the serial scan and a shared
-    stream hand :func:`guarded_units`.
-
-    Density holds each page but the last to capacity; the last must hold
-    ``row_span_of_page`` of the page its trailer names
-    (:func:`~repro.storage.page.check_span`).  A CRC-valid page claiming
-    fewer tuples, which would shift every later Record ID, raises
-    :class:`~repro.errors.PageFormatError`, so the reader serves its
-    window page by page and the integrity policy names it.
-    """
-    counts, columns = table.decode_unit(unit, attrs, verify)
-    check_span(unit, table.page_size, table.row_span_of_page)
-    return counts, columns
-
-
-def check_column_unit(column_file, num_rows: int, unit, verify: bool) -> None:
-    """What a decode of adjacent column pages does first: check their
-    CRCs unless ``verify`` is false, then hold them to the rule of
-    :func:`decode_tuple_pages` (:func:`~repro.storage.page.check_span`),
-    so a short page raises before any value or position is taken from
-    it.  The caller then decodes unchecked."""
-    size = column_file.page_codec.page_size
+def decode_tuple_pages(span_of, page_size: int, unit, verify: bool, decode, *args):
+    """The one decode every caller hands :func:`guarded_units`, for row,
+    PAX and column pages: check adjacent pages' CRCs (unless ``verify``
+    is false) and that the last holds ``span_of`` the id its trailer names
+    (:func:`~repro.storage.page.check_span`; the decode's density check
+    holds the others full), then ``decode(unit, *args, False)``.  A
+    CRC-valid short page, which would shift every later Record ID, raises
+    :class:`~repro.errors.PageFormatError` before any value is taken from
+    it, so the reader serves its window page by page and names it."""
     if verify:
-        verify_unit(unit, size)
-    check_span(unit, size, lambda page: column_file.row_span_of_page(page, num_rows))
+        verify_unit(unit, page_size)
+    check_span(unit, page_size, span_of)
+    return decode(unit, *args, False)
 
 
 def _count(mask) -> int:
@@ -519,9 +505,7 @@ class Scanner(Operator):
         while at < len(pages):
             self._governance_check()
             piece = at, run, decoded = next(pieces)
-            if decoded is None:
-                obs_metrics.PAGES_SALVAGED.inc()
-            else:
+            if decoded is not None:
                 if context.governance is not None:
                     for _page in range(1, run):
                         self._governance_check()
@@ -565,12 +549,15 @@ class Scanner(Operator):
         last = column_file.page_of_positions(np.array([hi - 1]))[0] if hi else -1
         pages = range(page, max(page, min(file.num_pages, int(last) + 1)))
 
+        def page_span(page):
+            return column_file.row_span_of_page(page, num_rows)
+
         def span_of(at):
             return column_file.row_span_of_page(pages[at], num_rows)
 
         def decode(data, _at, _run, verify):
-            check_column_unit(column_file, num_rows, data, verify)
-            return column_file.decode_unit(data, codes, verify=False)
+            size = file.page_size
+            return decode_tuple_pages(page_span, size, data, verify, column_file.decode_unit, codes)
 
         for at, run, decoded in self._guarded_units(file, pages, span_of, decode):
             if decoded is None:
@@ -622,7 +609,9 @@ class PagedScanner(Scanner):
         self._emitted_any = False
 
     def _decode_unit(self, unit, _at, _run, verify: bool):
-        return decode_tuple_pages(self.table, self._attrs, unit, verify)
+        table = self.table
+        span_of, decode = table.row_span_of_page, table.page_codec.decode_unit
+        return decode_tuple_pages(span_of, table.page_size, unit, verify, decode, self._attrs)
 
     def _span_of(self, at: int) -> int:
         return self.table.row_span_of_page(self._window[at])
@@ -678,7 +667,6 @@ class PagedScanner(Scanner):
             # Salvage: skip the page but advance the global row position
             # by its nominal span so later pages' Record IDs — and any
             # position-joined column files — stay aligned.
-            obs_metrics.PAGES_SALVAGED.inc()
             self._row_base += self._span_of(at)
             return
         self._run = [*self._filter_unit(*decoded), 0]

@@ -598,6 +598,7 @@ def parallel_query(
         )
 
     outputs.sort(key=lambda out: out.index)
+    before = len(context.corruption.faults)
     _merge_accounting(context, outputs)
     if governance is not None:
         for out in outputs:
@@ -638,5 +639,6 @@ def parallel_query(
         context.label,
         latency_s=time.perf_counter() - started,
         rows=result.num_tuples,
+        salvaged=len(context.corruption.faults) - before,
     )
     return result

@@ -366,10 +366,12 @@ class Scheduler:
                     # It may have opened a stream its queue can board.
                     self._board_keys[handle.share_key] = None
             except ReproError as exc:
+                salvaged = 0
                 if built is not None:
                     # It rode while queued: leave the stream to its peers.
                     self.manager.discard(built[0])
-                self._finish(handle, exc)
+                    salvaged = len(built[1].corruption.faults)
+                self._finish(handle, exc, salvaged)
                 continue
             plan, context = built
             handle.state = QueryState.RUNNING
@@ -551,12 +553,12 @@ class Scheduler:
                 next(gen)
             except StopIteration:
                 self._active.remove(entry)
-                self._finish(handle)
+                self._finish(handle, salvaged=len(plan.context.corruption.faults))
             except BaseException as exc:
                 self._active.remove(entry)
                 # Leave the stream to its peers.
                 self.manager.discard(plan)
-                self._finish(handle, _typed(exc))
+                self._finish(handle, _typed(exc), len(plan.context.corruption.faults))
                 if not isinstance(exc, Exception):
                     raise
             self._admit()
@@ -582,10 +584,13 @@ class Scheduler:
 
     # --- completion -------------------------------------------------------
 
-    def _finish(self, handle: QueryHandle, error: Exception | None = None) -> None:
-        """The one exit of a scheduled query: one lifecycle event, then a
-        failure's one black box (so the box holds that event too), one
-        slow-log entry, and the span tree grafted onto the query's track."""
+    def _finish(
+        self, handle: QueryHandle, error: Exception | None = None, salvaged: int = 0
+    ) -> None:
+        """The one exit of a scheduled query: one lifecycle event, carrying
+        the ``salvaged`` pages it dropped, then a failure's one black box
+        (so the box holds that event too), one slow-log entry, and the
+        span tree grafted onto the query's track."""
         handle.state = QueryState.DONE if error is None else QueryState.FAILED
         handle.error = error
         handle.finished_at = time.monotonic()
@@ -603,6 +608,7 @@ class Scheduler:
             label,
             latency_s=round(handle.latency, 6),
             inflight=len(self._active),
+            salvaged=salvaged,
             **outcome,
         )
         if error is not None:

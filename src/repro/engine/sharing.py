@@ -64,7 +64,6 @@ from repro.engine.context import ExecutionContext
 from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
-    check_column_unit,
     decode_tuple_pages,
     guarded_units,
     window_pages,
@@ -119,8 +118,8 @@ class _Source:
     owner: object
     #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
     #: pages read back to back — a window, or one page decoded alone: the
-    #: callback of :func:`~repro.engine.operators.scan_core.guarded_units`
-    #: (for a row or PAX file, ``decode_tuple_pages``).
+    #: callback of :func:`~repro.engine.operators.scan_core.guarded_units`,
+    #: through ``decode_tuple_pages`` whatever the layout.
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
@@ -360,12 +359,15 @@ class SharedScanStream:
         table, attrs = self.table, self.attrs
         capacity = table.page_codec.tuples_per_page
         pages = range(self.num_segments)
+        span_of, decode = table.row_span_of_page, table.page_codec.decode_unit
         return _Source(
             name=table.file.name,
             owner=table,
-            decode=lambda data, _at, _run, verify: decode_tuple_pages(table, attrs, data, verify)[1],
+            decode=lambda data, _at, _run, verify: decode_tuple_pages(
+                span_of, table.page_size, data, verify, decode, attrs
+            )[1],
             first_row=lambda page: page * capacity,
-            span_of=table.row_span_of_page,
+            span_of=span_of,
             first=pages,
             last=pages,
             fifo=None,
@@ -378,16 +380,20 @@ class SharedScanStream:
         starts = self._starts
         first, last = column_file.page_of_positions(np.stack([starts[:-1], starts[1:] - 1])).tolist()
 
+        def span_of(page):
+            return column_file.row_span_of_page(page, num_rows)
+
         def decode(data, _at, _run, verify):
-            check_column_unit(column_file, num_rows, data, verify)
-            return {name: column_file.decode_unit(data, verify=False)[1]}
+            size = column_file.file.page_size
+            values = decode_tuple_pages(span_of, size, data, verify, column_file.decode_unit, False)
+            return {name: values[1]}
 
         return _Source(
             name=column_file.file.name,
             owner=column_file,
             decode=decode,
             first_row=column_file.first_row_of_page,
-            span_of=lambda page: column_file.row_span_of_page(page, num_rows),
+            span_of=span_of,
             first=first,
             last=last,
             fifo={},
@@ -845,7 +851,6 @@ class SharedScanConsumer(Scanner):
                     if fault is None:
                         corruption.pages_scanned += 1
                     else:
-                        obs_metrics.PAGES_SALVAGED.inc()
                         corruption.faults.append(fault)
         else:
             # Nothing lost: every page drawn on is scanned, and only the

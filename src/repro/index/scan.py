@@ -51,11 +51,14 @@ class IndexScan(RunOnceScanner):
         # The touched pages go through the scan core's window reader, as
         # a row scan's do: checked, placed and span-checked, and under
         # the query's integrity policy and governance.
+        span_of, decode = table.row_span_of_page, table.page_codec.decode_unit
         pieces = self._guarded_units(
             table.file,
             pages,
-            lambda at: table.row_span_of_page(pages[at]),
-            lambda unit, _at, _run, verify: decode_tuple_pages(table, self.select, unit, verify),
+            lambda at: span_of(pages[at]),
+            lambda unit, _at, _run, verify: decode_tuple_pages(
+                span_of, table.page_size, unit, verify, decode, self.select
+            ),
         )
         blocks = []
         for at, _run, decoded in pieces:

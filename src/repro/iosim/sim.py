@@ -156,11 +156,6 @@ class DiskArraySim:
             stats.transfer_seconds += transfer
             stats.finish_time = max(stats.finish_time, finish)
 
-            if obs_metrics.enabled():
-                obs_metrics.IO_UNITS.inc()
-                obs_metrics.IO_BYTES.inc(request.size_bytes)
-                if not contiguous:
-                    obs_metrics.IO_SEEKS.inc()
             if trace is not None:
                 trace.append(
                     IoSlice(
@@ -183,7 +178,13 @@ class DiskArraySim:
                 del state.open_windows[request.window_id]
                 submit_window(state, finish)
 
-        return {name: state.stats for name, state in states.items()}
+        stats = {name: state.stats for name, state in states.items()}
+        # The metrics count the run once, from its stream sums.
+        if obs_metrics.enabled():
+            obs_metrics.IO_UNITS.inc(sum(s.units for s in stats.values()))
+            obs_metrics.IO_BYTES.inc(sum(s.bytes_read for s in stats.values()))
+            obs_metrics.IO_SEEKS.inc(sum(s.switches for s in stats.values()))
+        return stats
 
     def solo_scan_seconds(self, stream: ScanStream) -> float:
         """Convenience: elapsed time of one stream running alone."""

@@ -8,8 +8,9 @@ text-format exposition (`the format Prometheus scrapes
 A series declared with ``on="layer.event"`` (and at most one ``field=``
 of the event's detail) is a *view* of that lifecycle event:
 :func:`repro.obs.recorder.record` updates it, no producer does.  Bare
-series are the ones measured per page or per simulated I/O unit, which
-would flood the event ring, and the ``WRITE_STAGED_BYTES`` level.
+series are the ones measured per page, which would flood the event
+ring, the simulator's, added once per run, and the
+``WRITE_STAGED_BYTES`` level.
 :func:`disable` turns every update into an early return for true no-op
 runs (the overhead gate in CI measures the engine with the whole obs
 layer quiescent).
@@ -152,7 +153,7 @@ class Counter(_Scalar):
     TYPE = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
+        if not _enabled or not amount:
             return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease: {amount}")
@@ -433,6 +434,7 @@ PAGE_DECODE_SECONDS = REGISTRY.histogram(
 PAGES_SALVAGED = REGISTRY.counter(
     "repro_pages_salvaged_total",
     "Corrupt pages skipped by salvage-mode scans instead of aborting.",
+    on=("query.done", "query.failed", "scheduler.done", "scheduler.failed"), field="salvaged",
 )
 RETRY_ATTEMPTS = REGISTRY.counter(
     "repro_io_retry_attempts_total",

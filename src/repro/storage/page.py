@@ -1,17 +1,20 @@
-"""Dense-packed page format (Figure 3).
+"""Dense-packed page format (Figure 3): one format, row or column.
 
-Layout of every page, row or column::
+Layout of every page::
 
     +--------+--------------------------- payload ----------------+-------+
     | count  | values, tightly packed                  ...padding | info  |
     | uint32 |                                                    | 16 B  |
     +--------+----------------------------------------------------+-------+
 
-``count`` is the number of entries on the page.  The *page info* trailer
-sits at a fixed offset from the end and holds the page id (which, with a
-value's position on the page, gives the Record ID), a CRC32 checksum of
-the rest of the page, and the codec's per-page state (the FOR base
-value).
+``count`` is the number of entries on the page: whole tuples, or one
+attribute's values — a column page is the coded page of a one-attribute
+schema (:class:`ColumnPageCodec`), read, checked and gathered as row
+and PAX pages are.  The *page info* trailer sits at a fixed offset from
+the end and holds the page id (which, with a value's position on the
+page, gives the Record ID), a CRC32 checksum of the rest of the page,
+and a column page's codec state (its FOR base value; a tuple page keeps
+one base slot per frame-coded attribute in front of the trailer).
 
 Trailer versions (both 16 bytes, so payload capacity never changes):
 
@@ -268,6 +271,8 @@ class TuplePageCodec:
     page_size: int
     tuples_per_page: int
     _stride: int
+    #: Whether pages hold a variable-capacity codec's values (RLE column pages).
+    _variable = False
 
     @property
     def stride(self) -> int:
@@ -307,26 +312,31 @@ class TuplePageCodec:
         self, unit: bytes, names: tuple[str, ...] | None = None, verify: bool = True
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Verify (unless ``verify`` is false) and decode ``names`` over a
-        *dense* unit: ``(page counts, columns)``.
+        *dense* unit (:meth:`_dense_counts`): ``(page counts, columns)``."""
+        counts = self._dense_counts(unit, verify)
+        return np.array(counts, np.int64), self._gather(unit, counts, names)
 
-        ``_gather`` flattens ``(pages, tuples_per_page)`` arrays, which
-        needs every page but the last full and the last not empty; any
-        other unit is malformed here and is decoded page by page.
-        """
+    def _dense_counts(self, unit: bytes, verify: bool) -> list[int]:
+        """Each page's entry count, once a unit of adjacent pages passed
+        its checks: fixed-width codes, CRCs unless ``verify`` is false,
+        whole pages, all full but the last, which is not empty (``_gather``
+        flattens them); any other unit is decoded page by page."""
+        if self._variable:
+            raise CompressionError("variable-capacity pages have no fixed-width codes")
+        size = self.page_size
         if verify:
-            verify_unit(unit, self.page_size)
-        pages = len(unit) // self.page_size
-        counts = np.ndarray((pages,), "<u4", unit, 0, (self.page_size,))
+            verify_unit(unit, size)
+        pages = len(unit) // size
+        counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).tolist()
+        full = self.tuples_per_page
         if (
             not pages
-            or len(unit) % self.page_size
-            or not 0 < counts[-1] <= self.tuples_per_page
-            or (counts[:-1] != self.tuples_per_page).any()
+            or len(unit) % size
+            or not 0 < counts[-1] <= full
+            or counts[:-1] != [full] * (pages - 1)
         ):
-            raise PageFormatError(
-                f"{len(unit)}-byte unit is not dense: page counts {counts.tolist()}"
-            )
-        return counts.astype(np.int64), self._gather(unit, counts.tolist(), names)
+            raise PageFormatError(f"{len(unit)}-byte unit is not dense: page counts {counts}")
+        return counts
 
 
 class _ColumnsOnDemand(Mapping):
@@ -416,19 +426,19 @@ class RowPageCodec(TuplePageCodec):
 
 
 class CodedPageCodec(TuplePageCodec):
-    """What compressed row pages and PAX pages share: every attribute
-    stored as its codec's fixed-width codes.
+    """What compressed row pages, PAX pages and column pages share: every
+    attribute stored as its codec's fixed-width codes.
 
-    A page keeps, in front of its trailer, one 8-byte base slot per
-    frame-coded attribute (FOR, FOR-delta), in schema order.  A subclass
-    sets ``tuples_per_page``, lays a page's codes out (``_payload``) and
-    says where an attribute's codes sit on adjacent pages (``_codes``).
+    A page keeps one 8-byte base slot per frame-coded attribute (FOR,
+    FOR-delta), in schema order, from ``_base_at``: in front of the
+    trailer.  A subclass sets ``tuples_per_page`` and lays a page's codes
+    out (``_payload``): each attribute's back to back from its
+    ``_minipage_offsets`` entry, which ``_codes`` reads, unless it says
+    otherwise (compressed row pages interleave them).
     """
 
     def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
-        self.schema = schema
-        self.page_size = page_size
-        self._codecs: list[Codec] = [build_codec(attr.spec, attr.attr_type) for attr in schema]
+        self._build_codecs(schema, page_size)
         for attr, codec in zip(schema, self._codecs):
             # A codec without fixed-width codes (RLE) is refused before
             # any page is written.
@@ -437,12 +447,6 @@ class CodedPageCodec(TuplePageCodec):
                     f"{schema.name}.{attr.name}: {attr.spec.kind.name} is a column "
                     "codec; row and PAX pages hold fixed-width values"
                 )
-        self._bits = [codec.bits_per_value for codec in self._codecs]
-        # A tuple's codes, padded to a whole number of bytes (ORDERS-Z: 12).
-        self._stride = (sum(self._bits) + 7) // 8
-        self._frame_attrs = [
-            index for index, attr in enumerate(schema) if attr.spec.kind in _FRAME_KINDS
-        ]
         base_area = _BASE_SLOT.size * len(self._frame_attrs)
         self._payload_bytes = page_payload_bytes(page_size) - base_area
         if self._payload_bytes <= 0:
@@ -450,6 +454,19 @@ class CodedPageCodec(TuplePageCodec):
                 f"page size {page_size} cannot hold {len(self._frame_attrs)} "
                 "frame base slots"
             )
+        self._base_at = PAGE_HEADER_BYTES + self._payload_bytes
+
+    def _build_codecs(self, schema: TableSchema, page_size: int) -> None:
+        self.schema = schema
+        self.page_size = page_size
+        self._codecs: list[Codec] = [build_codec(attr.spec, attr.attr_type) for attr in schema]
+        self._index = {attr.name: index for index, attr in enumerate(schema)}
+        self._bits = [codec.bits_per_value for codec in self._codecs]
+        # A tuple's codes, padded to a whole number of bytes (ORDERS-Z: 12).
+        self._stride = (sum(self._bits) + 7) // 8
+        self._frame_attrs = [
+            index for index, attr in enumerate(schema) if attr.spec.kind in _FRAME_KINDS
+        ]
 
     def attribute_bits(self, name: str) -> int:
         """Packed width of one attribute's values."""
@@ -471,7 +488,7 @@ class CodedPageCodec(TuplePageCodec):
             (len(self._frame_attrs), pages),
             "<i8",
             unit,
-            PAGE_HEADER_BYTES + self._payload_bytes,
+            self._base_at,
             (_BASE_SLOT.size, self.page_size),
         )
         columns = {}
@@ -486,14 +503,57 @@ class CodedPageCodec(TuplePageCodec):
             columns[name] = self._codecs[index].decode_codes(codes, base).reshape(-1)[:total]
         return columns
 
+    def _codes(self, unit: bytes, pages: int, index: int) -> np.ndarray:
+        """Attribute ``index``'s codes on every page, back to back from its
+        minipage's offset (a column page's payload is one minipage).  Text
+        is copied, as the row codec copies it: a verbatim code is a view of
+        the unit, and no decoded column may alias it."""
+        codec = self._codecs[index]
+        offset = PAGE_HEADER_BYTES + self._minipage_offsets[index]
+        codes = unit_codes(codec, unit, pages, self.page_size, offset, self.tuples_per_page)
+        return codes.copy() if codec.text_codes else codes
 
-class ColumnPageCodec:
-    """Encodes/decodes column pages: single-attribute values via a codec."""
+    def codes(self, unit: bytes, name: str, verify: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_unit` of attribute ``name`` left undecoded:
+        ``(page counts, codes in file order)``."""
+        counts = self._dense_counts(unit, verify)
+        codes = self._codes(unit, len(counts), self._index[name])
+        return np.array(counts, np.int64), codes.reshape(-1)[: sum(counts)]
 
-    def __init__(self, codec: Codec, page_size: int = DEFAULT_PAGE_SIZE):
-        self.codec = codec
-        self.page_size = page_size
-        self.values_per_page = codec.values_per_page(page_payload_bytes(page_size))
+    def gather(
+        self, unit: bytes, name: str, pages: np.ndarray, slots: np.ndarray, verify: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_unit` of attribute ``name`` at slot ``slots[i]``
+        of page ``pages[i]`` alone, for every ``i``, reading and decoding
+        only those codes (``_codes_at``): ``(page counts, values)``.  A slot
+        at or past its page's count raises: padding is never a value."""
+        counts = np.array(self._dense_counts(unit, verify), np.int64)
+        if (slots >= counts[pages]).any():
+            raise CompressionError("position past the values of its page")
+        index = self._index[name]
+        base = 0
+        if index in self._frame_attrs:
+            slot = self._base_at + _BASE_SLOT.size * self._frame_attrs.index(index)
+            base = np.ndarray((len(counts),), "<i8", unit, slot, (self.page_size,))[pages]
+        codes = self._codes_at(unit, index, pages, slots)
+        return counts, self._codecs[index].decode_codes(codes[:, None], base)[:, 0]
+
+
+class ColumnPageCodec(CodedPageCodec):
+    """Column pages: the coded page of a one-attribute schema, its codes
+    filling the payload (``codec.values_per_page`` of them), its frame
+    base in the trailer's base slot.  RLE, the one variable-capacity
+    codec, is encoded (:meth:`Codec.encode_prefix`) and decoded
+    (:meth:`decode`) a page at a time; every unit decode refuses it."""
+
+    def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
+        self._build_codecs(schema, page_size)
+        (self.codec,) = self._codecs
+        self._variable = self.codec.is_variable
+        self._payload_bytes = page_payload_bytes(page_size)
+        self._base_at = page_size - _BASE_SLOT.size
+        self._minipage_offsets = [0]
+        self.tuples_per_page = self.codec.values_per_page(self._payload_bytes)
 
     def encode_pages(self, first_page_id: int, values: np.ndarray) -> bytes:
         """The pages a slice of the column fills, in order, as one buffer;
@@ -509,17 +569,16 @@ class ColumnPageCodec:
         if not codec.spec.is_compressed:
             attr_type = codec.attr_type
             attr_type.validate(values)
-            counts = page_counts(len(values), self.values_per_page)
+            counts = page_counts(len(values), self.tuples_per_page)
             dtype = "<i4" if attr_type.is_integer else f"S{attr_type.width}"
-            slots = np.zeros((len(counts), self.values_per_page), dtype=dtype)
+            slots = np.zeros((len(counts), self.tuples_per_page), dtype=dtype)
             slots.reshape(-1)[: len(values)] = values
             payloads = slots.view(np.uint8)
             return assemble_pages(self.page_size, first_page_id, counts, payloads)
-        capacity = page_payload_bytes(self.page_size)
         counts, payloads, bases = [], [], []
         position = 0
         while position < len(values):
-            payload, state, consumed = codec.encode_prefix(values[position:], capacity)
+            payload, state, consumed = codec.encode_prefix(values[position:], self._payload_bytes)
             counts.append(consumed)
             payloads.append(payload)
             bases.append(state.base)
@@ -527,84 +586,23 @@ class ColumnPageCodec:
         return assemble_pages(self.page_size, first_page_id, counts, payloads, bases)
 
     def decode(self, page: bytes, verify: bool = True) -> tuple[int, np.ndarray]:
-        """Parse a page into ``(page_id, value array)`` (full decode)."""
+        """Parse a page into ``(page_id, value array)`` (full decode, any codec)."""
         count, payload, page_id, base = _disassemble(page, self.page_size, verify)
         values = self.codec.decode_page(payload, count, PageCodecState(base=base))
         return page_id, values
 
-    def decode_unit(
-        self, unit: bytes, verify: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Verify adjacent pages (unless ``verify`` is false) and unpack
-        them: ``(counts, bases, codes)``.
-
-        ``codes[p, i]`` is value ``i`` of page ``p``, undecoded: a row is
-        as long as the unit's fullest page (a lone short page is unpacked
-        no further than its values) and padding from ``counts[p]`` on.
-        ``codec.decode_codes(codes, bases)`` gives the values, of all of
-        them or of any selection that keeps a page's codes along the
-        last axis (:func:`unit_codes`: verbatim codes are a view of
-        ``unit``).  A codec without fixed-width codes (RLE) raises, as
-        does a unit with a corrupt page: the caller goes back to
-        :meth:`decode` or :meth:`decode_raw`, page by page.
-        """
-        counts, bases = self._unit_headers(unit, verify)
-        longest = max(counts.tolist())
-        return counts, bases, unit_codes(
-            self.codec, unit, len(counts), self.page_size, PAGE_HEADER_BYTES, longest
-        )
-
-    def gather_codes(
-        self, unit: bytes, pages: np.ndarray, slots: np.ndarray, verify: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`decode_unit` for code ``slots[i]`` of the unit's page
-        ``pages[i]`` alone, for every ``i``: ``(counts, bases, codes)``.
-
-        The unit is checked as there, and a slot at or past its page's
-        count raises (padding is never a value).  Verbatim codes are
-        taken from the unit's view, packed ones read at their bit
-        offsets (:func:`gather_bits_at`): no other code is unpacked.
-        """
-        counts, bases = self._unit_headers(unit, verify)
-        if (slots >= counts[pages]).any():
-            raise CompressionError("position past the values of its page")
+    def _codes_at(self, unit: bytes, index: int, pages: np.ndarray, slots: np.ndarray):
+        """Code ``slots[i]`` of the unit's page ``pages[i]``: verbatim codes
+        taken from the unit's view, packed ones read at their bit offsets
+        (:func:`gather_bits_at`); no other code is unpacked."""
         codec = self.codec
         size = self.page_size
         if codec.text_codes or not codec.spec.is_compressed:
-            capacity = self.values_per_page
-            view = unit_codes(codec, unit, len(counts), size, PAGE_HEADER_BYTES, capacity)
-            return counts, bases, view[pages, slots]
+            view = unit_codes(
+                codec, unit, len(unit) // size, size, PAGE_HEADER_BYTES, self.tuples_per_page
+            )
+            return view[pages, slots]
         bits = codec.bits_per_value
-        codes = gather_bits_at(unit, PAGE_HEADER_BYTES, size, pages, slots * bits, bits)
-        return counts, bases, codes
+        return gather_bits_at(unit, PAGE_HEADER_BYTES, size, pages, slots * bits, bits)
 
-    def _unit_headers(self, unit: bytes, verify: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Check a unit of adjacent pages — whole pages of fixed-width
-        codes, CRCs unless ``verify`` is false, every page full but the
-        last, which is within capacity — and read its ``(counts, bases)``."""
-        codec = self.codec
-        size = self.page_size
-        pages = len(unit) // size
-        if codec.is_variable:
-            raise CompressionError(f"{type(codec).__name__} has no fixed-width codes")
-        if not pages or len(unit) % size:
-            raise PageFormatError(f"{len(unit)}-byte unit is not whole {size}-byte pages")
-        if verify:
-            verify_unit(unit, size)
-        counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).astype(np.int64)
-        per_page = counts.tolist()
-        full = self.values_per_page
-        if per_page[:-1] != [full] * (pages - 1) or per_page[-1] > full:
-            raise PageFormatError(f"unit is not dense: page counts {per_page}")
-        return counts, np.ndarray((pages,), "<i8", unit, size - 8, (size,))
 
-    def decode_raw(
-        self, page: bytes, verify: bool = True
-    ) -> tuple[int, int, bytes, PageCodecState]:
-        """Parse a page without decoding values.
-
-        Returns ``(page_id, count, payload, state)``, the payload as
-        stored (:meth:`ColumnFile.decode_page` unpacks its codes).
-        """
-        count, payload, page_id, base = _disassemble(page, self.page_size, verify)
-        return page_id, count, payload, PageCodecState(base=base)

@@ -27,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.page import (
-    DEFAULT_PAGE_SIZE,
-    PAGE_HEADER_BYTES,
-    CodedPageCodec,
-    unit_codes,
-)
+from repro.storage.page import DEFAULT_PAGE_SIZE, CodedPageCodec
 from repro.types.schema import TableSchema
 
 
@@ -76,15 +71,3 @@ class PaxPageCodec(CodedPageCodec):
                 bases.append(state.base)
             parts.append(payload.ljust(self._minipage_bytes[index], b"\x00"))
         return self._with_bases(b"".join(parts), bases)
-
-    def _codes(self, unit: bytes, pages: int, index: int) -> np.ndarray:
-        """Attribute ``index``'s minipage on every page: the codes of a
-        column page's payload, at the minipage's offset."""
-        codec = self._codecs[index]
-        offset = PAGE_HEADER_BYTES + self._minipage_offsets[index]
-        codes = unit_codes(codec, unit, pages, self.page_size, offset, self.tuples_per_page)
-        # Verbatim codes are a view of the unit.  Integer codes decode to
-        # a fresh int64 array, but uncompressed text decodes to its codes,
-        # so text is copied here, as the row codec copies it: no decoded
-        # column aliases the unit.
-        return codes.copy() if codec.text_codes else codes

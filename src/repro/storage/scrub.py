@@ -88,42 +88,21 @@ class CorruptionReport:
 # --- sweeps -------------------------------------------------------------------
 
 
-def _scrub_paged_file(file, decode, span_of, report: CorruptionReport) -> None:
-    """Decode every page of ``file``, which must name its own position
-    and hold its nominal span, ``span_of(index)``, as a scan holds it."""
-    for index in range(file.num_pages):
-        report.pages_scanned += 1
-        try:
-            page = file.read_page(index)
-            decode(page)
-            check_placed(page, (index,), file.page_size)
-            check_span(page, file.page_size, span_of)
-        except (StorageError, CompressionError) as exc:
-            report.record(file.name, index, span_of(index), exc)
-
-
 def scrub_table(table) -> CorruptionReport:
-    """Decode every page of every file of ``table``; report the damage."""
-    from repro.storage.table import ColumnTable
-
+    """Decode every page of every file of ``table`` — each must name its
+    own position and hold its nominal span, as a scan holds it — and
+    report the damage."""
     report = CorruptionReport()
-    if isinstance(table, ColumnTable):
-        for column_file in table.column_files.values():
-            _scrub_paged_file(
-                column_file.file,
-                column_file.page_codec.decode,
-                lambda index, cf=column_file: cf.row_span_of_page(
-                    index, table.num_rows
-                ),
-                report,
-            )
-    else:
-        _scrub_paged_file(
-            table.file,
-            lambda page: table.decode_page(page, table.schema.attribute_names),
-            table.row_span_of_page,
-            report,
-        )
+    for file, decode, span_of in table.paged_files():
+        for index in range(file.num_pages):
+            report.pages_scanned += 1
+            try:
+                page = file.read_page(index)
+                decode(page)
+                check_placed(page, (index,), file.page_size)
+                check_span(page, file.page_size, span_of)
+            except (StorageError, CompressionError) as exc:
+                report.record(file.name, index, span_of(index), exc)
     return report
 
 

@@ -9,18 +9,18 @@ needs to model paper-scale scans without materializing paper-scale data.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.registry import build_codec
 from repro.errors import CompressionError, SchemaError, StorageError
 from repro.storage.layout import Layout
 from repro.storage.page import DEFAULT_PAGE_SIZE, ColumnPageCodec, RowPageCodec
 from repro.storage.pagefile import PagedFile
 from repro.storage.rowz import CompressedRowPageCodec, schema_is_compressed
-from repro.types.schema import TableSchema
+from repro.types.schema import Attribute, TableSchema
 
 
 def make_row_page_codec(
@@ -63,6 +63,11 @@ class Table(abc.ABC):
     def read_column(self, name: str) -> np.ndarray:
         """Materialize one full column (testing/verification path)."""
 
+    @abc.abstractmethod
+    def paged_files(self):
+        """``(file, decode, span_of)`` per page file: the file, the full
+        decode of one of its pages, and the rows a page id covers."""
+
     def columns_dict(self) -> dict[str, np.ndarray]:
         """Materialize every column (testing/verification path)."""
         return {name: self.read_column(name) for name in self.schema.attribute_names}
@@ -102,19 +107,6 @@ class PagedTable(Table):
         _page_id, count, columns = self.page_codec.decode_columns(page, attrs, verify)
         return count, columns
 
-    def decode_unit(
-        self, unit: bytes, attrs: tuple[str, ...], verify: bool = True
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Verify and decode ``attrs`` over adjacent pages read as one
-        buffer: ``(tuple count per page, columns in file order)``.
-
-        A unit with a corrupt page, or one the codec cannot flatten,
-        raises; the scan core's reader then decodes its pages one at a
-        time, each as a one-page unit.  ``verify`` as in
-        :meth:`decode_page`.
-        """
-        return self.page_codec.decode_unit(unit, attrs, verify)
-
     @property
     def total_bytes(self) -> int:
         return self.file.size_bytes
@@ -134,6 +126,10 @@ class PagedTable(Table):
             self.schema.attribute(name)  # raises SchemaError when unknown
         rows = self.num_rows if cardinality is None else cardinality
         return {self.schema.name: self.pages_for_rows(rows) * self.page_size}
+
+    def paged_files(self):
+        names = self.schema.attribute_names
+        yield self.file, lambda page: self.decode_page(page, names), self.row_span_of_page
 
     def read_column(self, name: str) -> np.ndarray:
         attr = self.schema.attribute(name)
@@ -181,38 +177,35 @@ class ColumnFile:
 
     @property
     def values_per_page(self) -> int:
-        return self.page_codec.values_per_page
+        return self.page_codec.tuples_per_page
 
     @property
     def is_variable(self) -> bool:
         return self.page_codec.codec.is_variable
 
-    def decode_page(self, page: bytes, codes: bool = False, verify: bool = True) -> np.ndarray:
-        """Every value of one page, decoded — or its ``codes``, undecoded;
-        ``verify`` as :meth:`PagedTable.decode_page`'s."""
-        if not codes:
-            return self.page_codec.decode(page, verify)[1]
-        _page_id, count, payload, _state = self.page_codec.decode_raw(page, verify)
-        return self.page_codec.codec.unpack_codes(payload, count)
+    def decode_page(self, page: bytes, verify: bool = True) -> np.ndarray:
+        """Every value of one page, decoded; ``verify`` as
+        :meth:`PagedTable.decode_page`'s."""
+        return self.page_codec.decode(page, verify)[1]
 
     def decode_unit(
         self, unit: bytes, codes: bool = False, verify: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`decode_page` over adjacent pages read as one buffer:
-        ``(value count per page, values in file order)``.
+        ``(value count per page, values — or ``codes`` — in file order)``.
 
-        As :meth:`PagedTable.decode_unit`: a unit with a corrupt page,
-        or one that cannot be flattened (RLE pages, a page other than
-        the last not full), raises.  A unit of one page has nothing to
-        flatten: it is decoded as a page, whatever its codec.
+        A unit with a corrupt page, or one that cannot be flattened (RLE
+        pages, a page other than the last not full), raises.  A unit of
+        one page has nothing to flatten: it is decoded as a page, whatever
+        its codec.
         """
+        if codes:
+            return self.page_codec.codes(unit, self.name, verify)
         if len(unit) == self.page_codec.page_size:
-            values = self.decode_page(unit, codes, verify)
+            values = self.decode_page(unit, verify)
             return np.array([len(values)]), values
-        counts, bases, values = self.page_codec.decode_unit(unit, verify)
-        if not codes:
-            values = self.page_codec.codec.decode_codes(values, bases)
-        return counts, values.reshape(-1)[: sum(counts.tolist())]
+        counts, columns = self.page_codec.decode_unit(unit, (self.name,), verify)
+        return counts, columns[self.name]
 
     def gather_unit(
         self, unit: bytes, pages: np.ndarray, in_page: np.ndarray, verify: bool = True
@@ -221,17 +214,14 @@ class ColumnFile:
         ``i``: ``(value count per page, values)``.
 
         Only the wanted codes are read and decoded
-        (:meth:`ColumnPageCodec.gather_codes`), a unit of one page as any
-        other, except where a value takes more: FOR-delta pages are
-        decoded whole, then taken from, and an RLE unit, which has no
-        fixed-width codes, is decoded as a page (:meth:`decode_unit`: a
-        unit of more raises).  An index at or past its page's count
-        raises: padding is never a value.
+        (:meth:`CodedPageCodec.gather`), a unit of one page as any
+        other, except where a value takes more: FOR-delta and RLE pages
+        are decoded whole (:meth:`decode_unit`: an RLE unit of more than
+        one page raises), then taken from.  An index at or past its
+        page's count raises: padding is never a value.
         """
-        codec = self.page_codec.codec
-        if not (codec.is_variable or codec.decodes_whole_page):
-            counts, bases, codes = self.page_codec.gather_codes(unit, pages, in_page, verify)
-            return counts, codec.decode_codes(codes[:, None], bases[pages])[:, 0]
+        if not self.page_codec.codec.decodes_whole_page:
+            return self.page_codec.gather(unit, self.name, pages, in_page, verify)
         counts, values = self.decode_unit(unit, verify=verify)
         if (in_page >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
@@ -324,6 +314,11 @@ class ColumnTable(Table):
             for name in attrs
         }
 
+    def paged_files(self):
+        for column_file in self.column_files.values():
+            span_of = functools.partial(column_file.row_span_of_page, num_rows=self.num_rows)
+            yield column_file.file, column_file.decode_page, span_of
+
     def read_column(self, name: str) -> np.ndarray:
         column_file = self.column_file(name)
         chunks = []
@@ -352,8 +347,13 @@ def build_column_file(
     schema: TableSchema, name: str, page_size: int = DEFAULT_PAGE_SIZE
 ) -> ColumnFile:
     """An empty column file with its codec built from the schema spec."""
-    attr = schema.attribute(name)
-    codec = build_codec(attr.spec, attr.attr_type)
-    page_codec = ColumnPageCodec(codec, page_size)
+    page_codec = _column_page_codec(schema.attribute(name), page_size)
     file = PagedFile(f"{schema.name}.{name}", page_size=page_size)
     return ColumnFile(name=name, file=file, page_codec=page_codec)
+
+
+@functools.lru_cache(maxsize=1024)
+def _column_page_codec(attribute: Attribute, page_size: int) -> ColumnPageCodec:
+    """One attribute's column page codec, made once (it holds no state of
+    its file): loads and merges build the same columns again and again."""
+    return ColumnPageCodec(TableSchema(attribute.name, (attribute,)), page_size)

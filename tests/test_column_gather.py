@@ -21,6 +21,7 @@ from repro.storage.page import ColumnPageCodec, page_payload_bytes
 from repro.storage.pagefile import PagedFile
 from repro.storage.table import ColumnFile
 from repro.types.datatypes import FixedTextType, IntType
+from repro.types.schema import Attribute, TableSchema
 
 #: Small pages, so that 32 of them stay small at one bit per value.
 PAGE_SIZE = 128
@@ -29,7 +30,8 @@ UNIT_PAGES = (1, 2, 32)
 
 def column_unit(codec, values) -> tuple[ColumnFile, bytes]:
     """``values`` written as adjacent column pages: ``(column file, unit)``."""
-    page_codec = ColumnPageCodec(codec, PAGE_SIZE)
+    schema = TableSchema("C", (Attribute("c", codec.attr_type, codec.spec),))
+    page_codec = ColumnPageCodec(schema, PAGE_SIZE)
     column_file = ColumnFile("c", PagedFile("c", page_size=PAGE_SIZE), page_codec)
     return column_file, page_codec.encode_pages(0, values)
 

@@ -41,6 +41,7 @@ from repro.storage.pagefile import PagedFile
 from repro.storage.persist import open_table, save_table
 from repro.storage.scrub import CorruptionReport
 from repro.types.datatypes import IntType
+from repro.types.schema import Attribute, TableSchema
 
 
 def restamp_checksum(page: bytes) -> bytes:
@@ -78,9 +79,8 @@ class TestCorruptPages:
             codec.decode(bad)
 
     def test_column_page_with_impossible_count(self):
-        codec = ColumnPageCodec(
-            build_codec(CodecSpec(kind=CodecKind.PACK, bits=8), IntType())
-        )
+        spec = CodecSpec(kind=CodecKind.PACK, bits=8)
+        codec = ColumnPageCodec(TableSchema("C", (Attribute("v", IntType(), spec),)))
         page = codec.encode_pages(0, np.arange(10))
         bad = restamp_checksum(corrupt_count(page, 10**6))
         with pytest.raises(ReproError):

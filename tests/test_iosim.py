@@ -8,6 +8,7 @@ from repro.iosim.request import FileExtent
 from repro.iosim.sim import DiskArraySim
 from repro.iosim.streams import ScanStream, SubmissionPolicy
 from repro.iosim.traffic import competing_row_scan
+from repro.obs import metrics
 
 GB = 1_000_000_000
 
@@ -128,6 +129,26 @@ class TestCompetition:
         fast = self._competing(16, SubmissionPolicy.COLUMN_FAST)
         slow = self._competing(16, SubmissionPolicy.COLUMN_SLOW)
         assert fast < slow
+
+    def test_a_run_moves_the_metrics_by_its_stream_sums(self):
+        """Two competing streams: the unit, byte and seek series move by
+        exactly what the run's stream stats add up to."""
+        metrics.enable()
+        sim = DiskArraySim()
+        victim = make_stream(
+            "victim",
+            [FileExtent(f"c{i}", 40 * sim.unit_bytes) for i in range(3)],
+            depth=4,
+            policy=SubmissionPolicy.COLUMN_FAST,
+        )
+        competitor = competing_row_scan(100 * sim.unit_bytes, sim.unit_bytes, 4)
+        series = (metrics.IO_UNITS, metrics.IO_BYTES, metrics.IO_SEEKS)
+        before = [counter.value for counter in series]
+        stats = sim.run([victim, competitor]).values()
+        moved = [counter.value - was for counter, was in zip(series, before)]
+        sums = [sum(getattr(s, name) for s in stats) for name in ("units", "bytes_read", "switches")]
+        assert moved == sums
+        assert sums[0] == 220 and sums[2] > 2  # the two streams did compete
 
     def test_duplicate_stream_names_rejected(self):
         sim = DiskArraySim()

@@ -65,7 +65,6 @@ QUERY = ScanQuery("ORDERS", select=("O_ORDERKEY", "O_TOTALPRICE"))
 #: or kept as a level — events at that rate would flood the ring.
 BARE = {
     "PAGE_DECODE_SECONDS",
-    "PAGES_SALVAGED",
     "SCHEDULER_SHARED_PAGES",
     "IO_UNITS",
     "IO_BYTES",
@@ -110,8 +109,21 @@ def _drive_every_producer(monkeypatch) -> None:
     data = generate_orders(ROWS, seed=22)
     table = load_table(data, Layout.COLUMN, page_size=512)  # many segments
 
-    # Serial executor.
+    # Serial executor; then a corrupt page dropped by a salvage query that
+    # finishes and by one that ends in a typed error: each counts it.
     run_scan(table, QUERY)
+    damaged = load_table(data, Layout.COLUMN, page_size=512)
+    damaged.column_file("O_ORDERKEY").file.corrupt(1, 100)
+    run_scan(damaged, QUERY, salvage=True)
+    governance = QueryContext.start(memory_budget=1 << 30)
+
+    def late_spike(governance: QueryContext) -> None:
+        if governance.ticks > 20:
+            governance.budget_abort("late spike", 64)
+
+    governance.on_tick = late_spike
+    with pytest.raises(MemoryBudgetExceeded):
+        run_scan(damaged, QUERY, ExecutionContext(governance=governance), salvage=True)
 
     # Scheduler: healthy riders on one wrapping stream, a timeout in the
     # queue, a cancel, a budget abort.  A timeslice pumps a window, so
@@ -275,7 +287,7 @@ def test_the_batch_leaves_what_the_views_say(batch):
     expected = {
         "GOVERNANCE_TIMEOUTS": 1,
         "GOVERNANCE_CANCELLATIONS": 1,
-        "GOVERNANCE_BUDGET_ABORTS": 1,
+        "GOVERNANCE_BUDGET_ABORTS": 2,
         "GOVERNANCE_NARROW_RETRIES": 1,
         "GOVERNANCE_BREAKER_TRIPS": 1,
         "GOVERNANCE_STALLS": 1,
@@ -289,6 +301,7 @@ def test_the_batch_leaves_what_the_views_say(batch):
         "SCHEDULER_INFLIGHT": 0,
         "RETRY_ATTEMPTS": 4,
         "RETRY_EXHAUSTED": 1,
+        "PAGES_SALVAGED": 2,
         "WRITE_STAGED_ROWS": 4,
         "WRITE_DELETED_ROWS": 2,
         "WRITE_HYBRID_QUERIES": 1,
@@ -301,8 +314,9 @@ def test_the_batch_leaves_what_the_views_say(batch):
     assert readings["GOVERNANCE_DEGRADATIONS"] >= 1
     assert len(readings["WINDOW_QUERY_LATENCY"]) == 5
     assert readings["PARALLEL_DISPATCH_SECONDS"][0] == 4
-    # run_scan, two scheduled riders, four fan-outs, the facade's dirty read.
-    assert readings["QUERIES"] == 8
+    # Two finished run_scans (not the one that failed), two scheduled
+    # riders, four fan-outs, the facade's dirty read.
+    assert readings["QUERIES"] == 9
     assert ring.events("share.wrap")
     # Exactly one black box per failure: three scheduled queries, one merge.
     assert len(ring.blackboxes) == 4
@@ -403,7 +417,7 @@ def test_window_qps_falls_to_zero_when_the_workload_idles():
 
 def test_the_registered_qps_gauge_is_that_view(telemetry):
     assert isinstance(metrics.WINDOW_QPS, WindowRate)
-    flight.record("scheduler.done", "q", latency_s=0.002, rows=1, inflight=0)
+    flight.record("scheduler.done", "q", latency_s=0.002, rows=1, inflight=0, salvaged=0)
     assert metrics.WINDOW_QPS.value == metrics.WINDOW_QUERY_LATENCY.rate() > 0
     text = metrics.render_prometheus()
     assert "# TYPE repro_window_qps gauge" in text

@@ -209,13 +209,36 @@ class TestSharedState:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: layout.name)
+    def test_every_executor_counts_a_salvaged_page_once(self, data, query, layout):
+        """Serial, two inline partitions and two pool workers drop the
+        same two pages, the boundary page that both partitions read
+        included, and each moves ``repro_pages_salvaged_total`` by that
+        count: a page counts once per query, not once per partition."""
+        metrics.enable()
+        runs = {
+            "serial": lambda table: run_scan(table, query, salvage=True),
+            "inline": lambda table: parallel_query(
+                table, query, workers=1, partitions=2, salvage=True
+            ),
+            "pool": lambda table: parallel_query(table, query, workers=2, salvage=True),
+        }
+        moved = {}
+        for name, run in runs.items():
+            before = metrics.PAGES_SALVAGED.value
+            result = run(_boundary_corrupted(data, layout))
+            moved[name] = metrics.PAGES_SALVAGED.value - before
+            assert len(result.corruption.faults) == 2, name
+        assert moved == {"serial": 2, "inline": 2, "pool": 2}
+
     def test_salvage_queries_on_two_caller_threads_match_serial(
         self, data, query, monkeypatch
     ):
         """50 salvage ``workers=2`` queries — 30 one after another on
         fresh tables, 20 from two caller threads at once on shared ones
         — each equal to the serial salvage scan, with every salvaged
-        page counted and recorded once per partition that dropped it."""
+        page counted once per query, as the serial scan counts it, and
+        recorded once per partition that dropped it."""
         metrics.enable()
         monkeypatch.setattr(flight, "RECORDER", FlightRecorder(capacity=1 << 16))
         expected, dropped = {}, {}
@@ -225,12 +248,12 @@ class TestSharedState:
             )
             assert len(expected[layout].corruption.faults) == 2
             # The same partitions run inline: how many pages they drop.
-            before = metrics.PAGES_SALVAGED.value
+            before = len(flight.RECORDER.events("storage.salvage"))
             parallel_query(
                 _boundary_corrupted(data, layout), query, workers=1, partitions=2,
                 salvage=True,
             )
-            dropped[layout] = metrics.PAGES_SALVAGED.value - before
+            dropped[layout] = len(flight.RECORDER.events("storage.salvage")) - before
         flight.RECORDER.clear()
         salvaged_before = metrics.PAGES_SALVAGED.value
 
@@ -272,11 +295,10 @@ class TestSharedState:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert len(ran) == 50
-        # No increment lost between threads, and every partition-side
-        # salvage event reached this process's ring, numbered once.
-        assert metrics.PAGES_SALVAGED.value - salvaged_before == sum(
-            dropped[layout] for layout in ran
-        )
+        # No increment lost between threads, each query counting its
+        # pages as the serial scan does, and every partition-side salvage
+        # event reached this process's ring, numbered once.
+        assert metrics.PAGES_SALVAGED.value - salvaged_before == 2 * len(ran)
         events = flight.RECORDER.events("storage.salvage")
         assert len(events) == sum(dropped[layout] for layout in ran)
         seqs = [event.seq for event in flight.RECORDER.events()]

@@ -157,10 +157,12 @@ def test_page_split_invariance(raw):
         CodecKind.FOR, IntType(), values, page_capacity_hint=max(1, len(values) // 3)
     )
     from repro.storage.page import ColumnPageCodec
+    from repro.types.schema import Attribute, TableSchema
 
+    schema = TableSchema("C", (Attribute("v", IntType(), codec.spec),))
     for page_size in (512, 1024, 4096):
-        page_codec = ColumnPageCodec(codec, page_size)
-        capacity = page_codec.values_per_page
+        page_codec = ColumnPageCodec(schema, page_size)
+        capacity = page_codec.tuples_per_page
         decoded = []
         for start in range(0, len(values), capacity):
             chunk = values[start : start + capacity]

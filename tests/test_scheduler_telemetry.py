@@ -31,6 +31,7 @@ from repro.engine.executor import run_scan
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler
+from repro.errors import MemoryBudgetExceeded
 from repro.obs import metrics
 from repro.obs import recorder as flight
 from repro.storage.faults import FaultPlan
@@ -229,6 +230,25 @@ class TestSharedReadsUseTheGuardedRead:
         assert (
             metrics.PAGE_DECODE_SECONDS.count == scheduler.manager.io_pages() - 1
         )
+
+    def test_a_salvage_query_that_then_fails_counts_what_it_dropped(self):
+        """A scheduled salvage query that drops the corrupt page and then
+        ends in a typed error: its ``scheduler.failed`` carries the page."""
+        table, _plan = self._corrupt_table()
+
+        def late_spike(governance) -> None:
+            if governance.ticks > 30:
+                governance.budget_abort("late spike", 64)
+
+        scheduler = Scheduler(max_inflight=8, share_scans=True)
+        handle = scheduler.submit(
+            table, self.SALVAGE_QUERY, salvage=True, memory_budget=1 << 30, on_tick=late_spike
+        )
+        scheduler.run()
+        assert isinstance(handle.error, MemoryBudgetExceeded)
+        (failed,) = flight.RECORDER.events(kind="scheduler.failed")
+        assert failed.detail["salvaged"] == 1
+        assert metrics.PAGES_SALVAGED.value == 1
 
     def test_serial_salvage_scan_counts_the_page_once(self):
         table, plan = self._corrupt_table()

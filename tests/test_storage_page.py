@@ -18,6 +18,7 @@ from repro.storage.page import (
     unit_codes,
 )
 from repro.types.datatypes import IntType
+from repro.types.schema import Attribute, TableSchema
 
 
 def orders_columns(n, seed=0):
@@ -91,42 +92,49 @@ class TestRowPageCodec:
             codec.decode(b"\x00" * 100)
 
 
+def _column_codec(spec_kind=CodecKind.NONE, bits=32) -> ColumnPageCodec:
+    """The column page codec of one integer attribute under ``spec``."""
+    spec = CodecSpec(kind=spec_kind, bits=bits)
+    return ColumnPageCodec(TableSchema("C", (Attribute("v", IntType(), spec),)))
+
+
 class TestColumnPageCodec:
     def _codec(self, spec_kind=CodecKind.NONE, bits=32):
-        spec = CodecSpec(kind=spec_kind, bits=bits)
-        return ColumnPageCodec(build_codec(spec, IntType()))
+        return _column_codec(spec_kind, bits)
 
     def test_uncompressed_capacity(self):
         codec = self._codec()
-        assert codec.values_per_page == page_payload_bytes(DEFAULT_PAGE_SIZE) // 4
+        assert codec.tuples_per_page == page_payload_bytes(DEFAULT_PAGE_SIZE) // 4
 
     def test_packed_capacity_scales_with_bits(self):
-        packed = ColumnPageCodec(
-            build_codec(CodecSpec(kind=CodecKind.PACK, bits=8), IntType())
-        )
-        assert packed.values_per_page == page_payload_bytes(DEFAULT_PAGE_SIZE)
+        packed = _column_codec(CodecKind.PACK, 8)
+        assert packed.tuples_per_page == page_payload_bytes(DEFAULT_PAGE_SIZE)
 
     def test_roundtrip_with_base_in_trailer(self):
-        spec = CodecSpec(kind=CodecKind.FOR, bits=16)
-        codec = ColumnPageCodec(build_codec(spec, IntType()))
+        codec = _column_codec(CodecKind.FOR, 16)
         values = np.arange(1_000, 1_100)
         page = codec.encode_pages(3, values)
         page_id, decoded = codec.decode(page)
         assert page_id == 3
         np.testing.assert_array_equal(decoded, values)
 
-    def test_decode_raw_exposes_state(self):
-        spec = CodecSpec(kind=CodecKind.FOR, bits=16)
-        codec = ColumnPageCodec(build_codec(spec, IntType()))
+    def test_the_frame_base_sits_in_the_trailer(self):
+        """A column page is a coded page of one attribute whose frame base
+        is the trailer's base slot: the coded page decode reads it there."""
+        codec = _column_codec(CodecKind.FOR, 16)
         page = codec.encode_pages(0, np.arange(500, 510))
-        _pid, count, payload, state = codec.decode_raw(page)
-        assert count == 10
-        assert state.base == 500
-        assert len(payload) == page_payload_bytes(DEFAULT_PAGE_SIZE)
+        assert np.frombuffer(page, "<i8", 1, DEFAULT_PAGE_SIZE - 8)[0] == 500
+        page_id, count, columns = codec.decode_columns(page, ("v",))
+        assert (page_id, count) == (0, 10)
+        np.testing.assert_array_equal(columns["v"], np.arange(500, 510))
+        values = np.concatenate([np.arange(codec.tuples_per_page) + 7, np.arange(9)])
+        counts, unit_columns = codec.decode_unit(codec.encode_pages(0, values))
+        assert counts.tolist() == [codec.tuples_per_page, 9]
+        np.testing.assert_array_equal(unit_columns["v"], values)
 
     def test_values_past_capacity_fill_the_next_page(self):
         codec = self._codec()
-        values = np.arange(codec.values_per_page + 1)
+        values = np.arange(codec.tuples_per_page + 1)
         pages = codec.encode_pages(0, values)
         assert len(pages) == 2 * DEFAULT_PAGE_SIZE
         first, second = pages[:DEFAULT_PAGE_SIZE], pages[DEFAULT_PAGE_SIZE:]
@@ -159,7 +167,7 @@ class TestUnitCodes:
         assert len(values) == 2 * per_page
         index = data.schema.index_of(name)
         codec = pax._codecs[index]
-        column = ColumnPageCodec(codec)
+        column = ColumnPageCodec(data.schema.project((name,)))
         column_unit = b"".join(
             column.encode_pages(page, values[page * per_page : (page + 1) * per_page])
             for page in range(2)
