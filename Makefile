@@ -182,8 +182,10 @@ scheduler-test:
 # codec (tests/test_page_encode.py), the page codecs' strides,
 # capacities and round trips (tests/test_storage_{page,tables}.py), the
 # codec suites (bit packing, dictionary, frame-of-reference, their
-# properties) and the wanted-codes gather against a full decode then a
-# take (tests/test_column_gather.py), the row scanner's decode
+# properties), the wanted-codes gather against a full decode then a
+# take (tests/test_column_gather.py; every page codec's slot gather, the
+# scans at every survivor share and a bad code no survivor projects:
+# tests/test_slot_gather.py), the row scanner's decode
 # accounting (tests/test_scanner_decode_accounting.py), the seeded
 # fault-injection sweep (tests/test_integrity_stress.py) and the
 # governance suite (tests/test_governance.py), then 200 differential
@@ -209,6 +211,7 @@ scan-test:
 		tests/test_storage_tables.py tests/test_compression_bitpack.py \
 		tests/test_compression_dictionary.py tests/test_compression_frame.py \
 		tests/test_property_codecs.py tests/test_column_gather.py \
+		tests/test_slot_gather.py \
 		tests/test_scanner_decode_accounting.py tests/test_integrity_stress.py \
 		tests/test_governance.py -q
 	python -m repro.testing --cases 200

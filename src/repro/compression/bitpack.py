@@ -11,8 +11,9 @@ every fixed-stride record of a buffer (bit ``b`` of a record is bit
 ``b % 8`` of its byte ``b // 8``).  A compressed row page is such a
 buffer with a record per tuple, a packed column page one with a record
 per ``lcm(bits, 8)`` bits (:func:`pack_bits`, :func:`unpack_bits`).
-:func:`gather_bits_at` reads fields at any bit offsets: the few codes
-a position list wants from column pages, without unpacking the rest.
+:func:`gather_bits_at` (and :func:`gather_bytes_at`, for text) reads
+fields at any bit offsets: the few codes the survivors of a scan or a
+position list want from a unit of pages, without unpacking the rest.
 """
 
 from __future__ import annotations
@@ -78,31 +79,45 @@ def gather_bits(buffer, shape, strides, bit_offset: int, bits: int) -> np.ndarra
     return (value & np.uint64((1 << bits) - 1)).astype(np.int64)
 
 
-def gather_bits_at(
-    buffer, offset: int, stride: int, rows: np.ndarray, bit_offsets: np.ndarray, bits: int
-) -> np.ndarray:
-    """The ``bits``-wide field at bit ``bit_offsets[i]`` of row ``rows[i]``,
-    for every ``i``, as int64; rows start ``stride`` bytes apart from
-    byte ``offset`` of ``buffer`` (a column page's payload is a row).
+def gather_bits_at(buffer, offset: int, shape, strides, at, shift, bits: int) -> np.ndarray:
+    """The ``bits``-wide field at bit ``shift`` of the little-endian word
+    at index ``at`` of a view of ``buffer``, as int64.
 
-    :func:`gather_bits` for fields wherever they lie: one little-endian
-    8-byte word per field, read through an overlapping ``<u8`` view of
-    the rows (a word starting at every byte), one shift and one mask; a
-    field spilling into a ninth byte (wider than 57 bits) ORs that byte
-    in.  Words overrun their field by up to :data:`GATHER_SLACK_BYTES`,
-    which ``buffer`` must cover.
+    The view holds ``shape`` words, ``strides`` bytes apart, from byte
+    ``offset``: a strided view of one attribute's slots on every page, or
+    an overlapping one (a word starting at every byte of a page) for codes
+    that do not start on a byte.  ``at`` is a tuple of index arrays (one
+    word per field); ``shift`` is one bit offset for all of them or an
+    array of one each (``uint64``).  :func:`gather_bits` for fields
+    wherever they lie: one word read, one shift and one mask; a field
+    spilling into a ninth byte (wider than 57 bits) ORs that byte in.
+    Words overrun their field by up to :data:`GATHER_SLACK_BYTES`, which
+    ``buffer`` must cover.
     """
-    size = memoryview(buffer).nbytes
-    count = -(-(size - offset) // stride)
-    width = size - offset - (count - 1) * stride - 7  # the last row's words end the buffer
-    first, shift = np.divmod(bit_offsets, 8)
-    shift = shift.view(np.uint64)  # non-negative: the same bits
-    value = np.ndarray((count, width), "<u8", buffer, offset, (stride, 1))[rows, first] >> shift
+    value = np.ndarray(shape, "<u8", buffer, offset, strides)[at]
+    if isinstance(shift, int):
+        if not shift and bits <= 57:
+            return (value & np.uint64((1 << bits) - 1)).view(np.int64)
+        shift = np.uint64(shift)
+    value >>= shift
     if bits > 57:
-        ninth = np.ndarray((count, width - 1), np.uint8, buffer, offset + 8, (stride, 1))
-        value |= ninth[rows, first].astype(np.uint64) << (np.uint64(64) - shift)
+        # Under a shift of 0 the ninth byte's bits all shift out.
+        ninth = np.ndarray(shape, np.uint8, buffer, offset + 8, strides)[at]
+        value |= ninth.astype(np.uint64) << (np.uint64(64) - shift)
     value &= np.uint64((1 << bits) - 1)
     return value.view(np.int64)  # below 2**63: the same bits
+
+
+def gather_bytes_at(buffer, offset: int, shape, strides, at, shift: int, width: int):
+    """:func:`gather_bits_at` for ``width``-byte text fields, all at bit
+    ``shift`` of their first byte: an ``S{width}`` array.  An unaligned
+    field reads a byte more and shifts each byte in from its neighbour."""
+    if not shift:
+        return np.ndarray(shape, f"S{width}", buffer, offset, strides)[at]
+    field = np.ndarray(shape, f"V{width + 1}", buffer, offset, strides)[at]
+    field = field.view(np.uint8).reshape(-1, width + 1)
+    field = (field[:, :-1] >> shift) | (field[:, 1:] << (8 - shift))
+    return field.view(f"S{width}")[:, 0]
 
 
 def scatter_bits(buffer, shape, strides, bit_offset: int, bits: int, values) -> None:

@@ -23,8 +23,12 @@ select ∘ gather ∘ decompress over columns.  Here live
   as the consumer wants: row, PAX) and :class:`RunOnceScanner` (whole
   table in the first ``next()``: fused, pipelined, index).
 
-A strategy says how a page is charged to the memory hierarchy, when its
-decompression is charged, and what it does with a decoded page.
+A row or PAX scan materializes late, as the paper's row scanner does:
+its read step decodes the predicate attributes over the window, filters,
+and reads every other selected attribute at the survivors alone
+(:meth:`PagedScanner._read_unit`), so the real clock decodes what the
+lazy-decode rule charges.  A strategy says how a page is charged to the
+memory hierarchy and when its decompression is charged.
 Accounting stays per logical page — one checkpoint and one
 ``pages_scanned`` per page taken, one ``pages_touched`` per page
 decoded — whatever unit bytes are fetched or decoded in (DESIGN.md,
@@ -390,8 +394,11 @@ class Scanner(Operator):
         #: first (pushed deepest), then the rest of the select list.
         filtered = list(dict.fromkeys(p.attr for p in self.predicates))
         self._attrs = filtered + [name for name in select if name not in filtered]
+        self._filtered = tuple(filtered)
+        #: The selected attributes no predicate reads.
+        self._taken = tuple(self._attrs[len(filtered) :])
         self._predicate_kinds = self._compressed_kinds(filtered)
-        self._select_kinds = self._compressed_kinds(self._attrs[len(filtered) :])
+        self._select_kinds = self._compressed_kinds(self._taken)
         self._unit_pages = unit_pages(context.calibration, table.page_size)
 
     def _compressed_kinds(self, names) -> list[CodecKind]:
@@ -447,22 +454,19 @@ class Scanner(Operator):
         }
         return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
-    def _filter_pages(
-        self, counts: np.ndarray, columns, mask, row_base: int
-    ) -> tuple[np.ndarray, Block]:
-        """Filter and project adjacent decoded pages in one pass.
+    def _filter_pages(self, counts: np.ndarray, columns, mask) -> np.ndarray:
+        """Filter adjacent decoded pages in one pass.
 
         The one per-run kernel, under :class:`PagedScanner` (a window's
         pages) and a shared stream's riders (a window's segments).
-        ``columns`` hold the pages' tuples back to back from row
-        ``row_base`` on, ``counts`` how many each page contributed;
+        ``columns`` hold the pages' tuples back to back (the predicate
+        attributes', at least), ``counts`` how many each page contributed;
         ``mask`` says which of them are candidates — inside the row
-        window, or off a page that decoded — and is consumed.  Returns
-        ``(numbers, block)``: the block of all the pages' qualifying
-        tuples and, a row per quantity and a column per page, what each
-        page's release charges and emits — its tuples, candidates,
-        predicate evaluations, their operand bytes, qualifying tuples
-        and their offset in the block.
+        window, or off a page that decoded — and is left holding the
+        qualifying tuples.  Returns, a row per quantity and a column per
+        page, what each page's release charges and emits — its tuples,
+        candidates, predicate evaluations, their operand bytes,
+        qualifying tuples and their offset among all the pages'.
         """
         starts = np.cumsum(counts) - counts
         nonempty = counts > 0
@@ -475,7 +479,7 @@ class Scanner(Operator):
         candidates = per_page(mask)
         tally = SimpleNamespace(predicate_evals=0 * candidates, predicate_eval_bytes=0 * candidates)
         qualified = apply_predicates(tally, self._bound, columns, mask, candidates, per_page)
-        numbers = np.array(
+        return np.array(
             (
                 counts,
                 candidates,
@@ -485,7 +489,6 @@ class Scanner(Operator):
                 np.cumsum(qualified) - qualified,
             )
         )
-        return numbers, self._copy_out(columns, np.flatnonzero(mask), row_base)
 
     def _guarded_units(self, file, pages, span_of, decode):
         """:func:`guarded_units` for this query, in its prefetch window:
@@ -579,10 +582,12 @@ class PagedScanner(Scanner):
 
     Reads the pages overlapping the row window through
     :func:`guarded_units`, one generator per window, one checkpoint
-    before each pull.  The window is one I/O unit under a demand hint,
-    so that a ``Limit`` decodes no further than the unit its answer ends
-    in, else a prefetch window (``calibration.default_prefetch_depth``
-    units of ``calibration.io_unit_bytes``), and never holds a page past
+    before each pull; each piece is filtered and projected in the read
+    step (:meth:`_read_unit`).  The window is one I/O unit under a
+    demand hint, so that a ``Limit`` decodes no further than the unit
+    its answer ends in, else a prefetch window
+    (``calibration.default_prefetch_depth`` units of
+    ``calibration.io_unit_bytes``), and never holds a page past
     those that can still hold wanted rows.  A piece — a whole window, in
     one predicate pass and projection, or one page of a window that did
     not decode whole — is released as one batch, or as many of its
@@ -604,14 +609,36 @@ class PagedScanner(Scanner):
         self._window = range(0)
         self._pieces = None
         #: The piece read and not all released: ``[numbers, block, pages
-        #: released]`` of :meth:`_filter_unit`.
+        #: released]`` of :meth:`_read_unit`.
         self._run: list | None = None
         self._emitted_any = False
 
-    def _decode_unit(self, unit, _at, _run, verify: bool):
+    def _read_unit(self, unit, _at, _run, verify: bool) -> tuple[np.ndarray, Block]:
+        """The read step, on pages that start at row ``_row_base``:
+        decode the predicate attributes over them, filter the tuples
+        inside the row window (:meth:`_filter_pages`), and read each other
+        selected attribute at the survivors alone
+        (:meth:`~repro.storage.page.TuplePageCodec.take`):
+        ``(numbers, block of the survivors)``.  It runs inside the decode
+        :func:`guarded_units` calls, so no view of the unit outlives it,
+        and a code no survivor projects is never decoded."""
         table = self.table
-        span_of, decode = table.row_span_of_page, table.page_codec.decode_unit
-        return decode_tuple_pages(span_of, table.page_size, unit, verify, decode, self._attrs)
+        codec = table.page_codec
+        counts, columns = decode_tuple_pages(
+            table.row_span_of_page, table.page_size, unit, verify, codec.decode_unit, self._filtered
+        )
+        row_base = self._row_base
+        total = int(counts.sum())
+        mask, _in_range = window_mask(total, row_base, self.row_range)
+        numbers = self._filter_pages(counts, columns, mask)
+        rows = np.flatnonzero(mask)
+        taken = codec.take(unit, total, self._taken, rows)
+        for name in self._filtered:
+            if name in self.select:
+                taken[name] = columns[name][rows]
+        return numbers, Block(
+            columns={name: taken[name] for name in self.select}, positions=row_base + rows
+        )
 
     def _span_of(self, at: int) -> int:
         return self.table.row_span_of_page(self._window[at])
@@ -650,7 +677,7 @@ class PagedScanner(Scanner):
                 pages = window_pages(self.context.calibration, table.page_size)
             self._window = range(index, min(table.file.num_pages, index + wanted, index + pages))
             self._pieces = guarded_units(
-                self.context, pages, table.file, self._window, self._span_of, self._decode_unit
+                self.context, pages, table.file, self._window, self._span_of, self._read_unit
             )
             self._read_piece(want)
         self._emitted_any = True
@@ -669,14 +696,8 @@ class PagedScanner(Scanner):
             # position-joined column files — stay aligned.
             self._row_base += self._span_of(at)
             return
-        self._run = [*self._filter_unit(*decoded), 0]
+        self._run = [*decoded, 0]
         self._release(want, passed=1)
-
-    def _filter_unit(self, counts: np.ndarray, columns) -> tuple[np.ndarray, Block]:
-        """:meth:`_filter_pages` over decoded pages that start at row
-        ``_row_base``, inside the row window."""
-        mask, _in_range = window_mask(int(counts.sum()), self._row_base, self.row_range)
-        return self._filter_pages(counts, columns, mask, self._row_base)
 
     def _release(self, want: int | None, passed: int = 0) -> None:
         """Release the next pages of the piece read — all the rest, or up

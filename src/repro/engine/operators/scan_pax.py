@@ -1,9 +1,11 @@
 """PAX-table scanner.
 
 Reads whole pages (row-store I/O) but only decodes — and only streams
-through the cache — the minipages of the attributes the query accesses.
-This is the "increased spatial locality to improve cache performance"
-of PAX, with I/O identical to a row store (Section 6).
+through the cache — the minipages of the attributes the query accesses:
+a predicate attribute's whole minipage, a selected one's values for
+the qualifying tuples alone (the scan core's read step).  This is the
+"increased spatial locality to improve cache performance" of PAX, with
+I/O identical to a row store (Section 6).
 """
 
 from __future__ import annotations

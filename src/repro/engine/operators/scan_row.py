@@ -2,10 +2,13 @@
 
 Iterates over the pages of the single row file and, per page, over the
 tuples: applies the predicates, projects qualifying tuples onto the
-selected attributes, and emits blocks (Section 2.2.2).  The row store
-reads — and therefore streams through the memory hierarchy — every byte
-of every page regardless of the projection, which is why its cost
-curves are flat in projectivity.
+selected attributes, and emits blocks (Section 2.2.2).  As the paper's
+scanner, it decodes the predicate attributes of every tuple and copies
+the selected attributes of qualifying tuples only: the scan core's read
+step reads those at the survivors' slots.  The row store reads — and
+therefore streams through the memory hierarchy — every byte of every
+page regardless of the projection, which is why its cost curves are
+flat in projectivity.
 """
 
 from __future__ import annotations

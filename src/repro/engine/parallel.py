@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -63,7 +64,7 @@ from repro.engine.operators.gather import GatherOperator, MergePartials, MergeSo
 from repro.engine.operators.limit import Limit, TopN
 from repro.engine.plan import ColumnScannerKind, build_plan, decompose_aggregate
 from repro.engine.query import AggregateSpec, Query, ScanQuery
-from repro.errors import PlanError
+from repro.errors import PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.trace import SpanTracer
 from repro.storage.partition import partition_ranges
@@ -422,6 +423,15 @@ def _merge_accounting(context: ExecutionContext, outputs: list[WorkerOutput]) ->
             context.corruption.faults.append(fault)
 
 
+def _unmerged_faults(context: ExecutionContext, outputs) -> int:
+    """The distinct ``(file, page)`` faults of ``outputs`` that the
+    caller's report does not hold yet: what :func:`_merge_accounting`
+    would add to it."""
+    seen = {(fault.file, fault.page) for fault in context.corruption.faults}
+    faults = (fault for out in outputs for fault in out.context.corruption.faults)
+    return len({(fault.file, fault.page) for fault in faults} - seen)
+
+
 def _merge_plan(
     context: ExecutionContext,
     outputs: list[WorkerOutput],
@@ -559,57 +569,74 @@ def parallel_query(
 
     mode = "inline"
     notes: list[str] = []
-    started = time.perf_counter()
-    if workers > 1 and len(tasks) > 1:
-        base = {task.index: task for task in tasks}
-        first = dict(base)
-        if inject_crash in first:
-            first[inject_crash] = replace(first[inject_crash], crash=True)
-        if inject_stall is not None and inject_stall[0] in first:
-            index, seconds = inject_stall
-            first[index] = replace(first[index], stall_seconds=float(seconds))
-        supervision = _Supervision(
-            base=base,
-            first=first,
-            keys={
-                task.index: (table.schema.name, task.index, task.row_range)
-                for task in tasks
-            },
-            governance=governance,
-            policy=policy,
-            breaker=breaker,
-            supervised=supervised,
-            notes=notes,
-        )
-        supervision.run(min(workers, len(tasks)))
-        outputs = list(supervision.outputs.values())
-        if not supervision.pool_ran:
-            mode = "fallback-serial"
-        elif notes:
-            mode = "parallel-degraded"
-        else:
-            mode = "parallel"
-    else:
-        outputs = [_execute_task(task) for task in tasks]
-    dispatch_seconds = time.perf_counter() - started
-    if mode != "inline":
-        flight.record(
-            "parallel.dispatch", context.label, mode=mode, seconds=dispatch_seconds
-        )
-
-    outputs.sort(key=lambda out: out.index)
+    # The partition outputs in hand, counted should the query fail.
+    held: Iterable[WorkerOutput] = ()
     before = len(context.corruption.faults)
-    _merge_accounting(context, outputs)
-    if governance is not None:
-        for out in outputs:
-            own = out.context.governance
-            for event in own.outcomes if own is not governance else ():
-                governance.note(f"partition {out.index}: {event}")
-        for event in notes:
-            governance.note(event)
+    started = time.perf_counter()
+    try:
+        if workers > 1 and len(tasks) > 1:
+            base = {task.index: task for task in tasks}
+            first = dict(base)
+            if inject_crash in first:
+                first[inject_crash] = replace(first[inject_crash], crash=True)
+            if inject_stall is not None and inject_stall[0] in first:
+                index, seconds = inject_stall
+                first[index] = replace(first[index], stall_seconds=float(seconds))
+            supervision = _Supervision(
+                base=base,
+                first=first,
+                keys={
+                    task.index: (table.schema.name, task.index, task.row_range)
+                    for task in tasks
+                },
+                governance=governance,
+                policy=policy,
+                breaker=breaker,
+                supervised=supervised,
+                notes=notes,
+            )
+            held = supervision.outputs.values()
+            supervision.run(min(workers, len(tasks)))
+            outputs = list(held)
+            if not supervision.pool_ran:
+                mode = "fallback-serial"
+            elif notes:
+                mode = "parallel-degraded"
+            else:
+                mode = "parallel"
+        else:
+            held = outputs = []
+            for task in tasks:
+                outputs.append(_execute_task(task))
+        dispatch_seconds = time.perf_counter() - started
+        if mode != "inline":
+            flight.record(
+                "parallel.dispatch", context.label, mode=mode, seconds=dispatch_seconds
+            )
 
-    plan, anchor = _merge_plan(context, outputs, query, notes=notes)
-    result = execute_plan(plan)
+        outputs.sort(key=lambda out: out.index)
+        _merge_accounting(context, outputs)
+        if governance is not None:
+            for out in outputs:
+                own = out.context.governance
+                for event in own.outcomes if own is not governance else ():
+                    governance.note(f"partition {out.index}: {event}")
+            for event in notes:
+                governance.note(event)
+
+        plan, anchor = _merge_plan(context, outputs, query, notes=notes)
+        result = execute_plan(plan)
+    except ReproError as exc:
+        # A failed query counts the pages its finished partitions dropped,
+        # as a serial one counts those it dropped before it failed.
+        salvaged = len(context.corruption.faults) - before
+        flight.record(
+            "query.failed",
+            context.label,
+            error=type(exc).__name__,
+            salvaged=salvaged + _unmerged_faults(context, held),
+        )
+        raise
 
     if trace:
         tracer = context.tracer

@@ -878,12 +878,10 @@ class SharedScanConsumer(Scanner):
         charge for a selected attribute) that the delivery charges."""
         bounds = window.bounds[index - window.first : stop - window.first + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
-        numbers, block = self._filter_pages(
-            np.diff(bounds),
-            {name: window.column(name)[lo:hi] for name in self._attrs},
-            window.valid[lo:hi].copy(),
-            window.lo + lo,
-        )
+        columns = {name: window.column(name)[lo:hi] for name in self._attrs}
+        mask = window.valid[lo:hi].copy()
+        numbers = self._filter_pages(np.diff(bounds), columns, mask)
+        block = self._copy_out(columns, np.flatnonzero(mask), window.lo + lo)
         count, _candidates, evals, eval_bytes, qualified, _offsets = numbers.sum(axis=1).tolist()
         on_hit = int(numbers[0, numbers[4] > 0].sum())
         return block, [count, evals, eval_bytes, qualified, on_hit]

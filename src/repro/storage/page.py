@@ -10,7 +10,9 @@ Layout of every page::
 ``count`` is the number of entries on the page: whole tuples, or one
 attribute's values — a column page is the coded page of a one-attribute
 schema (:class:`ColumnPageCodec`), read, checked and gathered as row
-and PAX pages are.  The *page info* trailer sits at a fixed offset from
+and PAX pages are: every coded page reads a code at a slot through one
+gather (``CodedPageCodec._codes_at``), plain row pages by byte offset
+and stride.  The *page info* trailer sits at a fixed offset from
 the end and holds the page id (which, with a value's position on the
 page, gives the Record ID), a CRC32 checksum of the rest of the page,
 and a column page's codec state (its FOR base value; a tuple page keeps
@@ -40,14 +42,22 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.compression.base import Codec, CodecKind, PageCodecState
-from repro.compression.bitpack import gather_bits_at, unpack_streams
+from repro.compression.bitpack import gather_bits_at, gather_bytes_at, unpack_streams
 from repro.compression.registry import build_codec
-from repro.errors import ChecksumError, CompressionError, PageFormatError, StorageError
+from repro.errors import ChecksumError, CompressionError, PageFormatError, SchemaError
+from repro.errors import StorageError
 from repro.types.schema import TableSchema
 
 DEFAULT_PAGE_SIZE = 4096
 PAGE_HEADER_BYTES = 4
 PAGE_TRAILER_BYTES = 16
+
+#: The share of a unit's tuples up to which :meth:`TuplePageCodec.take`
+#: reads attributes at the wanted tuples' slots alone; above it, they are
+#: unpacked over the unit and taken from.  Fitted by
+#: ``tests/gather_breakeven.py`` (one window of ROW, ROW-Z, PAX and
+#: PAX-Z LINEITEM; the least-regret threshold over all four).
+GATHER_SHARE = 0.25
 
 _HEADER = struct.Struct("<I")
 _TRAILER_V1 = struct.Struct("<qq")  # page_id, codec base value
@@ -265,7 +275,7 @@ class TuplePageCodec:
     subclass lays one page's tuples out (``_payload``; the plain codec
     lays out every page of a run at once, ``_payloads``) and reads
     attributes back from every tuple slot of adjacent pages at once
-    (``_gather``).
+    (``_gather``) or from given slots alone (``_gather_at``).
     """
 
     page_size: int
@@ -306,7 +316,7 @@ class TuplePageCodec:
         self._check_claim(count)
         if names is None:
             return page_id, count, _ColumnsOnDemand(self, page, count)
-        return page_id, count, self._gather(page, [count], names)
+        return page_id, count, self._gather(page, count, names)
 
     def decode_unit(
         self, unit: bytes, names: tuple[str, ...] | None = None, verify: bool = True
@@ -314,7 +324,22 @@ class TuplePageCodec:
         """Verify (unless ``verify`` is false) and decode ``names`` over a
         *dense* unit (:meth:`_dense_counts`): ``(page counts, columns)``."""
         counts = self._dense_counts(unit, verify)
-        return np.array(counts, np.int64), self._gather(unit, counts, names)
+        return np.array(counts, np.int64), self._gather(unit, sum(counts), names)
+
+    def take(self, unit: bytes, total: int, names, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Attributes ``names`` of the tuples at offsets ``rows``
+        (ascending) of a dense unit of ``total`` tuples, as
+        :meth:`decode_unit` found it.
+
+        While ``rows`` are at most :data:`GATHER_SHARE` of the unit's
+        tuples, each attribute is read at their slots alone; above it,
+        it is unpacked over the unit and taken from (``_gather_at``), but
+        for text, which unpacking would only copy.  Either way only the
+        values taken are decoded: a code no row projects is never looked
+        up.
+        """
+        unpack = rows.size > GATHER_SHARE * total
+        return self._gather_at(unit, names, *np.divmod(rows, self.tuples_per_page), unpack)
 
     def _dense_counts(self, unit: bytes, verify: bool) -> list[int]:
         """Each page's entry count, once a unit of adjacent pages passed
@@ -339,6 +364,18 @@ class TuplePageCodec:
         return counts
 
 
+class _Ordinals(dict):
+    """Attribute name -> ordinal in its schema; an unknown name raises
+    :class:`~repro.errors.SchemaError`, as ``TableSchema.index_of`` does."""
+
+    def __init__(self, schema: TableSchema):
+        super().__init__((attr.name, index) for index, attr in enumerate(schema))
+        self._table = schema.name
+
+    def __missing__(self, name: str):
+        raise SchemaError(f"no attribute {name!r} in table {self._table!r}")
+
+
 class _ColumnsOnDemand(Mapping):
     """Every attribute of one verified page, none decoded before it is read."""
 
@@ -351,7 +388,7 @@ class _ColumnsOnDemand(Mapping):
         if name not in self._decoded:
             if name not in self._names:
                 raise KeyError(name)
-            self._decoded.update(self._codec._gather(self._page, [self._count], (name,)))
+            self._decoded.update(self._codec._gather(self._page, self._count, (name,)))
         return self._decoded[name]
 
     def __iter__(self):
@@ -410,11 +447,12 @@ class RowPageCodec(TuplePageCodec):
         rows = np.frombuffer(payload, dtype=self._disk_dtype, count=count)
         return page_id, rows
 
-    def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
-        """One strided view per attribute over every tuple slot of every page."""
-        shape = (len(counts), self.tuples_per_page)
+    def _gather(self, unit: bytes, total: int, names) -> dict[str, np.ndarray]:
+        """The first ``total`` tuple slots of the unit's pages (all full but
+        the last): one strided view per attribute over every slot of every
+        page."""
+        shape = (-(-total // self.tuples_per_page), self.tuples_per_page)
         strides = (self.page_size, self._stride)
-        total = sum(counts)
         columns = {}
         for name in self.schema.attribute_names if names is None else names:
             dtype, offset = self._disk_dtype.fields[name]
@@ -424,6 +462,28 @@ class RowPageCodec(TuplePageCodec):
             columns[name] = field.reshape(-1)[:total]
         return columns
 
+    def _gather_at(self, unit: bytes, names, pages, slots, unpack: bool = False):
+        """Per attribute of ``names``: its field in slot ``slots[i]`` of the
+        unit's page ``pages[i]``, for every ``i``, read alone through the
+        strided view ``_gather`` copies whole — or, when ``unpack``, an
+        integer field widened in every slot at once and taken from (text
+        is read at its slots either way: unpacking it would only copy
+        it); fresh arrays."""
+        shape = (len(unit) // self.page_size, self.tuples_per_page)
+        strides = (self.page_size, self._stride)
+        rows = pages * self.tuples_per_page + slots if unpack else None
+        columns = {}
+        for name in names:
+            dtype, offset = self._disk_dtype.fields[name]
+            field = np.ndarray(shape, dtype, unit, PAGE_HEADER_BYTES + offset, strides)
+            if dtype.kind != "i":
+                columns[name] = field[pages, slots]
+            elif unpack:
+                columns[name] = field.astype(np.int64).reshape(-1)[rows]
+            else:
+                columns[name] = field[pages, slots].astype(np.int64)
+        return columns
+
 
 class CodedPageCodec(TuplePageCodec):
     """What compressed row pages, PAX pages and column pages share: every
@@ -431,10 +491,13 @@ class CodedPageCodec(TuplePageCodec):
 
     A page keeps one 8-byte base slot per frame-coded attribute (FOR,
     FOR-delta), in schema order, from ``_base_at``: in front of the
-    trailer.  A subclass sets ``tuples_per_page`` and lays a page's codes
-    out (``_payload``): each attribute's back to back from its
-    ``_minipage_offsets`` entry, which ``_codes`` reads, unless it says
-    otherwise (compressed row pages interleave them).
+    trailer.  A subclass sets ``tuples_per_page``, lays a page's codes
+    out (``_payload``) and says where they lie: attribute ``i``'s code in
+    slot ``s`` of a page starts at bit ``_slot_bits[i] = (start, step)``,
+    ``start + s * step`` from the page's front (``_codes_at``).  Unless a
+    subclass says otherwise (compressed row pages interleave them), an
+    attribute's codes lie back to back from byte ``start // 8``, which
+    ``_codes`` reads.
     """
 
     def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
@@ -460,48 +523,54 @@ class CodedPageCodec(TuplePageCodec):
         self.schema = schema
         self.page_size = page_size
         self._codecs: list[Codec] = [build_codec(attr.spec, attr.attr_type) for attr in schema]
-        self._index = {attr.name: index for index, attr in enumerate(schema)}
+        self._index = _Ordinals(schema)
         self._bits = [codec.bits_per_value for codec in self._codecs]
         # A tuple's codes, padded to a whole number of bytes (ORDERS-Z: 12).
         self._stride = (sum(self._bits) + 7) // 8
         self._frame_attrs = [
             index for index, attr in enumerate(schema) if attr.spec.kind in _FRAME_KINDS
         ]
+        #: Per attribute ordinal: its base slot's rank on a page, or None
+        #: (not frame-coded).
+        self._base_slots: list[int | None] = [None] * len(schema)
+        for rank, index in enumerate(self._frame_attrs):
+            self._base_slots[index] = rank
+        #: Attributes whose codec decodes a page whole to give any value (FOR-delta).
+        self._whole_page = frozenset(
+            attr.name for attr, codec in zip(schema, self._codecs) if codec.decodes_whole_page
+        )
 
     def attribute_bits(self, name: str) -> int:
         """Packed width of one attribute's values."""
-        return self._bits[self.schema.index_of(name)]
+        return self._bits[self._index[name]]
 
     def _with_bases(self, body: bytes, bases: list[int]) -> bytes:
         """One page's payload: its codes, ``body``, then its frame bases."""
         base_area = b"".join(_BASE_SLOT.pack(base) for base in bases)
         return bytes(body).ljust(self._payload_bytes, b"\x00") + base_area
 
-    def _gather(self, unit: bytes, counts: list[int], names) -> dict[str, np.ndarray]:
+    def _gather(self, unit: bytes, total: int, names) -> dict[str, np.ndarray]:
         """Per attribute of ``names``: its codes on every page
         (``_codes``), then one ``decode_codes`` over the ``(pages,
-        tuples)`` codes with the pages' bases; no other attribute's codes
-        are looked at."""
-        pages = len(counts)
-        total = sum(counts)
-        bases = np.ndarray(
-            (len(self._frame_attrs), pages),
-            "<i8",
-            unit,
-            self._base_at,
-            (_BASE_SLOT.size, self.page_size),
-        )
+        tuples)`` codes with the pages' bases, the first ``total`` of them
+        (pages all full but the last) kept; no other attribute's codes are
+        looked at."""
+        pages = -(-total // self.tuples_per_page)
         columns = {}
         for name in self.schema.attribute_names if names is None else names:
-            index = self.schema.index_of(name)
-            base = (
-                bases[self._frame_attrs.index(index)]
-                if index in self._frame_attrs
-                else 0
-            )
+            index = self._index[name]
+            rank = self._base_slots[index]
+            base = 0 if rank is None else self._bases(unit, pages)[rank]
             codes = self._codes(unit, pages, index)
             columns[name] = self._codecs[index].decode_codes(codes, base).reshape(-1)[:total]
         return columns
+
+    def _bases(self, unit: bytes, pages: int) -> np.ndarray:
+        """The frame bases of the unit's first ``pages`` pages, a view of
+        the unit: ``(frame-coded attributes, pages)``, a row per
+        ``_base_slots`` rank."""
+        shape = (len(self._frame_attrs), pages)
+        return np.ndarray(shape, "<i8", unit, self._base_at, (_BASE_SLOT.size, self.page_size))
 
     def _codes(self, unit: bytes, pages: int, index: int) -> np.ndarray:
         """Attribute ``index``'s codes on every page, back to back from its
@@ -509,9 +578,66 @@ class CodedPageCodec(TuplePageCodec):
         is copied, as the row codec copies it: a verbatim code is a view of
         the unit, and no decoded column may alias it."""
         codec = self._codecs[index]
-        offset = PAGE_HEADER_BYTES + self._minipage_offsets[index]
+        offset = self._slot_bits[index][0] // 8
         codes = unit_codes(codec, unit, pages, self.page_size, offset, self.tuples_per_page)
         return codes.copy() if codec.text_codes else codes
+
+    def _codes_at(self, unit: bytes, index: int, pages: np.ndarray, slots: np.ndarray):
+        """Attribute ``index``'s code in slot ``slots[i]`` of the unit's
+        page ``pages[i]``, each read alone, one word at its bit offset
+        (:func:`~repro.compression.bitpack.gather_bits_at`; text by
+        :func:`~repro.compression.bitpack.gather_bytes_at`); no other
+        code is unpacked.  Codes a whole number of bytes apart are read
+        through a strided view of the attribute's slots, one bit shift for
+        all; packed codes of a minipage through a view with a word at
+        every byte of a page, each its own shift.  Verbatim integers on
+        byte boundaries are read as stored, as :func:`unit_codes` does."""
+        codec = self._codecs[index]
+        bits = codec.bits_per_value
+        start, step = self._slot_bits[index]
+        pages_in_unit = len(unit) // self.page_size
+        if step % 8:
+            at = slots * step + start
+            shape, strides = (pages_in_unit, self.page_size - 8), (self.page_size, 1)
+            first, shift = at >> 3, (at & 7).view(np.uint64)
+            return gather_bits_at(unit, 0, shape, strides, (pages, first), shift, bits)
+        offset, shift = divmod(start, 8)
+        shape, strides = (pages_in_unit, self.tuples_per_page), (self.page_size, step // 8)
+        if codec.text_codes:
+            return gather_bytes_at(unit, offset, shape, strides, (pages, slots), shift, bits // 8)
+        if shift or codec.spec.is_compressed:
+            return gather_bits_at(unit, offset, shape, strides, (pages, slots), shift, bits)
+        return np.ndarray(shape, f"<u{bits // 8}", unit, offset, strides)[pages, slots]
+
+    def _gather_at(self, unit: bytes, names, pages, slots, unpack: bool = False):
+        """Per attribute of ``names``: its value in slot ``slots[i]`` of
+        the unit's page ``pages[i]``, for every ``i`` — its code there,
+        read at its bit offset alone (``_codes_at``) or, when ``unpack``
+        and not text, unpacked with every code of the unit's pages
+        (``_codes``) and taken, then decoded with that page's base.  Only the codes taken
+        are decoded.  A FOR-delta value needs every delta before it on
+        its page, so such an attribute is decoded over the unit's pages
+        (``_gather``) and taken from."""
+        columns = {}
+        unit_pages = len(unit) // self.page_size
+        rows = None
+        for name in names:
+            index = self._index[name]
+            codec = self._codecs[index]
+            if (unpack and not codec.text_codes) or name in self._whole_page:
+                if rows is None:
+                    rows = pages * self.tuples_per_page + slots
+                if name in self._whole_page:
+                    slots_in_unit = unit_pages * self.tuples_per_page
+                    columns[name] = self._gather(unit, slots_in_unit, (name,))[name][rows]
+                    continue
+                codes = self._codes(unit, unit_pages, index).reshape(-1)[rows]
+            else:
+                codes = self._codes_at(unit, index, pages, slots)
+            rank = self._base_slots[index]
+            base = 0 if rank is None else self._bases(unit, unit_pages)[rank][pages]
+            columns[name] = codec.decode_codes(codes[:, None], base)[:, 0]
+        return columns
 
     def codes(self, unit: bytes, name: str, verify: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`decode_unit` of attribute ``name`` left undecoded:
@@ -530,13 +656,7 @@ class CodedPageCodec(TuplePageCodec):
         counts = np.array(self._dense_counts(unit, verify), np.int64)
         if (slots >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
-        index = self._index[name]
-        base = 0
-        if index in self._frame_attrs:
-            slot = self._base_at + _BASE_SLOT.size * self._frame_attrs.index(index)
-            base = np.ndarray((len(counts),), "<i8", unit, slot, (self.page_size,))[pages]
-        codes = self._codes_at(unit, index, pages, slots)
-        return counts, self._codecs[index].decode_codes(codes[:, None], base)[:, 0]
+        return counts, self._gather_at(unit, (name,), pages, slots)[name]
 
 
 class ColumnPageCodec(CodedPageCodec):
@@ -552,7 +672,7 @@ class ColumnPageCodec(CodedPageCodec):
         self._variable = self.codec.is_variable
         self._payload_bytes = page_payload_bytes(page_size)
         self._base_at = page_size - _BASE_SLOT.size
-        self._minipage_offsets = [0]
+        self._slot_bits = [(8 * PAGE_HEADER_BYTES, self.codec.bits_per_value)]
         self.tuples_per_page = self.codec.values_per_page(self._payload_bytes)
 
     def encode_pages(self, first_page_id: int, values: np.ndarray) -> bytes:
@@ -590,19 +710,3 @@ class ColumnPageCodec(CodedPageCodec):
         count, payload, page_id, base = _disassemble(page, self.page_size, verify)
         values = self.codec.decode_page(payload, count, PageCodecState(base=base))
         return page_id, values
-
-    def _codes_at(self, unit: bytes, index: int, pages: np.ndarray, slots: np.ndarray):
-        """Code ``slots[i]`` of the unit's page ``pages[i]``: verbatim codes
-        taken from the unit's view, packed ones read at their bit offsets
-        (:func:`gather_bits_at`); no other code is unpacked."""
-        codec = self.codec
-        size = self.page_size
-        if codec.text_codes or not codec.spec.is_compressed:
-            view = unit_codes(
-                codec, unit, len(unit) // size, size, PAGE_HEADER_BYTES, self.tuples_per_page
-            )
-            return view[pages, slots]
-        bits = codec.bits_per_value
-        return gather_bits_at(unit, PAGE_HEADER_BYTES, size, pages, slots * bits, bits)
-
-

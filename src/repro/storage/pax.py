@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.page import DEFAULT_PAGE_SIZE, CodedPageCodec
+from repro.storage.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_BYTES, CodedPageCodec
 from repro.types.schema import TableSchema
 
 
@@ -46,6 +46,10 @@ class PaxPageCodec(CodedPageCodec):
             self._minipage_size(bits, self.tuples_per_page) for bits in self._bits
         ]
         self._minipage_offsets = np.cumsum([0] + self._minipage_bytes[:-1]).tolist()
+        self._slot_bits = [
+            (8 * (PAGE_HEADER_BYTES + offset), bits)
+            for offset, bits in zip(self._minipage_offsets, self._bits)
+        ]
 
     @staticmethod
     def _minipage_size(bits: int, count: int) -> int:

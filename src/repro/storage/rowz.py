@@ -42,6 +42,9 @@ class CompressedRowPageCodec(CodedPageCodec):
     def __init__(self, schema: TableSchema, page_size: int = DEFAULT_PAGE_SIZE):
         super().__init__(schema, page_size)
         self._bit_offsets = np.cumsum([0] + self._bits).tolist()
+        self._slot_bits = [
+            (8 * PAGE_HEADER_BYTES + offset, 8 * self._stride) for offset in self._bit_offsets[:-1]
+        ]
         self.tuples_per_page = self._payload_bytes // self._stride
         if self.tuples_per_page <= 0:
             raise StorageError(
@@ -73,7 +76,7 @@ class CompressedRowPageCodec(CodedPageCodec):
         one gather.  Word reads overrun a tuple by at most
         ``GATHER_SLACK_BYTES``, which the page trailer covers."""
         geometry = ((pages, self.tuples_per_page), (self.page_size, self._stride))
-        offset = 8 * PAGE_HEADER_BYTES + self._bit_offsets[index]
+        offset = self._slot_bits[index][0]
         bits = self._bits[index]
         if self._codecs[index].text_codes:
             return gather_bytes(unit, *geometry, offset, bits // 8)

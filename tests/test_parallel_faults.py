@@ -30,7 +30,8 @@ from repro.engine.parallel import parallel_query
 from repro.engine.plan import ColumnScannerKind
 from repro.engine.predicate import predicate_for_selectivity
 from repro.engine.query import ScanQuery
-from repro.errors import ChecksumError
+from repro.engine.governance import QueryContext
+from repro.errors import ChecksumError, QueryTimeout
 from repro.obs import metrics
 from repro.obs import recorder as flight
 from repro.obs.recorder import FlightRecorder
@@ -230,6 +231,31 @@ class TestSharedState:
             moved[name] = metrics.PAGES_SALVAGED.value - before
             assert len(result.corruption.faults) == 2, name
         assert moved == {"serial": 2, "inline": 2, "pool": 2}
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: layout.name)
+    def test_a_failed_salvage_query_counts_what_its_partitions_dropped(
+        self, data, query, layout, monkeypatch
+    ):
+        """A ``workers=2`` salvage query whose partition 1 stalls past
+        the deadline fails typed after partition 0 has finished and
+        dropped its pages: it records one ``query.failed``, whose
+        ``salvaged`` counts those pages, and moves
+        ``repro_pages_salvaged_total`` by exactly that field."""
+        metrics.enable()
+        monkeypatch.setattr(flight, "RECORDER", FlightRecorder())
+        table = _boundary_corrupted(data, layout)
+        context = ExecutionContext()
+        context.governance = QueryContext.start(timeout=0.5, label="stalled salvage")
+        before = metrics.PAGES_SALVAGED.value
+        with pytest.raises(QueryTimeout):
+            parallel_query(
+                table, query, workers=2, salvage=True, context=context, inject_stall=(1, 30.0)
+            )
+        (failed,) = flight.RECORDER.events("query.failed")
+        assert failed.query == "stalled salvage"
+        assert failed.detail["salvaged"] >= 1
+        assert metrics.PAGES_SALVAGED.value - before == failed.detail["salvaged"]
+        assert not flight.RECORDER.events("query.done", query="stalled salvage")
 
     def test_salvage_queries_on_two_caller_threads_match_serial(
         self, data, query, monkeypatch
