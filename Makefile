@@ -183,9 +183,12 @@ scheduler-test:
 # capacities and round trips (tests/test_storage_{page,tables}.py), the
 # codec suites (bit packing, dictionary, frame-of-reference, their
 # properties), the wanted-codes gather against a full decode then a
-# take (tests/test_column_gather.py; every page codec's slot gather, the
-# scans at every survivor share and a bad code no survivor projects:
-# tests/test_slot_gather.py), the row scanner's decode
+# take (tests/test_column_gather.py, on either side of the one gather
+# share; every page codec's slot gather, the scans at every survivor
+# share and a bad code no survivor projects: tests/test_slot_gather.py),
+# the column nodes' per-table constants and the deterministic call gauge
+# of a selective wide and a one-page COLUMN query
+# (tests/test_column_nodes.py), the row scanner's decode
 # accounting (tests/test_scanner_decode_accounting.py), the seeded
 # fault-injection sweep (tests/test_integrity_stress.py) and the
 # governance suite (tests/test_governance.py), then 200 differential
@@ -195,9 +198,10 @@ scheduler-test:
 # engine/scheduler.py (test_scheduler_telemetry.py pins that a shared
 # pass reads a page once and times every page it decodes),
 # index/scan.py, storage/{table,page,rowz,pax,pagefile,loader}.py,
-# compression/ or cpusim/cache.py (`position_lines`, the cache-line model
-# the column scans charge through; its union1d page-by-page reference
-# lives in tests/test_cpusim.py).
+# compression/ or cpusim/cache.py (`access_lines`, the cache-line model a
+# column scan charges through once per query, over every line access its
+# nodes made; tests/test_cpusim.py holds it to each access alone and to
+# the union1d page-by-page reference).
 scan-test:
 	pytest tests/test_scan_golden.py tests/test_scan_units.py \
 		tests/test_batches.py tests/test_engine_blocks.py \
@@ -211,7 +215,7 @@ scan-test:
 		tests/test_storage_tables.py tests/test_compression_bitpack.py \
 		tests/test_compression_dictionary.py tests/test_compression_frame.py \
 		tests/test_property_codecs.py tests/test_column_gather.py \
-		tests/test_slot_gather.py \
+		tests/test_slot_gather.py tests/test_column_nodes.py \
 		tests/test_scanner_decode_accounting.py tests/test_integrity_stress.py \
 		tests/test_governance.py -q
 	python -m repro.testing --cases 200

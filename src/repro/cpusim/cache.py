@@ -8,11 +8,14 @@ they touch on each page: when a scan node visits most of a page's lines
 the hardware prefetcher keeps up (sequential); when it hops across a
 sparse position list, each touched line is a random miss.
 
-The model is written once, for all of a scan node's pages and every
-line size at a time (:func:`position_lines`).
+The model is written once, for every page of every position-driven
+access a query makes and every line size at a time
+(:func:`access_lines`).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,58 +30,61 @@ def page_lines(count, value_bits: int, line_bytes: int):
     return (count * value_bits + line_bits - 1) // line_bits
 
 
-def position_lines(
-    bounds: np.ndarray,
-    in_page: np.ndarray,
-    counts: np.ndarray,
-    value_bits: int,
-    line_sizes,
-    threshold: float = PREFETCH_COVERAGE_THRESHOLD,
+def access_lines(
+    accesses, line_sizes, threshold: float = PREFETCH_COVERAGE_THRESHOLD
 ) -> list[tuple[int, int]]:
-    """The lines a position-driven access moves: ``(seq_lines,
-    rand_lines)`` summed over its pages, one pair per line size.
+    """The lines a query's position-driven accesses move: ``(seq_lines,
+    rand_lines)`` summed over the pages of every access, each page's
+    times its access's weight, one pair per line size.
 
-    Page ``t`` of the ``len(counts)`` pages accessed holds ``counts[t]``
-    values of fixed width (``value_bits``), densely packed from its
-    start, and the positions ``in_page[bounds[t]:bounds[t + 1]]`` —
-    value indexes on it, strictly ascending, as a position list's are;
-    a page may have none.  A page's *touched* lines are the distinct
-    cache lines holding a value's first or last bit (a wide value can
-    straddle lines).  Where they cover at least ``threshold`` of the
-    lines the page occupies, all of those arrive via the prefetcher;
-    under sparser coverage each touched line is an unpredicted miss.
+    An access is ``(bounds, in_page, counts, value_bits, weight)``: page
+    ``t`` of its ``len(counts)`` pages holds ``counts[t]`` values of
+    ``value_bits`` each, densely packed from its start, and the positions
+    ``in_page[bounds[t]:bounds[t + 1]]`` — value indexes on it, strictly
+    ascending, as a position list's are; a page may have none.  A page's
+    *touched* lines are the distinct cache lines holding a value's first
+    or last bit (a wide value can straddle lines).  Where they cover at
+    least ``threshold`` of the lines the page occupies, all of those
+    arrive via the prefetcher; under sparser coverage each touched line
+    is an unpredicted miss.
 
-    In such a list the line ids ``first0, last0, first1, last1, ...``
-    never descend within a page, so a line is distinct when it differs
-    from the id before it — no sort.  Every line size is one row of the
-    same arrays: the positions' bit offsets are computed once.
+    Every access's positions are laid back to back, so each page is one
+    range of a single array, whatever access it belongs to.  In such a
+    range the line ids ``first0, last0, first1, last1, ...`` never
+    descend, so a line is distinct when it differs from the id before it
+    — no sort.  Every line size is one row of the same arrays: the
+    positions' bit offsets are computed once, in one pass for the query.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    offsets = np.asarray(in_page, dtype=np.int64) * value_bits
-    size = offsets.size
-    line_bytes = np.array(line_sizes, dtype=np.int64)[:, None]
-    line_bits = line_bytes * 8
-    rows = np.arange(len(line_sizes))[:, None]
-    first = offsets // line_bits
-    last = (offsets + (value_bits - 1)) // line_bits
-    # Is ``first`` a line not yet seen on its page?  A column more than
-    # there are positions, where an empty last page's front falls.
+    bounds, in_page, counts, bits, weights = zip(*accesses)
+    pages = [len(page_counts) for page_counts in counts]
+    sizes = [int(page_bounds[-1]) for page_bounds in bounds]
+    size = sum(sizes)
+    # Each value's first bit on its page, and its last (a page's bits fit 32).
+    offsets = [np.multiply(chosen, width, dtype=np.int32) for chosen, width in zip(in_page, bits)]
+    line_bits = np.array(line_sizes, dtype=np.int32)[:, None] * 8
+    first = np.concatenate(offsets) // line_bits
+    last = np.concatenate([at + (width - 1) for at, width in zip(offsets, bits)]) // line_bits
+    # Each page's first position among all of them, then the end.
+    per_access = np.array((bits, weights, list(accumulate(sizes, initial=0))[:-1]))
+    page_bits, page_weight, page_base = per_access.repeat(pages, axis=1)
+    edges = np.empty(len(page_bits) + 1, dtype=np.int64)
+    starts = edges[:-1]
+    np.add(np.concatenate([page_bounds[:-1] for page_bounds in bounds]), page_base, out=starts)
+    edges[-1] = size
+    # A line a position brings in: its first, where that differs from the
+    # line before it on its page, and its last, where the value
+    # straddles.  A column more than there are positions, where an empty
+    # last page's front falls, holds none.
     fresh = np.empty((len(line_sizes), size + 1), dtype=bool)
     np.not_equal(first[:, 1:], last[:, :-1], out=fresh[:, 1:size])
-    fresh[:, bounds[:-1]] = True
+    fresh[:, starts] = True
     fresh[:, size] = False
-    # Plus a line a value straddles into.
-    touched = _per_page(fresh, bounds + rows * (size + 1))
-    touched += _per_page(last != first, bounds + rows * size)
-    total = page_lines(np.asarray(counts, dtype=np.int64), value_bits, line_bytes)
+    marks = fresh.view(np.int8)
+    marks[:, :size] += last != first
+    # What reduceat reads for an empty page is dropped.
+    touched = np.add.reduceat(marks, starts, axis=1, dtype=np.int32) * (edges[1:] > starts)
+    total = page_lines(np.concatenate(counts, dtype=np.int64), page_bits, line_bits // 8)
     dense = touched / np.maximum(total, 1) >= threshold  # an empty page has no coverage
-    seq = (total * dense).sum(axis=1).tolist()
-    rand = (touched * ~dense).sum(axis=1).tolist()
-    return list(zip(seq, rand))
-
-
-def _per_page(marks: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """How many of each row's ``marks`` fall on each page, where row
-    ``r``'s pages start at the flat offsets ``bounds[r]``."""
-    edges = np.searchsorted(np.flatnonzero(marks), bounds)
-    return edges[:, 1:] - edges[:, :-1]
+    seq = (total * dense) @ page_weight
+    rand = (touched * ~dense) @ page_weight
+    return list(zip(seq.tolist(), rand.tolist()))

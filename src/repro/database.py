@@ -339,7 +339,8 @@ class Database:
             context, f"query on {table}", timeout, memory_budget, cancellation
         )
         target, post = self._resolve_target(table, scan, layout, use_views)
-        workers = min(workers, os.cpu_count() or 1)
+        if workers > 1:
+            workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
             from repro.engine.parallel import parallel_query
 

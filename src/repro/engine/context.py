@@ -8,6 +8,7 @@ from repro.cpusim.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cpusim.events import CostEvents
 from repro.engine.blocks import DEFAULT_BLOCK_SIZE
 from repro.engine.governance import QueryContext
+from repro.obs import metrics as obs_metrics
 from repro.obs.trace import SpanTracer
 from repro.storage.scrub import CorruptionReport
 
@@ -37,6 +38,26 @@ class ExecutionContext:
     #: (see :mod:`repro.engine.governance`).  ``None`` (the default)
     #: skips every governance checkpoint.
     governance: QueryContext | None = None
+    #: ``(seconds, pages)`` of every window or page the reader decoded
+    #: for this query, folded into ``repro_page_decode_seconds`` once,
+    #: when the query ends (:meth:`observe_decodes`).  Only appended to,
+    #: so partitions on pool threads share a caller's without a lock.
+    decodes: list = field(default_factory=list)
+
+    def observe_decodes(self) -> None:
+        """Fold the decodes timed so far into ``repro_page_decode_seconds``
+        as one observation of their pages, and forget them: once per
+        query, at ``run_scan``'s and ``parallel_query``'s end and at the
+        scheduler's completion of a query."""
+        decodes = self.decodes
+        taken = len(decodes)
+        if taken:
+            seconds = pages = 0
+            for spent, run in decodes[:taken]:
+                seconds += spent
+                pages += run
+            del decodes[:taken]
+            obs_metrics.PAGE_DECODE_SECONDS.observe(seconds / pages, pages)
 
     @property
     def label(self) -> str | None:

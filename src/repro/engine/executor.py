@@ -100,6 +100,8 @@ def run_scan(
             "query.failed", context.label, error=type(exc).__name__, salvaged=len(faults) - before
         )
         raise
+    finally:
+        context.observe_decodes()
     flight.record(
         "query.done",
         context.label,

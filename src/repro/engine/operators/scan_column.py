@@ -15,11 +15,14 @@ loop and decode, then one predicate pass (first node) or one gather of
 the wanted positions (later nodes) per window — while every charge,
 checkpoint and fault stays per logical page (DESIGN.md, "Scan core").
 A later node's window is the pages its positions touch within the
-window's span: the pages between them are never read.  It reads only
-the codes its positions want, each at its bit offset, and decodes only
-those (:meth:`~repro.storage.table.ColumnFile.gather_unit`); the cache
-lines it moves are counted once per distinct access
-(:meth:`ColumnScanner._compute`).
+window's span: the pages between them are never read.  It reads the
+codes its positions want — each at its bit offset, or unpacked with the
+window's above the one gather share — and decodes only those
+(:meth:`~repro.storage.page.ColumnPageCodec.gather`).  What a node needs
+of its column is prepared once per loaded table (:class:`ColumnNode`),
+and the cache lines the nodes move are charged once per query, in one
+pass over every distinct access, each weighted by the nodes that made
+it (:meth:`ColumnScanner._charge_lines`).
 
 The cost consequences the paper measures all live here:
 
@@ -35,18 +38,72 @@ The cost consequences the paper measures all live here:
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from repro.compression.base import CodecKind
+from repro.compression.base import Codec, CodecKind
 from repro.compression.dictionary import DictionaryCodec
-from repro.cpusim.cache import position_lines
-from repro.engine.blocks import Block, logical_bounds
+from repro.cpusim.cache import access_lines
 from repro.engine.compressed_exec import rewrite_all
+from repro.engine.blocks import Block
 from repro.engine.operators.scan_core import RunOnceScanner, apply_predicates, window_mask
 from repro.engine.operators.scan_core import decode_tuple_pages
+from repro.storage.table import ColumnFile, ColumnTable
 
 #: Bytes to charge for the position (Record ID) in a {position, value} pair.
 _POSITION_BYTES = 4
+
+
+class ColumnNode(NamedTuple):
+    """What a scan node needs of one column, fixed while its table is
+    loaded: prepared on the first query that scans the column
+    (:func:`column_node`) and never changed, so partitions on pool
+    threads read it without a lock."""
+
+    #: Its file is read through ``column_file.file``, which a fault
+    #: plan or a slow-down may swap for a wrapper in place.
+    column_file: ColumnFile
+    codec: Codec
+    kind: CodecKind
+    width: int
+    bits: int
+    dtype: np.dtype
+    #: Values per page; ``None`` where its page directory says (RLE).
+    geometry: int | None
+    #: Whether a value is decoded with its whole page (FOR-delta, RLE).
+    whole: bool
+    #: The rows a page spans, by page id.
+    span_of: Callable[[int], int]
+    #: ``gather(unit, pages, slots, verify) -> (counts, values)``: the
+    #: page codec's slot gather, or the column file's whole-page one.
+    gather: Callable
+
+
+def column_node(table: ColumnTable, name: str) -> ColumnNode:
+    """The scan-node constants of ``table``'s column ``name``, kept in
+    ``table.scan_nodes``: a table reloaded by a merge starts afresh.  Two
+    threads that miss at once build equal values, and either is kept."""
+    node = table.scan_nodes.get(name)
+    if node is None:
+        attribute = table.schema.attribute(name)
+        column_file = table.column_file(name)
+        codec = column_file.page_codec.codec
+        whole = codec.decodes_whole_page
+        node = table.scan_nodes[name] = ColumnNode(
+            column_file=column_file,
+            codec=codec,
+            kind=attribute.spec.kind,
+            width=attribute.width,
+            bits=codec.bits_per_value,
+            dtype=codec.attr_type.numpy_dtype(),
+            geometry=column_file.values_per_page if column_file.first_rows is None else None,
+            whole=whole,
+            span_of=partial(column_file.row_span_of_page, num_rows=table.num_rows),
+            gather=column_file.gather_unit if whole else column_file.page_codec.gather,
+        )
+    return node
 
 
 class ColumnScanner(RunOnceScanner):
@@ -69,24 +126,26 @@ class ColumnScanner(RunOnceScanner):
         While the position list is unchanged — every node that attaches
         values after the last that filters — nodes of one page geometry
         share its position map, and nodes that move the same lines
-        share one count of them, charged once per node that moved them.
+        share one access, weighted by how many moved it; every access of
+        the query is charged in one pass at its end (:meth:`_charge_lines`).
         """
-        positions, collected = self._run_first_node(self._attrs[0])
+        nodes = {name: column_node(self.table, name) for name in self._attrs}
+        positions, collected = self._run_first_node(self._attrs[0], nodes)
+        events, block_size = self.events, self.context.block_size
         #: Position maps of the list at hand, by values per page.
         maps: dict = {}
-        #: ``(bounds, in_page, counts, bits, nodes)`` of each distinct
+        #: ``[bounds, in_page, counts, bits, nodes]`` of each distinct
         #: line access finished nodes made, by (bounds, bits, counts).
         lines: dict = {}
         try:
             for attr in self._attrs[1:]:
-                # What the node before handed this one; the last node's
-                # hand-offs are the scanner's own, counted as they are made.
-                self.events.blocks_produced += len(
-                    logical_bounds(self.context.block_size, (positions.size,))
-                )
+                # What the node before handed this one, in logical blocks;
+                # the last node's hand-offs are the scanner's own, counted
+                # as they are made.
+                events.blocks_produced += -(-positions.size // block_size)
                 handed = positions
                 positions, collected = self._run_inner_node(
-                    attr, positions, collected, maps, lines
+                    attr, nodes, positions, collected, maps, lines
                 )
                 if positions is not handed:
                     maps.clear()
@@ -98,28 +157,25 @@ class ColumnScanner(RunOnceScanner):
         )
 
     def _charge_lines(self, lines: dict) -> None:
-        """Charge the caches for the nodes' line accesses
-        (:func:`position_lines`), each counted once for all its nodes."""
-        events = self.events
+        """Charge the caches for the nodes' line accesses, each counted
+        once per node that made it, in one pass (:func:`access_lines`)."""
+        if not lines:
+            return
         calibration = self.context.calibration
         line_sizes = (calibration.l2_line_bytes, calibration.l1_line_bytes)
-        for bounds, in_page, counts, bits, nodes in lines.values():
-            (seq, rand), (l1_seq, l1_rand) = position_lines(
-                bounds, in_page, counts, bits, line_sizes
-            )
-            events.mem_seq_lines += seq * nodes
-            events.mem_rand_lines += rand * nodes
-            events.l1_lines += (l1_seq + l1_rand) * nodes
+        (seq, rand), (l1_seq, l1_rand) = access_lines(list(lines.values()), line_sizes)
+        events = self.events
+        events.mem_seq_lines += seq
+        events.mem_rand_lines += rand
+        events.l1_lines += l1_seq + l1_rand
 
-    def _run_first_node(self, attr: str) -> tuple[np.ndarray, dict]:
+    def _run_first_node(self, attr: str, nodes: dict) -> tuple[np.ndarray, dict]:
         """Dense scan of the deepest column."""
         events = self.events
-        spec = self.table.schema.attribute(attr).spec
-        column_file = self.table.column_file(attr)
-        codec = column_file.page_codec.codec
+        node = nodes[attr]
+        codec = node.codec
         bound = [b for b in self._bound if b[1] == attr]
         selected = attr in self.select
-        width = self.table.schema.attribute(attr).width
         on_codes = None
         if (
             self.context.compressed_execution
@@ -136,7 +192,7 @@ class ColumnScanner(RunOnceScanner):
 
         qualified_positions = []
         qualified_values = []
-        for row_base, count, data in self._dense_pages(column_file, on_codes is not None):
+        for row_base, count, data in self._dense_pages(node.column_file, on_codes is not None):
             if data is None:
                 # Salvage: the page's rows vanish from the position
                 # list; the nominal span keeps every later node's
@@ -145,21 +201,22 @@ class ColumnScanner(RunOnceScanner):
             events.values_examined += count
             mask, in_range = window_mask(count, row_base, self.row_range)
             qualified = apply_predicates(events, bound, {attr: data}, mask, in_range)
+            rows = mask.nonzero()[0]
             if on_codes is None:
-                events.count_decode(spec.kind, count)
-                values = data[mask]
+                events.count_decode(node.kind, count)
+                values = data[rows]
             else:
                 events.count_decode(CodecKind.PACK, count)
                 if selected:
                     # Only qualifying values are ever looked up.
-                    values = codec.dictionary[data[mask]]
-                    events.count_decode(spec.kind, qualified)
+                    values = codec.dictionary[data[rows]]
+                    events.count_decode(node.kind, qualified)
                 else:
-                    values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
+                    values = np.zeros(0, dtype=node.dtype)
             if qualified:
                 events.values_copied += qualified
-                events.bytes_copied += qualified * (width + _POSITION_BYTES)
-                qualified_positions.append(row_base + np.flatnonzero(mask))
+                events.bytes_copied += qualified * (node.width + _POSITION_BYTES)
+                qualified_positions.append(row_base + rows)
                 qualified_values.append(values)
 
         if qualified_positions:
@@ -167,56 +224,58 @@ class ColumnScanner(RunOnceScanner):
             values = np.concatenate(qualified_values)
         else:
             positions = np.zeros(0, dtype=np.int64)
-            values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
+            values = np.zeros(0, dtype=node.dtype)
         return positions, ({attr: values} if selected else {})
 
     def _run_inner_node(
         self,
         attr: str,
+        nodes: dict,
         positions: np.ndarray,
         collected: dict,
         maps: dict,
         lines: dict,
     ) -> tuple[np.ndarray, dict]:
         """Position-driven scan of one later column; its line access is
-        added to ``lines``, and ``maps`` serves its position map."""
-        events = self.events
-        spec = self.table.schema.attribute(attr).spec
-        column_file = self.table.column_file(attr)
-        codec = column_file.page_codec.codec
-        bound = [b for b in self._bound if b[1] == attr]
-        width = self.table.schema.attribute(attr).width
-        num_rows = self.table.num_rows
+        added to ``lines``, and ``maps`` serves its position map.
 
+        The touched pages are read through :meth:`_guarded_units`, and a
+        healthy window goes straight from the page checks to the wanted
+        codes (:meth:`~repro.storage.table.ColumnFile.gather_unit`)."""
+        events = self.events
+        node = nodes[attr]
         events.positions_processed += positions.size
 
-        values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
+        values = np.zeros(0, dtype=node.dtype)
         if positions.size:
-            in_page, on_page, bounds, cuts, touched = _position_map(column_file, positions, maps)
-            #: Values on each touched page; 0 where salvage dropped it.
-            counts = np.zeros(len(touched), dtype=np.int64)
+            mapped = maps.get(node.geometry) or _position_map(node, positions, maps)
+            in_page, on_page, bounds, cuts, touched = mapped
+            file = node.column_file.file
+            span_of, size, gather = node.span_of, file.page_size, node.gather
+            count = len(touched)
 
-            def page_span(page):
-                return column_file.row_span_of_page(page, num_rows)
-
-            def gather(unit, t, pages, verify):
+            def read(unit, t, pages, verify):
                 # Touched pages ``t`` on, in the unit back to back.
-                start, stop = cuts[t], cuts[t + pages]
-                wanted = on_page[start:stop] - t, in_page[start:stop]
-                size, gather_unit = column_file.file.page_size, column_file.gather_unit
-                return decode_tuple_pages(page_span, size, unit, verify, gather_unit, *wanted)
+                if pages == count:
+                    wanted = on_page, in_page
+                else:
+                    start, stop = cuts[t], cuts[t + pages]
+                    wanted = on_page[start:stop] - t, in_page[start:stop]
+                return decode_tuple_pages(span_of, size, unit, verify, gather, *wanted)
 
-            chunks, lost = [], []
-            for t, pages, gathered in self._guarded_units(
-                column_file.file, touched, lambda t: cuts[t + 1] - cuts[t], gather
+            pieces, lost = [], []
+            for t, _pages, gathered in self._guarded_units(
+                file, touched, lambda t: cuts[t + 1] - cuts[t], read
             ):
                 if gathered is None:
                     lost.append(t)
-                else:
-                    counts[t : t + pages], page_values = gathered
-                    chunks.append(page_values)
-            if chunks:
-                values = np.concatenate(chunks)
+                    gathered = _LOST, values
+                pieces.append(gathered)
+            if len(pieces) == 1:
+                ((counts, values),) = pieces
+            else:
+                counts, chunks = zip(*pieces)
+                counts, values = np.concatenate(counts), np.concatenate(chunks)
             if lost:
                 # Salvage: this column cannot supply a dropped page's rows,
                 # so they leave the pipeline — the position list and every
@@ -225,18 +284,17 @@ class ColumnScanner(RunOnceScanner):
                 keep = ~np.isin(on_page, lost)
                 positions, in_page = positions[keep], in_page[keep]
                 collected = {name: col[keep] for name, col in collected.items()}
-                bounds = np.searchsorted(on_page[keep], np.arange(len(touched) + 1))
+                bounds = np.searchsorted(on_page[keep], np.arange(count + 1))
 
-            events.pages_touched += len(touched) - len(lost)
-            whole = codec.decodes_whole_page
-            events.count_decode(spec.kind, int(counts.sum()) if whole else positions.size)
-            bits = codec.bits_per_value
+            events.pages_touched += count - len(lost)
+            events.count_decode(node.kind, int(counts.sum()) if node.whole else positions.size)
             # ``bounds`` is the map's own while no page was lost, so its
             # identity (the entry keeps it alive) names the map.
-            key = (id(bounds), bits, counts.tobytes())
-            lines.setdefault(key, [bounds, in_page, counts, bits, 0])[4] += 1
+            key = (id(bounds), node.bits, counts.tobytes())
+            lines.setdefault(key, [bounds, in_page, counts, node.bits, 0])[4] += 1
 
-        if bound:
+        if attr in self._filtered:
+            bound = [b for b in self._bound if b[1] == attr]
             # Rewrite: qualifying tuples are copied whole to new blocks.
             mask = np.ones(positions.size, dtype=bool)
             qualified = apply_predicates(
@@ -245,17 +303,15 @@ class ColumnScanner(RunOnceScanner):
             positions = positions[mask]
             values = values[mask]
             collected = {name: col[mask] for name, col in collected.items()}
-            carried_bytes = sum(
-                self.table.schema.attribute(name).width for name in collected
-            )
+            carried_bytes = sum(nodes[name].width for name in collected)
             events.values_copied += qualified * (len(collected) + 2)
             events.bytes_copied += qualified * (
-                carried_bytes + width + _POSITION_BYTES
+                carried_bytes + node.width + _POSITION_BYTES
             )
         else:
             # Attach: values are appended without rewriting the tuples.
             events.values_copied += positions.size
-            events.bytes_copied += positions.size * width
+            events.bytes_copied += positions.size * node.width
 
         if attr in self.select:
             collected = dict(collected)
@@ -263,7 +319,11 @@ class ColumnScanner(RunOnceScanner):
         return positions, collected
 
 
-def _position_map(column_file, positions: np.ndarray, maps: dict) -> tuple:
+#: The values a page salvage dropped counts: none.
+_LOST = np.zeros(1, dtype=np.int64)
+
+
+def _position_map(node: ColumnNode, positions: np.ndarray, maps: dict) -> tuple:
     """``(in_page, on_page, bounds, cuts, touched)`` of ``positions`` on a
     column's pages: each position's value index on its page and the index
     of its page among the touched ones, the list cut at page boundaries
@@ -274,14 +334,18 @@ def _position_map(column_file, positions: np.ndarray, maps: dict) -> tuple:
     so ``maps`` keeps one map per such geometry for the list at hand; an
     RLE column's page directory is its own.
     """
-    geometry = column_file.values_per_page if column_file.first_rows is None else None
-    if geometry in maps:
-        return maps[geometry]
-    page_ids, in_page = column_file.locate(positions)
-    turns = np.flatnonzero(page_ids[1:] != page_ids[:-1]) + 1
-    bounds = np.concatenate(([0], turns, [positions.size]))
-    on_page = np.repeat(np.arange(turns.size + 1), np.diff(bounds))
-    found = in_page, on_page, bounds, bounds.tolist(), page_ids[bounds[:-1]].tolist()
-    if geometry is not None:
-        maps[geometry] = found
+    page_ids, in_page = node.column_file.locate(positions)
+    # Where the list turns to a new page, then its end.
+    turns = np.empty(positions.size + 1, dtype=bool)
+    turns[0] = turns[-1] = True
+    np.not_equal(page_ids[1:], page_ids[:-1], out=turns[1:-1])
+    bounds = turns.nonzero()[0]
+    touched = page_ids[bounds[:-1]].tolist()
+    if touched[-1] - touched[0] + 1 == len(touched):
+        on_page = page_ids - touched[0]  # no page skipped
+    else:
+        on_page = turns[:-1].cumsum() - 1
+    found = in_page, on_page, bounds, bounds.tolist(), touched
+    if node.geometry is not None:
+        maps[node.geometry] = found
     return found

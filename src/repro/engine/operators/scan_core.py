@@ -83,7 +83,7 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
     the query).  Salvage mode records the fault in ``context.corruption``
     — the page's nominal row span is the loss estimate — and returns
     ``None``: the caller skips the page but keeps positions aligned.
-    Only successful decodes reach ``repro_page_decode_seconds``.
+    Only successful decodes are timed, into ``context.decodes``.
     ``verify`` is false for a page the file has already seen pass its
     CRC (:meth:`~repro.storage.pagefile.PagedFile.verified`); a page
     that passes it here, and names its own position in its trailer
@@ -104,7 +104,7 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
         if verify:
             check_placed(data, (page,), file.page_size)
         if timed:
-            obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
+            context.decodes.append((time.perf_counter() - started, 1))
     except SALVAGEABLE_ERRORS as exc:
         _salvage(context, file, page, row_span, exc)
         return None
@@ -113,11 +113,14 @@ def guarded_decode(context: ExecutionContext, decode, file, page: int, row_span:
     return result
 
 
-def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row_span: int):
+def guarded_decode_unit(context: ExecutionContext, decode, file, pages, span_of, at: int):
     """Read the ascending ``pages`` as one buffer
     (:meth:`~repro.storage.pagefile.PagedFile.read_pages`) — a prefetch
-    window of I/O units (:func:`window_stop`) — and ``decode_unit(unit,
-    verify)`` it whole: ``(unit bytes, decoded)``.
+    window of I/O units (:func:`window_stop`), the listed pages from
+    index ``at`` of its reader's list — and ``decode(unit, at, run,
+    verify)`` its ``run`` pages whole: ``(unit bytes, decoded)``; the
+    decode is timed into ``context.decodes``.  Should the first page not
+    read, salvage records ``span_of(at)`` rows lost.
 
     Each page's CRC is checked once per load, by what the file says its
     pages have passed since it was loaded
@@ -142,14 +145,15 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
     try:
         unit = file.read_pages(pages)
     except SALVAGEABLE_ERRORS as exc:
-        _salvage(context, file, pages[0], row_span, exc)
+        _salvage(context, file, pages[0], span_of(at), exc)
         return None, None
-    read = pages[: len(unit) // file.page_size]
+    run = len(unit) // file.page_size
+    read = pages[:run]
     verified = file.verified(read)
-    if 0 < verified < len(read) and not _check_unverified(file, unit, read):
+    if 0 < verified < run and not _check_unverified(file, unit, read):
         return unit, None
     try:
-        decoded = decode_unit(unit, not verified)
+        decoded = decode(unit, at, run, not verified)
         if not verified:
             check_placed(unit, read, file.page_size)
     except SALVAGEABLE_ERRORS:
@@ -157,8 +161,7 @@ def guarded_decode_unit(context: ExecutionContext, decode_unit, file, pages, row
     if not verified:
         file.mark_verified(read)
     if timed:
-        seconds = time.perf_counter() - started
-        obs_metrics.PAGE_DECODE_SECONDS.observe(seconds / len(read), len(read))
+        context.decodes.append((time.perf_counter() - started, run))
     return unit, decoded
 
 
@@ -232,16 +235,11 @@ def guarded_units(context, span, file, pages, span_of, decode):
     checkpoints, and the scan that takes a piece counts its pages.
     """
     size = file.page_size
+    count = len(pages)
     at = 0
-    while at < len(pages):
+    while at < count:
         stop = window_stop(file, pages, at, span)
-        unit, decoded = guarded_decode_unit(
-            context,
-            lambda unit, verify: decode(unit, at, len(unit) // size, verify),
-            file,
-            pages[at:stop],
-            span_of(at),
-        )
+        unit, decoded = guarded_decode_unit(context, decode, file, pages[at:stop], span_of, at)
         if unit is None:
             yield at, 1, None
             at += 1
@@ -385,11 +383,14 @@ class Scanner(Operator):
                     f"{schema.name}.{predicate.attr} ({dtype}) cannot be compared "
                     f"with {predicate.value!r}: {exc}"
                 ) from exc
+        widths = schema.widths
         #: ``(predicate, attr, operand bytes)`` for :func:`apply_predicates`.
-        self._bound = tuple(
-            (p, p.attr, schema.attribute(p.attr).width) for p in self.predicates
-        )
-        self._selected_width = sum(schema.attribute(name).width for name in select)
+        self._bound = tuple((p, p.attr, widths[p.attr]) for p in self.predicates)
+        try:
+            self._selected_width = sum(map(widths.__getitem__, self.select))
+        except KeyError as unknown:
+            schema.attribute(unknown.args[0])  # raises, naming the attribute
+            raise
         #: Accessed attributes in access order: predicate attributes
         #: first (pushed deepest), then the rest of the select list.
         filtered = list(dict.fromkeys(p.attr for p in self.predicates))
@@ -400,10 +401,11 @@ class Scanner(Operator):
         self._predicate_kinds = self._compressed_kinds(filtered)
         self._select_kinds = self._compressed_kinds(self._taken)
         self._unit_pages = unit_pages(context.calibration, table.page_size)
+        self._window_pages = window_pages(context.calibration, table.page_size)
 
     def _compressed_kinds(self, names) -> list[CodecKind]:
-        specs = (self.table.schema.attribute(name).spec for name in names)
-        return [spec.kind for spec in specs if spec.is_compressed]
+        kinds = self.table.schema.compressed_kinds
+        return [kinds[name] for name in names if name in kinds]
 
     def describe(self) -> str:
         detail = f"{self.table.schema.name}: {', '.join(self.select)}"
@@ -468,15 +470,18 @@ class Scanner(Operator):
         candidates, predicate evaluations, their operand bytes,
         qualifying tuples and their offset among all the pages'.
         """
-        starts = np.cumsum(counts) - counts
-        nonempty = counts > 0
+        nonempty = counts.nonzero()[0]
+        starts = (np.cumsum(counts) - counts)[nonempty]
 
         def per_page(mask) -> np.ndarray:
-            # One False more, so a last page without tuples starts in
-            # range; what reduceat reads for any empty page is dropped.
-            return np.add.reduceat(np.append(mask, False), starts, dtype=np.int64) * nonempty
+            # Summed over the pages with tuples; an empty page has none.
+            tally = np.zeros(len(counts), dtype=np.int64)
+            if starts.size:
+                tally[nonempty] = np.add.reduceat(mask, starts, dtype=np.int64)
+            return tally
 
-        candidates = per_page(mask)
+        # A window of candidates alone, the common case, needs no count.
+        candidates = counts.astype(np.int64) if mask.all() else per_page(mask)
         tally = SimpleNamespace(predicate_evals=0 * candidates, predicate_eval_bytes=0 * candidates)
         qualified = apply_predicates(tally, self._bound, columns, mask, candidates, per_page)
         return np.array(
@@ -491,7 +496,8 @@ class Scanner(Operator):
         )
 
     def _guarded_units(self, file, pages, span_of, decode):
-        """:func:`guarded_units` for this query, in its prefetch window:
+        """:func:`guarded_units` for this query, in its prefetch window (of
+        the table's pages, which every file of the table shares):
         one checkpoint before each pull and, when governed, one for each
         later page of a whole window before it is handed on; a decoded
         piece's pages count as scanned.
@@ -501,11 +507,10 @@ class Scanner(Operator):
         a shared stream runs on behalf of all its riders.
         """
         context = self.context
-        pieces = guarded_units(
-            context, window_pages(context.calibration, file.page_size), file, pages, span_of, decode
-        )
+        pieces = guarded_units(context, self._window_pages, file, pages, span_of, decode)
+        count = len(pages)
         at = 0
-        while at < len(pages):
+        while at < count:
             self._governance_check()
             piece = at, run, decoded = next(pieces)
             if decoded is not None:
@@ -672,9 +677,7 @@ class PagedScanner(Scanner):
             # Pages hold at most ``capacity`` tuples, so this many more
             # are certain to start inside the window.
             wanted = -(-(hi - self._row_base) // table.page_codec.tuples_per_page)
-            pages = self._unit_pages
-            if want is None:
-                pages = window_pages(self.context.calibration, table.page_size)
+            pages = self._unit_pages if want is not None else self._window_pages
             self._window = range(index, min(table.file.num_pages, index + wanted, index + pages))
             self._pieces = guarded_units(
                 self.context, pages, table.file, self._window, self._span_of, self._read_unit

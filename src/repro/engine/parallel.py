@@ -637,6 +637,9 @@ def parallel_query(
             salvaged=salvaged + _unmerged_faults(context, held),
         )
         raise
+    finally:
+        # The partitions timed their decodes into the caller's list.
+        context.observe_decodes()
 
     if trace:
         tracer = context.tracer

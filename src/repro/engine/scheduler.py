@@ -72,7 +72,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult
 from repro.engine.governance import CancellationToken, QueryContext
 from repro.engine.query import Query, ScanQuery
-from repro.engine.sharing import ScanShareManager, share_key, share_needs
+from repro.engine.sharing import ScanShareManager, SharedScanConsumer, share_key, share_needs
 from repro.errors import EngineError, PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.explain import render_explain
@@ -371,7 +371,7 @@ class Scheduler:
                     # It rode while queued: leave the stream to its peers.
                     self.manager.discard(built[0])
                     salvaged = len(built[1].corruption.faults)
-                self._finish(handle, exc, salvaged)
+                self._finish(handle, exc, salvaged, None if built is None else built[0])
                 continue
             plan, context = built
             handle.state = QueryState.RUNNING
@@ -553,12 +553,12 @@ class Scheduler:
                 next(gen)
             except StopIteration:
                 self._active.remove(entry)
-                self._finish(handle, salvaged=len(plan.context.corruption.faults))
+                self._finish(handle, salvaged=len(plan.context.corruption.faults), plan=plan)
             except BaseException as exc:
                 self._active.remove(entry)
                 # Leave the stream to its peers.
                 self.manager.discard(plan)
-                self._finish(handle, _typed(exc), len(plan.context.corruption.faults))
+                self._finish(handle, _typed(exc), len(plan.context.corruption.faults), plan)
                 if not isinstance(exc, Exception):
                     raise
             self._admit()
@@ -585,12 +585,21 @@ class Scheduler:
     # --- completion -------------------------------------------------------
 
     def _finish(
-        self, handle: QueryHandle, error: Exception | None = None, salvaged: int = 0
+        self,
+        handle: QueryHandle,
+        error: Exception | None = None,
+        salvaged: int = 0,
+        plan: SharedScanConsumer | None = None,
     ) -> None:
         """The one exit of a scheduled query: one lifecycle event, carrying
         the ``salvaged`` pages it dropped, then a failure's one black box
         (so the box holds that event too), one slow-log entry, and the
-        span tree grafted onto the query's track."""
+        span tree grafted onto the query's track.  The decodes its rider
+        ``plan`` and the stream it rode have timed and not yet observed
+        reach ``repro_page_decode_seconds`` here, once."""
+        if plan is not None:
+            plan.context.observe_decodes()
+            plan.share.observe_decodes()
         handle.state = QueryState.DONE if error is None else QueryState.FAILED
         handle.error = error
         handle.finished_at = time.monotonic()

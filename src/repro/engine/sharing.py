@@ -295,13 +295,6 @@ class SharedScanStream:
         self._dtypes = {
             name: schema.attribute(name).attr_type.numpy_dtype() for name in self.attrs
         }
-        #: The codec kind of each compressed attribute: every rider's
-        #: decode charges are looked up here, not worked out per rider.
-        self._kinds = {
-            name: spec.kind
-            for name in self.attrs
-            if (spec := schema.attribute(name).spec).is_compressed
-        }
         # Segments ``[index, stop)`` draw on ``_pages_upto[stop] -
         # _pages_upto[index] + _shared_pages[index]`` pages, each counted
         # once: a page is shared only by adjacent segments, as pages and
@@ -684,6 +677,11 @@ class SharedScanStream:
         window.feeds = [self._open_feed(window, source) for source in self._sources]
         return window
 
+    def observe_decodes(self) -> None:
+        """Observe the decodes this stream's reader has timed so far, for
+        all its riders (:meth:`ExecutionContext.observe_decodes`)."""
+        self._context.observe_decodes()
+
     def _open_feed(self, window: _Window, source: _Source) -> _Feed:
         pages = range(source.first[window.first], source.last[window.stop - 1] + 1)
         if self._lost:
@@ -799,10 +797,6 @@ class SharedScanConsumer(Scanner):
         #: delivery counted without a lost page — only its first and last
         #: per file: the only ones a later delivery can draw on again.
         self._seen_pages: set[tuple[str, int]] = set()
-
-    def _compressed_kinds(self, names) -> list[CodecKind]:
-        kinds = self.share._kinds
-        return [kinds[name] for name in names if name in kinds]
 
     def describe(self) -> str:
         return (

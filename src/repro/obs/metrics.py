@@ -430,8 +430,9 @@ QUERY_SECONDS = REGISTRY.histogram(
 )
 PAGE_DECODE_SECONDS = REGISTRY.histogram(
     "repro_page_decode_seconds",
-    "Wall-clock time to read+decode one page; for a row or PAX scan, its read step"
-    " per page: the predicate attributes' decode, the filter and the survivors' gather.",
+    "Wall-clock time to read+decode one page, each query's pages observed once at their"
+    " mean; for a row or PAX scan, its read step per page: the predicate attributes'"
+    " decode, the filter and the survivors' gather.",
 )
 PAGES_SALVAGED = REGISTRY.counter(
     "repro_pages_salvaged_total",

@@ -53,11 +53,12 @@ PAGE_HEADER_BYTES = 4
 PAGE_TRAILER_BYTES = 16
 
 #: The share of a unit's tuples up to which :meth:`TuplePageCodec.take`
-#: reads attributes at the wanted tuples' slots alone; above it, they are
-#: unpacked over the unit and taken from.  Fitted by
-#: ``tests/gather_breakeven.py`` (one window of ROW, ROW-Z, PAX and
-#: PAX-Z LINEITEM; the least-regret threshold over all four).
-GATHER_SHARE = 0.25
+#: and :meth:`ColumnPageCodec.gather` read attributes at the wanted
+#: tuples' slots alone; above it, they are unpacked over the unit and
+#: taken from.  Fitted by ``tests/gather_breakeven.py`` (one window of
+#: ROW, ROW-Z, PAX, PAX-Z, COLUMN and COLUMN-Z LINEITEM; the least-regret
+#: threshold over all six).
+GATHER_SHARE = 0.3
 
 _HEADER = struct.Struct("<I")
 _TRAILER_V1 = struct.Struct("<qq")  # page_id, codec base value
@@ -215,8 +216,9 @@ def check_span(unit, page_size: int, span_of) -> None:
     (adjacent whole pages; a unit's decode holds the others full) holds
     ``span_of`` the id its trailer names: a CRC-valid page claiming
     fewer would shift every later Record ID."""
-    (count,) = _HEADER.unpack_from(unit, len(unit) - page_size)
-    (page,) = _HEADER.unpack_from(unit, len(unit) - PAGE_TRAILER_BYTES)
+    end = len(unit)
+    (count,) = _HEADER.unpack_from(unit, end - page_size)
+    (page,) = _HEADER.unpack_from(unit, end - PAGE_TRAILER_BYTES)
     span = span_of(page)
     if count != span:
         raise PageFormatError(f"page {page} claims {count} entries, its span is {span}")
@@ -351,12 +353,12 @@ class TuplePageCodec:
         size = self.page_size
         if verify:
             verify_unit(unit, size)
-        pages = len(unit) // size
+        pages, rest = divmod(len(unit), size)
         counts = np.ndarray((pages,), "<u4", unit, 0, (size,)).tolist()
         full = self.tuples_per_page
         if (
             not pages
-            or len(unit) % size
+            or rest
             or not 0 < counts[-1] <= full
             or counts[:-1] != [full] * (pages - 1)
         ):
@@ -593,7 +595,7 @@ class CodedPageCodec(TuplePageCodec):
         every byte of a page, each its own shift.  Verbatim integers on
         byte boundaries are read as stored, as :func:`unit_codes` does."""
         codec = self._codecs[index]
-        bits = codec.bits_per_value
+        bits = self._bits[index]
         start, step = self._slot_bits[index]
         pages_in_unit = len(unit) // self.page_size
         if step % 8:
@@ -646,18 +648,6 @@ class CodedPageCodec(TuplePageCodec):
         codes = self._codes(unit, len(counts), self._index[name])
         return np.array(counts, np.int64), codes.reshape(-1)[: sum(counts)]
 
-    def gather(
-        self, unit: bytes, name: str, pages: np.ndarray, slots: np.ndarray, verify: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`decode_unit` of attribute ``name`` at slot ``slots[i]``
-        of page ``pages[i]`` alone, for every ``i``, reading and decoding
-        only those codes (``_codes_at``): ``(page counts, values)``.  A slot
-        at or past its page's count raises: padding is never a value."""
-        counts = np.array(self._dense_counts(unit, verify), np.int64)
-        if (slots >= counts[pages]).any():
-            raise CompressionError("position past the values of its page")
-        return counts, self._gather_at(unit, (name,), pages, slots)[name]
-
 
 class ColumnPageCodec(CodedPageCodec):
     """Column pages: the coded page of a one-attribute schema, its codes
@@ -674,6 +664,7 @@ class ColumnPageCodec(CodedPageCodec):
         self._base_at = page_size - _BASE_SLOT.size
         self._slot_bits = [(8 * PAGE_HEADER_BYTES, self.codec.bits_per_value)]
         self.tuples_per_page = self.codec.values_per_page(self._payload_bytes)
+        self._names = schema.attribute_names
 
     def encode_pages(self, first_page_id: int, values: np.ndarray) -> bytes:
         """The pages a slice of the column fills, in order, as one buffer;
@@ -704,6 +695,24 @@ class ColumnPageCodec(CodedPageCodec):
             bases.append(state.base)
             position += consumed
         return assemble_pages(self.page_size, first_page_id, counts, payloads, bases)
+
+    def gather(
+        self, unit: bytes, pages: np.ndarray, slots: np.ndarray, verify: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`decode_unit` at slot ``slots[i]`` of page ``pages[i]``
+        alone, for every ``i``: ``(page counts, values)``.  By the rule
+        :meth:`TuplePageCodec.take` follows, while the slots are at most
+        :data:`GATHER_SHARE` of the unit's values only those codes are
+        read, each at its bit offset (``_codes_at``); above it, the unit's
+        codes are unpacked and taken from.  Either way only the codes
+        taken are decoded.  A slot at or past its page's count raises:
+        padding is never a value."""
+        counts = self._dense_counts(unit, verify)
+        unpack = len(slots) > GATHER_SHARE * sum(counts)
+        counts = np.array(counts, np.int64)
+        if np.logical_or.reduce(slots >= counts[pages]):
+            raise CompressionError("position past the values of its page")
+        return counts, self._gather_at(unit, self._names, pages, slots, unpack)[self._names[0]]
 
     def decode(self, page: bytes, verify: bool = True) -> tuple[int, np.ndarray]:
         """Parse a page into ``(page_id, value array)`` (full decode, any codec)."""

@@ -17,6 +17,8 @@ checks a page once per load rather than once per scan.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.retry import RetryPolicy, retry_io
@@ -134,8 +136,9 @@ class PagedFile:
             span = self._slice(first, count)
             if count == len(pages):
                 return span
-            size = self.page_size
-            return b"".join([span[(p - first) * size : (p - first + 1) * size] for p in pages])
+            # The listed pages, copied back to back.
+            by_page = np.ndarray((count, self.page_size), np.uint8, span)
+            return by_page.take(np.subtract(pages, first), axis=0).reshape(-1).data.toreadonly()
         read = [self.read_page(first)]
         try:
             for index in pages[1:]:

@@ -213,15 +213,16 @@ class ColumnFile:
         """Value ``in_page[i]`` of the unit's page ``pages[i]``, for every
         ``i``: ``(value count per page, values)``.
 
-        Only the wanted codes are read and decoded
-        (:meth:`CodedPageCodec.gather`), a unit of one page as any
+        Only the wanted codes are decoded (:meth:`ColumnPageCodec.gather`:
+        read at their offsets, or unpacked with the unit's and taken, by
+        the share of the unit they are), a unit of one page as any
         other, except where a value takes more: FOR-delta and RLE pages
         are decoded whole (:meth:`decode_unit`: an RLE unit of more than
         one page raises), then taken from.  An index at or past its
         page's count raises: padding is never a value.
         """
         if not self.page_codec.codec.decodes_whole_page:
-            return self.page_codec.gather(unit, self.name, pages, in_page, verify)
+            return self.page_codec.gather(unit, pages, in_page, verify)
         counts, values = self.decode_unit(unit, verify=verify)
         if (in_page >= counts[pages]).any():
             raise CompressionError("position past the values of its page")
@@ -281,6 +282,9 @@ class ColumnTable(Table):
         if missing:
             raise StorageError(f"missing column files: {sorted(missing)}")
         self.column_files = column_files
+        #: Per-column constants the pipelined scan prepares on first use
+        #: (``repro.engine.operators.scan_column.column_node``).
+        self.scan_nodes: dict = {}
 
     @property
     def layout(self) -> Layout:

@@ -89,6 +89,16 @@ class TableSchema:
     def _by_name(self) -> dict[str, Attribute]:
         return {attr.name: attr for attr in self.attributes}
 
+    @cached_property
+    def widths(self) -> dict[str, int]:
+        """Attribute name -> uncompressed width in bytes."""
+        return {attr.name: attr.width for attr in self.attributes}
+
+    @cached_property
+    def compressed_kinds(self) -> dict:
+        """Attribute name -> codec kind, for the compressed attributes."""
+        return {attr.name: attr.spec.kind for attr in self.attributes if attr.spec.is_compressed}
+
     def attribute(self, name: str) -> Attribute:
         """Look up an attribute by name."""
         attr = self._by_name.get(name)

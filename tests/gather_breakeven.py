@@ -3,13 +3,15 @@ stops paying against decoding a window whole.
 
 A row or PAX scan decodes its predicate attributes over a window, then
 reads every other selected attribute at the survivors alone
-(``TuplePageCodec.take``).  Above a survivor share, decoding the
-attribute over the window and taking from it is cheaper; this script
-measures both ways on one window of LINEITEM — ROW, ROW-Z, PAX and
-PAX-Z, every attribute but the FOR-delta ones (always decoded whole) —
-at a ladder of survivor shares, and prints the share at which the two
-cost the same, per layout, and the one threshold (a multiple of 0.05)
-that loses least against the faster way, summed over the four layouts
+(``TuplePageCodec.take``); a position-driven column node reads its
+column's wanted codes the same way (``ColumnPageCodec.gather``).  Above
+a survivor share, decoding the attribute over the window and taking
+from it is cheaper; this script measures both ways on one window of
+LINEITEM — ROW, ROW-Z, PAX, PAX-Z, and COLUMN and COLUMN-Z, one column
+file at a time — every attribute but the FOR-delta ones (always decoded
+whole), at a ladder of survivor shares, and prints the share at which
+the two cost the same, per layout, and the one threshold (a multiple of
+0.05) that loses least against the faster way, summed over the layouts
 and every share.  The module constant is that last number.
 
 Run with::
@@ -33,13 +35,34 @@ LAYOUTS = (
     ("ROW-Z", Layout.ROW, True),
     ("PAX", Layout.PAX, False),
     ("PAX-Z", Layout.PAX, True),
+    ("COLUMN", Layout.COLUMN, False),
+    ("COLUMN-Z", Layout.COLUMN, True),
 )
 
 
-def window(table) -> tuple[bytes, int]:
-    """The table's pages as one unit, and its tuples."""
-    file = table.file
-    return bytes(file.read_pages(range(file.num_pages))), table.num_rows
+def window(file) -> bytes:
+    """A file's pages as one unit."""
+    return bytes(file.read_pages(range(file.num_pages)))
+
+
+class ColumnArm:
+    """``take`` over the files of a COLUMN table: each attribute's wanted
+    codes gathered from its own file's window (``ColumnPageCodec.gather``)."""
+
+    def __init__(self, table):
+        self.files = {
+            name: (column_file.page_codec, window(column_file.file))
+            for name, column_file in table.column_files.items()
+            if not column_file.page_codec.codec.decodes_whole_page
+        }
+
+    def take(self, _unit, _total, names, rows):
+        taken = {}
+        for name in names:
+            codec, unit = self.files[name]
+            pages, slots = np.divmod(rows, codec.tuples_per_page)
+            taken[name] = codec.gather(unit, pages, slots, False)[1]
+        return taken
 
 
 def best_of(reps: int, run) -> float:
@@ -97,13 +120,18 @@ def main(argv=None) -> int:
     cases = []
     for label, layout, compressed in LAYOUTS:
         table = load_table(packed if compressed else plain, layout)
-        codec = table.page_codec
-        unit, total = window(table)
-        names = tuple(
-            name
-            for name in table.schema.attribute_names
-            if name not in getattr(codec, "_whole_page", ())
-        )
+        total = table.num_rows
+        if layout is Layout.COLUMN:
+            codec = ColumnArm(table)
+            unit, names = None, tuple(codec.files)
+        else:
+            codec = table.page_codec
+            unit = window(table.file)
+            names = tuple(
+                name
+                for name in table.schema.attribute_names
+                if name not in getattr(codec, "_whole_page", ())
+            )
         draws = [
             np.sort(rng.choice(total, size=max(1, int(share * total)), replace=False))
             for share in SHARES
@@ -134,7 +162,7 @@ def main(argv=None) -> int:
     print(f"median break-even over layouts: {float(np.median(crossings)):.3f}")
     candidates = np.arange(0.0, 1.0001, 0.05)
     fitted = min(candidates, key=lambda threshold: regret(threshold, timings))
-    print(f"threshold of least regret over all four: {fitted:.2f}")
+    print(f"threshold of least regret over all {len(LAYOUTS)}: {fitted:.2f}")
     return 0
 
 

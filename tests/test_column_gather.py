@@ -135,3 +135,18 @@ def test_packed_codes_are_read_where_they_lie(name, monkeypatch):
     positions = np.array([0, 17, len(values) - 1])
     got = column_file.gather_unit(unit, *column_file.locate(positions))[1]
     np.testing.assert_array_equal(got, values[positions])
+
+
+@pytest.mark.parametrize("side", ["slots", "unpacked"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_gather_on_either_side_of_the_share_equals_decode_then_take(name, side):
+    """Below ``GATHER_SHARE`` of the unit's values a node reads its codes
+    at their offsets, above it unpacks the unit and takes: the same
+    values either way."""
+    rng = np.random.default_rng([len(name), *name.encode()])
+    codec, values = _codec_and_values(name, 32, rng)
+    column_file, unit = column_unit(codec, values)
+    share = page_module.GATHER_SHARE * (0.5 if side == "slots" else 2)
+    positions = np.sort(rng.choice(len(values), size=int(share * len(values)), replace=False))
+    got = column_file.gather_unit(unit, *column_file.locate(positions))[1]
+    np.testing.assert_array_equal(got, column_file.decode_unit(unit)[1][positions])

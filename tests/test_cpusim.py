@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression.base import CodecKind
 from repro.cpusim.breakdown import CpuBreakdown
-from repro.cpusim.cache import PREFETCH_COVERAGE_THRESHOLD, page_lines, position_lines
+from repro.cpusim.cache import PREFETCH_COVERAGE_THRESHOLD, access_lines, page_lines
 from repro.cpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.cpusim.costmodel import CpuModel
 from repro.cpusim.events import CostEvents
@@ -48,6 +48,14 @@ class TestCostEvents:
         events.count_decode(CodecKind.DICT, 7)
         events.count_decode(CodecKind.PACK, 3)
         assert events.total_decodes() == 10
+
+
+def position_lines(
+    bounds, in_page, counts, value_bits, line_sizes, threshold=PREFETCH_COVERAGE_THRESHOLD
+):
+    """The lines one access moves alone: :func:`access_lines` of it, once."""
+    access = (np.asarray(bounds, dtype=np.int64), in_page, counts, value_bits, 1)
+    return access_lines([access], line_sizes, threshold)
 
 
 def classify_page_access(
@@ -198,6 +206,74 @@ def test_position_lines_is_the_union1d_model_page_by_page(
     ]
     assert sums == [tuple(map(sum, zip(*pairs))) for pairs in zip(*expected)]
     assert lines_page_by_page(per_page, counts.tolist(), value_bits, LINE_SIZES) == expected
+
+
+def _drawn_access(draw, value_bits, salvaged_pages):
+    """One position-driven access as a column node makes it: the pages
+    its positions touch, each full but a short last one — or emptied by
+    salvage (no value, no position) — and ascending positions on each."""
+    payload_bytes = draw(st.sampled_from((236, 1004, 4076)))
+    capacity = max(1, payload_bytes * 8 // value_bits)
+    pages = draw(st.integers(1, 8))
+    counts = [capacity] * pages
+    counts[-1] = draw(st.integers(1, capacity))
+    per_page = []
+    for page in range(pages):
+        if page in salvaged_pages:
+            counts[page] = 0
+            per_page.append(np.zeros(0, dtype=np.int64))
+            continue
+        density = draw(st.sampled_from(DENSITIES))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        if density == "none":
+            chosen = np.zeros(0, dtype=np.int64)
+        elif density == "sparse":
+            chosen = np.unique(rng.integers(0, counts[page], 3))
+        elif density == "alternate-lines":
+            chosen = np.arange(0, counts[page], 2 * max(1, 512 // value_bits))
+        elif density == "half":
+            chosen = np.flatnonzero(rng.random(counts[page]) < 0.5)
+        else:
+            chosen = np.arange(counts[page])
+        per_page.append(chosen)
+    bounds = np.cumsum([0] + [chosen.size for chosen in per_page])
+    return per_page, bounds, np.concatenate(per_page), np.array(counts)
+
+
+@st.composite
+def query_accesses(draw):
+    """The distinct line accesses of one query: a mix of widths from 1
+    bit to 552 (69-byte text), page geometries, salvaged pages and node
+    multiplicities."""
+    accesses = []
+    for _ in range(draw(st.integers(1, 6))):
+        value_bits = draw(st.one_of(st.integers(1, 64), st.integers(1, 69).map(lambda w: 8 * w)))
+        salvaged = draw(st.sets(st.integers(0, 7), max_size=2))
+        per_page, bounds, in_page, counts = _drawn_access(draw, value_bits, salvaged)
+        weight = draw(st.integers(1, 7))
+        accesses.append((per_page, bounds, in_page, counts, value_bits, weight))
+    return accesses
+
+
+@settings(max_examples=300, deadline=None)
+@given(accesses=query_accesses())
+def test_one_charge_per_query_is_the_sum_of_its_accesses(accesses):
+    """The query's one pass (:func:`access_lines`) against each access
+    alone (:func:`position_lines`) and against the union1d model of each
+    page, every access weighted by the nodes that made it."""
+    got = access_lines([access[1:] for access in accesses], LINE_SIZES)
+    alone = [(0, 0)] * len(LINE_SIZES)
+    union1d = [(0, 0)] * len(LINE_SIZES)
+    for per_page, bounds, in_page, counts, bits, weight in accesses:
+        sums = position_lines(bounds, in_page, counts, bits, LINE_SIZES)
+        alone = [(s + weight * ds, r + weight * dr) for (s, r), (ds, dr) in zip(alone, sums)]
+        for row, line_bytes in enumerate(LINE_SIZES):
+            for chosen, count in zip(per_page, counts.tolist()):
+                ds, dr = reference_classify_page_access(chosen, count, bits, line_bytes)
+                s, r = union1d[row]
+                union1d[row] = (s + weight * ds, r + weight * dr)
+    assert got == alone == union1d
 
 
 def test_exactly_half_the_lines_is_dense_on_every_page():

@@ -245,6 +245,67 @@ class TestEnableDisable:
         assert metrics.PAGE_DECODE_SECONDS.count > 0
 
 
+class TestPageDecodeSeconds:
+    """Every page a query decodes is one count of
+    ``repro_page_decode_seconds``, observed once when the query ends —
+    serial, over partitions, or scheduled over a shared stream."""
+
+    @staticmethod
+    def _observations(monkeypatch) -> list[int]:
+        seen = []
+        observe = Histogram.observe
+
+        def counting(histogram, value, times=1):
+            if histogram is metrics.PAGE_DECODE_SECONDS:
+                seen.append(times)
+            observe(histogram, value, times)
+
+        monkeypatch.setattr(Histogram, "observe", counting)
+        return seen
+
+    @staticmethod
+    def _workload(layout):
+        data = generate_orders(6_000, seed=3)
+        predicate = predicate_for_selectivity("O_TOTALPRICE", data.columns["O_TOTALPRICE"], 0.3)
+        query = ScanQuery("ORDERS", select=("O_TOTALPRICE", "O_ORDERKEY"), predicates=(predicate,))
+        return load_table(data, layout), query
+
+    @pytest.mark.parametrize("layout", [Layout.ROW, Layout.COLUMN], ids=["row", "column"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_query_observes_its_pages_once(self, monkeypatch, layout, workers):
+        from repro.engine.parallel import parallel_query
+
+        from repro.cpusim.calibration import DEFAULT_CALIBRATION
+        from repro.engine.context import ExecutionContext
+
+        table, query = self._workload(layout)
+        seen = self._observations(monkeypatch)
+        # A window per I/O unit: the query reads several.
+        context = ExecutionContext(
+            calibration=DEFAULT_CALIBRATION.with_overrides(default_prefetch_depth=1)
+        )
+        if workers == 1:
+            result = run_scan(table, query, context)
+        else:
+            result = parallel_query(table, query, workers=workers, context=context)
+        assert result.events.pages_touched > 1
+        assert seen == [result.events.pages_touched]
+        assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
+
+    def test_a_scheduled_batch_observes_what_its_streams_decoded(self, monkeypatch):
+        from repro.engine.scheduler import Scheduler
+
+        table, query = self._workload(Layout.COLUMN)
+        seen = self._observations(monkeypatch)
+        scheduler = Scheduler(max_inflight=4, share_scans=True)
+        for _ in range(3):
+            scheduler.submit(table, query)
+        scheduler.run()
+        # Riders that board together finish together: the first to
+        # finish observes the whole pass.
+        assert seen == [scheduler.manager.io_pages()] == [metrics.PAGE_DECODE_SECONDS.count]
+
+
 class TestRetryMetrics:
     def test_transient_retries_are_counted(self):
         failures = [TransientIOError("flaky"), TransientIOError("flaky")]

@@ -306,10 +306,10 @@ class TestSalvagePages:
         spans = []
         real = scan_core.guarded_decode_unit
 
-        def spy(context, decode_unit, file, pages, row_span):
+        def spy(context, decode_unit, file, pages, span_of, at):
             if file is victim and pages[0] < lost < pages[-1] and lost not in pages:
                 spans.append(list(pages))
-            return real(context, decode_unit, file, pages, row_span)
+            return real(context, decode_unit, file, pages, span_of, at)
 
         monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
         probe = SharedScanStream(table, QUERY.scan_attributes(), False, calibration)

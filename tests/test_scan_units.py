@@ -1240,17 +1240,17 @@ class TestColumnWindowRules:
         reads, page_decodes, checked = [], [], []
         read, decode = scan_core.guarded_decode_unit, scan_core.guarded_decode
 
-        def read_spy(context, decode_unit, read_file, pages, row_span):
+        def read_spy(context, decode_unit, read_file, pages, span_of, at):
             if read_file is not file:
-                return read(context, decode_unit, read_file, pages, row_span)
+                return read(context, decode_unit, read_file, pages, span_of, at)
 
-            def verifying(unit, verify):
+            def verifying(unit, at, run, verify):
                 if verify:
                     checked.extend(pages)
-                return decode_unit(unit, verify)
+                return decode_unit(unit, at, run, verify)
 
             reads.append(pages)
-            return read(context, verifying, read_file, pages, row_span)
+            return read(context, verifying, read_file, pages, span_of, at)
 
         def decode_spy(context, decode_page, read_file, page, row_span, data=None):
             if read_file is file:
@@ -1489,10 +1489,10 @@ class TestSpanUnits:
             comments = table.column_file("L_COMMENT").file
             reads = []
 
-            def spy(context, decode_unit, file, pages, row_span):
+            def spy(context, decode_unit, file, pages, span_of, at):
                 if file is comments:
                     reads.append(list(pages))
-                return read(context, decode_unit, file, pages, row_span)
+                return read(context, decode_unit, file, pages, span_of, at)
 
             monkeypatch.setattr(scan_core, "guarded_decode_unit", spy)
             run_scan(table, query, _depth_context(depth))
@@ -1554,6 +1554,8 @@ def _rle_outcomes(table, query, kind, window=None) -> list[dict]:
         context = ExecutionContext(calibration=calibration, governance=QueryContext())
         zero_metrics()
         result = execute_plan(scan_plan(context, table, query, kind, row_range=window))
+        # A bare plan has no query end to observe its decodes at.
+        context.observe_decodes()
         assert metrics.PAGE_DECODE_SECONDS.count == result.events.pages_touched
         outcomes.append(_outcome(result, context))
     return outcomes
@@ -1935,6 +1937,7 @@ def test_a_solo_pass_reads_each_window_once(layout, depth, fresh_telemetry):
     ]
     assert all(file.page_reads == 0 for file in files.values())
     read = sum(count for file in files.values() for _start, count in file.unit_reads)
+    stream.observe_decodes()  # what the scheduler does when the rider finishes
     assert metrics.PAGE_DECODE_SECONDS.count == read
     # The modeled I/O is per logical page, each charged once.
     assert stream.io_events.pages_touched == sum(file.num_pages for file in files.values())

@@ -189,8 +189,15 @@ SHARES = {
 @pytest.mark.parametrize("share", list(SHARES))
 @pytest.mark.parametrize(
     "layout, compressed",
-    [(Layout.ROW, False), (Layout.ROW, True), (Layout.PAX, False), (Layout.PAX, True)],
-    ids=["ROW", "ROW-Z", "PAX", "PAX-Z"],
+    [
+        (Layout.ROW, False),
+        (Layout.ROW, True),
+        (Layout.PAX, False),
+        (Layout.PAX, True),
+        (Layout.COLUMN, False),
+        (Layout.COLUMN, True),
+    ],
+    ids=["ROW", "ROW-Z", "PAX", "PAX-Z", "COLUMN", "COLUMN-Z"],
 )
 def test_a_scan_at_any_survivor_share_answers_as_the_oracle(
     lineitem, layout, compressed, share, workers
