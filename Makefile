@@ -92,6 +92,9 @@ obs-test:
 # retries, what partitions on pool threads share, from two caller
 # threads at once), governance (deadlines, cancels, the supervision
 # ladder, Ctrl-C) and every result shape through the one build_plan.
+# AVG's partials aggregate one scan (and sort) of each partition
+# (tests/test_parallel_equivalence.py::TestAggregates::
+# test_avg_scans_each_partition_once).
 # Run it on any change to engine/parallel.py or engine/governance.py.
 parallel-test:
 	pytest tests/test_parallel_equivalence.py tests/test_parallel_dispatch.py \
@@ -145,6 +148,17 @@ workload-bench:
 # test_a_page_short_of_its_span_is_refused_by_name: a page flipped after
 # it was verified, a short page and a misplaced one, on ROW, PAX and
 # COLUMN).
+# A row or PAX rider reads the stream's checked pages through the serial
+# read step: three riders over a page corrupted mid-window, strict and
+# salvage on ROW, ROW-Z and PAX, each rider's output, events, ticks,
+# pages scanned and faults and the stream's I/O pinned at 3efecc8
+# (tests/test_scan_sharing.py::
+# test_a_corrupt_page_mid_window_reaches_each_rider_as_before), and a
+# query that arrives mid-pass reading what its peer does not rides the
+# live stream (test_a_query_reading_more_rides_the_live_stream,
+# test_a_queued_query_boards_the_live_stream_whatever_it_reads); a
+# strict rider keeps its first error and reads no later delivery
+# (test_a_failed_rider_keeps_its_first_error_and_reads_no_more).
 # Run it on any change to engine/scheduler.py or engine/sharing.py:
 # what a timeslice pumps, or who rides while queued, may move poll()
 # rounds, stream counts and stream I/O, never a query's event.

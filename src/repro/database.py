@@ -437,9 +437,9 @@ class Database:
         (``max_inflight``), cooperative
         time-slicing, and circular scan streams — with ``share_scans``
         shared by co-running queries, one per row or PAX table whatever
-        they project (a query needing an attribute no live stream
-        decodes opens another) and one per column table and column set;
-        without, one per query.  Handles come back in submission
+        they project (the stream pumps whole pages, and each query reads
+        its own attributes off them) and one per column table and column
+        set; without, one per query.  Handles come back in submission
         order; failed queries carry their typed error on
         ``handle.error`` instead of raising.  ``info``, when given,
         receives the scheduler's

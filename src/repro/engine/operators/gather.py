@@ -14,17 +14,16 @@ merge itself is traced and cost-accounted like any other plan node:
   the same ``np.unique`` grouping and per-group arithmetic the serial
   :class:`~repro.engine.operators.aggregate.HashAggregate` uses, so
   group order, dtypes, and values match the serial plan exactly.
-* :class:`MergeSortedRuns` — k-way heap merge of per-partition sorted
-  runs.  Ties break by global position (Record ID): each run is
-  internally stable with positions ascending, so equal keys come out
-  in original row order — identical to the serial stable sort — even
-  when runs are delivered out of partition order (a shared-scan or
-  parallel interleaving must not be able to reorder ties).
+* :class:`MergeSortedRuns` — merge of per-partition sorted runs, by
+  one stable sort of their rows on (keys..., global position).  Ties
+  break by Record ID, so equal keys come out in original row order —
+  identical to the serial stable sort — even when runs are delivered
+  out of partition order (a shared-scan or parallel interleaving must
+  not be able to reorder ties).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -147,16 +146,18 @@ class MergePartials(_AggregateBase):
 
 
 class MergeSortedRuns(RunOnce):
-    """K-way merge of per-partition runs, each sorted on ``keys``.
+    """Merge of per-partition runs, each sorted on ``keys``.
 
-    Heap entries compare as ``(key values..., global position)``: each
-    run is internally stable — equal keys appear in ascending Record-ID
-    order — and positions are globally unique, so ties across runs
-    resolve to original row order no matter how the runs were produced
-    or in what order they arrived.  That makes the merged output
-    byte-identical to the serial plan's chained stable sorts even when
-    partitions finish out of order (a run-index tie-break would be
-    wrong the moment runs are not delivered in partition order).
+    The runs' rows are ordered by ``(key values..., global position)``
+    in one stable ``np.lexsort``: each run is internally stable — equal
+    keys appear in ascending Record-ID order — and positions are
+    globally unique, so this is the k-way merge's total order, and ties
+    across runs resolve to original row order no matter how the runs
+    were produced or in what order they arrived.  That makes the merged
+    output byte-identical to the serial plan's chained stable sorts even
+    when partitions finish out of order (a run-index tie-break would be
+    wrong the moment runs are not delivered in partition order).  It is
+    charged as a k-way merge: ``n log2 k`` comparisons.
     """
 
     def __init__(
@@ -189,33 +190,9 @@ class MergeSortedRuns(RunOnce):
                 if key not in run.columns:
                     raise PlanError(f"merge key {key!r} missing from input")
         merged = concat_blocks(runs)
-        offsets = np.cumsum([0] + [len(run) for run in runs[:-1]])
-
-        key_columns = [
-            [run.column(key).tolist() for key in self.keys] for run in runs
-        ]
-        position_lists = [run.positions.tolist() for run in runs]
-
-        def entry(run_index: int, row: int):
-            cols = key_columns[run_index]
-            return (
-                tuple(col[row] for col in cols),
-                position_lists[run_index][row],
-                run_index,
-                row,
-            )
-
-        heap = [entry(run_index, 0) for run_index in range(len(runs))]
-        heapq.heapify(heap)
-        order = np.empty(len(merged), dtype=np.int64)
-        filled = 0
-        while heap:
-            _key, _position, run_index, row = heapq.heappop(heap)
-            order[filled] = offsets[run_index] + row
-            filled += 1
-            if row + 1 < len(runs[run_index]):
-                heapq.heappush(heap, entry(run_index, row + 1))
-
+        # ``np.lexsort`` sorts by its last key first.
+        keys = [merged.column(key) for key in reversed(self.keys)]
+        order = np.lexsort((merged.positions, *keys))
         n = len(merged)
         self.events.sort_comparisons += int(
             n * max(1.0, math.log2(max(len(runs), 2)))

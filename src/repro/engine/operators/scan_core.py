@@ -16,9 +16,10 @@ select ∘ gather ∘ decompress over columns.  Here live
 * :func:`apply_predicates` and :meth:`Scanner._project` — the predicate
   loop and the projection copy, with their cost accounting;
 * :class:`Scanner` — validation, access order, row window,
-  ``describe()``, the empty block and the per-run filter kernel
-  (:meth:`Scanner._filter_pages`, under :class:`PagedScanner` and a
-  shared stream's riders) — with :class:`PagedScanner` (a prefetch
+  ``describe()``, the empty block, the per-run filter kernel
+  (:meth:`Scanner._filter_pages`) and the row and PAX read step
+  (:meth:`Scanner._read_step`), both under :class:`PagedScanner` and a
+  shared stream's riders — with :class:`PagedScanner` (a prefetch
   window of I/O units at a time, released as one batch of as many pages
   as the consumer wants: row, PAX) and :class:`RunOnceScanner` (whole
   table in the first ``next()``: fused, pipelined, index).
@@ -26,9 +27,11 @@ select ∘ gather ∘ decompress over columns.  Here live
 A row or PAX scan materializes late, as the paper's row scanner does:
 its read step decodes the predicate attributes over the window, filters,
 and reads every other selected attribute at the survivors alone
-(:meth:`PagedScanner._read_unit`), so the real clock decodes what the
-lazy-decode rule charges.  A strategy says how a page is charged to the
-memory hierarchy and when its decompression is charged.
+(:meth:`Scanner._read_step`), so the real clock decodes what the
+lazy-decode rule charges.  A shared row or PAX stream's riders read
+the pages it pumps through the same step.  A strategy says how a page
+is charged to the memory hierarchy and when its decompression is
+charged.
 Accounting stays per logical page — one checkpoint and one
 ``pages_scanned`` per page taken, one ``pages_touched`` per page
 decoded — whatever unit bytes are fetched or decoded in (DESIGN.md,
@@ -226,13 +229,11 @@ def guarded_units(context, span, file, pages, span_of, decode):
     read, checked or counted.  ``decoded`` is what ``decode(unit, at, run, verify)`` made
     of it, ``verify`` saying whether to check the CRCs
     (:func:`guarded_decode_unit`).  A window that does not decode whole
-    is served a page a step from the bytes already read, so a fault
-    names its page: ``decoded`` is then what ``decode(data, at, 1,
-    verify)`` made of one page, or ``None`` where salvage dropped it
-    (``span_of(at)`` rows are recorded lost).  A window that comes back
-    short — a later page would not read — is followed by one that starts
-    at that page.  A pure reader: a governed caller passes its
-    checkpoints, and the scan that takes a piece counts its pages.
+    is served a page a step from the bytes already read
+    (:func:`guarded_pages`), so a fault names its page.  A window that
+    comes back short — a later page would not read — is followed by one
+    that starts at that page.  A pure reader: a governed caller passes
+    its checkpoints, and the scan that takes a piece counts its pages.
     """
     size = file.page_size
     count = len(pages)
@@ -253,16 +254,26 @@ def guarded_units(context, span, file, pages, span_of, decode):
             at += run
             continue
         unit = bytes(unit)
-        for start in range(0, run * size, size):
-            yield at, 1, guarded_decode(
-                context,
-                lambda data, verify: decode(data, at, 1, verify),
-                file,
-                pages[at],
-                span_of(at),
-                unit[start : start + size],
-            )
-            at += 1
+        yield from guarded_pages(context, file, pages, span_of, decode, at, unit)
+        at += run
+
+
+def guarded_pages(context, file, pages, span_of, decode, at: int, unit):
+    """Serve ``unit``, bytes already read of ``pages[at:]``, a page a step
+    through :func:`guarded_decode`: yields ``(at, 1, decoded)``, what
+    ``decode(data, at, 1, verify)`` made of one page, or ``None`` where
+    salvage dropped it (``span_of(at)`` rows recorded lost)."""
+    size = file.page_size
+    for start in range(0, len(unit), size):
+        yield at, 1, guarded_decode(
+            context,
+            lambda data, verify: decode(data, at, 1, verify),
+            file,
+            pages[at],
+            span_of(at),
+            unit[start : start + size],
+        )
+        at += 1
 
 
 def decode_tuple_pages(span_of, page_size: int, unit, verify: bool, decode, *args):
@@ -495,6 +506,30 @@ class Scanner(Operator):
             )
         )
 
+    def _read_step(self, unit, verify: bool, row_base: int) -> tuple[np.ndarray, Block]:
+        """The read step of a row or PAX scan over adjacent pages of the
+        table from row ``row_base``: decode the predicate attributes,
+        filter the tuples inside the row window (:meth:`_filter_pages`)
+        and :meth:`~repro.storage.page.TuplePageCodec.take` each other
+        selected attribute at the survivors: ``(numbers, block of the
+        survivors)``.  A code no survivor projects is never decoded."""
+        table = self.table
+        codec = table.page_codec
+        counts, columns = decode_tuple_pages(
+            table.row_span_of_page, table.page_size, unit, verify, codec.decode_unit, self._filtered
+        )
+        total = int(counts.sum())
+        mask, _in_range = window_mask(total, row_base, self.row_range)
+        numbers = self._filter_pages(counts, columns, mask)
+        rows = np.flatnonzero(mask)
+        taken = codec.take(unit, total, self._taken, rows)
+        for name in self._filtered:
+            if name in self.select:
+                taken[name] = columns[name][rows]
+        return numbers, Block(
+            columns={name: taken[name] for name in self.select}, positions=row_base + rows
+        )
+
     def _guarded_units(self, file, pages, span_of, decode):
         """:func:`guarded_units` for this query, in its prefetch window (of
         the table's pages, which every file of the table shares):
@@ -619,31 +654,10 @@ class PagedScanner(Scanner):
         self._emitted_any = False
 
     def _read_unit(self, unit, _at, _run, verify: bool) -> tuple[np.ndarray, Block]:
-        """The read step, on pages that start at row ``_row_base``:
-        decode the predicate attributes over them, filter the tuples
-        inside the row window (:meth:`_filter_pages`), and read each other
-        selected attribute at the survivors alone
-        (:meth:`~repro.storage.page.TuplePageCodec.take`):
-        ``(numbers, block of the survivors)``.  It runs inside the decode
-        :func:`guarded_units` calls, so no view of the unit outlives it,
-        and a code no survivor projects is never decoded."""
-        table = self.table
-        codec = table.page_codec
-        counts, columns = decode_tuple_pages(
-            table.row_span_of_page, table.page_size, unit, verify, codec.decode_unit, self._filtered
-        )
-        row_base = self._row_base
-        total = int(counts.sum())
-        mask, _in_range = window_mask(total, row_base, self.row_range)
-        numbers = self._filter_pages(counts, columns, mask)
-        rows = np.flatnonzero(mask)
-        taken = codec.take(unit, total, self._taken, rows)
-        for name in self._filtered:
-            if name in self.select:
-                taken[name] = columns[name][rows]
-        return numbers, Block(
-            columns={name: taken[name] for name in self.select}, positions=row_base + rows
-        )
+        """:meth:`Scanner._read_step` on pages that start at row
+        ``_row_base``.  It runs inside the decode :func:`guarded_units`
+        calls, so no view of the unit outlives it."""
+        return self._read_step(unit, verify, self._row_base)
 
     def _span_of(self, at: int) -> int:
         return self.table.row_span_of_page(self._window[at])

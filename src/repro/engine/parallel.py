@@ -62,7 +62,7 @@ from repro.engine.governance import (
 from repro.engine.operators.base import Operator
 from repro.engine.operators.gather import GatherOperator, MergePartials, MergeSortedRuns
 from repro.engine.operators.limit import Limit, TopN
-from repro.engine.plan import ColumnScannerKind, build_plan, decompose_aggregate
+from repro.engine.plan import ColumnScannerKind, build_plan, partial_plans
 from repro.engine.query import AggregateSpec, Query, ScanQuery
 from repro.errors import PlanError, ReproError
 from repro.obs import recorder as flight
@@ -195,25 +195,23 @@ def _execute_task(task: WorkerTask, lane: _Lane | None = None) -> WorkerOutput:
         governance=governance,
     )
 
-    def run(query: Query) -> QueryResult:
-        return execute_plan(
-            build_plan(context, table, query, task.column_scanner, task.row_range)
-        )
-
     if task.query.aggregate is not None:
-        # One plan per decomposed partial (AVG is SUM + COUNT) over the
-        # same partition; their columns share the group-by key.
         partials = [
-            run(replace(task.query, aggregate=spec))
-            for spec in decompose_aggregate(task.query.aggregate)
+            execute_plan(plan)
+            for plan in partial_plans(
+                context, table, task.query, task.column_scanner, task.row_range
+            )
         ]
+        # The partials' columns share the group-by key.
         columns = dict(partials[0].columns)
         for extra in partials[1:]:
             for name, values in extra.columns.items():
                 columns.setdefault(name, values)
         positions = partials[0].positions
     else:
-        result = run(task.query)
+        result = execute_plan(
+            build_plan(context, table, task.query, task.column_scanner, task.row_range)
+        )
         columns = result.columns
         positions = result.positions
     return WorkerOutput(task.index, columns, positions, context)

@@ -9,10 +9,12 @@ row, PAX and column tables.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.aggregate import HashAggregate, SortAggregate
 from repro.engine.operators.base import Operator
+from repro.engine.operators.gather import GatherOperator
 from repro.engine.operators.limit import Limit, TopN
 from repro.engine.operators.merge_join import MergeJoin
 from repro.engine.operators.scan_column import ColumnScanner
@@ -121,15 +123,42 @@ def build_plan(
     for key in reversed(sort_keys):
         plan = SortOperator(context, plan, key=key)
     if spec is not None:
-        if query.sort_based:
-            return SortAggregate(context, plan, spec)
-        return HashAggregate(context, plan, spec)
+        return _aggregate(context, plan, spec, query.sort_based)
     if query.topn is not None:
         key, count, descending = query.topn
         return TopN(context, plan, key=key, count=count, descending=descending)
     if query.limit is not None:
         return Limit(context, plan, query.limit)
     return plan
+
+
+def _aggregate(context: ExecutionContext, plan: Operator, spec: AggregateSpec, sort_based: bool):
+    """The aggregate node of ``spec`` over ``plan``."""
+    if sort_based:
+        return SortAggregate(context, plan, spec)
+    return HashAggregate(context, plan, spec)
+
+
+def partial_plans(
+    context: ExecutionContext,
+    table: Table,
+    query: Query,
+    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
+    row_range: tuple[int, int] | None = None,
+) -> list[Operator]:
+    """One plan per partial of ``query``'s aggregate
+    (:func:`decompose_aggregate`) over one partition (``row_range``).
+    Several (AVG's SUM and COUNT) aggregate the blocks of one scan and
+    sort chain, drained here."""
+    specs = decompose_aggregate(query.aggregate)
+    plan = build_plan(context, table, replace(query, aggregate=specs[0]), column_scanner, row_range)
+    if len(specs) == 1:
+        return [plan]
+    blocks = plan.child.drain()
+    return [
+        _aggregate(context, GatherOperator(context, blocks, "scanned once"), spec, query.sort_based)
+        for spec in specs
+    ]
 
 
 def aggregate_plan(

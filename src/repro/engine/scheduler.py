@@ -25,15 +25,13 @@ ride and only the interleaving of ``poll()`` rounds is coarser.
   :class:`~repro.errors.QueryCancelled`) without ever advancing — a
   rider that boarded leaves its stream first.
 * **Shared scans** — queries with the same share key, running or
-  queued, attach to one circular stream (I/O once, per-consumer CPU),
-  mirroring the Figure 11 competing-scans model
+  queued, attach to its one circular stream (I/O once, per-consumer
+  CPU), mirroring the Figure 11 competing-scans model
   (:func:`repro.iosim.sharing.measure_competing_scans`).  On a row or
-  PAX table the key is the table and integrity mode, whatever a query
-  projects: a stream opens decoding every attribute the queries queued
-  under its key read, so a batch reads the row file once; a query that
-  needs an attribute no live stream of its key carries opens another
-  beside it.  On a column table the key also names the column set, and
-  a batch reads each column set once.  ``share_scans=False`` keeps
+  PAX table the key is the table and integrity mode: the stream pumps
+  whole pages and each rider reads its own attributes off them, so a
+  query arriving mid-pass rides it whatever it reads.  On a column
+  table the key also names the column set.  ``share_scans=False`` keeps
   Figure 11's control arm by giving each query a share key no other can
   match: it opens its own stream and never takes a second rider.
 * **Isolation** — each query runs under its own
@@ -72,7 +70,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult
 from repro.engine.governance import CancellationToken, QueryContext
 from repro.engine.query import Query, ScanQuery
-from repro.engine.sharing import ScanShareManager, SharedScanConsumer, share_key, share_needs
+from repro.engine.sharing import ScanShareManager, SharedScanConsumer, share_key
 from repro.errors import EngineError, PlanError, ReproError
 from repro.obs import recorder as flight
 from repro.obs.explain import render_explain
@@ -128,7 +126,6 @@ class QueryHandle:
         governance: QueryContext,
         salvage: bool,
         share_key: tuple,
-        needs: frozenset | None,
     ):
         self.index = index
         self.table = table
@@ -138,11 +135,8 @@ class QueryHandle:
         self.state = QueryState.QUEUED
         self.result: QueryResult | None = None
         self.error: Exception | None = None
-        #: The key of the stream it rides, and what that stream must
-        #: carry (:func:`~repro.engine.sharing.share_needs`), computed
-        #: once at submit.
+        #: The key of the stream it rides, computed once at submit.
         self.share_key = share_key
-        self.needs = needs
         #: ``(plan, context)`` built when it boarded a live stream while
         #: queued; its admission takes it.
         self._built: tuple | None = None
@@ -257,9 +251,6 @@ class Scheduler:
         self._queue: deque[QueryHandle] = deque()
         #: Queued handles not riding yet, by share key, in queue order.
         self._unboarded: dict[tuple, deque[QueryHandle]] = {}
-        #: Per paged share key, how many queued handles read each
-        #: attribute: a stream opened under the key decodes them all.
-        self._wanted: dict[tuple, dict[str, int]] = {}
         #: Share keys to look up at the next boarding pass: those of
         #: handles submitted, or streams opened, since the last one.
         self._board_keys: dict[tuple, None] = {}
@@ -318,7 +309,6 @@ class Scheduler:
         key = share_key(table, query, not salvage)
         if not self.share_scans:
             key = (key, index)  # no other query's: it rides alone
-        needs = share_needs(table, query)
         handle = QueryHandle(
             index=index,
             scheduler=self,
@@ -327,12 +317,7 @@ class Scheduler:
             governance=governance,
             salvage=salvage,
             share_key=key,
-            needs=needs,
         )
-        if needs is not None:
-            wanted = self._wanted.setdefault(key, {})
-            for name in needs:
-                wanted[name] = wanted.get(name, 0) + 1
         handle.replay = replay
         handle.post = post
         self._handles.append(handle)
@@ -352,11 +337,14 @@ class Scheduler:
     def _admit(self) -> None:
         while self._queue and len(self._active) < self.max_inflight:
             handle = self._queue.popleft()
-            self._dequeued(handle)
             handle.admitted_at = time.monotonic()
             built, handle._built = handle._built, None
             if built is None:
-                self._unboard(handle)
+                # Never boarded: a pass boards a key's whole line, so it heads its own.
+                waiting = self._unboarded[handle.share_key]
+                waiting.popleft()
+                if not waiting:
+                    del self._unboarded[handle.share_key]
             try:
                 # Queue time is charged to the deadline: a query that
                 # waited past it fails here without advancing a page.
@@ -388,54 +376,23 @@ class Scheduler:
             self._board()
 
     def _board(self) -> None:
-        """The window is full: each queued handle for which a live stream
-        of its share key carries its attributes boards it, its plan built
-        now, and receives segments off its peers' pumps until admission
-        runs that plan; boarding never opens a stream.  Only keys
-        submitted or opened since the last pass are looked up."""
+        """The window is full: each queued handle whose share key has a
+        live stream boards it, its plan built now, and receives segments
+        off its peers' pumps until admission runs that plan; boarding
+        never opens a stream.  Only keys submitted or opened since the
+        last pass are looked up."""
         keys, self._board_keys = self._board_keys, {}
         for key in keys:
             if key not in self._unboarded or self.manager.live_stream(key) is None:
                 continue
-            staying = deque()
             for handle in self._unboarded.pop(key):
-                if handle.needs is not None and self.manager.live_stream(key, handle.needs) is None:
-                    # No live stream carries it: it waits for one that
-                    # will, or opens its own at admission.
-                    staying.append(handle)
-                    continue
                 try:
                     handle._built = self._build_plan(handle)
                 except ReproError as exc:
                     # A plan that cannot be built fails its own query
                     # now; it never boards, nor runs.
                     self._queue.remove(handle)
-                    self._dequeued(handle)
                     self._finish(handle, exc)
-            if staying:
-                self._unboarded[key] = staying
-
-    def _dequeued(self, handle: QueryHandle) -> None:
-        """``handle`` left the queue: its attributes no longer widen the
-        streams its key opens."""
-        if handle.needs is None:
-            return
-        wanted = self._wanted[handle.share_key]
-        for name in handle.needs:
-            wanted[name] -= 1
-            if not wanted[name]:
-                del wanted[name]
-        if not wanted:
-            del self._wanted[handle.share_key]
-
-    def _unboard(self, handle: QueryHandle) -> None:
-        """``handle`` leaves the queue without having boarded: the queue
-        is FIFO and a pass boards, of a key's line, every handle a live
-        stream serves, so it heads its own."""
-        waiting = self._unboarded[handle.share_key]
-        waiting.popleft()
-        if not waiting:
-            del self._unboarded[handle.share_key]
 
     def _build_plan(self, handle: QueryHandle):
         context = ExecutionContext(governance=handle.governance)
@@ -449,10 +406,8 @@ class Scheduler:
             handle.query,
             context,
             handle.share_key,
-            handle.needs,
             # Not admitted yet: it boards while it waits.
             queued=handle.admitted_at is None,
-            wanted=self._wanted.get(handle.share_key, ()),
         )
         return plan, context
 

@@ -5,17 +5,19 @@ table can be served off a *single* reading stream (Teradata, RedBrick,
 QPipe); Figure 11 measures the competing-scans regime this avoids.  The
 engine-side implementation lives here:
 
-* :class:`SharedScanStream` — one circular pass over a table's needed
-  column set.  A *segment* (one driving page's worth of rows) is its
-  unit of accounting: pages are charged, checkpoints passed and faults
-  recorded segment by segment.  A *run* (adjacent segments, as many as
-  the caller asks for, within one window) is its unit of delivery:
-  whoever pumps the stream drives it a run at a time, and every attached
-  consumer receives the part of the run it still needs, and filters and
-  is charged for exactly that.  A *window* (a prefetch window of adjacent
-  segments, a serial scan's size) is its unit of reading: each file
-  under a window is read, CRC-checked and decoded through the scan
-  core's one window reader, a healthy window per numpy call.  The
+* :class:`SharedScanStream` — one circular pass over a table's row
+  file or needed column set.  A *segment* (one driving page's worth of
+  rows) is its unit of accounting: pages are charged, checkpoints passed
+  and faults recorded segment by segment.  A *run* (adjacent segments,
+  as many as the caller asks for, within one window) is its unit of
+  delivery: whoever pumps the stream drives it a run at a time, and
+  every attached consumer receives the part of the run it still needs,
+  and reads and is charged for exactly that.  A *window* (a prefetch
+  window of adjacent segments, a serial scan's size) is its unit of
+  reading: each file under a window is read and checked through the scan
+  core's one window reader, a healthy window per numpy call.  A column
+  window is decoded; a row or PAX window keeps the checked pages, which
+  each rider reads through the serial scan's read step.  The
   stream's I/O (pages touched, bytes read) is accounted **once**, per
   logical page as each segment is delivered, on the stream's own
   :class:`~repro.cpusim.events.CostEvents`, mirroring the iosim
@@ -31,20 +33,22 @@ engine-side implementation lives here:
   numbers: a rider holds no row of a segment it has not been delivered.
   Output is re-assembled into global Record-ID order before emission,
   so the result is byte-identical to a cold serial scan.
-* :class:`ScanShareManager` — the attach point: a query joins an
-  in-progress stream of its :func:`share_key` — running, or still queued
-  for admission — that carries all of its attributes, and otherwise
-  gets a fresh one beside it.  A row or PAX page holds whole tuples, so
-  a paged table's key is the table and integrity mode alone and one
-  stream serves every projection it decodes; a column table's key also
-  names the column set.  A stream is dropped with its last rider; its
-  I/O totals stay.
+* :class:`ScanShareManager` — the attach point: a query joins the live
+  stream of its :func:`share_key` — its riders running, or still queued
+  for admission — and otherwise opens it.  A row or PAX page holds
+  whole tuples, so a paged table's key is the table and integrity mode
+  alone and its one stream serves every projection; a column table's
+  key also names the column set.  A stream is dropped with its last
+  rider, or once a query of its key finds it failed; its I/O totals
+  stay.
 
 Salvage mode drops the union of corrupt-page row spans across the
-needed columns — exactly the rows a serial salvage scan would lose —
-and records the damage per consumer.  Under strict integrity a decode
-error fails the whole stream with the same typed error every rider
-would have hit scanning alone.
+stream's files — exactly the rows a serial salvage scan would lose —
+and records the damage per consumer.  Under strict integrity a page
+that fails the stream's checks fails the whole stream with the same
+typed error every rider would have hit scanning alone; a row or PAX
+page whose values alone do not decode reaches only the riders that read
+them, each under its own policy.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from repro.engine.operators.scan_core import (
     SALVAGEABLE_ERRORS,
     Scanner,
     decode_tuple_pages,
+    guarded_pages,
     guarded_units,
     window_pages,
 )
@@ -80,7 +85,6 @@ __all__ = [
     "SharedScanConsumer",
     "SharedScanStream",
     "share_key",
-    "share_needs",
 ]
 
 
@@ -88,23 +92,12 @@ def share_key(table: Table, query: ScanQuery, strict_integrity: bool) -> tuple:
     """The attach-compatibility key: same table and integrity mode, and
     on a column table the same column set.
 
-    A row or PAX stream reads the same pages whatever it decodes, so a
-    paged key leaves the column set out: a query rides any live stream
-    of its key that carries its :func:`share_needs`, and opens one
-    beside them otherwise.  A column stream reads one file per column,
-    so its key fixes the columns, and any live stream of it serves."""
+    A row or PAX stream pumps whole pages, which every projection reads
+    from, so a paged key leaves the column set out.  A column stream
+    reads one file per column, so its key fixes the columns."""
     if isinstance(table, PagedTable):
         return (id(table), strict_integrity)
     return (id(table), frozenset(query.scan_attributes()), strict_integrity)
-
-
-def share_needs(table: Table, query: ScanQuery) -> frozenset | None:
-    """What a live stream of the query's :func:`share_key` must carry for
-    the query to ride it: its scan attributes on a paged table; ``None``
-    on a column table, whose key already names them."""
-    if isinstance(table, PagedTable):
-        return frozenset(query.scan_attributes())
-    return None
 
 
 @dataclass(slots=True)
@@ -116,10 +109,10 @@ class _Source:
     #: wraps it in place).
     name: str
     owner: object
-    #: ``decode(data, at, run, verify) -> {attribute: values}`` of ``run``
-    #: pages read back to back — a window, or one page decoded alone: the
-    #: callback of :func:`~repro.engine.operators.scan_core.guarded_units`,
-    #: through ``decode_tuple_pages`` whatever the layout.
+    #: ``decode(data, at, run, verify)`` of ``run`` pages read back to
+    #: back — a window, or one page alone: the callback of
+    #: :func:`~repro.engine.operators.scan_core.guarded_units`, through
+    #: ``decode_tuple_pages``: ``{attribute: values}``, or the row file's bytes.
     decode: Callable
     first_row: Callable[[int], int]
     span_of: Callable[[int], int]
@@ -140,15 +133,15 @@ class _Feed:
     #: known-lost pages when there are any.
     pages: Sequence[int]
     #: The window reader over them; lazy, so a page's error is raised by
-    #: the delivery that first draws on it.
-    pieces: Iterator
+    #: the delivery that first draws on it (``None`` once all are pulled).
+    pieces: Iterator | None
     #: ``pages[:at]`` have been pulled into the window.
     at: int = 0
 
 
 @dataclass(slots=True)
 class _Window:
-    """The decoded run of segments a stream is serving: the real buffer."""
+    """The run of segments a stream is serving: the real buffer."""
 
     #: Segments ``[first, stop)``.
     first: int
@@ -164,6 +157,8 @@ class _Window:
     #: The stream's dtype per attribute.
     dtypes: dict[str, np.dtype]
     feeds: list[_Feed] = field(default_factory=list)
+    #: A row file's pulled pages, ``(first page, buffer)`` per run of adjacent ones.
+    units: list[tuple[int, bytes]] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         """Attribute ``name`` over the whole window: a piece that covered
@@ -209,7 +204,7 @@ def _exact(value, dtype: np.dtype) -> bool:
 
 
 class SharedScanStream:
-    """One circular scan over ``attrs`` of ``table``, shared by consumers.
+    """One circular scan of ``table`` (of ``attrs``, on a column table), shared by consumers.
 
     A *segment* is the unit of accounting, a *run* the unit of delivery,
     a *window* the unit of reading.  Segments are the driving file's
@@ -219,11 +214,12 @@ class SharedScanStream:
     alongside it).  A window is the run of adjacent segments some rider
     still needs, at most a prefetch window of driving pages
     (``calibration.default_prefetch_depth`` I/O units, as a serial scan
-    reads) and never across the wrap: each file under it is read,
-    CRC-checked and decoded through the scan core's window reader — a
-    healthy window in one call, whatever its pages' verification state;
-    one with a corrupt page, a short read or RLE pages page by page
-    from the bytes already read, as each segment is reached.
+    reads) and never across the wrap: each file under it is read and
+    checked — CRC, placement, span and density — through the scan
+    core's window reader, and a column file's pages decoded: a healthy
+    window in one call, whatever its pages' verification state; one
+    with a corrupt page, a short read or RLE pages page by page from
+    the bytes already read, as each segment is reached.
     ``step(want)`` cuts a run of up to ``want`` segments from it per
     call — ``step()`` one, the scheduler's timeslice the rest of the
     window — and what a run
@@ -275,8 +271,6 @@ class SharedScanStream:
         #: ``(file name, page) -> PageFault`` of every page salvage lost:
         #: such a page is never read (or charged) again.
         self._lost: dict[tuple[str, int], object] = {}
-        #: What a rider's attributes must be a subset of to ride.
-        self.carries = frozenset(self.attrs)
         #: Segment ``i`` holds rows ``_starts[i]`` to ``_starts[i + 1]``.
         if isinstance(table, PagedTable):
             self._starts = self._paged_starts()
@@ -348,17 +342,21 @@ class SharedScanStream:
         return best
 
     def _paged_source(self) -> _Source:
-        """Row/PAX: every attribute off the one file, a page per segment."""
-        table, attrs = self.table, self.attrs
+        """Row/PAX: the one file, a page per segment, kept as checked bytes."""
+        table = self.table
         capacity = table.page_codec.tuples_per_page
         pages = range(self.num_segments)
         span_of, decode = table.row_span_of_page, table.page_codec.decode_unit
+
+        def check(data, _at, _run, verify):
+            # No attribute is decoded; ``step`` keeps the bytes.
+            decode_tuple_pages(span_of, table.page_size, data, verify, decode, ())
+            return data
+
         return _Source(
             name=table.file.name,
             owner=table,
-            decode=lambda data, _at, _run, verify: decode_tuple_pages(
-                span_of, table.page_size, data, verify, decode, attrs
-            )[1],
+            decode=check,
             first_row=lambda page: page * capacity,
             span_of=span_of,
             first=pages,
@@ -529,6 +527,17 @@ class SharedScanStream:
                 # It serves nothing more: its window goes now, not with
                 # its last rider.
                 self._window = None
+            elif self._window is not None and self._window.units:
+                # A row or PAX window's pages are views of the file, which
+                # nothing may outlive: copied if a rider needs the cursor's
+                # segment, else dropped with the window.
+                window, cursor = self._window, self._cursor
+                if window.first <= cursor < window.stop and any(
+                    cursor in consumer._remaining for consumer in self._consumers
+                ):
+                    window.units = [(page, bytes(data)) for page, data in window.units]
+                else:
+                    self._window = None
         return reached - index
 
     #: The most mask bytes :meth:`_filter_together` holds at once.
@@ -640,7 +649,6 @@ class SharedScanStream:
             self._reached = segment
             self.io_events.pages_touched += touched
             self.io_events.bytes_read += touched * self.table.page_size
-            obs_metrics.SCHEDULER_SHARED_PAGES.inc(touched)
 
     def _window_over(self, index: int) -> _Window | None:
         """The current window, if segment ``index`` is in it."""
@@ -714,6 +722,12 @@ class SharedScanStream:
                 self._invalidate(window, source, pages[at])
                 continue
             piece = pages[at : at + run]
+            if source.fifo is None:
+                # A row file's bytes; a page apiece if the piece skips a lost page.
+                size = self.table.page_size
+                cut = [(0, run)] if piece[-1] - piece[0] < run else [(k, k + 1) for k in range(run)]
+                window.units += [(piece[lo], decoded[lo * size : hi * size]) for lo, hi in cut]
+                continue
             parts = [(source.first_row(piece[0]), 0, None)]
             if piece[-1] - piece[0] >= run:
                 # The piece spans a known-lost page it did not read: each
@@ -731,6 +745,9 @@ class SharedScanStream:
                         window.columns[name] = part  # the piece is the window: no copy
                     else:
                         window.column(name)[start:stop] = part[skipped : skipped + stop - start]
+        if feed.at == len(pages):
+            # Its reader is done, and goes with the last piece it read.
+            feed.pieces = None
 
     @staticmethod
     def _invalidate(window: _Window, source: _Source, page: int) -> None:
@@ -743,8 +760,9 @@ class SharedScanConsumer(Scanner):
     """One query's ride on a :class:`SharedScanStream`.
 
     A :class:`~repro.engine.operators.scan_core.Scanner` whose
-    ``_receive`` is kernel + buffer: a delivery's segments are filtered
-    and projected once — alone, in one predicate pass and one copy
+    ``_receive`` is kernel + buffer: a delivery's segments are read
+    once — a row or PAX rider's through :meth:`Scanner._read_step`, a
+    column rider's alone, in one predicate pass and one copy
     (:meth:`Scanner._filter_pages`), or beside the riders of the
     delivery that compare the same attribute the same way
     (:meth:`SharedScanStream._filter_together`) — and their numbers
@@ -758,8 +776,8 @@ class SharedScanConsumer(Scanner):
     query.
     """
 
-    #: Segments arrive fully decoded, and each rider pays to process the
-    #: delivered values of every attribute it touches, whole.
+    #: Each rider pays to process the delivered values of every
+    #: attribute it touches, whole, as if they arrived decoded.
     LAZY_WHOLE_PAGE_KINDS = tuple(CodecKind)
 
     def __init__(
@@ -771,19 +789,15 @@ class SharedScanConsumer(Scanner):
         # Set first: the scanner's set-up reads the stream's codec kinds.
         self.share = share
         super().__init__(context, share.table, query.select, query.predicates)
-        missing = set(self._attrs).difference(share.attrs)
-        if missing:
-            raise PlanError(
-                f"shared stream lacks attributes {sorted(missing)} "
-                f"(carries {sorted(share.attrs)})"
-            )
         self.query = query
-        #: ``(attribute, comparison)`` of the query's one predicate when
-        #: its constant is exactly a value of the attribute's dtype: the
-        #: stream filters riders with the same pair together
+        #: A delivery is pages (:meth:`_read_run`), or columns (:meth:`_filter_run`).
+        self._paged = paged = isinstance(share.table, PagedTable)
+        #: ``(attribute, comparison)`` of a column rider's one predicate
+        #: when its constant is exactly a value of the attribute's dtype:
+        #: the stream filters riders with the same pair together
         #: (:meth:`SharedScanStream._filter_together`).
         self._together = None
-        if len(self.predicates) == 1:
+        if len(self.predicates) == 1 and not paged:
             predicate = self.predicates[0]
             if _exact(predicate.value, share._dtypes[predicate.attr]):
                 self._together = (predicate.attr, predicate.op)
@@ -797,6 +811,8 @@ class SharedScanConsumer(Scanner):
         #: delivery counted without a lost page — only its first and last
         #: per file: the only ones a later delivery can draw on again.
         self._seen_pages: set[tuple[str, int]] = set()
+        #: This rider's own typed error, raised at its next pump.
+        self._error: Exception | None = None
 
     def describe(self) -> str:
         return (
@@ -808,7 +824,7 @@ class SharedScanConsumer(Scanner):
 
     def _receive(self, index: int, stop: int, window: _Window, filtered) -> None:
         """Process one delivered run, segments ``[index, stop)`` (called
-        by the stream): filter it, unless the stream's group pass did
+        by the stream): read it, unless the stream's group pass did
         (``filtered``, its ``(block, totals)``, else ``None``), and charge it.
 
         Deliveries run during *whoever pumps* — often a peer's
@@ -832,6 +848,8 @@ class SharedScanConsumer(Scanner):
 
     def _receive_inner(self, index: int, stop: int, window: _Window, filtered) -> None:
         self._remaining.difference_update(range(index, stop))
+        if self._error is not None:
+            return  # it failed at its first error, and reads nothing more
         # Copy what the stream's reads found into this query's report,
         # once per page (a column page may serve several segments).
         corruption = self.context.corruption
@@ -853,7 +871,13 @@ class SharedScanConsumer(Scanner):
             corruption.pages_scanned += count - len(ends & seen)
             seen |= ends
 
-        block, totals = filtered or self._filter_run(index, stop, window)
+        read = self._read_run if self._paged else self._filter_run
+        try:
+            block, totals = filtered or read(index, stop, window)
+        except SALVAGEABLE_ERRORS as exc:
+            # A strict read step's error is this rider's, not its stream's.
+            self._error = exc
+            return
         if len(block):
             self._buffered.append((index, block))
         count, evals, eval_bytes, qualified, on_hit = totals
@@ -863,6 +887,42 @@ class SharedScanConsumer(Scanner):
         events.predicate_eval_bytes += eval_bytes
         self._charge_lazy_decodes(count, on_hit, qualified)
         self._charge_projection(qualified)
+
+    def _read_run(self, index: int, stop: int, window: _Window) -> tuple[Block, list[int]]:
+        """:meth:`_filter_run` of a row or PAX window: each run of adjacent pages of
+        ``[index, stop)`` through :meth:`Scanner._read_step`; lost rows counted, not read."""
+        table = self.table
+        size, capacity = table.page_size, table.page_codec.tuples_per_page
+
+        def read(data, page, _run, verify):
+            return self._read_step(data, verify, page * capacity)
+
+        pieces = []
+        for first, data in window.units:
+            lo, hi = max(index, first), min(stop, first + len(data) // size)
+            if lo < hi:
+                unit = memoryview(data)[(lo - first) * size : (hi - first) * size]
+                try:
+                    pieces.append(read(unit, lo, hi - lo, False))
+                except SALVAGEABLE_ERRORS:
+                    # Values that do not decode: a page at a time, under this
+                    # query's integrity policy, as its serial scan reads them.
+                    pages = guarded_pages(
+                        self.context, table.file, range(hi), table.row_span_of_page, read, lo, unit
+                    )
+                    for _page, _run, piece in pages:
+                        if piece is None:
+                            self.context.corruption.pages_scanned -= 1
+                        else:
+                            pieces.append(piece)
+        count = int(window.bounds[stop - window.first] - window.bounds[index - window.first])
+        if not pieces:
+            return self._empty_block(), [count, 0, 0, 0, 0]
+        numbers = np.concatenate([numbers for numbers, _block in pieces], axis=1)
+        _count, _candidates, evals, eval_bytes, qualified, _offsets = numbers.sum(axis=1).tolist()
+        on_hit = int(numbers[0, numbers[4] > 0].sum())
+        block = concat_blocks([block for _numbers, block in pieces])
+        return block, [count, evals, eval_bytes, qualified, on_hit]
 
     def _filter_run(self, index: int, stop: int, window: _Window) -> tuple[Block, list[int]]:
         """Filter and project the delivered segments ``[index, stop)`` in
@@ -904,10 +964,14 @@ class SharedScanConsumer(Scanner):
             raise self.share.failed
         if not self._remaining:
             self._governance_check()
-        elif not self.share.step(min(want, len(self._remaining)), self._governance_check):
+        elif self._error is None and not self.share.step(
+            min(want, len(self._remaining)), self._governance_check
+        ):
             raise EngineError(
                 "shared scan stream stalled with segments outstanding"
             )
+        if self._error is not None:
+            raise self._error
         if self._remaining:
             return True
         self._finalize()
@@ -933,25 +997,23 @@ class SharedScanConsumer(Scanner):
 
 
 class ScanShareManager:
-    """The attach point: route each query to a live stream that serves it.
+    """The attach point: route each query to the live stream of its key.
 
-    Streams are keyed by :func:`share_key`.  A query attaches mid-flight
-    to the newest live stream of its key that carries all of its
-    attributes (share *hit*); anything else starts a fresh stream (share
-    *miss*) beside the key's others, so a paged key can have several
-    live streams at once, each decoding its own attributes.  A rider
-    need not be running to attach: the scheduler boards a query still
-    waiting for admission onto a live stream that serves it
-    (:meth:`live_stream`), and it receives its segments off its peers'
-    pumps while it waits.  A stream is dropped when its last rider —
-    running or queued — detaches, or when a query of its key finds it
-    failed: its I/O totals are folded into the manager's counters, once,
-    and nothing of it stays reachable from here.
+    Streams are keyed by :func:`share_key`, one live stream per key.  A
+    query attaches mid-flight to its key's (share *hit*), or opens it
+    (share *miss*).  A rider need not be running to attach: the
+    scheduler boards a query still waiting for admission onto its key's
+    live stream (:meth:`live_stream`), and it receives its segments off
+    its peers' pumps while it waits.  A stream is dropped when its last
+    rider — running or queued — detaches, or when a query of its key
+    finds it failed: its I/O totals are folded into the manager's
+    counters and ``repro_scheduler_shared_pages_total``, once, and
+    nothing of it stays reachable from here.
     """
 
     def __init__(self) -> None:
-        #: Streams with riders attached, by share key, oldest first.
-        self._streams: dict[tuple, list[SharedScanStream]] = {}
+        #: The stream of each share key with riders attached.
+        self._streams: dict[tuple, SharedScanStream] = {}
         #: I/O of the streams dropped so far.
         self._retired_io = CostEvents()
         self.hits = 0
@@ -963,41 +1025,27 @@ class ScanShareManager:
         query: ScanQuery,
         context: ExecutionContext,
         key: tuple | None = None,
-        needs: frozenset | None = None,
         queued: bool = False,
-        wanted=(),
     ) -> SharedScanConsumer:
-        """A consumer for ``query``, on a live stream that serves it or a
-        fresh one.
+        """A consumer for ``query``, on its key's live stream or a fresh one.
 
-        ``key`` and ``needs`` are the query's :func:`share_key` and
-        :func:`share_needs` when the caller has them already (both, or
-        neither); ``queued`` marks a rider that boards while it waits for
+        ``key`` is the query's :func:`share_key` when the caller has it
+        already; ``queued`` marks a rider that boards while it waits for
         admission (the ``share.attach`` event says so).  A fresh stream
-        reads by the prefetch window of ``context``'s calibration and decodes
-        the query's attributes, then those of ``wanted`` it lacks and the
-        table has: the scheduler names there what the queries queued
-        under a paged key read, so that they can ride it too.
+        reads by the prefetch window of ``context``'s calibration.
         """
         if key is None:
             key = share_key(table, query, context.strict_integrity)
-            needs = share_needs(table, query)
-        stream = None
-        for candidate in reversed(self._streams.get(key, [])[:]):
-            if candidate.failed is not None:
-                # Its riders are on their way out; it charges nothing more.
-                self._retire(key, candidate)
-            elif stream is None and (needs is None or needs <= candidate.carries):
-                stream = candidate
+        stream = self._streams.get(key)
+        if stream is not None and stream.failed is not None:
+            # Its riders are on their way out; it charges nothing more.
+            self._retire(key, stream)
+            stream = None
         hit = stream is not None
         if not hit:
-            attrs = query.scan_attributes()
-            # Only what the table has: a query naming anything else
-            # fails on a stream of its own, not on its peers'.
-            known = table.schema.attribute_names
             stream = SharedScanStream(
                 table,
-                (*attrs, *(name for name in wanted if name in known and name not in attrs)),
+                query.scan_attributes(),
                 context.strict_integrity,
                 context.calibration,
                 on_empty=functools.partial(self._retire, key),
@@ -1007,7 +1055,7 @@ class ScanShareManager:
             self.hits += 1
         else:
             # Listed once it has a rider: a stream here always has one.
-            self._streams.setdefault(key, []).append(stream)
+            self._streams[key] = stream
             self.misses += 1
         flight.record(
             "share.attach",
@@ -1017,7 +1065,6 @@ class ScanShareManager:
             segments=stream.num_segments,
             riders=len(stream.consumers),
             attrs=len(consumer._attrs),
-            stream_attrs=len(stream.attrs),
             hit=int(hit),
             miss=int(not hit),
             hit_ratio=self.hits / (self.hits + self.misses),
@@ -1025,23 +1072,17 @@ class ScanShareManager:
         )
         return consumer
 
-    def live_stream(self, key: tuple, needs: frozenset | None = None) -> SharedScanStream | None:
-        """The live, healthy stream a query with share key ``key`` and
-        :func:`share_needs` ``needs`` would join: the newest of the key's
-        that carries ``needs`` (any of them, for ``None``)."""
-        for stream in reversed(self._streams.get(key, ())):
-            if stream.failed is None and (needs is None or needs <= stream.carries):
-                return stream
-        return None
+    def live_stream(self, key: tuple) -> SharedScanStream | None:
+        """The live, healthy stream a query with share key ``key`` would join."""
+        stream = self._streams.get(key)
+        return stream if stream is not None and stream.failed is None else None
 
     def _retire(self, key: tuple, stream: SharedScanStream) -> None:
         """Drop ``stream`` (no riders left, or failed), keeping its totals."""
-        streams = self._streams.get(key, [])
-        if stream in streams:
-            streams.remove(stream)
-            if not streams:
-                del self._streams[key]
+        if self._streams.get(key) is stream:
+            del self._streams[key]
             self._retired_io.merge(stream.io_events)
+            obs_metrics.SCHEDULER_SHARED_PAGES.inc(stream.io_events.pages_touched)
 
     def discard(self, consumer: SharedScanConsumer) -> None:
         """Detach a failed/cancelled rider without touching its peers."""
@@ -1049,22 +1090,19 @@ class ScanShareManager:
 
     def live_streams(self) -> list[SharedScanStream]:
         """Streams that still have riders attached."""
-        return [stream for streams in self._streams.values() for stream in streams]
+        return list(self._streams.values())
 
     def board(self) -> list[dict]:
-        """Live-stream summaries for the scheduler dashboard: each
-        stream's attribute count, and each rider's beside its label."""
+        """Live-stream summaries for the scheduler dashboard."""
         return [
             {
                 "table": stream.table.schema.name,
                 "cursor": stream.cursor,
                 "segments": stream.num_segments,
-                "attrs": len(stream.attrs),
                 "riders": [
                     consumer.context.label or "?"
                     for consumer in stream.consumers
                 ],
-                "rider_attrs": [len(consumer._attrs) for consumer in stream.consumers],
             }
             for stream in self.live_streams()
         ]

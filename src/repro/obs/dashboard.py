@@ -108,12 +108,7 @@ def render_board(
             lines.append("  (empty)")
         lines.append(f"shared streams ({len(board['streams'])}):")
         for stream in board["streams"]:
-            # A rider that reads fewer attributes than its stream decodes
-            # rode a wider stream: it shows its count against the stream's.
-            riders = ", ".join(
-                label if count == stream["attrs"] else f"{label} [{count}/{stream['attrs']}]"
-                for label, count in zip(stream["riders"][:4], stream["rider_attrs"])
-            )
+            riders = ", ".join(stream["riders"][:4])
             if len(stream["riders"]) > 4:
                 riders += f", +{len(stream['riders']) - 4}"
             if stream["queued"]:

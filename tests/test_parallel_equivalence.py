@@ -299,6 +299,28 @@ class TestAggregates:
             assert g[-1] == pytest.approx(w[-1])
 
     @pytest.mark.parametrize("arch,layout,kind", ARCHITECTURES)
+    @pytest.mark.parametrize("sort_based", [False, True], ids=["hash", "sort"])
+    def test_avg_scans_each_partition_once(self, tables, query, arch, layout, kind, sort_based):
+        """AVG's partials (SUM and COUNT) aggregate one scan — and one
+        sort — of each partition: it reads and sorts what SUM does."""
+        table = _table(tables, arch)
+        charged = {}
+        for function in (AggregateFunction.SUM, AggregateFunction.AVG):
+            spec = AggregateSpec(("O_ORDERSTATUS",), function, "O_TOTALPRICE")
+            events = parallel_query(
+                table,
+                query,
+                workers=2,
+                partitions=3,
+                column_scanner=kind,
+                aggregate=spec,
+                sort_based=sort_based,
+            ).events
+            charged[function] = (events.pages_touched, events.values_examined, events.bytes_copied)
+        assert charged[AggregateFunction.AVG] == charged[AggregateFunction.SUM]
+        assert charged[AggregateFunction.SUM][0] > 0
+
+    @pytest.mark.parametrize("arch,layout,kind", ARCHITECTURES)
     def test_multi_key_group_by(self, tables, arch, layout, kind):
         query = ScanQuery(
             "ORDERS",
@@ -432,6 +454,45 @@ class TestMergeStability:
         assert forward.column("V").tolist() == backward.column("V").tolist()
         # And both equal the stable sort of the concatenation.
         assert forward.positions.tolist() == [0, 1, 3, 2, 4, 5]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_merge_is_a_heap_merge_of_the_runs(self, seed):
+        """The one stable sort by (keys..., position) gives what a k-way
+        heap merge of the runs gives: random runs, each sorted on an int
+        and a fixed-text key, over duplicate-heavy keys and shuffled
+        delivery."""
+        import heapq
+
+        from repro.engine.blocks import Block, concat_blocks
+        from repro.engine.operators.gather import MergeSortedRuns
+
+        rng = np.random.default_rng(seed)
+        rows = 60
+        keys = {
+            "A": rng.integers(-3, 4, rows),
+            "T": rng.choice(np.array([b"", b"a", b"ab", b"b\x00c", b"zz"], dtype="S4"), rows),
+        }
+        positions = rng.permutation(rows * 3)[:rows]
+        cuts = np.sort(rng.choice(np.arange(1, rows), 3, replace=False))
+        runs = []
+        for part in np.split(np.arange(rows), cuts):
+            order = part[np.lexsort((positions[part], keys["T"][part], keys["A"][part]))]
+            runs.append(
+                Block(
+                    columns={name: values[order] for name, values in keys.items()},
+                    positions=positions[order],
+                )
+            )
+        runs = [runs[i] for i in rng.permutation(len(runs))]
+        merged = concat_blocks(
+            MergeSortedRuns(ExecutionContext(), runs, keys=("A", "T")).drain()
+        )
+        entries = [
+            list(zip(run.column("A").tolist(), run.column("T").tolist(), run.positions.tolist()))
+            for run in runs
+        ]
+        expected = [position for _a, _t, position in heapq.merge(*entries)]
+        assert merged.positions.tolist() == expected
 
     def test_end_to_end_low_cardinality_order_by(self, tables, query):
         # O_SHIPPRIORITY has very few distinct values: the parallel

@@ -41,7 +41,7 @@ from repro.engine.predicate import ComparisonOp, Predicate, predicate_for_select
 from repro.engine.query import ScanQuery
 from repro.engine.scheduler import QueryState, Scheduler, WorkloadQuery
 from repro.engine.sharing import ScanShareManager, SharedScanConsumer, SharedScanStream
-from repro.errors import ChecksumError, PlanError, ReproError, SchemaError
+from repro.errors import ChecksumError, CompressionError, ReproError, SchemaError
 from repro.obs import recorder as flight
 from repro.obs.dashboard import render_board
 from repro.obs.slowlog import SlowQueryLog
@@ -52,6 +52,8 @@ from repro.storage.loader import load_table
 from repro.storage.table import ColumnTable
 from repro.testing.oracle import oracle_scan
 from tests import scan_golden as golden
+from tests.conftest import ONE_UNIT_WINDOWS
+from tests.test_slot_gather import _bad_dictionary_code
 
 ROWS = 700
 
@@ -242,13 +244,6 @@ class TestDegenerateGeometry:
             rider = SharedScanConsumer(ExecutionContext(), stream, QUERY)
             got = _drain_consumer(rider)
             assert_identical(got, run_scan(load_table(data, layout), QUERY))
-
-    def test_missing_attribute_is_a_plan_error(self):
-        data = generate_orders(40, seed=3)
-        table = load_table(data, Layout.COLUMN)
-        stream = SharedScanStream(table, ("O_ORDERKEY",), True)
-        with pytest.raises(PlanError):
-            SharedScanConsumer(ExecutionContext(), stream, QUERY)
 
 
 class TestSalvagePages:
@@ -942,8 +937,12 @@ def test_filtering_riders_together_is_not_observable(layout, monkeypatch):
         failed += got["stream"]["failed"] != "NoneType"
     assert wrapped and mid_window and lost and failed
     grouped = {rider._together for rider in together}
-    assert {op for _attr, op in grouped} == set(ComparisonOp)
-    assert ("O_ORDERSTATUS", ComparisonOp.EQ) in grouped
+    if layout is Layout.COLUMN:
+        assert {op for _attr, op in grouped} == set(ComparisonOp)
+        assert ("O_ORDERSTATUS", ComparisonOp.EQ) in grouped
+    else:
+        # A row or PAX rider reads its pages through the serial read step.
+        assert not grouped
     assert f"{crc:08x}" == TOGETHER_AT_PARENT[layout.name]
 
 
@@ -1039,22 +1038,185 @@ def test_two_projections_of_a_row_table_share_one_pass(cell, faulty):
     assert f"{crc:08x}" == TWO_PROJECTIONS_AT_PARENT[cell, faulty]
 
 
-def _ledgers(scheduler, ledgers: dict) -> int:
-    """Remember every live stream's I/O ledger; returns their pages."""
-    for stream in scheduler.manager.live_streams():
-        ledgers[id(stream)] = stream.io_events
-    return sum(ledger.pages_touched for ledger in ledgers.values())
+def _corrupt_mid_window(cell: str, strict: bool) -> dict:
+    """Three riders of one ROW, ROW-Z or PAX stream, projecting ``{A, B,
+    C}``, ``{B, C}`` and ``{C}`` under one predicate on ``A``, over a page
+    corrupted in the middle of the second window: the second attaches
+    mid-window, the third at the window's end.  Per rider, what it got
+    (its output, events, ticks, pages scanned and faults, or its typed
+    error) and, at the end, the stream's I/O."""
+    layout, compress = ROW_KEY_CELLS[cell]
+    data = generate_orders(40_000 if compress else 14_000, seed=46)
+    table = load_table(apply_fig5_compression(data) if compress else data, layout)
+    span = scan_core.window_pages(ONE_UNIT_WINDOWS, table.page_size)
+    assert table.file.num_pages > 3 * span
+    table.file.corrupt(span + span // 2, 97)
+    predicate = predicate_for_selectivity("O_TOTALPRICE", data.column("O_TOTALPRICE"), 0.3)
+    queries = [
+        ScanQuery("ORDERS", select=select, predicates=(predicate,))
+        for select in (
+            ("O_TOTALPRICE", "O_CUSTKEY", "O_ORDERDATE"),
+            ("O_CUSTKEY", "O_ORDERDATE"),
+            ("O_ORDERDATE",),
+        )
+    ]
+    manager = ScanShareManager()
+    contexts, riders = [], []
+    for query, pumps in zip(queries, (span // 2, span - span // 2, 0)):
+        context = ExecutionContext(
+            calibration=ONE_UNIT_WINDOWS, strict_integrity=strict, governance=QueryContext()
+        )
+        rider = manager.acquire(table, query, context)
+        rider.open()
+        rider.advance(pumps)
+        contexts.append(context)
+        riders.append(rider)
+    assert len(manager.live_streams()) == 1
+    stream = riders[0].share
+    outcomes = []
+    for rider, query, context in zip(riders, queries, contexts):
+        blocks = []
+        try:
+            while (block := rider.next()) is not None:
+                blocks.append(block)
+            raised = None
+        except ReproError as exc:
+            raised = type(exc).__name__
+        manager.discard(rider)
+        outcome = golden._record(context, blocks)
+        outcome.update(raises=raised, attach_cursor=rider.attach_cursor)
+        if raised is None:
+            serial = run_scan(table, query, salvage=not strict)
+            assert outcome["digest"] == golden._digest(serial)
+        outcomes.append(outcome)
+    return {"riders": outcomes, "io_events": golden._events(stream.io_events)}
+
+
+#: CRC-32 of :func:`_corrupt_mid_window`, measured at the parent commit
+#: (3efecc8, where the stream decodes every attribute its riders read
+#: and filters them out for each).
+CORRUPT_MID_WINDOW_AT_PARENT = {
+    ("ROW", True): "e3427be4",
+    ("ROW", False): "60c6e020",
+    ("ROW-Z", True): "46205284",
+    ("ROW-Z", False): "c038f377",
+    ("PAX", True): "e3427be4",
+    ("PAX", False): "60c6e020",
+}
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "salvage"])
+@pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
+def test_a_corrupt_page_mid_window_reaches_each_rider_as_before(cell, strict):
+    """A row or PAX rider reads the stream's checked pages through the
+    serial read step: over a corrupt page in mid-window, strict riders
+    fail where they did and salvage riders lose its rows, and each one's
+    output, events, ticks, pages scanned and faults — and the stream's
+    I/O — are what they were when the stream decoded for them."""
+    got = _corrupt_mid_window(cell, strict)
+    raised = [rider["raises"] for rider in got["riders"]]
+    if strict:
+        assert raised[0] == "ChecksumError" and set(raised) <= {"ChecksumError"}
+    else:
+        assert raised == [None] * 3 and all(rider["faults"] for rider in got["riders"])
+    crc = zlib.crc32(json.dumps(got, sort_keys=True).encode())
+    assert f"{crc:08x}" == CORRUPT_MID_WINDOW_AT_PARENT[cell, strict]
+
+
+@pytest.mark.parametrize("salvage", [False, True], ids=["strict", "salvage"])
+def test_a_bad_code_fails_only_the_rider_that_reads_it(salvage):
+    """A CRC-valid ROW-Z page holds a dictionary code past its dictionary.
+    The stream checks pages and decodes no value, so the code reaches only
+    the rider whose read step takes it, as it reaches that query's serial
+    scan: strict, that rider fails typed; salvaging, it drops the page.
+    A peer that does not read the attribute answers in full either way."""
+    data = apply_fig5_compression(generate_lineitem(3_000, seed=3))
+    table = load_table(data, Layout.ROW)
+    key = data.column("L_EXTENDEDPRICE")
+    bad = int(np.argmax(key))
+    page = _bad_dictionary_code(table, bad, "L_RETURNFLAG")
+    predicate = Predicate("L_EXTENDEDPRICE", ComparisonOp.LE, int(key[bad]))
+    queries = {
+        "peer": ScanQuery("LINEITEM", select=("L_EXTENDEDPRICE", "L_SHIPMODE")),
+        "reader": ScanQuery("LINEITEM", select=("L_RETURNFLAG",), predicates=(predicate,)),
+    }
+    scheduler = Scheduler(max_inflight=2)
+    handles = {
+        name: scheduler.submit(table, query, salvage=salvage, label=name)
+        for name, query in queries.items()
+    }
+    scheduler.run()
+    assert (scheduler.stats()["share_misses"], scheduler.stats()["share_hits"]) == (1, 1)
+    peer = handles["peer"].value()
+    assert_identical(peer, run_scan(table, queries["peer"]))
+    assert peer.corruption.is_clean
+    if not salvage:
+        assert isinstance(handles["reader"].error, CompressionError)
+        return
+    reader, serial = handles["reader"].value(), run_scan(table, queries["reader"], salvage=True)
+    assert_identical(reader, serial)
+    assert [fault.page for fault in reader.corruption.faults] == [page]
+    assert reader.corruption.pages_scanned == serial.corruption.pages_scanned
+
+
+@pytest.mark.usefixtures("one_unit_windows")
+def test_a_failed_rider_keeps_its_first_error_and_reads_no_more(monkeypatch):
+    """Two CRC-valid ROW-Z pages past a queued rider's attach point hold
+    bad dictionary codes, a 3-entry one and, windows later, a 7-entry
+    one.  The rider boards while queued and receives both off its peer's
+    pumps: it fails at the first, as its serial scan does, and reads none
+    of the deliveries after it."""
+    data = apply_fig5_compression(generate_lineitem(12_000, seed=3))
+    table = load_table(data, Layout.ROW)
+    capacity, pages = table.page_codec.tuples_per_page, table.file.num_pages
+    bad_pages = [
+        _bad_dictionary_code(table, page * capacity, name)
+        for page, name in ((pages - 40, "L_RETURNFLAG"), (pages - 2, "L_SHIPMODE"))
+    ]
+    queries = {
+        "peer": ScanQuery("LINEITEM", select=("L_EXTENDEDPRICE",)),
+        "reader": ScanQuery("LINEITEM", select=("L_RETURNFLAG", "L_SHIPMODE")),
+    }
+    reads = []
+    read_run = SharedScanConsumer._read_run
+
+    def counted(rider, index, stop, window):
+        if rider.context.label == "reader":
+            reads.append(index)
+        return read_run(rider, index, stop, window)
+
+    monkeypatch.setattr(SharedScanConsumer, "_read_run", counted)
+    scheduler = Scheduler(max_inflight=1)
+    flight.RECORDER.clear()
+    handles = {"peer": scheduler.submit(table, queries["peer"], label="peer")}
+    assert scheduler.poll()
+    (stream,) = scheduler.manager.live_streams()
+    handles["reader"] = scheduler.submit(table, queries["reader"], label="reader")
+    scheduler.run()
+    (attach,) = [
+        event.detail for event in flight.RECORDER.events("share.attach") if event.query == "reader"
+    ]
+    assert attach["queued"] == 1 and attach["cursor"] < bad_pages[0]
+    assert bad_pages[1] - bad_pages[0] > stream.window_segments
+    with pytest.raises(CompressionError) as serial:
+        run_scan(table, queries["reader"])
+    assert "3-entry" in str(serial.value)
+    assert type(handles["reader"].error) is CompressionError
+    assert str(handles["reader"].error) == str(serial.value)
+    # It read up to the delivery that holds the first bad page, no further.
+    assert reads and max(reads) <= bad_pages[0]
+    assert_identical(handles["peer"].value(), run_scan(table, queries["peer"]))
 
 
 @pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
 @pytest.mark.usefixtures("one_unit_windows")
-def test_a_query_needing_more_opens_a_stream_beside(cell):
+def test_a_query_reading_more_rides_the_live_stream(cell):
     """A query submitted once its key's stream is mid-pass, reading an
-    attribute that stream does not decode, opens a second stream beside
-    it; both finish, and each stream's I/O counts once — while both are
-    live, after the first is retired, and at the end."""
+    attribute its peer does not, rides that stream (a share hit): the
+    stream pumps whole pages, so one circular pass serves both — every
+    page once, and the prefix the late rider missed once more."""
     layout, compress = ROW_KEY_CELLS[cell]
-    # More than two windows: the first stream is still mid-pass after two rounds.
+    # More than two windows: the first rider is still mid-pass after two rounds.
     data = generate_orders(36_000 if compress else 12_000, seed=36)
     table = load_table(apply_fig5_compression(data) if compress else data, layout)
     predicate = predicate_for_selectivity("O_TOTALPRICE", data.column("O_TOTALPRICE"), 0.2)
@@ -1063,33 +1225,33 @@ def test_a_query_needing_more_opens_a_stream_beside(cell):
         for select in (("O_CUSTKEY",), ("O_ORDERDATE",))
     ]
     scheduler = Scheduler(max_inflight=2)
-    ledgers: dict = {}
-    handles = [scheduler.submit(table, queries[0])]
+    flight.RECORDER.clear()
+    handles = [scheduler.submit(table, queries[0], label="first")]
     assert scheduler.poll()
-    (first,) = scheduler.manager.live_streams()
-    assert 0 < first.cursor and first.num_segments > 2 * first.window_segments
-    handles.append(scheduler.submit(table, queries[1]))
+    (stream,) = scheduler.manager.live_streams()
+    assert 0 < stream.cursor and stream.num_segments > 2 * stream.window_segments
+    handles.append(scheduler.submit(table, queries[1], label="late"))
     assert scheduler.poll()
-    assert len(scheduler.manager.live_streams()) == 2
-    counted = [_ledgers(scheduler, ledgers) == scheduler.manager.io_pages()]
-    while scheduler.poll():
-        counted.append(_ledgers(scheduler, ledgers) == scheduler.manager.io_pages())
-    assert all(counted) and len(ledgers) == 2
-    assert scheduler.manager.io_pages() == 2 * table.file.num_pages
+    assert scheduler.manager.live_streams() == [stream]
+    scheduler.run()
+    attaches = {event.query: event.detail for event in flight.RECORDER.events("share.attach")}
+    missed = attaches["late"]["cursor"]
+    assert attaches["late"]["hit"] == 1 and 0 < missed < stream.num_segments
     stats = scheduler.stats()
-    assert (stats["share_misses"], stats["share_hits"]) == (2, 0)
-    assert stats["shared_io_bytes"] == 2 * table.file.num_pages * table.page_size
+    assert (stats["share_misses"], stats["share_hits"]) == (1, 1)
+    assert stats["shared_io_pages"] == table.file.num_pages + missed
+    assert stats["shared_io_bytes"] == stats["shared_io_pages"] * table.page_size
     for handle, query in zip(handles, queries):
         assert_identical(handle.value(), run_scan(table, query))
 
 
 @pytest.mark.parametrize("cell", list(ROW_KEY_CELLS))
 @pytest.mark.usefixtures("one_unit_windows")
-def test_a_queued_query_boards_only_a_stream_that_carries_it(cell):
-    """Behind a running wide rider, a narrower queued query boards its
-    stream mid-pass — its ``share.attach`` and the board show its two
-    attributes beside the stream's three — while one that reads an
-    attribute the stream lacks waits and opens its own at admission."""
+def test_a_queued_query_boards_the_live_stream_whatever_it_reads(cell):
+    """Behind a running rider, queued queries board its stream mid-pass
+    whatever they read — one reading a subset of its attributes, one an
+    attribute it does not read — as the board and their ``share.attach``
+    show."""
     layout, compress = ROW_KEY_CELLS[cell]
     # More than two windows: the wide rider is still mid-pass after two rounds.
     data = generate_orders(36_000 if compress else 12_000, seed=37)
@@ -1099,7 +1261,7 @@ def test_a_queued_query_boards_only_a_stream_that_carries_it(cell):
         ScanQuery("ORDERS", select=select, predicates=(predicate,))
         for select in (("O_CUSTKEY", "O_ORDERDATE"), ("O_CUSTKEY",), ("O_SHIPPRIORITY",))
     ]
-    labels = ("wide", "covered", "lacking")
+    labels = ("wide", "covered", "other")
     scheduler = Scheduler(max_inflight=1)
     flight.RECORDER.clear()
     handles = [scheduler.submit(table, queries[0], label=labels[0])]
@@ -1109,15 +1271,16 @@ def test_a_queued_query_boards_only_a_stream_that_carries_it(cell):
     ]
     assert scheduler.poll()
     (stream,) = scheduler.board()["streams"]
-    assert (stream["attrs"], stream["riders"], stream["rider_attrs"]) == (3, ["wide", "covered"], [3, 2])
-    assert stream["queued"] == ["covered"]
-    assert "riders: wide, covered [2/3] (1 queued)" in render_board(scheduler)
+    assert (stream["riders"], stream["queued"]) == (list(labels), ["covered", "other"])
+    assert "riders: wide, covered, other (2 queued)" in render_board(scheduler)
     scheduler.run()
     attaches = {event.query: event.detail for event in flight.RECORDER.events("share.attach")}
-    assert attaches["covered"]["queued"] == 1 and attaches["covered"]["cursor"] > 0
-    assert (attaches["covered"]["attrs"], attaches["covered"]["stream_attrs"]) == (2, 3)
-    assert attaches["lacking"]["queued"] == 0 and attaches["lacking"]["miss"] == 1
-    assert (attaches["lacking"]["attrs"], attaches["lacking"]["stream_attrs"]) == (2, 2)
+    for label in labels[1:]:
+        assert attaches[label]["queued"] == attaches[label]["hit"] == 1
+        assert attaches[label]["cursor"] == attaches["covered"]["cursor"] > 0
+    stats = scheduler.stats()
+    assert (stats["share_misses"], stats["share_hits"]) == (1, 2)
+    assert stats["shared_io_pages"] == table.file.num_pages + attaches["covered"]["cursor"]
     for handle, query in zip(handles, queries):
         assert_identical(handle.value(), run_scan(table, query))
 
